@@ -19,7 +19,7 @@ from .meanfield import GridIntegrals, OccupiedOrbitals, TdhfPlan, build_fock, ev
 from .stateprep import GivensNetwork, ToffoliLedger, givens_decompose, prepare_slater, toffoli_count
 from .shadows import (
     EstimatorConfig,
-    ShadowSample,
+    ShadowBatch,
     collect_shadows,
     estimate_krdm_element,
     required_samples,

@@ -34,21 +34,12 @@ from .meanfield import (
 )
 from .shadows import (
     EstimatorConfig,
-    RestrictedIndexSet,
+    all_1rdm_elements,
     collect_shadows,
-    estimate_krdm_element,
-    gather_outcome_rows,
+    estimate_elements,
     required_samples,
-    single_shot_values,
-    variance_bound,
 )
-from .states import (
-    FirstQuantizedState,
-    exact_krdm_element,
-    load_state,
-    save_state,
-    slater_oracle,
-)
+from .states import FirstQuantizedState, load_state, save_state, slater_oracle
 from .stateprep import prepare_slater, toffoli_count
 from .grids import grid_dft_matrix
 
@@ -91,10 +82,30 @@ def _write_manifest(subcommand, params, seed, inputs, outputs) -> None:
             fh.write("\n")
 
 
+def _read_input(read, path):
+    """read(path), with a missing or unreadable input file a usage error."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _load_json(path) -> dict:
+    with _read_input(open, path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path} is not valid JSON: {exc.msg} "
+                             f"(line {exc.lineno})") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"{path} must hold a JSON object")
+    return data
+
+
 def _load_nuclei(path, dim) -> NuclearConfig:
     """One nucleus per line: charge x [y z]; # starts a comment."""
     positions, charges = [], []
-    with open(path) as fh:
+    with _read_input(open, path) as fh:
         for line in fh:
             line = line.split("#")[0].strip()
             if not line:
@@ -103,8 +114,11 @@ def _load_nuclei(path, dim) -> NuclearConfig:
             if len(parts) != dim + 1:
                 raise UsageError(
                     f"nuclei line {line!r} needs charge + {dim} coordinates")
-            charges.append(float(parts[0]))
-            positions.append([float(v) for v in parts[1:]])
+            try:
+                charges.append(float(parts[0]))
+                positions.append([float(v) for v in parts[1:]])
+            except ValueError as exc:
+                raise UsageError(f"nuclei line {line!r} is not numeric") from exc
     if not charges:
         return NuclearConfig.empty(dim)
     return NuclearConfig(np.array(positions), np.array(charges))
@@ -112,7 +126,11 @@ def _load_nuclei(path, dim) -> NuclearConfig:
 
 def _load_coeffs(path) -> np.ndarray:
     """CSV with N rows and 2*eta columns (re, im per orbital)."""
-    raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    with _read_input(open, path) as fh:
+        try:
+            raw = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise UsageError(f"coefficient CSV {path} must hold numbers only") from exc
     if raw.shape[1] % 2 != 0:
         raise UsageError("coefficient CSV must have re,im column pairs")
     return raw[:, 0::2] + 1j * raw[:, 1::2]
@@ -168,7 +186,7 @@ def _cmd_evolve(args, config) -> int:
     kernel = _kernel(p["soften"])
     inputs = []
     if p["in"]:
-        state = load_state(p["in"])
+        state = _read_input(load_state, p["in"])
         inputs.append(p["in"])
     else:
         state = _lowest_momentum_slater(grid, int(p["eta"]))
@@ -254,13 +272,20 @@ def _parse_elements(spec_text, n_orbitals, k):
     if spec_text == "all-1rdm":
         if k != 1:
             raise UsageError("all-1rdm requires k=1")
-        return [((i,), (j,)) for i in range(n_orbitals) for j in range(n_orbitals)]
+        return all_1rdm_elements(n_orbitals)
     elements = []
-    with open(spec_text) as fh:
+    with _read_input(open, spec_text) as fh:
         for row in csv.reader(fh):
-            vals = [int(v) for v in row if v.strip() != ""]
+            try:
+                vals = [int(v) for v in row if v.strip() != ""]
+            except ValueError as exc:
+                raise UsageError(
+                    f"element row {row} holds a non-integer label") from exc
             if len(vals) != 2 * k:
                 raise UsageError(f"element row {row} needs 2k = {2 * k} indices")
+            if not all(0 <= v < n_orbitals for v in vals):
+                raise UsageError(
+                    f"element row {row} has a label outside 0..{n_orbitals - 1}")
             elements.append((tuple(vals[:k]), tuple(vals[k:])))
     return elements
 
@@ -270,7 +295,7 @@ def _cmd_shadows(args, config) -> int:
         "in": None, "k": 1, "epsilon": None, "delta": None,
         "samples": "auto", "seed": 0, "elements": "all-1rdm",
         "out": None, "dump-samples": ""})
-    state = load_state(p["in"])
+    state = _read_input(load_state, p["in"])
     if not state.is_antisymmetric():
         raise ValidationError("shadow protocol expects an antisymmetric state")
     k = int(p["k"])
@@ -278,28 +303,23 @@ def _cmd_shadows(args, config) -> int:
     if str(p["samples"]) == "auto":
         m = required_samples(state.n_orbitals, k, state.eta, eps, delta)
     else:
-        m = int(p["samples"])
+        try:
+            m = int(p["samples"])
+        except ValueError as exc:
+            raise UsageError("--samples must be 'auto' or an integer") from exc
     config_est = EstimatorConfig.from_sample_count(k, eps, delta, m)
-    samples = collect_shadows(state, m, int(p["seed"]),
-                              threads=int(getattr(args, "threads", 1) or 1))
     elements = _parse_elements(str(p["elements"]), state.n_orbitals, k)
-    registers = sorted({x for tup in RestrictedIndexSet(state.eta, k).tuples()
-                        for x in tup})
-    shared_rows = gather_outcome_rows(samples, registers)
-    rows = []
-    for bra, ket in elements:
-        est = estimate_krdm_element(samples, config_est, state.eta, bra, ket,
-                                    rows=shared_rows)
-        rows.append([";".join(map(str, bra)), ";".join(map(str, ket)),
-                     est.real, est.imag, config_est.groups,
-                     config_est.group_size])
+    batch = collect_shadows(state, m, int(p["seed"]),
+                            threads=int(getattr(args, "threads", 1) or 1))
+    rows = [[";".join(map(str, bra)), ";".join(map(str, ket)), est.real,
+             est.imag, config_est.groups, config_est.group_size]
+            for (bra, ket), (est, _) in zip(
+                elements, estimate_elements(batch, config_est, elements))]
     _write_csv(p["out"], ["i", "j", "re", "im", "groups", "group_size"], rows)
     outputs = [p["out"]]
     if p["dump-samples"]:
-        sample_rows = []
-        for s in samples:
-            sample_rows.append(["|".join(c.key for c in s.cliffords),
-                                "|".join(str(b) for b in s.outcomes)])
+        sample_rows = [["|".join(keys), "|".join(map(str, outcomes))]
+                       for keys, outcomes in zip(batch.keys, batch.outcomes)]
         _write_csv(p["dump-samples"], ["cliffords", "outcomes"], sample_rows)
         outputs.append(p["dump-samples"])
     inputs = [p["in"]] + ([p["elements"]] if p["elements"] != "all-1rdm" else [])
@@ -337,7 +357,11 @@ def _cmd_cost(args, config) -> int:
         for name, val in zip(names, vals):
             if val == "":
                 continue
-            kwargs[name] = int(val) if name == "k_body" else float(val)
+            try:
+                kwargs[name] = int(val) if name == "k_body" else float(val)
+            except ValueError as exc:
+                raise UsageError(
+                    f"--query value {val!r} for {name} is not a number") from exc
         report = cost_report(CostQuery(**kwargs))
         text = json.dumps(report, indent=2, sort_keys=True, default=str)
         if p["out"]:
@@ -348,82 +372,6 @@ def _cmd_cost(args, config) -> int:
             print(text)
         return 0
     raise UsageError("cost needs --alpha-range or --query")
-
-
-# -- shadow experiment pipeline ------------------------------------------------
-
-
-def pipeline_shadow_experiment(config: dict) -> dict:
-    """Prepare, evolve, measure, estimate, and compare against the oracle.
-
-    Config keys: grid {dim, points, omega}, coeffs (N x eta complex array
-    or CSV path), evolution {time, steps, order, soften} (optional),
-    estimator {k, epsilon, delta, samples}, elements (list of (i, j)
-    tuples or "all-1rdm"), seed.
-    """
-    gridc = config["grid"]
-    grid = GridSpec(dim=int(gridc["dim"]), points_per_axis=int(gridc["points"]),
-                    cell_volume=float(gridc["omega"]))
-    coeffs = config["coeffs"]
-    if isinstance(coeffs, str):
-        coeffs = _load_coeffs(coeffs)
-    coeffs = np.asarray(coeffs, dtype=complex)
-    prep = prepare_slater(coeffs, grid=grid)
-    state = prep.state
-    evo = config.get("evolution")
-    if evo and float(evo.get("time", 0.0)) != 0.0:
-        nuclei = evo.get("nuclei") or NuclearConfig.empty(grid.dim)
-        kernel = _kernel(evo.get("soften", 0.0))
-        plan = EvolutionPlan(total_time=float(evo["time"]),
-                             steps=int(evo["steps"]),
-                             order=int(evo.get("order", 2)))
-        state = evolve(state, plan, nuclei, kernel)
-    est = config["estimator"]
-    k = int(est.get("k", 1))
-    eps, delta = float(est["epsilon"]), float(est["delta"])
-    seed = int(config.get("seed", 0))
-    m = est.get("samples", "auto")
-    if m == "auto":
-        m = required_samples(state.n_orbitals, k, state.eta, eps, delta)
-    m = int(m)
-    cfg = EstimatorConfig.from_sample_count(k, eps, delta, m)
-    samples = collect_shadows(state, m, seed, threads=int(config.get("threads", 1)))
-    elements = config.get("elements", "all-1rdm")
-    if elements == "all-1rdm":
-        elements = [((i,), (j,)) for i in range(state.n_orbitals)
-                    for j in range(state.n_orbitals)]
-    bound = variance_bound(k, state.eta)
-    registers = sorted({x for tup in RestrictedIndexSet(state.eta, k).tuples()
-                        for x in tup})
-    shared_rows = gather_outcome_rows(samples, registers)
-    results = []
-    worst_var = 0.0
-    for bra, ket in elements:
-        estimate = estimate_krdm_element(samples, cfg, state.eta, bra, ket,
-                                         rows=shared_rows)
-        values = single_shot_values(samples, state.eta, k, bra, ket,
-                                    rows=shared_rows)
-        emp_var = float(np.mean(np.abs(values) ** 2) - np.abs(np.mean(values)) ** 2)
-        worst_var = max(worst_var, emp_var)
-        entry = {"i": bra, "j": ket, "estimate": estimate,
-                 "empirical_variance": emp_var}
-        if state.n_orbitals ** state.eta <= 2 ** 16:
-            entry["exact"] = exact_krdm_element(state, bra, ket)
-            entry["error"] = abs(estimate - entry["exact"])
-        results.append(entry)
-    report = {
-        "samples": m,
-        "groups": cfg.groups,
-        "group_size": cfg.group_size,
-        "variance_bound": bound,
-        "worst_empirical_variance": worst_var,
-        "within_variance_bound": worst_var <= bound,
-        "elements": results,
-    }
-    if all("error" in r for r in results):
-        report["max_error"] = max(r["error"] for r in results)
-        report["within_epsilon"] = report["max_error"] <= eps
-    return report
 
 
 # -- dispatcher ----------------------------------------------------------------
@@ -504,30 +452,18 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.manifest:
-        with open(args.manifest) as fh:
-            recorded = json.load(fh)
-        sub = recorded["subcommand"]
-        if sub not in _HANDLERS:
-            print(f"manifest names unknown subcommand {sub!r}", file=sys.stderr)
-            return 2
-        replay_args = argparse.Namespace(threads=args.threads)
-        try:
-            return _HANDLERS[sub](replay_args, recorded["parameters"])
-        except ValidationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except NumericalAssumptionError as exc:
-            print(f"numerical assumption failed: {exc}", file=sys.stderr)
-            return 3
-    if not args.subcommand:
+    if not (args.manifest or args.subcommand):
         parser.print_usage(sys.stderr)
         return 2
-    config = {}
-    if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
     try:
+        if args.manifest:
+            recorded = _load_json(args.manifest)
+            sub = recorded.get("subcommand")
+            if sub not in _HANDLERS:
+                raise UsageError(f"manifest names unknown subcommand {sub!r}")
+            replay_args = argparse.Namespace(threads=args.threads)
+            return _HANDLERS[sub](replay_args, recorded.get("parameters", {}))
+        config = _load_json(args.config) if args.config else {}
         return _HANDLERS[args.subcommand](args, config)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

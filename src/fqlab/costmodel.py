@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .errors import EtaTooSmall, MissingM, ValidationError
+from .grids import window_start
 
 SUPPRESSED_FACTOR_NOTE = "(N t / eps)^o(1) and polylog factors reported as 1"
 
@@ -156,8 +157,8 @@ def lattice_kernel_sum(n_basis: int) -> float:
     m = round(n_basis ** (1 / 3))
     if m ** 3 != n_basis or m % 2 == 0:
         raise ValidationError("lattice sum needs N = m^3 with odd m")
-    half = (m - 1) // 2
-    axis = np.arange(-half, half + 1)
+    lo = window_start(m)
+    axis = np.arange(lo, lo + m)
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     norms = gx ** 2 + gy ** 2 + gz ** 2
     nonzero = norms[norms > 0]

@@ -20,6 +20,16 @@ import numpy as np
 from .errors import ValidationError
 
 
+def register_qubits(n_orbitals: int) -> int:
+    """Qubits per register holding labels 0..n_orbitals-1 (at least one)."""
+    return max(1, math.ceil(math.log2(n_orbitals)))
+
+
+def window_start(m: int) -> int:
+    """Lowest index of the centered m-point window (-(m-1)/2 odd, -m/2 even)."""
+    return -(m // 2)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Cubic simulation grid in ``dim`` dimensions."""
@@ -52,13 +62,13 @@ class GridSpec:
 
     @property
     def qubits_per_register(self) -> int:
-        return max(1, math.ceil(math.log2(self.total_points)))
+        return register_qubits(self.total_points)
 
     @cached_property
     def axis_window(self) -> np.ndarray:
         """Centered integer indices for one axis, ascending."""
         m = self.points_per_axis
-        lo = -(m - 1) // 2 if m % 2 == 1 else -m // 2
+        lo = window_start(m)
         return np.arange(lo, lo + m, dtype=np.int64)
 
     @cached_property
@@ -100,7 +110,7 @@ def centered_dft_matrix(m: int) -> np.ndarray:
     Entry (nu, p) is exp(-2i*pi*nu*p/m)/sqrt(m), nu and p running over the
     same centered window as :meth:`GridSpec.axis_window`.
     """
-    lo = -(m - 1) // 2 if m % 2 == 1 else -m // 2
+    lo = window_start(m)
     w = np.arange(lo, lo + m)
     return np.exp(-2j * np.pi * np.outer(w, w) / m) / np.sqrt(m)
 
@@ -121,7 +131,7 @@ def centered_dft(arr: np.ndarray, axis: int, inverse: bool = False) -> np.ndarra
     adjoint) but O(m log m) per slice.
     """
     m = arr.shape[axis]
-    lo = -(m - 1) // 2 if m % 2 == 1 else -m // 2
+    lo = window_start(m)
     a = np.arange(m)
     sign = 1j if inverse else -1j
     pre = np.exp(sign * 2 * np.pi * lo * a / m)

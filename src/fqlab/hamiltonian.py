@@ -277,8 +277,7 @@ def dense_hamiltonian(grid: GridSpec, nuclei: NuclearConfig,
     block of each register and as zero on padding.
     """
     n_orb = grid.total_points
-    n = max(1, int(np.ceil(np.log2(n_orb))))
-    reg = 2 ** n
+    reg = 2 ** grid.qubits_per_register
     dft = grid_dft_matrix(grid)
     t_block = dft.conj().T @ np.diag(kinetic_phase_table(grid)) @ dft
     t_reg = np.zeros((reg, reg), dtype=complex)

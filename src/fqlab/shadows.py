@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .cliffords import CliffordElement, clifford_table, sample_clifford
+from .cliffords import clifford_from_key, clifford_table, sample_clifford
 from .errors import (
     AssumptionViolated,
     EnumerationUnavailable,
@@ -25,26 +25,34 @@ from .errors import (
     ValidationError,
 )
 from .rng import derive_rng
-from .states import FirstQuantizedState
+from .states import FirstQuantizedState, born_outcome, contract_registers
 
 LOG_CONVENTION = "natural"
 _CHUNK = 4096
 
 
-@dataclass(frozen=True)
-class ShadowSample:
-    """Clifford choices and measured labels, one entry per register."""
+@dataclass(frozen=True, eq=False)
+class ShadowBatch:
+    """Shadow samples as arrays: axis 0 is the sample, axis 1 the register.
 
-    cliffords: tuple          # eta CliffordElement
-    outcomes: tuple           # eta ints in [0, 2**n)
+    The estimators read only ``rows``, the row U_x[b_x, :] of each measured
+    Clifford; ``keys`` and ``outcomes`` make the batch replayable.
+    """
 
-    def __post_init__(self):
-        if len(self.cliffords) != len(self.outcomes):
-            raise ValidationError("clifford/outcome length mismatch")
+    keys: np.ndarray       # (m, eta) Clifford key strings
+    outcomes: np.ndarray   # (m, eta) ints in [0, 2**n)
+    rows: np.ndarray       # (m, eta, 2**n) complex
+
+    def __len__(self) -> int:
+        return len(self.outcomes)
+
+    def __getitem__(self, index) -> "ShadowBatch":
+        """The samples selected by a slice, as views."""
+        return ShadowBatch(self.keys[index], self.outcomes[index], self.rows[index])
 
     @property
     def eta(self) -> int:
-        return len(self.cliffords)
+        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -125,89 +133,83 @@ class EstimatorConfig:
         return EstimatorConfig(k, epsilon, delta, groups, group_size)
 
 
-def _collect_chunk(state, count, rng):
+def _collect_chunk(state, part: ShadowBatch, rng) -> None:
+    """Fill every sample of ``part``: eta Clifford draws, then one Born draw."""
     n = state.qubits_per_register
-    samples = []
-    for _ in range(count):
-        cliffords = tuple(sample_clifford(n, rng) for _ in range(state.eta))
-        tensor = state.tensor
-        for j, c in enumerate(cliffords):
-            tensor = np.moveaxis(
-                np.tensordot(c.unitary, tensor, axes=([1], [j])), 0, j)
-        probs = np.abs(tensor.reshape(-1)) ** 2
-        probs /= probs.sum()
-        flat = rng.choice(probs.size, p=probs)
-        outcome = tuple(int(v) for v in np.unravel_index(flat, tensor.shape))
-        samples.append(ShadowSample(cliffords=cliffords, outcomes=outcome))
-    return samples
+    for s in range(len(part)):
+        cliffords = [sample_clifford(n, rng) for _ in range(state.eta)]
+        tensor = contract_registers(state.tensor,
+                                    enumerate(c.unitary for c in cliffords))
+        part.outcomes[s] = born_outcome(tensor, rng)
+        for x, (c, b) in enumerate(zip(cliffords, part.outcomes[s])):
+            part.keys[s, x] = c.key
+            part.rows[s, x] = c.unitary[b]
 
 
 def collect_shadows(state: FirstQuantizedState, m: int, seed: int,
-                    threads: int = 1) -> list:
+                    threads: int = 1) -> ShadowBatch:
     """Collect m shadow samples.
 
     Samples are generated in fixed-size chunks, chunk c on the rng stream
-    (seed, "shadows", c), and concatenated in chunk order, so the result
-    is identical for any thread count.
+    (seed, "shadows", c) and written to its own slice of the batch, so the
+    result is identical for any thread count.
     """
     if m < 0:
         raise ValidationError("sample count must be nonnegative")
-    chunks = [(c, min(_CHUNK, m - c * _CHUNK))
-              for c in range((m + _CHUNK - 1) // _CHUNK)]
+    batch = ShadowBatch(np.empty((m, state.eta), dtype=object),
+                        np.empty((m, state.eta), dtype=np.int64),
+                        np.empty((m, state.eta, state.register_dim), dtype=complex))
+
+    def fill(c):
+        _collect_chunk(state, batch[c * _CHUNK:(c + 1) * _CHUNK],
+                       derive_rng(seed, "shadows", c))
+
+    chunks = range((m + _CHUNK - 1) // _CHUNK)
     if threads > 1 and len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda cc: _collect_chunk(state, cc[1], derive_rng(seed, "shadows", cc[0])),
-                chunks))
+            list(pool.map(fill, chunks))
     else:
-        parts = [_collect_chunk(state, count, derive_rng(seed, "shadows", c))
-                 for c, count in chunks]
-    out = []
-    for p in parts:
-        out.extend(p)
-    return out
+        for c in chunks:
+            fill(c)
+    return batch
 
 
-def samples_from_keys(rows) -> list:
-    """Rebuild ShadowSamples from (clifford-key strings, outcome ints) rows.
+def samples_from_keys(rows) -> ShadowBatch:
+    """Rebuild a batch from (clifford-key strings, outcome ints) rows.
 
     Inverse of the CSV dump: each row is a pair (iterable of keys,
-    iterable of outcomes). Clifford unitaries are reconstructed from
-    their keys, caching repeats.
+    iterable of outcomes). Each distinct key is rebuilt once.
     """
-    from .cliffords import clifford_from_key
-    cache = {}
-    out = []
-    for keys, outcomes in rows:
-        cliffords = []
-        for key in keys:
-            if key not in cache:
-                cache[key] = clifford_from_key(key)
-            cliffords.append(cache[key])
-        out.append(ShadowSample(cliffords=tuple(cliffords),
-                                outcomes=tuple(int(b) for b in outcomes)))
-    return out
+    rows = list(rows)
+    keys = np.array([list(ks) for ks, _ in rows], dtype=object)
+    outcomes = np.array([[int(b) for b in bs] for _, bs in rows], dtype=np.int64)
+    if keys.shape != outcomes.shape:
+        raise ValidationError("clifford/outcome length mismatch")
+    unitaries = {key: clifford_from_key(key).unitary for key in set(keys.flat)}
+    outcome_rows = np.array([[unitaries[key][b] for key, b in zip(ks, bs)]
+                             for ks, bs in zip(keys, outcomes)], dtype=complex)
+    return ShadowBatch(keys, outcomes, outcome_rows)
 
 
-def snapshot_term_estimate(sample: ShadowSample, registers, bra_labels,
+def snapshot_term_estimate(rows: np.ndarray, registers, bra_labels,
                            ket_labels) -> complex:
     """Factorized tr[M^{-1}(snapshot) O] for O = prod |i_l><j_l| on x_l.
 
+    ``rows`` holds one sample's outcome rows U_x[b_x, :], shape (eta, 2^n).
     Registers not in ``registers`` contribute exactly 1 (the inverted
     single-register snapshot has unit trace), so the product runs over
     the k involved registers only.
     """
+    eta, dim = rows.shape
     value = 1.0 + 0.0j
     for x, i, j in zip(registers, bra_labels, ket_labels):
-        if not 1 <= x <= sample.eta:
-            raise IndexOutOfRange(f"register {x} out of range 1..{sample.eta}")
-        c = sample.cliffords[x - 1]
-        b = sample.outcomes[x - 1]
-        if not (0 <= i < c.dim and 0 <= j < c.dim):
+        if not 1 <= x <= eta:
+            raise IndexOutOfRange(f"register {x} out of range 1..{eta}")
+        if not (0 <= i < dim and 0 <= j < dim):
             raise IndexOutOfRange("orbital label outside register dimension")
-        u = c.unitary
-        value *= (c.dim + 1) * np.conj(u[b, j]) * u[b, i] - (1.0 if i == j else 0.0)
+        r = rows[x - 1]
+        value *= (dim + 1) * np.conj(r[j]) * r[i] - (1.0 if i == j else 0.0)
     return complex(value)
 
 
@@ -217,37 +219,17 @@ def krdm_coefficient(eta: int, k: int) -> float:
     return (k / rset.eta_used) ** k * math.factorial(eta) / math.factorial(eta - k)
 
 
-def gather_outcome_rows(samples, registers) -> dict:
-    """rows[x][s] = row of U_x selected by outcome b_x in sample s.
-
-    Shared across elements: gathering once and passing the dict to
-    single_shot_values avoids re-walking the sample list per element.
-    """
-    rows = {}
-    for x in registers:
-        rows[x] = np.stack([s.cliffords[x - 1].unitary[s.outcomes[x - 1], :]
-                            for s in samples])
-    return rows
-
-
-def single_shot_values(samples, eta: int, k: int, bra_labels,
-                       ket_labels, rows: dict | None = None) -> np.ndarray:
+def single_shot_values(batch: ShadowBatch, eta: int, k: int, bra_labels,
+                       ket_labels) -> np.ndarray:
     """Per-sample estimator values (before grouping), vectorized."""
-    rset = RestrictedIndexSet(eta, k)
     coeff = krdm_coefficient(eta, k)
-    tuples = rset.tuples()
-    m = len(samples)
-    if m == 0:
-        return np.zeros(0, dtype=complex)
-    dim = samples[0].cliffords[0].dim
-    regs_needed = sorted({x for tup in tuples for x in tup})
-    if rows is None:
-        rows = gather_outcome_rows(samples, regs_needed)
+    m = len(batch)
+    dim = batch.rows.shape[2]
     values = np.zeros(m, dtype=complex)
-    for tup in tuples:
+    for tup in RestrictedIndexSet(eta, k).tuples():
         term = np.ones(m, dtype=complex)
         for x, i, j in zip(tup, bra_labels, ket_labels):
-            r = rows[x][:m]
+            r = batch.rows[:, x - 1]
             term = term * ((dim + 1) * np.conj(r[:, j]) * r[:, i]
                            - (1.0 if i == j else 0.0))
         values += term
@@ -265,19 +247,37 @@ def _coordinatewise_median(values: np.ndarray) -> complex:
     return complex(re[idx] + 1j * im[idx])
 
 
-def estimate_krdm_element(samples, config: EstimatorConfig, eta: int,
-                          bra_labels, ket_labels,
-                          rows: dict | None = None) -> complex:
-    """Median of K group means of the restricted-sum estimator."""
-    k = config.k
+def _median_of_means(values: np.ndarray, config: EstimatorConfig) -> complex:
+    """Median of the K means of b consecutive values; extra values are unused."""
     needed = config.groups * config.group_size
-    if len(samples) < needed:
+    if len(values) < needed:
         raise InsufficientSamples(
             f"need {needed} samples for K={config.groups}, b={config.group_size}")
-    values = single_shot_values(samples[:needed], eta, k, bra_labels,
-                                ket_labels, rows=rows)
-    means = values.reshape(config.groups, config.group_size).mean(axis=1)
+    means = values[:needed].reshape(config.groups, config.group_size).mean(axis=1)
     return _coordinatewise_median(means)
+
+
+def estimate_krdm_element(batch: ShadowBatch, config: EstimatorConfig, eta: int,
+                          bra_labels, ket_labels) -> complex:
+    """Median of K group means of the restricted-sum estimator."""
+    values = single_shot_values(batch, eta, config.k, bra_labels, ket_labels)
+    return _median_of_means(values, config)
+
+
+def all_1rdm_elements(n_orbitals: int) -> list:
+    """Every 1-RDM element ((i,), (j,)), row-major."""
+    return [((i,), (j,)) for i in range(n_orbitals) for j in range(n_orbitals)]
+
+
+def estimate_elements(batch: ShadowBatch, config: EstimatorConfig, elements):
+    """Yield (estimate, single-shot values) for each (bra, ket) element.
+
+    The values cover the whole batch and are computed once per element;
+    the estimate is the median of means over the first K * b of them.
+    """
+    for bra, ket in elements:
+        values = single_shot_values(batch, batch.eta, config.k, bra, ket)
+        yield _median_of_means(values, config), values
 
 
 # -- exhaustive-channel verification -----------------------------------------
@@ -299,21 +299,16 @@ def exhaustive_estimator_mean(state: FirstQuantizedState, k: int, bra_labels,
     tuples = RestrictedIndexSet(eta, k).tuples()
     total = 0.0 + 0.0j
     for combo in product(range(len(table)), repeat=eta):
-        cliffords = tuple(
-            CliffordElement(n=n, unitary=table[idx], key=f"t{n}:{idx}")
-            for idx in combo)
-        tensor = state.tensor
-        for j, c in enumerate(cliffords):
-            tensor = np.moveaxis(
-                np.tensordot(c.unitary, tensor, axes=([1], [j])), 0, j)
+        unitaries = [table[idx] for idx in combo]
+        tensor = contract_registers(state.tensor, enumerate(unitaries))
         probs = np.abs(tensor) ** 2
         for outcome in product(range(dim), repeat=eta):
             p = probs[outcome]
             if p < 1e-300:
                 continue
-            sample = ShadowSample(cliffords=cliffords, outcomes=outcome)
+            rows = np.array([u[b] for u, b in zip(unitaries, outcome)])
             est = sum(
-                snapshot_term_estimate(sample, tup, bra_labels, ket_labels)
+                snapshot_term_estimate(rows, tup, bra_labels, ket_labels)
                 for tup in tuples)
             total += p * coeff * est
     return complex(total / len(table) ** eta)

@@ -22,7 +22,6 @@ N (3 eta + n_eta - 2) over a full run.
 """
 
 from dataclasses import dataclass, field
-from itertools import permutations
 import math
 
 import numpy as np
@@ -33,7 +32,8 @@ from .errors import (
     ResidualPopulation,
     ValidationError,
 )
-from .states import FirstQuantizedState, _permutation_sign
+from .grids import register_qubits
+from .states import FirstQuantizedState, signed_permutation_sum
 
 
 # -- Givens network ------------------------------------------------------
@@ -217,7 +217,7 @@ class ConversionRegisters:
         self.window_slots = eta + 1
         self.counter_width = counter_register_width(eta)
         self.counter_dim = 2 ** self.counter_width
-        self.register_qubits = max(1, math.ceil(math.log2(n_orbitals)))
+        self.register_qubits = register_qubits(n_orbitals)
         self.register_dim = 2 ** self.register_qubits
         shape = ((2,) * self.window_slots + (self.counter_dim,)
                  + (self.register_dim,) * eta)
@@ -338,14 +338,6 @@ class ConversionRegisters:
         return np.array(self.tensor[tuple(idx)])
 
 
-def _antisymmetrize_sorted(sorted_tensor: np.ndarray, eta: int) -> np.ndarray:
-    """Signed-permutation isometry from sorted configurations."""
-    acc = np.zeros_like(sorted_tensor)
-    for perm in permutations(range(eta)):
-        acc += _permutation_sign(perm) * np.transpose(sorted_tensor, perm)
-    return acc / math.sqrt(math.factorial(eta))
-
-
 @dataclass
 class PreparationResult:
     state: FirstQuantizedState
@@ -373,6 +365,7 @@ def prepare_slater(coeffs: np.ndarray, grid=None, validate: bool = False,
                 regs.apply_window_rotation(rot)
         regs.conversion_step(orbital, validate=validate)
     sorted_tensor = regs.finish()
-    tensor = _antisymmetrize_sorted(sorted_tensor, eta)
+    # signed-permutation isometry from the sorted configurations
+    tensor = signed_permutation_sum(sorted_tensor) / math.sqrt(math.factorial(eta))
     state = FirstQuantizedState(eta, n, tensor, grid=grid, antisymmetric=True)
     return PreparationResult(state=state, network=network, ledger=regs.ledger)

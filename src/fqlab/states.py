@@ -13,6 +13,7 @@ the other modules are validated against.
 from dataclasses import dataclass
 from itertools import combinations, permutations
 import math
+import os
 import struct
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     ValidationError,
     ZeroProjection,
 )
-from .grids import GridSpec
+from .grids import GridSpec, register_qubits
 
 BRUTE_FORCE_AMPLITUDES = 2 ** 24
 NORM_TOL = 1e-12
@@ -42,6 +43,41 @@ def _permutation_sign(perm) -> int:
             perm[i], perm[j] = perm[j], perm[i]
             sign = -sign
     return sign
+
+
+def signed_permutation_sum(tensor: np.ndarray) -> np.ndarray:
+    """Sum over axis permutations pi of sgn(pi) * transpose(tensor, pi)."""
+    acc = np.zeros_like(tensor)
+    for perm in permutations(range(tensor.ndim)):
+        acc += _permutation_sign(perm) * np.transpose(tensor, perm)
+    return acc
+
+
+def contract_registers(tensor: np.ndarray, unitaries) -> np.ndarray:
+    """Apply each (axis, U) pair of ``unitaries`` to its register axis."""
+    for axis, u in unitaries:
+        tensor = np.moveaxis(np.tensordot(u, tensor, axes=([1], [axis])), 0, axis)
+    return tensor
+
+
+def born_outcome(tensor: np.ndarray, rng: np.random.Generator) -> tuple:
+    """Draw one joint computational-basis outcome by the Born rule."""
+    probs = np.abs(tensor.reshape(-1)) ** 2
+    probs /= probs.sum()
+    flat = rng.choice(probs.size, p=probs)
+    return tuple(int(i) for i in np.unravel_index(flat, tensor.shape))
+
+
+def _check_dense_size(n_orbitals: int, eta: int) -> None:
+    """Refuse N^eta above the dense regime, exactly and without forming huge powers.
+
+    N >= 2 gives N^eta >= 2^eta, so eta is bounded before the power is taken.
+    """
+    if (eta >= BRUTE_FORCE_AMPLITUDES.bit_length()
+            or n_orbitals ** eta > BRUTE_FORCE_AMPLITUDES):
+        raise BruteForceLimitExceeded(
+            f"{n_orbitals}^{eta} amplitudes exceed the dense regime "
+            f"({BRUTE_FORCE_AMPLITUDES})")
 
 
 @dataclass(frozen=True)
@@ -85,13 +121,10 @@ class FirstQuantizedState:
             raise ValidationError("need at least two orbitals per register")
         if grid is not None and grid.total_points != n_orbitals:
             raise ValidationError("grid size does not match n_orbitals")
-        if n_orbitals ** eta > BRUTE_FORCE_AMPLITUDES:
-            raise BruteForceLimitExceeded(
-                f"{n_orbitals}^{eta} amplitudes exceed the dense regime "
-                f"({BRUTE_FORCE_AMPLITUDES})")
+        _check_dense_size(n_orbitals, eta)
         self.eta = int(eta)
         self.n_orbitals = int(n_orbitals)
-        self.qubits_per_register = max(1, math.ceil(math.log2(n_orbitals)))
+        self.qubits_per_register = register_qubits(n_orbitals)
         self.register_dim = 2 ** self.qubits_per_register
         tensor = np.asarray(tensor, dtype=complex)
         if tensor.shape != (self.register_dim,) * eta:
@@ -102,7 +135,7 @@ class FirstQuantizedState:
         self.antisymmetric = bool(antisymmetric)
         if self._padding_weight() > 1e-24:
             raise ValidationError("nonzero amplitude on padded orbital labels")
-        if _normalized and abs(self.norm() - 1.0) > NORM_TOL:
+        if _normalized and not abs(self.norm() - 1.0) <= NORM_TOL:
             raise ValidationError("state must be normalized within 1e-12")
 
     # -- basics ---------------------------------------------------------
@@ -142,8 +175,7 @@ class FirstQuantizedState:
     @staticmethod
     def from_basis(eta, n_orbitals, labels, grid=None):
         """Computational basis state |p_1,...,p_eta>."""
-        n = max(1, math.ceil(math.log2(n_orbitals)))
-        tensor = np.zeros((2 ** n,) * eta, dtype=complex)
+        tensor = np.zeros((2 ** register_qubits(n_orbitals),) * eta, dtype=complex)
         labels = tuple(int(p) for p in labels)
         if len(labels) != eta or any(not 0 <= p < n_orbitals for p in labels):
             raise ValidationError(f"bad basis labels {labels}")
@@ -160,9 +192,7 @@ def antisymmetrize(state: FirstQuantizedState) -> FirstQuantizedState:
     Raises ZeroProjection when the antisymmetric component is numerically
     zero (for example a doubly occupied configuration).
     """
-    acc = np.zeros_like(state.tensor)
-    for perm in permutations(range(state.eta)):
-        acc += _permutation_sign(perm) * np.transpose(state.tensor, perm)
+    acc = signed_permutation_sum(state.tensor)
     acc /= math.factorial(state.eta)
     nrm = np.linalg.norm(acc)
     if nrm < 1e-12:
@@ -193,16 +223,13 @@ def slater_oracle(orbitals, grid: GridSpec | None = None,
     if np.max(np.abs(gram - np.eye(eta))) > 1e-8:
         raise NonOrthonormalInput("orbital Gram matrix deviates from identity by > 1e-8")
 
-    n = max(1, math.ceil(math.log2(n_orbitals)))
-    reg = 2 ** n
+    reg = 2 ** register_qubits(n_orbitals)
     padded = np.zeros((reg, eta), dtype=complex)
     padded[:n_orbitals, :] = coeff
-    acc = np.zeros((reg,) * eta, dtype=complex)
-    for perm in permutations(range(eta)):
-        outer = np.array([1.0 + 0j])
-        for b in range(eta):
-            outer = np.multiply.outer(outer, padded[:, perm[b]])
-        acc += _permutation_sign(perm) * outer.reshape((reg,) * eta)
+    outer = np.array([1.0 + 0j])
+    for b in range(eta):
+        outer = np.multiply.outer(outer, padded[:, b])
+    acc = signed_permutation_sum(outer.reshape((reg,) * eta))
     acc /= math.sqrt(math.factorial(eta))
     return FirstQuantizedState(eta, n_orbitals, acc, grid=grid, antisymmetric=True)
 
@@ -222,18 +249,13 @@ def apply_register_unitary(state: FirstQuantizedState, register: int,
         raise ValidationError(f"unitary must be {d}x{d}")
     if np.max(np.abs(u.conj().T @ u - np.eye(d))) > 1e-8:
         raise NonUnitary("U†U deviates from identity by > 1e-8")
-    axis = register - 1
-    out = np.tensordot(u, state.tensor, axes=([1], [axis]))
-    out = np.moveaxis(out, 0, axis)
+    out = contract_registers(state.tensor, [(register - 1, u)])
     return state.copy_with(out, antisymmetric=False)
 
 
 def measure_all(state: FirstQuantizedState, rng: np.random.Generator):
     """Sample a joint computational-basis outcome (p_1,...,p_eta)."""
-    probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()
-    flat = rng.choice(probs.size, p=probs)
-    return tuple(int(i) for i in np.unravel_index(flat, state.tensor.shape))
+    return born_outcome(state.tensor, rng)
 
 
 def transition_expectation(state: FirstQuantizedState, registers, bra_labels,
@@ -346,12 +368,11 @@ def first_second_equivalence_check(state: FirstQuantizedState, p: int, q: int,
         fq[tuple(idx_dst)] += state.tensor[tuple(idx_src)]
     # Second-quantized side, mapped back to register space.
     coeffs = _apply_creation_annihilation(_occupation_coefficients(state), p, q)
-    sq = np.zeros_like(state.tensor)
+    sorted_occ = np.zeros_like(state.tensor)
     root = math.sqrt(math.factorial(state.eta))
     for occ, c in coeffs.items():
-        for perm in permutations(range(state.eta)):
-            labels = tuple(occ[b] for b in perm)
-            sq[labels] += _permutation_sign(perm) * c / root
+        sorted_occ[occ] = c / root
+    sq = signed_permutation_sum(sorted_occ)
     return bool(np.max(np.abs(fq - sq)) <= tol)
 
 
@@ -373,19 +394,29 @@ def save_state(path, state: FirstQuantizedState) -> None:
 
 
 def load_state(path) -> FirstQuantizedState:
-    """Read a FQS1 snapshot back into a state."""
+    """Read a FQS1 snapshot back into a state.
+
+    The header is checked in full, and the amplitude count it implies is
+    checked against the dense regime and the file size, before any
+    amplitude is read.
+    """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
+        if len(raw) != _HEADER.size:
+            raise ValidationError("snapshot header truncated")
         magic, dim, points, volume, eta = _HEADER.unpack(raw)
         if magic != SNAPSHOT_MAGIC:
             raise ValidationError(f"bad snapshot magic {magic!r}")
         grid = GridSpec(dim=dim, points_per_axis=points, cell_volume=volume)
-        n = grid.qubits_per_register
-        count = (2 ** n) ** eta
-        amps = np.frombuffer(fh.read(count * 16), dtype="<c16").astype(complex)
-    if amps.size != count:
-        raise ValidationError("snapshot truncated")
-    tensor = amps.reshape((2 ** n,) * eta)
+        _check_dense_size(grid.total_points, eta)
+        reg = 2 ** grid.qubits_per_register
+        size = reg ** eta * 16
+        body = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if body != size:
+            raise ValidationError(
+                f"snapshot holds {body} amplitude bytes, its header implies {size}")
+        amps = np.frombuffer(fh.read(size), dtype="<c16").astype(complex)
+    tensor = amps.reshape((reg,) * eta)
     state = FirstQuantizedState(eta, grid.total_points, tensor, grid=grid)
     if state.is_antisymmetric():
         state.antisymmetric = True

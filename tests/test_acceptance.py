@@ -39,10 +39,8 @@ from fqlab.meanfield import (
     evolve_tdhf,
 )
 from fqlab.shadows import (
-    RestrictedIndexSet,
     collect_shadows,
     exhaustive_estimator_mean,
-    gather_outcome_rows,
     required_samples,
     single_shot_values,
     twirl_deviations,
@@ -78,14 +76,11 @@ def test_criterion_01_shadows_unbiasedness_exact():
 def _statistical_check(state, k, elements, m, seed):
     eta = state.eta
     bound = variance_bound(k, eta)
-    samples = collect_shadows(state, m, seed=seed)
-    registers = sorted({x for tup in RestrictedIndexSet(eta, k).tuples()
-                        for x in tup})
-    rows = gather_outcome_rows(samples, registers)
+    batch = collect_shadows(state, m, seed=seed)
     worst_var = 0.0
     worst_sigmas = 0.0
     for bra, ket in elements:
-        values = single_shot_values(samples, eta, k, bra, ket, rows=rows)
+        values = single_shot_values(batch, eta, k, bra, ket)
         exact = exact_krdm_element(state, bra, ket)
         var = float(np.mean(np.abs(values) ** 2) - abs(np.mean(values)) ** 2)
         worst_var = max(worst_var, var)

@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from fqlab.cli import dispatch, pipeline_shadow_experiment
+from fqlab.cli import dispatch
+from fqlab.experiment import pipeline_shadow_experiment
 from fqlab.states import load_state
 
 from conftest import random_orthonormal
@@ -226,3 +227,38 @@ class TestElementsFile:
                          "--epsilon", "0.5", "--delta", "0.2", "--samples",
                          "200", "--seed", "8", "--elements", "bad.csv",
                          "--out", "x.csv"]) == 2
+        # negative, out-of-range and non-integer labels on the N=4 grid
+        for row in ("-1,0", "9,0", "a,0"):
+            with open("bad1.csv", "w") as fh:
+                fh.write(row + "\n")
+            assert dispatch(["shadows", "--in", "st2.bin", "--k", "1",
+                             "--epsilon", "0.5", "--delta", "0.2", "--samples",
+                             "200", "--seed", "8", "--elements", "bad1.csv",
+                             "--out", "x.csv"]) == 2
+
+
+class TestMalformedInputs:
+    @pytest.fixture
+    def inputs(self, workdir):
+        assert dispatch(["evolve", "--dim", "1", "--points", "4", "--omega",
+                         "4", "--eta", "2", "--time", "0.1", "--steps", "2",
+                         "--out", "st.bin"]) == 0
+        (workdir / "cfg.json").write_text("{not json")
+        (workdir / "coeffs.csv").write_text("1,0\nx,0\n")
+        return workdir
+
+    @pytest.mark.parametrize("argv", [
+        ["shadows", "--in", "missing.bin", "--epsilon", "0.5", "--delta",
+         "0.2", "--samples", "200", "--out", "x.csv"],
+        ["--manifest", "missing.json"],
+        ["--config", "cfg.json", "cost", "--query", "1000,10,1,0.1"],
+        ["prep", "--coeffs", "coeffs.csv"],
+        ["shadows", "--in", "st.bin", "--epsilon", "0.5", "--delta", "0.2",
+         "--samples", "abc", "--out", "x.csv"],
+        ["cost", "--query", "a,b,c,d"],
+    ], ids=["missing-in", "missing-manifest", "bad-config", "bad-coeffs",
+            "bad-samples", "bad-query"])
+    def test_exit_two_with_one_line(self, inputs, capsys, argv):
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err

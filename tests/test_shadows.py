@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fqlab.cliffords import CliffordElement, clifford_table
+from fqlab.cliffords import clifford_table
 from fqlab.errors import (
     AssumptionViolated,
     EnumerationUnavailable,
@@ -17,13 +17,13 @@ from fqlab.rng import derive_rng
 from fqlab.shadows import (
     EstimatorConfig,
     RestrictedIndexSet,
-    ShadowSample,
     _coordinatewise_median,
     collect_shadows,
     estimate_krdm_element,
     exhaustive_estimator_mean,
     krdm_coefficient,
     required_samples,
+    samples_from_keys,
     single_shot_values,
     snapshot_term_estimate,
     twirl_deviations,
@@ -38,9 +38,9 @@ PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
 
 
-def identity_clifford(n):
-    return CliffordElement(n=n, unitary=np.eye(2 ** n, dtype=complex),
-                           key=f"id{n}")
+def identity_rows(n, outcomes):
+    """Outcome rows of identity Cliffords measured at ``outcomes``."""
+    return np.eye(2 ** n, dtype=complex)[list(outcomes)]
 
 
 class TestRequiredSamples:
@@ -101,17 +101,17 @@ class TestRestrictedIndexSet:
 
 class TestSnapshotTerm:
     def test_identity_clifford_diagonal_hit(self):
-        sample = ShadowSample(cliffords=(identity_clifford(2),), outcomes=(1,))
-        assert snapshot_term_estimate(sample, (1,), (1,), (1,)) == pytest.approx(4.0)
+        rows = identity_rows(2, (1,))
+        assert snapshot_term_estimate(rows, (1,), (1,), (1,)) == pytest.approx(4.0)
 
     def test_identity_clifford_diagonal_miss(self):
-        sample = ShadowSample(cliffords=(identity_clifford(2),), outcomes=(2,))
-        assert snapshot_term_estimate(sample, (1,), (1,), (1,)) == pytest.approx(-1.0)
+        rows = identity_rows(2, (2,))
+        assert snapshot_term_estimate(rows, (1,), (1,), (1,)) == pytest.approx(-1.0)
 
     def test_register_index_checked(self):
-        sample = ShadowSample(cliffords=(identity_clifford(1),), outcomes=(0,))
+        rows = identity_rows(1, (0,))
         with pytest.raises(IndexOutOfRange):
-            snapshot_term_estimate(sample, (2,), (0,), (0,))
+            snapshot_term_estimate(rows, (2,), (0,), (0,))
 
     def test_channel_inversion_exact_single_register(self):
         # average over all 24 Cliffords x 2 outcomes reproduces <i|rho|j>
@@ -126,10 +126,7 @@ class TestSnapshotTerm:
                 for u in table:
                     probs = np.abs(u @ psi) ** 2
                     for b in range(2):
-                        sample = ShadowSample(
-                            cliffords=(CliffordElement(1, u, "x"),),
-                            outcomes=(b,))
-                        term = snapshot_term_estimate(sample, (1,), (i,), (j,))
+                        term = snapshot_term_estimate(u[[b]], (1,), (i,), (j,))
                         acc += probs[b] * term
                 acc /= len(table)
                 # tr[rho |i><j|] = <j|rho|i>
@@ -140,14 +137,13 @@ class TestSnapshotTerm:
         # must not change the factorized estimate
         rng = derive_rng(8, "extra")
         state = random_antisymmetric_state(4, 2, seed=5)
-        samples = collect_shadows(state, 10, seed=77)
-        for s in samples:
-            one = snapshot_term_estimate(s, (1,), (0,), (1,))
-            u = s.cliffords[1].unitary
-            b = s.outcomes[1]
-            trace_inverted = (u.shape[0] + 1) * np.vdot(u[b], u[b]) - u.shape[0]
+        batch = collect_shadows(state, 10, seed=77)
+        for rows in batch.rows:
+            one = snapshot_term_estimate(rows, (1,), (0,), (1,))
+            row = rows[1]
+            trace_inverted = (row.size + 1) * np.vdot(row, row) - row.size
             assert trace_inverted == pytest.approx(1.0, abs=1e-10)
-            assert one == snapshot_term_estimate(s, (1,), (0,), (1,))
+            assert one == snapshot_term_estimate(rows, (1,), (0,), (1,))
 
 
 class TestEstimator:
@@ -181,6 +177,19 @@ class TestEstimator:
                 comp = component(values)
                 sigma = comp.std(ddof=1) / math.sqrt(len(comp)) + 1e-12
                 assert abs(comp.mean() - component(exact)) < 5 * sigma
+
+    def test_vectorized_values_match_scalar_reference(self):
+        # single_shot_values over the batch rows equals the per-sample
+        # restricted sum of snapshot_term_estimate
+        state = random_antisymmetric_state(4, 4, seed=15)
+        batch = collect_shadows(state, 50, seed=4)
+        bra, ket = (0, 2), (1, 3)
+        values = single_shot_values(batch, 4, 2, bra, ket)
+        tuples = RestrictedIndexSet(4, 2).tuples()
+        for rows, value in zip(batch.rows, values):
+            ref = krdm_coefficient(4, 2) * sum(
+                snapshot_term_estimate(rows, tup, bra, ket) for tup in tuples)
+            assert value == pytest.approx(ref, abs=1e-12)
 
     def test_median_of_means_path(self):
         state = random_antisymmetric_state(4, 2, seed=9)
@@ -230,14 +239,14 @@ class TestEstimatorConfig:
 class TestCollect:
     def test_zero_samples(self):
         state = random_antisymmetric_state(4, 2, seed=12)
-        assert collect_shadows(state, 0, seed=1) == []
+        assert len(collect_shadows(state, 0, seed=1)) == 0
 
     def test_deterministic_and_thread_invariant(self):
         state = random_antisymmetric_state(4, 2, seed=13)
         a = collect_shadows(state, 40, seed=5)
         b = collect_shadows(state, 40, seed=5)
         c = collect_shadows(state, 40, seed=5, threads=3)
-        keys = lambda ss: [(tuple(x.key for x in s.cliffords), s.outcomes) for s in ss]
+        keys = lambda batch: (batch.keys.tolist(), batch.outcomes.tolist())
         assert keys(a) == keys(b) == keys(c)
 
     def test_single_register_marginal_recovered(self):
@@ -246,12 +255,10 @@ class TestCollect:
         state = random_antisymmetric_state(4, 2, seed=14)
         marginal = np.tensordot(state.tensor, state.tensor.conj(), axes=([1], [1]))
         m = 30_000
-        samples = collect_shadows(state, m, seed=21)
+        batch = collect_shadows(state, m, seed=21)
         dim = 4
         acc = np.zeros((dim, dim), dtype=complex)
-        for s in samples:
-            u = s.cliffords[0].unitary
-            row = u[s.outcomes[0], :]
+        for row in batch.rows[:, 0]:
             acc += (dim + 1) * np.outer(row.conj(), row) - np.eye(dim)
         acc /= m
         # single-shot elementwise variance is O(1); 5 sigma with sigma ~ sqrt(var/m)
@@ -331,9 +338,7 @@ class TestSampleDumpReplay:
     def test_rebuilt_samples_give_identical_estimates(self):
         state = random_antisymmetric_state(4, 2, seed=23)
         samples = collect_shadows(state, 300, seed=6)
-        rows = [([c.key for c in s.cliffords], list(s.outcomes))
-                for s in samples]
-        from fqlab.shadows import samples_from_keys
+        rows = list(zip(samples.keys.tolist(), samples.outcomes.tolist()))
         rebuilt = samples_from_keys(rows)
         config = EstimatorConfig.from_sample_count(1, 0.5, 0.2, 300)
         for (i, j) in [(0, 0), (1, 2)]:
@@ -351,13 +356,10 @@ class TestHeadlineVarianceProperty:
         for seed in range(5):
             state = random_antisymmetric_state(4, 2, seed=400 + seed)
             samples = collect_shadows(state, 30_000, seed=seed)
-            from fqlab.shadows import gather_outcome_rows
-            rows = gather_outcome_rows(samples, (1, 2))
             worst = 0.0
             for i in range(4):
                 for j in range(4):
-                    values = single_shot_values(samples, 2, 1, (i,), (j,),
-                                                rows=rows)
+                    values = single_shot_values(samples, 2, 1, (i,), (j,))
                     var = float(np.mean(np.abs(values) ** 2)
                                 - abs(np.mean(values)) ** 2)
                     worst = max(worst, var)

@@ -1,7 +1,9 @@
 """Core state representation: antisymmetry, determinants, RDMs, measurement."""
 
 import math
+import struct
 
+from hypothesis import HealthCheck, given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy import stats
@@ -296,6 +298,61 @@ class TestSnapshotFormat:
         path.write_bytes(b"NOPE" + b"\0" * 64)
         with pytest.raises(ValidationError):
             load_state(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"FQS1\x01\x05\x00")
+        with pytest.raises(ValidationError):
+            load_state(path)
+
+    def test_oversized_header_rejected_before_reading(self, tmp_path):
+        # eta=9 on a 64^3 grid names 2^162 amplitudes
+        path = tmp_path / "huge.bin"
+        path.write_bytes(struct.pack("<4sBIdI", b"FQS1", 3, 64, 1.0, 9))
+        with pytest.raises(ValidationError):
+            load_state(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        grid = GridSpec(dim=1, points_per_axis=4, cell_volume=4.0)
+        path = tmp_path / "state.bin"
+        save_state(path, slater_oracle(random_orthonormal(4, 2, seed=3), grid=grid))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValidationError):
+            load_state(path)
+
+    def test_non_finite_amplitudes_rejected(self, tmp_path):
+        grid = GridSpec(dim=1, points_per_axis=4, cell_volume=4.0)
+        path = tmp_path / "state.bin"
+        save_state(path, slater_oracle(random_orthonormal(4, 2, seed=3), grid=grid))
+        raw = bytearray(path.read_bytes())
+        raw[21:37] = np.array([np.nan], dtype="<c16").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError):
+            load_state(path)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_snapshots_raise_only_validation_errors(self, tmp_path, data):
+        grid = GridSpec(dim=1, points_per_axis=4, cell_volume=4.0)
+        path = tmp_path / "state.bin"
+        save_state(path, slater_oracle(random_orthonormal(4, 2, seed=3), grid=grid))
+        good = path.read_bytes()
+        damage = data.draw(st.sampled_from(["truncate", "random", "header"]))
+        if damage == "truncate":
+            raw = good[:data.draw(st.integers(0, len(good) - 1))]
+        elif damage == "random":
+            raw = data.draw(st.binary(max_size=2 * len(good)))
+        else:
+            raw = struct.pack(
+                "<4sBIdI", b"FQS1", data.draw(st.integers(0, 4)),
+                data.draw(st.integers(0, 2 ** 32 - 1)), data.draw(st.floats()),
+                data.draw(st.integers(0, 2 ** 32 - 1))) + good[21:]
+        path.write_bytes(raw)
+        try:
+            load_state(path)
+        except ValidationError:
+            pass
 
     def test_gridless_state_cannot_serialize(self, tmp_path):
         state = random_antisymmetric_state(4, 2, seed=2)
