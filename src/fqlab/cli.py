@@ -356,6 +356,8 @@ def _cmd_cost(args, config) -> int:
         kwargs = {}
         for name, val in zip(names, vals):
             if val == "":
+                if name in ("n_basis", "eta"):
+                    raise UsageError(f"--query field {name} is empty")
                 continue
             try:
                 kwargs[name] = int(val) if name == "k_body" else float(val)

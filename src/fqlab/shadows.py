@@ -104,6 +104,13 @@ def variance_bound(k: int, eta: int) -> float:
     return math.e ** 3 * eta ** k * (2 * k + 2 * math.e) ** k
 
 
+def _median_groups(delta: float) -> int:
+    """Median-of-means group count K = ceil(8 ln(1/delta)), 0 < delta < 1."""
+    if not 0 < delta < 1:
+        raise ValidationError(f"delta must lie in (0, 1), got {delta}")
+    return math.ceil(8 * math.log(1 / delta))
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Median-of-means configuration: K groups of b samples each."""
@@ -118,7 +125,7 @@ class EstimatorConfig:
     @staticmethod
     def auto(k: int, epsilon: float, delta: float, eta: int) -> "EstimatorConfig":
         """K = ceil(8 ln(1/delta)), b = ceil(4 VarBound / eps^2)."""
-        groups = math.ceil(8 * math.log(1 / delta))
+        groups = _median_groups(delta)
         group_size = math.ceil(4 * variance_bound(k, eta) / epsilon ** 2)
         return EstimatorConfig(k, epsilon, delta, groups, group_size)
 
@@ -126,7 +133,7 @@ class EstimatorConfig:
     def from_sample_count(k: int, epsilon: float, delta: float,
                           m: int) -> "EstimatorConfig":
         """Fit b to an available sample count; the remainder is dropped."""
-        groups = math.ceil(8 * math.log(1 / delta))
+        groups = _median_groups(delta)
         group_size = m // groups
         if group_size < 1:
             raise InsufficientSamples(f"{m} samples cannot fill {groups} groups")

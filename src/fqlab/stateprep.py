@@ -14,6 +14,14 @@ rotations. Label ordering inside the first-quantized registers is
 strictly ascending on every branch, which is what makes the conversion
 reversible; an instrumented mode verifies this branch by branch.
 
+The joint register state is simulated on its live basis branches only,
+each keyed by its window occupancy, counter and written labels: every
+branch holds eta particles, the written ones in ascending order, so at
+most C(N, eta) branches exist and memory is O(C(N, eta)) instead of the
+2^(eta+1) 2^n_eta (2^n)^eta amplitudes of the full register space. A
+Givens rotation mixes pairs of branches, a conversion step rewrites
+keys, and only the final sorted-configuration tensor is dense.
+
 Toffoli accounting follows the improved conversion procedure: per
 orbital, one simultaneous unary-iteration step on all eta registers
 (eta), the counter increment (n_eta - 1), the counter-controlled unary
@@ -33,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .grids import register_qubits
-from .states import FirstQuantizedState, signed_permutation_sum
+from .states import FirstQuantizedState, check_dense_size, signed_permutation_sum
 
 
 # -- Givens network ------------------------------------------------------
@@ -197,16 +205,20 @@ def antisymmetrization_gate_estimate(n_orbitals: int, eta: int) -> int:
     return eta * math.ceil(math.log2(eta)) * math.ceil(math.log2(n_orbitals))
 
 
-# -- joint-space conversion simulation ------------------------------------
+# -- keyed-branch conversion simulation -----------------------------------
 
 
 class ConversionRegisters:
     """Joint state of window qubits, the counter, and the eta registers.
 
-    Axes: eta + 1 window slots (dim 2 each), the counter (dim
-    2**counter_width), then eta first-quantized registers (dim 2**n
-    each). Window slot for orbital o is o mod (eta + 1); a slot is reused
-    only after the conversion has provably zeroed it.
+    Only the live basis branches are stored, as a struct of arrays with
+    one row per branch: ``occupancy`` (bitmask over the eta + 1 window
+    slots), ``counter`` (registers written so far), ``labels`` (one row
+    of eta register labels, 0 where unwritten) and ``amplitudes``.
+    Window slot for orbital o is o mod (eta + 1); a slot is reused only
+    after the conversion has provably zeroed it. Every branch places eta
+    particles, written ones in ascending order below the next orbital to
+    convert, so at most C(N, eta) branches are live.
     """
 
     def __init__(self, n_orbitals: int, eta: int):
@@ -216,52 +228,66 @@ class ConversionRegisters:
         self.eta = eta
         self.window_slots = eta + 1
         self.counter_width = counter_register_width(eta)
-        self.counter_dim = 2 ** self.counter_width
         self.register_qubits = register_qubits(n_orbitals)
         self.register_dim = 2 ** self.register_qubits
-        shape = ((2,) * self.window_slots + (self.counter_dim,)
-                 + (self.register_dim,) * eta)
-        self.tensor = np.zeros(shape, dtype=complex)
+        # packed branch key, low bits first: slots, counter, labels
+        label_base = self.window_slots + self.counter_width
+        if label_base + eta * self.register_qubits > 63:
+            raise ValidationError("branch keys do not fit 63 bits")
+        self._label_shifts = label_base + self.register_qubits * np.arange(eta)
         # reference: orbitals 0..eta-1 occupied, counter 0, registers 0
-        start = [0] * len(shape)
-        for o in range(eta):
-            start[self._slot(o)] = 1
-        self.tensor[tuple(start)] = 1.0
+        self.occupancy = np.array([sum(1 << self._slot(o) for o in range(eta))],
+                                  dtype=np.int64)
+        self.counter = np.zeros(1, dtype=np.int64)
+        self.labels = np.zeros((1, eta), dtype=np.int64)
+        self.amplitudes = np.ones(1, dtype=complex)
         self.converted = 0
         self.ledger = ToffoliLedger()
 
     def _slot(self, orbital: int) -> int:
         return orbital % self.window_slots
 
-    def _counter_axis(self) -> int:
-        return self.window_slots
-
-    def _register_axis(self, register: int) -> int:
-        return self.window_slots + register  # register is 1-based
-
     def window_population(self, orbital: int) -> float:
         """Probability mass with the slot for ``orbital`` in state |1>."""
-        axis = self._slot(orbital)
-        idx = [slice(None)] * self.tensor.ndim
-        idx[axis] = 1
-        return float(np.sum(np.abs(self.tensor[tuple(idx)]) ** 2))
+        on = (self.occupancy & (1 << self._slot(orbital))) != 0
+        return float(np.sum(np.abs(self.amplitudes[on]) ** 2))
 
     def apply_window_rotation(self, rot: GivensRotation) -> None:
         """Number-conserving two-qubit gate on the slots of (a, b).
 
         The one-particle amplitudes transform by the rotation block with
         |10> (orbital a occupied) as the first component; |00> and |11>
-        are untouched (the block has unit determinant).
+        are untouched (the block has unit determinant). Branches with
+        one of the two slots occupied pair up by the rest of their key;
+        a missing partner enters with amplitude 0.
         """
         sa, sb = self._slot(rot.orbital_a), self._slot(rot.orbital_b)
         if sa == sb:
             raise ValidationError("rotation maps to a single window slot")
         g = rot.block()
-        t = np.moveaxis(self.tensor, (sa, sb), (0, 1))
-        amp_a, amp_b = t[1, 0].copy(), t[0, 1].copy()
-        t[1, 0] = g[0, 0] * amp_a + g[0, 1] * amp_b
-        t[0, 1] = g[1, 0] * amp_a + g[1, 1] * amp_b
-        self.tensor = np.moveaxis(t, (0, 1), (sa, sb))
+        bit_a, bit_b = 1 << sa, 1 << sb
+        pair = self.occupancy & (bit_a | bit_b)
+        is_single = (pair == bit_a) | (pair == bit_b)
+        single, kept = np.flatnonzero(is_single), np.flatnonzero(~is_single)
+        rest = self.occupancy[single] & ~(bit_a | bit_b)
+        pair_keys = (rest | (self.counter[single] << self.window_slots)
+                     | (self.labels[single] << self._label_shifts).sum(axis=1))
+        _, first, inverse = np.unique(pair_keys, return_index=True,
+                                      return_inverse=True)
+        on_a = pair[single] == bit_a
+        amp_a = np.zeros(len(first), dtype=complex)
+        amp_b = np.zeros(len(first), dtype=complex)
+        amp_a[inverse[on_a]] = self.amplitudes[single[on_a]]
+        amp_b[inverse[~on_a]] = self.amplitudes[single[~on_a]]
+        rows = np.concatenate([kept, single[first], single[first]])
+        self.occupancy = np.concatenate(
+            [self.occupancy[kept], rest[first] | bit_a, rest[first] | bit_b])
+        self.counter = self.counter[rows]
+        self.labels = self.labels[rows]
+        self.amplitudes = np.concatenate(
+            [self.amplitudes[kept],
+             g[0, 0] * amp_a + g[0, 1] * amp_b,
+             g[1, 0] * amp_a + g[1, 1] * amp_b])
 
     def conversion_step(self, orbital: int, validate: bool = False) -> None:
         """Move orbital occupancy into register xi+1 on every branch.
@@ -275,28 +301,23 @@ class ConversionRegisters:
             raise ValidationError(
                 f"conversion must proceed in orbital order; expected "
                 f"{self.converted}, got {orbital}")
-        slot = self._slot(orbital)
-        ca = self._counter_axis()
-        ndim = self.tensor.ndim
-        for xi in range(self.eta):
-            reg_axis = self._register_axis(xi + 1)
-            if validate:
-                viol = [slice(None)] * ndim
-                viol[slot], viol[ca], viol[reg_axis] = 1, xi, slice(1, None)
-                if float(np.linalg.norm(self.tensor[tuple(viol)])) > 1e-12:
-                    raise OrderingViolation(
-                        f"register {xi + 1} already written on an occupied branch")
-            src = [slice(None)] * ndim
-            src[slot], src[ca], src[reg_axis] = 1, xi, 0
-            dst = [slice(None)] * ndim
-            dst[slot], dst[ca], dst[reg_axis] = 0, xi + 1, orbital
-            self.tensor[tuple(dst)] += self.tensor[tuple(src)]
-            self.tensor[tuple(src)] = 0.0
-        leftover = [slice(None)] * ndim
-        leftover[slot] = 1
-        if float(np.linalg.norm(self.tensor[tuple(leftover)])) > 1e-12:
+        bit = 1 << self._slot(orbital)
+        rows = np.flatnonzero(self.occupancy & bit)
+        xi = self.counter[rows]
+        full = xi >= self.eta
+        written = ~full & (self.labels[rows, np.minimum(xi, self.eta - 1)] != 0)
+        free = ~full & ~written
+        if validate and np.linalg.norm(self.amplitudes[rows[written]]) > 1e-12:
+            raise OrderingViolation(
+                f"register {int(xi[written].min()) + 1} already written on an "
+                f"occupied branch")
+        if np.linalg.norm(self.amplitudes[rows[~free]]) > 1e-12:
             raise OrderingViolation(
                 "occupied branch with the counter already at capacity")
+        move = rows[free]
+        self.labels[move, xi[free]] = orbital
+        self.counter[move] += 1
+        self.occupancy[move] &= ~bit
         self.converted += 1
         if validate:
             self._check_branch_invariants()
@@ -309,33 +330,28 @@ class ConversionRegisters:
     def _check_branch_invariants(self, tol: float = 1e-12) -> None:
         """Every populated basis branch: counter matches written count and
         register labels are strictly ascending."""
-        flat = self.tensor.reshape(-1)
-        shape = self.tensor.shape
-        for idx in np.flatnonzero(np.abs(flat) > tol):
-            coords = np.unravel_index(idx, shape)
-            xi = coords[self._counter_axis()]
-            labels = [coords[self._register_axis(r)] for r in range(1, self.eta + 1)]
-            written = labels[:xi]
-            rest = labels[xi:]
-            if any(rest):
-                raise OrderingViolation("label in an unwritten register")
-            if any(written[a] >= written[a + 1] for a in range(len(written) - 1)):
-                raise OrderingViolation("register labels not strictly ascending")
+        live = np.abs(self.amplitudes) > tol
+        labels = self.labels[live]
+        written = np.arange(self.eta) < self.counter[live][:, None]
+        if np.any(labels[~written]):
+            raise OrderingViolation("label in an unwritten register")
+        if np.any(written[:, 1:] & (labels[:, :-1] >= labels[:, 1:])):
+            raise OrderingViolation("register labels not strictly ascending")
 
     def finish(self, residual_tol: float = 1e-10):
         """Extract the sorted-configuration tensor after full conversion."""
         if self.converted != self.n_orbitals:
             raise ValidationError("conversion incomplete")
-        window_weight = 0.0
-        for o in range(self.window_slots):
-            idx = [slice(None)] * self.tensor.ndim
-            idx[o] = 1
-            window_weight += float(np.sum(np.abs(self.tensor[tuple(idx)]) ** 2))
+        probs = np.abs(self.amplitudes) ** 2
+        window_weight = sum(float(np.sum(probs[(self.occupancy & (1 << s)) != 0]))
+                            for s in range(self.window_slots))
         if window_weight > residual_tol ** 2:
             raise ResidualPopulation(
                 f"window population {window_weight:.2e} after conversion")
-        idx = [0] * self.window_slots + [self.eta] + [slice(None)] * self.eta
-        return np.array(self.tensor[tuple(idx)])
+        done = (self.occupancy == 0) & (self.counter == self.eta)
+        out = np.zeros((self.register_dim,) * self.eta, dtype=complex)
+        np.add.at(out, tuple(self.labels[done].T), self.amplitudes[done])
+        return out
 
 
 @dataclass
@@ -356,6 +372,7 @@ def prepare_slater(coeffs: np.ndarray, grid=None, validate: bool = False,
     n, eta = coeffs.shape
     if n_orbitals is not None and n_orbitals != n:
         raise ValidationError("n_orbitals does not match coefficient rows")
+    check_dense_size(n, eta)  # the output state is dense
     network = givens_decompose(coeffs)
     regs = ConversionRegisters(n_orbitals=n, eta=eta)
     n_layers = n - eta

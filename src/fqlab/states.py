@@ -68,7 +68,7 @@ def born_outcome(tensor: np.ndarray, rng: np.random.Generator) -> tuple:
     return tuple(int(i) for i in np.unravel_index(flat, tensor.shape))
 
 
-def _check_dense_size(n_orbitals: int, eta: int) -> None:
+def check_dense_size(n_orbitals: int, eta: int) -> None:
     """Refuse N^eta above the dense regime, exactly and without forming huge powers.
 
     N >= 2 gives N^eta >= 2^eta, so eta is bounded before the power is taken.
@@ -121,7 +121,7 @@ class FirstQuantizedState:
             raise ValidationError("need at least two orbitals per register")
         if grid is not None and grid.total_points != n_orbitals:
             raise ValidationError("grid size does not match n_orbitals")
-        _check_dense_size(n_orbitals, eta)
+        check_dense_size(n_orbitals, eta)
         self.eta = int(eta)
         self.n_orbitals = int(n_orbitals)
         self.qubits_per_register = register_qubits(n_orbitals)
@@ -408,7 +408,7 @@ def load_state(path) -> FirstQuantizedState:
         if magic != SNAPSHOT_MAGIC:
             raise ValidationError(f"bad snapshot magic {magic!r}")
         grid = GridSpec(dim=dim, points_per_axis=points, cell_volume=volume)
-        _check_dense_size(grid.total_points, eta)
+        check_dense_size(grid.total_points, eta)
         reg = 2 ** grid.qubits_per_register
         size = reg ** eta * 16
         body = os.fstat(fh.fileno()).st_size - _HEADER.size

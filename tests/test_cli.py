@@ -144,6 +144,15 @@ class TestPrepCommand:
                 if r[0] != "primitive"}
         assert int(rows["total"]) == 6 * (3 * 2 + 2 - 2)
 
+    def test_output_beyond_dense_regime_exits_two(self, workdir, capsys):
+        # 40^5 amplitudes would need terabytes; refused before any work
+        write_coeffs("c.csv", random_orthonormal(40, 5, seed=405))
+        assert dispatch(["prep", "--coeffs", "c.csv", "--verify",
+                         "--ledger-out", "ledger.csv"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert not (workdir / "ledger.csv").exists()
+
 
 class TestConfigPrecedence:
     def test_flags_override_config(self, workdir):
@@ -256,8 +265,11 @@ class TestMalformedInputs:
         ["shadows", "--in", "st.bin", "--epsilon", "0.5", "--delta", "0.2",
          "--samples", "abc", "--out", "x.csv"],
         ["cost", "--query", "a,b,c,d"],
+        ["cost", "--query", "1,,1,0.1"],
+        ["shadows", "--in", "st.bin", "--epsilon", "0.5", "--delta", "0",
+         "--samples", "200", "--out", "x.csv"],
     ], ids=["missing-in", "missing-manifest", "bad-config", "bad-coeffs",
-            "bad-samples", "bad-query"])
+            "bad-samples", "bad-query", "empty-query-field", "zero-delta"])
     def test_exit_two_with_one_line(self, inputs, capsys, argv):
         assert dispatch(argv) == 2
         err = capsys.readouterr().err

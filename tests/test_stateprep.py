@@ -2,15 +2,18 @@
 
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from fqlab.errors import (
+    BruteForceLimitExceeded,
     DecompositionFailure,
     OrderingViolation,
     ResidualPopulation,
     ValidationError,
 )
+from fqlab.grids import register_qubits
 from fqlab.states import slater_oracle
 from fqlab.stateprep import (
     ConversionRegisters,
@@ -61,23 +64,36 @@ class TestGivensDecompose:
             givens_decompose(bad)
 
 
+def branches(regs):
+    """Live branches as {(occupancy, counter, labels): amplitude}."""
+    return {(int(occ), int(xi), tuple(int(v) for v in labels)): amp
+            for occ, xi, labels, amp in zip(regs.occupancy, regs.counter,
+                                             regs.labels, regs.amplitudes)}
+
+
+def oracle_sizes():
+    """(N, eta) with N <= 9, eta < N, whose dense oracle stays small."""
+    return st.sampled_from([
+        (n, eta) for n in range(2, 10) for eta in range(1, n)
+        if (2 ** register_qubits(n)) ** eta * math.factorial(eta) <= 2 ** 22])
+
+
 class TestConversion:
     def test_unoccupied_branch_untouched(self):
         regs = ConversionRegisters(n_orbitals=6, eta=2)
         # reference occupies orbitals 0 and 1; orbital 0 conversion moves
         # the one, after which slot 0 is empty for later orbitals
-        before = regs.tensor.copy()
+        before = branches(regs)
         regs.conversion_step(0, validate=True)
         assert regs.window_population(0) == pytest.approx(0.0, abs=1e-14)
-        assert not np.array_equal(regs.tensor, before)
+        assert branches(regs) != before
 
     def test_occupied_branch_writes_label_and_counter(self):
         regs = ConversionRegisters(n_orbitals=6, eta=2)
         regs.conversion_step(0, validate=True)
         regs.conversion_step(1, validate=True)
         # all occupancy consumed: counter = 2, registers hold (0, 1)
-        idx = [0] * regs.window_slots + [2, 0, 1]
-        assert abs(regs.tensor[tuple(idx)]) == pytest.approx(1.0)
+        assert abs(branches(regs)[(0, 2, (0, 1))]) == pytest.approx(1.0)
 
     def test_hand_trace_ones_at_two_and_five(self):
         # drive the full pipeline for the determinant occupying {2, 5};
@@ -91,10 +107,9 @@ class TestConversion:
                     regs.apply_window_rotation(rot)
             regs.conversion_step(orbital, validate=True)
             if orbital == 2:
-                flat = np.abs(regs.tensor.reshape(-1))
-                coords = np.unravel_index(int(np.argmax(flat)), regs.tensor.shape)
-                assert coords[regs.window_slots] == 1      # counter
-                assert coords[regs.window_slots + 1] == 2  # first register
+                top = int(np.argmax(np.abs(regs.amplitudes)))
+                assert regs.counter[top] == 1
+                assert regs.labels[top, 0] == 2  # first register
         sorted_tensor = regs.finish()
         assert abs(sorted_tensor[2, 5]) == pytest.approx(1.0)
         assert regs.ledger.total == toffoli_count(8, 2, "improved")
@@ -108,7 +123,7 @@ class TestConversion:
                 for rot in net.layers[orbital]:
                     regs.apply_window_rotation(rot)
             regs.conversion_step(orbital)
-            assert np.linalg.norm(regs.tensor) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(regs.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_out_of_order_conversion_rejected(self):
         regs = ConversionRegisters(n_orbitals=6, eta=2)
@@ -117,27 +132,70 @@ class TestConversion:
 
     def test_ordering_violation_detected(self):
         regs = ConversionRegisters(n_orbitals=6, eta=2)
-        # craft an invalid branch: counter 0 but register 1 already written
-        regs.tensor[:] = 0
-        idx = [0] * regs.window_slots + [0, 3, 0]
-        idx[0] = 1  # orbital-0 window slot occupied
-        regs.tensor[tuple(idx)] = 1.0
-        with pytest.raises(OrderingViolation):
+        # craft an invalid branch: counter 0 but register 1 already written,
+        # with the orbital-0 window slot occupied
+        regs.occupancy = np.array([1])
+        regs.counter = np.array([0])
+        regs.labels = np.array([[3, 0]])
+        regs.amplitudes = np.array([1.0 + 0j])
+        with pytest.raises(OrderingViolation, match="already written"):
+            regs.conversion_step(0, validate=True)
+
+    def test_full_counter_rejected(self):
+        regs = ConversionRegisters(n_orbitals=6, eta=2)
+        # an occupied window slot on a branch whose registers are all written
+        regs.occupancy = np.array([1])
+        regs.counter = np.array([2])
+        regs.labels = np.array([[1, 2]])
+        regs.amplitudes = np.array([1.0 + 0j])
+        with pytest.raises(OrderingViolation, match="capacity"):
+            regs.conversion_step(0)
+
+    @pytest.mark.parametrize("counter,labels,message", [
+        (1, [2, 3, 0], "unwritten register"),
+        (2, [3, 2, 0], "not strictly ascending"),
+    ])
+    def test_branch_invariants_checked(self, counter, labels, message):
+        regs = ConversionRegisters(n_orbitals=6, eta=3)
+        # a live branch breaking an invariant, off the converted slot
+        regs.occupancy = np.array([1 << 2])
+        regs.counter = np.array([counter])
+        regs.labels = np.array([labels])
+        regs.amplitudes = np.array([1.0 + 0j])
+        with pytest.raises(OrderingViolation, match=message):
             regs.conversion_step(0, validate=True)
 
     def test_residual_population_detected(self):
         regs = ConversionRegisters(n_orbitals=6, eta=2)
         for orbital in range(6):
             regs.conversion_step(orbital)
-        # resurrect window population behind the conversion's back
-        idx = [0] * regs.window_slots + [2, 0, 1]
-        good = regs.tensor[tuple(idx)]
-        bad_idx = list(idx)
-        bad_idx[1] = 1
-        regs.tensor[tuple(idx)] = 0
-        regs.tensor[tuple(bad_idx)] = good
+        # resurrect window population behind the conversion's back: move
+        # the finished (0, 1) branch onto window slot 1
+        assert list(branches(regs)) == [(0, 2, (0, 1))]
+        regs.occupancy[0] = 1 << 1
         with pytest.raises(ResidualPopulation):
             regs.finish()
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=oracle_sizes(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_determinants_stay_within_binomial_branches(self, size, seed):
+        n_orbitals, eta = size
+        coeffs = random_orthonormal(n_orbitals, eta, seed=seed)
+        net = givens_decompose(coeffs)
+        regs = ConversionRegisters(n_orbitals, eta)
+        bound = math.comb(n_orbitals, eta)
+        for orbital in range(n_orbitals):
+            if orbital < n_orbitals - eta:
+                for rot in net.layers[orbital]:
+                    regs.apply_window_rotation(rot)
+                    assert regs.amplitudes.size <= bound
+            regs.conversion_step(orbital, validate=True)
+            assert regs.amplitudes.size <= bound
+        assert regs.ledger.total == toffoli_count(n_orbitals, eta)
+        result = prepare_slater(coeffs)
+        oracle = slater_oracle(coeffs, n_orbitals=n_orbitals)
+        assert abs(abs(result.state.overlap(oracle)) - 1.0) <= 1e-9
+        assert result.ledger.total == toffoli_count(n_orbitals, eta)
 
 
 class TestPrepareSlater:
@@ -161,6 +219,18 @@ class TestPrepareSlater:
         oracle = slater_oracle(coeffs, n_orbitals=n_orbitals)
         assert abs(result.state.overlap(oracle)) == pytest.approx(1.0, abs=1e-9)
         assert result.state.is_antisymmetric(tol=1e-10)
+
+    def test_twelve_orbitals_five_particles_match_oracle(self):
+        coeffs = random_orthonormal(12, 5, seed=125)
+        result = prepare_slater(coeffs)
+        oracle = slater_oracle(coeffs, n_orbitals=12)
+        assert abs(result.state.overlap(oracle)) == pytest.approx(1.0, abs=1e-9)
+        assert result.ledger.total == toffoli_count(12, 5, "improved")
+
+    def test_output_beyond_dense_regime_refused(self):
+        # 40^5 amplitudes: refused before any decomposition or allocation
+        with pytest.raises(BruteForceLimitExceeded):
+            prepare_slater(random_orthonormal(40, 5, seed=405))
 
     def test_occupied_space_gauge_invariance(self, rng):
         coeffs = random_orthonormal(6, 2, seed=31)
