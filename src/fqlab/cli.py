@@ -41,7 +41,6 @@ from .shadows import (
 )
 from .states import FirstQuantizedState, load_state, save_state, slater_oracle
 from .stateprep import prepare_slater, toffoli_count
-from .grids import grid_dft_matrix
 
 
 def _fmt(x) -> str:
@@ -82,16 +81,8 @@ def _write_manifest(subcommand, params, seed, inputs, outputs) -> None:
             fh.write("\n")
 
 
-def _read_input(read, path):
-    """read(path), with a missing or unreadable input file a usage error."""
-    try:
-        return read(path)
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
-
-
 def _load_json(path) -> dict:
-    with _read_input(open, path) as fh:
+    with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -105,7 +96,7 @@ def _load_json(path) -> dict:
 def _load_nuclei(path, dim) -> NuclearConfig:
     """One nucleus per line: charge x [y z]; # starts a comment."""
     positions, charges = [], []
-    with _read_input(open, path) as fh:
+    with open(path) as fh:
         for line in fh:
             line = line.split("#")[0].strip()
             if not line:
@@ -126,7 +117,7 @@ def _load_nuclei(path, dim) -> NuclearConfig:
 
 def _load_coeffs(path) -> np.ndarray:
     """CSV with N rows and 2*eta columns (re, im per orbital)."""
-    with _read_input(open, path) as fh:
+    with open(path) as fh:
         try:
             raw = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
@@ -136,12 +127,20 @@ def _load_coeffs(path) -> np.ndarray:
     return raw[:, 0::2] + 1j * raw[:, 1::2]
 
 
+def _particle_count(p, grid: GridSpec) -> int:
+    """--eta for a generated initial state: 1..N particles on N grid points."""
+    eta = int(p["eta"])
+    if not 1 <= eta <= grid.total_points:
+        raise UsageError(f"--eta must be in 1..{grid.total_points}, got {eta}")
+    return eta
+
+
 def _lowest_momentum_slater(grid: GridSpec, eta: int) -> FirstQuantizedState:
     """Slater determinant of the eta lowest-|k| plane waves (index tiebreak)."""
     table = kinetic_phase_table(grid)
     order = np.lexsort((np.arange(table.size), table))
-    dft = grid_dft_matrix(grid)
-    orbitals = dft.conj().T[:, order[:eta]]  # plane waves in position basis
+    k = grid.frequencies[order[:eta]]
+    orbitals = np.exp(1j * grid.positions @ k.T) / np.sqrt(grid.total_points)
     return slater_oracle(orbitals, grid=grid)
 
 
@@ -186,10 +185,10 @@ def _cmd_evolve(args, config) -> int:
     kernel = _kernel(p["soften"])
     inputs = []
     if p["in"]:
-        state = _read_input(load_state, p["in"])
+        state = load_state(p["in"])
         inputs.append(p["in"])
     else:
-        state = _lowest_momentum_slater(grid, int(p["eta"]))
+        state = _lowest_momentum_slater(grid, _particle_count(p, grid))
     plan = EvolutionPlan(total_time=float(p["time"]), steps=int(p["steps"]),
                          order=int(p["order"]))
     final = evolve(state, plan, nuclei, kernel)
@@ -217,7 +216,7 @@ def _cmd_tdhf(args, config) -> int:
     else:
         # core-Hamiltonian guess: lowest eigenvectors of h
         _, vecs = np.linalg.eigh(integrals.h)
-        coeffs = vecs[:, :int(p["eta"])]
+        coeffs = vecs[:, :_particle_count(p, grid)]
     orbitals = OccupiedOrbitals(coeffs, grid)
     wanted = [w.strip() for w in str(p["observables"]).split(",") if w.strip()]
     unknown = set(wanted) - {"energy", "rdm-diag"}
@@ -274,7 +273,7 @@ def _parse_elements(spec_text, n_orbitals, k):
             raise UsageError("all-1rdm requires k=1")
         return all_1rdm_elements(n_orbitals)
     elements = []
-    with _read_input(open, spec_text) as fh:
+    with open(spec_text) as fh:
         for row in csv.reader(fh):
             try:
                 vals = [int(v) for v in row if v.strip() != ""]
@@ -295,7 +294,7 @@ def _cmd_shadows(args, config) -> int:
         "in": None, "k": 1, "epsilon": None, "delta": None,
         "samples": "auto", "seed": 0, "elements": "all-1rdm",
         "out": None, "dump-samples": ""})
-    state = _read_input(load_state, p["in"])
+    state = load_state(p["in"])
     if not state.is_antisymmetric():
         raise ValidationError("shadow protocol expects an antisymmetric state")
     k = int(p["k"])
@@ -334,6 +333,8 @@ def _cmd_cost(args, config) -> int:
             lo, hi, step = (float(v) for v in str(p["alpha-range"]).split(":"))
         except Exception as exc:
             raise UsageError("--alpha-range must be lo:hi:step") from exc
+        if not (np.all(np.isfinite([lo, hi, step])) and step > 0 and lo <= hi):
+            raise UsageError("--alpha-range needs finite lo <= hi and step > 0")
         count = int(round((hi - lo) / step)) + 1
         alphas = [lo + i * step for i in range(count) if lo + i * step <= hi + 1e-12]
         rows = regime_table(alphas)
@@ -467,7 +468,7 @@ def dispatch(argv) -> int:
             return _HANDLERS[sub](replay_args, recorded.get("parameters", {}))
         config = _load_json(args.config) if args.config else {}
         return _HANDLERS[args.subcommand](args, config)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalAssumptionError as exc:

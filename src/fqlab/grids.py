@@ -5,7 +5,8 @@ A grid is a cubic cell of volume ``cell_volume`` sampled with
 window centered on zero: for odd m the window is [-(m-1)/2, (m-1)/2],
 which makes the index set exactly symmetric (k_{-p} = -k_p); even m is
 also accepted, with the standard FFT window [-m/2, m/2-1], for classical
-baselines that ask for power-of-two grids.
+baselines that ask for power-of-two grids. Either window is the FFT
+window 0..m-1 rotated, so the centered DFT is one shifted n-D FFT.
 
 Positions are r_p = p * L / m and frequencies k_p = 2*pi*p / L with
 L = cell_volume**(1/dim), componentwise over the same index window.
@@ -124,23 +125,13 @@ def grid_dft_matrix(grid: GridSpec) -> np.ndarray:
     return full
 
 
-def centered_dft(arr: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
-    """Apply the centered one-axis DFT along ``axis`` via twiddled FFT.
+def centered_dft(arr: np.ndarray, axes, inverse: bool = False) -> np.ndarray:
+    """Apply the unitary centered DFT over ``axes`` (an int or a tuple).
 
-    Equivalent to contracting with :func:`centered_dft_matrix` (or its
-    adjoint) but O(m log m) per slice.
+    Equivalent to contracting each axis with :func:`centered_dft_matrix`
+    (or its adjoint), as the kernel depends on nu and p only mod m.
     """
-    m = arr.shape[axis]
-    lo = window_start(m)
-    a = np.arange(m)
-    sign = 1j if inverse else -1j
-    pre = np.exp(sign * 2 * np.pi * lo * a / m)
-    corner = np.exp(sign * 2 * np.pi * lo * lo / m)
-    shape = [1] * arr.ndim
-    shape[axis] = m
-    tw = pre.reshape(shape)
-    if inverse:
-        out = np.fft.ifft(arr * tw, axis=axis) * tw * (corner * np.sqrt(m))
-    else:
-        out = np.fft.fft(arr * tw, axis=axis) * tw * (corner / np.sqrt(m))
-    return out
+    axes = tuple(np.atleast_1d(axes))
+    transform = np.fft.ifftn if inverse else np.fft.fftn
+    out = transform(np.fft.ifftshift(arr, axes), axes=axes, norm="ortho")
+    return np.fft.fftshift(out, axes)

@@ -8,6 +8,7 @@ boundary distances, optionally cusp-softened as 1/(r + s).
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -86,6 +87,20 @@ def kinetic_phase_table(grid: GridSpec) -> np.ndarray:
     return 0.5 * np.sum(grid.frequencies ** 2, axis=1)
 
 
+def kinetic_matrix(grid: GridSpec) -> np.ndarray:
+    """One-register kinetic operator DFT† diag(|k|^2/2) DFT, Hermitized."""
+    dft = grid_dft_matrix(grid)
+    kinetic = dft.conj().T @ np.diag(kinetic_phase_table(grid)) @ dft
+    return (kinetic + kinetic.conj().T) / 2
+
+
+def _on_registers(table: np.ndarray, eta: int, *registers: int) -> np.ndarray:
+    """A per-register table (N, or N x N for a pair) placed on the axes
+    ``registers`` of the N^eta block, broadcastable over the others."""
+    shape = [table.shape[0] if axis in registers else 1 for axis in range(eta)]
+    return table.reshape(shape)
+
+
 def nuclear_potential_table(grid: GridSpec, nuclei: NuclearConfig,
                             kernel: CoulombKernel) -> np.ndarray:
     """U(p) = -sum_l zeta_l * kernel(|R_l - r_p|), length N."""
@@ -124,18 +139,11 @@ def potential_diagonal(grid: GridSpec, nuclei: NuclearConfig,
     """(U + V)(p_1..p_eta) over the full N^eta index block."""
     u = nuclear_potential_table(grid, nuclei, kernel)
     v = pair_potential_table(grid, kernel)
-    n = grid.total_points
-    total = np.zeros((n,) * eta)
+    total = np.zeros((grid.total_points,) * eta)
     for j in range(eta):
-        shape = [1] * eta
-        shape[j] = n
-        total = total + u.reshape(shape)
-    for j in range(eta):
-        for k in range(j + 1, eta):
-            shape = [1] * eta
-            shape[j] = n
-            shape[k] = n
-            total = total + v.reshape(shape)
+        total = total + _on_registers(u, eta, j)
+    for j, k in combinations(range(eta), 2):
+        total = total + _on_registers(v, eta, j, k)
     return total
 
 
@@ -163,11 +171,9 @@ def _register_block(state: FirstQuantizedState):
 def _to_momentum(block: np.ndarray, grid: GridSpec, eta: int,
                  inverse: bool) -> np.ndarray:
     """Centered DFT on every register, each register split into d axes."""
-    m = grid.points_per_axis
-    shaped = block.reshape((m,) * (grid.dim * eta))
-    for axis in range(grid.dim * eta):
-        shaped = centered_dft(shaped, axis=axis, inverse=inverse)
-    return shaped.reshape((grid.total_points,) * eta)
+    shaped = block.reshape((grid.points_per_axis,) * (grid.dim * eta))
+    out = centered_dft(shaped, tuple(range(shaped.ndim)), inverse=inverse)
+    return out.reshape(block.shape)
 
 
 def apply_kinetic_evolution(state: FirstQuantizedState,
@@ -181,9 +187,7 @@ def apply_kinetic_evolution(state: FirstQuantizedState,
     out = state.tensor.copy()
     block = _to_momentum(out[_register_block(state)], grid, state.eta, inverse=False)
     for j in range(state.eta):
-        shape = [1] * state.eta
-        shape[j] = grid.total_points
-        block = block * phases.reshape(shape)
+        block = block * _on_registers(phases, state.eta, j)
     out[_register_block(state)] = _to_momentum(block, grid, state.eta, inverse=True)
     return state.copy_with(out)
 
@@ -246,11 +250,8 @@ def kinetic_expectation(state: FirstQuantizedState) -> float:
     block = _to_momentum(state.tensor[_register_block(state)], grid,
                          state.eta, inverse=False)
     dens = np.abs(block) ** 2
-    total = 0.0
-    for j in range(state.eta):
-        axes = tuple(a for a in range(state.eta) if a != j)
-        total += float(np.sum(dens.sum(axis=axes) * table))
-    return total
+    return float(sum(np.sum(dens * _on_registers(table, state.eta, j))
+                     for j in range(state.eta)))
 
 
 def potential_expectation(state: FirstQuantizedState, nuclei: NuclearConfig,
@@ -278,10 +279,8 @@ def dense_hamiltonian(grid: GridSpec, nuclei: NuclearConfig,
     """
     n_orb = grid.total_points
     reg = 2 ** grid.qubits_per_register
-    dft = grid_dft_matrix(grid)
-    t_block = dft.conj().T @ np.diag(kinetic_phase_table(grid)) @ dft
     t_reg = np.zeros((reg, reg), dtype=complex)
-    t_reg[:n_orb, :n_orb] = t_block
+    t_reg[:n_orb, :n_orb] = kinetic_matrix(grid)
     dim = reg ** eta
     ham = np.zeros((dim, dim), dtype=complex)
     for j in range(eta):

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch, ValidationError
-from .grids import GridSpec, grid_dft_matrix
+from .grids import GridSpec
 from .hamiltonian import (
     CoulombKernel,
     NuclearConfig,
-    kinetic_phase_table,
+    kinetic_matrix,
     nuclear_potential_table,
     nuclear_repulsion,
     pair_potential_table,
@@ -72,10 +72,8 @@ class GridIntegrals:
     @staticmethod
     def from_grid(grid: GridSpec, nuclei: NuclearConfig,
                   kernel: CoulombKernel) -> "GridIntegrals":
-        dft = grid_dft_matrix(grid)
-        kinetic = dft.conj().T @ np.diag(kinetic_phase_table(grid)) @ dft
-        kinetic = (kinetic + kinetic.conj().T) / 2
-        h = kinetic + np.diag(nuclear_potential_table(grid, nuclei, kernel))
+        h = (kinetic_matrix(grid)
+             + np.diag(nuclear_potential_table(grid, nuclei, kernel)))
         return GridIntegrals(h=h, v=pair_potential_table(grid, kernel),
                              nuclear_offset=nuclear_repulsion(nuclei))
 

@@ -69,15 +69,16 @@ def born_outcome(tensor: np.ndarray, rng: np.random.Generator) -> tuple:
 
 
 def check_dense_size(n_orbitals: int, eta: int) -> None:
-    """Refuse N^eta above the dense regime, exactly and without forming huge powers.
+    """Refuse a state whose stored (2^n)^eta amplitudes exceed the dense regime.
 
-    N >= 2 gives N^eta >= 2^eta, so eta is bounded before the power is taken.
+    The budget is a power of two, so comparing the exponent n * eta with
+    its log2 is exact and forms no huge power.
     """
-    if (eta >= BRUTE_FORCE_AMPLITUDES.bit_length()
-            or n_orbitals ** eta > BRUTE_FORCE_AMPLITUDES):
+    n = register_qubits(n_orbitals)
+    if n * eta > BRUTE_FORCE_AMPLITUDES.bit_length() - 1:
         raise BruteForceLimitExceeded(
-            f"{n_orbitals}^{eta} amplitudes exceed the dense regime "
-            f"({BRUTE_FORCE_AMPLITUDES})")
+            f"{eta} registers of {n} qubits hold 2^{n * eta} amplitudes, "
+            f"above the dense regime ({BRUTE_FORCE_AMPLITUDES})")
 
 
 @dataclass(frozen=True)
@@ -216,6 +217,7 @@ def slater_oracle(orbitals, grid: GridSpec | None = None,
     eta = len(cols)
     if n_orbitals is None:
         n_orbitals = grid.total_points if grid is not None else len(cols[0])
+    check_dense_size(n_orbitals, eta)
     coeff = np.stack(cols, axis=1).astype(complex)  # (N, eta)
     if coeff.shape[0] != n_orbitals:
         raise ValidationError("orbital length does not match n_orbitals")

@@ -246,6 +246,10 @@ class TestElementsFile:
                              "--out", "x.csv"]) == 2
 
 
+EVOLVE_N5 = ["evolve", "--dim", "1", "--points", "5", "--omega", "5",
+             "--time", "0.1", "--steps", "2", "--out", "st5.bin"]
+
+
 class TestMalformedInputs:
     @pytest.fixture
     def inputs(self, workdir):
@@ -268,8 +272,25 @@ class TestMalformedInputs:
         ["cost", "--query", "1,,1,0.1"],
         ["shadows", "--in", "st.bin", "--epsilon", "0.5", "--delta", "0",
          "--samples", "200", "--out", "x.csv"],
+        EVOLVE_N5 + ["--eta", "0"],
+        EVOLVE_N5 + ["--eta", "6"],
+        EVOLVE_N5 + ["--eta", "-1"],
+        ["tdhf", "--points", "5", "--omega", "5", "--eta", "7", "--time",
+         "0.1", "--steps", "2", "--out", "t.csv"],
+        # 2^16 x 2^16 stored amplitudes, refused before the state is formed
+        ["evolve", "--dim", "3", "--points", "40", "--omega", "64000",
+         "--eta", "2", "--time", "0.1", "--steps", "1", "--out", "big.bin"],
+        ["cost", "--alpha-range", "1:8:0", "--out", "s.csv"],
+        ["cost", "--alpha-range", "1:8:-1", "--out", "s.csv"],
+        ["cost", "--alpha-range", "8:1:1", "--out", "s.csv"],
+        ["cost", "--alpha-range", "1:inf:1", "--out", "s.csv"],
+        ["cost", "--alpha-range", "1:2:1", "--out", "no-such-dir/s.csv"],
     ], ids=["missing-in", "missing-manifest", "bad-config", "bad-coeffs",
-            "bad-samples", "bad-query", "empty-query-field", "zero-delta"])
+            "bad-samples", "bad-query", "empty-query-field", "zero-delta",
+            "evolve-eta-zero", "evolve-eta-above-n", "evolve-eta-negative",
+            "tdhf-eta-above-n", "evolve-beyond-dense", "alpha-zero-step",
+            "alpha-negative-step", "alpha-empty-range", "alpha-infinite",
+            "unwritable-out"])
     def test_exit_two_with_one_line(self, inputs, capsys, argv):
         assert dispatch(argv) == 2
         err = capsys.readouterr().err

@@ -60,6 +60,17 @@ class TestCenteredDft:
         assert np.max(np.abs(centered_dft(x, 0) - d @ x)) < 1e-12
         assert np.max(np.abs(centered_dft(x, 0, inverse=True)
                              - d.conj().T @ x)) < 1e-12
+        # all axes at once, odd and even lengths mixed
+        shape = (m, m + 1, 2)
+        y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        full = np.array([[1.0 + 0j]])
+        for size in shape:
+            full = np.kron(full, centered_dft_matrix(size))
+        axes = (0, 1, 2)
+        assert np.max(np.abs(centered_dft(y, axes).ravel()
+                             - full @ y.ravel())) < 1e-12
+        assert np.max(np.abs(centered_dft(y, axes, inverse=True).ravel()
+                             - full.conj().T @ y.ravel())) < 1e-12
 
     def test_roundtrip_identity(self, rng):
         x = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))

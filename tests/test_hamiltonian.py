@@ -2,6 +2,7 @@
 
 import math
 
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -16,6 +17,7 @@ from fqlab.hamiltonian import (
     dense_hamiltonian,
     evolve,
     kinetic_expectation,
+    kinetic_matrix,
     kinetic_phase_table,
     nuclear_potential_table,
     nuclear_repulsion,
@@ -38,9 +40,7 @@ def hydrogenic_system(points=8, volume=8.0, charge=2.0, soften=0.5):
 
 
 def ground_slater(grid, nuclei, kernel, eta=2):
-    dft = grid_dft_matrix(grid)
-    h = (dft.conj().T @ np.diag(kinetic_phase_table(grid)) @ dft
-         + np.diag(nuclear_potential_table(grid, nuclei, kernel)))
+    h = kinetic_matrix(grid) + np.diag(nuclear_potential_table(grid, nuclei, kernel))
     _, vecs = np.linalg.eigh(h)
     return slater_oracle([vecs[:, a] for a in range(eta)], grid=grid)
 
@@ -61,6 +61,14 @@ class TestKineticTable:
         for point in grid.index_points:
             assert table[grid.flat_index(point)] == pytest.approx(
                 table[grid.flat_index(-point)], rel=1e-12)
+
+    @pytest.mark.parametrize("dim,points", [(1, 6), (2, 3), (2, 4)])
+    def test_kinetic_matrix_hermitian_with_table_spectrum(self, dim, points):
+        grid = GridSpec(dim=dim, points_per_axis=points, cell_volume=5.0)
+        t = kinetic_matrix(grid)
+        assert np.array_equal(t, t.conj().T)
+        assert np.allclose(np.linalg.eigvalsh(t),
+                           np.sort(kinetic_phase_table(grid)), atol=1e-12)
 
 
 class TestPotentialDiagonal:
@@ -218,6 +226,26 @@ class TestEvolve:
         out = evolve(state, plan, nuclei, kernel)
         assert out.antisymmetric
         assert out.is_antisymmetric(tol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), points=st.integers(2, 4),
+           eta=st.integers(2, 3), order=st.sampled_from([1, 2, 4]),
+           steps=st.integers(1, 4), time=st.floats(0.05, 2.0),
+           seed=st.integers(0, 2 ** 16))
+    def test_norm_and_antisymmetry_kept(self, dim, points, eta, order,
+                                        steps, time, seed):
+        grid = GridSpec(dim=dim, points_per_axis=points,
+                        cell_volume=float(points ** dim))
+        assume(grid.total_points >= eta)
+        rng = np.random.default_rng(seed)
+        nuclei = NuclearConfig(rng.uniform(-0.5, 0.5, size=(1, dim)),
+                               np.array([1.0]))
+        state = slater_oracle(random_orthonormal(grid.total_points, eta, seed),
+                              grid=grid)
+        plan = EvolutionPlan(total_time=time, steps=steps, order=order)
+        out = evolve(state, plan, nuclei, CoulombKernel(softening=0.5))
+        assert abs(out.norm() - 1.0) <= 1e-12
+        assert out.antisymmetric and out.is_antisymmetric(tol=1e-12)
 
     def test_energy_conserved(self):
         grid, nuclei, kernel = hydrogenic_system()

@@ -22,6 +22,7 @@ from fqlab.states import (
     FirstQuantizedState,
     antisymmetrize,
     apply_register_unitary,
+    check_dense_size,
     exact_1rdm,
     exact_krdm_element,
     first_second_equivalence_check,
@@ -312,6 +313,13 @@ class TestSnapshotFormat:
         with pytest.raises(ValidationError):
             load_state(path)
 
+    def test_padded_register_count_bounds_header(self, tmp_path):
+        # 17^5 is inside the budget, but 5-qubit registers store 32^5
+        path = tmp_path / "padded.bin"
+        path.write_bytes(struct.pack("<4sBIdI", b"FQS1", 1, 17, 17.0, 5))
+        with pytest.raises(BruteForceLimitExceeded):
+            load_state(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         grid = GridSpec(dim=1, points_per_axis=4, cell_volume=4.0)
         path = tmp_path / "state.bin"
@@ -377,6 +385,13 @@ class TestInvariants:
         # the size guard fires before the tensor shape is inspected
         with pytest.raises(BruteForceLimitExceeded):
             FirstQuantizedState(3, 300, np.zeros(1))
+
+    def test_dense_size_counts_stored_amplitudes(self):
+        check_dense_size(16, 6)  # 2^24 stored amplitudes: the budget itself
+        with pytest.raises(BruteForceLimitExceeded):
+            check_dense_size(17, 5)  # 17^5 < 2^24, but 32^5 = 2^25 stored
+        with pytest.raises(BruteForceLimitExceeded):
+            check_dense_size(3, 10 ** 12)  # no power is formed
 
 
 class TestDeterminantWeightIdentity:
