@@ -173,28 +173,44 @@ def _kernel(soften) -> CoulombKernel:
     return CoulombKernel(softening=float(soften or 0.0))
 
 
+def _snapshot_parameters(args, config, state: FirstQuantizedState) -> dict:
+    """Grid and eta of an ``evolve --in`` run: the snapshot's values.
+
+    --dim, --points, --omega and --eta may be omitted; one given (as a
+    flag or in the config) that disagrees with the snapshot is an error.
+    """
+    recorded = {"dim": state.grid.dim, "points": state.grid.points_per_axis,
+                "omega": float(state.grid.cell_volume), "eta": state.eta}
+    given = _resolved(args, config, dict.fromkeys(recorded, ""))
+    for key, value in given.items():
+        if value != "" and type(recorded[key])(value) != recorded[key]:
+            raise UsageError(f"--{key} {value} disagrees with the snapshot "
+                             f"{key} {recorded[key]}")
+    return recorded
+
+
 def _cmd_evolve(args, config) -> int:
+    snapshot = _resolved(args, config, {"in": ""})["in"]
+    state = load_state(snapshot) if snapshot else None
+    fixed = {} if state is None else _snapshot_parameters(args, config, state)
     p = _resolved(args, config, {
-        "dim": 3, "points": None, "omega": None, "eta": None,
+        "dim": 3, "points": None, "omega": None, "eta": None, **fixed,
         "nuclei": "", "soften": 0.0, "time": None, "steps": None,
         "order": 2, "seed": 0, "in": "", "out": None})
-    grid = GridSpec(dim=int(p["dim"]), points_per_axis=int(p["points"]),
-                    cell_volume=float(p["omega"]))
+    p.update(fixed)  # the manifest records the values the run used
+    grid = state.grid if state is not None else GridSpec(
+        dim=int(p["dim"]), points_per_axis=int(p["points"]),
+        cell_volume=float(p["omega"]))
     nuclei = (_load_nuclei(p["nuclei"], grid.dim) if p["nuclei"]
               else NuclearConfig.empty(grid.dim))
     kernel = _kernel(p["soften"])
-    inputs = []
-    if p["in"]:
-        state = load_state(p["in"])
-        inputs.append(p["in"])
-    else:
-        state = _lowest_momentum_slater(grid, _particle_count(p, grid))
     plan = EvolutionPlan(total_time=float(p["time"]), steps=int(p["steps"]),
                          order=int(p["order"]))
+    if state is None:
+        state = _lowest_momentum_slater(grid, _particle_count(p, grid))
     final = evolve(state, plan, nuclei, kernel)
     save_state(p["out"], final)
-    if p["nuclei"]:
-        inputs.append(p["nuclei"])
+    inputs = [path for path in (p["in"], p["nuclei"]) if path]
     _write_manifest("evolve", p, int(p["seed"]), inputs, [p["out"]])
     return 0
 

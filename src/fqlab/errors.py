@@ -60,6 +60,10 @@ class ConvergenceFailure(NumericalAssumptionError):
     """Fixed-point iteration did not converge."""
 
 
+class OrbitalDrift(NumericalAssumptionError):
+    """A non-unitary integrator step left the orbitals non-orthonormal."""
+
+
 # -- stateprep ---------------------------------------------------------------
 
 class DecompositionFailure(NumericalAssumptionError):

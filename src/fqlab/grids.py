@@ -125,6 +125,19 @@ def grid_dft_matrix(grid: GridSpec) -> np.ndarray:
     return full
 
 
+def to_fft_window(arr: np.ndarray, axes=None) -> np.ndarray:
+    """Rotate ``axes`` (default all) from the centered window to the FFT
+    window 0..m-1, where the centered DFT is a bare FFT. A permutation,
+    so exact; :func:`from_fft_window` undoes it."""
+    return np.fft.ifftshift(arr, axes)
+
+
+def from_fft_window(arr: np.ndarray, axes=None) -> np.ndarray:
+    """Rotate ``axes`` (default all) from the FFT window back to the
+    centered window."""
+    return np.fft.fftshift(arr, axes)
+
+
 def centered_dft(arr: np.ndarray, axes, inverse: bool = False) -> np.ndarray:
     """Apply the unitary centered DFT over ``axes`` (an int or a tuple).
 
@@ -133,5 +146,5 @@ def centered_dft(arr: np.ndarray, axes, inverse: bool = False) -> np.ndarray:
     """
     axes = tuple(np.atleast_1d(axes))
     transform = np.fft.ifftn if inverse else np.fft.fftn
-    out = transform(np.fft.ifftshift(arr, axes), axes=axes, norm="ortho")
-    return np.fft.fftshift(out, axes)
+    out = transform(to_fft_window(arr, axes), axes=axes, norm="ortho")
+    return from_fft_window(out, axes)

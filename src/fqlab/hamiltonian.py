@@ -13,8 +13,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import SingularPotential, ValidationError
-from .grids import GridSpec, centered_dft, grid_dft_matrix
-from .states import FirstQuantizedState
+from .grids import GridSpec, from_fft_window, grid_dft_matrix, to_fft_window
+from .states import FirstQuantizedState, check_unit_norm
 
 
 @dataclass(frozen=True)
@@ -168,57 +168,114 @@ def _register_block(state: FirstQuantizedState):
     return (slice(0, state.n_orbitals),) * state.eta
 
 
-def _to_momentum(block: np.ndarray, grid: GridSpec, eta: int,
-                 inverse: bool) -> np.ndarray:
-    """Centered DFT on every register, each register split into d axes."""
-    shaped = block.reshape((grid.points_per_axis,) * (grid.dim * eta))
-    out = centered_dft(shaped, tuple(range(shaped.ndim)), inverse=inverse)
-    return out.reshape(block.shape)
+def _fft_layout(block: np.ndarray, grid: GridSpec, eta: int) -> np.ndarray:
+    """The N^eta block as dim*eta axes in the FFT window, where the
+    centered DFT of every register is one n-D FFT."""
+    return to_fft_window(
+        block.reshape((grid.points_per_axis,) * (grid.dim * eta)))
+
+
+def _diagonal(op: str, grid: GridSpec, eta: int, nuclei: NuclearConfig,
+              kernel: CoulombKernel) -> np.ndarray:
+    """Over the N^eta block in FFT layout: the diagonal of T in momentum
+    ("T") or of U + V in position ("V")."""
+    if op == "T":
+        table = kinetic_phase_table(grid)
+        total = sum(_on_registers(table, eta, j) for j in range(eta))
+    else:
+        total = potential_diagonal(grid, nuclei, kernel, eta)
+    return _fft_layout(total, grid, eta)
+
+
+def _phases(keys, grid: GridSpec, eta: int, nuclei: NuclearConfig,
+            kernel: CoulombKernel) -> dict:
+    """exp(-i X t) for each distinct (X, t) in ``keys``. Each diagonal is
+    built once and dropped once its phases are, so only the phases stay."""
+    phases = {}
+    for op in ("T", "V"):
+        times = {t for x, t in keys if x == op}
+        if times:
+            table = _diagonal(op, grid, eta, nuclei, kernel)
+            for t in times:
+                phases[op, t] = np.exp(-1j * t * table)
+            del table
+    return phases
+
+
+def _propagate(state: FirstQuantizedState, substeps, nuclei: NuclearConfig,
+               kernel: CoulombKernel) -> FirstQuantizedState:
+    """Apply exp(-i X t) for each (X, t) that ``substeps()`` yields, X one
+    of "T", "V". ``substeps`` is called twice: once for the distinct
+    phases, which are built before the first substep, once to apply them.
+
+    The block is rotated into FFT layout once, so that a kinetic substep
+    is fftn, one phase multiplication and ifftn. Every substep checks the
+    norm of the block; the padding stays zero because only the block is
+    propagated, and the output state checks it again.
+    """
+    grid, eta = state.grid, state.eta
+    if grid is None:
+        raise ValidationError("evolution requires a grid-backed state")
+    phases = _phases(set(substeps()), grid, eta, nuclei, kernel)
+    block = _fft_layout(state.tensor[_register_block(state)], grid, eta)
+    for op, t in substeps():
+        if op == "T":
+            block = np.fft.fftn(block, norm="ortho")
+            block *= phases[op, t]
+            block = np.fft.ifftn(block, norm="ortho")
+        else:
+            block *= phases[op, t]
+        check_unit_norm(block)
+    out = np.zeros_like(state.tensor)
+    out[_register_block(state)] = from_fft_window(block).reshape(
+        (grid.total_points,) * eta)
+    return state.copy_with(out)
 
 
 def apply_kinetic_evolution(state: FirstQuantizedState,
                             dt: float) -> FirstQuantizedState:
     """exp(-i T dt): DFT each register, apply |k|^2/2 phases, transform back."""
-    grid = state.grid
-    if grid is None:
-        raise ValidationError("kinetic evolution requires a grid-backed state")
-    table = kinetic_phase_table(grid)
-    phases = np.exp(-1j * table * dt)
-    out = state.tensor.copy()
-    block = _to_momentum(out[_register_block(state)], grid, state.eta, inverse=False)
-    for j in range(state.eta):
-        block = block * _on_registers(phases, state.eta, j)
-    out[_register_block(state)] = _to_momentum(block, grid, state.eta, inverse=True)
-    return state.copy_with(out)
+    return _propagate(state, lambda: [("T", dt)], None, None)
 
 
 def apply_potential_evolution(state: FirstQuantizedState, dt: float,
                               nuclei: NuclearConfig,
                               kernel: CoulombKernel) -> FirstQuantizedState:
     """exp(-i (U+V) dt): diagonal phase multiplication in position space."""
-    grid = state.grid
-    if grid is None:
-        raise ValidationError("potential evolution requires a grid-backed state")
-    w = potential_diagonal(grid, nuclei, kernel, state.eta)
-    out = state.tensor.copy()
-    out[_register_block(state)] *= np.exp(-1j * w * dt)
-    return state.copy_with(out)
-
-
-def _strang_step(state, dt, nuclei, kernel):
-    state = apply_kinetic_evolution(state, dt / 2)
-    state = apply_potential_evolution(state, dt, nuclei, kernel)
-    return apply_kinetic_evolution(state, dt / 2)
+    return _propagate(state, lambda: [("V", dt)], nuclei, kernel)
 
 
 _SUZUKI_U = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
 
 
-def _suzuki4_step(state, dt, nuclei, kernel):
-    u = _SUZUKI_U
-    for factor in (u, u, 1.0 - 4.0 * u, u, u):
-        state = _strang_step(state, factor * dt, nuclei, kernel)
-    return state
+def _substeps(plan: EvolutionPlan):
+    """The product formula as (operator, time) pairs, adjacent kinetic
+    substeps merged: exp(-i T a) exp(-i T b) = exp(-i T (a + b)).
+
+    Order 2 is the Strang step T/2 V T/2; order 4 is Suzuki's five
+    Strang steps with factors u, u, 1 - 4u, u, u. A generator, so that
+    memory does not grow with the step count.
+    """
+    dt = plan.total_time / plan.steps
+    if plan.order == 1:
+        step = [("T", dt), ("V", dt)]
+    else:
+        u = _SUZUKI_U
+        factors = (1.0,) if plan.order == 2 else (u, u, 1.0 - 4.0 * u, u, u)
+        step = [sub for f in factors
+                for sub in (("T", f * dt / 2), ("V", f * dt), ("T", f * dt / 2))]
+    kinetic = None  # a kinetic substep held back to merge with the next one
+    for _ in range(plan.steps):
+        for op, t in step:
+            if op == "T":
+                kinetic = t if kinetic is None else kinetic + t
+                continue
+            if kinetic is not None:
+                yield "T", kinetic
+                kinetic = None
+            yield op, t
+    if kinetic is not None:
+        yield "T", kinetic
 
 
 def evolve(state: FirstQuantizedState, plan: EvolutionPlan,
@@ -227,31 +284,17 @@ def evolve(state: FirstQuantizedState, plan: EvolutionPlan,
 
     Exchange symmetry of H means the antisymmetry flag is preserved.
     """
-    dt = plan.total_time / plan.steps
-    was_antisymmetric = state.antisymmetric
-    for _ in range(plan.steps):
-        if plan.order == 1:
-            state = apply_kinetic_evolution(state, dt)
-            state = apply_potential_evolution(state, dt, nuclei, kernel)
-        elif plan.order == 2:
-            state = _strang_step(state, dt, nuclei, kernel)
-        else:
-            state = _suzuki4_step(state, dt, nuclei, kernel)
-    state.antisymmetric = was_antisymmetric
-    return state
+    return _propagate(state, lambda: _substeps(plan), nuclei, kernel)
 
 
 # -- observables -----------------------------------------------------------
 
 
 def kinetic_expectation(state: FirstQuantizedState) -> float:
-    grid = state.grid
-    table = kinetic_phase_table(grid)
-    block = _to_momentum(state.tensor[_register_block(state)], grid,
-                         state.eta, inverse=False)
-    dens = np.abs(block) ** 2
-    return float(sum(np.sum(dens * _on_registers(table, state.eta, j))
-                     for j in range(state.eta)))
+    grid, eta = state.grid, state.eta
+    block = _fft_layout(state.tensor[_register_block(state)], grid, eta)
+    dens = np.abs(np.fft.fftn(block, norm="ortho")) ** 2
+    return float(np.sum(dens * _diagonal("T", grid, eta, None, None)))
 
 
 def potential_expectation(state: FirstQuantizedState, nuclei: NuclearConfig,

@@ -34,6 +34,12 @@ NORM_TOL = 1e-12
 SNAPSHOT_MAGIC = b"FQS1"
 
 
+def check_unit_norm(amplitudes: np.ndarray) -> None:
+    """Raise unless the 2-norm of ``amplitudes`` is 1 within NORM_TOL."""
+    if not abs(np.linalg.norm(amplitudes) - 1.0) <= NORM_TOL:
+        raise ValidationError("state must be normalized within 1e-12")
+
+
 def _permutation_sign(perm) -> int:
     perm = list(perm)
     sign = 1
@@ -136,8 +142,8 @@ class FirstQuantizedState:
         self.antisymmetric = bool(antisymmetric)
         if self._padding_weight() > 1e-24:
             raise ValidationError("nonzero amplitude on padded orbital labels")
-        if _normalized and not abs(self.norm() - 1.0) <= NORM_TOL:
-            raise ValidationError("state must be normalized within 1e-12")
+        if _normalized:
+            check_unit_norm(self.tensor)
 
     # -- basics ---------------------------------------------------------
 

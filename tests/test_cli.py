@@ -131,6 +131,62 @@ class TestTdhfCommand:
                          "--out", "t.csv"]) == 2
 
 
+    def test_rk4_drift_exits_three_with_one_line(self, workdir, capsys):
+        (workdir / "nuclei.txt").write_text("2 0.3\n")
+        code = dispatch(["tdhf", "--dim", "1", "--points", "8", "--omega",
+                         "8", "--eta", "3", "--nuclei", "nuclei.txt",
+                         "--soften", "0.5", "--time", "1", "--steps", "20",
+                         "--scheme", "rk4", "--out", "t.csv"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "exponential-midpoint" in err
+
+
+class TestEvolveFromSnapshot:
+    """With --in the snapshot fixes the grid and eta."""
+
+    GRID = ["--dim", "1", "--points", "4", "--omega", "4", "--eta", "2"]
+    RUN = ["--time", "0.1", "--steps", "3", "--out", "b.bin"]
+
+    @pytest.fixture
+    def snapshot(self, workdir):
+        assert dispatch(["evolve", *self.GRID, "--time", "0.1", "--steps",
+                         "2", "--out", "a.bin"]) == 0
+        return workdir / "a.bin"
+
+    def recorded(self, path):
+        with open(f"{path}.manifest.json") as fh:
+            return json.load(fh)["parameters"]
+
+    def test_grid_flags_may_be_omitted(self, snapshot):
+        (snapshot.parent / "nuclei.txt").write_text("1 0.3\n")  # 1-D line
+        assert dispatch(["evolve", "--in", "a.bin", "--nuclei", "nuclei.txt",
+                         "--soften", "0.5", *self.RUN]) == 0
+        params = self.recorded("b.bin")
+        assert [params[k] for k in ("dim", "points", "omega", "eta")] == [
+            1, 4, 4.0, 2]
+        digest = sha256("b.bin")
+        assert dispatch(["--manifest", "b.bin.manifest.json"]) == 0
+        assert sha256("b.bin") == digest
+
+    def test_matching_flags_accepted(self, snapshot):
+        assert dispatch(["evolve", "--in", "a.bin", *self.RUN]) == 0
+        digest = sha256("b.bin")
+        assert dispatch(["evolve", "--in", "a.bin", *self.GRID,
+                         *self.RUN]) == 0
+        assert sha256("b.bin") == digest
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--dim", "3"), ("--points", "7"), ("--omega", "343"), ("--eta", "9")])
+    def test_conflicting_flag_exits_two(self, snapshot, capsys, flag, value):
+        assert dispatch(["evolve", "--in", "a.bin", flag, value,
+                         *self.RUN]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and flag in err, err
+        assert not (snapshot.parent / "b.bin").exists()
+
+
 class TestPrepCommand:
     def test_verify_and_ledger(self, workdir, capsys):
         coeffs = random_orthonormal(6, 2, seed=5)

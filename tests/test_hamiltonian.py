@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
+from fqlab import hamiltonian
 from fqlab.errors import SingularPotential, ValidationError
-from fqlab.grids import GridSpec, centered_dft, grid_dft_matrix
+from fqlab.grids import GridSpec, grid_dft_matrix
 from fqlab.hamiltonian import (
     CoulombKernel,
     EvolutionPlan,
@@ -254,6 +255,88 @@ class TestEvolve:
         plan = EvolutionPlan(total_time=1.0, steps=1000, order=2)
         out = evolve(state, plan, nuclei, kernel)
         assert total_energy(out, nuclei, kernel) == pytest.approx(e0, abs=1e-6)
+
+
+_SUZUKI_U = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+
+
+def unmerged_substeps(plan):
+    """The product formula as (operator, time) substeps, none merged."""
+    dt = plan.total_time / plan.steps
+    if plan.order == 1:
+        return [("T", dt), ("V", dt)] * plan.steps
+    u = _SUZUKI_U
+    factors = (1.0,) if plan.order == 2 else (u, u, 1.0 - 4.0 * u, u, u)
+    return [sub for f in factors
+            for sub in (("T", f * dt / 2), ("V", f * dt), ("T", f * dt / 2))
+            ] * plan.steps
+
+
+def dense_substeps(state, substeps, nuclei, kernel):
+    """Reference block: a kinetic substep is the dense exp(-i T t) of
+    kinetic_matrix (built from the centered DFT matrix, no FFT layout) on
+    each register, a potential substep the phases of potential_diagonal."""
+    grid, eta, n = state.grid, state.eta, state.grid.total_points
+    w, vec = np.linalg.eigh(kinetic_matrix(grid))
+    diag = potential_diagonal(grid, nuclei, kernel, eta)
+    block = state.tensor[(slice(0, n),) * eta]
+    for op, t in substeps:
+        if op == "V":
+            block = block * np.exp(-1j * t * diag)
+            continue
+        prop = (vec * np.exp(-1j * t * w)) @ vec.conj().T
+        for axis in range(eta):
+            block = np.moveaxis(np.tensordot(prop, block, axes=([1], [axis])),
+                                0, axis)
+    return block
+
+
+class TestMergedPropagator:
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    @pytest.mark.parametrize("dim,points,eta", [
+        (1, 5, 3), (1, 4, 2), (2, 3, 2), (2, 4, 2), (3, 2, 2), (3, 3, 2)])
+    def test_matches_unmerged_dense_composition(self, dim, points, eta, order):
+        grid = GridSpec(dim=dim, points_per_axis=points,
+                        cell_volume=float(points ** dim))
+        nuclei = NuclearConfig(np.full((1, dim), 0.3), np.array([1.0]))
+        kernel = CoulombKernel(softening=0.5)
+        state = slater_oracle(random_orthonormal(grid.total_points, eta, 7),
+                              grid=grid)
+        plan = EvolutionPlan(total_time=0.7, steps=3, order=order)
+        substeps = unmerged_substeps(plan)
+        reference = dense_substeps(state, substeps, nuclei, kernel)
+        public = state
+        for op, t in substeps:
+            public = (apply_kinetic_evolution(public, t) if op == "T" else
+                      apply_potential_evolution(public, t, nuclei, kernel))
+        block = (slice(0, grid.total_points),) * eta
+        for out in (evolve(state, plan, nuclei, kernel), public):
+            assert np.max(np.abs(out.tensor[block] - reference)) < 1e-12
+            assert np.linalg.norm(out.tensor) == pytest.approx(1.0, abs=1e-12)
+            assert out.antisymmetric
+
+    @pytest.mark.parametrize("order,steps,transforms", [
+        (1, 3, 2 * 3), (2, 3, 2 * (3 + 1)), (4, 3, 2 * (5 * 3 + 1))])
+    def test_tables_once_and_half_steps_merged(self, monkeypatch, order,
+                                               steps, transforms):
+        grid, nuclei, kernel = hydrogenic_system()
+        state = ground_slater(grid, nuclei, kernel)
+        calls = {"potential_diagonal": 0, "kinetic_phase_table": 0, "fft": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        for name in ("potential_diagonal", "kinetic_phase_table"):
+            monkeypatch.setattr(hamiltonian, name,
+                                counted(name, getattr(hamiltonian, name)))
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, counted("fft", getattr(np.fft, name)))
+        evolve(state, EvolutionPlan(0.5, steps, order), nuclei, kernel)
+        assert calls == {"potential_diagonal": 1, "kinetic_phase_table": 1,
+                         "fft": transforms}
 
 
 def _zero_kernel():

@@ -1,9 +1,17 @@
 """RT-TDHF baseline: Fock builds, integrators, norms, cross-module checks."""
 
+import math
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from fqlab.errors import ConvergenceFailure, DimensionMismatch, ValidationError
+from fqlab.errors import (
+    ConvergenceFailure,
+    DimensionMismatch,
+    OrbitalDrift,
+    ValidationError,
+)
 from fqlab.grids import GridSpec
 from fqlab.hamiltonian import CoulombKernel, NuclearConfig, kinetic_phase_table
 from fqlab.meanfield import (
@@ -16,6 +24,9 @@ from fqlab.meanfield import (
     hf_energy,
     mean_field_1rdm,
     tdhf_step,
+    _exp_action,
+    _taylor_action,
+    _taylor_plan,
 )
 from fqlab.states import exact_krdm_element, slater_oracle
 
@@ -115,12 +126,105 @@ class TestTdhfStep:
         b = tdhf_step(orb, ints, 1e-3, scheme="rk4")
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10
 
+    def test_rk4_drift_is_a_numerical_failure(self):
+        # a step far too long for RK4: the update is not unitary
+        _, ints, orb = model_system()
+        with pytest.raises(OrbitalDrift, match="exponential-midpoint"):
+            tdhf_step(orb, ints, 0.5, scheme="rk4")
+
+    @pytest.mark.parametrize("dt", [3.0, 1e6])
+    def test_long_step_matches_eigh(self, dt):
+        # non-interacting, so the midpoint step is exp(-i h dt) exactly
+        _, ints, orb = model_system()
+        free = GridIntegrals(h=ints.h, v=np.zeros_like(ints.v))
+        out = tdhf_step(orb, free, dt)
+        w, vec = np.linalg.eigh(ints.h)
+        exact = (vec * np.exp(-1j * w * dt)) @ vec.conj().T @ orb.coeffs
+        assert np.max(np.abs(out.coeffs - exact)) < 1e-12 * max(1.0, dt)
+
+    def test_eigh_only_when_the_series_costs_more(self, monkeypatch):
+        _, ints, orb = model_system()
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: calls.append(a.shape) or eigh(a))
+        evolve_tdhf(orb, ints, TdhfPlan(0.1, 10))
+        assert calls == []
+        tdhf_step(orb, GridIntegrals(h=ints.h, v=np.zeros_like(ints.v)), 1e6)
+        assert calls and set(calls) == {(16, 16)}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_step_refused(self):
+        _, ints, orb = model_system()
+        with pytest.raises(ConvergenceFailure, match="not finite"):
+            tdhf_step(orb, ints, np.inf)
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValidationError):
             TdhfPlan(total_time=1.0, steps=2, scheme="verlet")
 
 
+class TestExpAction:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 8), eta=st.integers(1, 4),
+           log_norm=st.floats(-3.0, np.log10(300.0)),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_eigh_and_stays_orthonormal(self, n, eta, log_norm, seed):
+        eta = min(eta, n)
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = (m + m.conj().T) / 2
+        a *= 10.0 ** log_norm / np.linalg.norm(a, 1)
+        c = random_orthonormal(n, eta, seed)
+        w, vec = np.linalg.eigh(a)
+        exact = (vec * np.exp(-1j * w)) @ vec.conj().T @ c
+        out = _exp_action(a, c)
+        assert np.max(np.abs(out - exact)) < 1e-12
+        assert np.max(np.abs(out.conj().T @ out - np.eye(eta))) < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 8), eta=st.integers(1, 4),
+           log_norm=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 16))
+    def test_taylor_series_matches_eigh(self, n, eta, log_norm, seed):
+        # the series alone, at norms where _exp_action would take eigh
+        eta = min(eta, n)
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = (m + m.conj().T) / 2
+        a *= 10.0 ** log_norm / np.linalg.norm(a, 1)
+        c = random_orthonormal(n, eta, seed)
+        w, vec = np.linalg.eigh(a)
+        exact = (vec * np.exp(-1j * w)) @ vec.conj().T @ c
+        norm = np.linalg.norm(a, 1)
+        out = _taylor_action(a, c, norm, _taylor_plan(norm))
+        assert np.max(np.abs(out - exact)) < 1e-14 * max(1.0, norm)
+
+    @pytest.mark.parametrize("norm,plan", [
+        (0.0, (1, 1)), (0.4, (1, 13)), (17.4, (5, 29)), (868.4, (219, 30))])
+    def test_plan_fewest_products_within_the_bound(self, norm, plan):
+        s, m = _taylor_plan(norm)
+        assert (s, m) == plan
+        # s substeps, each truncated at degree m, err by at most 2^-53 ||a||_1
+        assert s * (norm / s) ** (m + 1) / math.factorial(m + 1) <= 2.0 ** -53 * norm
+
+    def test_zero_operator_is_identity(self):
+        c = random_orthonormal(5, 2, seed=1)
+        assert np.array_equal(_exp_action(np.zeros((5, 5)), c), c)
+
+
 class TestEvolveTdhf:
+    def test_fixed_point_iterations_recorded(self):
+        _, ints, orb = model_system()
+        traj = evolve_tdhf(orb, ints, TdhfPlan(0.5, 10))
+        assert traj.fp_iterations.shape == (10,)
+        assert np.all(traj.fp_iterations >= 1)
+        assert np.all(traj.fp_iterations <= 20)  # tdhf_step's max_iterations
+
+    def test_rk4_records_no_fixed_point_iterations(self):
+        _, ints, orb = model_system()
+        traj = evolve_tdhf(orb, ints, TdhfPlan(0.01, 2, scheme="rk4"))
+        assert list(traj.fp_iterations) == [0, 0]
+
     def test_energy_conserved(self):
         _, ints, orb = model_system()
         traj = evolve_tdhf(orb, ints, TdhfPlan(1.0, 500), keep_history=False)
