@@ -1,6 +1,6 @@
 """fqlab: a desk-scale first-quantized electron-dynamics laboratory."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .grids import GridSpec
 from .states import (

@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -124,12 +125,14 @@ def _load_coeffs(path) -> np.ndarray:
             raise UsageError(f"coefficient CSV {path} must hold numbers only") from exc
     if raw.shape[1] % 2 != 0:
         raise UsageError("coefficient CSV must have re,im column pairs")
+    if not np.all(np.isfinite(raw)):
+        raise UsageError(f"coefficient CSV {path} holds a non-finite value")
     return raw[:, 0::2] + 1j * raw[:, 1::2]
 
 
 def _particle_count(p, grid: GridSpec) -> int:
     """--eta for a generated initial state: 1..N particles on N grid points."""
-    eta = int(p["eta"])
+    eta = _cast(p, "eta", int)
     if not 1 <= eta <= grid.total_points:
         raise UsageError(f"--eta must be in 1..{grid.total_points}, got {eta}")
     return eta
@@ -169,22 +172,46 @@ def _resolved(args, config, keys):
     return out
 
 
-def _kernel(soften) -> CoulombKernel:
-    return CoulombKernel(softening=float(soften or 0.0))
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false"}
 
 
-def _snapshot_parameters(args, config, state: FirstQuantizedState) -> dict:
-    """Grid and eta of an ``evolve --in`` run: the snapshot's values.
+def _cast(p, key, kind):
+    """Resolved parameter ``key`` as an int, a finite float or a bool.
 
-    --dim, --points, --omega and --eta may be omitted; one given (as a
-    flag or in the config) that disagrees with the snapshot is an error.
+    Flags arrive typed, config values as JSON; a value that is not of the
+    kind (a fractional int, a NaN, a string bool) is a usage error.
     """
-    recorded = {"dim": state.grid.dim, "points": state.grid.points_per_axis,
-                "omega": float(state.grid.cell_volume), "eta": state.eta}
+    value = p[key]
+    try:
+        out = kind(value)
+        valid = (isinstance(value, bool) if kind is bool
+                 else math.isfinite(out) and float(value) == out)
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise UsageError(f"--{key} must be {_KINDS[kind]}, got {value!r}")
+    return out
+
+
+def _grid(p) -> GridSpec:
+    return GridSpec(dim=_cast(p, "dim", int), points_per_axis=_cast(p, "points", int),
+                    cell_volume=_cast(p, "omega", float))
+
+
+def _kernel(p) -> CoulombKernel:
+    return CoulombKernel(softening=_cast(p, "soften", float))
+
+
+def _input_parameters(args, config, recorded, source) -> dict:
+    """Parameters an input file fixes (``recorded``): the file's values.
+
+    They may be omitted; one given (as a flag or in the config) that
+    disagrees with ``source`` is an error.
+    """
     given = _resolved(args, config, dict.fromkeys(recorded, ""))
     for key, value in given.items():
-        if value != "" and type(recorded[key])(value) != recorded[key]:
-            raise UsageError(f"--{key} {value} disagrees with the snapshot "
+        if value != "" and _cast(given, key, type(recorded[key])) != recorded[key]:
+            raise UsageError(f"--{key} {value} disagrees with the {source} "
                              f"{key} {recorded[key]}")
     return recorded
 
@@ -192,54 +219,59 @@ def _snapshot_parameters(args, config, state: FirstQuantizedState) -> dict:
 def _cmd_evolve(args, config) -> int:
     snapshot = _resolved(args, config, {"in": ""})["in"]
     state = load_state(snapshot) if snapshot else None
-    fixed = {} if state is None else _snapshot_parameters(args, config, state)
+    fixed = {} if state is None else _input_parameters(args, config, {
+        "dim": state.grid.dim, "points": state.grid.points_per_axis,
+        "omega": float(state.grid.cell_volume), "eta": state.eta}, "snapshot")
     p = _resolved(args, config, {
         "dim": 3, "points": None, "omega": None, "eta": None, **fixed,
         "nuclei": "", "soften": 0.0, "time": None, "steps": None,
         "order": 2, "seed": 0, "in": "", "out": None})
     p.update(fixed)  # the manifest records the values the run used
-    grid = state.grid if state is not None else GridSpec(
-        dim=int(p["dim"]), points_per_axis=int(p["points"]),
-        cell_volume=float(p["omega"]))
+    grid = state.grid if state is not None else _grid(p)
     nuclei = (_load_nuclei(p["nuclei"], grid.dim) if p["nuclei"]
               else NuclearConfig.empty(grid.dim))
-    kernel = _kernel(p["soften"])
-    plan = EvolutionPlan(total_time=float(p["time"]), steps=int(p["steps"]),
-                         order=int(p["order"]))
+    kernel = _kernel(p)
+    plan = EvolutionPlan(total_time=_cast(p, "time", float),
+                         steps=_cast(p, "steps", int), order=_cast(p, "order", int))
     if state is None:
         state = _lowest_momentum_slater(grid, _particle_count(p, grid))
     final = evolve(state, plan, nuclei, kernel)
     save_state(p["out"], final)
     inputs = [path for path in (p["in"], p["nuclei"]) if path]
-    _write_manifest("evolve", p, int(p["seed"]), inputs, [p["out"]])
+    _write_manifest("evolve", p, _cast(p, "seed", int), inputs, [p["out"]])
     return 0
 
 
 def _cmd_tdhf(args, config) -> int:
+    coeffs_path = _resolved(args, config, {"coeffs": ""})["coeffs"]
+    coeffs = _load_coeffs(coeffs_path) if coeffs_path else None
+    fixed = {} if coeffs is None else _input_parameters(
+        args, config, {"eta": coeffs.shape[1]}, "coefficient CSV")
     p = _resolved(args, config, {
-        "dim": 1, "points": None, "omega": None, "eta": None,
+        "dim": 1, "points": None, "omega": None, "eta": None, **fixed,
         "nuclei": "", "soften": 0.0, "time": None, "steps": None,
         "scheme": "exponential-midpoint", "observables": "energy",
         "coeffs": "", "out": None})
-    grid = GridSpec(dim=int(p["dim"]), points_per_axis=int(p["points"]),
-                    cell_volume=float(p["omega"]))
+    p.update(fixed)  # the manifest records the values the run used
+    grid = _grid(p)
     nuclei = (_load_nuclei(p["nuclei"], grid.dim) if p["nuclei"]
               else NuclearConfig.empty(grid.dim))
-    integrals = GridIntegrals.from_grid(grid, nuclei, _kernel(p["soften"]))
+    integrals = GridIntegrals.from_grid(grid, nuclei, _kernel(p))
     inputs = [path for path in (p["nuclei"], p["coeffs"]) if path]
-    if p["coeffs"]:
-        coeffs = _load_coeffs(p["coeffs"])
-    else:
+    if coeffs is None:
         # core-Hamiltonian guess: lowest eigenvectors of h
         _, vecs = np.linalg.eigh(integrals.h)
         coeffs = vecs[:, :_particle_count(p, grid)]
+    elif len(coeffs) != grid.total_points:
+        raise UsageError(f"coefficient CSV has {len(coeffs)} rows for "
+                         f"{grid.total_points} grid points")
     orbitals = OccupiedOrbitals(coeffs, grid)
     wanted = [w.strip() for w in str(p["observables"]).split(",") if w.strip()]
     unknown = set(wanted) - {"energy", "rdm-diag"}
     if unknown:
         raise UsageError(f"unknown observables: {sorted(unknown)}")
-    plan = TdhfPlan(total_time=float(p["time"]), steps=int(p["steps"]),
-                    scheme=p["scheme"])
+    plan = TdhfPlan(total_time=_cast(p, "time", float),
+                    steps=_cast(p, "steps", int), scheme=p["scheme"])
     traj = evolve_tdhf(orbitals, integrals, plan,
                        record_rdm_diag="rdm-diag" in wanted, keep_history=False)
     header = ["step", "time", "energy"]
@@ -261,7 +293,8 @@ def _cmd_prep(args, config) -> int:
         "coeffs": None, "verify": False, "ledger-out": ""})
     coeffs = _load_coeffs(p["coeffs"])
     n, eta = coeffs.shape
-    result = prepare_slater(coeffs, validate=bool(p["verify"]))
+    verify = _cast(p, "verify", bool)
+    result = prepare_slater(coeffs, validate=verify)
     outputs = []
     if p["ledger-out"]:
         rows = sorted(result.ledger.counts.items())
@@ -270,7 +303,7 @@ def _cmd_prep(args, config) -> int:
         outputs.append(p["ledger-out"])
     print(f"prepared N={n} eta={eta}: ledger total {result.ledger.total} "
           f"(closed form {toffoli_count(n, eta, 'improved')})")
-    if p["verify"]:
+    if verify:
         oracle = slater_oracle(coeffs, n_orbitals=n)
         overlap = abs(result.state.overlap(oracle))
         ledger_ok = result.ledger.total == toffoli_count(n, eta, "improved")
@@ -313,18 +346,16 @@ def _cmd_shadows(args, config) -> int:
     state = load_state(p["in"])
     if not state.is_antisymmetric():
         raise ValidationError("shadow protocol expects an antisymmetric state")
-    k = int(p["k"])
-    eps, delta = float(p["epsilon"]), float(p["delta"])
+    k = _cast(p, "k", int)
+    eps, delta = _cast(p, "epsilon", float), _cast(p, "delta", float)
     if str(p["samples"]) == "auto":
         m = required_samples(state.n_orbitals, k, state.eta, eps, delta)
     else:
-        try:
-            m = int(p["samples"])
-        except ValueError as exc:
-            raise UsageError("--samples must be 'auto' or an integer") from exc
+        m = _cast(p, "samples", int)
     config_est = EstimatorConfig.from_sample_count(k, eps, delta, m)
     elements = _parse_elements(str(p["elements"]), state.n_orbitals, k)
-    batch = collect_shadows(state, m, int(p["seed"]),
+    seed = _cast(p, "seed", int)
+    batch = collect_shadows(state, m, seed,
                             threads=int(getattr(args, "threads", 1) or 1))
     rows = [[";".join(map(str, bra)), ";".join(map(str, ket)), est.real,
              est.imag, config_est.groups, config_est.group_size]
@@ -338,7 +369,7 @@ def _cmd_shadows(args, config) -> int:
         _write_csv(p["dump-samples"], ["cliffords", "outcomes"], sample_rows)
         outputs.append(p["dump-samples"])
     inputs = [p["in"]] + ([p["elements"]] if p["elements"] != "all-1rdm" else [])
-    _write_manifest("shadows", p, int(p["seed"]), inputs, outputs)
+    _write_manifest("shadows", p, seed, inputs, outputs)
     return 0
 
 

@@ -1,16 +1,25 @@
-"""Clifford group elements: exhaustive tables and uniform sampling.
+"""Clifford group elements mod global phase: tables by index and uniform sampling.
 
-Elements are represented mod global phase. Two constructions are used:
+A Clifford mod phase is a Pauli times a symplectic representative
+(C_n / phase = P_n . Sp(2n, 2)), so a uniform element is a uniform Pauli
+times a uniform representative. Two constructions are used:
 
-* n = 1 (and on demand n = 2): an exhaustive table built by closing the
-  generator set {H, S} (+ CZ for n = 2) under multiplication, with each
-  product reduced to a canonical phase. Table order is deterministic.
-* general n: a uniform canonical-form sampler. A symplectic basis of
+* n <= 2: one factorized table, built lazily on first use (0.2 MB at
+  n = 2). Its representatives S_s are every symplectic basis of F_2^{2n}
+  in lexicographic order (6 at n = 1, 720 at n = 2), each synthesized
+  once from its stabilizer images with all sign bits 0; index
+  idx = s * 4^n + a names P_a S_s, 24 or 11520 elements in all. A draw
+  is one integer, and the unitary is S_s with its rows signed and
+  permuted by P_a, which is exact. Keys: ``t2:<idx>`` in this order;
+  ``t1:<idx>`` indexes the 24 single-qubit elements phase-canonical and
+  sorted by their rounded entries (``clifford_table(1)``).
+* n >= 3: a uniform canonical-form sampler. A symplectic basis of
   F_2^{2n} is drawn pair by pair (v_j uniform nonzero in the current
   symplectic complement, w_j uniform among vectors pairing to 1 with
   v_j), which is exactly uniform over Sp(2n, 2) by orbit counting, then
   2n uniform sign bits pick the Pauli factor. The dense unitary is
-  synthesized from the stabilizer images.
+  synthesized from the stabilizer images. Keys: ``c<n>:v1.w1...vn.wn.x.z``
+  (packed bit fields), which also replay at n = 2.
 
 Binary vectors use (x | z) coordinates: a = (x_1..x_n | z_1..z_n) maps
 to the Pauli prod_i X_i^{x_i} Z_i^{z_i} with a fixed phase convention.
@@ -23,8 +32,6 @@ import numpy as np
 
 from .errors import EnumerationUnavailable, ValidationError
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_S = np.array([[1, 0], [0, 1j]], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -43,39 +50,19 @@ def _matrix_key(u: np.ndarray) -> bytes:
     return (rounded + (0.0 + 0.0j)).tobytes()  # normalize -0.0 bit patterns
 
 
-@lru_cache(maxsize=None)
-def clifford_table(n: int) -> tuple:
-    """All Clifford unitaries on n qubits mod phase, deterministic order."""
-    if n == 1:
-        gens = [_H, _S]
-    elif n == 2:
-        cz = np.diag([1, 1, 1, -1]).astype(complex)
-        gens = [np.kron(_H, np.eye(2)), np.kron(np.eye(2), _H),
-                np.kron(_S, np.eye(2)), np.kron(np.eye(2), _S), cz]
-    else:
-        raise EnumerationUnavailable(f"no exhaustive table for n = {n}")
-    seen = {}
-    frontier = [np.eye(2 ** n, dtype=complex)]
-    seen[_matrix_key(frontier[0])] = frontier[0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in gens:
-                cand = _phase_canonical(g @ u)
-                key = _matrix_key(cand)
-                if key not in seen:
-                    seen[key] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    table = sorted(seen.values(), key=_matrix_key)
-    if len(table) != GROUP_ORDER_MOD_PHASE[n]:
-        raise AssertionError(
-            f"enumeration produced {len(table)} elements, expected "
-            f"{GROUP_ORDER_MOD_PHASE[n]}")
-    return tuple(table)
-
-
 # -- F_2 symplectic machinery ------------------------------------------------
+
+
+def _pack(bits) -> int:
+    out = 0
+    for b in bits:
+        out = (out << 1) | int(b)
+    return out
+
+
+def _unpack(val: int, width: int) -> np.ndarray:
+    return np.array([(val >> (width - 1 - b)) & 1 for b in range(width)],
+                    dtype=np.uint8)
 
 
 def _symplectic_product(a: np.ndarray, b: np.ndarray, n: int) -> int:
@@ -171,10 +158,7 @@ def pauli_from_bits(bits: np.ndarray, n: int) -> np.ndarray:
     identity and stabilizer projectors (I + P)/2 are well defined.
     There are only 4^n of these, so they are built once and cached.
     """
-    packed = 0
-    for b in bits:
-        packed = (packed << 1) | int(b)
-    return _pauli_cached(n, packed)
+    return _pauli_cached(n, _pack(bits))
 
 
 def _unitary_from_images(n: int, pairs, x_signs, z_signs) -> np.ndarray:
@@ -237,61 +221,151 @@ def _is_signed_pauli(mat: np.ndarray, n: int, tol: float) -> bool:
 
 def _all_bit_vectors(width: int):
     for val in range(2 ** width):
-        yield np.array([(val >> (width - 1 - b)) & 1 for b in range(width)],
-                       dtype=np.uint8)
+        yield _unpack(val, width)
+
+
+# -- n <= 2: the factorized Pauli x symplectic table --------------------------
+
+
+def _symplectic_bases(n: int, pairs=(), chosen=()):
+    """Every symplectic basis [(v_1, w_1), ..., (v_n, w_n)] of F_2^{2n}, in order."""
+    if len(pairs) == n:
+        yield list(pairs)
+        return
+    free = [u for u in _all_bit_vectors(2 * n)
+            if u.any() and not any(_symplectic_product(u, c, n) for c in chosen)]
+    for v in free:
+        for w in free:
+            if _symplectic_product(v, w, n):
+                yield from _symplectic_bases(n, pairs + ((v, w),), chosen + (v, w))
+
+
+@dataclass(frozen=True, eq=False)
+class _FactorizedTable:
+    """The n <= 2 group as P_a S_s: element idx = s * 4^n + a."""
+
+    representatives: np.ndarray  # (|Sp(2n, 2)|, d, d), S_s
+    perm: np.ndarray             # (4^n, d): row r of P_a is nonzero in column perm[a, r]
+    phase: np.ndarray            # (4^n, d): ... where it holds phase[a, r]
+
+    def unitaries(self, idx) -> np.ndarray:
+        """P_a S_s for every index, shape idx.shape + (d, d)."""
+        s, a = np.divmod(np.asarray(idx), len(self.perm))
+        return self.phase[a][..., None] * self.representatives[s[..., None],
+                                                               self.perm[a]]
+
+
+@lru_cache(maxsize=None)
+def _factorized(n: int) -> _FactorizedTable:
+    zeros = np.zeros(n, dtype=np.uint8)
+    reps = np.array([_unitary_from_images(n, pairs, zeros, zeros)
+                     for pairs in _symplectic_bases(n)])
+    paulis = np.array([_pauli_cached(n, a) for a in range(4 ** n)])
+    perm = np.argmax(np.abs(paulis) > 0.5, axis=2)
+    phase = np.take_along_axis(paulis, perm[..., None], axis=2)[..., 0]
+    if len(reps) * len(paulis) != GROUP_ORDER_MOD_PHASE[n]:
+        raise AssertionError(f"{len(reps)} symplectic representatives at n = {n}")
+    for arr in (reps, perm, phase):
+        arr.setflags(write=False)
+    return _FactorizedTable(reps, perm, phase)
+
+
+@lru_cache(maxsize=None)
+def _single_qubit_table() -> np.ndarray:
+    products = _factorized(1).unitaries(np.arange(GROUP_ORDER_MOD_PHASE[1]))
+    table = np.array(sorted((_phase_canonical(u) for u in products),
+                            key=_matrix_key))
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _table_keys(n: int) -> np.ndarray:
+    """The key string of every table index, shared by all draws."""
+    return np.array([f"t{n}:{idx}" for idx in range(GROUP_ORDER_MOD_PHASE[n])],
+                    dtype=object)
+
+
+def table_unitaries(n: int, idx) -> np.ndarray:
+    """Unitaries of the table elements ``idx`` (any shape), n <= 2."""
+    if n == 1:
+        return _single_qubit_table()[idx]
+    if n == 2:
+        return _factorized(2).unitaries(idx)
+    raise EnumerationUnavailable(f"no exhaustive table for n = {n}")
+
+
+def clifford_table(n: int) -> np.ndarray:
+    """All Clifford unitaries on n <= 2 qubits mod phase, in key order.
+
+    n = 1 is cached and phase-canonical; n = 2 is formed on each call
+    (2.9 MB) from the factorized table, with no phase normalization.
+    """
+    if n not in GROUP_ORDER_MOD_PHASE:
+        raise EnumerationUnavailable(f"no exhaustive table for n = {n}")
+    return table_unitaries(n, np.arange(GROUP_ORDER_MOD_PHASE[n]))
+
+
+# -- sampling and keys ----------------------------------------------------------
 
 
 def sample_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
     """Uniform Clifford element mod phase, deterministic given the stream."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    if n == 1:
-        table = clifford_table(1)
-        idx = int(rng.integers(0, len(table)))
-        return CliffordElement(n=1, unitary=table[idx], key=f"t1:{idx}")
+    if n in GROUP_ORDER_MOD_PHASE:
+        idx = int(rng.integers(0, GROUP_ORDER_MOD_PHASE[n]))
+        return CliffordElement(n=n, unitary=table_unitaries(n, idx),
+                               key=f"t{n}:{idx}")
     pairs = sample_symplectic_basis(n, rng)
     x_signs = rng.integers(0, 2, size=n)
     z_signs = rng.integers(0, 2, size=n)
     unitary = _unitary_from_images(n, pairs, x_signs, z_signs)
-    key = _encode_key(n, pairs, x_signs, z_signs)
+    fields = [_pack(bits) for pair in pairs for bits in pair]
+    key = f"c{n}:" + ".".join(map(str, fields + [_pack(x_signs), _pack(z_signs)]))
     return CliffordElement(n=n, unitary=unitary, key=key)
 
 
-def _encode_key(n, pairs, x_signs, z_signs) -> str:
-    def bits_to_int(bits):
-        out = 0
-        for b in bits:
-            out = (out << 1) | int(b)
-        return out
-    fields = []
-    for v, w in pairs:
-        fields.append(str(bits_to_int(v)))
-        fields.append(str(bits_to_int(w)))
-    fields.append(str(bits_to_int(x_signs)))
-    fields.append(str(bits_to_int(z_signs)))
-    return f"c{n}:" + ".".join(fields)
+def draw_clifford_blocks(n: int, rng: np.random.Generator, shape, block: int):
+    """Yield (keys, unitaries) for ``shape = (samples, registers)`` draws.
+
+    Blocks of ``block`` samples come in order; keys are (b, registers)
+    and unitaries (b, registers, d, d). n <= 2 draws every table index
+    in one call and never calls ``sample_clifford``; n >= 3 draws element
+    by element. Either way the stream does not depend on ``block``.
+    """
+    samples, registers = shape
+    if n in GROUP_ORDER_MOD_PHASE:
+        idx = rng.integers(0, GROUP_ORDER_MOD_PHASE[n], size=shape)
+        for start in range(0, samples, block):
+            part = idx[start:start + block]
+            yield _table_keys(n)[part], table_unitaries(n, part)
+        return
+    for start in range(0, samples, block):
+        count = min(block, samples - start) * registers
+        drawn = [sample_clifford(n, rng) for _ in range(count)]
+        keys = np.array([c.key for c in drawn], dtype=object)
+        unitaries = np.array([c.unitary for c in drawn])
+        yield (keys.reshape(-1, registers),
+               unitaries.reshape(-1, registers, 2 ** n, 2 ** n))
 
 
 def clifford_from_key(key: str) -> CliffordElement:
     """Rebuild the element named by a sample key (CSV replay path)."""
     head, _, payload = key.partition(":")
-    if head == "t1":
-        table = clifford_table(1)
-        return CliffordElement(n=1, unitary=table[int(payload)], key=key)
-    if not head.startswith("c"):
+    try:
+        n = int(head[1:])
+        parts = [int(p) for p in payload.split(".")]
+    except ValueError:
+        raise ValidationError(f"bad clifford key {key!r}") from None
+    if head[:1] == "t" and n in GROUP_ORDER_MOD_PHASE and len(parts) == 1:
+        if not 0 <= parts[0] < GROUP_ORDER_MOD_PHASE[n]:
+            raise ValidationError(f"bad clifford key {key!r}")
+        return CliffordElement(n=n, unitary=table_unitaries(n, parts[0]), key=key)
+    if head[:1] != "c" or n < 1 or len(parts) != 2 * n + 2:
         raise ValidationError(f"bad clifford key {key!r}")
-    n = int(head[1:])
-    parts = [int(p) for p in payload.split(".")]
-    if len(parts) != 2 * n + 2:
-        raise ValidationError(f"bad clifford key {key!r}")
-
-    def int_to_bits(val, width):
-        return np.array([(val >> (width - 1 - b)) & 1 for b in range(width)],
-                        dtype=np.uint8)
-
-    pairs = [(int_to_bits(parts[2 * j], 2 * n), int_to_bits(parts[2 * j + 1], 2 * n))
+    pairs = [(_unpack(parts[2 * j], 2 * n), _unpack(parts[2 * j + 1], 2 * n))
              for j in range(n)]
-    x_signs = int_to_bits(parts[-2], n)
-    z_signs = int_to_bits(parts[-1], n)
-    unitary = _unitary_from_images(n, pairs, x_signs, z_signs)
+    unitary = _unitary_from_images(n, pairs, _unpack(parts[-2], n),
+                                   _unpack(parts[-1], n))
     return CliffordElement(n=n, unitary=unitary, key=key)

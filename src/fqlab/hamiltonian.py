@@ -33,8 +33,8 @@ class NuclearConfig:
             raise ValidationError("positions/charges length mismatch")
         if pos.size and not np.all(np.isfinite(pos)):
             raise ValidationError("nuclear positions must be finite")
-        if np.any(chg < 1):
-            raise ValidationError("nuclear charges must be >= 1")
+        if not np.all(np.isfinite(chg) & (chg >= 1)):
+            raise ValidationError("nuclear charges must be finite and >= 1")
 
     @staticmethod
     def empty(dim: int) -> "NuclearConfig":

@@ -50,6 +50,8 @@ class OccupiedOrbitals:
         c = np.asarray(self.coeffs, dtype=complex)
         if c.ndim != 2:
             raise ValidationError("coefficients must be an N x eta matrix")
+        if not np.all(np.isfinite(c)):
+            raise ValidationError("orbital coefficients must be finite")
         if _orthonormality_residual(c) > ORTHONORMAL_TOL:
             raise ValidationError("orbital columns not orthonormal within 1e-8")
         self.coeffs = c

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .cliffords import clifford_from_key, clifford_table, sample_clifford
+from .cliffords import clifford_from_key, clifford_table, draw_clifford_blocks
 from .errors import (
     AssumptionViolated,
     EnumerationUnavailable,
@@ -25,10 +25,19 @@ from .errors import (
     ValidationError,
 )
 from .rng import derive_rng
-from .states import FirstQuantizedState, born_outcome, contract_registers
+from .states import (
+    FirstQuantizedState,
+    born_outcomes,
+    contract_register_batch,
+    contract_registers,
+)
 
 LOG_CONVENTION = "natural"
 _CHUNK = 4096
+# Samples per batched contraction, fewer for large states: bigger blocks
+# raise peak memory and save little interpreter time.
+_BLOCK = 32
+_BLOCK_AMPLITUDES = 2 ** 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,16 +150,26 @@ class EstimatorConfig:
 
 
 def _collect_chunk(state, part: ShadowBatch, rng) -> None:
-    """Fill every sample of ``part``: eta Clifford draws, then one Born draw."""
-    n = state.qubits_per_register
-    for s in range(len(part)):
-        cliffords = [sample_clifford(n, rng) for _ in range(state.eta)]
-        tensor = contract_registers(state.tensor,
-                                    enumerate(c.unitary for c in cliffords))
-        part.outcomes[s] = born_outcome(tensor, rng)
-        for x, (c, b) in enumerate(zip(cliffords, part.outcomes[s])):
-            part.keys[s, x] = c.key
-            part.rows[s, x] = c.unitary[b]
+    """Fill every sample of ``part`` from its own stream.
+
+    The stream gives one uniform per sample, then eta Clifford draws per
+    sample. Blocks of samples then take one batched register contraction
+    and one inverse-CDF Born draw each.
+    """
+    uniforms = rng.random(len(part))
+    block = max(1, min(_BLOCK, _BLOCK_AMPLITUDES // state.tensor.size))
+    shape = (len(part), state.eta)
+    start = 0
+    for keys, unitaries in draw_clifford_blocks(state.qubits_per_register, rng,
+                                                shape, block):
+        span = slice(start, start + len(keys))
+        tensors = contract_register_batch(state.tensor, unitaries)
+        outcomes = born_outcomes(tensors, uniforms[span])
+        part.keys[span] = keys
+        part.outcomes[span] = outcomes
+        part.rows[span] = np.take_along_axis(
+            unitaries, outcomes[:, :, None, None], axis=2)[:, :, 0]
+        start += len(keys)
 
 
 def collect_shadows(state: FirstQuantizedState, m: int, seed: int,

@@ -74,6 +74,35 @@ def born_outcome(tensor: np.ndarray, rng: np.random.Generator) -> tuple:
     return tuple(int(i) for i in np.unravel_index(flat, tensor.shape))
 
 
+def contract_register_batch(tensor: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+    """Apply U_{s, x} to register axis x of ``tensor`` for every sample s.
+
+    ``unitaries`` is (B, eta, d, d); the result is (B,) + tensor.shape.
+    Each step is one batched matmul that contracts the leading register
+    and appends its image as the last axis, so after eta steps the axes
+    are back in order.
+    """
+    samples, eta, dim, _ = unitaries.shape
+    out = tensor.reshape(dim, -1).T
+    for x in range(eta):
+        if x:
+            out = out.reshape(samples, dim, -1).transpose(0, 2, 1)
+        out = out @ unitaries[:, x].transpose(0, 2, 1)
+    return out.reshape((samples,) + tensor.shape)
+
+
+def born_outcomes(tensors: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """One joint outcome per tensor of a batch by inverse CDF, shape (B, eta).
+
+    The outcome is the number of normalized CDF entries <= its uniform in
+    [0, 1), so an outcome of probability zero is never drawn.
+    """
+    cdf = np.cumsum(np.abs(tensors.reshape(len(tensors), -1)) ** 2, axis=1)
+    cdf /= cdf[:, -1:]
+    flat = np.count_nonzero(cdf <= uniforms[:, None], axis=1)
+    return np.stack(np.unravel_index(flat, tensors.shape[1:]), axis=-1)
+
+
 def check_dense_size(n_orbitals: int, eta: int) -> None:
     """Refuse a state whose stored (2^n)^eta amplitudes exceed the dense regime.
 

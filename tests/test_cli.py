@@ -99,6 +99,19 @@ class TestEvolveShadowsPipeline:
         assert dispatch(["--manifest", "est.csv.manifest.json"]) == 0
         assert sha256("est.csv") == first
 
+    def test_shadows_outputs_do_not_depend_on_threads(self, workdir):
+        assert dispatch(["evolve", "--dim", "1", "--points", "4", "--omega",
+                         "4", "--eta", "2", "--time", "0.1", "--steps", "2",
+                         "--out", "st.bin"]) == 0
+        digests = set()
+        for threads in ("1", "2"):
+            assert dispatch(["--threads", threads, "shadows", "--in", "st.bin",
+                             "--epsilon", "0.3", "--delta", "0.1", "--samples",
+                             "9000", "--seed", "5", "--out", "est.csv",
+                             "--dump-samples", "raw.csv"]) == 0  # 3 chunks
+            digests.add((sha256("est.csv"), sha256("raw.csv")))
+        assert len(digests) == 1
+
     def test_evolve_same_seed_same_digest(self, workdir):
         args = ["evolve", "--dim", "1", "--points", "5", "--omega", "5",
                 "--eta", "2", "--time", "0.2", "--steps", "10",
@@ -351,3 +364,116 @@ class TestMalformedInputs:
         assert dispatch(argv) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
+
+
+def exits_two_with_one_line(argv, capsys, *needles):
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert all(needle in err for needle in needles), err
+
+
+TDHF_N4 = ["tdhf", "--dim", "1", "--points", "4", "--omega", "4",
+           "--time", "0.1", "--steps", "2", "--out", "t.csv"]
+
+
+class TestNonFiniteInputs:
+    """A non-finite number is refused where it is read: exit 2, one line."""
+
+    @pytest.mark.parametrize("command", ["evolve", "tdhf"])
+    @pytest.mark.parametrize("charge", ["inf", "nan"])
+    def test_nuclear_charge(self, workdir, capsys, command, charge):
+        (workdir / "nuclei.txt").write_text(f"{charge} 0.3\n")
+        argv = EVOLVE_N5 if command == "evolve" else TDHF_N4
+        exits_two_with_one_line([*argv, "--eta", "2", "--nuclei", "nuclei.txt",
+                                 "--soften", "0.5"], capsys, "charge")
+
+    @pytest.mark.parametrize("command", ["tdhf", "prep"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_coefficient(self, workdir, capsys, command, value):
+        coeffs = random_orthonormal(4, 2, seed=3)
+        write_coeffs("c.csv", coeffs)
+        lines = open("c.csv").read().splitlines()
+        lines[1] = ",".join([value] + lines[1].split(",")[1:])
+        (workdir / "c.csv").write_text("\n".join(lines) + "\n")
+        argv = TDHF_N4 if command == "tdhf" else ["prep", "--verify"]
+        exits_two_with_one_line([*argv, "--coeffs", "c.csv"], capsys,
+                                "non-finite")
+
+    def test_orbitals_and_nuclei_refuse_non_finite(self):
+        from fqlab.errors import ValidationError
+        from fqlab.hamiltonian import NuclearConfig
+        from fqlab.meanfield import OccupiedOrbitals
+        coeffs = random_orthonormal(4, 2, seed=3)
+        coeffs[0, 0] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            OccupiedOrbitals(coeffs)
+        with pytest.raises(ValidationError, match="finite"):
+            NuclearConfig(np.array([[0.3]]), np.array([np.inf]))
+
+
+class TestTdhfEtaFromCoefficients:
+    """With --coeffs the CSV's column pairs fix eta."""
+
+    @pytest.fixture
+    def coeffs(self, workdir):
+        write_coeffs("c.csv", random_orthonormal(4, 2, seed=12))  # 4 x 2
+        return workdir / "c.csv"
+
+    def recorded_eta(self):
+        with open("t.csv.manifest.json") as fh:
+            return json.load(fh)["parameters"]["eta"]
+
+    def test_eta_may_be_omitted_and_is_recorded(self, coeffs):
+        assert dispatch([*TDHF_N4, "--coeffs", "c.csv"]) == 0
+        assert self.recorded_eta() == 2
+        digest = sha256("t.csv")
+        assert dispatch(["--manifest", "t.csv.manifest.json"]) == 0
+        assert sha256("t.csv") == digest
+
+    def test_matching_eta_accepted(self, coeffs):
+        assert dispatch([*TDHF_N4, "--coeffs", "c.csv", "--eta", "2"]) == 0
+        assert self.recorded_eta() == 2
+
+    def test_disagreeing_eta_flag_exits_two(self, coeffs, capsys):
+        exits_two_with_one_line([*TDHF_N4, "--coeffs", "c.csv", "--eta", "3"],
+                                capsys, "--eta")
+        assert not (coeffs.parent / "t.csv").exists()
+
+    def test_disagreeing_eta_in_config_exits_two(self, coeffs, capsys):
+        (coeffs.parent / "cfg.json").write_text(json.dumps({"eta": 3}))
+        exits_two_with_one_line(["--config", "cfg.json", *TDHF_N4,
+                                 "--coeffs", "c.csv"], capsys, "--eta")
+
+    def test_row_count_must_match_grid(self, coeffs, capsys):
+        argv = [*TDHF_N4, "--coeffs", "c.csv"]
+        argv[argv.index("--points") + 1] = "5"
+        exits_two_with_one_line(argv, capsys, "rows")
+
+
+class TestParameterCasts:
+    """A config value of the wrong kind exits 2 naming its key."""
+
+    @pytest.fixture
+    def inputs(self, workdir):
+        assert dispatch(["evolve", "--dim", "1", "--points", "4", "--omega",
+                         "4", "--eta", "2", "--time", "0.1", "--steps", "2",
+                         "--out", "st.bin"]) == 0
+        write_coeffs("c.csv", random_orthonormal(4, 2, seed=5))
+        return workdir
+
+    @pytest.mark.parametrize("config,argv", [
+        ({"points": "abc"}, ["evolve", "--dim", "1", "--omega", "4", "--eta",
+                             "2", "--time", "0.1", "--steps", "2",
+                             "--out", "e.bin"]),
+        ({"steps": 2.5}, ["tdhf", "--dim", "1", "--points", "4", "--omega",
+                          "4", "--eta", "2", "--time", "0.1", "--out", "t.csv"]),
+        ({"epsilon": "NaN"}, ["shadows", "--in", "st.bin", "--delta", "0.2",
+                              "--samples", "200", "--out", "s.csv"]),
+        ({"verify": "yes"}, ["prep", "--coeffs", "c.csv"]),
+    ], ids=["evolve", "tdhf", "shadows", "prep"])
+    def test_bad_config_value_exits_two(self, inputs, capsys, config, argv):
+        (inputs / "cfg.json").write_text(json.dumps(config))
+        key, = config
+        exits_two_with_one_line(["--config", "cfg.json", *argv], capsys,
+                                f"--{key}")

@@ -7,15 +7,42 @@ from fqlab.cliffords import (
     GROUP_ORDER_MOD_PHASE,
     CliffordElement,
     _matrix_key,
+    _phase_canonical,
     clifford_from_key,
     clifford_table,
+    draw_clifford_blocks,
     pauli_from_bits,
     sample_clifford,
     sample_symplectic_basis,
     _symplectic_product,
 )
-from fqlab.errors import EnumerationUnavailable
+from fqlab.errors import EnumerationUnavailable, ValidationError
 from fqlab.rng import derive_rng
+
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_S = np.array([[1, 0], [0, 1j]], dtype=complex)
+
+
+def bfs_table(n):
+    """Oracle: close {H, S} (+ CZ at n = 2) under products, sorted by key."""
+    eye = np.eye(2)
+    gens = {1: [_H, _S],
+            2: [np.kron(_H, eye), np.kron(eye, _H), np.kron(_S, eye),
+                np.kron(eye, _S), np.diag([1, 1, 1, -1]).astype(complex)]}[n]
+    start = np.eye(2 ** n, dtype=complex)
+    seen = {_matrix_key(start): start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for g in gens:
+                cand = _phase_canonical(g @ u)
+                key = _matrix_key(cand)
+                if key not in seen:
+                    seen[key] = cand
+                    nxt.append(cand)
+        frontier = nxt
+    return sorted(seen.values(), key=_matrix_key)
 
 
 class TestTables:
@@ -29,6 +56,19 @@ class TestTables:
         for a in table[:6]:
             for b in table:
                 assert _matrix_key(a @ b) in keys
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_factorized_table_is_the_bfs_group(self, n):
+        oracle = {_matrix_key(u) for u in bfs_table(n)}
+        table = [_matrix_key(u) for u in clifford_table(n)]
+        assert len(oracle) == len(table) == GROUP_ORDER_MOD_PHASE[n]
+        assert set(table) == oracle
+
+    def test_t1_keys_name_the_sorted_bfs_elements(self):
+        for idx, u in enumerate(bfs_table(1)):
+            again = clifford_from_key(f"t1:{idx}").unitary
+            assert _matrix_key(again) == _matrix_key(u)
+            assert np.max(np.abs(again - u)) < 1e-12
 
     def test_no_enumeration_beyond_two_qubits(self):
         with pytest.raises(EnumerationUnavailable):
@@ -108,5 +148,46 @@ class TestKeyReplay:
 
     def test_roundtrip_n2(self):
         el = sample_clifford(2, derive_rng(3, "k"))
+        assert el.key.startswith("t2:")
         again = clifford_from_key(el.key)
-        assert np.max(np.abs(el.unitary - again.unitary)) < 1e-14
+        assert np.array_equal(el.unitary, again.unitary)
+
+    def test_canonical_form_keys_still_replay_at_n2(self):
+        # a c2 key names U with U X_j U+ = +-P(v_j), U Z_j U+ = +-P(w_j)
+        el = clifford_from_key("c2:8.2.4.1.0.0")  # X1->X1, Z1->Z1, ...
+        assert np.max(np.abs(el.unitary - np.eye(4))) < 1e-12
+
+    @pytest.mark.parametrize("key", ["t1:24", "t2:11520", "t2:-1", "t3:0",
+                                     "x2:1", "", "t2:a", "c2:1.2"])
+    def test_bad_keys_refused(self, key):
+        with pytest.raises(ValidationError):
+            clifford_from_key(key)
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_blocks_do_not_change_the_stream(self, n):
+        def draw(block):
+            blocks = list(draw_clifford_blocks(n, derive_rng(6, "b", n),
+                                               (7, 2), block))
+            return (np.concatenate([k for k, _ in blocks]),
+                    np.concatenate([u for _, u in blocks]))
+        keys, unitaries = draw(7)
+        for block in (1, 3):
+            again_keys, again_unitaries = draw(block)
+            assert again_keys.tolist() == keys.tolist()
+            assert np.array_equal(again_unitaries, unitaries)
+        assert keys.shape == (7, 2) and unitaries.shape == (7, 2, 2 ** n, 2 ** n)
+        for key, u in zip(keys.flat, unitaries.reshape(-1, 2 ** n, 2 ** n)):
+            assert np.array_equal(clifford_from_key(key).unitary, u)
+
+    def test_two_qubit_draws_are_uniform_over_the_table(self):
+        # 10 draws per element on average: the counts are Poisson, and
+        # their chi-square lies within 5 sigma of its mean
+        order = GROUP_ORDER_MOD_PHASE[2]
+        draws = 10 * order
+        blocks = draw_clifford_blocks(2, derive_rng(13, "u"), (draws, 1), 4096)
+        idx = [int(key.split(":")[1]) for keys, _ in blocks for key in keys[:, 0]]
+        counts = np.bincount(idx, minlength=order)
+        chi2 = float(np.sum((counts - 10) ** 2 / 10))
+        assert abs(chi2 - (order - 1)) < 5 * np.sqrt(2 * (order - 1))

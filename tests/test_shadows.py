@@ -30,7 +30,13 @@ from fqlab.shadows import (
     twirl_identity_check,
     variance_bound,
 )
-from fqlab.states import exact_krdm_element, slater_oracle
+from fqlab.states import (
+    born_outcomes,
+    contract_register_batch,
+    contract_registers,
+    exact_krdm_element,
+    slater_oracle,
+)
 
 from conftest import random_antisymmetric_state, random_orthonormal
 
@@ -249,6 +255,32 @@ class TestCollect:
         keys = lambda batch: (batch.keys.tolist(), batch.outcomes.tolist())
         assert keys(a) == keys(b) == keys(c)
 
+    def test_thread_invariant_over_three_chunks(self):
+        state = random_antisymmetric_state(4, 2, seed=16)
+        one = collect_shadows(state, 9001, 17)
+        two = collect_shadows(state, 9001, 17, threads=2)
+        assert one.keys.tolist() == two.keys.tolist()
+        assert np.array_equal(one.outcomes, two.outcomes)
+        assert one.rows.tobytes() == two.rows.tobytes()
+
+    @pytest.mark.parametrize("n_orbitals,rotate", [(4, True), (3, False)])
+    def test_born_frequencies_match_probabilities(self, n_orbitals, rotate):
+        # fixed register unitaries; N = 3 pads each register with a
+        # label of probability zero, which must never be drawn
+        state = random_antisymmetric_state(n_orbitals, 2, seed=31)
+        units = np.stack([random_orthonormal(4, 4, seed=s) if rotate
+                          else np.eye(4) for s in (1, 2)])
+        probs = np.abs(contract_registers(state.tensor, enumerate(units))) ** 2
+        draws = 20_000
+        tensors = contract_register_batch(
+            state.tensor, np.broadcast_to(units, (draws,) + units.shape))
+        outcomes = born_outcomes(tensors, derive_rng(3, "born").random(draws))
+        counts = np.bincount(np.ravel_multi_index(outcomes.T, (4, 4)),
+                             minlength=16)
+        expect = draws * probs.reshape(-1)
+        sigma = np.sqrt(expect * (1 - probs.reshape(-1)))
+        assert np.all(np.abs(counts - expect) <= 5 * sigma + 1e-9)
+
     def test_single_register_marginal_recovered(self):
         # empirical mean of (2^n+1) U†|b><b|U - I approximates the
         # register-1 reduced density matrix
@@ -342,6 +374,21 @@ class TestSampleDumpReplay:
         rebuilt = samples_from_keys(rows)
         config = EstimatorConfig.from_sample_count(1, 0.5, 0.2, 300)
         for (i, j) in [(0, 0), (1, 2)]:
+            a = estimate_krdm_element(samples, config, 2, (i,), (j,))
+            b = estimate_krdm_element(rebuilt, config, 2, (i,), (j,))
+            assert a == b
+
+    @pytest.mark.parametrize("n_orbitals,prefix", [(2, "t1:"), (4, "t2:"),
+                                                   (8, "c3:")])
+    def test_every_key_kind_round_trips(self, n_orbitals, prefix):
+        state = random_antisymmetric_state(n_orbitals, 2, seed=23)
+        samples = collect_shadows(state, 300, seed=6)
+        assert all(key.startswith(prefix) for key in samples.keys.flat)
+        rebuilt = samples_from_keys(zip(samples.keys, samples.outcomes))
+        assert np.array_equal(rebuilt.outcomes, samples.outcomes)
+        assert rebuilt.rows.tobytes() == samples.rows.tobytes()
+        config = EstimatorConfig.from_sample_count(1, 0.5, 0.2, 300)
+        for (i, j) in [(0, 0), (1, 0), (0, n_orbitals - 1)]:
             a = estimate_krdm_element(samples, config, 2, (i,), (j,))
             b = estimate_krdm_element(rebuilt, config, 2, (i,), (j,))
             assert a == b
