@@ -179,13 +179,15 @@ def _cast(p, key, kind):
     """Resolved parameter ``key`` as an int, a finite float or a bool.
 
     Flags arrive typed, config values as JSON; a value that is not of the
-    kind (a fractional int, a NaN, a string bool) is a usage error.
+    kind (a fractional int, a NaN, a string bool, true for a number) is
+    a usage error.
     """
     value = p[key]
     try:
         out = kind(value)
         valid = (isinstance(value, bool) if kind is bool
-                 else math.isfinite(out) and float(value) == out)
+                 else not isinstance(value, bool)
+                 and math.isfinite(out) and float(value) == out)
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:

@@ -362,10 +362,16 @@ def clifford_from_key(key: str) -> CliffordElement:
         if not 0 <= parts[0] < GROUP_ORDER_MOD_PHASE[n]:
             raise ValidationError(f"bad clifford key {key!r}")
         return CliffordElement(n=n, unitary=table_unitaries(n, parts[0]), key=key)
-    if head[:1] != "c" or n < 1 or len(parts) != 2 * n + 2:
+    widths = [2 * n] * (2 * n) + [n, n]
+    if (head[:1] != "c" or n < 1 or len(parts) != len(widths)
+            or any(not 0 <= p < 2 ** w for p, w in zip(parts, widths))):
         raise ValidationError(f"bad clifford key {key!r}")
     pairs = [(_unpack(parts[2 * j], 2 * n), _unpack(parts[2 * j + 1], 2 * n))
              for j in range(n)]
+    images = [u for pair in pairs for u in pair]
+    if any(_symplectic_product(a, b, n) != (i // 2 == j // 2 and i != j)
+           for i, a in enumerate(images) for j, b in enumerate(images)):
+        raise ValidationError(f"clifford key {key!r} is not a symplectic basis")
     unitary = _unitary_from_images(n, pairs, _unpack(parts[-2], n),
                                    _unpack(parts[-1], n))
     return CliffordElement(n=n, unitary=unitary, key=key)

@@ -66,14 +66,6 @@ def contract_registers(tensor: np.ndarray, unitaries) -> np.ndarray:
     return tensor
 
 
-def born_outcome(tensor: np.ndarray, rng: np.random.Generator) -> tuple:
-    """Draw one joint computational-basis outcome by the Born rule."""
-    probs = np.abs(tensor.reshape(-1)) ** 2
-    probs /= probs.sum()
-    flat = rng.choice(probs.size, p=probs)
-    return tuple(int(i) for i in np.unravel_index(flat, tensor.shape))
-
-
 def contract_register_batch(tensor: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     """Apply U_{s, x} to register axis x of ``tensor`` for every sample s.
 
@@ -292,7 +284,8 @@ def apply_register_unitary(state: FirstQuantizedState, register: int,
 
 def measure_all(state: FirstQuantizedState, rng: np.random.Generator):
     """Sample a joint computational-basis outcome (p_1,...,p_eta)."""
-    return born_outcome(state.tensor, rng)
+    outcome = born_outcomes(state.tensor[None], rng.random(1))[0]
+    return tuple(int(i) for i in outcome)
 
 
 def transition_expectation(state: FirstQuantizedState, registers, bra_labels,

@@ -468,10 +468,16 @@ class TestParameterCasts:
                              "--out", "e.bin"]),
         ({"steps": 2.5}, ["tdhf", "--dim", "1", "--points", "4", "--omega",
                           "4", "--eta", "2", "--time", "0.1", "--out", "t.csv"]),
+        ({"steps": True}, ["tdhf", "--dim", "1", "--points", "4", "--omega",
+                           "4", "--eta", "2", "--time", "0.1", "--out", "t.csv"]),
+        ({"omega": False}, ["evolve", "--dim", "1", "--points", "4", "--eta",
+                            "2", "--time", "0.1", "--steps", "2",
+                            "--out", "e.bin"]),
         ({"epsilon": "NaN"}, ["shadows", "--in", "st.bin", "--delta", "0.2",
                               "--samples", "200", "--out", "s.csv"]),
         ({"verify": "yes"}, ["prep", "--coeffs", "c.csv"]),
-    ], ids=["evolve", "tdhf", "shadows", "prep"])
+    ], ids=["evolve", "tdhf", "tdhf-bool-int", "evolve-bool-float", "shadows",
+            "prep"])
     def test_bad_config_value_exits_two(self, inputs, capsys, config, argv):
         (inputs / "cfg.json").write_text(json.dumps(config))
         key, = config

@@ -158,7 +158,10 @@ class TestKeyReplay:
         assert np.max(np.abs(el.unitary - np.eye(4))) < 1e-12
 
     @pytest.mark.parametrize("key", ["t1:24", "t2:11520", "t2:-1", "t3:0",
-                                     "x2:1", "", "t2:a", "c2:1.2"])
+                                     "x2:1", "", "t2:a", "c2:1.2",
+                                     "c2:0.0.0.0.0.0", "c2:-1.2.4.1.0.0",
+                                     "c2:16.2.4.1.0.0", "c2:8.2.4.1.4.0",
+                                     "c2:8.2.8.1.0.0", "c0:0.0"])
     def test_bad_keys_refused(self, key):
         with pytest.raises(ValidationError):
             clifford_from_key(key)
