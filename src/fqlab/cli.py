@@ -182,7 +182,11 @@ def _cast(p, key, kind):
     kind (a fractional int, a NaN, a string bool, true for a number) is
     a usage error.
     """
-    value = p[key]
+    return _checked(p[key], kind, f"--{key}")
+
+
+def _checked(value, kind, name):
+    """``value`` as ``kind`` under the rule of :func:`_cast`."""
     try:
         out = kind(value)
         valid = (isinstance(value, bool) if kind is bool
@@ -191,7 +195,7 @@ def _cast(p, key, kind):
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
-        raise UsageError(f"--{key} must be {_KINDS[kind]}, got {value!r}")
+        raise UsageError(f"{name} must be {_KINDS[kind]}, got {value!r}")
     return out
 
 
@@ -410,10 +414,14 @@ def _cmd_cost(args, config) -> int:
                     raise UsageError(f"--query field {name} is empty")
                 continue
             try:
-                kwargs[name] = int(val) if name == "k_body" else float(val)
+                number = float(val)
             except ValueError as exc:
                 raise UsageError(
                     f"--query value {val!r} for {name} is not a number") from exc
+            counted = name in ("n_basis", "eta", "k_body")
+            number = _checked(number, int if counted else float,
+                              f"--query field {name}")
+            kwargs[name] = number if name == "k_body" else float(number)
         report = cost_report(CostQuery(**kwargs))
         text = json.dumps(report, indent=2, sort_keys=True, default=str)
         if p["out"]:

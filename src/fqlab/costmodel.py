@@ -34,6 +34,9 @@ class CostQuery:
     k_body: int = 1
 
     def __post_init__(self):
+        given = [v for v in vars(self).values() if v is not None]
+        if not all(math.isfinite(v) for v in given):
+            raise ValidationError("cost query fields must be finite")
         if self.n_basis < self.eta or self.eta < 1:
             raise ValidationError("need N >= eta >= 1")
         if not 0 < self.epsilon <= 1:

@@ -5,6 +5,10 @@ register (the discrete-value-representation form; there is deliberately
 no discrete-Laplacian alternative). U and V are diagonal in position:
 nuclear attraction and pairwise electron repulsion evaluated with open
 boundary distances, optionally cusp-softened as 1/(r + s).
+
+|k|^2/2 is a sum over grid axes, so exp(-i T t) is one m x m unitary
+per axis, applied to each of the dim * eta axes of the N^eta block; only
+long 1-D axes take an FFT instead.
 """
 
 from dataclasses import dataclass
@@ -14,7 +18,7 @@ import numpy as np
 
 from .errors import SingularPotential, ValidationError
 from .grids import GridSpec, from_fft_window, grid_dft_matrix, to_fft_window
-from .states import FirstQuantizedState, check_unit_norm
+from .states import FirstQuantizedState, check_unit_norm, contract_registers
 
 
 @dataclass(frozen=True)
@@ -187,18 +191,54 @@ def _diagonal(op: str, grid: GridSpec, eta: int, nuclei: NuclearConfig,
     return _fft_layout(total, grid, eta)
 
 
+# Axis length from which a kinetic substep takes the FFT route. An m x m
+# matmul costs m multiply-adds per amplitude and axis, an FFT about
+# log m. On one BLAS thread at 1-D, eta = 2, the matmul is 1.4x faster at
+# m = 64 and the FFT 1.4x faster at m = 128; at eta = 3 the two stay
+# within 25% from m = 96 to 256 (table in CHANGES.md). Only 1-D grids
+# reach m = 128 under the dense cap.
+_FFT_MIN_POINTS = 128
+
+
+def _kinetic_propagator(grid: GridSpec, t: float) -> np.ndarray:
+    """exp(-i t k^2/2) on one grid axis, indices in the FFT window.
+
+    Below _FFT_MIN_POINTS the m x m matrix F^-1 diag(phases) F, F the
+    unitary DFT: the operator the FFT route applies. From it on, the
+    m phases themselves.
+    """
+    k = to_fft_window(grid.axis_window) * (2.0 * np.pi / grid.length)
+    phases = np.exp(-1j * t * (0.5 * k ** 2))
+    if grid.points_per_axis >= _FFT_MIN_POINTS:
+        return phases
+    dft = np.fft.fft(np.eye(grid.points_per_axis), axis=0, norm="ortho")
+    return np.fft.ifft(phases[:, None] * dft, axis=0, norm="ortho")
+
+
+def _kinetic_substep(block: np.ndarray, propagator: np.ndarray) -> np.ndarray:
+    """exp(-i T t) on the block in FFT layout: the m x m ``propagator``
+    contracted with every axis, or (given the m phases) fftn, the phases
+    of each axis, ifftn."""
+    if propagator.ndim == 2:
+        return contract_registers(block, dict.fromkeys(range(block.ndim),
+                                                       propagator))
+    block = np.fft.fftn(block, norm="ortho")
+    for axis in range(block.ndim):
+        block *= propagator.reshape((-1,) + (1,) * (block.ndim - 1 - axis))
+    return np.fft.ifftn(block, norm="ortho")
+
+
 def _phases(keys, grid: GridSpec, eta: int, nuclei: NuclearConfig,
             kernel: CoulombKernel) -> dict:
-    """exp(-i X t) for each distinct (X, t) in ``keys``. Each diagonal is
-    built once and dropped once its phases are, so only the phases stay."""
-    phases = {}
-    for op in ("T", "V"):
-        times = {t for x, t in keys if x == op}
-        if times:
-            table = _diagonal(op, grid, eta, nuclei, kernel)
-            for t in times:
-                phases[op, t] = np.exp(-1j * t * table)
-            del table
+    """The propagator of each distinct (X, t) in ``keys``: one grid
+    axis's for "T" (see _kinetic_propagator), the phases over the block
+    for "V". The U + V diagonal is built once and dropped once its phases
+    are."""
+    phases = {(x, t): _kinetic_propagator(grid, t) for x, t in keys if x == "T"}
+    times = {t for x, t in keys if x == "V"}
+    if times:
+        table = _diagonal("V", grid, eta, nuclei, kernel)
+        phases.update({("V", t): np.exp(-1j * t * table) for t in times})
     return phases
 
 
@@ -206,12 +246,15 @@ def _propagate(state: FirstQuantizedState, substeps, nuclei: NuclearConfig,
                kernel: CoulombKernel) -> FirstQuantizedState:
     """Apply exp(-i X t) for each (X, t) that ``substeps()`` yields, X one
     of "T", "V". ``substeps`` is called twice: once for the distinct
-    phases, which are built before the first substep, once to apply them.
+    propagators, which are built before the first substep, once to apply
+    them.
 
-    The block is rotated into FFT layout once, so that a kinetic substep
-    is fftn, one phase multiplication and ifftn. Every substep checks the
-    norm of the block; the padding stays zero because only the block is
-    propagated, and the output state checks it again.
+    The block is rotated into FFT layout once, as dim * eta axes of
+    length m. A kinetic substep is one m x m matmul per axis (an FFT pair
+    on long 1-D axes), a potential substep one phase multiplication.
+    Every substep checks the norm of the block; the padding stays zero
+    because only the block is propagated, and the output state checks it
+    again.
     """
     grid, eta = state.grid, state.eta
     if grid is None:
@@ -220,9 +263,7 @@ def _propagate(state: FirstQuantizedState, substeps, nuclei: NuclearConfig,
     block = _fft_layout(state.tensor[_register_block(state)], grid, eta)
     for op, t in substeps():
         if op == "T":
-            block = np.fft.fftn(block, norm="ortho")
-            block *= phases[op, t]
-            block = np.fft.ifftn(block, norm="ortho")
+            block = _kinetic_substep(block, phases[op, t])
         else:
             block *= phases[op, t]
         check_unit_norm(block)
@@ -234,7 +275,7 @@ def _propagate(state: FirstQuantizedState, substeps, nuclei: NuclearConfig,
 
 def apply_kinetic_evolution(state: FirstQuantizedState,
                             dt: float) -> FirstQuantizedState:
-    """exp(-i T dt): DFT each register, apply |k|^2/2 phases, transform back."""
+    """exp(-i T dt): one m x m propagator on each grid axis of each register."""
     return _propagate(state, lambda: [("T", dt)], None, None)
 
 

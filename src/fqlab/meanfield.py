@@ -124,13 +124,22 @@ def mean_field_1rdm(orbitals: OccupiedOrbitals) -> np.ndarray:
     return _density_matrix(orbitals.coeffs).T.copy()
 
 
+def _density_diagonal(c: np.ndarray) -> np.ndarray:
+    """diag(P) = sum_b |C_ib|^2, without forming P."""
+    return np.sum(c.real ** 2 + c.imag ** 2, axis=1)
+
+
 def _fock_from_matrix(c: np.ndarray, integrals: GridIntegrals) -> np.ndarray:
+    """F(C), built in place in the one N x N temporary P = C C†."""
     if c.shape[0] != integrals.h.shape[0]:
         raise DimensionMismatch("orbital and integral dimensions differ")
-    p = c @ c.conj().T
-    coulomb = np.diag(integrals.v @ np.real(np.diag(p)))
-    exchange = integrals.v * p
-    return integrals.h + coulomb - 0.5 * exchange
+    fock = _density_matrix(c)
+    coulomb = integrals.v @ fock.real.diagonal()
+    fock *= integrals.v
+    fock *= -0.5
+    fock += integrals.h
+    fock[np.diag_indices_from(fock)] += coulomb
+    return fock
 
 
 def build_fock(orbitals: OccupiedOrbitals, integrals: GridIntegrals) -> np.ndarray:
@@ -142,8 +151,10 @@ def build_fock(orbitals: OccupiedOrbitals, integrals: GridIntegrals) -> np.ndarr
     return _fock_from_matrix(orbitals.coeffs, integrals)
 
 
-def hf_energy(orbitals: OccupiedOrbitals, integrals: GridIntegrals) -> float:
-    """E = Tr[(h + F) P] / 2 plus the nuclear repulsion offset.
+def hf_energy(orbitals: OccupiedOrbitals, integrals: GridIntegrals,
+              fock: np.ndarray | None = None) -> float:
+    """E = Tr[(h + F) P] / 2 plus the nuclear repulsion offset; ``fock``
+    is F(C) when the caller has built it already.
 
     P is Hermitian, so Tr[X P] = sum_ij X_ij conj(P_ij): an elementwise
     O(N^2) sum, not a matrix product. ``np.sum`` adds pairwise, which
@@ -151,7 +162,7 @@ def hf_energy(orbitals: OccupiedOrbitals, integrals: GridIntegrals) -> float:
     over all N^2 terms at once does not.
     """
     p = _density_matrix(orbitals.coeffs)
-    f = build_fock(orbitals, integrals)
+    f = build_fock(orbitals, integrals) if fock is None else fock
     return float(np.sum((integrals.h + f) * p.conj()).real) / 2 + integrals.nuclear_offset
 
 
@@ -189,7 +200,7 @@ def _taylor_action(a: np.ndarray, c: np.ndarray, norm: float,
                    plan: tuple[int, int]) -> np.ndarray:
     """exp(-i a) @ c by s substeps of a degree-m Taylor series, where
     ``norm`` is ||a||_1 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-    (2011)).
+    (2011)). ``a`` is scaled in place.
 
     For Hermitian a, ||a||_2 <= ||a||_1, so a substep truncated at degree
     m errs by at most 2^-53 of its operator's norm. A substep stops
@@ -197,7 +208,8 @@ def _taylor_action(a: np.ndarray, c: np.ndarray, norm: float,
     bound |term_k| theta / (k + 1 - theta) is below 2^-53 of the sum.
     """
     s, m = plan
-    x = a * (-1j / s)
+    x = a
+    x *= -1j / s
     theta = norm / s
     for _ in range(s):
         term = total = c
@@ -225,7 +237,7 @@ def _exp_action(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """
     n, eta = c.shape
     mu = float(np.trace(a).real) / n
-    shifted = a.copy()
+    shifted = a.astype(complex)
     shifted[np.diag_indices(n)] -= mu
     norm = np.linalg.norm(shifted, 1)
     if not math.isfinite(norm):
@@ -238,20 +250,22 @@ def _exp_action(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _midpoint(c: np.ndarray, integrals: GridIntegrals, dt: float,
-              max_iterations: int, fp_tol: float) -> tuple[np.ndarray, int]:
-    """Exponential midpoint step and its fixed-point iteration count."""
+              max_iterations: int, fp_tol: float,
+              fock: np.ndarray | None) -> tuple[np.ndarray, int]:
+    """Exponential midpoint step and its fixed-point iteration count.
+    ``fock`` is F(c), the first iterate's, if the caller has it."""
     c_mid = c
+    f_mid = _fock_from_matrix(c, integrals) if fock is None else fock
     for iteration in range(1, max_iterations + 1):
-        f_mid = _fock_from_matrix(c_mid, integrals)
         c_new = _exp_action(f_mid * (dt / 2), c)
         delta = np.max(np.abs(c_new - c_mid))
         c_mid = c_new
+        f_mid = _fock_from_matrix(c_mid, integrals)
         if delta < fp_tol:
             break
     else:
         raise ConvergenceFailure(
             f"midpoint fixed point did not reach {fp_tol} in {max_iterations} iterations")
-    f_mid = _fock_from_matrix(c_mid, integrals)
     return _exp_action(f_mid * dt, c), iteration
 
 
@@ -276,20 +290,22 @@ def _rk4(c: np.ndarray, integrals: GridIntegrals, dt: float) -> np.ndarray:
 def tdhf_step(orbitals: OccupiedOrbitals, integrals: GridIntegrals, dt: float,
               scheme: str = "exponential-midpoint",
               max_iterations: int = 20, fp_tol: float = 1e-10,
-              iterations: list | None = None) -> OccupiedOrbitals:
+              iterations: list | None = None,
+              fock: np.ndarray | None = None) -> OccupiedOrbitals:
     """One integrator step of i dC/dt = F(C) C.
 
     The exponential acts on C directly; an N x N matrix is diagonalized
     only for a step long enough that the Taylor series costs more.
     When ``iterations`` is a list, the step appends its midpoint
-    fixed-point iteration count (0 for rk4 and for dt = 0).
+    fixed-point iteration count (0 for rk4 and for dt = 0). ``fock`` is
+    F(C) if the caller has built it, for the midpoint's first iterate.
     """
     c = orbitals.coeffs
     count = 0
     if dt == 0:
         out = c.copy()
     elif scheme == "exponential-midpoint":
-        out, count = _midpoint(c, integrals, dt, max_iterations, fp_tol)
+        out, count = _midpoint(c, integrals, dt, max_iterations, fp_tol, fock)
     elif scheme == "rk4":
         out = _rk4(c, integrals, dt)
     else:
@@ -316,21 +332,27 @@ class TdhfTrajectory:
 def evolve_tdhf(orbitals: OccupiedOrbitals, integrals: GridIntegrals,
                 plan: TdhfPlan, record_rdm_diag: bool = False,
                 keep_history: bool = True) -> TdhfTrajectory:
-    """Propagate C_occ and record the energy (and optionally the density)."""
+    """Propagate C_occ and record the energy (and optionally the density).
+
+    F(C_n), built for the energy, is also the next step's first midpoint
+    Fock matrix.
+    """
     dt = plan.total_time / plan.steps
     times = [0.0]
-    energies = [hf_energy(orbitals, integrals)]
+    fock = _fock_from_matrix(orbitals.coeffs, integrals)
+    energies = [hf_energy(orbitals, integrals, fock)]
     history = [orbitals]
-    diags = [np.real(np.diag(mean_field_1rdm(orbitals)))] if record_rdm_diag else None
+    diags = [_density_diagonal(orbitals.coeffs)] if record_rdm_diag else None
     current = orbitals
     fp_iterations = []
     for step in range(plan.steps):
         current = tdhf_step(current, integrals, dt, plan.scheme,
-                            iterations=fp_iterations)
+                            iterations=fp_iterations, fock=fock)
+        fock = _fock_from_matrix(current.coeffs, integrals)
         times.append((step + 1) * dt)
-        energies.append(hf_energy(current, integrals))
+        energies.append(hf_energy(current, integrals, fock))
         if record_rdm_diag:
-            diags.append(np.real(np.diag(mean_field_1rdm(current))))
+            diags.append(_density_diagonal(current.coeffs))
         if keep_history:
             history.append(current)
     if not keep_history:

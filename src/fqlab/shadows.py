@@ -29,7 +29,6 @@ from .states import (
     FirstQuantizedState,
     born_outcomes,
     contract_register_batch,
-    contract_registers,
 )
 
 LOG_CONVENTION = "natural"
@@ -248,14 +247,19 @@ def krdm_coefficient(eta: int, k: int) -> float:
 def single_shot_values(batch: ShadowBatch, eta: int, k: int, bra_labels,
                        ket_labels) -> np.ndarray:
     """Per-sample estimator values (before grouping), vectorized."""
+    return _row_values(batch.rows, eta, k, bra_labels, ket_labels)
+
+
+def _row_values(rows: np.ndarray, eta: int, k: int, bra_labels,
+                ket_labels) -> np.ndarray:
+    """Estimator values of outcome rows shaped (m, eta, 2^n)."""
     coeff = krdm_coefficient(eta, k)
-    m = len(batch)
-    dim = batch.rows.shape[2]
+    m, _, dim = rows.shape
     values = np.zeros(m, dtype=complex)
     for tup in RestrictedIndexSet(eta, k).tuples():
         term = np.ones(m, dtype=complex)
         for x, i, j in zip(tup, bra_labels, ket_labels):
-            r = batch.rows[:, x - 1]
+            r = rows[:, x - 1]
             term = term * ((dim + 1) * np.conj(r[:, j]) * r[:, i]
                            - (1.0 if i == j else 0.0))
         values += term
@@ -316,28 +320,25 @@ def exhaustive_estimator_mean(state: FirstQuantizedState, k: int, bra_labels,
     Only available when the single-register group can be enumerated
     (n <= 2). Equals the exact k-RDM element; the identity
     M^{-1}(M(sigma)) = sigma register by register is what this exercises.
+
+    All |G|^eta Clifford tuples take one batched contraction, and every
+    (tuple, outcome) pair is weighted by its Born probability at once.
     """
     n = state.qubits_per_register
     table = clifford_table(n)
-    eta = state.eta
-    dim = 2 ** n
-    coeff = krdm_coefficient(eta, k)
-    tuples = RestrictedIndexSet(eta, k).tuples()
-    total = 0.0 + 0.0j
-    for combo in product(range(len(table)), repeat=eta):
-        unitaries = [table[idx] for idx in combo]
-        tensor = contract_registers(state.tensor, enumerate(unitaries))
-        probs = np.abs(tensor) ** 2
-        for outcome in product(range(dim), repeat=eta):
-            p = probs[outcome]
-            if p < 1e-300:
-                continue
-            rows = np.array([u[b] for u, b in zip(unitaries, outcome)])
-            est = sum(
-                snapshot_term_estimate(rows, tup, bra_labels, ket_labels)
-                for tup in tuples)
-            total += p * coeff * est
-    return complex(total / len(table) ** eta)
+    eta, dim = state.eta, 2 ** n
+    for labels in (bra_labels, ket_labels):
+        if not all(0 <= label < dim for label in labels):
+            raise IndexOutOfRange("orbital label outside register dimension")
+    combos = np.indices((len(table),) * eta).reshape(eta, -1).T
+    unitaries = table[combos]                       # (tuples, eta, d, d)
+    probs = np.abs(contract_register_batch(state.tensor, unitaries)) ** 2
+    outcomes = np.indices((dim,) * eta).reshape(eta, -1).T
+    # rows[c, o, x] = U_{c, x}[o_x, :], for outcome o in row-major order
+    rows = unitaries[:, np.arange(eta), outcomes]   # (tuples, outcomes, eta, d)
+    values = _row_values(rows.reshape(-1, eta, dim), eta, k, bra_labels,
+                         ket_labels)
+    return complex(probs.reshape(-1) @ values / len(table) ** eta)
 
 
 def twirl_deviations(n: int, a: np.ndarray, b: np.ndarray,

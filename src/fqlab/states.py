@@ -60,10 +60,21 @@ def signed_permutation_sum(tensor: np.ndarray) -> np.ndarray:
 
 
 def contract_registers(tensor: np.ndarray, unitaries) -> np.ndarray:
-    """Apply each (axis, U) pair of ``unitaries`` to its register axis."""
-    for axis, u in unitaries:
-        tensor = np.moveaxis(np.tensordot(u, tensor, axes=([1], [axis])), 0, axis)
-    return tensor
+    """Apply U to axis x for each (x, U) of ``unitaries`` (pairs or a
+    mapping, at most one U per axis).
+
+    Each step is one matmul that contracts the leading axis and appends
+    its image as the last axis, so after one step per axis the axes are
+    back in order. The transposes are views the matmul reads as such; an
+    axis without a U is moved by one copy.
+    """
+    ops = dict(unitaries)
+    out = tensor
+    for axis, dim in enumerate(tensor.shape):
+        out = out.reshape(dim, -1).T
+        if axis in ops:
+            out = out @ ops[axis].T
+    return out.reshape(tensor.shape)
 
 
 def contract_register_batch(tensor: np.ndarray, unitaries: np.ndarray) -> np.ndarray:

@@ -339,6 +339,10 @@ class TestMalformedInputs:
          "--samples", "abc", "--out", "x.csv"],
         ["cost", "--query", "a,b,c,d"],
         ["cost", "--query", "1,,1,0.1"],
+        ["cost", "--query", "4,2,nan,0.1"],
+        ["cost", "--query", "4,2,1,0.1,inf"],
+        ["cost", "--query", "4.5,2,1,0.1"],
+        ["cost", "--query", "4,1.5,1,0.1"],
         ["shadows", "--in", "st.bin", "--epsilon", "0.5", "--delta", "0",
          "--samples", "200", "--out", "x.csv"],
         EVOLVE_N5 + ["--eta", "0"],
@@ -355,7 +359,9 @@ class TestMalformedInputs:
         ["cost", "--alpha-range", "1:inf:1", "--out", "s.csv"],
         ["cost", "--alpha-range", "1:2:1", "--out", "no-such-dir/s.csv"],
     ], ids=["missing-in", "missing-manifest", "bad-config", "bad-coeffs",
-            "bad-samples", "bad-query", "empty-query-field", "zero-delta",
+            "bad-samples", "bad-query", "empty-query-field", "nan-query-field",
+            "inf-query-field", "fractional-query-n", "fractional-query-eta",
+            "zero-delta",
             "evolve-eta-zero", "evolve-eta-above-n", "evolve-eta-negative",
             "tdhf-eta-above-n", "evolve-beyond-dense", "alpha-zero-step",
             "alpha-negative-step", "alpha-empty-range", "alpha-infinite",

@@ -54,6 +54,13 @@ class TestClassicalCost:
         sampled = classical_mf_cost(q, "finite-T-trajectories")
         assert sampled == pytest.approx(classical_mf_cost(q) / 0.01)
 
+    @pytest.mark.parametrize("field", ["n_basis", "time", "epsilon",
+                                       "observable_norm", "sampling_cost"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field_refused(self, field, value):
+        with pytest.raises(ValidationError, match="finite"):
+            CostQuery(**{"n_basis": 1e4, "eta": 10.0, field: value})
+
     def test_missing_m(self):
         q = CostQuery(n_basis=1e4, eta=10.0)
         with pytest.raises(MissingM):

@@ -1,6 +1,10 @@
 """Grid Hamiltonian: diagonal tables, split-operator evolution, energies."""
 
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 from hypothesis import assume, given, settings, strategies as st
 import numpy as np
@@ -294,7 +298,8 @@ def dense_substeps(state, substeps, nuclei, kernel):
 class TestMergedPropagator:
     @pytest.mark.parametrize("order", [1, 2, 4])
     @pytest.mark.parametrize("dim,points,eta", [
-        (1, 5, 3), (1, 4, 2), (2, 3, 2), (2, 4, 2), (3, 2, 2), (3, 3, 2)])
+        (1, 5, 3), (1, 4, 2), (2, 3, 2), (2, 4, 2), (3, 2, 2), (3, 3, 2),
+        (1, 128, 2)])  # the last takes the FFT route
     def test_matches_unmerged_dense_composition(self, dim, points, eta, order):
         grid = GridSpec(dim=dim, points_per_axis=points,
                         cell_volume=float(points ** dim))
@@ -315,13 +320,19 @@ class TestMergedPropagator:
             assert np.linalg.norm(out.tensor) == pytest.approx(1.0, abs=1e-12)
             assert out.antisymmetric
 
-    @pytest.mark.parametrize("order,steps,transforms", [
-        (1, 3, 2 * 3), (2, 3, 2 * (3 + 1)), (4, 3, 2 * (5 * 3 + 1))])
+    def test_route_by_axis_length(self):
+        """The composition cases cover both kinetic routes."""
+        for points, ndim in ((64, 2), (128, 1)):
+            grid = GridSpec(dim=1, points_per_axis=points, cell_volume=1.0)
+            assert hamiltonian._kinetic_propagator(grid, 0.1).ndim == ndim
+
+    @pytest.mark.parametrize("order,steps,kinetic", [
+        (1, 3, 3), (2, 3, 3 + 1), (4, 3, 5 * 3 + 1)])
     def test_tables_once_and_half_steps_merged(self, monkeypatch, order,
-                                               steps, transforms):
+                                               steps, kinetic):
         grid, nuclei, kernel = hydrogenic_system()
         state = ground_slater(grid, nuclei, kernel)
-        calls = {"potential_diagonal": 0, "kinetic_phase_table": 0, "fft": 0}
+        calls = {"potential_diagonal": 0, "_kinetic_substep": 0}
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
@@ -329,14 +340,35 @@ class TestMergedPropagator:
                 return func(*args, **kwargs)
             return wrapper
 
-        for name in ("potential_diagonal", "kinetic_phase_table"):
+        for name in calls:
             monkeypatch.setattr(hamiltonian, name,
                                 counted(name, getattr(hamiltonian, name)))
-        for name in ("fftn", "ifftn"):
-            monkeypatch.setattr(np.fft, name, counted("fft", getattr(np.fft, name)))
         evolve(state, EvolutionPlan(0.5, steps, order), nuclei, kernel)
-        assert calls == {"potential_diagonal": 1, "kinetic_phase_table": 1,
-                         "fft": transforms}
+        assert calls == {"potential_diagonal": 1, "_kinetic_substep": kinetic}
+
+    @pytest.mark.parametrize("dim,points,omega", [(3, 7, 343), (2, 24, 576)])
+    def test_snapshot_independent_of_blas_threads(self, tmp_path, dim, points,
+                                                  omega):
+        """The kinetic substep is a BLAS matmul; its result must not depend
+        on how many threads BLAS splits it over."""
+        src = Path(hamiltonian.__file__).resolve().parents[1]
+        nuclei = tmp_path / "nuclei.txt"
+        nuclei.write_text(f"1 {' '.join(['0.7'] * dim)}\n")
+        snapshots = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.bin"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+            subprocess.run(
+                [sys.executable, "-m", "fqlab.cli", "evolve", "--dim", str(dim),
+                 "--points", str(points), "--omega", str(omega), "--eta", "2",
+                 "--nuclei", str(nuclei), "--soften", "0.5", "--time", "0.2",
+                 "--steps", "2", "--order", "2", "--out", str(out)],
+                env=env, cwd=tmp_path, check=True)
+            snapshots.append(out.read_bytes())
+        assert snapshots[0] == snapshots[1]
 
 
 def _zero_kernel():

@@ -161,6 +161,12 @@ class TestEstimator:
                 exact = exact_krdm_element(state, (i,), (j,))
                 assert abs(mean - exact) < 1e-10
 
+    @pytest.mark.parametrize("bra,ket", [((2,), (0,)), ((0,), (-1,))])
+    def test_exhaustive_mean_refuses_labels_outside_register(self, bra, ket):
+        state = random_antisymmetric_state(2, 2, seed=1)
+        with pytest.raises(IndexOutOfRange):
+            exhaustive_estimator_mean(state, 1, bra, ket)
+
     def test_exhaustive_mean_register_relabeling(self):
         state = random_antisymmetric_state(2, 2, seed=6)
         swapped_tensor = -np.swapaxes(state.tensor, 0, 1)
