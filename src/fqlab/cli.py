@@ -265,7 +265,7 @@ def _cmd_tdhf(args, config) -> int:
     integrals = GridIntegrals.from_grid(grid, nuclei, _kernel(p))
     inputs = [path for path in (p["nuclei"], p["coeffs"]) if path]
     if coeffs is None:
-        # core-Hamiltonian guess: lowest eigenvectors of h
+        # core-Hamiltonian guess: lowest eigenvectors of h (real, so a real eigh)
         _, vecs = np.linalg.eigh(integrals.h)
         coeffs = vecs[:, :_particle_count(p, grid)]
     elif len(coeffs) != grid.total_points:

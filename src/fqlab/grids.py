@@ -116,15 +116,6 @@ def centered_dft_matrix(m: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(w, w) / m) / np.sqrt(m)
 
 
-def grid_dft_matrix(grid: GridSpec) -> np.ndarray:
-    """Position-to-frequency unitary over all N grid points (kron over axes)."""
-    axis = centered_dft_matrix(grid.points_per_axis)
-    full = np.array([[1.0 + 0j]])
-    for _ in range(grid.dim):
-        full = np.kron(full, axis)
-    return full
-
-
 def to_fft_window(arr: np.ndarray, axes=None) -> np.ndarray:
     """Rotate ``axes`` (default all) from the centered window to the FFT
     window 0..m-1, where the centered DFT is a bare FFT. A permutation,

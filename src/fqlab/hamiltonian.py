@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import SingularPotential, ValidationError
-from .grids import GridSpec, from_fft_window, grid_dft_matrix, to_fft_window
+from .grids import GridSpec, centered_dft_matrix, from_fft_window, to_fft_window
 from .states import FirstQuantizedState, check_unit_norm, contract_registers
 
 
@@ -92,10 +92,24 @@ def kinetic_phase_table(grid: GridSpec) -> np.ndarray:
 
 
 def kinetic_matrix(grid: GridSpec) -> np.ndarray:
-    """One-register kinetic operator DFT† diag(|k|^2/2) DFT, Hermitized."""
-    dft = grid_dft_matrix(grid)
-    kinetic = dft.conj().T @ np.diag(kinetic_phase_table(grid)) @ dft
-    return (kinetic + kinetic.conj().T) / 2
+    """One-register kinetic operator DFT† diag(|k|^2/2) DFT, real.
+
+    |k|^2/2 is a sum over axes, so the operator is the Kronecker sum of
+    one m x m matrix per axis. That matrix is real: the phases of +-nu
+    pair up, and at even m the lone -m/2 phase is +-1.
+    """
+    m = grid.points_per_axis
+    dft = centered_dft_matrix(m)
+    k = grid.axis_window * (2.0 * np.pi / grid.length)
+    axis = ((dft.conj().T * (0.5 * k ** 2)) @ dft).real
+    axis = (axis + axis.T) / 2
+    kinetic = np.zeros((grid.total_points,) * 2)
+    for d in range(grid.dim):
+        # I (x) axis (x) I: the entries with equal indices on the other
+        # axes, as a writeable einsum view of the (a, i, b, a', j, b') array
+        a, b = m ** d, m ** (grid.dim - 1 - d)
+        np.einsum("aibajb->abij", kinetic.reshape(a, m, b, a, m, b))[...] += axis
+    return kinetic
 
 
 def _on_registers(table: np.ndarray, eta: int, *registers: int) -> np.ndarray:
@@ -127,15 +141,24 @@ def pair_potential_table(grid: GridSpec, kernel: CoulombKernel) -> np.ndarray:
     The p == q diagonal is 0 in bare mode (antisymmetric states carry no
     weight there and a point charge does not self-interact on the grid)
     and kernel(0) = 1/s in softened mode.
+
+    The value depends only on the lattice difference d = p - q, so it is
+    gathered from a (2m - 1)^dim table of kernel(|d| delta). |d| and |-d|
+    round alike, which keeps the result exactly symmetric.
     """
-    diff = grid.positions[:, None, :] - grid.positions[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    v = np.zeros_like(dist)
-    off = ~np.eye(grid.total_points, dtype=bool)
-    v[off] = kernel(dist[off])
+    m, dim = grid.points_per_axis, grid.dim
+    steps = np.arange(-(m - 1), m)
+    diffs = np.stack(np.meshgrid(*[steps] * dim, indexing="ij"), axis=-1)
+    dist = np.linalg.norm(diffs * grid.spacing, axis=-1).ravel()
+    table = np.zeros_like(dist)
+    off = dist != 0
+    table[off] = kernel(dist[off])
     if kernel.mode == "softened":
-        np.fill_diagonal(v, 1.0 / kernel.softening)
-    return v
+        table[~off] = 1.0 / kernel.softening
+    # the table's flat index of d = p - q is place(p) - place(q) plus
+    # that of d = 0, its middle entry
+    place = grid.index_points @ (2 * m - 1) ** np.arange(dim - 1, -1, -1)
+    return table[place[:, None] - place[None, :] + len(table) // 2]
 
 
 def potential_diagonal(grid: GridSpec, nuclei: NuclearConfig,

@@ -7,7 +7,7 @@ contraction plus an elementwise exchange term, and the quantum and
 classical modules share one Hamiltonian.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -67,29 +67,47 @@ class OccupiedOrbitals:
 
 @dataclass(frozen=True)
 class GridIntegrals:
-    """One-body matrix h and diagonal two-body kernel values v."""
+    """One-body matrix h and diagonal two-body kernel values v.
 
-    h: np.ndarray          # (N, N) Hermitian
+    A real h is kept real, so that it acts on a complex block as one real
+    GEMM. The spectral bounds the TDHF exponential needs are taken once
+    here: h's Gershgorin center and radius (the radius is ||h - mu I||_1)
+    and ||v||_1.
+    """
+
+    h: np.ndarray          # (N, N) Hermitian, real or complex
     v: np.ndarray          # (N, N) symmetric, nonnegative
     nuclear_offset: float = 0.0
+    h_center: float = field(init=False, repr=False, compare=False)
+    h_radius: float = field(init=False, repr=False, compare=False)
+    v_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=complex)
+        h = np.asarray(self.h)
+        h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
         v = np.asarray(self.v, dtype=float)
-        if h.shape != v.shape or h.shape[0] != h.shape[1]:
+        if h.shape != v.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimensionMismatch("h and v must be square with equal shape")
+        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(v))):
+            raise ValidationError("h and v must be finite")
         if np.max(np.abs(h - h.conj().T)) > 1e-10:
             raise ValidationError("h must be Hermitian within 1e-10")
         if np.max(np.abs(v - v.T)) > 1e-12 or np.any(v < 0):
             raise ValidationError("v must be symmetric and nonnegative")
+        diag = h.diagonal().real
+        off = np.abs(h).sum(axis=1) - np.abs(h.diagonal())
+        lo, hi = float(np.min(diag - off)), float(np.max(diag + off))
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "h_center", (hi + lo) / 2)
+        object.__setattr__(self, "h_radius", (hi - lo) / 2)
+        object.__setattr__(self, "v_norm", float(np.max(v.sum(axis=0))))
 
     @staticmethod
     def from_grid(grid: GridSpec, nuclei: NuclearConfig,
                   kernel: CoulombKernel) -> "GridIntegrals":
-        h = (kinetic_matrix(grid)
-             + np.diag(nuclear_potential_table(grid, nuclei, kernel)))
+        h = kinetic_matrix(grid)
+        h[np.diag_indices_from(h)] += nuclear_potential_table(grid, nuclei, kernel)
         return GridIntegrals(h=h, v=pair_potential_table(grid, kernel),
                              nuclear_offset=nuclear_repulsion(nuclei))
 
@@ -151,19 +169,70 @@ def build_fock(orbitals: OccupiedOrbitals, integrals: GridIntegrals) -> np.ndarr
     return _fock_from_matrix(orbitals.coeffs, integrals)
 
 
-def hf_energy(orbitals: OccupiedOrbitals, integrals: GridIntegrals,
-              fock: np.ndarray | None = None) -> float:
-    """E = Tr[(h + F) P] / 2 plus the nuclear repulsion offset; ``fock``
-    is F(C) when the caller has built it already.
+def _matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for a complex N x k block x. A real ``a`` acts on the real
+    and imaginary parts as one real GEMM, with no complex copy of a."""
+    if np.iscomplexobj(a):
+        return a @ x
+    x = np.ascontiguousarray(x, dtype=complex)
+    return (a @ x.reshape(len(x), -1).view(float)).view(complex).reshape(x.shape)
 
-    P is Hermitian, so Tr[X P] = sum_ij X_ij conj(P_ij): an elementwise
-    O(N^2) sum, not a matrix product. ``np.sum`` adds pairwise, which
-    keeps the rounding at the level of the product's trace; a BLAS dot
-    over all N^2 terms at once does not.
+
+class FockOperator:
+    """F(C) = h + diag(J) - (v * P)/2 as an action on N x k blocks; the
+    N x N matrix is never formed.
+
+    P = C C† has rank eta, so (v * P) X = sum_b C_b * (v (conj(C_b) * X)):
+    one real GEMM of v with the eta * k columns conj(C_b) * X_c. Updating
+    F(C) costs the one real mat-vec J = v diag(P).
+
+    ``center`` mu and ``radius`` r bound the spectrum, r >= ||F - mu I||_2:
+    h's radius ||h - mu_h I||_1, plus the half-range of J, plus
+    max_i P_ii ||v||_1 / 2 (Schur: ||v * P||_2 <= max_i P_ii ||v||_2 for
+    P positive semidefinite, and ||v||_2 <= ||v||_1 for symmetric v).
     """
-    p = _density_matrix(orbitals.coeffs)
-    f = build_fock(orbitals, integrals) if fock is None else fock
-    return float(np.sum((integrals.h + f) * p.conj()).real) / 2 + integrals.nuclear_offset
+
+    def __init__(self, c: np.ndarray, integrals: GridIntegrals):
+        if c.shape[0] != integrals.h.shape[0]:
+            raise DimensionMismatch("orbital and integral dimensions differ")
+        self.c = c
+        self.integrals = integrals
+        rho = _density_diagonal(c)
+        self.coulomb = integrals.v @ rho
+        j_lo, j_hi = float(np.min(self.coulomb)), float(np.max(self.coulomb))
+        self.center = integrals.h_center + (j_hi + j_lo) / 2
+        self.radius = (integrals.h_radius + (j_hi - j_lo) / 2
+                       + float(np.max(rho)) * integrals.v_norm / 2)
+
+    def two_body(self, x: np.ndarray) -> np.ndarray:
+        """(J - K/2) x: the Coulomb diagonal and the exchange GEMM."""
+        pairs = self.c.conj()[:, :, None] * x[:, None, :]
+        exchange = _matmul(self.integrals.v, pairs)
+        return (self.coulomb[:, None] * x
+                - 0.5 * np.einsum("ib,ibk->ik", self.c, exchange))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """F(C) x."""
+        return _matmul(self.integrals.h, x) + self.two_body(x)
+
+    def matrix(self) -> np.ndarray:
+        """F(C) as a dense matrix, for the eigh route."""
+        return _fock_from_matrix(self.c, self.integrals)
+
+
+def hf_energy(orbitals: OccupiedOrbitals, integrals: GridIntegrals,
+              fock: FockOperator | None = None) -> float:
+    """E = sum_b C_b† (h + F) C_b / 2 plus the nuclear repulsion offset;
+    ``fock`` is the operator F(C) when the caller has it already.
+
+    Tr[(h + F) P] / 2 over the occupied columns: an O(N eta) sum after
+    the products with h and the two-body terms; ``np.sum`` adds pairwise.
+    """
+    c = orbitals.coeffs
+    f = FockOperator(c, integrals) if fock is None else fock
+    hc = 2 * _matmul(integrals.h, c) + f.two_body(c)
+    return (float(np.sum(c.real * hc.real + c.imag * hc.imag)) / 2
+            + integrals.nuclear_offset)
 
 
 def fock_spectral_norm(orbitals: OccupiedOrbitals,
@@ -196,83 +265,82 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
                key=lambda plan: plan[0] * plan[1])
 
 
-def _taylor_action(a: np.ndarray, c: np.ndarray, norm: float,
+def _taylor_action(op, c: np.ndarray, dt: float,
                    plan: tuple[int, int]) -> np.ndarray:
-    """exp(-i a) @ c by s substeps of a degree-m Taylor series, where
-    ``norm`` is ||a||_1 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-    (2011)). ``a`` is scaled in place.
+    """exp(-i dt A) @ c by s substeps of a degree-m Taylor series in
+    dt (A - mu I) (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 
-    For Hermitian a, ||a||_2 <= ||a||_1, so a substep truncated at degree
-    m errs by at most 2^-53 of its operator's norm. A substep stops
-    earlier at term k once k + 1 > theta = ||a||_1 / s and the remainder
-    bound |term_k| theta / (k + 1 - theta) is below 2^-53 of the sum.
+    ``op`` is a Hermitian operator: ``op(x)`` is A @ x, and ``op.center``
+    mu and ``op.radius`` r satisfy ||A - mu I||_2 <= r. mu and dt enter
+    each term as scalars, so no N x N matrix is copied or scaled. A
+    substep truncated at degree m errs by at most 2^-53 of its operator's
+    norm. A substep stops earlier at term k once k + 1 > theta = r |dt| / s
+    and the remainder bound |term_k| theta / (k + 1 - theta) is below
+    2^-53 of the sum.
     """
     s, m = plan
-    x = a
-    x *= -1j / s
-    theta = norm / s
+    mu = op.center
+    scale = -1j * dt / s
+    theta = op.radius * abs(dt) / s
     for _ in range(s):
         term = total = c
         for k in range(1, m + 1):
-            term = (x @ term) / k
+            term = (op(term) - mu * term) * (scale / k)
             total = total + term
             if k + 1 > theta and (np.linalg.norm(term) * theta
                                   <= _TAYLOR_TOL * (k + 1 - theta)
                                   * np.linalg.norm(total)):
                 break
         c = total
-    return c
+    return np.exp(-1j * mu * dt) * c
 
 
-def _exp_action(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """exp(-i a) @ c for Hermitian a, without forming exp(-i a).
+def _exp_action(op, c: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i dt A) @ c for a Hermitian operator ``op`` (see
+    _taylor_action), without forming exp(-i dt A).
 
-    The identity is shifted out first: a - mu I with mu = tr(a) / N
-    usually has the smaller 1-norm, and exp(-i a) = exp(-i mu)
-    exp(-i (a - mu I)). The Taylor series then needs at most s * m
-    products of the N x N operator with the N x eta block, a cost linear
-    in ||a||_1. One eigh of the N x N operator costs about as much as N
-    products with an N x 2 block (measured at N = 125..729), so once
-    s * m * eta exceeds 2N the step takes the exactly unitary eigh route.
+    The Taylor series needs at most s * m products of A with the N x eta
+    block, a cost linear in r |dt|. One eigh of the N x N operator costs
+    about as much as N products with an N x 2 block (measured at
+    N = 125..729), so once s * m * eta exceeds 2N the step takes the
+    exactly unitary eigh of ``op.matrix()``.
     """
     n, eta = c.shape
-    mu = float(np.trace(a).real) / n
-    shifted = a.astype(complex)
-    shifted[np.diag_indices(n)] -= mu
-    norm = np.linalg.norm(shifted, 1)
-    if not math.isfinite(norm):
-        raise ConvergenceFailure(f"||F dt||_1 is {norm}; the step is not finite")
+    norm = op.radius * abs(dt)
+    if not math.isfinite(norm) or not math.isfinite(op.center * dt):
+        raise ConvergenceFailure(
+            f"the bound on ||(F - mu I) dt||_2 is {norm}; the step is not finite")
     s, m = plan = _taylor_plan(norm)
     if s * m * eta > 2 * n:
-        w, vec = np.linalg.eigh(a)
-        return vec @ (np.exp(-1j * w)[:, None] * (vec.conj().T @ c))
-    return np.exp(-1j * mu) * _taylor_action(shifted, c, norm, plan)
+        w, vec = np.linalg.eigh(op.matrix())
+        return vec @ (np.exp(-1j * dt * w)[:, None] * (vec.conj().T @ c))
+    return _taylor_action(op, c, dt, plan)
 
 
 def _midpoint(c: np.ndarray, integrals: GridIntegrals, dt: float,
               max_iterations: int, fp_tol: float,
-              fock: np.ndarray | None) -> tuple[np.ndarray, int]:
+              fock: FockOperator | None) -> tuple[np.ndarray, int]:
     """Exponential midpoint step and its fixed-point iteration count.
     ``fock`` is F(c), the first iterate's, if the caller has it."""
     c_mid = c
-    f_mid = _fock_from_matrix(c, integrals) if fock is None else fock
+    f_mid = FockOperator(c, integrals) if fock is None else fock
     for iteration in range(1, max_iterations + 1):
-        c_new = _exp_action(f_mid * (dt / 2), c)
+        c_new = _exp_action(f_mid, c, dt / 2)
         delta = np.max(np.abs(c_new - c_mid))
         c_mid = c_new
-        f_mid = _fock_from_matrix(c_mid, integrals)
+        f_mid = FockOperator(c_mid, integrals)
         if delta < fp_tol:
             break
     else:
         raise ConvergenceFailure(
             f"midpoint fixed point did not reach {fp_tol} in {max_iterations} iterations")
-    return _exp_action(f_mid * dt, c), iteration
+    return _exp_action(f_mid, c, dt), iteration
 
 
 def _rk4(c: np.ndarray, integrals: GridIntegrals, dt: float) -> np.ndarray:
     """Classical RK4 step; not unitary, so its drift is checked."""
     def rhs(mat):
-        return -1j * (_fock_from_matrix(mat, integrals) @ mat)
+        return -1j * FockOperator(mat, integrals)(mat)
     k1 = rhs(c)
     k2 = rhs(c + dt / 2 * k1)
     k3 = rhs(c + dt / 2 * k2)
@@ -291,14 +359,15 @@ def tdhf_step(orbitals: OccupiedOrbitals, integrals: GridIntegrals, dt: float,
               scheme: str = "exponential-midpoint",
               max_iterations: int = 20, fp_tol: float = 1e-10,
               iterations: list | None = None,
-              fock: np.ndarray | None = None) -> OccupiedOrbitals:
+              fock: FockOperator | None = None) -> OccupiedOrbitals:
     """One integrator step of i dC/dt = F(C) C.
 
-    The exponential acts on C directly; an N x N matrix is diagonalized
-    only for a step long enough that the Taylor series costs more.
-    When ``iterations`` is a list, the step appends its midpoint
-    fixed-point iteration count (0 for rk4 and for dt = 0). ``fock`` is
-    F(C) if the caller has built it, for the midpoint's first iterate.
+    The exponential acts on C directly through the operator F(C); an
+    N x N Fock matrix is formed and diagonalized only for a step long
+    enough that the Taylor series costs more. When ``iterations`` is a
+    list, the step appends its midpoint fixed-point iteration count (0
+    for rk4 and for dt = 0). ``fock`` is the operator F(C) if the caller
+    has it, for the midpoint's first iterate.
     """
     c = orbitals.coeffs
     count = 0
@@ -334,12 +403,12 @@ def evolve_tdhf(orbitals: OccupiedOrbitals, integrals: GridIntegrals,
                 keep_history: bool = True) -> TdhfTrajectory:
     """Propagate C_occ and record the energy (and optionally the density).
 
-    F(C_n), built for the energy, is also the next step's first midpoint
-    Fock matrix.
+    The operator F(C_n), built for the energy, is also the next step's
+    first midpoint iterate.
     """
     dt = plan.total_time / plan.steps
     times = [0.0]
-    fock = _fock_from_matrix(orbitals.coeffs, integrals)
+    fock = FockOperator(orbitals.coeffs, integrals)
     energies = [hf_energy(orbitals, integrals, fock)]
     history = [orbitals]
     diags = [_density_diagonal(orbitals.coeffs)] if record_rdm_diag else None
@@ -348,7 +417,7 @@ def evolve_tdhf(orbitals: OccupiedOrbitals, integrals: GridIntegrals,
     for step in range(plan.steps):
         current = tdhf_step(current, integrals, dt, plan.scheme,
                             iterations=fp_iterations, fock=fock)
-        fock = _fock_from_matrix(current.coeffs, integrals)
+        fock = FockOperator(current.coeffs, integrals)
         times.append((step + 1) * dt)
         energies.append(hf_energy(current, integrals, fock))
         if record_rdm_diag:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fqlab.grids import centered_dft_matrix
 from fqlab.states import FirstQuantizedState, antisymmetrize
 
 
@@ -12,6 +13,17 @@ def random_orthonormal(n, eta, seed):
     mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, _ = np.linalg.qr(mat)
     return q[:, :eta]
+
+
+def grid_dft_matrix(grid):
+    """Dense position-to-frequency unitary over all N grid points, the
+    Kronecker product of the per-axis centered DFT: the oracle for the
+    FFT-based transforms."""
+    axis = centered_dft_matrix(grid.points_per_axis)
+    full = np.array([[1.0 + 0j]])
+    for _ in range(grid.dim):
+        full = np.kron(full, axis)
+    return full
 
 
 def random_antisymmetric_state(n_orbitals, eta, seed):

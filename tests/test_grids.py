@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from fqlab.errors import ValidationError
-from fqlab.grids import GridSpec, centered_dft, centered_dft_matrix, grid_dft_matrix
+from fqlab.grids import GridSpec, centered_dft, centered_dft_matrix
+
+from conftest import grid_dft_matrix
 
 
 class TestGridSpec:

@@ -12,7 +12,7 @@ import pytest
 
 from fqlab import hamiltonian
 from fqlab.errors import SingularPotential, ValidationError
-from fqlab.grids import GridSpec, grid_dft_matrix
+from fqlab.grids import GridSpec
 from fqlab.hamiltonian import (
     CoulombKernel,
     EvolutionPlan,
@@ -32,7 +32,7 @@ from fqlab.hamiltonian import (
 )
 from fqlab.states import FirstQuantizedState, slater_oracle
 
-from conftest import random_antisymmetric_state, random_orthonormal
+from conftest import grid_dft_matrix, random_antisymmetric_state, random_orthonormal
 
 BARE = CoulombKernel()
 
@@ -76,6 +76,18 @@ class TestKineticTable:
                            np.sort(kinetic_phase_table(grid)), atol=1e-12)
 
 
+    @pytest.mark.parametrize("dim,points", [(1, 7), (1, 8), (2, 3), (2, 4),
+                                            (3, 3), (3, 4)])
+    def test_kinetic_matrix_is_the_dft_oracle_and_real(self, dim, points):
+        grid = GridSpec(dim=dim, points_per_axis=points,
+                        cell_volume=1.3 * points ** dim)
+        dft = grid_dft_matrix(grid)
+        oracle = dft.conj().T @ np.diag(kinetic_phase_table(grid)) @ dft
+        t = kinetic_matrix(grid)
+        assert t.dtype == np.float64
+        assert np.max(np.abs(t - oracle)) < 1e-12
+
+
 class TestPotentialDiagonal:
     def test_free_single_particle_is_zero(self):
         grid = GridSpec(dim=1, points_per_axis=5, cell_volume=5.0)
@@ -112,6 +124,22 @@ class TestPotentialDiagonal:
         assert np.all(np.diff(values) > 0)
         assert np.all(np.array(values) < bare)
         assert values[-1] == pytest.approx(bare, rel=0.05)
+
+    @pytest.mark.parametrize("dim,points", [(1, 7), (1, 8), (2, 4), (2, 5),
+                                            (3, 3), (3, 4)])
+    @pytest.mark.parametrize("softening", [0.0, 0.5])
+    def test_pair_table_matches_direct_distances(self, dim, points, softening):
+        grid = GridSpec(dim=dim, points_per_axis=points,
+                        cell_volume=1.7 * points ** dim)
+        kernel = CoulombKernel(softening=softening)
+        v = pair_potential_table(grid, kernel)
+        dist = np.linalg.norm(grid.positions[:, None, :]
+                              - grid.positions[None, :, :], axis=2)
+        off = ~np.eye(grid.total_points, dtype=bool)
+        assert np.array_equal(v, v.T)
+        assert np.max(np.abs(v[off] / kernel(dist[off]) - 1)) < 1e-15
+        expected = 1.0 / softening if softening else 0.0
+        assert np.all(np.diag(v) == expected)
 
     def test_nuclear_repulsion_pair(self):
         nuclei = NuclearConfig(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))

@@ -1,6 +1,7 @@
 """RT-TDHF baseline: Fock builds, integrators, norms, cross-module checks."""
 
 import math
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -15,6 +16,7 @@ from fqlab.errors import (
 from fqlab.grids import GridSpec
 from fqlab.hamiltonian import CoulombKernel, NuclearConfig, kinetic_phase_table
 from fqlab.meanfield import (
+    FockOperator,
     GridIntegrals,
     OccupiedOrbitals,
     TdhfPlan,
@@ -93,6 +95,19 @@ class TestBuildFock:
             build_fock(OccupiedOrbitals(np.eye(5)[:, :2]), ints)
 
 
+class TestGridIntegrals:
+    def test_grid_h_is_real(self):
+        _, ints, _ = model_system()
+        assert ints.h.dtype == np.float64
+
+    @pytest.mark.parametrize("field", ["h", "v"])
+    def test_non_finite_entries_refused(self, field):
+        arrays = {"h": np.eye(3), "v": np.ones((3, 3))}
+        arrays[field][1, 1] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            GridIntegrals(**arrays)
+
+
 class TestTdhfStep:
     def test_zero_timestep_identity(self):
         _, ints, orb = model_system()
@@ -164,21 +179,45 @@ class TestTdhfStep:
             TdhfPlan(total_time=1.0, steps=2, scheme="verlet")
 
 
+class DenseOperator:
+    """A Hermitian matrix in the operator form that _exp_action takes."""
+
+    def __init__(self, a, center, radius):
+        self.a, self.center, self.radius = a, center, radius
+
+    def __call__(self, x):
+        return self.a @ x
+
+    def matrix(self):
+        return self.a
+
+
+def random_hermitian(n, norm, seed):
+    """Random complex Hermitian n x n matrix scaled to 1-norm ``norm``."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = (m + m.conj().T) / 2
+    return a * (norm / np.linalg.norm(a, 1))
+
+
 class TestExpAction:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 8), eta=st.integers(1, 4),
            log_norm=st.floats(-3.0, np.log10(300.0)),
+           dt=st.sampled_from([1.0, -0.5, 2.0]),
            seed=st.integers(0, 2 ** 16))
-    def test_matches_eigh_and_stays_orthonormal(self, n, eta, log_norm, seed):
+    def test_matches_eigh_and_stays_orthonormal(self, n, eta, log_norm, dt,
+                                                seed):
+        # exp(-i dt A) with A = a / dt, centered at tr(A) / n
         eta = min(eta, n)
-        rng = np.random.default_rng(seed)
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        a = (m + m.conj().T) / 2
-        a *= 10.0 ** log_norm / np.linalg.norm(a, 1)
+        a = random_hermitian(n, 10.0 ** log_norm, seed)
         c = random_orthonormal(n, eta, seed)
         w, vec = np.linalg.eigh(a)
         exact = (vec * np.exp(-1j * w)) @ vec.conj().T @ c
-        out = _exp_action(a, c)
+        mu = np.trace(a).real / n / dt
+        op = DenseOperator(a / dt, mu,
+                           np.linalg.norm(a / dt - mu * np.eye(n), 1))
+        out = _exp_action(op, c, dt)
         assert np.max(np.abs(out - exact)) < 1e-12
         assert np.max(np.abs(out.conj().T @ out - np.eye(eta))) < 1e-12
 
@@ -186,17 +225,16 @@ class TestExpAction:
     @given(n=st.integers(2, 8), eta=st.integers(1, 4),
            log_norm=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 16))
     def test_taylor_series_matches_eigh(self, n, eta, log_norm, seed):
-        # the series alone, at norms where _exp_action would take eigh
+        # the series alone, uncentered, at norms where _exp_action would
+        # take eigh
         eta = min(eta, n)
-        rng = np.random.default_rng(seed)
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        a = (m + m.conj().T) / 2
-        a *= 10.0 ** log_norm / np.linalg.norm(a, 1)
+        a = random_hermitian(n, 10.0 ** log_norm, seed)
         c = random_orthonormal(n, eta, seed)
         w, vec = np.linalg.eigh(a)
         exact = (vec * np.exp(-1j * w)) @ vec.conj().T @ c
         norm = np.linalg.norm(a, 1)
-        out = _taylor_action(a, c, norm, _taylor_plan(norm))
+        out = _taylor_action(DenseOperator(a, 0.0, norm), c, 1.0,
+                             _taylor_plan(norm))
         assert np.max(np.abs(out - exact)) < 1e-14 * max(1.0, norm)
 
     @pytest.mark.parametrize("norm,plan", [
@@ -209,7 +247,90 @@ class TestExpAction:
 
     def test_zero_operator_is_identity(self):
         c = random_orthonormal(5, 2, seed=1)
-        assert np.array_equal(_exp_action(np.zeros((5, 5)), c), c)
+        op = DenseOperator(np.zeros((5, 5)), 0.0, 0.0)
+        assert np.array_equal(_exp_action(op, c, 1.0), c)
+
+
+def grid_system(dim, points, softening, with_nuclei, eta, seed=0):
+    """Integrals on a grid of spacing about 1 and random orbitals; the
+    nuclei sit off the lattice, so the bare kernel stays regular."""
+    grid = GridSpec(dim=dim, points_per_axis=points,
+                    cell_volume=1.1 * points ** dim)
+    nuclei = (NuclearConfig(np.array([[0.3 * grid.spacing] * dim,
+                                      [-0.6 * grid.spacing] * dim]),
+                            np.array([1.0, 2.0]))
+              if with_nuclei else NuclearConfig.empty(dim))
+    ints = GridIntegrals.from_grid(grid, nuclei,
+                                   CoulombKernel(softening=softening))
+    coeffs = random_orthonormal(grid.total_points, eta, seed)
+    return ints, OccupiedOrbitals(coeffs, grid)
+
+
+class TestFockOperator:
+    @pytest.mark.parametrize("dim,points", [(1, 7), (1, 8), (2, 3), (2, 4),
+                                            (3, 3), (3, 4)])
+    @pytest.mark.parametrize("softening", [0.0, 0.5])
+    @pytest.mark.parametrize("with_nuclei", [False, True])
+    def test_action_matches_dense_fock(self, dim, points, softening,
+                                       with_nuclei):
+        for eta in range(1, 5):
+            ints, orb = grid_system(dim, points, softening, with_nuclei, eta,
+                                    seed=eta)
+            x = random_orthonormal(orb.n_basis, 3, seed=10 + eta) * (2 - 1j)
+            op = FockOperator(orb.coeffs, ints)
+            fock = build_fock(orb, ints)
+            for block in (orb.coeffs, x):
+                assert np.max(np.abs(op(block) - fock @ block)) < 1e-12
+
+    def test_complex_h_takes_the_complex_product(self):
+        n = 6
+        rng = np.random.default_rng(5)
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        v = np.abs(rng.normal(size=(n, n)))
+        ints = GridIntegrals(h=(h + h.conj().T) / 2, v=(v + v.T) / 2)
+        orb = OccupiedOrbitals(random_orthonormal(n, 2, seed=6))
+        op = FockOperator(orb.coeffs, ints)
+        assert np.max(np.abs(op(orb.coeffs)
+                             - build_fock(orb, ints) @ orb.coeffs)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from([(1, 2), (1, 5), (1, 8), (2, 3), (2, 4),
+                                  (3, 2), (3, 3)]),
+           softening=st.sampled_from([0.0, 0.2, 1.5]),
+           with_nuclei=st.booleans(), eta=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 16))
+    def test_radius_bounds_the_spectrum(self, shape, softening, with_nuclei,
+                                        eta, seed):
+        dim, points = shape
+        eta = min(eta, points ** dim)
+        ints, orb = grid_system(dim, points, softening, with_nuclei, eta,
+                                seed)
+        op = FockOperator(orb.coeffs, ints)
+        w = np.linalg.eigvalsh(build_fock(orb, ints))
+        assert np.max(np.abs(w - op.center)) <= op.radius * (1 + 1e-12)
+
+    def test_dimension_mismatch(self):
+        ints = GridIntegrals(h=np.zeros((4, 4)), v=np.zeros((4, 4)))
+        with pytest.raises(DimensionMismatch):
+            FockOperator(np.eye(5)[:, :2], ints)
+
+    def test_short_steps_allocate_less_than_one_dense_matrix(self):
+        # N = 729: one real N x N matrix is 8 N^2 bytes; a Fock build,
+        # a density matrix or an eigh would each take more
+        grid = GridSpec(dim=3, points_per_axis=9, cell_volume=729.0)
+        nuclei = NuclearConfig(np.array([[0.7, 0.0, 0.0], [-0.7, 0.0, 0.0]]),
+                               np.ones(2))
+        ints = GridIntegrals.from_grid(grid, nuclei, CoulombKernel(0.5))
+        _, vecs = np.linalg.eigh(ints.h)
+        orb = OccupiedOrbitals(vecs[:, :2], grid)
+        tracemalloc.start()
+        try:
+            traj = evolve_tdhf(orb, ints, TdhfPlan(0.5, 10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj.energies) == 11
+        assert peak < 8 * grid.total_points ** 2
 
 
 class TestEvolveTdhf:
