@@ -307,7 +307,7 @@ def _exp_action(op, c: np.ndarray, dt: float) -> np.ndarray:
     """
     n, eta = c.shape
     norm = op.radius * abs(dt)
-    if not math.isfinite(norm) or not math.isfinite(op.center * dt):
+    if not math.isfinite(norm):
         raise ConvergenceFailure(
             f"the bound on ||(F - mu I) dt||_2 is {norm}; the step is not finite")
     s, m = plan = _taylor_plan(norm)
