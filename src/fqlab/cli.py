@@ -1,10 +1,14 @@
 """Command-line interface: evolve, tdhf, prep, shadows, cost.
 
-Each run resolves its parameters (flags > config file > defaults),
-executes one module pipeline, and writes a JSON manifest next to every
-output file recording the resolved parameters, master seed, tool
-version, and input/output digests. Re-running `fqlab --manifest m.json`
-reproduces byte-identical outputs.
+Each subcommand's parameters are declared once, in ``_PARAMETERS``: a
+flag and its ``--config`` key share one name, and each value (flag >
+config file > default) is cast once by its kind; ``--threads`` must be
+an integer of at least 1. Every usage error exits 2 with one line on
+stderr. Each run writes a JSON manifest next to every output file
+recording the resolved parameters, master seed, tool version, and
+input/output SHA-256 digests. `fqlab --manifest m.json` first checks
+every recorded input against its digest (a missing or changed one exits
+2 and nothing is written), then reproduces byte-identical outputs.
 """
 
 import argparse
@@ -96,6 +100,8 @@ def _load_json(path) -> dict:
 
 def _load_nuclei(path, dim) -> NuclearConfig:
     """One nucleus per line: charge x [y z]; # starts a comment."""
+    if not path:
+        return NuclearConfig.empty(dim)
     positions, charges = [], []
     with open(path) as fh:
         for line in fh:
@@ -132,7 +138,7 @@ def _load_coeffs(path) -> np.ndarray:
 
 def _particle_count(p, grid: GridSpec) -> int:
     """--eta for a generated initial state: 1..N particles on N grid points."""
-    eta = _cast(p, "eta", int)
+    eta = p["eta"]
     if not 1 <= eta <= grid.total_points:
         raise UsageError(f"--eta must be in 1..{grid.total_points}, got {eta}")
     return eta
@@ -147,46 +153,40 @@ def _lowest_momentum_slater(grid: GridSpec, eta: int) -> FirstQuantizedState:
     return slater_oracle(orbitals, grid=grid)
 
 
-# -- subcommands --------------------------------------------------------------
+# -- parameters ---------------------------------------------------------------
 
 
-# argparse dest names that differ from the parameter-map keys
-_DEST_ALIASES = {"in": "in_", "ledger-out": "ledger_out",
-                 "dump-samples": "dump_samples", "alpha-range": "alpha_range"}
+# name -> (kind, default); a default of None marks a required parameter.
+# The name is both the flag (--name) and the --config key.
+_GRID = {"dim": (int, 3), "points": (int, None), "omega": (float, None),
+         "eta": (int, None), "nuclei": (str, ""), "soften": (float, 0.0),
+         "time": (float, None), "steps": (int, None)}
 
-
-def _resolved(args, config, keys):
-    out = {}
-    for key, default in keys.items():
-        dest = _DEST_ALIASES.get(key, key.replace("-", "_"))
-        flag = getattr(args, dest, None)
-        if flag is not None:
-            out[key] = flag
-        elif key in config:
-            out[key] = config[key]
-        else:
-            out[key] = default
-    missing = [k for k, v in out.items() if v is None]
-    if missing:
-        raise UsageError(f"missing required parameters: {', '.join(missing)}")
-    return out
-
+_PARAMETERS = {
+    "evolve": {**_GRID, "order": (int, 2), "seed": (int, 0), "in": (str, ""),
+               "out": (str, None)},
+    "tdhf": {**_GRID, "dim": (int, 1), "scheme": (str, "exponential-midpoint"),
+             "observables": (str, "energy"), "coeffs": (str, ""),
+             "out": (str, None)},
+    "prep": {"coeffs": (str, None), "verify": (bool, False),
+             "ledger-out": (str, "")},
+    "shadows": {"in": (str, None), "k": (int, 1), "epsilon": (float, None),
+                "delta": (float, None), "samples": (str, "auto"),
+                "seed": (int, 0), "elements": (str, "all-1rdm"),
+                "out": (str, None), "dump-samples": (str, "")},
+    "cost": {"alpha-range": (str, ""), "query": (str, ""), "out": (str, "")},
+}
 
 _KINDS = {int: "an integer", float: "a finite number", bool: "true or false"}
 
 
-def _cast(p, key, kind):
-    """Resolved parameter ``key`` as an int, a finite float or a bool.
-
-    Flags arrive typed, config values as JSON; a value that is not of the
-    kind (a fractional int, a NaN, a string bool, true for a number) is
-    a usage error.
-    """
-    return _checked(p[key], kind, f"--{key}")
-
-
 def _checked(value, kind, name):
-    """``value`` as ``kind`` under the rule of :func:`_cast`."""
+    """``value`` as an int, a finite float or a bool.
+
+    Flags arrive as text, config values as JSON; a value that is not of
+    the kind (a fractional int, a NaN, a string bool, true for a number)
+    is a usage error naming ``name``.
+    """
     try:
         out = kind(value)
         valid = (isinstance(value, bool) if kind is bool
@@ -199,70 +199,72 @@ def _checked(value, kind, name):
     return out
 
 
-def _grid(p) -> GridSpec:
-    return GridSpec(dim=_cast(p, "dim", int), points_per_axis=_cast(p, "points", int),
-                    cell_volume=_cast(p, "omega", float))
+def _given(args, config, key):
+    """The flag ``key``, else its config value, else None."""
+    flag = getattr(args, key, None)
+    return config.get(key) if flag is None else flag
 
 
-def _kernel(p) -> CoulombKernel:
-    return CoulombKernel(softening=_cast(p, "soften", float))
+def _resolve(sub, args, config, fixed=None, source=""):
+    """The parameters of ``sub``: flag, else config value, else default.
 
-
-def _input_parameters(args, config, recorded, source) -> dict:
-    """Parameters an input file fixes (``recorded``): the file's values.
-
-    They may be omitted; one given (as a flag or in the config) that
-    disagrees with ``source`` is an error.
+    Each value is cast once by its kind. ``fixed`` holds the values an
+    input file (``source``) fixes: they may be omitted, and one given
+    that disagrees is an error.
     """
-    given = _resolved(args, config, dict.fromkeys(recorded, ""))
-    for key, value in given.items():
-        if value != "" and _cast(given, key, type(recorded[key])) != recorded[key]:
+    fixed = fixed or {}
+    p, missing = {}, []
+    for key, (kind, default) in _PARAMETERS[sub].items():
+        value = _given(args, config, key)
+        if value is None:
+            value = fixed.get(key, default)
+        if value is None:
+            missing.append(key)
+            continue
+        p[key] = value if kind is str else _checked(value, kind, f"--{key}")
+        if key in fixed and p[key] != fixed[key]:
             raise UsageError(f"--{key} {value} disagrees with the {source} "
-                             f"{key} {recorded[key]}")
-    return recorded
+                             f"{key} {fixed[key]}")
+    if missing:
+        raise UsageError(f"missing required parameters: {', '.join(missing)}")
+    return p
+
+
+# -- subcommands --------------------------------------------------------------
+
+
+def _grid(p) -> GridSpec:
+    return GridSpec(dim=p["dim"], points_per_axis=p["points"],
+                    cell_volume=p["omega"])
 
 
 def _cmd_evolve(args, config) -> int:
-    snapshot = _resolved(args, config, {"in": ""})["in"]
+    snapshot = _given(args, config, "in")
     state = load_state(snapshot) if snapshot else None
-    fixed = {} if state is None else _input_parameters(args, config, {
+    fixed = None if state is None else {
         "dim": state.grid.dim, "points": state.grid.points_per_axis,
-        "omega": float(state.grid.cell_volume), "eta": state.eta}, "snapshot")
-    p = _resolved(args, config, {
-        "dim": 3, "points": None, "omega": None, "eta": None, **fixed,
-        "nuclei": "", "soften": 0.0, "time": None, "steps": None,
-        "order": 2, "seed": 0, "in": "", "out": None})
-    p.update(fixed)  # the manifest records the values the run used
+        "omega": float(state.grid.cell_volume), "eta": state.eta}
+    p = _resolve("evolve", args, config, fixed, "snapshot")
     grid = state.grid if state is not None else _grid(p)
-    nuclei = (_load_nuclei(p["nuclei"], grid.dim) if p["nuclei"]
-              else NuclearConfig.empty(grid.dim))
-    kernel = _kernel(p)
-    plan = EvolutionPlan(total_time=_cast(p, "time", float),
-                         steps=_cast(p, "steps", int), order=_cast(p, "order", int))
+    nuclei = _load_nuclei(p["nuclei"], grid.dim)
+    plan = EvolutionPlan(total_time=p["time"], steps=p["steps"], order=p["order"])
     if state is None:
         state = _lowest_momentum_slater(grid, _particle_count(p, grid))
-    final = evolve(state, plan, nuclei, kernel)
+    final = evolve(state, plan, nuclei, CoulombKernel(softening=p["soften"]))
     save_state(p["out"], final)
     inputs = [path for path in (p["in"], p["nuclei"]) if path]
-    _write_manifest("evolve", p, _cast(p, "seed", int), inputs, [p["out"]])
+    _write_manifest("evolve", p, p["seed"], inputs, [p["out"]])
     return 0
 
 
 def _cmd_tdhf(args, config) -> int:
-    coeffs_path = _resolved(args, config, {"coeffs": ""})["coeffs"]
+    coeffs_path = _given(args, config, "coeffs")
     coeffs = _load_coeffs(coeffs_path) if coeffs_path else None
-    fixed = {} if coeffs is None else _input_parameters(
-        args, config, {"eta": coeffs.shape[1]}, "coefficient CSV")
-    p = _resolved(args, config, {
-        "dim": 1, "points": None, "omega": None, "eta": None, **fixed,
-        "nuclei": "", "soften": 0.0, "time": None, "steps": None,
-        "scheme": "exponential-midpoint", "observables": "energy",
-        "coeffs": "", "out": None})
-    p.update(fixed)  # the manifest records the values the run used
+    fixed = None if coeffs is None else {"eta": coeffs.shape[1]}
+    p = _resolve("tdhf", args, config, fixed, "coefficient CSV")
     grid = _grid(p)
-    nuclei = (_load_nuclei(p["nuclei"], grid.dim) if p["nuclei"]
-              else NuclearConfig.empty(grid.dim))
-    integrals = GridIntegrals.from_grid(grid, nuclei, _kernel(p))
+    integrals = GridIntegrals.from_grid(grid, _load_nuclei(p["nuclei"], grid.dim),
+                                        CoulombKernel(softening=p["soften"]))
     inputs = [path for path in (p["nuclei"], p["coeffs"]) if path]
     if coeffs is None:
         # core-Hamiltonian guess: lowest eigenvectors of h (real, so a real eigh)
@@ -276,8 +278,7 @@ def _cmd_tdhf(args, config) -> int:
     unknown = set(wanted) - {"energy", "rdm-diag"}
     if unknown:
         raise UsageError(f"unknown observables: {sorted(unknown)}")
-    plan = TdhfPlan(total_time=_cast(p, "time", float),
-                    steps=_cast(p, "steps", int), scheme=p["scheme"])
+    plan = TdhfPlan(total_time=p["time"], steps=p["steps"], scheme=p["scheme"])
     traj = evolve_tdhf(orbitals, integrals, plan,
                        record_rdm_diag="rdm-diag" in wanted, keep_history=False)
     header = ["step", "time", "energy"]
@@ -295,12 +296,10 @@ def _cmd_tdhf(args, config) -> int:
 
 
 def _cmd_prep(args, config) -> int:
-    p = _resolved(args, config, {
-        "coeffs": None, "verify": False, "ledger-out": ""})
+    p = _resolve("prep", args, config)
     coeffs = _load_coeffs(p["coeffs"])
     n, eta = coeffs.shape
-    verify = _cast(p, "verify", bool)
-    result = prepare_slater(coeffs, validate=verify)
+    result = prepare_slater(coeffs, validate=p["verify"])
     outputs = []
     if p["ledger-out"]:
         rows = sorted(result.ledger.counts.items())
@@ -309,7 +308,7 @@ def _cmd_prep(args, config) -> int:
         outputs.append(p["ledger-out"])
     print(f"prepared N={n} eta={eta}: ledger total {result.ledger.total} "
           f"(closed form {toffoli_count(n, eta, 'improved')})")
-    if verify:
+    if p["verify"]:
         oracle = slater_oracle(coeffs, n_orbitals=n)
         overlap = abs(result.state.overlap(oracle))
         ledger_ok = result.ledger.total == toffoli_count(n, eta, "improved")
@@ -345,24 +344,18 @@ def _parse_elements(spec_text, n_orbitals, k):
 
 
 def _cmd_shadows(args, config) -> int:
-    p = _resolved(args, config, {
-        "in": None, "k": 1, "epsilon": None, "delta": None,
-        "samples": "auto", "seed": 0, "elements": "all-1rdm",
-        "out": None, "dump-samples": ""})
+    p = _resolve("shadows", args, config)
     state = load_state(p["in"])
     if not state.is_antisymmetric():
         raise ValidationError("shadow protocol expects an antisymmetric state")
-    k = _cast(p, "k", int)
-    eps, delta = _cast(p, "epsilon", float), _cast(p, "delta", float)
+    k, eps, delta = p["k"], p["epsilon"], p["delta"]
     if str(p["samples"]) == "auto":
         m = required_samples(state.n_orbitals, k, state.eta, eps, delta)
     else:
-        m = _cast(p, "samples", int)
+        m = _checked(p["samples"], int, "--samples")
     config_est = EstimatorConfig.from_sample_count(k, eps, delta, m)
     elements = _parse_elements(str(p["elements"]), state.n_orbitals, k)
-    seed = _cast(p, "seed", int)
-    batch = collect_shadows(state, m, seed,
-                            threads=int(getattr(args, "threads", 1) or 1))
+    batch = collect_shadows(state, m, p["seed"], threads=args.threads)
     rows = [[";".join(map(str, bra)), ";".join(map(str, ket)), est.real,
              est.imag, config_est.groups, config_est.group_size]
             for (bra, ket), (est, _) in zip(
@@ -375,12 +368,12 @@ def _cmd_shadows(args, config) -> int:
         _write_csv(p["dump-samples"], ["cliffords", "outcomes"], sample_rows)
         outputs.append(p["dump-samples"])
     inputs = [p["in"]] + ([p["elements"]] if p["elements"] != "all-1rdm" else [])
-    _write_manifest("shadows", p, seed, inputs, outputs)
+    _write_manifest("shadows", p, p["seed"], inputs, outputs)
     return 0
 
 
 def _cmd_cost(args, config) -> int:
-    p = _resolved(args, config, {"alpha-range": "", "query": "", "out": ""})
+    p = _resolve("cost", args, config)
     if p["alpha-range"]:
         try:
             lo, hi, step = (float(v) for v in str(p["alpha-range"]).split(":"))
@@ -403,10 +396,11 @@ def _cmd_cost(args, config) -> int:
         return 0
     if p["query"]:
         vals = [v.strip() for v in str(p["query"]).split(",")]
-        if len(vals) < 4:
-            raise UsageError("--query needs at least N,eta,t,eps")
         names = ["n_basis", "eta", "time", "epsilon", "occupied_orbitals",
                  "time_points", "observable_norm", "sampling_cost", "k_body"]
+        if not 4 <= len(vals) <= len(names):
+            raise UsageError(f"--query needs N,eta,t,eps and at most "
+                             f"{len(names)} fields, got {len(vals)}")
         kwargs = {}
         for name, val in zip(names, vals):
             if val == "":
@@ -437,94 +431,75 @@ def _cmd_cost(args, config) -> int:
 # -- dispatcher ----------------------------------------------------------------
 
 
+_COMMANDS = {
+    "evolve": (_cmd_evolve, "split-operator Trotter evolution"),
+    "tdhf": (_cmd_tdhf, "real-time mean-field propagation"),
+    "prep": (_cmd_prep, "Slater preparation with gate ledger"),
+    "shadows": (_cmd_shadows, "classical-shadow RDM estimation"),
+    "cost": (_cmd_cost, "asymptotic cost and speedup tables"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose errors are usage errors: one line, exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fqlab",
-        description="First-quantized electron-dynamics laboratory")
+    parser = _Parser(prog="fqlab",
+                     description="First-quantized electron-dynamics laboratory")
     parser.add_argument("--manifest", help="replay a recorded run")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", default=1)
     parser.add_argument("--config", help="JSON file with defaults")
     sub = parser.add_subparsers(dest="subcommand")
-
-    ev = sub.add_parser("evolve", help="split-operator Trotter evolution")
-    ev.add_argument("--dim", type=int)
-    ev.add_argument("--points", type=int)
-    ev.add_argument("--omega", type=float)
-    ev.add_argument("--eta", type=int)
-    ev.add_argument("--nuclei")
-    ev.add_argument("--soften", type=float)
-    ev.add_argument("--time", type=float)
-    ev.add_argument("--steps", type=int)
-    ev.add_argument("--order", type=int)
-    ev.add_argument("--seed", type=int)
-    ev.add_argument("--in", dest="in_", help="input state snapshot")
-    ev.add_argument("--out")
-
-    td = sub.add_parser("tdhf", help="real-time mean-field propagation")
-    td.add_argument("--dim", type=int)
-    td.add_argument("--points", type=int)
-    td.add_argument("--omega", type=float)
-    td.add_argument("--eta", type=int)
-    td.add_argument("--nuclei")
-    td.add_argument("--soften", type=float)
-    td.add_argument("--time", type=float)
-    td.add_argument("--steps", type=int)
-    td.add_argument("--scheme")
-    td.add_argument("--observables")
-    td.add_argument("--coeffs")
-    td.add_argument("--out")
-
-    pr = sub.add_parser("prep", help="Slater preparation with gate ledger")
-    pr.add_argument("--coeffs")
-    pr.add_argument("--verify", action="store_const", const=True)
-    pr.add_argument("--ledger-out", dest="ledger_out")
-
-    sh = sub.add_parser("shadows", help="classical-shadow RDM estimation")
-    sh.add_argument("--in", dest="in_", help="input state snapshot")
-    sh.add_argument("--k", type=int)
-    sh.add_argument("--epsilon", type=float)
-    sh.add_argument("--delta", type=float)
-    sh.add_argument("--samples")
-    sh.add_argument("--seed", type=int)
-    sh.add_argument("--elements")
-    sh.add_argument("--out")
-    sh.add_argument("--dump-samples", dest="dump_samples")
-
-    co = sub.add_parser("cost", help="asymptotic cost and speedup tables")
-    co.add_argument("--alpha-range", dest="alpha_range")
-    co.add_argument("--query")
-    co.add_argument("--out")
+    for name, (_, help_text) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for key, (kind, _) in _PARAMETERS[name].items():
+            if kind is bool:
+                command.add_argument(f"--{key}", dest=key,
+                                     action="store_const", const=True)
+            else:
+                command.add_argument(f"--{key}", dest=key)
     return parser
 
 
-_HANDLERS = {
-    "evolve": _cmd_evolve,
-    "tdhf": _cmd_tdhf,
-    "prep": _cmd_prep,
-    "shadows": _cmd_shadows,
-    "cost": _cmd_cost,
-}
+def _replayed(path):
+    """Subcommand and parameters of a manifest whose inputs are unchanged."""
+    recorded = _load_json(path)
+    sub = recorded.get("subcommand")
+    if sub not in _COMMANDS:
+        raise UsageError(f"manifest names unknown subcommand {sub!r}")
+    params, inputs = recorded.get("parameters", {}), recorded.get("inputs", {})
+    if not (isinstance(params, dict) and isinstance(inputs, dict)):
+        raise UsageError(f"{path}: parameters and inputs must be JSON objects")
+    for name, digest in inputs.items():
+        if _digest(name) != digest:
+            raise UsageError(f"replay input {name} differs from the one "
+                             f"{path} recorded")
+    return sub, params
+
 
 def dispatch(argv) -> int:
     """Run one command; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if not (args.manifest or args.subcommand):
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
+        args = _build_parser().parse_args(argv)
+        threads = _checked(args.threads, int, "--threads")
+        if threads < 1:
+            raise UsageError(f"--threads must be at least 1, got {threads}")
         if args.manifest:
-            recorded = _load_json(args.manifest)
-            sub = recorded.get("subcommand")
-            if sub not in _HANDLERS:
-                raise UsageError(f"manifest names unknown subcommand {sub!r}")
-            replay_args = argparse.Namespace(threads=args.threads)
-            return _HANDLERS[sub](replay_args, recorded.get("parameters", {}))
-        config = _load_json(args.config) if args.config else {}
-        return _HANDLERS[args.subcommand](args, config)
+            sub, config = _replayed(args.manifest)
+            args = argparse.Namespace()
+        elif args.subcommand:
+            sub = args.subcommand
+            config = _load_json(args.config) if args.config else {}
+        else:
+            raise UsageError("give a subcommand or --manifest")
+        args.threads = threads
+        return _COMMANDS[sub][0](args, config)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,14 +1,17 @@
 """CLI surface: subcommands, manifests, determinism, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import json
 import math
+import string
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fqlab.cli import dispatch
+from fqlab.cli import _PARAMETERS, _build_parser, dispatch
 from fqlab.experiment import pipeline_shadow_experiment
 from fqlab.states import load_state
 
@@ -327,6 +330,8 @@ class TestMalformedInputs:
                          "--out", "st.bin"]) == 0
         (workdir / "cfg.json").write_text("{not json")
         (workdir / "coeffs.csv").write_text("1,0\nx,0\n")
+        (workdir / "params.json").write_text(json.dumps(
+            {"subcommand": "cost", "parameters": "query"}))
         return workdir
 
     @pytest.mark.parametrize("argv", [
@@ -343,6 +348,8 @@ class TestMalformedInputs:
         ["cost", "--query", "4,2,1,0.1,inf"],
         ["cost", "--query", "4.5,2,1,0.1"],
         ["cost", "--query", "4,1.5,1,0.1"],
+        ["cost", "--query", "1000,10,1,0.1,,,,,1,99,zz"],
+        ["--manifest", "params.json"],
         ["shadows", "--in", "st.bin", "--epsilon", "0.5", "--delta", "0",
          "--samples", "200", "--out", "x.csv"],
         EVOLVE_N5 + ["--eta", "0"],
@@ -361,6 +368,7 @@ class TestMalformedInputs:
     ], ids=["missing-in", "missing-manifest", "bad-config", "bad-coeffs",
             "bad-samples", "bad-query", "empty-query-field", "nan-query-field",
             "inf-query-field", "fractional-query-n", "fractional-query-eta",
+            "query-beyond-nine-fields", "manifest-parameters-not-object",
             "zero-delta",
             "evolve-eta-zero", "evolve-eta-above-n", "evolve-eta-negative",
             "tdhf-eta-above-n", "evolve-beyond-dense", "alpha-zero-step",
@@ -489,3 +497,116 @@ class TestParameterCasts:
         key, = config
         exits_two_with_one_line(["--config", "cfg.json", *argv], capsys,
                                 f"--{key}")
+
+
+class TestReplayInputDigests:
+    """A replay first checks every recorded input against its digest."""
+
+    @pytest.fixture
+    def recorded(self, workdir):
+        (workdir / "nuclei.txt").write_text("2 0.4\n")
+        assert dispatch(["evolve", "--dim", "1", "--points", "5", "--omega",
+                         "5", "--eta", "2", "--nuclei", "nuclei.txt",
+                         "--soften", "0.5", "--time", "0.1", "--steps", "5",
+                         "--out", "state.bin"]) == 0
+        return {name: sha256(name)
+                for name in ("state.bin", "state.bin.manifest.json")}
+
+    def test_changed_input_exits_two_and_writes_nothing(self, workdir, capsys,
+                                                        recorded):
+        (workdir / "nuclei.txt").write_text("2 0.6\n")
+        exits_two_with_one_line(["--manifest", "state.bin.manifest.json"],
+                                capsys, "nuclei.txt")
+        assert {name: sha256(name) for name in recorded} == recorded
+
+    def test_missing_input_exits_two(self, workdir, capsys, recorded):
+        (workdir / "nuclei.txt").unlink()
+        exits_two_with_one_line(["--manifest", "state.bin.manifest.json"],
+                                capsys, "nuclei.txt")
+        assert {name: sha256(name) for name in recorded} == recorded
+
+    def test_unchanged_input_replays(self, workdir, recorded):
+        assert dispatch(["--manifest", "state.bin.manifest.json"]) == 0
+        assert {name: sha256(name) for name in recorded} == recorded
+
+
+class TestUsageErrors:
+    """Every usage error, argparse's included, is one line and exit 2."""
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["--threads", "abc", "cost", "--query", "1000,10,1,0.1"], "--threads"),
+        (["--threads", "0", "cost", "--query", "1000,10,1,0.1"], "--threads"),
+        (["--threads", "-1", "cost", "--query", "1000,10,1,0.1"], "--threads"),
+        (["--threads", "1.5", "cost", "--query", "1000,10,1,0.1"], "--threads"),
+        (["cost", "--frobnicate", "1"], "--frobnicate"),
+        (["frobnicate"], "frobnicate"),
+        ([], "subcommand"),
+        (["evolve", "--steps", "abc"], "--steps"),
+        (["evolve", "--steps"], "--steps"),
+    ], ids=["threads-text", "threads-zero", "threads-negative",
+            "threads-fraction", "unknown-flag", "unknown-subcommand",
+            "no-subcommand", "typed-flag", "flag-without-value"])
+    def test_exit_two_with_one_line(self, workdir, capsys, argv, needle):
+        exits_two_with_one_line(argv, capsys, needle)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["evolve", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert dispatch(argv) == 0
+        assert "usage: fqlab" in capsys.readouterr().out
+
+
+def test_each_subparser_flags_are_its_table_keys():
+    action, = [a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    parsers = action.choices
+    assert set(parsers) == set(_PARAMETERS)
+    for name, parser in parsers.items():
+        actions = [a for a in parser._actions if a.dest != "help"]
+        assert sorted(o for a in actions for o in a.option_strings) == sorted(
+            f"--{key}" for key in _PARAMETERS[name])
+        assert all(a.option_strings == [f"--{a.dest}"] for a in actions)
+
+
+# Malformed values only, so that no computation starts. As flag text:
+_WORDS = st.text(alphabet=string.ascii_letters, max_size=8)
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400"])
+_FRACTIONS = st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer())
+_FLAG_TEXT = {
+    "int": st.one_of(_WORDS, _NON_FINITE, _FRACTIONS.map(repr)),
+    "float": st.one_of(_WORDS, _NON_FINITE),
+    "bool": _WORDS.filter(bool),  # --verify takes no value
+}
+# ... and as JSON text in --config:
+_JSON_NUMBER = st.one_of(
+    st.sampled_from(["true", "false", "NaN", "Infinity", "-Infinity",
+                     "1e400", "-1e400"]),
+    _WORDS.map(json.dumps))
+_CONFIG_TEXT = {
+    "int": st.one_of(_JSON_NUMBER, _FRACTIONS.map(json.dumps)),
+    "float": _JSON_NUMBER,
+    "bool": st.one_of(_WORDS.map(json.dumps), st.integers(-2, 2).map(str),
+                      _FRACTIONS.map(json.dumps),
+                      st.sampled_from(["[]", "{}", '"true"', "NaN"])),
+}
+
+
+@pytest.mark.parametrize("sub,key,kind", [
+    (sub, key, kind.__name__) for sub, table in _PARAMETERS.items()
+    for key, (kind, _) in table.items() if kind is not str])
+@pytest.mark.parametrize("form", ["flag", "config"])
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_value_exits_two_naming_its_key(tmp_path, monkeypatch,
+                                                  capsys, data, sub, key,
+                                                  kind, form):
+    monkeypatch.chdir(tmp_path)
+    if form == "flag":
+        argv = [sub, f"--{key}={data.draw(_FLAG_TEXT[kind])}"]
+    else:
+        (tmp_path / "cfg.json").write_text(
+            f'{{"{key}": {data.draw(_CONFIG_TEXT[kind])}}}')
+        argv = ["--config", "cfg.json", sub]
+    capsys.readouterr()
+    exits_two_with_one_line(argv, capsys, f"--{key}")
+    assert list(tmp_path.iterdir()) in ([], [tmp_path / "cfg.json"])
