@@ -37,13 +37,7 @@ from .meanfield import (
     TdhfPlan,
     evolve_tdhf,
 )
-from .shadows import (
-    EstimatorConfig,
-    all_1rdm_elements,
-    collect_shadows,
-    estimate_elements,
-    required_samples,
-)
+from .shadows import read_out
 from .states import FirstQuantizedState, load_state, save_state, slater_oracle
 from .stateprep import prepare_slater, toffoli_count
 
@@ -177,19 +171,20 @@ _PARAMETERS = {
     "cost": {"alpha-range": (str, ""), "query": (str, ""), "out": (str, "")},
 }
 
-_KINDS = {int: "an integer", float: "a finite number", bool: "true or false"}
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
+          str: "a string"}
 
 
 def _checked(value, kind, name):
-    """``value`` as an int, a finite float or a bool.
+    """``value`` as an int, a finite float, a bool or a string.
 
     Flags arrive as text, config values as JSON; a value that is not of
-    the kind (a fractional int, a NaN, a string bool, true for a number)
-    is a usage error naming ``name``.
+    the kind (a fractional int, a NaN, a string bool, true for a number,
+    a list for a string) is a usage error naming ``name``.
     """
     try:
         out = kind(value)
-        valid = (isinstance(value, bool) if kind is bool
+        valid = (isinstance(value, kind) if kind in (bool, str)
                  else not isinstance(value, bool)
                  and math.isfinite(out) and float(value) == out)
     except (TypeError, ValueError, OverflowError):
@@ -221,7 +216,8 @@ def _resolve(sub, args, config, fixed=None, source=""):
         if value is None:
             missing.append(key)
             continue
-        p[key] = value if kind is str else _checked(value, kind, f"--{key}")
+        count = key == "samples" and type(value) is int  # may be a JSON integer
+        p[key] = value if count else _checked(value, kind, f"--{key}")
         if key in fixed and p[key] != fixed[key]:
             raise UsageError(f"--{key} {value} disagrees with the {source} "
                              f"{key} {fixed[key]}")
@@ -240,7 +236,7 @@ def _grid(p) -> GridSpec:
 
 def _cmd_evolve(args, config) -> int:
     snapshot = _given(args, config, "in")
-    state = load_state(snapshot) if snapshot else None
+    state = load_state(_checked(snapshot, str, "--in")) if snapshot else None
     fixed = None if state is None else {
         "dim": state.grid.dim, "points": state.grid.points_per_axis,
         "omega": float(state.grid.cell_volume), "eta": state.eta}
@@ -259,7 +255,8 @@ def _cmd_evolve(args, config) -> int:
 
 def _cmd_tdhf(args, config) -> int:
     coeffs_path = _given(args, config, "coeffs")
-    coeffs = _load_coeffs(coeffs_path) if coeffs_path else None
+    coeffs = (_load_coeffs(_checked(coeffs_path, str, "--coeffs"))
+              if coeffs_path else None)
     fixed = None if coeffs is None else {"eta": coeffs.shape[1]}
     p = _resolve("tdhf", args, config, fixed, "coefficient CSV")
     grid = _grid(p)
@@ -274,7 +271,7 @@ def _cmd_tdhf(args, config) -> int:
         raise UsageError(f"coefficient CSV has {len(coeffs)} rows for "
                          f"{grid.total_points} grid points")
     orbitals = OccupiedOrbitals(coeffs, grid)
-    wanted = [w.strip() for w in str(p["observables"]).split(",") if w.strip()]
+    wanted = [w.strip() for w in p["observables"].split(",") if w.strip()]
     unknown = set(wanted) - {"energy", "rdm-diag"}
     if unknown:
         raise UsageError(f"unknown observables: {sorted(unknown)}")
@@ -323,9 +320,7 @@ def _cmd_prep(args, config) -> int:
 
 def _parse_elements(spec_text, n_orbitals, k):
     if spec_text == "all-1rdm":
-        if k != 1:
-            raise UsageError("all-1rdm requires k=1")
-        return all_1rdm_elements(n_orbitals)
+        return spec_text
     elements = []
     with open(spec_text) as fh:
         for row in csv.reader(fh):
@@ -346,20 +341,14 @@ def _parse_elements(spec_text, n_orbitals, k):
 def _cmd_shadows(args, config) -> int:
     p = _resolve("shadows", args, config)
     state = load_state(p["in"])
-    if not state.is_antisymmetric():
-        raise ValidationError("shadow protocol expects an antisymmetric state")
-    k, eps, delta = p["k"], p["epsilon"], p["delta"]
-    if str(p["samples"]) == "auto":
-        m = required_samples(state.n_orbitals, k, state.eta, eps, delta)
-    else:
-        m = _checked(p["samples"], int, "--samples")
-    config_est = EstimatorConfig.from_sample_count(k, eps, delta, m)
-    elements = _parse_elements(str(p["elements"]), state.n_orbitals, k)
-    batch = collect_shadows(state, m, p["seed"], threads=args.threads)
-    rows = [[";".join(map(str, bra)), ";".join(map(str, ket)), est.real,
-             est.imag, config_est.groups, config_est.group_size]
-            for (bra, ket), (est, _) in zip(
-                elements, estimate_elements(batch, config_est, elements))]
+    samples = (p["samples"] if p["samples"] == "auto"
+               else _checked(p["samples"], int, "--samples"))
+    est, batch, readings = read_out(
+        state, p["k"], p["epsilon"], p["delta"], samples, p["seed"],
+        _parse_elements(p["elements"], state.n_orbitals, p["k"]), args.threads)
+    rows = [[";".join(map(str, bra)), ";".join(map(str, ket)), value.real,
+             value.imag, est.groups, est.group_size]
+            for (bra, ket), (value, _) in readings]
     _write_csv(p["out"], ["i", "j", "re", "im", "groups", "group_size"], rows)
     outputs = [p["out"]]
     if p["dump-samples"]:
@@ -376,7 +365,7 @@ def _cmd_cost(args, config) -> int:
     p = _resolve("cost", args, config)
     if p["alpha-range"]:
         try:
-            lo, hi, step = (float(v) for v in str(p["alpha-range"]).split(":"))
+            lo, hi, step = (float(v) for v in p["alpha-range"].split(":"))
         except Exception as exc:
             raise UsageError("--alpha-range must be lo:hi:step") from exc
         if not (np.all(np.isfinite([lo, hi, step])) and step > 0 and lo <= hi):
@@ -395,7 +384,7 @@ def _cmd_cost(args, config) -> int:
         _write_manifest("cost", p, 0, [], [p["out"]])
         return 0
     if p["query"]:
-        vals = [v.strip() for v in str(p["query"]).split(",")]
+        vals = [v.strip() for v in p["query"].split(",")]
         names = ["n_basis", "eta", "time", "epsilon", "occupied_orbitals",
                  "time_points", "observable_norm", "sampling_cost", "k_body"]
         if not 4 <= len(vals) <= len(names):
@@ -448,14 +437,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="fqlab",
+    parser = _Parser(prog="fqlab", allow_abbrev=False,
                      description="First-quantized electron-dynamics laboratory")
     parser.add_argument("--manifest", help="replay a recorded run")
     parser.add_argument("--threads", default=1)
     parser.add_argument("--config", help="JSON file with defaults")
     sub = parser.add_subparsers(dest="subcommand")
     for name, (_, help_text) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
+        command = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for key, (kind, _) in _PARAMETERS[name].items():
             if kind is bool:
                 command.add_argument(f"--{key}", dest=key,
@@ -496,6 +485,9 @@ def dispatch(argv) -> int:
             config = _load_json(args.config) if args.config else {}
         else:
             raise UsageError("give a subcommand or --manifest")
+        unknown = sorted(set(config) - set(_PARAMETERS[sub]))
+        if unknown:
+            raise UsageError(f"unknown {sub} parameters: {', '.join(unknown)}")
         args.threads = threads
         return _COMMANDS[sub][0](args, config)
     except SystemExit as exc:  # --help

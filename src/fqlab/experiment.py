@@ -2,16 +2,10 @@
 
 import numpy as np
 
+from .errors import NotAntisymmetric
 from .grids import GridSpec
 from .hamiltonian import CoulombKernel, EvolutionPlan, NuclearConfig, evolve
-from .shadows import (
-    EstimatorConfig,
-    all_1rdm_elements,
-    collect_shadows,
-    estimate_elements,
-    required_samples,
-    variance_bound,
-)
+from .shadows import read_out, variance_bound
 from .states import exact_krdm_element
 from .stateprep import prepare_slater
 
@@ -22,7 +16,8 @@ def pipeline_shadow_experiment(config: dict) -> dict:
     Config keys: grid {dim, points, omega}, coeffs (N x eta complex
     array), evolution {time, steps, order, soften, nuclei} (optional),
     estimator {k, epsilon, delta, samples}, elements (list of (i, j)
-    tuples or "all-1rdm"), seed, threads.
+    tuples or "all-1rdm"), seed, threads. Samples and elements follow
+    :func:`fqlab.shadows.read_out`.
     """
     gridc = config["grid"]
     grid = GridSpec(dim=int(gridc["dim"]), points_per_axis=int(gridc["points"]),
@@ -38,33 +33,28 @@ def pipeline_shadow_experiment(config: dict) -> dict:
                              order=int(evo.get("order", 2)))
         state = evolve(state, plan, nuclei, kernel)
     est = config["estimator"]
-    k = int(est.get("k", 1))
-    eps, delta = float(est["epsilon"]), float(est["delta"])
-    seed = int(config.get("seed", 0))
-    m = est.get("samples", "auto")
-    if m == "auto":
-        m = required_samples(state.n_orbitals, k, state.eta, eps, delta)
-    m = int(m)
-    cfg = EstimatorConfig.from_sample_count(k, eps, delta, m)
-    batch = collect_shadows(state, m, seed, threads=int(config.get("threads", 1)))
-    elements = config.get("elements", "all-1rdm")
-    if elements == "all-1rdm":
-        elements = all_1rdm_elements(state.n_orbitals)
+    k, eps = int(est.get("k", 1)), float(est["epsilon"])
     bound = variance_bound(k, state.eta)
+    exact = state.n_orbitals ** state.eta <= 2 ** 16
+    if exact and not state.is_antisymmetric():
+        raise NotAntisymmetric("k-RDM requires an antisymmetric state")
+    cfg, batch, readings = read_out(
+        state, k, eps, float(est["delta"]), est.get("samples", "auto"),
+        int(config.get("seed", 0)), config.get("elements", "all-1rdm"),
+        int(config.get("threads", 1)))
     results = []
     worst_var = 0.0
-    for (bra, ket), (estimate, values) in zip(
-            elements, estimate_elements(batch, cfg, elements)):
+    for (bra, ket), (estimate, values) in readings:
         emp_var = float(np.mean(np.abs(values) ** 2) - np.abs(np.mean(values)) ** 2)
         worst_var = max(worst_var, emp_var)
         entry = {"i": bra, "j": ket, "estimate": estimate,
                  "empirical_variance": emp_var}
-        if state.n_orbitals ** state.eta <= 2 ** 16:
-            entry["exact"] = exact_krdm_element(state, bra, ket)
+        if exact:
+            entry["exact"] = exact_krdm_element(state, bra, ket, check=False)
             entry["error"] = abs(estimate - entry["exact"])
         results.append(entry)
     report = {
-        "samples": m,
+        "samples": len(batch),
         "groups": cfg.groups,
         "group_size": cfg.group_size,
         "variance_bound": bound,

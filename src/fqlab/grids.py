@@ -128,14 +128,3 @@ def from_fft_window(arr: np.ndarray, axes=None) -> np.ndarray:
     centered window."""
     return np.fft.fftshift(arr, axes)
 
-
-def centered_dft(arr: np.ndarray, axes, inverse: bool = False) -> np.ndarray:
-    """Apply the unitary centered DFT over ``axes`` (an int or a tuple).
-
-    Equivalent to contracting each axis with :func:`centered_dft_matrix`
-    (or its adjoint), as the kernel depends on nu and p only mod m.
-    """
-    axes = tuple(np.atleast_1d(axes))
-    transform = np.fft.ifftn if inverse else np.fft.fftn
-    out = transform(to_fft_window(arr, axes), axes=axes, norm="ortho")
-    return from_fft_window(out, axes)

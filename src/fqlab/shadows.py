@@ -22,6 +22,7 @@ from .errors import (
     EnumerationUnavailable,
     IndexOutOfRange,
     InsufficientSamples,
+    NotAntisymmetric,
     ValidationError,
 )
 from .rng import derive_rng
@@ -57,10 +58,6 @@ class ShadowBatch:
     def __getitem__(self, index) -> "ShadowBatch":
         """The samples selected by a slice, as views."""
         return ShadowBatch(self.keys[index], self.outcomes[index], self.rows[index])
-
-    @property
-    def eta(self) -> int:
-        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -129,13 +126,6 @@ class EstimatorConfig:
     groups: int
     group_size: int
     log_convention: str = LOG_CONVENTION
-
-    @staticmethod
-    def auto(k: int, epsilon: float, delta: float, eta: int) -> "EstimatorConfig":
-        """K = ceil(8 ln(1/delta)), b = ceil(4 VarBound / eps^2)."""
-        groups = _median_groups(delta)
-        group_size = math.ceil(4 * variance_bound(k, eta) / epsilon ** 2)
-        return EstimatorConfig(k, epsilon, delta, groups, group_size)
 
     @staticmethod
     def from_sample_count(k: int, epsilon: float, delta: float,
@@ -244,19 +234,33 @@ def krdm_coefficient(eta: int, k: int) -> float:
     return (k / rset.eta_used) ** k * math.factorial(eta) / math.factorial(eta - k)
 
 
-def single_shot_values(batch: ShadowBatch, eta: int, k: int, bra_labels,
+def single_shot_values(batch: ShadowBatch, bra_labels,
                        ket_labels) -> np.ndarray:
     """Per-sample estimator values (before grouping), vectorized."""
-    return _row_values(batch.rows, eta, k, bra_labels, ket_labels)
+    return _row_values(batch.rows, bra_labels, ket_labels)
 
 
-def _row_values(rows: np.ndarray, eta: int, k: int, bra_labels,
-                ket_labels) -> np.ndarray:
-    """Estimator values of outcome rows shaped (m, eta, 2^n)."""
-    coeff = krdm_coefficient(eta, k)
-    m, _, dim = rows.shape
+def _row_values(rows: np.ndarray, bra_labels, ket_labels,
+                k: int | None = None) -> np.ndarray:
+    """Estimator values of outcome rows shaped (m, eta, 2^n).
+
+    Refused: bra and ket of unequal length, of a length outside 1..eta or
+    other than ``k`` when given, and a label not an integer in 0..2^n-1.
+    """
+    m, eta, dim = rows.shape
+    order = len(bra_labels)
+    if len(ket_labels) != order or not 1 <= order <= eta or k not in (None, order):
+        raise ValidationError(
+            f"element {tuple(bra_labels)}, {tuple(ket_labels)}: bra and ket need "
+            f"one length in 1..{eta}" + (f", equal to k = {k}" if k else ""))
+    labels = (*bra_labels, *ket_labels)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               and 0 <= v < dim for v in labels):
+        raise IndexOutOfRange(f"orbital labels {labels} must be integers in "
+                              f"0..{dim - 1}")
+    coeff = krdm_coefficient(eta, order)
     values = np.zeros(m, dtype=complex)
-    for tup in RestrictedIndexSet(eta, k).tuples():
+    for tup in RestrictedIndexSet(eta, order).tuples():
         term = np.ones(m, dtype=complex)
         for x, i, j in zip(tup, bra_labels, ket_labels):
             r = rows[:, x - 1]
@@ -287,10 +291,10 @@ def _median_of_means(values: np.ndarray, config: EstimatorConfig) -> complex:
     return _coordinatewise_median(means)
 
 
-def estimate_krdm_element(batch: ShadowBatch, config: EstimatorConfig, eta: int,
+def estimate_krdm_element(batch: ShadowBatch, config: EstimatorConfig,
                           bra_labels, ket_labels) -> complex:
     """Median of K group means of the restricted-sum estimator."""
-    values = single_shot_values(batch, eta, config.k, bra_labels, ket_labels)
+    values = _row_values(batch.rows, bra_labels, ket_labels, config.k)
     return _median_of_means(values, config)
 
 
@@ -300,20 +304,48 @@ def all_1rdm_elements(n_orbitals: int) -> list:
 
 
 def estimate_elements(batch: ShadowBatch, config: EstimatorConfig, elements):
-    """Yield (estimate, single-shot values) for each (bra, ket) element.
+    """Yield ((bra, ket), (estimate, single-shot values)) per element.
 
     The values cover the whole batch and are computed once per element;
     the estimate is the median of means over the first K * b of them.
     """
     for bra, ket in elements:
-        values = single_shot_values(batch, batch.eta, config.k, bra, ket)
-        yield _median_of_means(values, config), values
+        values = _row_values(batch.rows, bra, ket, config.k)
+        yield (bra, ket), (_median_of_means(values, config), values)
+
+
+def read_out(state: FirstQuantizedState, k: int, epsilon: float, delta: float,
+             samples, seed: int, elements, threads: int = 1):
+    """k-RDM elements of an antisymmetric state from one shadow batch.
+
+    ``samples`` is "auto" (:func:`required_samples`) or a positive int;
+    ``elements`` is "all-1rdm" (k = 1 only) or (bra, ket) label tuples,
+    each checked before any sample is drawn. Returns the estimator
+    configuration, the batch and the :func:`estimate_elements` stream.
+    """
+    if not state.antisymmetric:
+        raise NotAntisymmetric("shadow protocol expects an antisymmetric state")
+    if samples == "auto":
+        samples = required_samples(state.n_orbitals, k, state.eta, epsilon,
+                                   delta)
+    elif (isinstance(samples, bool) or not isinstance(samples, (int, np.integer))
+          or samples < 1):
+        raise ValidationError(
+            f"samples must be 'auto' or a positive integer, got {samples!r}")
+    config = EstimatorConfig.from_sample_count(k, epsilon, delta, samples)
+    if elements == "all-1rdm":  # refused below unless k = 1
+        elements = all_1rdm_elements(state.n_orbitals)
+    no_rows = np.empty((0, state.eta, state.register_dim), dtype=complex)
+    for bra, ket in elements:
+        _row_values(no_rows, bra, ket, k)
+    batch = collect_shadows(state, samples, seed, threads=threads)
+    return config, batch, estimate_elements(batch, config, elements)
 
 
 # -- exhaustive-channel verification -----------------------------------------
 
 
-def exhaustive_estimator_mean(state: FirstQuantizedState, k: int, bra_labels,
+def exhaustive_estimator_mean(state: FirstQuantizedState, bra_labels,
                               ket_labels) -> complex:
     """Exact estimator mean: average over all Clifford tuples and outcomes.
 
@@ -327,17 +359,13 @@ def exhaustive_estimator_mean(state: FirstQuantizedState, k: int, bra_labels,
     n = state.qubits_per_register
     table = clifford_table(n)
     eta, dim = state.eta, 2 ** n
-    for labels in (bra_labels, ket_labels):
-        if not all(0 <= label < dim for label in labels):
-            raise IndexOutOfRange("orbital label outside register dimension")
     combos = np.indices((len(table),) * eta).reshape(eta, -1).T
     unitaries = table[combos]                       # (tuples, eta, d, d)
     probs = np.abs(contract_register_batch(state.tensor, unitaries)) ** 2
     outcomes = np.indices((dim,) * eta).reshape(eta, -1).T
     # rows[c, o, x] = U_{c, x}[o_x, :], for outcome o in row-major order
     rows = unitaries[:, np.arange(eta), outcomes]   # (tuples, outcomes, eta, d)
-    values = _row_values(rows.reshape(-1, eta, dim), eta, k, bra_labels,
-                         ket_labels)
+    values = _row_values(rows.reshape(-1, eta, dim), bra_labels, ket_labels)
     return complex(probs.reshape(-1) @ values / len(table) ** eta)
 
 

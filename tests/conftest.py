@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fqlab.grids import centered_dft_matrix
 from fqlab.states import FirstQuantizedState, antisymmetrize
+
+# The same examples on every run, and no example database carried over
+# from earlier runs, so that reruns are bit-identical.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 def random_orthonormal(n, eta, seed):

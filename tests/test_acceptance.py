@@ -66,7 +66,7 @@ def test_criterion_01_shadows_unbiasedness_exact():
         state = random_antisymmetric_state(2, 2, seed=100 + seed)
         for i in range(2):
             for j in range(2):
-                mean = exhaustive_estimator_mean(state, 1, (i,), (j,))
+                mean = exhaustive_estimator_mean(state, (i,), (j,))
                 exact = exact_krdm_element(state, (i,), (j,))
                 worst = max(worst, abs(mean - exact))
     assert worst < 1e-10
@@ -80,7 +80,7 @@ def _statistical_check(state, k, elements, m, seed):
     worst_var = 0.0
     worst_sigmas = 0.0
     for bra, ket in elements:
-        values = single_shot_values(batch, eta, k, bra, ket)
+        values = single_shot_values(batch, bra, ket)
         exact = exact_krdm_element(state, bra, ket)
         var = float(np.mean(np.abs(values) ** 2) - abs(np.mean(values)) ** 2)
         worst_var = max(worst_var, var)

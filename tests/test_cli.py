@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fqlab.cli import _PARAMETERS, _build_parser, dispatch
+from fqlab.errors import ValidationError
 from fqlab.experiment import pipeline_shadow_experiment
 from fqlab.states import load_state
 
@@ -282,6 +283,17 @@ class TestShadowPipelineFunction:
         assert "exact" in report["elements"][0]
         assert report["samples"] == 500
 
+    @pytest.mark.parametrize("points,eta,estimator", [
+        (8, 4, {"k": 2, "epsilon": 0.5, "delta": 0.2, "samples": 200}),
+        (4, 2, {"k": 1, "epsilon": 0.5, "delta": 0.2, "samples": "abc"}),
+    ], ids=["k2-all-1rdm", "text-samples"])
+    def test_bad_estimator_refused(self, points, eta, estimator):
+        config = {"grid": {"dim": 1, "points": points, "omega": float(points)},
+                  "coeffs": np.eye(points)[:, :eta], "estimator": estimator,
+                  "seed": 1}
+        with pytest.raises(ValidationError):
+            pipeline_shadow_experiment(config)
+
 
 class TestElementsFile:
     def test_two_body_elements_from_file(self, workdir):
@@ -490,8 +502,20 @@ class TestParameterCasts:
         ({"epsilon": "NaN"}, ["shadows", "--in", "st.bin", "--delta", "0.2",
                               "--samples", "200", "--out", "s.csv"]),
         ({"verify": "yes"}, ["prep", "--coeffs", "c.csv"]),
+        ({"out": ["a"]}, ["evolve", "--dim", "1", "--points", "4", "--omega",
+                          "4", "--eta", "2", "--time", "0.1", "--steps", "2"]),
+        ({"out": 7}, ["shadows", "--in", "st.bin", "--epsilon", "0.5",
+                      "--delta", "0.2", "--samples", "200"]),
+        ({"nuclei": True}, ["tdhf", "--dim", "1", "--points", "4", "--omega",
+                            "4", "--eta", "2", "--time", "0.1", "--steps",
+                            "2", "--out", "t.csv"]),
+        ({"in": ["a"]}, EVOLVE_N5),
+        ({"coeffs": ["a"]}, ["tdhf", "--dim", "1", "--points", "4", "--omega",
+                             "4", "--time", "0.1", "--steps", "2",
+                             "--out", "t.csv"]),
     ], ids=["evolve", "tdhf", "tdhf-bool-int", "evolve-bool-float", "shadows",
-            "prep"])
+            "prep", "text-list", "text-int", "text-bool", "snapshot-list",
+            "coeffs-list"])
     def test_bad_config_value_exits_two(self, inputs, capsys, config, argv):
         (inputs / "cfg.json").write_text(json.dumps(config))
         key, = config
@@ -543,11 +567,17 @@ class TestUsageErrors:
         ([], "subcommand"),
         (["evolve", "--steps", "abc"], "--steps"),
         (["evolve", "--steps"], "--steps"),
+        ([*EVOLVE_N5[:-4], "--eta", "2", "--ste", "2", "--out", "e.bin"],
+         "--ste"),
+        (["--config", "ste.json", *EVOLVE_N5, "--eta", "2"], "ste"),
     ], ids=["threads-text", "threads-zero", "threads-negative",
             "threads-fraction", "unknown-flag", "unknown-subcommand",
-            "no-subcommand", "typed-flag", "flag-without-value"])
+            "no-subcommand", "typed-flag", "flag-without-value",
+            "flag-prefix", "unknown-config-key"])
     def test_exit_two_with_one_line(self, workdir, capsys, argv, needle):
+        (workdir / "ste.json").write_text(json.dumps({"ste": "abc"}))
         exits_two_with_one_line(argv, capsys, needle)
+        assert not any(workdir.glob("*.bin"))
 
     @pytest.mark.parametrize("argv", [["--help"], ["evolve", "--help"]])
     def test_help_exits_zero(self, capsys, argv):

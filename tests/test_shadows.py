@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from fqlab.cliffords import clifford_table
+from fqlab import shadows
 from fqlab.errors import (
     AssumptionViolated,
     EnumerationUnavailable,
     IndexOutOfRange,
     InsufficientSamples,
+    NotAntisymmetric,
     ValidationError,
 )
 from fqlab.rng import derive_rng
@@ -22,6 +24,7 @@ from fqlab.shadows import (
     estimate_krdm_element,
     exhaustive_estimator_mean,
     krdm_coefficient,
+    read_out,
     required_samples,
     samples_from_keys,
     single_shot_values,
@@ -31,6 +34,7 @@ from fqlab.shadows import (
     variance_bound,
 )
 from fqlab.states import (
+    FirstQuantizedState,
     born_outcomes,
     contract_register_batch,
     contract_registers,
@@ -157,7 +161,7 @@ class TestEstimator:
         state = random_antisymmetric_state(2, 2, seed=1)
         for i in range(2):
             for j in range(2):
-                mean = exhaustive_estimator_mean(state, 1, (i,), (j,))
+                mean = exhaustive_estimator_mean(state, (i,), (j,))
                 exact = exact_krdm_element(state, (i,), (j,))
                 assert abs(mean - exact) < 1e-10
 
@@ -165,14 +169,14 @@ class TestEstimator:
     def test_exhaustive_mean_refuses_labels_outside_register(self, bra, ket):
         state = random_antisymmetric_state(2, 2, seed=1)
         with pytest.raises(IndexOutOfRange):
-            exhaustive_estimator_mean(state, 1, bra, ket)
+            exhaustive_estimator_mean(state, bra, ket)
 
     def test_exhaustive_mean_register_relabeling(self):
         state = random_antisymmetric_state(2, 2, seed=6)
         swapped_tensor = -np.swapaxes(state.tensor, 0, 1)
         relabeled = type(state)(2, 2, swapped_tensor, antisymmetric=True)
-        a = exhaustive_estimator_mean(state, 1, (0,), (1,))
-        b = exhaustive_estimator_mean(relabeled, 1, (0,), (1,))
+        a = exhaustive_estimator_mean(state, (0,), (1,))
+        b = exhaustive_estimator_mean(relabeled, (0,), (1,))
         assert abs(a - b) < 1e-10
 
     def test_statistical_mean_and_variance(self):
@@ -181,7 +185,7 @@ class TestEstimator:
         samples = collect_shadows(state, 20_000, seed=42)
         bound = variance_bound(1, 2)
         for (i, j) in [(0, 0), (0, 1), (2, 2)]:
-            values = single_shot_values(samples, 2, 1, (i,), (j,))
+            values = single_shot_values(samples, (i,), (j,))
             exact = exact_krdm_element(state, (i,), (j,))
             var = float(np.mean(np.abs(values) ** 2) - abs(np.mean(values)) ** 2)
             assert var <= bound
@@ -196,7 +200,7 @@ class TestEstimator:
         state = random_antisymmetric_state(4, 4, seed=15)
         batch = collect_shadows(state, 50, seed=4)
         bra, ket = (0, 2), (1, 3)
-        values = single_shot_values(batch, 4, 2, bra, ket)
+        values = single_shot_values(batch, bra, ket)
         tuples = RestrictedIndexSet(4, 2).tuples()
         for rows, value in zip(batch.rows, values):
             ref = krdm_coefficient(4, 2) * sum(
@@ -207,7 +211,7 @@ class TestEstimator:
         state = random_antisymmetric_state(4, 2, seed=9)
         samples = collect_shadows(state, 4000, seed=1)
         config = EstimatorConfig.from_sample_count(1, 0.3, 0.1, 4000)
-        est = estimate_krdm_element(samples, config, 2, (0,), (0,))
+        est = estimate_krdm_element(samples, config, (0,), (0,))
         exact = exact_krdm_element(state, (0,), (0,))
         assert abs(est - exact) < 0.3
 
@@ -215,8 +219,8 @@ class TestEstimator:
         state = random_antisymmetric_state(4, 2, seed=10)
         samples = collect_shadows(state, 500, seed=2)
         config = EstimatorConfig.from_sample_count(1, 0.5, 0.2, 500)
-        upper = estimate_krdm_element(samples, config, 2, (0,), (2,))
-        lower = estimate_krdm_element(samples, config, 2, (2,), (0,))
+        upper = estimate_krdm_element(samples, config, (0,), (2,))
+        lower = estimate_krdm_element(samples, config, (2,), (0,))
         assert upper == pytest.approx(lower.conjugate(), abs=1e-12)
 
     def test_insufficient_samples(self):
@@ -225,18 +229,117 @@ class TestEstimator:
         config = EstimatorConfig(k=1, epsilon=0.1, delta=0.05,
                                  groups=4, group_size=5)
         with pytest.raises(InsufficientSamples):
-            estimate_krdm_element(samples, config, 2, (0,), (0,))
+            estimate_krdm_element(samples, config, (0,), (0,))
 
     def test_coordinatewise_median_lower_tie(self):
         values = np.array([1 + 4j, 2 + 3j, 3 + 2j, 4 + 1j])
         assert _coordinatewise_median(values) == 2 + 2j
 
 
+class TestLabelChecks:
+    """Every estimator takes eta from its batch or state and k from the
+    label length, and refuses labels that do not fit them."""
+
+    @pytest.fixture(scope="class")
+    def estimators(self):
+        state = random_antisymmetric_state(2, 2, seed=1)  # 1-qubit registers
+        batch = collect_shadows(state, 60, seed=1)
+        config = EstimatorConfig.from_sample_count(1, 0.5, 0.2, 60)
+        return {
+            "single_shot_values":
+                lambda bra, ket: single_shot_values(batch, bra, ket),
+            "estimate_krdm_element":
+                lambda bra, ket: estimate_krdm_element(batch, config, bra, ket),
+            "exhaustive_estimator_mean":
+                lambda bra, ket: exhaustive_estimator_mean(state, bra, ket),
+        }
+
+    @pytest.mark.parametrize("name", ["single_shot_values",
+                                      "estimate_krdm_element",
+                                      "exhaustive_estimator_mean"])
+    @pytest.mark.parametrize("bra,ket,error", [
+        ((0,), (0, 1), ValidationError),
+        ((0, 1, 0), (0, 1, 0), ValidationError),
+        ((), (), ValidationError),
+        ((0,), (-1,), IndexOutOfRange),
+        ((2,), (0,), IndexOutOfRange),
+        ((0.0,), (0,), IndexOutOfRange),
+        ((True,), (0,), IndexOutOfRange),
+    ], ids=["unequal-lengths", "longer-than-eta", "empty", "negative",
+            "beyond-register", "float", "bool"])
+    def test_refused(self, estimators, name, bra, ket, error):
+        with pytest.raises(error):
+            estimators[name](bra, ket)
+
+    def test_order_other_than_config_k_refused(self):
+        eye = np.eye(4)
+        filled = slater_oracle([eye[:, a] for a in range(4)], n_orbitals=4)
+        batch = collect_shadows(filled, 100, seed=1)
+        config = EstimatorConfig.from_sample_count(2, 0.5, 0.2, 100)
+        with pytest.raises(ValidationError, match="k = 2"):
+            estimate_krdm_element(batch, config, (0,), (0,))
+
+
+class TestReadOut:
+    @pytest.fixture
+    def state(self):
+        return random_antisymmetric_state(4, 2, seed=3)
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """Sample counts asked of collect_shadows, which draws none."""
+        counts = []
+
+        def collect(state, m, seed, threads):
+            counts.append(m)
+            return collect_shadows(state, 0, seed)
+        monkeypatch.setattr(shadows, "collect_shadows", collect)
+        return counts
+
+    @pytest.mark.parametrize("k,elements", [
+        (1, [((0,), (0,)), ((0,), (4,))]),
+        (1, [((0,), (0,)), ((0, 1), (0, 1))]),
+        (2, "all-1rdm"),
+    ], ids=["label-beyond-register", "order-not-k", "all-1rdm-at-k2"])
+    def test_elements_checked_before_sampling(self, state, drawn, k,
+                                              elements):
+        with pytest.raises(ValidationError):
+            read_out(state, k, 0.5, 0.2, 200, 1, elements)
+        assert drawn == []
+
+    @pytest.mark.parametrize("samples", ["abc", "200", 0, -3, 2.5, True])
+    def test_samples_auto_or_positive_integer(self, state, drawn, samples):
+        with pytest.raises(ValidationError, match="samples"):
+            read_out(state, 1, 0.5, 0.2, samples, 1, "all-1rdm")
+        assert drawn == []
+
+    def test_auto_takes_the_required_count(self, state, drawn):
+        config, _, _ = read_out(state, 1, 0.5, 0.2, "auto", 1, "all-1rdm")
+        assert drawn == [required_samples(4, 1, 2, 0.5, 0.2)]
+        assert config == EstimatorConfig.from_sample_count(1, 0.5, 0.2,
+                                                           drawn[0])
+
+    def test_state_without_antisymmetry_flag_refused(self, state, drawn):
+        unflagged = FirstQuantizedState(2, 4, state.tensor)
+        with pytest.raises(NotAntisymmetric):
+            read_out(unflagged, 1, 0.5, 0.2, 200, 1, "all-1rdm")
+        assert drawn == []
+
+    def test_readings_match_the_estimator(self, state):
+        config, batch, readings = read_out(state, 1, 0.5, 0.2, 200, 4,
+                                           [((0,), (1,)), ((2,), (2,))])
+        assert len(batch) == 200
+        for (bra, ket), (estimate, values) in readings:
+            assert estimate == estimate_krdm_element(batch, config, bra, ket)
+            assert np.array_equal(values, single_shot_values(batch, bra, ket))
+
+
 class TestEstimatorConfig:
     def test_auto_formulas(self):
-        config = EstimatorConfig.auto(1, 0.1, 0.05, eta=2)
+        m = required_samples(4, 1, 2, 0.1, 0.05)
+        config = EstimatorConfig.from_sample_count(1, 0.1, 0.05, m)
         assert config.groups == math.ceil(8 * math.log(1 / 0.05))
-        assert config.group_size == math.ceil(4 * variance_bound(1, 2) / 0.01)
+        assert config.group_size == m // config.groups
         assert config.log_convention == "natural"
 
     def test_from_sample_count_drops_remainder(self):
@@ -380,8 +483,8 @@ class TestSampleDumpReplay:
         rebuilt = samples_from_keys(rows)
         config = EstimatorConfig.from_sample_count(1, 0.5, 0.2, 300)
         for (i, j) in [(0, 0), (1, 2)]:
-            a = estimate_krdm_element(samples, config, 2, (i,), (j,))
-            b = estimate_krdm_element(rebuilt, config, 2, (i,), (j,))
+            a = estimate_krdm_element(samples, config, (i,), (j,))
+            b = estimate_krdm_element(rebuilt, config, (i,), (j,))
             assert a == b
 
     @pytest.mark.parametrize("n_orbitals,prefix", [(2, "t1:"), (4, "t2:"),
@@ -395,8 +498,8 @@ class TestSampleDumpReplay:
         assert rebuilt.rows.tobytes() == samples.rows.tobytes()
         config = EstimatorConfig.from_sample_count(1, 0.5, 0.2, 300)
         for (i, j) in [(0, 0), (1, 0), (0, n_orbitals - 1)]:
-            a = estimate_krdm_element(samples, config, 2, (i,), (j,))
-            b = estimate_krdm_element(rebuilt, config, 2, (i,), (j,))
+            a = estimate_krdm_element(samples, config, (i,), (j,))
+            b = estimate_krdm_element(rebuilt, config, (i,), (j,))
             assert a == b
 
 
@@ -412,7 +515,7 @@ class TestHeadlineVarianceProperty:
             worst = 0.0
             for i in range(4):
                 for j in range(4):
-                    values = single_shot_values(samples, 2, 1, (i,), (j,))
+                    values = single_shot_values(samples, (i,), (j,))
                     var = float(np.mean(np.abs(values) ** 2)
                                 - abs(np.mean(values)) ** 2)
                     worst = max(worst, var)
