@@ -1,3 +1,4 @@
+from itertools import combinations, permutations
 import math
 
 import numpy as np
@@ -30,6 +31,20 @@ def grid_dft_matrix(grid):
     for _ in range(grid.dim):
         full = np.kron(full, axis)
     return full
+
+
+def permutation_sign(perm):
+    """(-1) to the number of inversions of ``perm``."""
+    return (-1) ** sum(a > b for a, b in combinations(perm, 2))
+
+
+def naive_signed_permutation_sum(tensor):
+    """Sum of sgn(pi) * transpose(tensor, pi) over all eta! axis
+    permutations, one transpose each: the oracle for the antisymmetrizer."""
+    acc = np.zeros_like(tensor)
+    for perm in permutations(range(tensor.ndim)):
+        acc += permutation_sign(perm) * np.transpose(tensor, perm)
+    return acc
 
 
 def random_antisymmetric_state(n_orbitals, eta, seed):

@@ -212,7 +212,8 @@ class TestPrepareSlater:
         oracle = slater_oracle([phi], n_orbitals=4)
         assert abs(result.state.overlap(oracle)) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("n_orbitals,eta", [(8, 2), (6, 3), (4, 3)])
+    @pytest.mark.parametrize("n_orbitals,eta",
+                             [(8, 2), (6, 3), (4, 3), (16, 5), (8, 6)])
     def test_matches_oracle(self, n_orbitals, eta):
         coeffs = random_orthonormal(n_orbitals, eta, seed=7 * n_orbitals + eta)
         result = prepare_slater(coeffs, validate=True)

@@ -1,5 +1,6 @@
 """Core state representation: antisymmetry, determinants, RDMs, measurement."""
 
+from itertools import combinations, permutations
 import math
 import struct
 
@@ -29,12 +30,18 @@ from fqlab.states import (
     load_state,
     measure_all,
     save_state,
+    signed_permutation_sum,
     slater_oracle,
     transition_expectation,
 )
-from fqlab.grids import GridSpec
+from fqlab.grids import GridSpec, register_qubits
 
-from conftest import random_antisymmetric_state, random_orthonormal
+from conftest import (
+    naive_signed_permutation_sum,
+    permutation_sign,
+    random_antisymmetric_state,
+    random_orthonormal,
+)
 
 
 def basis(n_orbitals, labels):
@@ -78,6 +85,59 @@ class TestAntisymmetrize:
         assert np.max(np.abs(again.tensor - state.tensor)) < 1e-12
 
 
+def _random_tensor(eta, length, seed):
+    rng = np.random.default_rng(seed)
+    shape = (length,) * eta
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+_TENSORS = dict(eta=st.integers(1, 5), length=st.integers(1, 4),
+                seed=st.integers(0, 2 ** 32 - 1))
+
+
+class TestSignedPermutationSum:
+    """The axis-by-axis antisymmetrizer against the eta!-term sum."""
+
+    @given(**_TENSORS)
+    def test_matches_naive_sum(self, eta, length, seed):
+        tensor = _random_tensor(eta, length, seed)
+        tol = 1e-12 * math.factorial(eta) * np.max(np.abs(tensor))
+        out = signed_permutation_sum(tensor)
+        assert np.max(np.abs(out - naive_signed_permutation_sum(tensor))) <= tol
+
+    @given(**_TENSORS)
+    def test_antisymmetric_under_adjacent_swaps(self, eta, length, seed):
+        tensor = _random_tensor(eta, length, seed)
+        tol = 1e-12 * math.factorial(eta) * np.max(np.abs(tensor))
+        out = signed_permutation_sum(tensor)
+        for j in range(eta - 1):
+            assert np.max(np.abs(np.swapaxes(out, j, j + 1) + out)) <= tol
+
+    @given(**_TENSORS)
+    def test_antisymmetric_input_scaled_by_eta_factorial(self, eta, length, seed):
+        # exactly antisymmetric: sgn(pi) * value at every permutation pi of
+        # each strictly increasing label tuple, zero on repeated labels
+        rng = np.random.default_rng(seed)
+        anti = np.zeros((length,) * eta, dtype=complex)
+        for occ in combinations(range(length), eta):
+            value = rng.normal() + 1j * rng.normal()
+            for perm in permutations(range(eta)):
+                anti[tuple(occ[i] for i in perm)] = permutation_sign(perm) * value
+        tol = 1e-12 * math.factorial(eta) * np.max(np.abs(anti))
+        out = signed_permutation_sum(anti)
+        assert np.max(np.abs(out - math.factorial(eta) * anti)) <= tol
+
+    @given(**_TENSORS)
+    def test_returns_a_fresh_array(self, eta, length, seed):
+        # callers scale the result in place, so it must not alias the input
+        tensor = _random_tensor(eta, length, seed)
+        before = tensor.copy()
+        out = signed_permutation_sum(tensor)
+        assert out is not tensor and not np.shares_memory(out, tensor)
+        out *= 2
+        assert np.array_equal(tensor, before)
+
+
 class TestSlaterOracle:
     def test_identity_orbitals(self):
         eye = np.eye(4)
@@ -109,6 +169,30 @@ class TestSlaterOracle:
                 det = coeffs[p, 0] * coeffs[q, 1] - coeffs[q, 0] * coeffs[p, 1]
                 assert state.tensor[p, q] == pytest.approx(
                     det / math.sqrt(2), abs=1e-12)
+
+    @pytest.mark.parametrize("n_orbitals", [5, 6, 12])
+    @pytest.mark.parametrize("eta", [1, 2, 3, 4])
+    def test_every_amplitude_is_a_determinant(self, eta, n_orbitals):
+        coeffs = random_orthonormal(n_orbitals, eta, seed=10 * n_orbitals + eta)
+        tensor = slater_oracle(coeffs, n_orbitals=n_orbitals).tensor
+        core = (slice(0, n_orbitals),) * eta
+        labels = np.indices((n_orbitals,) * eta).reshape(eta, -1).T
+        # det[phi_a(p_b)] for every label tuple (p_1, ..., p_eta)
+        dets = np.linalg.det(coeffs[labels]).reshape((n_orbitals,) * eta)
+        expected = dets / math.sqrt(math.factorial(eta))
+        assert np.max(np.abs(tensor[core] - expected)) <= 1e-13
+        padding = tensor.copy()
+        padding[core] = 0
+        assert not np.any(padding)
+
+    @pytest.mark.parametrize("n_orbitals", [5, 6, 12])
+    def test_two_particles_are_the_exchange_difference(self, n_orbitals):
+        coeffs = random_orthonormal(n_orbitals, 2, seed=n_orbitals)
+        phi = np.zeros((2 ** register_qubits(n_orbitals), 2), dtype=complex)
+        phi[:n_orbitals] = coeffs
+        pair = np.multiply.outer(phi[:, 0], phi[:, 1])
+        state = slater_oracle(coeffs, n_orbitals=n_orbitals)
+        assert np.array_equal(state.tensor, (pair - pair.T) / math.sqrt(2))
 
     def test_rejects_non_orthonormal(self):
         eye = np.eye(4)
@@ -290,6 +374,27 @@ class TestSnapshotFormat:
         save_state(path, state)
         loaded = load_state(path)
         assert loaded.eta == 2
+        assert loaded.grid == grid
+        assert np.array_equal(loaded.tensor, state.tensor)
+        assert loaded.antisymmetric
+
+    @settings(deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_roundtrip_property(self, tmp_path, data):
+        # grids up to 4096 stored amplitudes, well inside the dense regime
+        dim = data.draw(st.integers(1, 3))
+        points = data.draw(st.integers(2, {1: 16, 2: 8, 3: 4}[dim]))
+        volume = data.draw(st.floats(1e-3, 1e3))
+        grid = GridSpec(dim=dim, points_per_axis=points, cell_volume=volume)
+        n = grid.total_points
+        eta = data.draw(st.integers(1, min(n, 12 // register_qubits(n))))
+        base = random_antisymmetric_state(n, eta, data.draw(st.integers(0, 2 ** 32 - 1)))
+        state = FirstQuantizedState(eta, n, base.tensor, grid=grid, antisymmetric=True)
+        path = tmp_path / "state.bin"
+        save_state(path, state)
+        loaded = load_state(path)
+        assert loaded.eta == eta
         assert loaded.grid == grid
         assert np.array_equal(loaded.tensor, state.tensor)
         assert loaded.antisymmetric
