@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import EtaTooSmall, MissingM, ValidationError
-from .grids import window_start
+from .grids import GridSpec
 
 SUPPRESSED_FACTOR_NOTE = "(N t / eps)^o(1) and polylog factors reported as 1"
 
@@ -160,10 +160,7 @@ def lattice_kernel_sum(n_basis: int) -> float:
     m = round(n_basis ** (1 / 3))
     if m ** 3 != n_basis or m % 2 == 0:
         raise ValidationError("lattice sum needs N = m^3 with odd m")
-    lo = window_start(m)
-    axis = np.arange(lo, lo + m)
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    norms = gx ** 2 + gy ** 2 + gz ** 2
+    norms = np.sum(GridSpec(3, m, 1.0).index_points ** 2, axis=1)
     nonzero = norms[norms > 0]
     return float(np.sum(1.0 / nonzero))
 

@@ -26,11 +26,6 @@ def register_qubits(n_orbitals: int) -> int:
     return max(1, math.ceil(math.log2(n_orbitals)))
 
 
-def window_start(m: int) -> int:
-    """Lowest index of the centered m-point window (-(m-1)/2 odd, -m/2 even)."""
-    return -(m // 2)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Cubic simulation grid in ``dim`` dimensions."""
@@ -67,10 +62,10 @@ class GridSpec:
 
     @cached_property
     def axis_window(self) -> np.ndarray:
-        """Centered integer indices for one axis, ascending."""
+        """Centered integer indices for one axis, ascending: from -(m-1)/2
+        for odd m, from -m/2 for even m."""
         m = self.points_per_axis
-        lo = window_start(m)
-        return np.arange(lo, lo + m, dtype=np.int64)
+        return np.arange(-(m // 2), m - m // 2, dtype=np.int64)
 
     @cached_property
     def index_points(self) -> np.ndarray:
@@ -103,17 +98,6 @@ class GridSpec:
                 raise ValidationError(f"lattice point {point} outside grid window")
             idx = idx * m + t
         return idx
-
-
-def centered_dft_matrix(m: int) -> np.ndarray:
-    """Unitary one-axis DFT with both indices in the centered window.
-
-    Entry (nu, p) is exp(-2i*pi*nu*p/m)/sqrt(m), nu and p running over the
-    same centered window as :meth:`GridSpec.axis_window`.
-    """
-    lo = window_start(m)
-    w = np.arange(lo, lo + m)
-    return np.exp(-2j * np.pi * np.outer(w, w) / m) / np.sqrt(m)
 
 
 def to_fft_window(arr: np.ndarray, axes=None) -> np.ndarray:

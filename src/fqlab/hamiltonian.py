@@ -17,8 +17,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import SingularPotential, ValidationError
-from .grids import GridSpec, centered_dft_matrix, from_fft_window, to_fft_window
-from .states import FirstQuantizedState, check_unit_norm, contract_registers
+from .grids import GridSpec, from_fft_window, to_fft_window
+from .states import (FirstQuantizedState, check_dense_size, check_unit_norm,
+                     contract_registers)
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,25 @@ def kinetic_phase_table(grid: GridSpec) -> np.ndarray:
     return 0.5 * np.sum(grid.frequencies ** 2, axis=1)
 
 
+def _axis_operator(values: np.ndarray) -> np.ndarray:
+    """F^-1 diag(values) F on one grid axis, F the unitary DFT, with
+    ``values`` and both indices in the FFT window."""
+    dft = np.fft.fft(np.eye(len(values)), axis=0, norm="ortho")
+    return np.fft.ifft(values[:, None] * dft, axis=0, norm="ortho")
+
+
+def _kronecker_sum(op: np.ndarray, copies: int) -> np.ndarray:
+    """sum_f I (x) .. (x) op (x) .. (x) I, ``op`` on factor f of ``copies``."""
+    m = len(op)
+    out = np.zeros((m ** copies,) * 2, dtype=op.dtype)
+    for f in range(copies):
+        # the entries with equal indices on the other factors, as a
+        # writeable einsum view of the (a, i, b, a', j, b') array
+        a, b = m ** f, m ** (copies - 1 - f)
+        np.einsum("aibajb->abij", out.reshape(a, m, b, a, m, b))[...] += op
+    return out
+
+
 def kinetic_matrix(grid: GridSpec) -> np.ndarray:
     """One-register kinetic operator DFT† diag(|k|^2/2) DFT, real.
 
@@ -98,18 +118,10 @@ def kinetic_matrix(grid: GridSpec) -> np.ndarray:
     one m x m matrix per axis. That matrix is real: the phases of +-nu
     pair up, and at even m the lone -m/2 phase is +-1.
     """
-    m = grid.points_per_axis
-    dft = centered_dft_matrix(m)
-    k = grid.axis_window * (2.0 * np.pi / grid.length)
-    axis = ((dft.conj().T * (0.5 * k ** 2)) @ dft).real
-    axis = (axis + axis.T) / 2
-    kinetic = np.zeros((grid.total_points,) * 2)
-    for d in range(grid.dim):
-        # I (x) axis (x) I: the entries with equal indices on the other
-        # axes, as a writeable einsum view of the (a, i, b, a', j, b') array
-        a, b = m ** d, m ** (grid.dim - 1 - d)
-        np.einsum("aibajb->abij", kinetic.reshape(a, m, b, a, m, b))[...] += axis
-    return kinetic
+    k = to_fft_window(grid.axis_window) * (2.0 * np.pi / grid.length)
+    axis = _axis_operator(0.5 * k ** 2)
+    axis = from_fft_window(axis, axes=(0, 1)).real
+    return _kronecker_sum((axis + axis.T) / 2, grid.dim)
 
 
 def _on_registers(table: np.ndarray, eta: int, *registers: int) -> np.ndarray:
@@ -234,8 +246,7 @@ def _kinetic_propagator(grid: GridSpec, t: float) -> np.ndarray:
     phases = np.exp(-1j * t * (0.5 * k ** 2))
     if grid.points_per_axis >= _FFT_MIN_POINTS:
         return phases
-    dft = np.fft.fft(np.eye(grid.points_per_axis), axis=0, norm="ortho")
-    return np.fft.ifft(phases[:, None] * dft, axis=0, norm="ortho")
+    return _axis_operator(phases)
 
 
 def _kinetic_substep(block: np.ndarray, propagator: np.ndarray) -> np.ndarray:
@@ -243,8 +254,8 @@ def _kinetic_substep(block: np.ndarray, propagator: np.ndarray) -> np.ndarray:
     contracted with every axis, or (given the m phases) fftn, the phases
     of each axis, ifftn."""
     if propagator.ndim == 2:
-        return contract_registers(block, dict.fromkeys(range(block.ndim),
-                                                       propagator))
+        return contract_registers(
+            block, np.broadcast_to(propagator, (block.ndim,) + propagator.shape))
     block = np.fft.fftn(block, norm="ortho")
     for axis in range(block.ndim):
         block *= propagator.reshape((-1,) + (1,) * (block.ndim - 1 - axis))
@@ -382,20 +393,16 @@ def dense_hamiltonian(grid: GridSpec, nuclei: NuclearConfig,
     """Dense H over the full padded register space (test-scale only).
 
     The kinetic operator acts as DFT† diag(|k|^2/2) DFT on the physical
-    block of each register and as zero on padding.
+    block of each register and as zero on padding. H holds as many entries
+    as 2 eta registers hold amplitudes, and is refused as they would be.
     """
     n_orb = grid.total_points
+    check_dense_size(n_orb, 2 * eta)
     reg = 2 ** grid.qubits_per_register
     t_reg = np.zeros((reg, reg), dtype=complex)
     t_reg[:n_orb, :n_orb] = kinetic_matrix(grid)
-    dim = reg ** eta
-    ham = np.zeros((dim, dim), dtype=complex)
-    for j in range(eta):
-        op = np.array([[1.0 + 0j]])
-        for a in range(eta):
-            op = np.kron(op, t_reg if a == j else np.eye(reg))
-        ham += op
+    ham = _kronecker_sum(t_reg, eta)
     w = np.zeros((reg,) * eta)
     w[(slice(0, n_orb),) * eta] = potential_diagonal(grid, nuclei, kernel, eta)
-    ham += np.diag(w.reshape(-1))
+    np.einsum("ii->i", ham)[...] += w.reshape(-1)
     return ham

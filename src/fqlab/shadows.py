@@ -19,6 +19,7 @@ import numpy as np
 from .cliffords import clifford_from_key, clifford_table, draw_clifford_blocks
 from .errors import (
     AssumptionViolated,
+    BruteForceLimitExceeded,
     EnumerationUnavailable,
     IndexOutOfRange,
     InsufficientSamples,
@@ -27,9 +28,10 @@ from .errors import (
 )
 from .rng import derive_rng
 from .states import (
+    BRUTE_FORCE_AMPLITUDES,
     FirstQuantizedState,
     born_outcomes,
-    contract_register_batch,
+    contract_registers,
 )
 
 LOG_CONVENTION = "natural"
@@ -152,12 +154,11 @@ def _collect_chunk(state, part: ShadowBatch, rng) -> None:
     for keys, unitaries in draw_clifford_blocks(state.qubits_per_register, rng,
                                                 shape, block):
         span = slice(start, start + len(keys))
-        tensors = contract_register_batch(state.tensor, unitaries)
+        tensors = contract_registers(state.tensor, unitaries)
         outcomes = born_outcomes(tensors, uniforms[span])
         part.keys[span] = keys
         part.outcomes[span] = outcomes
-        part.rows[span] = np.take_along_axis(
-            unitaries, outcomes[:, :, None, None], axis=2)[:, :, 0]
+        part.rows[span] = gather_outcome_rows(unitaries, outcomes)
         start += len(keys)
 
 
@@ -190,6 +191,17 @@ def collect_shadows(state: FirstQuantizedState, m: int, seed: int,
     return batch
 
 
+def gather_outcome_rows(unitaries: np.ndarray,
+                        outcomes: np.ndarray) -> np.ndarray:
+    """The row U_x[b_x, :] of each register's Clifford, shape (..., eta, d).
+
+    ``unitaries`` (..., eta, d, d) and ``outcomes`` (..., eta) have equal
+    ndim and broadcast against each other over the leading dimensions.
+    """
+    return np.take_along_axis(unitaries, outcomes[..., None, None],
+                              axis=-2)[..., 0, :]
+
+
 def samples_from_keys(rows) -> ShadowBatch:
     """Rebuild a batch from (clifford-key strings, outcome ints) rows.
 
@@ -201,10 +213,10 @@ def samples_from_keys(rows) -> ShadowBatch:
     outcomes = np.array([[int(b) for b in bs] for _, bs in rows], dtype=np.int64)
     if keys.shape != outcomes.shape:
         raise ValidationError("clifford/outcome length mismatch")
-    unitaries = {key: clifford_from_key(key).unitary for key in set(keys.flat)}
-    outcome_rows = np.array([[unitaries[key][b] for key, b in zip(ks, bs)]
-                             for ks, bs in zip(keys, outcomes)], dtype=complex)
-    return ShadowBatch(keys, outcomes, outcome_rows)
+    distinct, which = np.unique(keys, return_inverse=True)
+    table = np.stack([clifford_from_key(key).unitary for key in distinct])
+    unitaries = table[which.reshape(keys.shape)]
+    return ShadowBatch(keys, outcomes, gather_outcome_rows(unitaries, outcomes))
 
 
 def snapshot_term_estimate(rows: np.ndarray, registers, bra_labels,
@@ -355,16 +367,22 @@ def exhaustive_estimator_mean(state: FirstQuantizedState, bra_labels,
 
     All |G|^eta Clifford tuples take one batched contraction, and every
     (tuple, outcome) pair is weighted by its Born probability at once.
+    Refused before any tuple is built when the rows of every pair, the
+    largest array, would hold more than BRUTE_FORCE_AMPLITUDES entries.
     """
     n = state.qubits_per_register
     table = clifford_table(n)
     eta, dim = state.eta, 2 ** n
+    entries = len(table) ** eta * dim ** eta * eta * dim
+    if entries > BRUTE_FORCE_AMPLITUDES:
+        raise BruteForceLimitExceeded(f"exhaustive mean needs {entries} row "
+                                      f"entries, above {BRUTE_FORCE_AMPLITUDES}")
     combos = np.indices((len(table),) * eta).reshape(eta, -1).T
     unitaries = table[combos]                       # (tuples, eta, d, d)
-    probs = np.abs(contract_register_batch(state.tensor, unitaries)) ** 2
+    probs = np.abs(contract_registers(state.tensor, unitaries)) ** 2
     outcomes = np.indices((dim,) * eta).reshape(eta, -1).T
     # rows[c, o, x] = U_{c, x}[o_x, :], for outcome o in row-major order
-    rows = unitaries[:, np.arange(eta), outcomes]   # (tuples, outcomes, eta, d)
+    rows = gather_outcome_rows(unitaries[:, None], outcomes[None])
     values = _row_values(rows.reshape(-1, eta, dim), bra_labels, ket_labels)
     return complex(probs.reshape(-1) @ values / len(table) ** eta)
 

@@ -60,39 +60,24 @@ def signed_permutation_sum(tensor: np.ndarray) -> np.ndarray:
     return acc
 
 
-def contract_registers(tensor: np.ndarray, unitaries) -> np.ndarray:
-    """Apply U to axis x for each (x, U) of ``unitaries`` (pairs or a
-    mapping, at most one U per axis).
+def contract_registers(tensor: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+    """Apply ``unitaries[..., x, :, :]`` to axis x of ``tensor``.
 
-    Each step is one matmul that contracts the leading axis and appends
-    its image as the last axis, so after one step per axis the axes are
-    back in order. The transposes are views the matmul reads as such; an
-    axis without a U is moved by one copy.
+    ``unitaries`` has shape (..., tensor.ndim, d, d); its leading
+    dimensions are a batch, so the result has shape batch + tensor.shape.
+    Each step is one (batched) matmul that contracts the leading axis and
+    appends its image as the last axis, so after one step per axis the
+    axes are back in order. The transposes are views the matmul reads as
+    such, and a broadcast stack is read without a copy.
     """
-    ops = dict(unitaries)
-    out = tensor
-    for axis, dim in enumerate(tensor.shape):
-        out = out.reshape(dim, -1).T
-        if axis in ops:
-            out = out @ ops[axis].T
-    return out.reshape(tensor.shape)
-
-
-def contract_register_batch(tensor: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
-    """Apply U_{s, x} to register axis x of ``tensor`` for every sample s.
-
-    ``unitaries`` is (B, eta, d, d); the result is (B,) + tensor.shape.
-    Each step is one batched matmul that contracts the leading register
-    and appends its image as the last axis, so after eta steps the axes
-    are back in order.
-    """
-    samples, eta, dim, _ = unitaries.shape
+    batch = unitaries.shape[:-3]
+    dim = unitaries.shape[-1]
     out = tensor.reshape(dim, -1).T
-    for x in range(eta):
+    for x in range(tensor.ndim):
         if x:
-            out = out.reshape(samples, dim, -1).transpose(0, 2, 1)
-        out = out @ unitaries[:, x].transpose(0, 2, 1)
-    return out.reshape((samples,) + tensor.shape)
+            out = out.reshape(batch + (dim, -1)).swapaxes(-1, -2)
+        out = out @ unitaries[..., x, :, :].swapaxes(-1, -2)
+    return out.reshape(batch + tensor.shape)
 
 
 def born_outcomes(tensors: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -289,7 +274,8 @@ def apply_register_unitary(state: FirstQuantizedState, register: int,
         raise ValidationError(f"unitary must be {d}x{d}")
     if np.max(np.abs(u.conj().T @ u - np.eye(d))) > 1e-8:
         raise NonUnitary("U†U deviates from identity by > 1e-8")
-    out = contract_registers(state.tensor, [(register - 1, u)])
+    stack = [u if x == register - 1 else np.eye(d) for x in range(state.eta)]
+    out = contract_registers(state.tensor, np.array(stack))  # complex, as u
     return state.copy_with(out, antisymmetric=False)
 
 

@@ -1,17 +1,31 @@
 from itertools import combinations, permutations
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from fqlab.grids import centered_dft_matrix
+from fqlab.grids import GridSpec
 from fqlab.states import FirstQuantizedState, antisymmetrize
 
 # The same examples on every run, and no example database carried over
 # from earlier runs, so that reruns are bit-identical.
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
+
+# numpy >= 1.25 keeps ComplexWarning in numpy.exceptions, 2.x only there
+_COMPLEX_WARNING = getattr(np, "exceptions", np).ComplexWarning
+
+
+@pytest.fixture(autouse=True)
+def numpy_warnings_are_errors():
+    """A complex value cast to real (ComplexWarning) or an overflow, an
+    invalid value or a division by zero (RuntimeWarning) fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", _COMPLEX_WARNING)
+        warnings.simplefilter("error", RuntimeWarning)
+        yield
 
 
 def random_orthonormal(n, eta, seed):
@@ -20,6 +34,26 @@ def random_orthonormal(n, eta, seed):
     mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, _ = np.linalg.qr(mat)
     return q[:, :eta]
+
+
+def centered_dft_matrix(m):
+    """Unitary one-axis DFT with both indices in the centered window, each
+    entry exp(-2i pi nu p / m) / sqrt(m) evaluated explicitly: the oracle
+    for the FFT-based axis operators."""
+    w = GridSpec(1, m, 1.0).axis_window
+    return np.exp(-2j * np.pi * np.outer(w, w) / m) / np.sqrt(m)
+
+
+def kron_sum(op, copies):
+    """sum_j I x .. x op x .. x I, one np.kron chain per term: the oracle
+    for the Kronecker sums."""
+    total = 0
+    for j in range(copies):
+        term = np.array([[1.0]])
+        for a in range(copies):
+            term = np.kron(term, op if a == j else np.eye(len(op)))
+        total = total + term
+    return total
 
 
 def grid_dft_matrix(grid):

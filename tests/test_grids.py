@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from fqlab.errors import ValidationError
-from fqlab.grids import (
-    GridSpec,
-    centered_dft_matrix,
-    from_fft_window,
-    to_fft_window,
-)
+from fqlab.grids import GridSpec, from_fft_window, to_fft_window
 
-from conftest import grid_dft_matrix
+from conftest import centered_dft_matrix, grid_dft_matrix
 
 
 class TestGridSpec:

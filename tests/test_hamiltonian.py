@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fqlab import hamiltonian
-from fqlab.errors import SingularPotential, ValidationError
+from fqlab.errors import BruteForceLimitExceeded, SingularPotential, ValidationError
 from fqlab.grids import GridSpec
 from fqlab.hamiltonian import (
     CoulombKernel,
@@ -32,7 +32,12 @@ from fqlab.hamiltonian import (
 )
 from fqlab.states import FirstQuantizedState, slater_oracle
 
-from conftest import grid_dft_matrix, random_antisymmetric_state, random_orthonormal
+from conftest import (
+    grid_dft_matrix,
+    kron_sum,
+    random_antisymmetric_state,
+    random_orthonormal,
+)
 
 BARE = CoulombKernel()
 
@@ -86,6 +91,30 @@ class TestKineticTable:
         t = kinetic_matrix(grid)
         assert t.dtype == np.float64
         assert np.max(np.abs(t - oracle)) < 1e-12
+
+
+class TestKroneckerSum:
+    @given(m=st.integers(1, 4), copies=st.integers(1, 4),
+           complex_op=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_kron_oracle(self, m, copies, complex_op, seed):
+        rng = np.random.default_rng(seed)
+        op = rng.normal(size=(m, m))
+        if complex_op:
+            op = op + 1j * rng.normal(size=(m, m))
+        out = hamiltonian._kronecker_sum(op, copies)
+        assert out.dtype == op.dtype
+        assert np.array_equal(out, kron_sum(op, copies))
+
+
+class TestDenseHamiltonian:
+    def test_refused_before_allocation_on_the_dynamics_grid(self, monkeypatch):
+        # N = 343, eta = 2: a 262144^2 complex matrix, about 1.1 TB
+        def built(*args):
+            raise AssertionError("dense H started before the size check")
+        monkeypatch.setattr(hamiltonian, "kinetic_matrix", built)
+        grid = GridSpec(dim=3, points_per_axis=7, cell_volume=343.0)
+        with pytest.raises(BruteForceLimitExceeded):
+            dense_hamiltonian(grid, NuclearConfig.empty(3), CoulombKernel(0.5), 2)
 
 
 class TestPotentialDiagonal:
@@ -306,7 +335,7 @@ def unmerged_substeps(plan):
 
 def dense_substeps(state, substeps, nuclei, kernel):
     """Reference block: a kinetic substep is the dense exp(-i T t) of
-    kinetic_matrix (built from the centered DFT matrix, no FFT layout) on
+    kinetic_matrix (checked against the explicit centered DFT, no FFT layout) on
     each register, a potential substep the phases of potential_diagonal."""
     grid, eta, n = state.grid, state.eta, state.grid.total_points
     w, vec = np.linalg.eigh(kinetic_matrix(grid))

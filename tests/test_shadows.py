@@ -2,6 +2,7 @@
 
 import math
 
+from hypothesis import given, strategies as st
 import numpy as np
 import pytest
 
@@ -9,6 +10,7 @@ from fqlab.cliffords import clifford_table
 from fqlab import shadows
 from fqlab.errors import (
     AssumptionViolated,
+    BruteForceLimitExceeded,
     EnumerationUnavailable,
     IndexOutOfRange,
     InsufficientSamples,
@@ -23,6 +25,7 @@ from fqlab.shadows import (
     collect_shadows,
     estimate_krdm_element,
     exhaustive_estimator_mean,
+    gather_outcome_rows,
     krdm_coefficient,
     read_out,
     required_samples,
@@ -36,7 +39,6 @@ from fqlab.shadows import (
 from fqlab.states import (
     FirstQuantizedState,
     born_outcomes,
-    contract_register_batch,
     contract_registers,
     exact_krdm_element,
     slater_oracle,
@@ -170,6 +172,15 @@ class TestEstimator:
         state = random_antisymmetric_state(2, 2, seed=1)
         with pytest.raises(IndexOutOfRange):
             exhaustive_estimator_mean(state, bra, ket)
+
+    def test_exhaustive_mean_refused_before_allocating(self, monkeypatch):
+        # N = 4, eta = 2: 11520^2 Clifford pairs, about 68 GB of rows
+        def indices(*args, **kwargs):
+            raise AssertionError("Clifford tuples built before the size check")
+        monkeypatch.setattr(np, "indices", indices)
+        state = random_antisymmetric_state(4, 2, seed=1)
+        with pytest.raises(BruteForceLimitExceeded):
+            exhaustive_estimator_mean(state, (0,), (1,))
 
     def test_exhaustive_mean_register_relabeling(self):
         state = random_antisymmetric_state(2, 2, seed=6)
@@ -379,9 +390,9 @@ class TestCollect:
         state = random_antisymmetric_state(n_orbitals, 2, seed=31)
         units = np.stack([random_orthonormal(4, 4, seed=s) if rotate
                           else np.eye(4) for s in (1, 2)])
-        probs = np.abs(contract_registers(state.tensor, enumerate(units))) ** 2
+        probs = np.abs(contract_registers(state.tensor, units)) ** 2
         draws = 20_000
-        tensors = contract_register_batch(
+        tensors = contract_registers(
             state.tensor, np.broadcast_to(units, (draws,) + units.shape))
         outcomes = born_outcomes(tensors, derive_rng(3, "born").random(draws))
         counts = np.bincount(np.ravel_multi_index(outcomes.T, (4, 4)),
@@ -405,6 +416,36 @@ class TestCollect:
         # single-shot elementwise variance is O(1); 5 sigma with sigma ~ sqrt(var/m)
         scale = 5 * math.sqrt(2 * dim / m)
         assert np.max(np.abs(acc - marginal)) < scale
+
+
+class TestGatherOutcomeRows:
+    @given(batch=st.integers(1, 4), eta=st.integers(1, 3),
+           dim=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_loop(self, batch, eta, dim, seed):
+        rng = np.random.default_rng(seed)
+        shape = (batch, eta, dim, dim)
+        unitaries = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        outcomes = rng.integers(0, dim, size=(batch, eta))
+        rows = gather_outcome_rows(unitaries, outcomes)
+        assert rows.shape == (batch, eta, dim)
+        for b in range(batch):
+            for x in range(eta):
+                assert np.array_equal(rows[b, x], unitaries[b, x, outcomes[b, x]])
+
+    @given(tuples=st.integers(1, 3), outcomes=st.integers(1, 3),
+           eta=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_broadcast_pairs_every_tuple_with_every_outcome(
+            self, tuples, outcomes, eta, seed):
+        rng = np.random.default_rng(seed)
+        unitaries = rng.normal(size=(tuples, eta, 4, 4))
+        labels = rng.integers(0, 4, size=(outcomes, eta))
+        rows = gather_outcome_rows(unitaries[:, None], labels[None])
+        assert rows.shape == (tuples, outcomes, eta, 4)
+        for c in range(tuples):
+            for o in range(outcomes):
+                for x in range(eta):
+                    assert np.array_equal(rows[c, o, x],
+                                          unitaries[c, x, labels[o, x]])
 
 
 class TestTwirls:

@@ -24,6 +24,7 @@ from fqlab.states import (
     antisymmetrize,
     apply_register_unitary,
     check_dense_size,
+    contract_registers,
     exact_1rdm,
     exact_krdm_element,
     first_second_equivalence_check,
@@ -206,7 +207,71 @@ class TestSlaterOracle:
         assert state.is_antisymmetric(tol=1e-12)
 
 
+def _kron_apply(unitaries, tensor):
+    """np.kron(U_0, .., U_{ndim-1}) @ tensor.ravel(), shaped as ``tensor``:
+    the oracle for the register contraction."""
+    full = np.array([[1.0]])
+    for u in unitaries:
+        full = np.kron(full, u)
+    return (full @ tensor.ravel()).reshape(tensor.shape)
+
+
+_STACKS = dict(ndim=st.integers(1, 4), dim=st.integers(1, 4),
+               seed=st.integers(0, 2 ** 32 - 1))
+
+
+class TestContractRegisters:
+    """One kernel for every per-axis contraction, against np.kron."""
+
+    @given(**_STACKS)
+    def test_single_stack(self, ndim, dim, seed):
+        tensor = _random_tensor(ndim, dim, seed)
+        units = np.stack([random_orthonormal(dim, dim, seed + x)
+                          for x in range(ndim)])
+        out = contract_registers(tensor, units)
+        tol = 1e-12 * np.linalg.norm(tensor)
+        assert out.shape == tensor.shape
+        assert np.max(np.abs(out - _kron_apply(units, tensor))) <= tol
+
+    @given(batch=st.integers(1, 3), **_STACKS)
+    def test_batch_of_stacks(self, batch, ndim, dim, seed):
+        tensor = _random_tensor(ndim, dim, seed)
+        units = np.stack([[random_orthonormal(dim, dim, seed + batch * b + x)
+                           for x in range(ndim)] for b in range(batch)])
+        out = contract_registers(tensor, units)
+        tol = 1e-12 * np.linalg.norm(tensor)
+        assert out.shape == (batch,) + tensor.shape
+        for b in range(batch):
+            assert np.max(np.abs(out[b] - _kron_apply(units[b], tensor))) <= tol
+
+    @given(batch=st.integers(1, 3), **_STACKS)
+    def test_broadcast_stack(self, batch, ndim, dim, seed):
+        # one U on every axis of every batch entry, read without a copy
+        tensor = _random_tensor(ndim, dim, seed)
+        u = random_orthonormal(dim, dim, seed)
+        out = contract_registers(tensor, np.broadcast_to(u, (batch, ndim, dim, dim)))
+        expect = _kron_apply([u] * ndim, tensor)
+        tol = 1e-12 * np.linalg.norm(tensor)
+        assert out.shape == (batch,) + tensor.shape
+        assert np.max(np.abs(out - expect)) <= tol
+
+
 class TestRegisterUnitary:
+    @given(eta=st.integers(1, 4), n_orbitals=st.sampled_from([2, 4]),
+           data=st.data())
+    def test_complex_unitary_matches_kron_oracle(self, eta, n_orbitals, data):
+        # the identity on the other registers must not drop the imaginary
+        # part of a complex U
+        register = data.draw(st.integers(1, eta))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        tensor = _random_tensor(eta, n_orbitals, seed)
+        state = FirstQuantizedState(eta, n_orbitals, tensor / np.linalg.norm(tensor))
+        u = random_orthonormal(n_orbitals, n_orbitals, seed + 1)
+        out = apply_register_unitary(state, register, u)
+        units = [u if x == register - 1 else np.eye(n_orbitals)
+                 for x in range(eta)]
+        assert np.max(np.abs(out.tensor - _kron_apply(units, state.tensor))) <= 1e-12
+
     def test_identity(self):
         state = random_antisymmetric_state(4, 2, seed=1)
         out = apply_register_unitary(state, 1, np.eye(4))
