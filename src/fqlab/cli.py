@@ -13,6 +13,7 @@ every recorded input against its digest (a missing or changed one exits
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -253,28 +254,44 @@ def _cmd_evolve(args, config) -> int:
     return 0
 
 
+def _core_guess(h: np.ndarray, eta: int) -> np.ndarray:
+    """The eta lowest eigenvectors of the real core Hamiltonian ``h``.
+
+    Refused when the occupied and the first virtual level tie within
+    rounding of the spectral scale: the determinant would then be
+    whichever vectors of the degenerate subspace LAPACK returns.
+    """
+    w, vecs = np.linalg.eigh(h)
+    if eta < len(w):
+        gap, scale = w[eta] - w[eta - 1], float(np.max(np.abs(w)))
+        if gap <= len(w) * np.finfo(float).eps * scale:
+            raise NumericalAssumptionError(
+                f"core-Hamiltonian guess is degenerate at eta = {eta}: gap "
+                f"w[eta] - w[eta-1] = {gap:.3g} at spectral scale {scale:.3g}; "
+                f"give --coeffs or another --eta")
+    return vecs[:, :eta]
+
+
 def _cmd_tdhf(args, config) -> int:
     coeffs_path = _given(args, config, "coeffs")
     coeffs = (_load_coeffs(_checked(coeffs_path, str, "--coeffs"))
               if coeffs_path else None)
     fixed = None if coeffs is None else {"eta": coeffs.shape[1]}
     p = _resolve("tdhf", args, config, fixed, "coefficient CSV")
+    wanted = [w.strip() for w in p["observables"].split(",") if w.strip()]
+    unknown = set(wanted) - {"energy", "rdm-diag"}
+    if unknown:
+        raise UsageError(f"unknown observables: {sorted(unknown)}")
     grid = _grid(p)
     integrals = GridIntegrals.from_grid(grid, _load_nuclei(p["nuclei"], grid.dim),
                                         CoulombKernel(softening=p["soften"]))
     inputs = [path for path in (p["nuclei"], p["coeffs"]) if path]
     if coeffs is None:
-        # core-Hamiltonian guess: lowest eigenvectors of h (real, so a real eigh)
-        _, vecs = np.linalg.eigh(integrals.h)
-        coeffs = vecs[:, :_particle_count(p, grid)]
+        coeffs = _core_guess(integrals.h, _particle_count(p, grid))
     elif len(coeffs) != grid.total_points:
         raise UsageError(f"coefficient CSV has {len(coeffs)} rows for "
                          f"{grid.total_points} grid points")
     orbitals = OccupiedOrbitals(coeffs, grid)
-    wanted = [w.strip() for w in p["observables"].split(",") if w.strip()]
-    unknown = set(wanted) - {"energy", "rdm-diag"}
-    if unknown:
-        raise UsageError(f"unknown observables: {sorted(unknown)}")
     plan = TdhfPlan(total_time=p["time"], steps=p["steps"], scheme=p["scheme"])
     traj = evolve_tdhf(orbitals, integrals, plan,
                        record_rdm_diag="rdm-diag" in wanted, keep_history=False)
@@ -436,7 +453,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves no
+    state in it, and a build costs more than a parse."""
     parser = _Parser(prog="fqlab", allow_abbrev=False,
                      description="First-quantized electron-dynamics laboratory")
     parser.add_argument("--manifest", help="replay a recorded run")

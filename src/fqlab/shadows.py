@@ -30,16 +30,16 @@ from .rng import derive_rng
 from .states import (
     BRUTE_FORCE_AMPLITUDES,
     FirstQuantizedState,
-    born_outcomes,
     contract_registers,
+    sample_registers,
 )
 
 LOG_CONVENTION = "natural"
 _CHUNK = 4096
-# Samples per batched contraction, fewer for large states: bigger blocks
-# raise peak memory and save little interpreter time.
-_BLOCK = 32
-_BLOCK_AMPLITUDES = 2 ** 16
+# Samples per block: as many as keep the level-1 array (block x
+# tensor.size amplitudes) within this budget, at least one. Larger blocks
+# raise peak memory and save little.
+_BLOCK_AMPLITUDES = 2 ** 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,18 +144,17 @@ def _collect_chunk(state, part: ShadowBatch, rng) -> None:
     """Fill every sample of ``part`` from its own stream.
 
     The stream gives one uniform per sample, then eta Clifford draws per
-    sample. Blocks of samples then take one batched register contraction
-    and one inverse-CDF Born draw each.
+    sample. Each block of samples is then drawn register by register
+    (:func:`~fqlab.states.sample_registers`).
     """
     uniforms = rng.random(len(part))
-    block = max(1, min(_BLOCK, _BLOCK_AMPLITUDES // state.tensor.size))
+    block = max(1, _BLOCK_AMPLITUDES // state.tensor.size)
     shape = (len(part), state.eta)
     start = 0
     for keys, unitaries in draw_clifford_blocks(state.qubits_per_register, rng,
                                                 shape, block):
         span = slice(start, start + len(keys))
-        tensors = contract_registers(state.tensor, unitaries)
-        outcomes = born_outcomes(tensors, uniforms[span])
+        outcomes = sample_registers(state.tensor, uniforms[span], unitaries)
         part.keys[span] = keys
         part.outcomes[span] = outcomes
         part.rows[span] = gather_outcome_rows(unitaries, outcomes)
@@ -332,7 +331,9 @@ def read_out(state: FirstQuantizedState, k: int, epsilon: float, delta: float,
 
     ``samples`` is "auto" (:func:`required_samples`) or a positive int;
     ``elements`` is "all-1rdm" (k = 1 only) or (bra, ket) label tuples,
-    each checked before any sample is drawn. Returns the estimator
+    each checked before any sample is drawn. A sample count whose outcome
+    rows would hold more than BRUTE_FORCE_AMPLITUDES entries is refused
+    before the batch is allocated. Returns the estimator
     configuration, the batch and the :func:`estimate_elements` stream.
     """
     if not state.antisymmetric:
@@ -344,6 +345,11 @@ def read_out(state: FirstQuantizedState, k: int, epsilon: float, delta: float,
           or samples < 1):
         raise ValidationError(
             f"samples must be 'auto' or a positive integer, got {samples!r}")
+    entries = int(samples) * state.eta * state.register_dim
+    if entries > BRUTE_FORCE_AMPLITUDES:
+        raise BruteForceLimitExceeded(
+            f"{samples} samples need {entries} outcome-row entries, above "
+            f"{BRUTE_FORCE_AMPLITUDES}; ask for fewer samples")
     config = EstimatorConfig.from_sample_count(k, epsilon, delta, samples)
     if elements == "all-1rdm":  # refused below unless k = 1
         elements = all_1rdm_elements(state.n_orbitals)

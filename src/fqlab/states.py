@@ -80,16 +80,49 @@ def contract_registers(tensor: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     return out.reshape(batch + tensor.shape)
 
 
-def born_outcomes(tensors: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """One joint outcome per tensor of a batch by inverse CDF, shape (B, eta).
+def sample_registers(tensor: np.ndarray, uniforms: np.ndarray,
+                     unitaries: np.ndarray | None = None) -> np.ndarray:
+    """Born outcomes of measuring every register, one row per uniform.
 
-    The outcome is the number of normalized CDF entries <= its uniform in
-    [0, 1), so an outcome of probability zero is never drawn.
+    Sample b applies ``unitaries[b, x]`` (shape (B, ndim, d, d); nothing
+    when omitted) to axis x of ``tensor`` and measures all registers.
+    Its outcome is the joint row-major inverse CDF at ``uniforms[b]`` in
+    [0, 1), drawn by the chain rule, one register at a time: the label
+    of register x is the inverse CDF of its marginal in the slice of the
+    labels already drawn, at what is left of the uniform scaled by the
+    total. Level 1 is one GEMM of the stacked first-register unitaries
+    with the tensor; each later level applies the next unitary to the
+    live slice alone, so no sample forms its d^ndim rotated tensor. A
+    label of probability zero is never drawn, also when rounding puts
+    the remaining target past the end of a level.
     """
-    cdf = np.cumsum(np.abs(tensors.reshape(len(tensors), -1)) ** 2, axis=1)
-    cdf /= cdf[:, -1:]
-    flat = np.count_nonzero(cdf <= uniforms[:, None], axis=1)
-    return np.stack(np.unravel_index(flat, tensors.shape[1:]), axis=-1)
+    batch, dim = len(uniforms), tensor.shape[0]
+    flat = np.ascontiguousarray(tensor).reshape(dim, -1)
+    if unitaries is None:
+        live = np.broadcast_to(flat, (batch,) + flat.shape)
+    else:
+        live = (unitaries[:, 0].reshape(-1, dim) @ flat).reshape(batch, dim, -1)
+    # cdf[b, a] is the weight of the labels below a in sample b's slice
+    cdf = np.zeros((batch, dim + 1))
+    picks = np.arange(batch)
+    starts = picks * (dim + 1)
+    outcomes = np.empty((batch, tensor.ndim), dtype=np.int64)
+    for x in range(tensor.ndim):
+        if x:
+            live = live[picks, outcomes[:, x - 1]].reshape(batch, dim, -1)
+            if unitaries is not None:
+                live = unitaries[:, x] @ live
+        parts = live.view(np.float64)  # |amplitude|^2 = re^2 + im^2
+        np.cumsum(np.einsum("bij,bij->bi", parts, parts), axis=1,
+                  out=cdf[:, 1:])
+        if not x:
+            target = uniforms * cdf[:, -1]
+        # past the end only by rounding: the label where the total is reached
+        target = np.minimum(target, np.nextafter(cdf[:, -1], -1))
+        label = (cdf[:, 1:] <= target[:, None]).sum(axis=1)
+        target = target - cdf.ravel()[starts + label]
+        outcomes[:, x] = label
+    return outcomes
 
 
 def check_dense_size(n_orbitals: int, eta: int) -> None:
@@ -281,7 +314,7 @@ def apply_register_unitary(state: FirstQuantizedState, register: int,
 
 def measure_all(state: FirstQuantizedState, rng: np.random.Generator):
     """Sample a joint computational-basis outcome (p_1,...,p_eta)."""
-    outcome = born_outcomes(state.tensor[None], rng.random(1))[0]
+    outcome = sample_registers(state.tensor, rng.random(1))[0]
     return tuple(int(i) for i in outcome)
 
 

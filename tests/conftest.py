@@ -67,6 +67,16 @@ def grid_dft_matrix(grid):
     return full
 
 
+def joint_born_outcomes(tensors, uniforms):
+    """One joint outcome per tensor of a batch, shape (B, ndim): the number
+    of normalized row-major CDF entries <= its uniform, unraveled. The
+    oracle for the register-by-register sampler."""
+    cdf = np.cumsum(np.abs(tensors.reshape(len(tensors), -1)) ** 2, axis=1)
+    cdf /= cdf[:, -1:]
+    flat = np.count_nonzero(cdf <= uniforms[:, None], axis=1)
+    return np.stack(np.unravel_index(flat, tensors.shape[1:]), axis=-1)
+
+
 def permutation_sign(perm):
     """(-1) to the number of inversions of ``perm``."""
     return (-1) ** sum(a > b for a, b in combinations(perm, 2))

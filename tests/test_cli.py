@@ -5,12 +5,18 @@ import csv
 import hashlib
 import json
 import math
+import os
+from pathlib import Path
 import string
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import fqlab
+from fqlab import shadows
 from fqlab.cli import _PARAMETERS, _build_parser, dispatch
 from fqlab.errors import ValidationError
 from fqlab.experiment import pipeline_shadow_experiment
@@ -116,6 +122,22 @@ class TestEvolveShadowsPipeline:
             digests.add((sha256("est.csv"), sha256("raw.csv")))
         assert len(digests) == 1
 
+    def test_auto_sample_count_beyond_budget_exits_two(self, workdir, capsys,
+                                                      monkeypatch):
+        assert dispatch(["evolve", "--dim", "1", "--points", "4", "--omega",
+                         "4", "--eta", "2", "--time", "0.1", "--steps", "2",
+                         "--out", "st.bin"]) == 0
+
+        def collect(*args, **kwargs):
+            raise AssertionError("collect_shadows called")
+        monkeypatch.setattr(shadows, "collect_shadows", collect)
+        # 8,378,008 samples of 2 x 4 outcome-row entries: 4 times the budget
+        exits_two_with_one_line(
+            ["shadows", "--in", "st.bin", "--epsilon", "0.1", "--delta",
+             "0.05", "--samples", "auto", "--out", "est.csv"], capsys,
+            "8378008 samples")
+        assert not (workdir / "est.csv").exists()
+
     def test_evolve_same_seed_same_digest(self, workdir):
         args = ["evolve", "--dim", "1", "--points", "5", "--omega", "5",
                 "--eta", "2", "--time", "0.2", "--steps", "10",
@@ -129,8 +151,9 @@ class TestEvolveShadowsPipeline:
 
 class TestTdhfCommand:
     def test_trajectory_csv(self, workdir):
+        # eta = 3: at eta = 2 the core guess of this grid is degenerate
         code = dispatch(["tdhf", "--dim", "1", "--points", "8", "--omega",
-                         "16", "--eta", "2", "--soften", "1.0", "--time",
+                         "16", "--eta", "3", "--soften", "1.0", "--time",
                          "0.2", "--steps", "20", "--observables",
                          "energy,rdm-diag", "--out", "traj.csv"])
         assert code == 0
@@ -147,6 +170,26 @@ class TestTdhfCommand:
                          "5", "--observables", "dipole",
                          "--out", "t.csv"]) == 2
 
+    def test_degenerate_core_guess_exits_three_with_the_gap(self, workdir,
+                                                           capsys):
+        # free particles on a 1-D grid: the +-k_1 plane waves tie at eta = 2
+        code = dispatch(["tdhf", "--dim", "1", "--points", "8", "--omega",
+                         "16", "--eta", "2", "--soften", "1.0", "--time",
+                         "0.2", "--steps", "20", "--out", "traj.csv"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        gap = float(err.split("w[eta] - w[eta-1] = ")[1].split()[0])
+        assert abs(gap) < 1e-14
+        assert not (workdir / "traj.csv").exists()
+
+    def test_core_guess_on_the_benchmark_grid_accepted(self, workdir):
+        # the 3-D grid of the dynamics benchmark: gap 0.0596 at eta = 2
+        (workdir / "nuclei.txt").write_text("1 0.7 0 0\n1 -0.7 0 0\n")
+        assert dispatch(["tdhf", "--dim", "3", "--points", "7", "--omega",
+                         "343", "--eta", "2", "--nuclei", "nuclei.txt",
+                         "--soften", "0.5", "--time", "0.05", "--steps", "1",
+                         "--out", "traj.csv"]) == 0
 
     def test_rk4_drift_exits_three_with_one_line(self, workdir, capsys):
         (workdir / "nuclei.txt").write_text("2 0.3\n")
@@ -640,3 +683,39 @@ def test_malformed_value_exits_two_naming_its_key(tmp_path, monkeypatch,
     capsys.readouterr()
     exits_two_with_one_line(argv, capsys, f"--{key}")
     assert list(tmp_path.iterdir()) in ([], [tmp_path / "cfg.json"])
+
+
+def run_module(argv, **env):
+    """``python -m fqlab argv`` in a fresh process, with src on the path."""
+    src = str(Path(fqlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "fqlab", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env})
+
+
+class TestModuleEntryPoint:
+    def test_cost_query_exits_zero(self):
+        run = run_module(["cost", "--query", "8,2,1,0.1"])
+        assert run.returncode == 0, run.stderr
+        assert "optimal_quantum" in json.loads(run.stdout)
+
+    def test_bad_thread_count_exits_two_with_one_line(self):
+        run = run_module(["--threads", "0", "cost"])
+        assert run.returncode == 2
+        assert run.stderr.splitlines() == [
+            "error: --threads must be at least 1, got 0"]
+
+
+def test_reused_parser_behaves_as_a_fresh_one(workdir, capsys, monkeypatch):
+    """A usage error, --help and a good run in one process each print and
+    return what they do in a fresh process, from one parser."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _build_parser() is _build_parser()
+    for argv in (["--threads", "0", "cost", "--query", "8,2,1,0.1"],
+                 ["--help"], ["cost", "--query", "8,2,1,0.1"]):
+        fresh = run_module(argv, COLUMNS="80")
+        code = dispatch(argv)
+        here = capsys.readouterr()
+        assert (code, here.out, here.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv

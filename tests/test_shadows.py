@@ -38,9 +38,9 @@ from fqlab.shadows import (
 )
 from fqlab.states import (
     FirstQuantizedState,
-    born_outcomes,
     contract_registers,
     exact_krdm_element,
+    sample_registers,
     slater_oracle,
 )
 
@@ -383,6 +383,20 @@ class TestCollect:
         assert np.array_equal(one.outcomes, two.outcomes)
         assert one.rows.tobytes() == two.rows.tobytes()
 
+    @pytest.mark.parametrize("n_orbitals,eta", [(4, 2), (3, 3)])
+    @pytest.mark.parametrize("block", ["one-sample", "whole-chunk"])
+    def test_batch_does_not_depend_on_block_size(self, monkeypatch,
+                                                 n_orbitals, eta, block):
+        state = random_antisymmetric_state(n_orbitals, eta, seed=9)
+        default = collect_shadows(state, 4500, seed=11)  # two chunks
+        budget = state.tensor.size * (1 if block == "one-sample"
+                                      else shadows._CHUNK)
+        monkeypatch.setattr(shadows, "_BLOCK_AMPLITUDES", budget)
+        other = collect_shadows(state, 4500, seed=11)
+        assert default.keys.tolist() == other.keys.tolist()
+        assert np.array_equal(default.outcomes, other.outcomes)
+        assert default.rows.tobytes() == other.rows.tobytes()
+
     @pytest.mark.parametrize("n_orbitals,rotate", [(4, True), (3, False)])
     def test_born_frequencies_match_probabilities(self, n_orbitals, rotate):
         # fixed register unitaries; N = 3 pads each register with a
@@ -392,9 +406,9 @@ class TestCollect:
                           else np.eye(4) for s in (1, 2)])
         probs = np.abs(contract_registers(state.tensor, units)) ** 2
         draws = 20_000
-        tensors = contract_registers(
-            state.tensor, np.broadcast_to(units, (draws,) + units.shape))
-        outcomes = born_outcomes(tensors, derive_rng(3, "born").random(draws))
+        outcomes = sample_registers(
+            state.tensor, derive_rng(3, "born").random(draws),
+            np.broadcast_to(units, (draws,) + units.shape))
         counts = np.bincount(np.ravel_multi_index(outcomes.T, (4, 4)),
                              minlength=16)
         expect = draws * probs.reshape(-1)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fqlab.cliffords import draw_clifford_blocks
 from fqlab.errors import (
     BruteForceLimitExceeded,
     DuplicateRegister,
@@ -30,6 +31,7 @@ from fqlab.states import (
     first_second_equivalence_check,
     load_state,
     measure_all,
+    sample_registers,
     save_state,
     signed_permutation_sum,
     slater_oracle,
@@ -38,6 +40,7 @@ from fqlab.states import (
 from fqlab.grids import GridSpec, register_qubits
 
 from conftest import (
+    joint_born_outcomes,
     naive_signed_permutation_sum,
     permutation_sign,
     random_antisymmetric_state,
@@ -332,6 +335,69 @@ class TestMeasureAll:
                       / (n_draws * probs[keep]))
         p_value = stats.chi2.sf(chi2, df=keep.sum() - 1)
         assert p_value > 0.001
+
+
+def padded_random_tensor(n_orbitals, eta, seed):
+    """Unit-norm random complex tensor, zero on padded labels."""
+    rng = np.random.default_rng(seed)
+    tensor = np.zeros((2 ** register_qubits(n_orbitals),) * eta, dtype=complex)
+    shape = (n_orbitals,) * eta
+    tensor[(slice(0, n_orbitals),) * eta] = (rng.normal(size=shape)
+                                             + 1j * rng.normal(size=shape))
+    return tensor / np.linalg.norm(tensor)
+
+
+class TestSampleRegisters:
+    """The register-by-register draw against the joint inverse CDF."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("eta", [1, 2, 3, 4])
+    def test_matches_joint_oracle_under_cliffords(self, eta, n):
+        # N = 2, 3, 7: registers of 2 and 3 qubits are padded
+        tensor = padded_random_tensor(max(2, 2 ** n - 1), eta, seed=10 * eta + n)
+        rng = derive_rng(5, "oracle", 10 * eta + n)
+        draws = 100 if n == 3 else 400
+        uniforms = rng.random(draws)
+        (_, units), = draw_clifford_blocks(n, rng, (draws, eta), draws)
+        outcomes = sample_registers(tensor, uniforms, units)
+        assert outcomes.shape == (draws, eta)
+        assert np.array_equal(
+            outcomes,
+            joint_born_outcomes(contract_registers(tensor, units), uniforms))
+
+    @pytest.mark.parametrize("n_orbitals,eta", [
+        (2, 1), (3, 2), (4, 3), (5, 2), (6, 2), (8, 4), (16, 2)])
+    def test_matches_joint_oracle_without_unitaries(self, n_orbitals, eta):
+        tensor = padded_random_tensor(n_orbitals, eta, seed=n_orbitals + eta)
+        uniforms = derive_rng(6, "plain", 10 * n_orbitals + eta).random(2000)
+        outcomes = sample_registers(tensor, uniforms)
+        batch = np.broadcast_to(tensor, (len(uniforms),) + tensor.shape)
+        assert np.array_equal(outcomes, joint_born_outcomes(batch, uniforms))
+
+    @pytest.mark.parametrize("n_orbitals,eta", [
+        (3, 1), (3, 2), (5, 2), (5, 3), (6, 2), (6, 3)])
+    def test_padded_labels_never_drawn(self, n_orbitals, eta):
+        tensor = padded_random_tensor(n_orbitals, eta, seed=3 * n_orbitals + eta)
+        rng = derive_rng(7, "padded", 10 * n_orbitals + eta)
+        uniforms = np.concatenate([[0.0, np.nextafter(1.0, 0.0)],
+                                   rng.random(3000)])
+        outcomes = sample_registers(tensor, uniforms)
+        assert outcomes.min() >= 0 and outcomes.max() < n_orbitals
+
+    def test_target_past_the_end_takes_the_last_positive_label(self):
+        # |2, 2> over registers of 4 labels (N = 3), with register 2's
+        # unitary shrunk by a few ulps as rounding might: at the largest
+        # uniform below 1 the remaining target exceeds that register's
+        # total, and the draw must stop at label 2, never at the zero-
+        # probability label 3 or beyond the register.
+        tensor = np.zeros((4, 4), dtype=complex)
+        tensor[2, 2] = 1.0
+        units = np.stack([np.eye(4), np.eye(4) * (1 - 4 * np.finfo(float).eps)])
+        uniform = np.array([np.nextafter(1.0, 0.0)])
+        outcomes = sample_registers(tensor, uniform, units[None])
+        assert outcomes.tolist() == [[2, 2]]
+        assert np.array_equal(outcomes, joint_born_outcomes(
+            contract_registers(tensor, units)[None], uniform))
 
 
 class TestTransitionExpectation:
