@@ -5,7 +5,6 @@ __version__ = "0.2.0"
 from .grids import GridSpec
 from .states import (
     FirstQuantizedState,
-    OrbitalVector,
     antisymmetrize,
     apply_register_unitary,
     exact_krdm_element,

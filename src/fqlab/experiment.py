@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from .errors import NotAntisymmetric
 from .grids import GridSpec
 from .hamiltonian import CoulombKernel, EvolutionPlan, NuclearConfig, evolve
 from .shadows import read_out, variance_bound
@@ -36,8 +35,6 @@ def pipeline_shadow_experiment(config: dict) -> dict:
     k, eps = int(est.get("k", 1)), float(est["epsilon"])
     bound = variance_bound(k, state.eta)
     exact = state.n_orbitals ** state.eta <= 2 ** 16
-    if exact and not state.is_antisymmetric():
-        raise NotAntisymmetric("k-RDM requires an antisymmetric state")
     cfg, batch, readings = read_out(
         state, k, eps, float(est["delta"]), est.get("samples", "auto"),
         int(config.get("seed", 0)), config.get("elements", "all-1rdm"),

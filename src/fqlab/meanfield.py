@@ -30,6 +30,9 @@ from .hamiltonian import (
 
 
 ORTHONORMAL_TOL = 1e-8
+# exponential-midpoint fixed point: converged below this max |change|
+MIDPOINT_TOL = 1e-10
+MIDPOINT_ITERATIONS = 20
 
 
 def _orthonormality_residual(c: np.ndarray) -> float:
@@ -318,22 +321,22 @@ def _exp_action(op, c: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _midpoint(c: np.ndarray, integrals: GridIntegrals, dt: float,
-              max_iterations: int, fp_tol: float,
               fock: FockOperator | None) -> tuple[np.ndarray, int]:
     """Exponential midpoint step and its fixed-point iteration count.
     ``fock`` is F(c), the first iterate's, if the caller has it."""
     c_mid = c
     f_mid = FockOperator(c, integrals) if fock is None else fock
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MIDPOINT_ITERATIONS + 1):
         c_new = _exp_action(f_mid, c, dt / 2)
         delta = np.max(np.abs(c_new - c_mid))
         c_mid = c_new
         f_mid = FockOperator(c_mid, integrals)
-        if delta < fp_tol:
+        if delta < MIDPOINT_TOL:
             break
     else:
         raise ConvergenceFailure(
-            f"midpoint fixed point did not reach {fp_tol} in {max_iterations} iterations")
+            f"midpoint fixed point did not reach {MIDPOINT_TOL} in "
+            f"{MIDPOINT_ITERATIONS} iterations")
     return _exp_action(f_mid, c, dt), iteration
 
 
@@ -357,7 +360,6 @@ def _rk4(c: np.ndarray, integrals: GridIntegrals, dt: float) -> np.ndarray:
 
 def tdhf_step(orbitals: OccupiedOrbitals, integrals: GridIntegrals, dt: float,
               scheme: str = "exponential-midpoint",
-              max_iterations: int = 20, fp_tol: float = 1e-10,
               iterations: list | None = None,
               fock: FockOperator | None = None) -> OccupiedOrbitals:
     """One integrator step of i dC/dt = F(C) C.
@@ -374,7 +376,7 @@ def tdhf_step(orbitals: OccupiedOrbitals, integrals: GridIntegrals, dt: float,
     if dt == 0:
         out = c.copy()
     elif scheme == "exponential-midpoint":
-        out, count = _midpoint(c, integrals, dt, max_iterations, fp_tol, fock)
+        out, count = _midpoint(c, integrals, dt, fock)
     elif scheme == "rk4":
         out = _rk4(c, integrals, dt)
     else:

@@ -6,8 +6,8 @@ register measurement channel M(A) = (A + tr[A] I)/(2^n + 1) offline.
 Estimates use a restricted register-index sum (one register per block)
 with a median-of-means over sample groups.
 
-The log in the sample-count formula is the natural log; the estimator
-configuration records that convention explicitly.
+The log in the sample-count formula is the natural log (the module
+constant ``LOG_CONVENTION`` names that convention).
 """
 
 from dataclasses import dataclass
@@ -127,12 +127,16 @@ class EstimatorConfig:
     delta: float
     groups: int
     group_size: int
-    log_convention: str = LOG_CONVENTION
 
     @staticmethod
     def from_sample_count(k: int, epsilon: float, delta: float,
                           m: int) -> "EstimatorConfig":
-        """Fit b to an available sample count; the remainder is dropped."""
+        """Fit b to an available sample count; the remainder is dropped.
+
+        Refused: epsilon outside (0, 1] and delta outside (0, 1).
+        """
+        if not 0 < epsilon <= 1:
+            raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
         groups = _median_groups(delta)
         group_size = m // groups
         if group_size < 1:
@@ -329,6 +333,8 @@ def read_out(state: FirstQuantizedState, k: int, epsilon: float, delta: float,
              samples, seed: int, elements, threads: int = 1):
     """k-RDM elements of an antisymmetric state from one shadow batch.
 
+    A state whose amplitudes are not antisymmetric is refused first: the
+    restricted register sum estimates a k-RDM only for such a state.
     ``samples`` is "auto" (:func:`required_samples`) or a positive int;
     ``elements`` is "all-1rdm" (k = 1 only) or (bra, ket) label tuples,
     each checked before any sample is drawn. A sample count whose outcome
@@ -336,7 +342,7 @@ def read_out(state: FirstQuantizedState, k: int, epsilon: float, delta: float,
     before the batch is allocated. Returns the estimator
     configuration, the batch and the :func:`estimate_elements` stream.
     """
-    if not state.antisymmetric:
+    if not state.is_antisymmetric():
         raise NotAntisymmetric("shadow protocol expects an antisymmetric state")
     if samples == "auto":
         samples = required_samples(state.n_orbitals, k, state.eta, epsilon,

@@ -115,7 +115,7 @@ def _staircase_gauge(coeffs: np.ndarray) -> np.ndarray:
     return m
 
 
-def givens_decompose(coeffs: np.ndarray, tol: float = 1e-9) -> GivensNetwork:
+def givens_decompose(coeffs: np.ndarray) -> GivensNetwork:
     """Layered Givens schedule preparing the span of ``coeffs``.
 
     The backward pass gauges C to a staircase, then eliminates one
@@ -150,9 +150,9 @@ def givens_decompose(coeffs: np.ndarray, tol: float = 1e-9) -> GivensNetwork:
             layer.append(rot)
         layers_reversed.append(tuple(reversed(layer)))
     residual = float(np.max(np.abs(work[eta:, :]))) if n > eta else 0.0
-    if residual > tol:
+    if residual > 1e-9:
         raise DecompositionFailure(
-            f"off-pattern residual {residual:.2e} exceeds {tol}")
+            f"off-pattern residual {residual:.2e} exceeds 1e-09")
     layers = tuple(reversed(layers_reversed))
     return GivensNetwork(n_orbitals=n, eta=eta, layers=layers)
 
@@ -327,10 +327,10 @@ class ConversionRegisters:
         self.ledger.charge("controlled-counter-iteration", self.eta - 1)
         self.ledger.charge("window-qubit-erasure", self.eta)
 
-    def _check_branch_invariants(self, tol: float = 1e-12) -> None:
+    def _check_branch_invariants(self) -> None:
         """Every populated basis branch: counter matches written count and
         register labels are strictly ascending."""
-        live = np.abs(self.amplitudes) > tol
+        live = np.abs(self.amplitudes) > 1e-12
         labels = self.labels[live]
         written = np.arange(self.eta) < self.counter[live][:, None]
         if np.any(labels[~written]):
@@ -338,14 +338,14 @@ class ConversionRegisters:
         if np.any(written[:, 1:] & (labels[:, :-1] >= labels[:, 1:])):
             raise OrderingViolation("register labels not strictly ascending")
 
-    def finish(self, residual_tol: float = 1e-10):
+    def finish(self):
         """Extract the sorted-configuration tensor after full conversion."""
         if self.converted != self.n_orbitals:
             raise ValidationError("conversion incomplete")
         probs = np.abs(self.amplitudes) ** 2
         window_weight = sum(float(np.sum(probs[(self.occupancy & (1 << s)) != 0]))
                             for s in range(self.window_slots))
-        if window_weight > residual_tol ** 2:
+        if window_weight > 1e-10 ** 2:
             raise ResidualPopulation(
                 f"window population {window_weight:.2e} after conversion")
         done = (self.occupancy == 0) & (self.counter == self.eta)
@@ -361,8 +361,8 @@ class PreparationResult:
     ledger: ToffoliLedger
 
 
-def prepare_slater(coeffs: np.ndarray, grid=None, validate: bool = False,
-                   n_orbitals: int | None = None) -> PreparationResult:
+def prepare_slater(coeffs: np.ndarray, grid=None,
+                   validate: bool = False) -> PreparationResult:
     """Run the full pipeline and return the prepared state plus ledger.
 
     Layers and conversions interleave: layer q is applied just before
@@ -370,8 +370,6 @@ def prepare_slater(coeffs: np.ndarray, grid=None, validate: bool = False,
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     n, eta = coeffs.shape
-    if n_orbitals is not None and n_orbitals != n:
-        raise ValidationError("n_orbitals does not match coefficient rows")
     check_dense_size(n, eta)  # the output state is dense
     network = givens_decompose(coeffs)
     regs = ConversionRegisters(n_orbitals=n, eta=eta)
@@ -384,5 +382,5 @@ def prepare_slater(coeffs: np.ndarray, grid=None, validate: bool = False,
     sorted_tensor = regs.finish()
     # signed-permutation isometry from the sorted configurations
     tensor = signed_permutation_sum(sorted_tensor) / math.sqrt(math.factorial(eta))
-    state = FirstQuantizedState(eta, n, tensor, grid=grid, antisymmetric=True)
+    state = FirstQuantizedState(eta, n, tensor, grid=grid)
     return PreparationResult(state=state, network=network, ledger=regs.ledger)

@@ -10,7 +10,6 @@ Everything here is exact and O(dimension), intended as the ground truth
 the other modules are validated against.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 import math
 import os
@@ -138,21 +137,6 @@ def check_dense_size(n_orbitals: int, eta: int) -> None:
             f"above the dense regime ({BRUTE_FORCE_AMPLITUDES})")
 
 
-@dataclass(frozen=True)
-class OrbitalVector:
-    """A single-particle orbital over n_orbitals grid points, unit norm."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        object.__setattr__(self, "coeffs", c)
-        if c.ndim != 1:
-            raise ValidationError("orbital coefficients must be a vector")
-        if abs(np.linalg.norm(c) - 1.0) > 1e-12:
-            raise ValidationError("orbital vector must have unit norm within 1e-12")
-
-
 class FirstQuantizedState:
     """Complex amplitudes over ``eta`` registers of n qubits each.
 
@@ -171,8 +155,7 @@ class FirstQuantizedState:
         bare orbital spaces.
     """
 
-    def __init__(self, eta, n_orbitals, tensor, grid: GridSpec | None = None,
-                 antisymmetric: bool = False, _normalized: bool = True):
+    def __init__(self, eta, n_orbitals, tensor, grid: GridSpec | None = None):
         if eta < 1:
             raise ValidationError("eta must be >= 1")
         if n_orbitals < 2:
@@ -190,11 +173,9 @@ class FirstQuantizedState:
                 f"tensor shape {tensor.shape} != {(self.register_dim,) * eta}")
         self.tensor = tensor
         self.grid = grid
-        self.antisymmetric = bool(antisymmetric)
         if self._padding_weight() > 1e-24:
             raise ValidationError("nonzero amplitude on padded orbital labels")
-        if _normalized:
-            check_unit_norm(self.tensor)
+        check_unit_norm(self.tensor)
 
     # -- basics ---------------------------------------------------------
 
@@ -213,11 +194,8 @@ class FirstQuantizedState:
         probs[(slice(0, self.n_orbitals),) * self.eta] = 0.0
         return float(np.sum(probs))
 
-    def copy_with(self, tensor, antisymmetric=None, normalized=True):
-        return FirstQuantizedState(
-            self.eta, self.n_orbitals, tensor, grid=self.grid,
-            antisymmetric=self.antisymmetric if antisymmetric is None else antisymmetric,
-            _normalized=normalized)
+    def copy_with(self, tensor):
+        return FirstQuantizedState(self.eta, self.n_orbitals, tensor, grid=self.grid)
 
     def overlap(self, other: "FirstQuantizedState") -> complex:
         return complex(np.vdot(self.tensor, other.tensor))
@@ -229,6 +207,12 @@ class FirstQuantizedState:
             if np.max(np.abs(swapped + self.tensor)) > tol:
                 return False
         return True
+
+    @property
+    def antisymmetric(self) -> bool:
+        """:meth:`is_antisymmetric` at its default tolerance, read from the
+        amplitudes on every access."""
+        return self.is_antisymmetric()
 
     @staticmethod
     def from_basis(eta, n_orbitals, labels, grid=None):
@@ -255,7 +239,7 @@ def antisymmetrize(state: FirstQuantizedState) -> FirstQuantizedState:
     nrm = np.linalg.norm(acc)
     if nrm < 1e-12:
         raise ZeroProjection("antisymmetric component has norm < 1e-12")
-    return state.copy_with(acc / nrm, antisymmetric=True)
+    return state.copy_with(acc / nrm)
 
 
 def slater_oracle(orbitals, grid: GridSpec | None = None,
@@ -263,14 +247,13 @@ def slater_oracle(orbitals, grid: GridSpec | None = None,
     """Slater determinant of mutually orthonormal orbitals.
 
     The amplitude at (p_1,...,p_eta) is det[phi_a(p_b)] / sqrt(eta!).
-    ``orbitals`` may be a list of OrbitalVector/arrays or an (N, eta)
+    ``orbitals`` may be a list of orbital vectors or an (N, eta)
     coefficient matrix.
     """
     if isinstance(orbitals, np.ndarray) and orbitals.ndim == 2:
         cols = [orbitals[:, a] for a in range(orbitals.shape[1])]
     else:
-        cols = [o.coeffs if isinstance(o, OrbitalVector) else np.asarray(o, dtype=complex)
-                for o in orbitals]
+        cols = [np.asarray(o, dtype=complex) for o in orbitals]
     eta = len(cols)
     if n_orbitals is None:
         n_orbitals = grid.total_points if grid is not None else len(cols[0])
@@ -289,15 +272,15 @@ def slater_oracle(orbitals, grid: GridSpec | None = None,
         if b:
             acc = _antisymmetrize_axis(acc, b)
     acc /= math.sqrt(math.factorial(eta))
-    return FirstQuantizedState(eta, n_orbitals, acc, grid=grid, antisymmetric=True)
+    return FirstQuantizedState(eta, n_orbitals, acc, grid=grid)
 
 
 def apply_register_unitary(state: FirstQuantizedState, register: int,
                            unitary: np.ndarray) -> FirstQuantizedState:
     """Apply a register-local unitary (I x ... x U x ... x I).
 
-    ``register`` is 1-based. The result carries no antisymmetry flag:
-    a register-local operation generically breaks exchange symmetry.
+    ``register`` is 1-based. A register-local operation generically
+    breaks exchange symmetry, so the result is rarely antisymmetric.
     """
     if not 1 <= register <= state.eta:
         raise ValidationError(f"register {register} out of range 1..{state.eta}")
@@ -309,7 +292,7 @@ def apply_register_unitary(state: FirstQuantizedState, register: int,
         raise NonUnitary("U†U deviates from identity by > 1e-8")
     stack = [u if x == register - 1 else np.eye(d) for x in range(state.eta)]
     out = contract_registers(state.tensor, np.array(stack))  # complex, as u
-    return state.copy_with(out, antisymmetric=False)
+    return state.copy_with(out)
 
 
 def measure_all(state: FirstQuantizedState, rng: np.random.Generator):
@@ -404,15 +387,15 @@ def _apply_creation_annihilation(coeffs: dict, p: int, q: int) -> dict:
     return {occ: c for occ, c in out.items() if abs(c) > 0}
 
 
-def first_second_equivalence_check(state: FirstQuantizedState, p: int, q: int,
-                                   tol: float = 1e-10) -> bool:
+def first_second_equivalence_check(state: FirstQuantizedState, p: int,
+                                   q: int) -> bool:
     """Compare sum_j |p><q|_j against the mapped image of a_p† a_q.
 
     The first-quantized side applies the transition operator summed over
     registers; the second-quantized side maps the state to occupation
     coefficients (ascending-order convention), applies a_p† a_q with
     fermionic parity signs, and maps back. Returns True when the two
-    resulting vectors agree within ``tol``.
+    resulting vectors agree within 1e-10.
     """
     if state.eta > 3 or state.n_orbitals > 8:
         raise BruteForceLimitExceeded("equivalence check limited to eta<=3, N<=8")
@@ -433,7 +416,7 @@ def first_second_equivalence_check(state: FirstQuantizedState, p: int, q: int,
     for occ, c in coeffs.items():
         sorted_occ[occ] = c / root
     sq = signed_permutation_sum(sorted_occ)
-    return bool(np.max(np.abs(fq - sq)) <= tol)
+    return bool(np.max(np.abs(fq - sq)) <= 1e-10)
 
 
 # -- binary snapshot format ---------------------------------------------
@@ -476,8 +459,5 @@ def load_state(path) -> FirstQuantizedState:
             raise ValidationError(
                 f"snapshot holds {body} amplitude bytes, its header implies {size}")
         amps = np.frombuffer(fh.read(size), dtype="<c16").astype(complex)
-    tensor = amps.reshape((reg,) * eta)
-    state = FirstQuantizedState(eta, grid.total_points, tensor, grid=grid)
-    if state.is_antisymmetric():
-        state.antisymmetric = True
-    return state
+    return FirstQuantizedState(eta, grid.total_points, amps.reshape((reg,) * eta),
+                               grid=grid)

@@ -20,7 +20,8 @@ from fqlab import shadows
 from fqlab.cli import _PARAMETERS, _build_parser, dispatch
 from fqlab.errors import ValidationError
 from fqlab.experiment import pipeline_shadow_experiment
-from fqlab.states import load_state
+from fqlab.grids import GridSpec
+from fqlab.states import FirstQuantizedState, load_state, save_state
 
 from conftest import random_orthonormal
 
@@ -387,6 +388,8 @@ class TestMalformedInputs:
         (workdir / "coeffs.csv").write_text("1,0\nx,0\n")
         (workdir / "params.json").write_text(json.dumps(
             {"subcommand": "cost", "parameters": "query"}))
+        save_state(workdir / "product.bin", FirstQuantizedState.from_basis(
+            2, 4, (0, 1), grid=GridSpec(dim=1, points_per_axis=4, cell_volume=4.0)))
         return workdir
 
     @pytest.mark.parametrize("argv", [
@@ -407,6 +410,14 @@ class TestMalformedInputs:
         ["--manifest", "params.json"],
         ["shadows", "--in", "st.bin", "--epsilon", "0.5", "--delta", "0",
          "--samples", "200", "--out", "x.csv"],
+        ["shadows", "--in", "st.bin", "--epsilon", "-1", "--delta", "0.05",
+         "--samples", "200", "--out", "x.csv"],
+        ["shadows", "--in", "st.bin", "--epsilon", "0", "--delta", "0.05",
+         "--samples", "200", "--out", "x.csv"],
+        ["shadows", "--in", "st.bin", "--epsilon", "7", "--delta", "0.05",
+         "--samples", "200", "--out", "x.csv"],
+        ["shadows", "--in", "product.bin", "--epsilon", "0.5", "--delta",
+         "0.2", "--samples", "200", "--out", "x.csv"],
         EVOLVE_N5 + ["--eta", "0"],
         EVOLVE_N5 + ["--eta", "6"],
         EVOLVE_N5 + ["--eta", "-1"],
@@ -424,7 +435,8 @@ class TestMalformedInputs:
             "bad-samples", "bad-query", "empty-query-field", "nan-query-field",
             "inf-query-field", "fractional-query-n", "fractional-query-eta",
             "query-beyond-nine-fields", "manifest-parameters-not-object",
-            "zero-delta",
+            "zero-delta", "negative-epsilon", "zero-epsilon",
+            "epsilon-above-one", "not-antisymmetric",
             "evolve-eta-zero", "evolve-eta-above-n", "evolve-eta-negative",
             "tdhf-eta-above-n", "evolve-beyond-dense", "alpha-zero-step",
             "alpha-negative-step", "alpha-empty-range", "alpha-infinite",

@@ -118,7 +118,7 @@ class TestSampling:
             el = sample_clifford(n, rng)
             u = el.unitary
             assert np.max(np.abs(u.conj().T @ u - np.eye(2 ** n))) < 1e-10
-            assert el.maps_paulis_to_paulis(tol=1e-10)
+            assert el.maps_paulis_to_paulis()
 
     def test_two_qubit_samples_land_in_group(self):
         table_keys = {_matrix_key(u) for u in clifford_table(2)}

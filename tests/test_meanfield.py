@@ -339,7 +339,7 @@ class TestEvolveTdhf:
         traj = evolve_tdhf(orb, ints, TdhfPlan(0.5, 10))
         assert traj.fp_iterations.shape == (10,)
         assert np.all(traj.fp_iterations >= 1)
-        assert np.all(traj.fp_iterations <= 20)  # tdhf_step's max_iterations
+        assert np.all(traj.fp_iterations <= 20)  # MIDPOINT_ITERATIONS
 
     def test_rk4_records_no_fixed_point_iterations(self):
         _, ints, orb = model_system()

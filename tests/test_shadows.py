@@ -185,7 +185,7 @@ class TestEstimator:
     def test_exhaustive_mean_register_relabeling(self):
         state = random_antisymmetric_state(2, 2, seed=6)
         swapped_tensor = -np.swapaxes(state.tensor, 0, 1)
-        relabeled = type(state)(2, 2, swapped_tensor, antisymmetric=True)
+        relabeled = type(state)(2, 2, swapped_tensor)
         a = exhaustive_estimator_mean(state, (0,), (1,))
         b = exhaustive_estimator_mean(relabeled, (0,), (1,))
         assert abs(a - b) < 1e-10
@@ -330,11 +330,18 @@ class TestReadOut:
         assert config == EstimatorConfig.from_sample_count(1, 0.5, 0.2,
                                                            drawn[0])
 
-    def test_state_without_antisymmetry_flag_refused(self, state, drawn):
-        unflagged = FirstQuantizedState(2, 4, state.tensor)
+    def test_product_state_refused(self, drawn):
+        product = FirstQuantizedState.from_basis(2, 4, (0, 1))
         with pytest.raises(NotAntisymmetric):
-            read_out(unflagged, 1, 0.5, 0.2, 200, 1, "all-1rdm")
+            read_out(product, 1, 0.5, 0.2, 200, 1, "all-1rdm")
         assert drawn == []
+
+    def test_antisymmetric_tensor_built_by_hand_read_out(self, state):
+        by_hand = FirstQuantizedState(2, 4, state.tensor.copy())
+        _, batch, readings = read_out(by_hand, 1, 0.5, 0.2, 200, 1, "all-1rdm")
+        _, expected, _ = read_out(state, 1, 0.5, 0.2, 200, 1, "all-1rdm")
+        assert np.array_equal(batch.outcomes, expected.outcomes)
+        assert len(list(readings)) == 16
 
     def test_readings_match_the_estimator(self, state):
         config, batch, readings = read_out(state, 1, 0.5, 0.2, 200, 4,
@@ -351,7 +358,7 @@ class TestEstimatorConfig:
         config = EstimatorConfig.from_sample_count(1, 0.1, 0.05, m)
         assert config.groups == math.ceil(8 * math.log(1 / 0.05))
         assert config.group_size == m // config.groups
-        assert config.log_convention == "natural"
+        assert shadows.LOG_CONVENTION == "natural"
 
     def test_from_sample_count_drops_remainder(self):
         config = EstimatorConfig.from_sample_count(1, 0.1, 0.05, 1000)
@@ -360,6 +367,11 @@ class TestEstimatorConfig:
     def test_too_few_samples(self):
         with pytest.raises(InsufficientSamples):
             EstimatorConfig.from_sample_count(1, 0.1, 0.05, 10)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, 0.0, 7.0, math.nan])
+    def test_epsilon_outside_unit_interval_refused(self, epsilon):
+        with pytest.raises(ValidationError, match="epsilon"):
+            EstimatorConfig.from_sample_count(1, epsilon, 0.05, 1000)
 
 
 class TestCollect:

@@ -324,12 +324,14 @@ class TestMeasureAll:
     def test_histogram_matches_amplitudes(self):
         state = random_antisymmetric_state(4, 2, seed=12)
         probs = np.abs(state.amplitudes) ** 2
-        rng = derive_rng(3, "chi2")
         n_draws = 100_000
-        counts = np.zeros(probs.size)
-        for _ in range(n_draws):
-            outcome = measure_all(state, rng)
-            counts[np.ravel_multi_index(outcome, state.tensor.shape)] += 1
+        # one bulk draw: the outcomes of n_draws measure_all calls on the stream
+        outcomes = sample_registers(state.tensor,
+                                    derive_rng(3, "chi2").random(n_draws))
+        rng = derive_rng(3, "chi2")
+        assert all(measure_all(state, rng) == tuple(row) for row in outcomes[:1000])
+        counts = np.bincount(np.ravel_multi_index(outcomes.T, state.tensor.shape),
+                             minlength=probs.size)
         keep = probs > 1e-12
         chi2 = np.sum((counts[keep] - n_draws * probs[keep]) ** 2
                       / (n_draws * probs[keep]))
@@ -521,7 +523,7 @@ class TestSnapshotFormat:
         n = grid.total_points
         eta = data.draw(st.integers(1, min(n, 12 // register_qubits(n))))
         base = random_antisymmetric_state(n, eta, data.draw(st.integers(0, 2 ** 32 - 1)))
-        state = FirstQuantizedState(eta, n, base.tensor, grid=grid, antisymmetric=True)
+        state = FirstQuantizedState(eta, n, base.tensor, grid=grid)
         path = tmp_path / "state.bin"
         save_state(path, state)
         loaded = load_state(path)
@@ -616,6 +618,14 @@ class TestInvariants:
         tensor[0, 1] = 0.5
         with pytest.raises(ValidationError):
             FirstQuantizedState(2, 4, tensor)
+
+    def test_antisymmetry_read_from_amplitudes(self):
+        singlet = antisymmetrize(basis(4, (0, 1)))
+        assert singlet.antisymmetric and not basis(4, (0, 1)).antisymmetric
+        with pytest.raises(TypeError):
+            FirstQuantizedState(2, 4, singlet.tensor, antisymmetric=True)
+        with pytest.raises(AttributeError):
+            singlet.antisymmetric = False
 
     def test_brute_force_limit(self):
         # the size guard fires before the tensor shape is inspected
