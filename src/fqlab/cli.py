@@ -126,8 +126,6 @@ def _load_coeffs(path) -> np.ndarray:
             raise UsageError(f"coefficient CSV {path} must hold numbers only") from exc
     if raw.shape[1] % 2 != 0:
         raise UsageError("coefficient CSV must have re,im column pairs")
-    if not np.all(np.isfinite(raw)):
-        raise UsageError(f"coefficient CSV {path} holds a non-finite value")
     return raw[:, 0::2] + 1j * raw[:, 1::2]
 
 
@@ -288,9 +286,6 @@ def _cmd_tdhf(args, config) -> int:
     inputs = [path for path in (p["nuclei"], p["coeffs"]) if path]
     if coeffs is None:
         coeffs = _core_guess(integrals.h, _particle_count(p, grid))
-    elif len(coeffs) != grid.total_points:
-        raise UsageError(f"coefficient CSV has {len(coeffs)} rows for "
-                         f"{grid.total_points} grid points")
     orbitals = OccupiedOrbitals(coeffs, grid)
     plan = TdhfPlan(total_time=p["time"], steps=p["steps"], scheme=p["scheme"])
     traj = evolve_tdhf(orbitals, integrals, plan,
@@ -323,7 +318,7 @@ def _cmd_prep(args, config) -> int:
     print(f"prepared N={n} eta={eta}: ledger total {result.ledger.total} "
           f"(closed form {toffoli_count(n, eta, 'improved')})")
     if p["verify"]:
-        oracle = slater_oracle(coeffs, n_orbitals=n)
+        oracle = slater_oracle(coeffs)
         overlap = abs(result.state.overlap(oracle))
         ledger_ok = result.ledger.total == toffoli_count(n, eta, "improved")
         print(f"oracle overlap modulus: {overlap:.12f}")
@@ -335,7 +330,8 @@ def _cmd_prep(args, config) -> int:
     return 0
 
 
-def _parse_elements(spec_text, n_orbitals, k):
+def _parse_elements(spec_text, k):
+    """'all-1rdm' or (bra, ket) rows of 2k integers; read_out checks the range."""
     if spec_text == "all-1rdm":
         return spec_text
     elements = []
@@ -348,9 +344,6 @@ def _parse_elements(spec_text, n_orbitals, k):
                     f"element row {row} holds a non-integer label") from exc
             if len(vals) != 2 * k:
                 raise UsageError(f"element row {row} needs 2k = {2 * k} indices")
-            if not all(0 <= v < n_orbitals for v in vals):
-                raise UsageError(
-                    f"element row {row} has a label outside 0..{n_orbitals - 1}")
             elements.append((tuple(vals[:k]), tuple(vals[k:])))
     return elements
 
@@ -362,7 +355,7 @@ def _cmd_shadows(args, config) -> int:
                else _checked(p["samples"], int, "--samples"))
     est, batch, readings = read_out(
         state, p["k"], p["epsilon"], p["delta"], samples, p["seed"],
-        _parse_elements(p["elements"], state.n_orbitals, p["k"]), args.threads)
+        _parse_elements(p["elements"], p["k"]), args.threads)
     rows = [[";".join(map(str, bra)), ";".join(map(str, ket)), value.real,
              value.imag, est.groups, est.group_size]
             for (bra, ket), (value, _) in readings]
@@ -380,6 +373,8 @@ def _cmd_shadows(args, config) -> int:
 
 def _cmd_cost(args, config) -> int:
     p = _resolve("cost", args, config)
+    if bool(p["alpha-range"]) == bool(p["query"]):
+        raise UsageError("cost takes exactly one of --alpha-range and --query")
     if p["alpha-range"]:
         try:
             lo, hi, step = (float(v) for v in p["alpha-range"].split(":"))
@@ -400,38 +395,36 @@ def _cmd_cost(args, config) -> int:
                      r["optimal_classical_term"]] for r in rows])
         _write_manifest("cost", p, 0, [], [p["out"]])
         return 0
-    if p["query"]:
-        vals = [v.strip() for v in p["query"].split(",")]
-        names = ["n_basis", "eta", "time", "epsilon", "occupied_orbitals",
-                 "time_points", "observable_norm", "sampling_cost", "k_body"]
-        if not 4 <= len(vals) <= len(names):
-            raise UsageError(f"--query needs N,eta,t,eps and at most "
-                             f"{len(names)} fields, got {len(vals)}")
-        kwargs = {}
-        for name, val in zip(names, vals):
-            if val == "":
-                if name in ("n_basis", "eta"):
-                    raise UsageError(f"--query field {name} is empty")
-                continue
-            try:
-                number = float(val)
-            except ValueError as exc:
-                raise UsageError(
-                    f"--query value {val!r} for {name} is not a number") from exc
-            counted = name in ("n_basis", "eta", "k_body")
-            number = _checked(number, int if counted else float,
-                              f"--query field {name}")
-            kwargs[name] = number if name == "k_body" else float(number)
-        report = cost_report(CostQuery(**kwargs))
-        text = json.dumps(report, indent=2, sort_keys=True, default=str)
-        if p["out"]:
-            with open(p["out"], "w") as fh:
-                fh.write(text + "\n")
-            _write_manifest("cost", p, 0, [], [p["out"]])
-        else:
-            print(text)
-        return 0
-    raise UsageError("cost needs --alpha-range or --query")
+    vals = [v.strip() for v in p["query"].split(",")]
+    names = ["n_basis", "eta", "time", "epsilon", "occupied_orbitals",
+             "time_points", "observable_norm", "sampling_cost", "k_body"]
+    if not 4 <= len(vals) <= len(names):
+        raise UsageError(f"--query needs N,eta,t,eps and at most "
+                         f"{len(names)} fields, got {len(vals)}")
+    kwargs = {}
+    for name, val in zip(names, vals):
+        if val == "":
+            if name in ("n_basis", "eta"):
+                raise UsageError(f"--query field {name} is empty")
+            continue
+        try:
+            number = float(val)
+        except ValueError as exc:
+            raise UsageError(
+                f"--query value {val!r} for {name} is not a number") from exc
+        counted = name in ("n_basis", "eta", "k_body")
+        number = _checked(number, int if counted else float,
+                          f"--query field {name}")
+        kwargs[name] = number if name == "k_body" else float(number)
+    report = cost_report(CostQuery(**kwargs))
+    text = json.dumps(report, indent=2, sort_keys=True, default=str)
+    if p["out"]:
+        with open(p["out"], "w") as fh:
+            fh.write(text + "\n")
+        _write_manifest("cost", p, 0, [], [p["out"]])
+    else:
+        print(text)
+    return 0
 
 
 # -- dispatcher ----------------------------------------------------------------
@@ -442,7 +435,8 @@ _COMMANDS = {
     "tdhf": (_cmd_tdhf, "real-time mean-field propagation"),
     "prep": (_cmd_prep, "Slater preparation with gate ledger"),
     "shadows": (_cmd_shadows, "classical-shadow RDM estimation"),
-    "cost": (_cmd_cost, "asymptotic cost and speedup tables"),
+    "cost": (_cmd_cost, "asymptotic cost: a speedup table (--alpha-range) or "
+                        "one report (--query); give exactly one"),
 }
 
 

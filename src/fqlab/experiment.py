@@ -21,8 +21,7 @@ def pipeline_shadow_experiment(config: dict) -> dict:
     gridc = config["grid"]
     grid = GridSpec(dim=int(gridc["dim"]), points_per_axis=int(gridc["points"]),
                     cell_volume=float(gridc["omega"]))
-    coeffs = np.asarray(config["coeffs"], dtype=complex)
-    state = prepare_slater(coeffs, grid=grid).state
+    state = prepare_slater(config["coeffs"], grid=grid).state
     evo = config.get("evolution")
     if evo and float(evo.get("time", 0.0)) != 0.0:
         nuclei = evo.get("nuclei") or NuclearConfig.empty(grid.dim)

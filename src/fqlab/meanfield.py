@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
+    NonOrthonormalInput,
     OrbitalDrift,
     ValidationError,
 )
@@ -27,19 +28,12 @@ from .hamiltonian import (
     nuclear_repulsion,
     pair_potential_table,
 )
+from .states import check_orthonormal_columns
 
 
-ORTHONORMAL_TOL = 1e-8
 # exponential-midpoint fixed point: converged below this max |change|
 MIDPOINT_TOL = 1e-10
 MIDPOINT_ITERATIONS = 20
-
-
-def _orthonormality_residual(c: np.ndarray) -> float:
-    """max |C†C - I|, elementwise."""
-    if c.shape[1] == 0:
-        return 0.0
-    return float(np.max(np.abs(c.conj().T @ c - np.eye(c.shape[1]))))
 
 
 @dataclass
@@ -50,14 +44,7 @@ class OccupiedOrbitals:
     grid: GridSpec | None = None
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 2:
-            raise ValidationError("coefficients must be an N x eta matrix")
-        if not np.all(np.isfinite(c)):
-            raise ValidationError("orbital coefficients must be finite")
-        if _orthonormality_residual(c) > ORTHONORMAL_TOL:
-            raise ValidationError("orbital columns not orthonormal within 1e-8")
-        self.coeffs = c
+        self.coeffs = check_orthonormal_columns(self.coeffs, self.grid)
 
     @property
     def eta(self) -> int:
@@ -152,8 +139,6 @@ def _density_diagonal(c: np.ndarray) -> np.ndarray:
 
 def _fock_from_matrix(c: np.ndarray, integrals: GridIntegrals) -> np.ndarray:
     """F(C), built in place in the one N x N temporary P = C C†."""
-    if c.shape[0] != integrals.h.shape[0]:
-        raise DimensionMismatch("orbital and integral dimensions differ")
     fock = _density_matrix(c)
     coulomb = integrals.v @ fock.real.diagonal()
     fock *= integrals.v
@@ -169,7 +154,7 @@ def build_fock(orbitals: OccupiedOrbitals, integrals: GridIntegrals) -> np.ndarr
     With diagonal grid integrals the Coulomb term is diag(v @ diag(P))
     and the exchange term is v * P elementwise.
     """
-    return _fock_from_matrix(orbitals.coeffs, integrals)
+    return FockOperator(orbitals.coeffs, integrals).matrix()
 
 
 def _matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -349,12 +334,12 @@ def _rk4(c: np.ndarray, integrals: GridIntegrals, dt: float) -> np.ndarray:
     k3 = rhs(c + dt / 2 * k2)
     k4 = rhs(c + dt * k3)
     out = c + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    residual = _orthonormality_residual(out)
-    if residual > ORTHONORMAL_TOL:
+    try:
+        check_orthonormal_columns(out)
+    except NonOrthonormalInput as exc:
         raise OrbitalDrift(
-            f"rk4 step left the orbitals non-orthonormal (max |C^H C - I| = "
-            f"{residual:.3g} > {ORTHONORMAL_TOL:g}); use a smaller time step "
-            "(more steps) or the exponential-midpoint scheme")
+            f"rk4 step drifted off orthonormality ({exc}); use a smaller time "
+            "step (more steps) or the exponential-midpoint scheme") from exc
     return out
 
 

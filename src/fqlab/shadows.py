@@ -6,8 +6,8 @@ register measurement channel M(A) = (A + tr[A] I)/(2^n + 1) offline.
 Estimates use a restricted register-index sum (one register per block)
 with a median-of-means over sample groups.
 
-The log in the sample-count formula is the natural log (the module
-constant ``LOG_CONVENTION`` names that convention).
+The log in the sample-count formula is the natural log. k, epsilon,
+delta and the element labels each have one check, named in its message.
 """
 
 from dataclasses import dataclass
@@ -34,7 +34,6 @@ from .states import (
     sample_registers,
 )
 
-LOG_CONVENTION = "natural"
 _CHUNK = 4096
 # Samples per block: as many as keep the level-1 array (block x
 # tensor.size amplitudes) within this budget, at least one. Larger blocks
@@ -92,13 +91,25 @@ class RestrictedIndexSet:
         return list(product(*blocks))
 
 
+def _check_accuracy(epsilon: float, delta: float) -> None:
+    """Refuse epsilon outside (0, 1] and delta outside (0, 1), NaN included."""
+    if not 0 < epsilon <= 1:
+        raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
+    if not 0 < delta < 1:
+        raise ValidationError(f"delta must lie in (0, 1), got {delta}")
+
+
 def required_samples(n_orbitals: int, k: int, eta: int, epsilon: float,
                      delta: float) -> int:
-    """Measurement count 64 e^3 ln(N/delta) k (2k+2e)^k eta^k / eps^2."""
-    if min(n_orbitals, k, eta) < 1 or epsilon <= 0 or not 0 < delta < 1:
-        raise ValidationError("arguments must be positive with 0 < delta < 1")
-    if epsilon > 1:
-        raise ValidationError("epsilon must be <= 1")
+    """Measurement count 64 e^3 ln(N/delta) k (2k+2e)^k eta^k / eps^2.
+
+    Refused: N < 1, k outside 1..eta, and epsilon or delta out of range.
+    """
+    if n_orbitals < 1:
+        raise ValidationError(f"n_orbitals must be positive, got {n_orbitals}")
+    if not 1 <= k <= eta:
+        raise ValidationError(f"k must lie in 1..{eta}, got {k}")
+    _check_accuracy(epsilon, delta)
     value = (64.0 * math.e ** 3 * math.log(n_orbitals / delta) * k
              * (2 * k + 2 * math.e) ** k * eta ** k / epsilon ** 2)
     return math.ceil(value)
@@ -109,13 +120,6 @@ def variance_bound(k: int, eta: int) -> float:
     if eta < 2 * k:
         raise AssumptionViolated(f"bound requires eta >= 2k, got eta={eta}, k={k}")
     return math.e ** 3 * eta ** k * (2 * k + 2 * math.e) ** k
-
-
-def _median_groups(delta: float) -> int:
-    """Median-of-means group count K = ceil(8 ln(1/delta)), 0 < delta < 1."""
-    if not 0 < delta < 1:
-        raise ValidationError(f"delta must lie in (0, 1), got {delta}")
-    return math.ceil(8 * math.log(1 / delta))
 
 
 @dataclass(frozen=True)
@@ -135,9 +139,8 @@ class EstimatorConfig:
 
         Refused: epsilon outside (0, 1] and delta outside (0, 1).
         """
-        if not 0 < epsilon <= 1:
-            raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
-        groups = _median_groups(delta)
+        _check_accuracy(epsilon, delta)
+        groups = math.ceil(8 * math.log(1 / delta))
         group_size = m // groups
         if group_size < 1:
             raise InsufficientSamples(f"{m} samples cannot fill {groups} groups")
@@ -165,6 +168,16 @@ def _collect_chunk(state, part: ShadowBatch, rng) -> None:
         start += len(keys)
 
 
+def _check_batch(state: FirstQuantizedState, m: int) -> None:
+    if m < 0:
+        raise ValidationError("sample count must be nonnegative")
+    entries = int(m) * state.eta * state.register_dim
+    if entries > BRUTE_FORCE_AMPLITUDES:
+        raise BruteForceLimitExceeded(
+            f"{m} samples need {entries} outcome-row entries, above "
+            f"{BRUTE_FORCE_AMPLITUDES}; ask for fewer samples")
+
+
 def collect_shadows(state: FirstQuantizedState, m: int, seed: int,
                     threads: int = 1) -> ShadowBatch:
     """Collect m shadow samples.
@@ -173,8 +186,7 @@ def collect_shadows(state: FirstQuantizedState, m: int, seed: int,
     (seed, "shadows", c) and written to its own slice of the batch, so the
     result is identical for any thread count.
     """
-    if m < 0:
-        raise ValidationError("sample count must be nonnegative")
+    _check_batch(state, m)
     batch = ShadowBatch(np.empty((m, state.eta), dtype=object),
                         np.empty((m, state.eta), dtype=np.int64),
                         np.empty((m, state.eta, state.register_dim), dtype=complex))
@@ -257,10 +269,10 @@ def single_shot_values(batch: ShadowBatch, bra_labels,
 
 def _row_values(rows: np.ndarray, bra_labels, ket_labels,
                 k: int | None = None) -> np.ndarray:
-    """Estimator values of outcome rows shaped (m, eta, 2^n).
+    """Estimator values of outcome rows shaped (m, eta, d).
 
     Refused: bra and ket of unequal length, of a length outside 1..eta or
-    other than ``k`` when given, and a label not an integer in 0..2^n-1.
+    other than ``k`` when given, and a label not an integer in 0..d-1.
     """
     m, eta, dim = rows.shape
     order = len(bra_labels)
@@ -333,33 +345,28 @@ def read_out(state: FirstQuantizedState, k: int, epsilon: float, delta: float,
              samples, seed: int, elements, threads: int = 1):
     """k-RDM elements of an antisymmetric state from one shadow batch.
 
-    A state whose amplitudes are not antisymmetric is refused first: the
-    restricted register sum estimates a k-RDM only for such a state.
-    ``samples`` is "auto" (:func:`required_samples`) or a positive int;
-    ``elements`` is "all-1rdm" (k = 1 only) or (bra, ket) label tuples,
-    each checked before any sample is drawn. A sample count whose outcome
-    rows would hold more than BRUTE_FORCE_AMPLITUDES entries is refused
-    before the batch is allocated. Returns the estimator
-    configuration, the batch and the :func:`estimate_elements` stream.
+    Every input is checked before any sample is drawn: the state's
+    amplitudes (the restricted register sum estimates a k-RDM only for an
+    antisymmetric state); k, epsilon and delta, by :func:`required_samples`
+    on either path; ``samples``, "auto" (that count) or a positive int, and
+    its batch size; and ``elements``, "all-1rdm" (k = 1 only) or (bra, ket)
+    tuples of k labels in 0..N-1. Returns the estimator configuration, the
+    batch and the :func:`estimate_elements` stream.
     """
     if not state.is_antisymmetric():
         raise NotAntisymmetric("shadow protocol expects an antisymmetric state")
+    required = required_samples(state.n_orbitals, k, state.eta, epsilon, delta)
     if samples == "auto":
-        samples = required_samples(state.n_orbitals, k, state.eta, epsilon,
-                                   delta)
+        samples = required
     elif (isinstance(samples, bool) or not isinstance(samples, (int, np.integer))
           or samples < 1):
         raise ValidationError(
             f"samples must be 'auto' or a positive integer, got {samples!r}")
-    entries = int(samples) * state.eta * state.register_dim
-    if entries > BRUTE_FORCE_AMPLITUDES:
-        raise BruteForceLimitExceeded(
-            f"{samples} samples need {entries} outcome-row entries, above "
-            f"{BRUTE_FORCE_AMPLITUDES}; ask for fewer samples")
+    _check_batch(state, samples)
     config = EstimatorConfig.from_sample_count(k, epsilon, delta, samples)
     if elements == "all-1rdm":  # refused below unless k = 1
         elements = all_1rdm_elements(state.n_orbitals)
-    no_rows = np.empty((0, state.eta, state.register_dim), dtype=complex)
+    no_rows = np.empty((0, state.eta, state.n_orbitals), dtype=complex)
     for bra, ket in elements:
         _row_values(no_rows, bra, ket, k)
     batch = collect_shadows(state, samples, seed, threads=threads)

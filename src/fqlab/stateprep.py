@@ -41,7 +41,12 @@ from .errors import (
     ValidationError,
 )
 from .grids import register_qubits
-from .states import FirstQuantizedState, check_dense_size, signed_permutation_sum
+from .states import (
+    FirstQuantizedState,
+    check_dense_size,
+    check_orthonormal_columns,
+    signed_permutation_sum,
+)
 
 
 # -- Givens network ------------------------------------------------------
@@ -122,13 +127,10 @@ def givens_decompose(coeffs: np.ndarray) -> GivensNetwork:
     antidiagonal per layer with adjacent-row rotations; reversing that
     order yields the forward schedule. Zero pivots emit no rotation.
     """
-    m = np.asarray(coeffs, dtype=complex)
+    m = check_orthonormal_columns(coeffs)
     n, eta = m.shape
     if not 1 <= eta <= n:
         raise ValidationError("need an N x eta matrix with eta <= N")
-    gram = m.conj().T @ m
-    if np.max(np.abs(gram - np.eye(eta))) > 1e-8:
-        raise ValidationError("columns must be orthonormal")
     work = _staircase_gauge(m)
     layers_reversed = []
     for q in range(n - eta - 1, -1, -1):  # elimination: last layer first
@@ -368,8 +370,7 @@ def prepare_slater(coeffs: np.ndarray, grid=None,
     Layers and conversions interleave: layer q is applied just before
     orbital q is converted, so at most eta + 1 window qubits are live.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    n, eta = coeffs.shape
+    n, eta = np.shape(coeffs)
     check_dense_size(n, eta)  # the output state is dense
     network = givens_decompose(coeffs)
     regs = ConversionRegisters(n_orbitals=n, eta=eta)

@@ -30,6 +30,7 @@ from .grids import GridSpec, register_qubits
 
 BRUTE_FORCE_AMPLITUDES = 2 ** 24
 NORM_TOL = 1e-12
+ORTHONORMAL_TOL = 1e-8
 SNAPSHOT_MAGIC = b"FQS1"
 
 
@@ -122,6 +123,28 @@ def sample_registers(tensor: np.ndarray, uniforms: np.ndarray,
         target = target - cdf.ravel()[starts + label]
         outcomes[:, x] = label
     return outcomes
+
+
+def check_orthonormal_columns(coeffs, grid: GridSpec | None = None) -> np.ndarray:
+    """``coeffs`` as a complex (N, eta) array with orthonormal columns.
+
+    Refused (NonOrthonormalInput): not 2-D, N other than ``grid``'s point
+    count, a non-finite entry (tested before the Gram product), and
+    max |C^H C - I| not within ORTHONORMAL_TOL.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim != 2:
+        raise NonOrthonormalInput(f"coefficients of shape {c.shape} are not N x eta")
+    if grid is not None and len(c) != grid.total_points:
+        raise NonOrthonormalInput(f"coefficients have {len(c)} rows for "
+                                  f"{grid.total_points} grid points")
+    if not np.all(np.isfinite(c)):
+        raise NonOrthonormalInput("coefficients hold a non-finite value")
+    residual = np.abs(c.conj().T @ c - np.eye(c.shape[1])).max(initial=0.0)
+    if not residual <= ORTHONORMAL_TOL:
+        raise NonOrthonormalInput(f"columns not orthonormal: max |C^H C - I| = "
+                                  f"{residual:.3g} > {ORTHONORMAL_TOL:g}")
+    return c
 
 
 def check_dense_size(n_orbitals: int, eta: int) -> None:
@@ -242,29 +265,18 @@ def antisymmetrize(state: FirstQuantizedState) -> FirstQuantizedState:
     return state.copy_with(acc / nrm)
 
 
-def slater_oracle(orbitals, grid: GridSpec | None = None,
-                  n_orbitals: int | None = None) -> FirstQuantizedState:
+def slater_oracle(orbitals, grid: GridSpec | None = None) -> FirstQuantizedState:
     """Slater determinant of mutually orthonormal orbitals.
 
     The amplitude at (p_1,...,p_eta) is det[phi_a(p_b)] / sqrt(eta!).
     ``orbitals`` may be a list of orbital vectors or an (N, eta)
-    coefficient matrix.
+    coefficient matrix; N is its row count.
     """
-    if isinstance(orbitals, np.ndarray) and orbitals.ndim == 2:
-        cols = [orbitals[:, a] for a in range(orbitals.shape[1])]
-    else:
-        cols = [np.asarray(o, dtype=complex) for o in orbitals]
-    eta = len(cols)
-    if n_orbitals is None:
-        n_orbitals = grid.total_points if grid is not None else len(cols[0])
+    if not isinstance(orbitals, np.ndarray):
+        orbitals = np.stack(list(orbitals), axis=1)
+    coeff = check_orthonormal_columns(orbitals, grid)
+    n_orbitals, eta = coeff.shape
     check_dense_size(n_orbitals, eta)
-    coeff = np.stack(cols, axis=1).astype(complex)  # (N, eta)
-    if coeff.shape[0] != n_orbitals:
-        raise ValidationError("orbital length does not match n_orbitals")
-    gram = coeff.conj().T @ coeff
-    if np.max(np.abs(gram - np.eye(eta))) > 1e-8:
-        raise NonOrthonormalInput("orbital Gram matrix deviates from identity by > 1e-8")
-
     padded = np.pad(coeff, ((0, 2 ** register_qubits(n_orbitals) - n_orbitals), (0, 0)))
     acc = np.ones((), dtype=complex)
     for b in range(eta):  # antisymmetrized as each orbital joins the product
@@ -284,12 +296,13 @@ def apply_register_unitary(state: FirstQuantizedState, register: int,
     """
     if not 1 <= register <= state.eta:
         raise ValidationError(f"register {register} out of range 1..{state.eta}")
-    u = np.asarray(unitary, dtype=complex)
+    try:
+        u = check_orthonormal_columns(unitary)
+    except NonOrthonormalInput as exc:
+        raise NonUnitary(f"U is not unitary: {exc}") from exc
     d = state.register_dim
     if u.shape != (d, d):
         raise ValidationError(f"unitary must be {d}x{d}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(d))) > 1e-8:
-        raise NonUnitary("U†U deviates from identity by > 1e-8")
     stack = [u if x == register - 1 else np.eye(d) for x in range(state.eta)]
     out = contract_registers(state.tensor, np.array(stack))  # complex, as u
     return state.copy_with(out)

@@ -101,14 +101,14 @@ def test_criterion_02_shadows_statistical_and_variance():
     one_rdm_elements = [((i,), (j,)) for i in range(4) for j in range(4)]
     results = []
     for label, state in [
-            ("slater", slater_oracle([eye[:, 0], eye[:, 1]], n_orbitals=4)),
+            ("slater", slater_oracle([eye[:, 0], eye[:, 1]])),
             ("random", random_antisymmetric_state(4, 2, seed=7))]:
         var, pulls, bound = _statistical_check(
             state, 1, one_rdm_elements, m, seed=2024)
         results.append(f"k=1 {label}: var {var:.1f} <= {bound:.1f}, "
                        f"worst pull {pulls:.2f} sigma")
 
-    filled = slater_oracle([eye[:, a] for a in range(4)], n_orbitals=4)
+    filled = slater_oracle([eye[:, a] for a in range(4)])
     two_rdm_elements = [((i1, i2), (j1, j2))
                         for (i1, i2) in [(0, 1), (0, 2), (1, 3), (2, 3)]
                         for (j1, j2) in [(0, 1), (0, 2), (1, 3), (2, 3)]]
@@ -181,11 +181,9 @@ def test_criterion_06_first_second_equivalence():
     """Transition operators match fermionic ladder operators, all (p, q)."""
     checked = 0
     for n_orbitals, eta in [(4, 2), (4, 3), (6, 2), (6, 3), (8, 2), (8, 3)]:
-        reference = slater_oracle(np.eye(n_orbitals)[:, :eta],
-                                  n_orbitals=n_orbitals)
+        reference = slater_oracle(np.eye(n_orbitals)[:, :eta])
         randomized = slater_oracle(
-            random_orthonormal(n_orbitals, eta, seed=300 + n_orbitals + eta),
-            n_orbitals=n_orbitals)
+            random_orthonormal(n_orbitals, eta, seed=300 + n_orbitals + eta))
         for state in (reference, randomized):
             for p in range(n_orbitals):
                 for q in range(n_orbitals):
@@ -204,7 +202,7 @@ def test_criterion_07_state_preparation():
             coeffs = random_orthonormal(
                 n_orbitals, eta, seed=1000 + 10 * n_orbitals + eta + rep)
             result = prepare_slater(coeffs, validate=(rep == 0))
-            oracle = slater_oracle(coeffs, n_orbitals=n_orbitals)
+            oracle = slater_oracle(coeffs)
             worst = min(worst, abs(result.state.overlap(oracle)))
             assert abs(abs(result.state.overlap(oracle)) - 1.0) <= 1e-9
             assert result.ledger.total == toffoli_count(n_orbitals, eta,
@@ -250,7 +248,7 @@ def test_criterion_09_mean_field_cross_check():
     for n_orbitals, eta in [(4, 2), (6, 3), (8, 2), (8, 3)]:
         coeffs = random_orthonormal(n_orbitals, eta, seed=40 + n_orbitals)
         p = mean_field_1rdm(OccupiedOrbitals(coeffs))
-        state = slater_oracle(coeffs, n_orbitals=n_orbitals)
+        state = slater_oracle(coeffs)
         for mu in range(n_orbitals):
             for nu in range(n_orbitals):
                 exact = exact_krdm_element(state, (mu,), (nu,), check=False)

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import fqlab
 from fqlab import shadows
 from fqlab.cli import _PARAMETERS, _build_parser, dispatch
-from fqlab.errors import ValidationError
+from fqlab.errors import NonOrthonormalInput, ValidationError
 from fqlab.experiment import pipeline_shadow_experiment
 from fqlab.grids import GridSpec
 from fqlab.states import FirstQuantizedState, load_state, save_state
@@ -203,6 +203,20 @@ class TestTdhfCommand:
         assert len(err.splitlines()) == 1, err
         assert "exponential-midpoint" in err
 
+    def test_rk4_blow_up_exits_three(self, workdir, capsys):
+        # the step's output is finite (max |C| ~ 4e300) but its Gram
+        # residual is NaN; the overflow on the way there is expected
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = dispatch(["tdhf", "--dim", "1", "--points", "8", "--omega",
+                             "16", "--eta", "3", "--soften", "1.0", "--time",
+                             "1e8", "--steps", "1", "--scheme", "rk4",
+                             "--out", "t.csv"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "drifted off orthonormality" in err
+        assert not (workdir / "t.csv").exists()
+
 
 class TestEvolveFromSnapshot:
     """With --in the snapshot fixes the grid and eta."""
@@ -338,6 +352,16 @@ class TestShadowPipelineFunction:
         with pytest.raises(ValidationError):
             pipeline_shadow_experiment(config)
 
+    def test_nan_coefficient_refused(self):
+        coeffs = np.eye(4)[:, :2]
+        coeffs[0, 0] = np.nan
+        config = {"grid": {"dim": 1, "points": 4, "omega": 4.0},
+                  "coeffs": coeffs, "seed": 1,
+                  "estimator": {"k": 1, "epsilon": 0.5, "delta": 0.2,
+                                "samples": 200}}
+        with pytest.raises(NonOrthonormalInput):
+            pipeline_shadow_experiment(config)
+
 
 class TestElementsFile:
     def test_two_body_elements_from_file(self, workdir):
@@ -373,9 +397,43 @@ class TestElementsFile:
                              "200", "--seed", "8", "--elements", "bad1.csv",
                              "--out", "x.csv"]) == 2
 
+    @pytest.mark.parametrize("row", ["0,7", "5,5"])
+    def test_padding_labels_exit_two(self, workdir, capsys, row):
+        # N = 5 orbitals in registers of 2^3: labels 5..7 are padding
+        assert dispatch([*EVOLVE_N5, "--eta", "2"]) == 0
+        (workdir / "pad.csv").write_text(row + "\n")
+        exits_two_with_one_line(
+            ["shadows", "--in", "st5.bin", "--epsilon", "0.5", "--delta",
+             "0.2", "--samples", "200", "--elements", "pad.csv",
+             "--out", "x.csv"], capsys, "0..4")
+        assert not (workdir / "x.csv").exists()
+
 
 EVOLVE_N5 = ["evolve", "--dim", "1", "--points", "5", "--omega", "5",
              "--time", "0.1", "--steps", "2", "--out", "st5.bin"]
+
+
+@pytest.mark.parametrize("flag,value,needle", [
+    ("--k", "0", "k must lie in 1..2, got 0"),
+    ("--k", "3", "k must lie in 1..2, got 3"),
+    ("--epsilon", "7", "epsilon must lie in (0, 1], got 7.0"),
+    ("--epsilon", "0", "epsilon must lie in (0, 1], got 0.0"),
+    ("--delta", "0", "delta must lie in (0, 1), got 0.0"),
+    ("--delta", "1", "delta must lie in (0, 1), got 1.0"),
+], ids=["k-0", "k-3", "epsilon-7", "epsilon-0", "delta-0", "delta-1"])
+def test_bad_readout_parameter_one_line_on_both_sample_paths(
+        workdir, capsys, flag, value, needle):
+    assert dispatch([*EVOLVE_N5, "--eta", "2"]) == 0
+    flags = {"--k": "1", "--epsilon": "0.5", "--delta": "0.2", flag: value}
+    errors = []
+    for samples in ("auto", "200"):
+        argv = ["shadows", "--in", "st5.bin", "--samples", samples,
+                "--out", "x.csv", *(part for item in flags.items()
+                                    for part in item)]
+        assert dispatch(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0].splitlines() == [f"error: {needle}"], errors
+    assert errors[1] == errors[0]
 
 
 class TestMalformedInputs:
@@ -431,6 +489,8 @@ class TestMalformedInputs:
         ["cost", "--alpha-range", "8:1:1", "--out", "s.csv"],
         ["cost", "--alpha-range", "1:inf:1", "--out", "s.csv"],
         ["cost", "--alpha-range", "1:2:1", "--out", "no-such-dir/s.csv"],
+        ["cost", "--alpha-range", "1:2:0.5", "--query", "4,2,1,0.1",
+         "--out", "c.csv"],
     ], ids=["missing-in", "missing-manifest", "bad-config", "bad-coeffs",
             "bad-samples", "bad-query", "empty-query-field", "nan-query-field",
             "inf-query-field", "fractional-query-n", "fractional-query-eta",
@@ -440,7 +500,7 @@ class TestMalformedInputs:
             "evolve-eta-zero", "evolve-eta-above-n", "evolve-eta-negative",
             "tdhf-eta-above-n", "evolve-beyond-dense", "alpha-zero-step",
             "alpha-negative-step", "alpha-empty-range", "alpha-infinite",
-            "unwritable-out"])
+            "unwritable-out", "cost-both-modes"])
     def test_exit_two_with_one_line(self, inputs, capsys, argv):
         assert dispatch(argv) == 2
         err = capsys.readouterr().err

@@ -10,6 +10,7 @@ import pytest
 from fqlab.errors import (
     ConvergenceFailure,
     DimensionMismatch,
+    NonOrthonormalInput,
     OrbitalDrift,
     ValidationError,
 )
@@ -42,6 +43,11 @@ def model_system(points=16, volume=32.0, soften=1.0, charge=2.0):
     integrals = GridIntegrals.from_grid(grid, nuclei, kernel)
     _, vecs = np.linalg.eigh(integrals.h)
     return grid, integrals, OccupiedOrbitals(vecs[:, :2], grid)
+
+
+def test_occupied_orbitals_refuse_a_grid_of_another_size():
+    with pytest.raises(NonOrthonormalInput, match="4 rows for 5 grid points"):
+        OccupiedOrbitals(np.eye(4)[:, :2], GridSpec(1, 5, 5.0))
 
 
 class TestBuildFock:
@@ -428,7 +434,7 @@ class TestMeanField1Rdm:
     def test_matches_first_quantized_oracle(self, n_orbitals, eta):
         coeffs = random_orthonormal(n_orbitals, eta, seed=n_orbitals)
         p = mean_field_1rdm(OccupiedOrbitals(coeffs))
-        state = slater_oracle(coeffs, n_orbitals=n_orbitals)
+        state = slater_oracle(coeffs)
         for mu in range(n_orbitals):
             for nu in range(n_orbitals):
                 exact = exact_krdm_element(state, (mu,), (nu,), check=False)

@@ -192,7 +192,7 @@ class TestEstimator:
 
     def test_statistical_mean_and_variance(self):
         eye = np.eye(4)
-        state = slater_oracle([eye[:, 0], eye[:, 1]], n_orbitals=4)
+        state = slater_oracle([eye[:, 0], eye[:, 1]])
         samples = collect_shadows(state, 20_000, seed=42)
         bound = variance_bound(1, 2)
         for (i, j) in [(0, 0), (0, 1), (2, 2)]:
@@ -284,7 +284,7 @@ class TestLabelChecks:
 
     def test_order_other_than_config_k_refused(self):
         eye = np.eye(4)
-        filled = slater_oracle([eye[:, a] for a in range(4)], n_orbitals=4)
+        filled = slater_oracle([eye[:, a] for a in range(4)])
         batch = collect_shadows(filled, 100, seed=1)
         config = EstimatorConfig.from_sample_count(2, 0.5, 0.2, 100)
         with pytest.raises(ValidationError, match="k = 2"):
@@ -330,6 +330,15 @@ class TestReadOut:
         assert config == EstimatorConfig.from_sample_count(1, 0.5, 0.2,
                                                            drawn[0])
 
+    @pytest.mark.parametrize("element", [((0,), (7,)), ((5,), (5,))],
+                             ids=["ket-7", "bra-ket-5"])
+    def test_padding_labels_refused(self, drawn, element):
+        # N = 5 orbitals in registers of 2^3: labels 5..7 are padding
+        state = random_antisymmetric_state(5, 2, seed=4)
+        with pytest.raises(IndexOutOfRange, match=r"0\.\.4"):
+            read_out(state, 1, 0.5, 0.2, 200, 1, [((0,), (0,)), element])
+        assert drawn == []
+
     def test_product_state_refused(self, drawn):
         product = FirstQuantizedState.from_basis(2, 4, (0, 1))
         with pytest.raises(NotAntisymmetric):
@@ -358,7 +367,6 @@ class TestEstimatorConfig:
         config = EstimatorConfig.from_sample_count(1, 0.1, 0.05, m)
         assert config.groups == math.ceil(8 * math.log(1 / 0.05))
         assert config.group_size == m // config.groups
-        assert shadows.LOG_CONVENTION == "natural"
 
     def test_from_sample_count_drops_remainder(self):
         config = EstimatorConfig.from_sample_count(1, 0.1, 0.05, 1000)
@@ -378,6 +386,16 @@ class TestCollect:
     def test_zero_samples(self):
         state = random_antisymmetric_state(4, 2, seed=12)
         assert len(collect_shadows(state, 0, seed=1)) == 0
+
+    def test_batch_beyond_budget_refused_before_allocating(self, monkeypatch):
+        # 2^22 samples of 2 x 4 outcome-row entries: twice the budget
+        state = random_antisymmetric_state(4, 2, seed=12)
+
+        def empty(*args, **kwargs):
+            raise AssertionError("batch allocated before the size check")
+        monkeypatch.setattr(np, "empty", empty)
+        with pytest.raises(BruteForceLimitExceeded):
+            collect_shadows(state, 2 ** 22, 0)
 
     def test_deterministic_and_thread_invariant(self):
         state = random_antisymmetric_state(4, 2, seed=13)

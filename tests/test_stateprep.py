@@ -193,7 +193,7 @@ class TestConversion:
             assert regs.amplitudes.size <= bound
         assert regs.ledger.total == toffoli_count(n_orbitals, eta)
         result = prepare_slater(coeffs)
-        oracle = slater_oracle(coeffs, n_orbitals=n_orbitals)
+        oracle = slater_oracle(coeffs)
         assert abs(abs(result.state.overlap(oracle)) - 1.0) <= 1e-9
         assert result.ledger.total == toffoli_count(n_orbitals, eta)
 
@@ -209,7 +209,7 @@ class TestPrepareSlater:
         phi = rng.normal(size=4) + 1j * rng.normal(size=4)
         phi /= np.linalg.norm(phi)
         result = prepare_slater(phi[:, None])
-        oracle = slater_oracle([phi], n_orbitals=4)
+        oracle = slater_oracle([phi])
         assert abs(result.state.overlap(oracle)) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("n_orbitals,eta",
@@ -217,14 +217,14 @@ class TestPrepareSlater:
     def test_matches_oracle(self, n_orbitals, eta):
         coeffs = random_orthonormal(n_orbitals, eta, seed=7 * n_orbitals + eta)
         result = prepare_slater(coeffs, validate=True)
-        oracle = slater_oracle(coeffs, n_orbitals=n_orbitals)
+        oracle = slater_oracle(coeffs)
         assert abs(result.state.overlap(oracle)) == pytest.approx(1.0, abs=1e-9)
         assert result.state.is_antisymmetric(tol=1e-10)
 
     def test_twelve_orbitals_five_particles_match_oracle(self):
         coeffs = random_orthonormal(12, 5, seed=125)
         result = prepare_slater(coeffs)
-        oracle = slater_oracle(coeffs, n_orbitals=12)
+        oracle = slater_oracle(coeffs)
         assert abs(result.state.overlap(oracle)) == pytest.approx(1.0, abs=1e-9)
         assert result.ledger.total == toffoli_count(12, 5, "improved")
 

@@ -19,6 +19,7 @@ from fqlab.errors import (
     ValidationError,
     ZeroProjection,
 )
+from fqlab.meanfield import OccupiedOrbitals
 from fqlab.rng import derive_rng
 from fqlab.states import (
     FirstQuantizedState,
@@ -38,6 +39,7 @@ from fqlab.states import (
     transition_expectation,
 )
 from fqlab.grids import GridSpec, register_qubits
+from fqlab.stateprep import prepare_slater
 
 from conftest import (
     joint_born_outcomes,
@@ -145,14 +147,14 @@ class TestSignedPermutationSum:
 class TestSlaterOracle:
     def test_identity_orbitals(self):
         eye = np.eye(4)
-        state = slater_oracle([eye[:, 0], eye[:, 1]], n_orbitals=4)
+        state = slater_oracle([eye[:, 0], eye[:, 1]])
         assert state.tensor[0, 1] == pytest.approx(1 / math.sqrt(2))
         assert state.tensor[1, 0] == pytest.approx(-1 / math.sqrt(2))
 
     def test_single_particle_is_the_orbital(self, rng):
         phi = rng.normal(size=5) + 1j * rng.normal(size=5)
         phi /= np.linalg.norm(phi)
-        state = slater_oracle([phi], n_orbitals=5)
+        state = slater_oracle([phi])
         assert np.allclose(state.tensor[:5], phi)
         assert np.allclose(state.tensor[5:], 0)
 
@@ -160,14 +162,14 @@ class TestSlaterOracle:
         eye = np.eye(4)
         plus = (eye[:, 0] + eye[:, 1]) / math.sqrt(2)
         minus = (eye[:, 0] - eye[:, 1]) / math.sqrt(2)
-        a = slater_oracle([eye[:, 0], eye[:, 1]], n_orbitals=4)
-        b = slater_oracle([plus, minus], n_orbitals=4)
+        a = slater_oracle([eye[:, 0], eye[:, 1]])
+        b = slater_oracle([plus, minus])
         assert abs(a.overlap(b)) == pytest.approx(1.0, abs=1e-12)
 
     def test_amplitudes_are_determinants(self):
         # Oracle: evaluate the 2x2 determinant at every index pair directly.
         coeffs = random_orthonormal(6, 2, seed=9)
-        state = slater_oracle(coeffs, n_orbitals=6)
+        state = slater_oracle(coeffs)
         for p in range(6):
             for q in range(6):
                 det = coeffs[p, 0] * coeffs[q, 1] - coeffs[q, 0] * coeffs[p, 1]
@@ -178,7 +180,7 @@ class TestSlaterOracle:
     @pytest.mark.parametrize("eta", [1, 2, 3, 4])
     def test_every_amplitude_is_a_determinant(self, eta, n_orbitals):
         coeffs = random_orthonormal(n_orbitals, eta, seed=10 * n_orbitals + eta)
-        tensor = slater_oracle(coeffs, n_orbitals=n_orbitals).tensor
+        tensor = slater_oracle(coeffs).tensor
         core = (slice(0, n_orbitals),) * eta
         labels = np.indices((n_orbitals,) * eta).reshape(eta, -1).T
         # det[phi_a(p_b)] for every label tuple (p_1, ..., p_eta)
@@ -195,7 +197,7 @@ class TestSlaterOracle:
         phi = np.zeros((2 ** register_qubits(n_orbitals), 2), dtype=complex)
         phi[:n_orbitals] = coeffs
         pair = np.multiply.outer(phi[:, 0], phi[:, 1])
-        state = slater_oracle(coeffs, n_orbitals=n_orbitals)
+        state = slater_oracle(coeffs)
         assert np.array_equal(state.tensor, (pair - pair.T) / math.sqrt(2))
 
     def test_rejects_non_orthonormal(self):
@@ -203,11 +205,41 @@ class TestSlaterOracle:
         tilted = eye[:, 1] + 1e-3 * eye[:, 0]
         tilted /= np.linalg.norm(tilted)
         with pytest.raises(NonOrthonormalInput):
-            slater_oracle([eye[:, 0], tilted], n_orbitals=4)
+            slater_oracle([eye[:, 0], tilted])
 
     def test_is_antisymmetric(self):
-        state = slater_oracle(random_orthonormal(8, 3, seed=2), n_orbitals=8)
+        state = slater_oracle(random_orthonormal(8, 3, seed=2))
         assert state.is_antisymmetric(tol=1e-12)
+
+
+_NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.inf)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), data=st.data())
+def test_occupied_orbital_consumers_agree(n, data):
+    """The Slater oracle, Slater preparation and the TDHF orbitals accept
+    or refuse (NonOrthonormalInput) the same coefficients: QR columns as
+    drawn, scaled, tilted off orthonormality, or with one non-finite entry."""
+    eta = data.draw(st.integers(1, n - 1), label="eta")
+    coeffs = random_orthonormal(n, eta, seed=data.draw(st.integers(0, 999)))
+    edit = data.draw(st.sampled_from(["drawn", "scale", "tilt", "entry"]))
+    if edit == "scale":
+        coeffs *= data.draw(st.sampled_from([0.5, 0.999, 1.001, 2.0]))
+    elif edit == "tilt":
+        coeffs[0, -1] += data.draw(st.floats(1e-3, 0.5))
+    elif edit == "entry":
+        coeffs[data.draw(st.integers(0, n - 1)),
+               data.draw(st.integers(0, eta - 1))] = data.draw(
+                   st.sampled_from(_NON_FINITE))
+    verdicts = set()
+    for consumer in (slater_oracle, prepare_slater, OccupiedOrbitals):
+        try:
+            consumer(coeffs.copy())
+            verdicts.add("accepted")
+        except NonOrthonormalInput:
+            verdicts.add("refused")
+    assert verdicts == {"accepted" if edit == "drawn" else "refused"}
 
 
 def _kron_apply(unitaries, tensor):
@@ -298,6 +330,12 @@ class TestRegisterUnitary:
         state = basis(4, (0, 1))
         with pytest.raises(NonUnitary):
             apply_register_unitary(state, 1, np.eye(4) * 1.001)
+
+    def test_rejects_non_finite(self):
+        u = np.eye(4, dtype=complex)
+        u[0, 0] = np.nan
+        with pytest.raises(NonUnitary):
+            apply_register_unitary(basis(4, (0, 1)), 1, u)
 
     def test_register_range_checked(self):
         state = basis(4, (0, 1))
@@ -429,7 +467,7 @@ class TestTransitionExpectation:
 class TestExactKrdm:
     def test_slater_1rdm_diagonal(self):
         eye = np.eye(4)
-        state = slater_oracle([eye[:, 0], eye[:, 1]], n_orbitals=4)
+        state = slater_oracle([eye[:, 0], eye[:, 1]])
         rdm = exact_1rdm(state)
         assert np.allclose(np.diag(rdm), [1, 1, 0, 0], atol=1e-12)
 
@@ -442,7 +480,7 @@ class TestExactKrdm:
     def test_two_rdm_element_of_slater(self):
         # Wick oracle for a determinant: D^{pq}_{rs} = P_pr P_qs - P_ps P_qr.
         coeffs = random_orthonormal(6, 2, seed=21)
-        state = slater_oracle(coeffs, n_orbitals=6)
+        state = slater_oracle(coeffs)
         p_mat = coeffs @ coeffs.conj().T
         for (i1, i2, j1, j2) in [(0, 1, 0, 1), (0, 2, 1, 3), (2, 4, 2, 4)]:
             wick = (p_mat[j1, i1] * p_mat[j2, i2]
@@ -452,11 +490,11 @@ class TestExactKrdm:
 
     def test_identity_column_2rdm(self):
         eye = np.eye(4)
-        state = slater_oracle([eye[:, 0], eye[:, 1]], n_orbitals=4)
+        state = slater_oracle([eye[:, 0], eye[:, 1]])
         assert exact_krdm_element(state, (0, 1), (0, 1)) == pytest.approx(1.0)
 
     def test_slater_1rdm_is_projector_spectrum(self):
-        state = slater_oracle(random_orthonormal(6, 2, seed=5), n_orbitals=6)
+        state = slater_oracle(random_orthonormal(6, 2, seed=5))
         rdm = exact_1rdm(state)
         assert np.max(np.abs(rdm - rdm.conj().T)) < 1e-12
         eigs = np.linalg.eigvalsh(rdm)
@@ -471,23 +509,23 @@ class TestExactKrdm:
 class TestFirstSecondEquivalence:
     def test_number_operator_on_occupied(self):
         eye = np.eye(4)
-        state = slater_oracle([eye[:, 0], eye[:, 1]], n_orbitals=4)
+        state = slater_oracle([eye[:, 0], eye[:, 1]])
         assert first_second_equivalence_check(state, 0, 0)
 
     def test_excitation_matches_signed_determinant(self):
         eye = np.eye(4)
-        state = slater_oracle([eye[:, 0], eye[:, 1]], n_orbitals=4)
+        state = slater_oracle([eye[:, 0], eye[:, 1]])
         assert first_second_equivalence_check(state, 2, 1)
 
     def test_annihilating_unoccupied_gives_zero(self):
         eye = np.eye(4)
-        state = slater_oracle([eye[:, 0], eye[:, 1]], n_orbitals=4)
+        state = slater_oracle([eye[:, 0], eye[:, 1]])
         assert first_second_equivalence_check(state, 2, 3)
 
     @pytest.mark.parametrize("n_orbitals,eta", [(4, 2), (6, 3), (8, 2)])
     def test_random_slater_all_pairs(self, n_orbitals, eta):
         coeffs = random_orthonormal(n_orbitals, eta, seed=n_orbitals + eta)
-        state = slater_oracle(coeffs, n_orbitals=n_orbitals)
+        state = slater_oracle(coeffs)
         for p in range(n_orbitals):
             for q in range(n_orbitals):
                 assert first_second_equivalence_check(state, p, q)
@@ -645,7 +683,7 @@ class TestDeterminantWeightIdentity:
         # build the sorted-configuration superposition with determinant
         # weights, antisymmetrize it, and compare with the direct oracle
         coeffs = random_orthonormal(6, 3, seed=33)
-        state = slater_oracle(coeffs, n_orbitals=6)
+        state = slater_oracle(coeffs)
         weights = np.zeros((8, 8, 8), dtype=complex)
         from itertools import combinations
         for occ in combinations(range(6), 3):
