@@ -38,7 +38,7 @@ from .meanfield import (
     TdhfPlan,
     evolve_tdhf,
 )
-from .shadows import read_out
+from .shadows import check_order, read_out
 from .states import FirstQuantizedState, load_state, save_state, slater_oracle
 from .stateprep import prepare_slater, toffoli_count
 
@@ -351,6 +351,7 @@ def _parse_elements(spec_text, k):
 def _cmd_shadows(args, config) -> int:
     p = _resolve("shadows", args, config)
     state = load_state(p["in"])
+    check_order(p["k"], state.eta)  # before the element rows are split by k
     samples = (p["samples"] if p["samples"] == "auto"
                else _checked(p["samples"], int, "--samples"))
     est, batch, readings = read_out(

@@ -250,10 +250,14 @@ class _FactorizedTable:
     phase: np.ndarray            # (4^n, d): ... where it holds phase[a, r]
 
     def unitaries(self, idx) -> np.ndarray:
-        """P_a S_s for every index, shape idx.shape + (d, d)."""
+        """P_a S_s for every index, shape idx.shape + (d, d): one gather of
+        rows from the stacked representatives, signed in place."""
         s, a = np.divmod(np.asarray(idx), len(self.perm))
-        return self.phase[a][..., None] * self.representatives[s[..., None],
-                                                               self.perm[a]]
+        dim = self.perm.shape[1]
+        rows = self.representatives.reshape(-1, dim)[(s * dim)[..., None]
+                                                      + self.perm[a]]
+        rows *= self.phase[a][..., None]
+        return rows
 
 
 @lru_cache(maxsize=None)

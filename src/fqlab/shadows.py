@@ -35,9 +35,11 @@ from .states import (
 )
 
 _CHUNK = 4096
-# Samples per block: as many as keep the level-1 array (block x
-# tensor.size amplitudes) within this budget, at least one. Larger blocks
-# raise peak memory and save little.
+# Samples per block: as many as keep the largest per-sample arrays of a
+# draw, the d^(eta-1) level-2 slice of sample_registers and the
+# (eta, d, d) Clifford stack, within this many complex entries, at least
+# one. At N = 4 that is 256 samples at eta = 2 and 128 at eta = 4; twice
+# or four times the budget measured no faster there.
 _BLOCK_AMPLITUDES = 2 ** 13
 
 
@@ -61,6 +63,12 @@ class ShadowBatch:
         return ShadowBatch(self.keys[index], self.outcomes[index], self.rows[index])
 
 
+def check_order(k: int, eta: int) -> None:
+    """Refuse an RDM order k outside 1..eta."""
+    if not 1 <= k <= eta:
+        raise ValidationError(f"k must lie in 1..{eta}, got {k}")
+
+
 @dataclass(frozen=True)
 class RestrictedIndexSet:
     """k-tuples drawing one register from each consecutive block.
@@ -73,8 +81,7 @@ class RestrictedIndexSet:
     k: int
 
     def __post_init__(self):
-        if self.k < 1 or self.k > self.eta:
-            raise ValidationError("need 1 <= k <= eta")
+        check_order(self.k, self.eta)
 
     @property
     def eta_used(self) -> int:
@@ -107,8 +114,7 @@ def required_samples(n_orbitals: int, k: int, eta: int, epsilon: float,
     """
     if n_orbitals < 1:
         raise ValidationError(f"n_orbitals must be positive, got {n_orbitals}")
-    if not 1 <= k <= eta:
-        raise ValidationError(f"k must lie in 1..{eta}, got {k}")
+    check_order(k, eta)
     _check_accuracy(epsilon, delta)
     value = (64.0 * math.e ** 3 * math.log(n_orbitals / delta) * k
              * (2 * k + 2 * math.e) ** k * eta ** k / epsilon ** 2)
@@ -155,7 +161,9 @@ def _collect_chunk(state, part: ShadowBatch, rng) -> None:
     (:func:`~fqlab.states.sample_registers`).
     """
     uniforms = rng.random(len(part))
-    block = max(1, _BLOCK_AMPLITUDES // state.tensor.size)
+    dim = state.register_dim
+    per_sample = max(state.tensor.size // dim, state.eta * dim * dim)
+    block = max(1, _BLOCK_AMPLITUDES // per_sample)
     shape = (len(part), state.eta)
     start = 0
     for keys, unitaries in draw_clifford_blocks(state.qubits_per_register, rng,
@@ -212,9 +220,10 @@ def gather_outcome_rows(unitaries: np.ndarray,
 
     ``unitaries`` (..., eta, d, d) and ``outcomes`` (..., eta) have equal
     ndim and broadcast against each other over the leading dimensions.
+    One direct index: the unitaries' own index grids, with the outcomes
+    in the row axis.
     """
-    return np.take_along_axis(unitaries, outcomes[..., None, None],
-                              axis=-2)[..., 0, :]
+    return unitaries[(*np.indices(unitaries.shape[:-2], sparse=True), outcomes)]
 
 
 def samples_from_keys(rows) -> ShadowBatch:
@@ -264,17 +273,13 @@ def krdm_coefficient(eta: int, k: int) -> float:
 def single_shot_values(batch: ShadowBatch, bra_labels,
                        ket_labels) -> np.ndarray:
     """Per-sample estimator values (before grouping), vectorized."""
-    return _row_values(batch.rows, bra_labels, ket_labels)
+    return _RegisterRows(batch.rows).values(bra_labels, ket_labels)
 
 
-def _row_values(rows: np.ndarray, bra_labels, ket_labels,
-                k: int | None = None) -> np.ndarray:
-    """Estimator values of outcome rows shaped (m, eta, d).
-
-    Refused: bra and ket of unequal length, of a length outside 1..eta or
-    other than ``k`` when given, and a label not an integer in 0..d-1.
-    """
-    m, eta, dim = rows.shape
+def _check_labels(bra_labels, ket_labels, eta: int, dim: int,
+                  k: int | None = None) -> None:
+    """Refuse bra and ket of unequal length, of a length outside 1..eta or
+    other than ``k`` when given, and a label not an integer in 0..dim-1."""
     order = len(bra_labels)
     if len(ket_labels) != order or not 1 <= order <= eta or k not in (None, order):
         raise ValidationError(
@@ -285,16 +290,41 @@ def _row_values(rows: np.ndarray, bra_labels, ket_labels,
                and 0 <= v < dim for v in labels):
         raise IndexOutOfRange(f"orbital labels {labels} must be integers in "
                               f"0..{dim - 1}")
-    coeff = krdm_coefficient(eta, order)
-    values = np.zeros(m, dtype=complex)
-    for tup in RestrictedIndexSet(eta, order).tuples():
-        term = np.ones(m, dtype=complex)
-        for x, i, j in zip(tup, bra_labels, ket_labels):
-            r = rows[:, x - 1]
-            term = term * ((dim + 1) * np.conj(r[:, j]) * r[:, i]
-                           - (1.0 if i == j else 0.0))
-        values += term
-    return coeff * values
+
+
+class _RegisterRows:
+    """Outcome rows (m, eta, d) and the estimator factors read from them.
+
+    The conjugate column (d+1) conj(rows[:, x, j]) of each register x and
+    label j is formed on first use and kept, contiguous in the sample, for
+    every later element: at most one array the size of ``rows``. Each
+    factor of a term is ((d+1) conj(r_j)) r_i - delta_ij, in that order.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        self._scaled = {}
+
+    def _factor(self, x: int, i: int, j: int) -> np.ndarray:
+        """The factor of |i><j| on register x (0-based), per sample."""
+        if (x, j) not in self._scaled:
+            dim = self.rows.shape[2]
+            self._scaled[x, j] = (dim + 1) * np.conj(self.rows[:, x, j])
+        factor = self._scaled[x, j] * self.rows[:, x, i]
+        if i == j:
+            factor -= 1.0
+        return factor
+
+    def values(self, bra_labels, ket_labels, k: int | None = None) -> np.ndarray:
+        """Estimator values of every sample, after :func:`_check_labels`."""
+        m, eta, dim = self.rows.shape
+        _check_labels(bra_labels, ket_labels, eta, dim, k)
+        values = np.zeros(m, dtype=complex)
+        for tup in RestrictedIndexSet(eta, len(bra_labels)).tuples():
+            first, *rest = (self._factor(x - 1, i, j)
+                            for x, i, j in zip(tup, bra_labels, ket_labels))
+            values += math.prod(rest, start=first)
+        return krdm_coefficient(eta, len(bra_labels)) * values
 
 
 def _coordinatewise_median(values: np.ndarray) -> complex:
@@ -321,7 +351,7 @@ def _median_of_means(values: np.ndarray, config: EstimatorConfig) -> complex:
 def estimate_krdm_element(batch: ShadowBatch, config: EstimatorConfig,
                           bra_labels, ket_labels) -> complex:
     """Median of K group means of the restricted-sum estimator."""
-    values = _row_values(batch.rows, bra_labels, ket_labels, config.k)
+    values = _RegisterRows(batch.rows).values(bra_labels, ket_labels, config.k)
     return _median_of_means(values, config)
 
 
@@ -333,11 +363,13 @@ def all_1rdm_elements(n_orbitals: int) -> list:
 def estimate_elements(batch: ShadowBatch, config: EstimatorConfig, elements):
     """Yield ((bra, ket), (estimate, single-shot values)) per element.
 
-    The values cover the whole batch and are computed once per element;
-    the estimate is the median of means over the first K * b of them.
+    The values cover the whole batch and are computed once per element,
+    from conjugate factors formed once per batch; the estimate is the
+    median of means over the first K * b of them.
     """
+    rows = _RegisterRows(batch.rows)
     for bra, ket in elements:
-        values = _row_values(batch.rows, bra, ket, config.k)
+        values = rows.values(bra, ket, config.k)
         yield (bra, ket), (_median_of_means(values, config), values)
 
 
@@ -366,9 +398,8 @@ def read_out(state: FirstQuantizedState, k: int, epsilon: float, delta: float,
     config = EstimatorConfig.from_sample_count(k, epsilon, delta, samples)
     if elements == "all-1rdm":  # refused below unless k = 1
         elements = all_1rdm_elements(state.n_orbitals)
-    no_rows = np.empty((0, state.eta, state.n_orbitals), dtype=complex)
     for bra, ket in elements:
-        _row_values(no_rows, bra, ket, k)
+        _check_labels(bra, ket, state.eta, state.n_orbitals, k)
     batch = collect_shadows(state, samples, seed, threads=threads)
     return config, batch, estimate_elements(batch, config, elements)
 
@@ -402,7 +433,8 @@ def exhaustive_estimator_mean(state: FirstQuantizedState, bra_labels,
     outcomes = np.indices((dim,) * eta).reshape(eta, -1).T
     # rows[c, o, x] = U_{c, x}[o_x, :], for outcome o in row-major order
     rows = gather_outcome_rows(unitaries[:, None], outcomes[None])
-    values = _row_values(rows.reshape(-1, eta, dim), bra_labels, ket_labels)
+    values = _RegisterRows(rows.reshape(-1, eta, dim)).values(bra_labels,
+                                                              ket_labels)
     return complex(probs.reshape(-1) @ values / len(table) ** eta)
 
 

@@ -80,47 +80,70 @@ def contract_registers(tensor: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     return out.reshape(batch + tensor.shape)
 
 
+def register_factor(tensor: np.ndarray) -> np.ndarray:
+    """A d x d' factor W of register 1's Gram matrix, d' <= d: W W† =
+    flat flat†, where flat is ``tensor`` unfolded as d x d^(ndim-1).
+
+    W is flat itself when it has at most d columns (ndim <= 2), else the
+    conjugate transpose of the R of a Householder QR of flat†. Either
+    way a zero row of flat stays zero in W: a padding label keeps weight
+    exactly 0.
+    """
+    flat = tensor.reshape(tensor.shape[0], -1)
+    if flat.shape[1] <= flat.shape[0]:
+        return flat
+    return np.linalg.qr(flat.conj().T, mode="r").conj().T
+
+
 def sample_registers(tensor: np.ndarray, uniforms: np.ndarray,
                      unitaries: np.ndarray | None = None) -> np.ndarray:
     """Born outcomes of measuring every register, one row per uniform.
 
-    Sample b applies ``unitaries[b, x]`` (shape (B, ndim, d, d); nothing
-    when omitted) to axis x of ``tensor`` and measures all registers.
-    Its outcome is the joint row-major inverse CDF at ``uniforms[b]`` in
-    [0, 1), drawn by the chain rule, one register at a time: the label
-    of register x is the inverse CDF of its marginal in the slice of the
-    labels already drawn, at what is left of the uniform scaled by the
-    total. Level 1 is one GEMM of the stacked first-register unitaries
-    with the tensor; each later level applies the next unitary to the
-    live slice alone, so no sample forms its d^ndim rotated tensor. A
-    label of probability zero is never drawn, also when rounding puts
-    the remaining target past the end of a level.
+    Sample b applies ``unitaries[b, x]`` (shape (B, ndim, d, d); the
+    identity when omitted) to axis x of ``tensor`` and measures all
+    registers. Its outcome is the joint row-major inverse CDF at
+    ``uniforms[b]`` in [0, 1), drawn by the chain rule, one register at a
+    time: the label of register x is the inverse CDF of its marginal in
+    the slice of the labels already drawn, at what is left of the
+    uniform scaled by the total.
+
+    Level 1 reads every sample's register-1 marginals from one factor W
+    of the tensor (:func:`register_factor`, formed once per call): the
+    weight of label a is the squared norm of row a of U_1 W, all rows of
+    all samples in one GEMM. Only the drawn row U_1[b_1, :] then meets
+    the tensor, in one (B x d) @ (d x d^(ndim-1)) GEMM, and each later
+    level applies the next unitary to the live slice alone: no sample
+    holds d^ndim amplitudes. A label of probability zero is never drawn,
+    also when rounding puts the remaining target past the end of a level.
     """
     batch, dim = len(uniforms), tensor.shape[0]
     flat = np.ascontiguousarray(tensor).reshape(dim, -1)
     if unitaries is None:
-        live = np.broadcast_to(flat, (batch,) + flat.shape)
-    else:
-        live = (unitaries[:, 0].reshape(-1, dim) @ flat).reshape(batch, dim, -1)
-    # cdf[b, a] is the weight of the labels below a in sample b's slice
-    cdf = np.zeros((batch, dim + 1))
+        unitaries = np.broadcast_to(np.eye(dim, dtype=complex),
+                                    (batch, tensor.ndim, dim, dim))
+    live = unitaries[:, 0].reshape(-1, dim) @ register_factor(flat)
+    live = live.reshape(batch, dim, -1)
+    # cdf[a, b] is the weight of the labels below a in sample b's slice
+    cdf = np.zeros((dim + 1, batch))
     picks = np.arange(batch)
-    starts = picks * (dim + 1)
     outcomes = np.empty((batch, tensor.ndim), dtype=np.int64)
     for x in range(tensor.ndim):
+        if x == 1:
+            live = unitaries[picks, 0, outcomes[:, 0]] @ flat
+        elif x:
+            live = live[picks, outcomes[:, x - 1]]
         if x:
-            live = live[picks, outcomes[:, x - 1]].reshape(batch, dim, -1)
-            if unitaries is not None:
-                live = unitaries[:, x] @ live
+            live = unitaries[:, x] @ live.reshape(batch, dim, -1)
         parts = live.view(np.float64)  # |amplitude|^2 = re^2 + im^2
-        np.cumsum(np.einsum("bij,bij->bi", parts, parts), axis=1,
-                  out=cdf[:, 1:])
+        weights = np.einsum("bij,bij->ib", parts, parts)
+        for a in range(dim):  # d row adds; np.cumsum here measured slower
+            np.add(cdf[a], weights[a], out=cdf[a + 1])
         if not x:
-            target = uniforms * cdf[:, -1]
+            target = uniforms * cdf[-1]
         # past the end only by rounding: the label where the total is reached
-        target = np.minimum(target, np.nextafter(cdf[:, -1], -1))
-        label = (cdf[:, 1:] <= target[:, None]).sum(axis=1)
-        target = target - cdf.ravel()[starts + label]
+        target = np.minimum(target, np.nextafter(cdf[-1], -1))
+        label = (cdf[1:] <= target).sum(axis=0)
+        target = target - cdf[label, picks]
         outcomes[:, x] = label
     return outcomes
 
@@ -269,8 +292,11 @@ def slater_oracle(orbitals, grid: GridSpec | None = None) -> FirstQuantizedState
     """Slater determinant of mutually orthonormal orbitals.
 
     The amplitude at (p_1,...,p_eta) is det[phi_a(p_b)] / sqrt(eta!).
-    ``orbitals`` may be a list of orbital vectors or an (N, eta)
-    coefficient matrix; N is its row count.
+    Columns that :func:`check_orthonormal_columns` accepts may be up to
+    ORTHONORMAL_TOL from orthonormal, which can leave that norm off 1 by
+    more than NORM_TOL; the amplitudes are then divided by their computed
+    norm as well. ``orbitals`` may be a list of orbital vectors or an
+    (N, eta) coefficient matrix; N is its row count.
     """
     if not isinstance(orbitals, np.ndarray):
         orbitals = np.stack(list(orbitals), axis=1)
@@ -284,6 +310,9 @@ def slater_oracle(orbitals, grid: GridSpec | None = None) -> FirstQuantizedState
         if b:
             acc = _antisymmetrize_axis(acc, b)
     acc /= math.sqrt(math.factorial(eta))
+    norm = np.linalg.norm(acc)
+    if not abs(norm - 1.0) <= NORM_TOL:
+        acc /= norm
     return FirstQuantizedState(eta, n_orbitals, acc, grid=grid)
 
 

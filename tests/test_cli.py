@@ -285,6 +285,15 @@ class TestPrepCommand:
         assert not (workdir / "ledger.csv").exists()
 
 
+    def test_verify_accepts_columns_the_orthonormal_check_accepts(
+            self, workdir, capsys):
+        # 2e-9 off unit norm per column: within the 1e-8 column check, so
+        # the oracle must give a unit-norm state too
+        write_coeffs("c.csv", random_orthonormal(4, 2, seed=3) * (1 + 1e-9))
+        assert dispatch(["prep", "--coeffs", "c.csv", "--verify"]) == 0
+        assert "oracle overlap modulus: 1.0000" in capsys.readouterr().out
+
+
 class TestConfigPrecedence:
     def test_flags_override_config(self, workdir):
         (workdir / "cfg.json").write_text(json.dumps(
@@ -434,6 +443,20 @@ def test_bad_readout_parameter_one_line_on_both_sample_paths(
         errors.append(capsys.readouterr().err)
     assert errors[0].splitlines() == [f"error: {needle}"], errors
     assert errors[1] == errors[0]
+
+
+@pytest.mark.parametrize("k", ["0", "3"])
+@pytest.mark.parametrize("elements", ["all-1rdm", "e.csv"])
+def test_k_outside_eta_refused_before_the_elements_are_read(
+        workdir, capsys, k, elements):
+    # an element file is split into rows of 2k labels; k is checked first
+    assert dispatch([*EVOLVE_N5, "--eta", "2"]) == 0
+    (workdir / "e.csv").write_text("0,1\n")
+    exits_two_with_one_line(
+        ["shadows", "--in", "st5.bin", "--k", k, "--epsilon", "0.5",
+         "--delta", "0.2", "--samples", "200", "--elements", elements,
+         "--out", "x.csv"], capsys, f"error: k must lie in 1..2, got {k}")
+    assert not (workdir / "x.csv").exists()
 
 
 class TestMalformedInputs:

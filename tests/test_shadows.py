@@ -1,5 +1,6 @@
 """Shadow protocol: channel inversion, estimators, bounds, twirls."""
 
+import hashlib
 import math
 
 from hypothesis import given, strategies as st
@@ -361,6 +362,20 @@ class TestReadOut:
             assert np.array_equal(values, single_shot_values(batch, bra, ket))
 
 
+    def test_pair_readings_match_the_estimator_at_eta_4(self):
+        # the 16 pair elements of criterion 2 on the filled eta = 4 state
+        state = slater_oracle(random_orthonormal(4, 4, seed=6))
+        pairs = [(0, 1), (0, 2), (1, 3), (2, 3)]
+        elements = [(bra, ket) for bra in pairs for ket in pairs]
+        config, batch, readings = read_out(state, 2, 0.5, 0.2, 400, 8, elements)
+        readings = list(readings)
+        assert [element for element, _ in readings] == elements
+        for (bra, ket), (estimate, values) in readings:
+            assert estimate == estimate_krdm_element(batch, config, bra, ket)
+            assert values.tobytes() == single_shot_values(batch, bra,
+                                                          ket).tobytes()
+
+
 class TestEstimatorConfig:
     def test_auto_formulas(self):
         m = required_samples(4, 1, 2, 0.1, 0.05)
@@ -406,21 +421,23 @@ class TestCollect:
         assert keys(a) == keys(b) == keys(c)
 
     def test_thread_invariant_over_three_chunks(self):
-        state = random_antisymmetric_state(4, 2, seed=16)
-        one = collect_shadows(state, 9001, 17)
-        two = collect_shadows(state, 9001, 17, threads=2)
-        assert one.keys.tolist() == two.keys.tolist()
-        assert np.array_equal(one.outcomes, two.outcomes)
-        assert one.rows.tobytes() == two.rows.tobytes()
+        for eta in (2, 4):
+            state = random_antisymmetric_state(4, eta, seed=16)
+            one = collect_shadows(state, 9001, 17)
+            two = collect_shadows(state, 9001, 17, threads=2)
+            assert one.keys.tolist() == two.keys.tolist()
+            assert np.array_equal(one.outcomes, two.outcomes)
+            assert one.rows.tobytes() == two.rows.tobytes()
 
-    @pytest.mark.parametrize("n_orbitals,eta", [(4, 2), (3, 3)])
+    @pytest.mark.parametrize("n_orbitals,eta", [(4, 2), (3, 3), (4, 4)])
     @pytest.mark.parametrize("block", ["one-sample", "whole-chunk"])
     def test_batch_does_not_depend_on_block_size(self, monkeypatch,
                                                  n_orbitals, eta, block):
         state = random_antisymmetric_state(n_orbitals, eta, seed=9)
         default = collect_shadows(state, 4500, seed=11)  # two chunks
-        budget = state.tensor.size * (1 if block == "one-sample"
-                                      else shadows._CHUNK)
+        # a budget of 1 gives blocks of one sample; 2^40 entries hold
+        # any chunk's per-sample arrays in one block
+        budget = 1 if block == "one-sample" else 2 ** 40
         monkeypatch.setattr(shadows, "_BLOCK_AMPLITUDES", budget)
         other = collect_shadows(state, 4500, seed=11)
         assert default.keys.tolist() == other.keys.tolist()
@@ -460,6 +477,39 @@ class TestCollect:
         # single-shot elementwise variance is O(1); 5 sigma with sigma ~ sqrt(var/m)
         scale = 5 * math.sqrt(2 * dim / m)
         assert np.max(np.abs(acc - marginal)) < scale
+
+
+class TestStreamPins:
+    """SHA-256 of the keys, outcomes and rows of fixed batches.
+
+    A change in how the random streams map to Clifford draws, outcomes or
+    rows fails here, and has to bump ``fqlab.__version__`` (the manifests'
+    tool_version), since recorded runs would no longer replay.
+    Estimates are not pinned: their last bits depend on the CPU's SIMD
+    path.
+    """
+
+    PINS = {
+        (4, 2): ("b24dfd839d419e1f833ed355a9f53d256cea448cf8eb73e030e2ce7a4ed7952c",
+                 "313c92e803e756567fbff28d2d9fa0d5f5c1e82f8597feda3cce2d1f4d884819",
+                 "e2c262ef2d7f46e97dc01774ecd6960479b9eef2c3ad6e6943a83f44f328743e"),
+        (4, 4): ("6810bfd2aa2625ff43cbd0da99d16f86ba54cc506ef3a810940d4754e31e18cc",
+                 "e010fc41dad2039219e5eb6bfea4bfdda87efd03fd59bf165a6dd3d03108dd27",
+                 "8ad920c0f6ecf58be9597d9494858ee7f12e59f9d2b735a4f0592525f32a2570"),
+        (8, 2): ("81a180de5242329d086fdd2308cbe2e9e833ef6326af86e26f8708f999ec4350",
+                 "08578296bc2dba5486714847cc6f2e29a8905e699bbafec5883577fefae3d316",
+                 "9b3a0699b9de208861435ba39e690d9fac299e9f0120a4c52a61353885597f65"),
+    }
+
+    @pytest.mark.parametrize("n_orbitals,eta", list(PINS))
+    def test_keys_outcomes_and_rows_are_pinned(self, n_orbitals, eta):
+        state = random_antisymmetric_state(n_orbitals, eta, seed=9)
+        batch = collect_shadows(state, 300, seed=11)
+        keys = "\n".join("|".join(row) for row in batch.keys.tolist())
+        digests = tuple(hashlib.sha256(data).hexdigest() for data in (
+            keys.encode(), batch.outcomes.astype("<i8").tobytes(),
+            batch.rows.astype("<c16").tobytes()))
+        assert digests == self.PINS[n_orbitals, eta]
 
 
 class TestGatherOutcomeRows:

@@ -26,12 +26,14 @@ from fqlab.states import (
     antisymmetrize,
     apply_register_unitary,
     check_dense_size,
+    check_orthonormal_columns,
     contract_registers,
     exact_1rdm,
     exact_krdm_element,
     first_second_equivalence_check,
     load_state,
     measure_all,
+    register_factor,
     sample_registers,
     save_state,
     signed_permutation_sum,
@@ -190,6 +192,16 @@ class TestSlaterOracle:
         padding = tensor.copy()
         padding[core] = 0
         assert not np.any(padding)
+
+    def test_columns_within_the_orthonormal_tolerance_give_a_unit_norm_state(self):
+        # accepted by the 1e-8 column check, yet 2e-9 off unit norm per
+        # column: the determinant is normalized by its computed norm
+        coeffs = random_orthonormal(4, 2, seed=3) * (1 + 1e-9)
+        check_orthonormal_columns(coeffs)
+        state = slater_oracle(coeffs)
+        assert abs(state.norm() - 1.0) <= 1e-12
+        assert abs(state.overlap(slater_oracle(random_orthonormal(4, 2, seed=3)))
+                   ) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n_orbitals", [5, 6, 12])
     def test_two_particles_are_the_exchange_difference(self, n_orbitals):
@@ -423,6 +435,18 @@ class TestSampleRegisters:
                                    rng.random(3000)])
         outcomes = sample_registers(tensor, uniforms)
         assert outcomes.min() >= 0 and outcomes.max() < n_orbitals
+
+    @pytest.mark.parametrize("n_orbitals", [3, 7])
+    @pytest.mark.parametrize("eta", [1, 2, 3])
+    def test_register_factor_spans_the_register_gram_matrix(self, n_orbitals,
+                                                            eta):
+        # N = 3 and 7 pad registers of 4 and 8 labels
+        tensor = padded_random_tensor(n_orbitals, eta, seed=5 * n_orbitals + eta)
+        flat = tensor.reshape(len(tensor), -1)
+        factor = register_factor(tensor)
+        gram = flat @ flat.conj().T
+        assert np.max(np.abs(factor @ factor.conj().T - gram)) <= 1e-12
+        assert not np.any(factor[n_orbitals:])  # padding labels keep weight 0
 
     def test_target_past_the_end_takes_the_last_positive_label(self):
         # |2, 2> over registers of 4 labels (N = 3), with register 2's
