@@ -13,7 +13,7 @@ from .states import (
     slater_oracle,
     transition_expectation,
 )
-from .hamiltonian import CoulombKernel, EvolutionPlan, NuclearConfig, evolve, total_energy
+from .hamiltonian import CoulombKernel, EvolutionPlan, GridHamiltonian, NuclearConfig, evolve, total_energy
 from .meanfield import GridIntegrals, OccupiedOrbitals, TdhfPlan, build_fock, evolve_tdhf
 from .stateprep import GivensNetwork, ToffoliLedger, givens_decompose, prepare_slater, toffoli_count
 from .shadows import (

@@ -28,6 +28,7 @@ from .grids import GridSpec
 from .hamiltonian import (
     CoulombKernel,
     EvolutionPlan,
+    GridHamiltonian,
     NuclearConfig,
     evolve,
     kinetic_phase_table,
@@ -93,28 +94,26 @@ def _load_json(path) -> dict:
     return data
 
 
-def _load_nuclei(path, dim) -> NuclearConfig:
-    """One nucleus per line: charge x [y z]; # starts a comment."""
-    if not path:
-        return NuclearConfig.empty(dim)
-    positions, charges = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#")[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != dim + 1:
-                raise UsageError(
-                    f"nuclei line {line!r} needs charge + {dim} coordinates")
-            try:
-                charges.append(float(parts[0]))
-                positions.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise UsageError(f"nuclei line {line!r} is not numeric") from exc
-    if not charges:
-        return NuclearConfig.empty(dim)
-    return NuclearConfig(np.array(positions), np.array(charges))
+def _hamiltonian(p, grid: GridSpec) -> GridHamiltonian:
+    """H on ``grid`` with the nuclei of the --nuclei file (one nucleus per
+    line: charge x [y z]; # starts a comment) and the --soften kernel."""
+    dim, positions, charges, lines = grid.dim, [], [], []
+    if p["nuclei"]:
+        with open(p["nuclei"]) as fh:
+            lines = [line.split("#")[0].strip() for line in fh]
+    for line in filter(None, lines):
+        parts = line.split()
+        if len(parts) != dim + 1:
+            raise UsageError(
+                f"nuclei line {line!r} needs charge + {dim} coordinates")
+        try:
+            charges.append(float(parts[0]))
+            positions.append([float(v) for v in parts[1:]])
+        except ValueError as exc:
+            raise UsageError(f"nuclei line {line!r} is not numeric") from exc
+    nuclei = (NuclearConfig(np.array(positions), np.array(charges)) if charges
+              else NuclearConfig.empty(dim))
+    return GridHamiltonian(grid, nuclei, CoulombKernel(softening=p["soften"]))
 
 
 def _load_coeffs(path) -> np.ndarray:
@@ -241,11 +240,11 @@ def _cmd_evolve(args, config) -> int:
         "omega": float(state.grid.cell_volume), "eta": state.eta}
     p = _resolve("evolve", args, config, fixed, "snapshot")
     grid = state.grid if state is not None else _grid(p)
-    nuclei = _load_nuclei(p["nuclei"], grid.dim)
+    ham = _hamiltonian(p, grid)
     plan = EvolutionPlan(total_time=p["time"], steps=p["steps"], order=p["order"])
     if state is None:
         state = _lowest_momentum_slater(grid, _particle_count(p, grid))
-    final = evolve(state, plan, nuclei, CoulombKernel(softening=p["soften"]))
+    final = evolve(state, plan, ham)
     save_state(p["out"], final)
     inputs = [path for path in (p["in"], p["nuclei"]) if path]
     _write_manifest("evolve", p, p["seed"], inputs, [p["out"]])
@@ -281,8 +280,7 @@ def _cmd_tdhf(args, config) -> int:
     if unknown:
         raise UsageError(f"unknown observables: {sorted(unknown)}")
     grid = _grid(p)
-    integrals = GridIntegrals.from_grid(grid, _load_nuclei(p["nuclei"], grid.dim),
-                                        CoulombKernel(softening=p["soften"]))
+    integrals = GridIntegrals.from_grid(_hamiltonian(p, grid))
     inputs = [path for path in (p["nuclei"], p["coeffs"]) if path]
     if coeffs is None:
         coeffs = _core_guess(integrals.h, _particle_count(p, grid))

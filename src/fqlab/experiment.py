@@ -3,7 +3,8 @@
 import numpy as np
 
 from .grids import GridSpec
-from .hamiltonian import CoulombKernel, EvolutionPlan, NuclearConfig, evolve
+from .hamiltonian import (CoulombKernel, EvolutionPlan, GridHamiltonian,
+                          NuclearConfig, evolve)
 from .shadows import read_out, variance_bound
 from .states import exact_krdm_element
 from .stateprep import prepare_slater
@@ -24,12 +25,13 @@ def pipeline_shadow_experiment(config: dict) -> dict:
     state = prepare_slater(config["coeffs"], grid=grid).state
     evo = config.get("evolution")
     if evo and float(evo.get("time", 0.0)) != 0.0:
-        nuclei = evo.get("nuclei") or NuclearConfig.empty(grid.dim)
-        kernel = CoulombKernel(softening=float(evo.get("soften") or 0.0))
+        ham = GridHamiltonian(
+            grid, evo.get("nuclei") or NuclearConfig.empty(grid.dim),
+            CoulombKernel(softening=float(evo.get("soften") or 0.0)))
         plan = EvolutionPlan(total_time=float(evo["time"]),
                              steps=int(evo["steps"]),
                              order=int(evo.get("order", 2)))
-        state = evolve(state, plan, nuclei, kernel)
+        state = evolve(state, plan, ham)
     est = config["estimator"]
     k, eps = int(est.get("k", 1)), float(est["epsilon"])
     bound = variance_bound(k, state.eta)

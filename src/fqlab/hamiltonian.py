@@ -13,10 +13,11 @@ long 1-D axes take an FFT instead.
 
 from dataclasses import dataclass
 from itertools import combinations
+import math
 
 import numpy as np
 
-from .errors import SingularPotential, ValidationError
+from .errors import BruteForceLimitExceeded, SingularPotential, ValidationError
 from .grids import GridSpec, from_fft_window, to_fft_window
 from .states import (FirstQuantizedState, check_dense_size, check_unit_norm,
                      contract_registers)
@@ -111,19 +112,6 @@ def _kronecker_sum(op: np.ndarray, copies: int) -> np.ndarray:
     return out
 
 
-def kinetic_matrix(grid: GridSpec) -> np.ndarray:
-    """One-register kinetic operator DFT† diag(|k|^2/2) DFT, real.
-
-    |k|^2/2 is a sum over axes, so the operator is the Kronecker sum of
-    one m x m matrix per axis. That matrix is real: the phases of +-nu
-    pair up, and at even m the lone -m/2 phase is +-1.
-    """
-    k = to_fft_window(grid.axis_window) * (2.0 * np.pi / grid.length)
-    axis = _axis_operator(0.5 * k ** 2)
-    axis = from_fft_window(axis, axes=(0, 1)).real
-    return _kronecker_sum((axis + axis.T) / 2, grid.dim)
-
-
 def _on_registers(table: np.ndarray, eta: int, *registers: int) -> np.ndarray:
     """A per-register table (N, or N x N for a pair) placed on the axes
     ``registers`` of the N^eta block, broadcastable over the others."""
@@ -131,72 +119,114 @@ def _on_registers(table: np.ndarray, eta: int, *registers: int) -> np.ndarray:
     return table.reshape(shape)
 
 
-def nuclear_potential_table(grid: GridSpec, nuclei: NuclearConfig,
-                            kernel: CoulombKernel) -> np.ndarray:
-    """U(p) = -sum_l zeta_l * kernel(|R_l - r_p|), length N."""
-    u = np.zeros(grid.total_points)
-    if nuclei.positions.shape[0] == 0:
+@dataclass(frozen=True)
+class GridHamiltonian:
+    """H = T + U + V on ``grid``: the one place its tables are built, read
+    by Trotter evolution, the dense oracle and the TDHF integrals alike.
+    Each method builds its table anew when called; an N x N one above
+    the dense regime is refused before it is allocated."""
+
+    grid: GridSpec
+    nuclei: NuclearConfig
+    kernel: CoulombKernel
+
+    def __post_init__(self):
+        positions = self.nuclei.positions
+        if positions.shape[0] and positions.shape[1] != self.grid.dim:
+            raise ValidationError(
+                "nuclear position dimension does not match grid")
+
+    def _check_square(self, table: str) -> None:
+        """An N x N ``table`` holds as many entries as two registers hold
+        amplitudes, and is refused as they would be."""
+        n = self.grid.total_points
+        try:
+            check_dense_size(n, 2)
+        except BruteForceLimitExceeded as err:
+            raise BruteForceLimitExceeded(
+                f"the {n} x {n} {table} is refused as two registers "
+                f"would be: {err}") from None
+
+    def axis_kinetic(self) -> np.ndarray:
+        """k^2/2 on one grid axis, in the FFT window."""
+        grid = self.grid
+        k = to_fft_window(grid.axis_window) * (2.0 * np.pi / grid.length)
+        return 0.5 * k ** 2
+
+    def kinetic_matrix(self) -> np.ndarray:
+        """One-register kinetic operator DFT† diag(|k|^2/2) DFT, real, as a
+        new array.
+
+        |k|^2/2 is a sum over axes, so the operator is the Kronecker sum of
+        one m x m matrix per axis. That matrix is real: the phases of +-nu
+        pair up, and at even m the lone -m/2 phase is +-1.
+        """
+        self._check_square("kinetic matrix")
+        axis = _axis_operator(self.axis_kinetic())
+        axis = from_fft_window(axis, axes=(0, 1)).real
+        return _kronecker_sum((axis + axis.T) / 2, self.grid.dim)
+
+    def nuclear(self) -> np.ndarray:
+        """U(p) = -sum_l zeta_l * kernel(|R_l - r_p|), length N."""
+        u = np.zeros(self.grid.total_points)
+        for pos, zeta in zip(self.nuclei.positions, self.nuclei.charges):
+            dist = np.linalg.norm(self.grid.positions - pos[None, :], axis=1)
+            if self.kernel.mode == "bare" and np.any(dist == 0):
+                raise SingularPotential("nucleus coincides with a grid point")
+            u -= zeta * self.kernel(dist)
         return u
-    if nuclei.positions.shape[1] != grid.dim:
-        raise ValidationError("nuclear position dimension does not match grid")
-    for pos, zeta in zip(nuclei.positions, nuclei.charges):
-        dist = np.linalg.norm(grid.positions - pos[None, :], axis=1)
-        if kernel.mode == "bare" and np.any(dist == 0):
-            raise SingularPotential("nucleus coincides with a grid point")
-        u -= zeta * kernel(dist)
-    return u
+
+    def pair(self) -> np.ndarray:
+        """Symmetric N x N table of kernel(|r_p - r_q|).
+
+        The p == q diagonal is 0 in bare mode (antisymmetric states carry
+        no weight there and a point charge does not self-interact on the
+        grid) and kernel(0) = 1/s in softened mode.
+
+        The value depends only on the lattice difference d = p - q, so it
+        is gathered from a (2m - 1)^dim table of kernel(|d| delta). |d|
+        and |-d| round alike, which keeps the result exactly symmetric.
+        """
+        self._check_square("pair table V")
+        grid, kernel = self.grid, self.kernel
+        m, dim = grid.points_per_axis, grid.dim
+        steps = np.arange(-(m - 1), m)
+        diffs = np.stack(np.meshgrid(*[steps] * dim, indexing="ij"), axis=-1)
+        dist = np.linalg.norm(diffs * grid.spacing, axis=-1).ravel()
+        table = np.zeros_like(dist)
+        off = dist != 0
+        table[off] = kernel(dist[off])
+        if kernel.mode == "softened":
+            table[~off] = 1.0 / kernel.softening
+        # the table's flat index of d = p - q is place(p) - place(q) plus
+        # that of d = 0, its middle entry
+        place = grid.index_points @ (2 * m - 1) ** np.arange(dim - 1, -1, -1)
+        return table[place[:, None] - place[None, :] + len(table) // 2]
+
+    def nuclear_repulsion(self) -> float:
+        """sum_{l<k} zeta_l zeta_k / |R_l - R_k|, bare whatever the kernel."""
+        positions, charges = self.nuclei.positions, self.nuclei.charges
+        total = 0.0
+        for a in range(len(charges)):
+            for b in range(a + 1, len(charges)):
+                d = np.linalg.norm(positions[a] - positions[b])
+                if d == 0:
+                    raise SingularPotential("coincident nuclei")
+                total += charges[a] * charges[b] / d
+        return float(total)
 
 
-def pair_potential_table(grid: GridSpec, kernel: CoulombKernel) -> np.ndarray:
-    """Symmetric N x N table of kernel(|r_p - r_q|).
-
-    The p == q diagonal is 0 in bare mode (antisymmetric states carry no
-    weight there and a point charge does not self-interact on the grid)
-    and kernel(0) = 1/s in softened mode.
-
-    The value depends only on the lattice difference d = p - q, so it is
-    gathered from a (2m - 1)^dim table of kernel(|d| delta). |d| and |-d|
-    round alike, which keeps the result exactly symmetric.
-    """
-    m, dim = grid.points_per_axis, grid.dim
-    steps = np.arange(-(m - 1), m)
-    diffs = np.stack(np.meshgrid(*[steps] * dim, indexing="ij"), axis=-1)
-    dist = np.linalg.norm(diffs * grid.spacing, axis=-1).ravel()
-    table = np.zeros_like(dist)
-    off = dist != 0
-    table[off] = kernel(dist[off])
-    if kernel.mode == "softened":
-        table[~off] = 1.0 / kernel.softening
-    # the table's flat index of d = p - q is place(p) - place(q) plus
-    # that of d = 0, its middle entry
-    place = grid.index_points @ (2 * m - 1) ** np.arange(dim - 1, -1, -1)
-    return table[place[:, None] - place[None, :] + len(table) // 2]
-
-
-def potential_diagonal(grid: GridSpec, nuclei: NuclearConfig,
-                       kernel: CoulombKernel, eta: int) -> np.ndarray:
-    """(U + V)(p_1..p_eta) over the full N^eta index block."""
-    u = nuclear_potential_table(grid, nuclei, kernel)
-    v = pair_potential_table(grid, kernel)
-    total = np.zeros((grid.total_points,) * eta)
+def potential_diagonal(ham: GridHamiltonian, eta: int) -> np.ndarray:
+    """(U + V)(p_1..p_eta) over the full N^eta index block; V is built only
+    when there are pairs."""
+    total = np.zeros((ham.grid.total_points,) * eta)
+    u = ham.nuclear()
     for j in range(eta):
         total = total + _on_registers(u, eta, j)
+    v = ham.pair() if eta > 1 else None
     for j, k in combinations(range(eta), 2):
         total = total + _on_registers(v, eta, j, k)
     return total
-
-
-def nuclear_repulsion(nuclei: NuclearConfig) -> float:
-    """sum_{l<k} zeta_l zeta_k / |R_l - R_k| (bare, independent of kernel)."""
-    total = 0.0
-    L = nuclei.positions.shape[0]
-    for a in range(L):
-        for b in range(a + 1, L):
-            d = np.linalg.norm(nuclei.positions[a] - nuclei.positions[b])
-            if d == 0:
-                raise SingularPotential("coincident nuclei")
-            total += nuclei.charges[a] * nuclei.charges[b] / d
-    return float(total)
 
 
 # -- evolution ------------------------------------------------------------
@@ -214,18 +244,6 @@ def _fft_layout(block: np.ndarray, grid: GridSpec, eta: int) -> np.ndarray:
         block.reshape((grid.points_per_axis,) * (grid.dim * eta)))
 
 
-def _diagonal(op: str, grid: GridSpec, eta: int, nuclei: NuclearConfig,
-              kernel: CoulombKernel) -> np.ndarray:
-    """Over the N^eta block in FFT layout: the diagonal of T in momentum
-    ("T") or of U + V in position ("V")."""
-    if op == "T":
-        table = kinetic_phase_table(grid)
-        total = sum(_on_registers(table, eta, j) for j in range(eta))
-    else:
-        total = potential_diagonal(grid, nuclei, kernel, eta)
-    return _fft_layout(total, grid, eta)
-
-
 # Axis length from which a kinetic substep takes the FFT route. An m x m
 # matmul costs m multiply-adds per amplitude and axis, an FFT about
 # log m. On one BLAS thread at 1-D, eta = 2, the matmul is 1.4x faster at
@@ -235,16 +253,25 @@ def _diagonal(op: str, grid: GridSpec, eta: int, nuclei: NuclearConfig,
 _FFT_MIN_POINTS = 128
 
 
-def _kinetic_propagator(grid: GridSpec, t: float) -> np.ndarray:
-    """exp(-i t k^2/2) on one grid axis, indices in the FFT window.
+def _phase(t: float, table: np.ndarray) -> np.ndarray:
+    """exp(-i t table), refused when an angle t * table overflows: its
+    phase would be NaN."""
+    if not math.isfinite(abs(float(t)) * float(np.max(np.abs(table)))):
+        raise ValidationError(
+            f"the propagator phases of a {float(t):.6g} time step overflow; "
+            "use more steps")
+    return np.exp(-1j * t * table)
+
+
+def _kinetic_propagator(axis_kinetic: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t k^2/2) on one grid axis, given its k^2/2 in the FFT window.
 
     Below _FFT_MIN_POINTS the m x m matrix F^-1 diag(phases) F, F the
     unitary DFT: the operator the FFT route applies. From it on, the
     m phases themselves.
     """
-    k = to_fft_window(grid.axis_window) * (2.0 * np.pi / grid.length)
-    phases = np.exp(-1j * t * (0.5 * k ** 2))
-    if grid.points_per_axis >= _FFT_MIN_POINTS:
+    phases = _phase(t, axis_kinetic)
+    if len(axis_kinetic) >= _FFT_MIN_POINTS:
         return phases
     return _axis_operator(phases)
 
@@ -262,22 +289,22 @@ def _kinetic_substep(block: np.ndarray, propagator: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(block, norm="ortho")
 
 
-def _phases(keys, grid: GridSpec, eta: int, nuclei: NuclearConfig,
-            kernel: CoulombKernel) -> dict:
+def _phases(keys, ham: GridHamiltonian, eta: int) -> dict:
     """The propagator of each distinct (X, t) in ``keys``: one grid
     axis's for "T" (see _kinetic_propagator), the phases over the block
     for "V". The U + V diagonal is built once and dropped once its phases
     are."""
-    phases = {(x, t): _kinetic_propagator(grid, t) for x, t in keys if x == "T"}
+    axis = ham.axis_kinetic()
+    phases = {(x, t): _kinetic_propagator(axis, t) for x, t in keys if x == "T"}
     times = {t for x, t in keys if x == "V"}
     if times:
-        table = _diagonal("V", grid, eta, nuclei, kernel)
-        phases.update({("V", t): np.exp(-1j * t * table) for t in times})
+        table = _fft_layout(potential_diagonal(ham, eta), ham.grid, eta)
+        phases.update({("V", t): _phase(t, table) for t in times})
     return phases
 
 
-def _propagate(state: FirstQuantizedState, substeps, nuclei: NuclearConfig,
-               kernel: CoulombKernel) -> FirstQuantizedState:
+def _propagate(state: FirstQuantizedState, substeps,
+               ham: GridHamiltonian) -> FirstQuantizedState:
     """Apply exp(-i X t) for each (X, t) that ``substeps()`` yields, X one
     of "T", "V". ``substeps`` is called twice: once for the distinct
     propagators, which are built before the first substep, once to apply
@@ -293,7 +320,9 @@ def _propagate(state: FirstQuantizedState, substeps, nuclei: NuclearConfig,
     grid, eta = state.grid, state.eta
     if grid is None:
         raise ValidationError("evolution requires a grid-backed state")
-    phases = _phases(set(substeps()), grid, eta, nuclei, kernel)
+    if ham.grid != grid:
+        raise ValidationError("the Hamiltonian's grid is not the state's grid")
+    phases = _phases(set(substeps()), ham, eta)
     block = _fft_layout(state.tensor[_register_block(state)], grid, eta)
     for op, t in substeps():
         if op == "T":
@@ -307,17 +336,16 @@ def _propagate(state: FirstQuantizedState, substeps, nuclei: NuclearConfig,
     return state.copy_with(out)
 
 
-def apply_kinetic_evolution(state: FirstQuantizedState,
-                            dt: float) -> FirstQuantizedState:
+def apply_kinetic_evolution(state: FirstQuantizedState, dt: float,
+                            ham: GridHamiltonian) -> FirstQuantizedState:
     """exp(-i T dt): one m x m propagator on each grid axis of each register."""
-    return _propagate(state, lambda: [("T", dt)], None, None)
+    return _propagate(state, lambda: [("T", dt)], ham)
 
 
 def apply_potential_evolution(state: FirstQuantizedState, dt: float,
-                              nuclei: NuclearConfig,
-                              kernel: CoulombKernel) -> FirstQuantizedState:
+                              ham: GridHamiltonian) -> FirstQuantizedState:
     """exp(-i (U+V) dt): diagonal phase multiplication in position space."""
-    return _propagate(state, lambda: [("V", dt)], nuclei, kernel)
+    return _propagate(state, lambda: [("V", dt)], ham)
 
 
 _SUZUKI_U = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
@@ -354,12 +382,12 @@ def _substeps(plan: EvolutionPlan):
 
 
 def evolve(state: FirstQuantizedState, plan: EvolutionPlan,
-           nuclei: NuclearConfig, kernel: CoulombKernel) -> FirstQuantizedState:
+           ham: GridHamiltonian) -> FirstQuantizedState:
     """Product-formula approximation to exp(-i H t) |psi>.
 
     Exchange symmetry of H means the antisymmetry flag is preserved.
     """
-    return _propagate(state, lambda: _substeps(plan), nuclei, kernel)
+    return _propagate(state, lambda: _substeps(plan), ham)
 
 
 # -- observables -----------------------------------------------------------
@@ -369,13 +397,14 @@ def kinetic_expectation(state: FirstQuantizedState) -> float:
     grid, eta = state.grid, state.eta
     block = _fft_layout(state.tensor[_register_block(state)], grid, eta)
     dens = np.abs(np.fft.fftn(block, norm="ortho")) ** 2
-    return float(np.sum(dens * _diagonal("T", grid, eta, None, None)))
+    table = kinetic_phase_table(grid)
+    total = sum(_on_registers(table, eta, j) for j in range(eta))
+    return float(np.sum(dens * _fft_layout(total, grid, eta)))
 
 
-def potential_expectation(state: FirstQuantizedState, nuclei: NuclearConfig,
-                          kernel: CoulombKernel) -> float:
-    grid = state.grid
-    w = potential_diagonal(grid, nuclei, kernel, state.eta)
+def potential_expectation(state: FirstQuantizedState,
+                          ham: GridHamiltonian) -> float:
+    w = potential_diagonal(ham, state.eta)
     dens = np.abs(state.tensor[_register_block(state)]) ** 2
     return float(np.sum(dens * w))
 
@@ -383,26 +412,25 @@ def potential_expectation(state: FirstQuantizedState, nuclei: NuclearConfig,
 def total_energy(state: FirstQuantizedState, nuclei: NuclearConfig,
                  kernel: CoulombKernel) -> float:
     """<T> + <U+V> + nuclear repulsion scalar."""
-    return (kinetic_expectation(state)
-            + potential_expectation(state, nuclei, kernel)
-            + nuclear_repulsion(nuclei))
+    ham = GridHamiltonian(state.grid, nuclei, kernel)
+    return (kinetic_expectation(state) + potential_expectation(state, ham)
+            + ham.nuclear_repulsion())
 
 
-def dense_hamiltonian(grid: GridSpec, nuclei: NuclearConfig,
-                      kernel: CoulombKernel, eta: int) -> np.ndarray:
+def dense_hamiltonian(ham: GridHamiltonian, eta: int) -> np.ndarray:
     """Dense H over the full padded register space (test-scale only).
 
     The kinetic operator acts as DFT† diag(|k|^2/2) DFT on the physical
     block of each register and as zero on padding. H holds as many entries
     as 2 eta registers hold amplitudes, and is refused as they would be.
     """
-    n_orb = grid.total_points
+    n_orb = ham.grid.total_points
     check_dense_size(n_orb, 2 * eta)
-    reg = 2 ** grid.qubits_per_register
+    reg = 2 ** ham.grid.qubits_per_register
     t_reg = np.zeros((reg, reg), dtype=complex)
-    t_reg[:n_orb, :n_orb] = kinetic_matrix(grid)
-    ham = _kronecker_sum(t_reg, eta)
+    t_reg[:n_orb, :n_orb] = ham.kinetic_matrix()
+    dense = _kronecker_sum(t_reg, eta)
     w = np.zeros((reg,) * eta)
-    w[(slice(0, n_orb),) * eta] = potential_diagonal(grid, nuclei, kernel, eta)
-    np.einsum("ii->i", ham)[...] += w.reshape(-1)
-    return ham
+    w[(slice(0, n_orb),) * eta] = potential_diagonal(ham, eta)
+    np.einsum("ii->i", dense)[...] += w.reshape(-1)
+    return dense

@@ -20,14 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .grids import GridSpec
-from .hamiltonian import (
-    CoulombKernel,
-    NuclearConfig,
-    kinetic_matrix,
-    nuclear_potential_table,
-    nuclear_repulsion,
-    pair_potential_table,
-)
+from .hamiltonian import GridHamiltonian
 from .states import check_orthonormal_columns
 
 
@@ -94,12 +87,12 @@ class GridIntegrals:
         object.__setattr__(self, "v_norm", float(np.max(v.sum(axis=0))))
 
     @staticmethod
-    def from_grid(grid: GridSpec, nuclei: NuclearConfig,
-                  kernel: CoulombKernel) -> "GridIntegrals":
-        h = kinetic_matrix(grid)
-        h[np.diag_indices_from(h)] += nuclear_potential_table(grid, nuclei, kernel)
-        return GridIntegrals(h=h, v=pair_potential_table(grid, kernel),
-                             nuclear_offset=nuclear_repulsion(nuclei))
+    def from_grid(ham: GridHamiltonian) -> "GridIntegrals":
+        """h = T + U, v = V and the nuclear repulsion of ``ham``."""
+        h = ham.kinetic_matrix()
+        h[np.diag_indices_from(h)] += ham.nuclear()
+        return GridIntegrals(h=h, v=ham.pair(),
+                             nuclear_offset=ham.nuclear_repulsion())
 
 
 @dataclass(frozen=True)

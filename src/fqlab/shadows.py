@@ -233,6 +233,9 @@ def samples_from_keys(rows) -> ShadowBatch:
     iterable of outcomes). Each distinct key is rebuilt once.
     """
     rows = list(rows)
+    if not rows:
+        raise ValidationError("the sample dump is empty: it holds no samples "
+                              "to read eta or the register size from")
     keys = np.array([list(ks) for ks, _ in rows], dtype=object)
     outcomes = np.array([[int(b) for b in bs] for _, bs in rows], dtype=np.int64)
     if keys.shape != outcomes.shape:

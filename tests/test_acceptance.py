@@ -25,6 +25,7 @@ from fqlab.grids import GridSpec
 from fqlab.hamiltonian import (
     CoulombKernel,
     EvolutionPlan,
+    GridHamiltonian,
     NuclearConfig,
     dense_hamiltonian,
     evolve,
@@ -155,7 +156,8 @@ def test_criterion_05_trotter_order():
     kernel = CoulombKernel(softening=0.5)
     coeffs = random_orthonormal(8, 2, seed=50)
     state = slater_oracle(coeffs, grid=grid)
-    ham = dense_hamiltonian(grid, nuclei, kernel, 2)
+    grid_ham = GridHamiltonian(grid, nuclei, kernel)
+    ham = dense_hamiltonian(grid_ham, 2)
     w, v = np.linalg.eigh(ham)
     t = 0.5
     exact = (v * np.exp(-1j * w * t)) @ v.conj().T @ state.amplitudes
@@ -165,7 +167,7 @@ def test_criterion_05_trotter_order():
         errors = []
         for steps in step_ladder:
             plan = EvolutionPlan(total_time=t, steps=steps, order=order)
-            out = evolve(state, plan, nuclei, kernel)
+            out = evolve(state, plan, grid_ham)
             errors.append(np.linalg.norm(out.amplitudes - exact))
         fit = np.polyfit(np.log(t / np.array(step_ladder)),
                          np.log(np.array(errors)), 1)[0]
@@ -220,7 +222,7 @@ def test_criterion_08_tdhf_conservation():
     grid = GridSpec(dim=1, points_per_axis=16, cell_volume=32.0)
     nuclei = NuclearConfig(np.array([[0.5]]), np.array([2.0]))
     kernel = CoulombKernel(softening=1.0)
-    integrals = GridIntegrals.from_grid(grid, nuclei, kernel)
+    integrals = GridIntegrals.from_grid(GridHamiltonian(grid, nuclei, kernel))
     _, vecs = np.linalg.eigh(integrals.h)
     orbitals = OccupiedOrbitals(vecs[:, :2], grid)
 
@@ -301,7 +303,7 @@ def test_criterion_11_norm_envelope():
         for eta in (2, 3, 4):
             grid = GridSpec(dim=3, points_per_axis=m, cell_volume=float(eta))
             integrals = GridIntegrals.from_grid(
-                grid, NuclearConfig.empty(3), CoulombKernel())
+                GridHamiltonian(grid, NuclearConfig.empty(3), CoulombKernel()))
             envelope = (eta ** (2 / 3) / grid.spacing
                         + 1.0 / grid.spacing ** 2)
             for rep in range(20):

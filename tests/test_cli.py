@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fqlab
-from fqlab import shadows
+from fqlab import hamiltonian, shadows
 from fqlab.cli import _PARAMETERS, _build_parser, dispatch
 from fqlab.errors import NonOrthonormalInput, ValidationError
 from fqlab.experiment import pipeline_shadow_experiment
@@ -191,6 +191,18 @@ class TestTdhfCommand:
                          "343", "--eta", "2", "--nuclei", "nuclei.txt",
                          "--soften", "0.5", "--time", "0.05", "--steps", "1",
                          "--out", "traj.csv"]) == 0
+
+    def test_grid_beyond_the_dense_budget_exits_two_before_allocating(
+            self, workdir, capsys, monkeypatch):
+        # N = 31^3: the N x N h and v would take 7 GB each
+        def built(*args, **kwargs):
+            raise AssertionError("kinetic matrix built before the size check")
+        monkeypatch.setattr(hamiltonian, "_kronecker_sum", built)
+        exits_two_with_one_line(
+            ["tdhf", "--dim", "3", "--points", "31", "--omega", "29791",
+             "--eta", "2", "--time", "0.1", "--steps", "1", "--out", "t.csv"],
+            capsys, "29791 x 29791 kinetic matrix")
+        assert not (workdir / "t.csv").exists()
 
     def test_rk4_drift_exits_three_with_one_line(self, workdir, capsys):
         (workdir / "nuclei.txt").write_text("2 0.3\n")
@@ -563,6 +575,14 @@ class TestNonFiniteInputs:
         argv = TDHF_N4 if command == "tdhf" else ["prep", "--verify"]
         exits_two_with_one_line([*argv, "--coeffs", "c.csv"], capsys,
                                 "non-finite")
+
+    def test_time_step_overflowing_the_phases(self, workdir, capsys):
+        # |t k^2/2| overflows at t = 1e308, and the phases would be NaN
+        exits_two_with_one_line(
+            ["evolve", "--dim", "1", "--points", "4", "--omega", "4", "--eta",
+             "2", "--time", "1e308", "--steps", "1", "--out", "a.bin"],
+            capsys, "time step overflow")
+        assert not (workdir / "a.bin").exists()
 
     def test_orbitals_and_nuclei_refuse_non_finite(self):
         from fqlab.errors import ValidationError

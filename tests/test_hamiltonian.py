@@ -5,6 +5,7 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import tracemalloc
 
 from hypothesis import assume, given, settings, strategies as st
 import numpy as np
@@ -16,17 +17,14 @@ from fqlab.grids import GridSpec
 from fqlab.hamiltonian import (
     CoulombKernel,
     EvolutionPlan,
+    GridHamiltonian,
     NuclearConfig,
     apply_kinetic_evolution,
     apply_potential_evolution,
     dense_hamiltonian,
     evolve,
     kinetic_expectation,
-    kinetic_matrix,
     kinetic_phase_table,
-    nuclear_potential_table,
-    nuclear_repulsion,
-    pair_potential_table,
     potential_diagonal,
     total_energy,
 )
@@ -42,6 +40,11 @@ from conftest import (
 BARE = CoulombKernel()
 
 
+def free(grid, kernel=BARE):
+    """H on ``grid`` without nuclei."""
+    return GridHamiltonian(grid, NuclearConfig.empty(grid.dim), kernel)
+
+
 def hydrogenic_system(points=8, volume=8.0, charge=2.0, soften=0.5):
     grid = GridSpec(dim=1, points_per_axis=points, cell_volume=volume)
     nuclei = NuclearConfig(np.array([[0.3]]), np.array([charge]))
@@ -50,7 +53,8 @@ def hydrogenic_system(points=8, volume=8.0, charge=2.0, soften=0.5):
 
 
 def ground_slater(grid, nuclei, kernel, eta=2):
-    h = kinetic_matrix(grid) + np.diag(nuclear_potential_table(grid, nuclei, kernel))
+    ham = GridHamiltonian(grid, nuclei, kernel)
+    h = ham.kinetic_matrix() + np.diag(ham.nuclear())
     _, vecs = np.linalg.eigh(h)
     return slater_oracle([vecs[:, a] for a in range(eta)], grid=grid)
 
@@ -75,7 +79,7 @@ class TestKineticTable:
     @pytest.mark.parametrize("dim,points", [(1, 6), (2, 3), (2, 4)])
     def test_kinetic_matrix_hermitian_with_table_spectrum(self, dim, points):
         grid = GridSpec(dim=dim, points_per_axis=points, cell_volume=5.0)
-        t = kinetic_matrix(grid)
+        t = free(grid).kinetic_matrix()
         assert np.array_equal(t, t.conj().T)
         assert np.allclose(np.linalg.eigvalsh(t),
                            np.sort(kinetic_phase_table(grid)), atol=1e-12)
@@ -88,7 +92,7 @@ class TestKineticTable:
                         cell_volume=1.3 * points ** dim)
         dft = grid_dft_matrix(grid)
         oracle = dft.conj().T @ np.diag(kinetic_phase_table(grid)) @ dft
-        t = kinetic_matrix(grid)
+        t = free(grid).kinetic_matrix()
         assert t.dtype == np.float64
         assert np.max(np.abs(t - oracle)) < 1e-12
 
@@ -111,21 +115,21 @@ class TestDenseHamiltonian:
         # N = 343, eta = 2: a 262144^2 complex matrix, about 1.1 TB
         def built(*args):
             raise AssertionError("dense H started before the size check")
-        monkeypatch.setattr(hamiltonian, "kinetic_matrix", built)
+        monkeypatch.setattr(hamiltonian, "_kronecker_sum", built)
         grid = GridSpec(dim=3, points_per_axis=7, cell_volume=343.0)
         with pytest.raises(BruteForceLimitExceeded):
-            dense_hamiltonian(grid, NuclearConfig.empty(3), CoulombKernel(0.5), 2)
+            dense_hamiltonian(free(grid, CoulombKernel(0.5)), 2)
 
 
 class TestPotentialDiagonal:
     def test_free_single_particle_is_zero(self):
         grid = GridSpec(dim=1, points_per_axis=5, cell_volume=5.0)
-        w = potential_diagonal(grid, NuclearConfig.empty(1), BARE, eta=1)
+        w = potential_diagonal(free(grid), eta=1)
         assert np.all(w == 0)
 
     def test_pair_one_spacing_apart(self):
         grid = GridSpec(dim=1, points_per_axis=5, cell_volume=5.0)
-        w = potential_diagonal(grid, NuclearConfig.empty(1), BARE, eta=2)
+        w = potential_diagonal(free(grid), eta=2)
         delta = grid.spacing
         assert w[1, 2] == pytest.approx(1.0 / delta, rel=1e-12)
 
@@ -134,7 +138,7 @@ class TestPotentialDiagonal:
         # off-lattice so the bare kernel is regular everywhere
         grid = GridSpec(dim=2, points_per_axis=5, cell_volume=25.0)
         nuclei = NuclearConfig(np.array([[1.8, 2.4]]), np.array([2.0]))
-        w = potential_diagonal(grid, nuclei, BARE, eta=1)
+        w = potential_diagonal(GridHamiltonian(grid, nuclei, BARE), eta=1)
         delta = grid.spacing
         idx = grid.flat_index((0, 0))
         assert w[idx] == pytest.approx(-2.0 / (3 * delta), rel=1e-12)
@@ -143,12 +147,12 @@ class TestPotentialDiagonal:
         grid = GridSpec(dim=1, points_per_axis=5, cell_volume=5.0)
         nuclei = NuclearConfig(np.array([[1.0]]), np.array([1.0]))  # r_1 = 1.0
         with pytest.raises(SingularPotential):
-            nuclear_potential_table(grid, nuclei, BARE)
+            GridHamiltonian(grid, nuclei, BARE).nuclear()
 
     def test_softening_converges_monotonically_to_bare(self):
         grid = GridSpec(dim=1, points_per_axis=5, cell_volume=5.0)
-        bare = pair_potential_table(grid, BARE)[1, 3]
-        values = [pair_potential_table(grid, CoulombKernel(softening=s))[1, 3]
+        bare = free(grid).pair()[1, 3]
+        values = [free(grid, CoulombKernel(softening=s)).pair()[1, 3]
                   for s in (0.5, 0.25, 0.125, 0.0625)]
         assert np.all(np.diff(values) > 0)
         assert np.all(np.array(values) < bare)
@@ -161,7 +165,7 @@ class TestPotentialDiagonal:
         grid = GridSpec(dim=dim, points_per_axis=points,
                         cell_volume=1.7 * points ** dim)
         kernel = CoulombKernel(softening=softening)
-        v = pair_potential_table(grid, kernel)
+        v = free(grid, kernel).pair()
         dist = np.linalg.norm(grid.positions[:, None, :]
                               - grid.positions[None, :, :], axis=2)
         off = ~np.eye(grid.total_points, dtype=bool)
@@ -172,7 +176,9 @@ class TestPotentialDiagonal:
 
     def test_nuclear_repulsion_pair(self):
         nuclei = NuclearConfig(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
-        assert nuclear_repulsion(nuclei) == pytest.approx(1.0)
+        grid = GridSpec(dim=1, points_per_axis=4, cell_volume=4.0)
+        assert GridHamiltonian(grid, nuclei, BARE).nuclear_repulsion() == \
+            pytest.approx(1.0)
 
 
 class TestEvolutionSteps:
@@ -180,7 +186,7 @@ class TestEvolutionSteps:
         state = random_antisymmetric_state(4, 2, seed=0)
         grid = GridSpec(dim=1, points_per_axis=4, cell_volume=4.0)
         state.grid = grid
-        out = apply_kinetic_evolution(state, 0.0)
+        out = apply_kinetic_evolution(state, 0.0, free(grid))
         assert np.max(np.abs(out.tensor - state.tensor)) < 1e-14
 
     def test_plane_wave_acquires_eigenphase(self):
@@ -190,7 +196,7 @@ class TestEvolutionSteps:
         reg = np.zeros(8, dtype=complex)
         reg[:5] = wave
         state = FirstQuantizedState(1, 5, reg, grid=grid)
-        out = apply_kinetic_evolution(state, 0.7)
+        out = apply_kinetic_evolution(state, 0.7, free(grid))
         expected = np.exp(-1j * kinetic_phase_table(grid)[3] * 0.7)
         assert np.max(np.abs(out.tensor[:5] - expected * wave)) < 1e-12
         probs_in = np.abs(state.tensor) ** 2
@@ -201,24 +207,26 @@ class TestEvolutionSteps:
         grid, nuclei, kernel = hydrogenic_system()
         state = ground_slater(grid, nuclei, kernel)
         before = kinetic_expectation(state)
-        after = kinetic_expectation(apply_kinetic_evolution(state, 0.37))
+        after = kinetic_expectation(apply_kinetic_evolution(
+            state, 0.37, GridHamiltonian(grid, nuclei, kernel)))
         assert after == pytest.approx(before, abs=1e-10)
 
     def test_potential_zero_time_and_semigroup(self):
         grid, nuclei, kernel = hydrogenic_system()
         state = ground_slater(grid, nuclei, kernel)
-        same = apply_potential_evolution(state, 0.0, nuclei, kernel)
+        ham = GridHamiltonian(grid, nuclei, kernel)
+        same = apply_potential_evolution(state, 0.0, ham)
         assert np.max(np.abs(same.tensor - state.tensor)) < 1e-14
-        once = apply_potential_evolution(state, 0.7, nuclei, kernel)
+        once = apply_potential_evolution(state, 0.7, ham)
         twice = apply_potential_evolution(
-            apply_potential_evolution(state, 0.3, nuclei, kernel), 0.4,
-            nuclei, kernel)
+            apply_potential_evolution(state, 0.3, ham), 0.4, ham)
         assert np.max(np.abs(once.tensor - twice.tensor)) < 1e-12
 
     def test_position_distribution_unchanged_by_potential(self):
         grid, nuclei, kernel = hydrogenic_system()
         state = ground_slater(grid, nuclei, kernel)
-        out = apply_potential_evolution(state, 1.3, nuclei, kernel)
+        out = apply_potential_evolution(state, 1.3,
+                                        GridHamiltonian(grid, nuclei, kernel))
         assert np.max(np.abs(np.abs(out.tensor) ** 2
                              - np.abs(state.tensor) ** 2)) < 1e-14
 
@@ -233,11 +241,10 @@ class TestEvolve:
         reg[:5] = rng.normal(size=5) + 1j * rng.normal(size=5)
         reg /= np.linalg.norm(reg)
         state = FirstQuantizedState(1, 5, reg, grid=grid)
-        free = NuclearConfig.empty(1)
-        expect = apply_kinetic_evolution(state, 0.8)
+        expect = apply_kinetic_evolution(state, 0.8, free(grid))
         for steps in (1, 3):
             plan = EvolutionPlan(total_time=0.8, steps=steps, order=1)
-            out = evolve(state, plan, free, BARE)
+            out = evolve(state, plan, free(grid))
             assert np.max(np.abs(out.tensor - expect.tensor)) < 1e-12
 
     def test_strang_error_quarters_when_steps_double(self):
@@ -245,13 +252,13 @@ class TestEvolve:
         nuclei = NuclearConfig(np.array([[0.3]]), np.array([1.0]))
         kernel = CoulombKernel(softening=0.5)
         state = ground_slater(grid, nuclei, kernel)
-        ham = dense_hamiltonian(grid, nuclei, kernel, 2)
+        ham = dense_hamiltonian(GridHamiltonian(grid, nuclei, kernel), 2)
         w, v = np.linalg.eigh(ham)
         exact = (v * np.exp(-1j * w * 0.5)) @ v.conj().T @ state.amplitudes
         errors = []
         for steps in (4, 8, 16):
             plan = EvolutionPlan(total_time=0.5, steps=steps, order=2)
-            out = evolve(state, plan, nuclei, kernel)
+            out = evolve(state, plan, GridHamiltonian(grid, nuclei, kernel))
             errors.append(np.linalg.norm(out.amplitudes - exact))
         for a, b in zip(errors, errors[1:]):
             assert a / b == pytest.approx(4.0, rel=0.25)
@@ -261,7 +268,7 @@ class TestEvolve:
         state = ground_slater(grid, nuclei, kernel)
         for order in (1, 2, 4):
             plan = EvolutionPlan(total_time=0.9, steps=7, order=order)
-            out = evolve(state, plan, nuclei, kernel)
+            out = evolve(state, plan, GridHamiltonian(grid, nuclei, kernel))
             assert out.norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_register_swap_commutes_with_evolution(self):
@@ -273,19 +280,19 @@ class TestEvolve:
         tensor /= np.linalg.norm(tensor)
         state = FirstQuantizedState(2, 4, tensor, grid=grid)
         nuclei = NuclearConfig(np.array([[0.3]]), np.array([1.0]))
-        kernel = CoulombKernel(softening=0.5)
+        ham = GridHamiltonian(grid, nuclei, CoulombKernel(softening=0.5))
         plan = EvolutionPlan(total_time=0.4, steps=6, order=2)
         evolved_then_swapped = np.swapaxes(
-            evolve(state, plan, nuclei, kernel).tensor, 0, 1)
+            evolve(state, plan, ham).tensor, 0, 1)
         swapped = FirstQuantizedState(2, 4, np.swapaxes(tensor, 0, 1), grid=grid)
-        swapped_then_evolved = evolve(swapped, plan, nuclei, kernel).tensor
+        swapped_then_evolved = evolve(swapped, plan, ham).tensor
         assert np.max(np.abs(evolved_then_swapped - swapped_then_evolved)) < 1e-12
 
     def test_antisymmetry_preserved(self):
         grid, nuclei, kernel = hydrogenic_system()
         state = ground_slater(grid, nuclei, kernel)
         plan = EvolutionPlan(total_time=1.0, steps=20, order=2)
-        out = evolve(state, plan, nuclei, kernel)
+        out = evolve(state, plan, GridHamiltonian(grid, nuclei, kernel))
         assert out.antisymmetric
         assert out.is_antisymmetric(tol=1e-12)
 
@@ -305,7 +312,8 @@ class TestEvolve:
         state = slater_oracle(random_orthonormal(grid.total_points, eta, seed),
                               grid=grid)
         plan = EvolutionPlan(total_time=time, steps=steps, order=order)
-        out = evolve(state, plan, nuclei, CoulombKernel(softening=0.5))
+        ham = GridHamiltonian(grid, nuclei, CoulombKernel(softening=0.5))
+        out = evolve(state, plan, ham)
         assert abs(out.norm() - 1.0) <= 1e-12
         assert out.antisymmetric and out.is_antisymmetric(tol=1e-12)
 
@@ -314,7 +322,7 @@ class TestEvolve:
         state = ground_slater(grid, nuclei, kernel)
         e0 = total_energy(state, nuclei, kernel)
         plan = EvolutionPlan(total_time=1.0, steps=1000, order=2)
-        out = evolve(state, plan, nuclei, kernel)
+        out = evolve(state, plan, GridHamiltonian(grid, nuclei, kernel))
         assert total_energy(out, nuclei, kernel) == pytest.approx(e0, abs=1e-6)
 
 
@@ -338,8 +346,9 @@ def dense_substeps(state, substeps, nuclei, kernel):
     kinetic_matrix (checked against the explicit centered DFT, no FFT layout) on
     each register, a potential substep the phases of potential_diagonal."""
     grid, eta, n = state.grid, state.eta, state.grid.total_points
-    w, vec = np.linalg.eigh(kinetic_matrix(grid))
-    diag = potential_diagonal(grid, nuclei, kernel, eta)
+    ham = GridHamiltonian(grid, nuclei, kernel)
+    w, vec = np.linalg.eigh(ham.kinetic_matrix())
+    diag = potential_diagonal(ham, eta)
     block = state.tensor[(slice(0, n),) * eta]
     for op, t in substeps:
         if op == "V":
@@ -367,12 +376,13 @@ class TestMergedPropagator:
         plan = EvolutionPlan(total_time=0.7, steps=3, order=order)
         substeps = unmerged_substeps(plan)
         reference = dense_substeps(state, substeps, nuclei, kernel)
+        ham = GridHamiltonian(grid, nuclei, kernel)
         public = state
         for op, t in substeps:
-            public = (apply_kinetic_evolution(public, t) if op == "T" else
-                      apply_potential_evolution(public, t, nuclei, kernel))
+            public = (apply_kinetic_evolution(public, t, ham) if op == "T" else
+                      apply_potential_evolution(public, t, ham))
         block = (slice(0, grid.total_points),) * eta
-        for out in (evolve(state, plan, nuclei, kernel), public):
+        for out in (evolve(state, plan, ham), public):
             assert np.max(np.abs(out.tensor[block] - reference)) < 1e-12
             assert np.linalg.norm(out.tensor) == pytest.approx(1.0, abs=1e-12)
             assert out.antisymmetric
@@ -381,7 +391,8 @@ class TestMergedPropagator:
         """The composition cases cover both kinetic routes."""
         for points, ndim in ((64, 2), (128, 1)):
             grid = GridSpec(dim=1, points_per_axis=points, cell_volume=1.0)
-            assert hamiltonian._kinetic_propagator(grid, 0.1).ndim == ndim
+            axis = free(grid).axis_kinetic()
+            assert hamiltonian._kinetic_propagator(axis, 0.1).ndim == ndim
 
     @pytest.mark.parametrize("order,steps,kinetic", [
         (1, 3, 3), (2, 3, 3 + 1), (4, 3, 5 * 3 + 1)])
@@ -400,7 +411,8 @@ class TestMergedPropagator:
         for name in calls:
             monkeypatch.setattr(hamiltonian, name,
                                 counted(name, getattr(hamiltonian, name)))
-        evolve(state, EvolutionPlan(0.5, steps, order), nuclei, kernel)
+        evolve(state, EvolutionPlan(0.5, steps, order),
+               GridHamiltonian(grid, nuclei, kernel))
         assert calls == {"potential_diagonal": 1, "_kinetic_substep": kinetic}
 
     @pytest.mark.parametrize("dim,points,omega", [(3, 7, 343), (2, 24, 576)])
@@ -443,11 +455,64 @@ class TestTotalEnergy:
     def test_matches_dense_quadratic_form(self):
         grid, nuclei, kernel = hydrogenic_system(points=6, volume=6.0)
         state = ground_slater(grid, nuclei, kernel)
-        ham = dense_hamiltonian(grid, nuclei, kernel, 2)
+        grid_ham = GridHamiltonian(grid, nuclei, kernel)
+        ham = dense_hamiltonian(grid_ham, 2)
         quad = np.vdot(state.amplitudes, ham @ state.amplitudes)
         direct = total_energy(state, nuclei, kernel)
-        assert direct == pytest.approx(quad.real + nuclear_repulsion(nuclei), abs=1e-10)
+        assert direct == pytest.approx(quad.real + grid_ham.nuclear_repulsion(),
+                                       abs=1e-10)
         assert abs(quad.imag) < 1e-10
+
+
+class TestGridHamiltonian:
+    def test_nuclei_of_another_dimension_refused(self):
+        grid = GridSpec(dim=1, points_per_axis=4, cell_volume=4.0)
+        nuclei = NuclearConfig(np.array([[0.3, 0.2]]), np.array([1.0]))
+        with pytest.raises(ValidationError, match="dimension"):
+            GridHamiltonian(grid, nuclei, BARE)
+
+    def test_evolution_refuses_a_hamiltonian_on_another_grid(self):
+        grid, nuclei, kernel = hydrogenic_system()
+        state = ground_slater(grid, nuclei, kernel)
+        other = GridSpec(dim=1, points_per_axis=8, cell_volume=9.0)
+        with pytest.raises(ValidationError, match="grid"):
+            evolve(state, EvolutionPlan(0.1, 1), free(other))
+
+    def test_one_particle_evolution_builds_no_pair_table(self):
+        # 1-D N = 4096: V would be 4096^2 float64 = 134 MB; eta = 1 has no
+        # pairs, so U, the kinetic phases and the state are all it needs
+        grid = GridSpec(dim=1, points_per_axis=4096, cell_volume=4096.0)
+        rng = np.random.default_rng(11)
+        reg = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+        state = FirstQuantizedState(1, 4096, reg / np.linalg.norm(reg),
+                                    grid=grid)
+        nuclei = NuclearConfig(np.array([[0.3]]), np.array([1.0]))
+        ham = GridHamiltonian(grid, nuclei, CoulombKernel(softening=0.5))
+        tracemalloc.start()
+        try:
+            out = evolve(state, EvolutionPlan(0.2, 2, 2), ham)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("name,build", [
+        ("pair table V", lambda ham: ham.pair()),
+        ("kinetic matrix", lambda ham: ham.kinetic_matrix())])
+    def test_square_table_above_the_dense_budget_refused_before_allocating(
+            self, monkeypatch, name, build):
+        # N = 4097: an N x N table holds more than 2^24 entries
+        ham = free(GridSpec(dim=1, points_per_axis=4097, cell_volume=4097.0),
+                   CoulombKernel(0.5))
+
+        def built(*args, **kwargs):
+            raise AssertionError(f"{name} started before the size check")
+        monkeypatch.setattr(np, "meshgrid", built)  # the pair table's first
+        monkeypatch.setattr(hamiltonian, "_axis_operator", built)  # T's first
+        with pytest.raises(BruteForceLimitExceeded,
+                           match=f"4097 x 4097 {name}"):
+            build(ham)
 
 
 class TestPlanValidation:

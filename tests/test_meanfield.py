@@ -15,7 +15,8 @@ from fqlab.errors import (
     ValidationError,
 )
 from fqlab.grids import GridSpec
-from fqlab.hamiltonian import CoulombKernel, NuclearConfig, kinetic_phase_table
+from fqlab.hamiltonian import (CoulombKernel, GridHamiltonian, NuclearConfig,
+                               kinetic_phase_table)
 from fqlab.meanfield import (
     FockOperator,
     GridIntegrals,
@@ -40,7 +41,7 @@ def model_system(points=16, volume=32.0, soften=1.0, charge=2.0):
     grid = GridSpec(dim=1, points_per_axis=points, cell_volume=volume)
     nuclei = NuclearConfig(np.array([[0.5]]), np.array([charge]))
     kernel = CoulombKernel(softening=soften)
-    integrals = GridIntegrals.from_grid(grid, nuclei, kernel)
+    integrals = GridIntegrals.from_grid(GridHamiltonian(grid, nuclei, kernel))
     _, vecs = np.linalg.eigh(integrals.h)
     return grid, integrals, OccupiedOrbitals(vecs[:, :2], grid)
 
@@ -266,8 +267,8 @@ def grid_system(dim, points, softening, with_nuclei, eta, seed=0):
                                       [-0.6 * grid.spacing] * dim]),
                             np.array([1.0, 2.0]))
               if with_nuclei else NuclearConfig.empty(dim))
-    ints = GridIntegrals.from_grid(grid, nuclei,
-                                   CoulombKernel(softening=softening))
+    ints = GridIntegrals.from_grid(
+        GridHamiltonian(grid, nuclei, CoulombKernel(softening=softening)))
     coeffs = random_orthonormal(grid.total_points, eta, seed)
     return ints, OccupiedOrbitals(coeffs, grid)
 
@@ -326,7 +327,8 @@ class TestFockOperator:
         grid = GridSpec(dim=3, points_per_axis=9, cell_volume=729.0)
         nuclei = NuclearConfig(np.array([[0.7, 0.0, 0.0], [-0.7, 0.0, 0.0]]),
                                np.ones(2))
-        ints = GridIntegrals.from_grid(grid, nuclei, CoulombKernel(0.5))
+        ints = GridIntegrals.from_grid(
+            GridHamiltonian(grid, nuclei, CoulombKernel(0.5)))
         _, vecs = np.linalg.eigh(ints.h)
         orb = OccupiedOrbitals(vecs[:, :2], grid)
         tracemalloc.start()
@@ -398,8 +400,8 @@ class TestEvolveTdhf:
 class TestNorms:
     def test_free_norm_is_max_kinetic(self):
         grid = GridSpec(dim=1, points_per_axis=9, cell_volume=9.0)
-        ints = GridIntegrals.from_grid(grid, NuclearConfig.empty(1),
-                                       CoulombKernel())
+        ints = GridIntegrals.from_grid(
+            GridHamiltonian(grid, NuclearConfig.empty(1), CoulombKernel()))
         empty = OccupiedOrbitals(np.zeros((9, 0)), grid)
         expected = kinetic_phase_table(grid).max()
         assert fock_spectral_norm(empty, ints) == pytest.approx(
@@ -409,8 +411,8 @@ class TestNorms:
         ratios = []
         for m, eta in [(3, 2), (5, 3)]:
             grid = GridSpec(dim=3, points_per_axis=m, cell_volume=float(eta))
-            ints = GridIntegrals.from_grid(grid, NuclearConfig.empty(3),
-                                           CoulombKernel())
+            ints = GridIntegrals.from_grid(
+                GridHamiltonian(grid, NuclearConfig.empty(3), CoulombKernel()))
             envelope = eta ** (2 / 3) / grid.spacing + 1 / grid.spacing ** 2
             for seed in range(5):
                 orb = OccupiedOrbitals(

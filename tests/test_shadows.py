@@ -637,6 +637,11 @@ class TestSampleDumpReplay:
             b = estimate_krdm_element(rebuilt, config, (i,), (j,))
             assert a == b
 
+    def test_empty_dump_refused(self):
+        # no row carries eta or the register size to build an empty batch
+        with pytest.raises(ValidationError, match="sample dump is empty"):
+            samples_from_keys([])
+
 
 class TestHeadlineVarianceProperty:
     def test_variance_bounded_on_five_random_states(self):
