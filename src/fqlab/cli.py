@@ -117,12 +117,16 @@ def _hamiltonian(p, grid: GridSpec) -> GridHamiltonian:
 
 
 def _load_coeffs(path) -> np.ndarray:
-    """CSV with N rows and 2*eta columns (re, im per orbital)."""
+    """CSV with N rows and 2*eta columns (re, im per orbital); # starts a
+    comment."""
     with open(path) as fh:
-        try:
-            raw = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise UsageError(f"coefficient CSV {path} must hold numbers only") from exc
+        rows = [line for line in fh if line.split("#")[0].strip()]
+    if not rows:
+        raise UsageError(f"coefficient CSV {path} holds no rows")
+    try:
+        raw = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise UsageError(f"coefficient CSV {path} must hold numbers only") from exc
     if raw.shape[1] % 2 != 0:
         raise UsageError("coefficient CSV must have re,im column pairs")
     return raw[:, 0::2] + 1j * raw[:, 1::2]
@@ -279,13 +283,13 @@ def _cmd_tdhf(args, config) -> int:
     unknown = set(wanted) - {"energy", "rdm-diag"}
     if unknown:
         raise UsageError(f"unknown observables: {sorted(unknown)}")
+    plan = TdhfPlan(total_time=p["time"], steps=p["steps"], scheme=p["scheme"])
     grid = _grid(p)
     integrals = GridIntegrals.from_grid(_hamiltonian(p, grid))
     inputs = [path for path in (p["nuclei"], p["coeffs"]) if path]
     if coeffs is None:
         coeffs = _core_guess(integrals.h, _particle_count(p, grid))
     orbitals = OccupiedOrbitals(coeffs, grid)
-    plan = TdhfPlan(total_time=p["time"], steps=p["steps"], scheme=p["scheme"])
     traj = evolve_tdhf(orbitals, integrals, plan,
                        record_rdm_diag="rdm-diag" in wanted, keep_history=False)
     header = ["step", "time", "energy"]

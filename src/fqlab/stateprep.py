@@ -15,12 +15,15 @@ strictly ascending on every branch, which is what makes the conversion
 reversible; an instrumented mode verifies this branch by branch.
 
 The joint register state is simulated on its live basis branches only,
-each keyed by its window occupancy, counter and written labels: every
-branch holds eta particles, the written ones in ascending order, so at
-most C(N, eta) branches exist and memory is O(C(N, eta)) instead of the
-2^(eta+1) 2^n_eta (2^n)^eta amplitudes of the full register space. A
-Givens rotation mixes pairs of branches, a conversion step rewrites
-keys, and only the final sorted-configuration tensor is dense.
+each one int64 key packing its window occupancy, counter and written
+labels: every branch holds eta particles, the written ones in ascending
+order, so at most C(N, eta) branches exist and memory is O(C(N, eta))
+instead of the 2^(eta+1) 2^n_eta (2^n)^eta amplitudes of the full
+register space. A Givens rotation pairs branches by one sort of their
+keys and mixes each pair, and a conversion step rewrites keys in place.
+The antisymmetrizing isometry scatters each finished branch onto the
+eta! permutations of its labels, so the output tensor is the only dense
+array.
 
 Toffoli accounting follows the improved conversion procedure: per
 orbital, one simultaneous unary-iteration step on all eta registers
@@ -30,6 +33,7 @@ N (3 eta + n_eta - 2) over a full run.
 """
 
 from dataclasses import dataclass, field
+import itertools
 import math
 
 import numpy as np
@@ -45,7 +49,6 @@ from .states import (
     FirstQuantizedState,
     check_dense_size,
     check_orthonormal_columns,
-    signed_permutation_sum,
 )
 
 
@@ -148,7 +151,7 @@ def givens_decompose(coeffs: np.ndarray) -> GivensNetwork:
                 phi = float(np.angle(beta) - np.angle(alpha))
             rot = GivensRotation(row - 1, row, theta, phi)
             g_dag = rot.block().conj().T
-            work[[row - 1, row], :] = g_dag @ work[[row - 1, row], :]
+            work[row - 1:row + 1] = g_dag @ work[row - 1:row + 1]
             layer.append(rot)
         layers_reversed.append(tuple(reversed(layer)))
     residual = float(np.max(np.abs(work[eta:, :]))) if n > eta else 0.0
@@ -213,14 +216,16 @@ def antisymmetrization_gate_estimate(n_orbitals: int, eta: int) -> int:
 class ConversionRegisters:
     """Joint state of window qubits, the counter, and the eta registers.
 
-    Only the live basis branches are stored, as a struct of arrays with
-    one row per branch: ``occupancy`` (bitmask over the eta + 1 window
-    slots), ``counter`` (registers written so far), ``labels`` (one row
-    of eta register labels, 0 where unwritten) and ``amplitudes``.
-    Window slot for orbital o is o mod (eta + 1); a slot is reused only
-    after the conversion has provably zeroed it. Every branch places eta
-    particles, written ones in ascending order below the next orbital to
-    convert, so at most C(N, eta) branches are live.
+    Only the live basis branches are stored: branch i is ``keys[i]``, one
+    int64 packing the whole basis state, with amplitude
+    ``amplitudes[i]``. Low bits first, a key holds the eta + 1 window
+    slots, then the counter (registers written so far), then the eta
+    register label fields, 0 where unwritten. ``occupancy``, ``counter``
+    and ``labels`` unpack those fields. Window slot for orbital o is
+    o mod (eta + 1); a slot is reused only after the conversion has
+    provably zeroed it. Every branch places eta particles, written ones
+    in ascending order below the next orbital to convert, so at most
+    C(N, eta) branches are live.
     """
 
     def __init__(self, n_orbitals: int, eta: int):
@@ -232,16 +237,13 @@ class ConversionRegisters:
         self.counter_width = counter_register_width(eta)
         self.register_qubits = register_qubits(n_orbitals)
         self.register_dim = 2 ** self.register_qubits
-        # packed branch key, low bits first: slots, counter, labels
         label_base = self.window_slots + self.counter_width
         if label_base + eta * self.register_qubits > 63:
             raise ValidationError("branch keys do not fit 63 bits")
         self._label_shifts = label_base + self.register_qubits * np.arange(eta)
         # reference: orbitals 0..eta-1 occupied, counter 0, registers 0
-        self.occupancy = np.array([sum(1 << self._slot(o) for o in range(eta))],
-                                  dtype=np.int64)
-        self.counter = np.zeros(1, dtype=np.int64)
-        self.labels = np.zeros((1, eta), dtype=np.int64)
+        self.keys = np.array([sum(1 << self._slot(o) for o in range(eta))],
+                             dtype=np.int64)
         self.amplitudes = np.ones(1, dtype=complex)
         self.converted = 0
         self.ledger = ToffoliLedger()
@@ -249,9 +251,31 @@ class ConversionRegisters:
     def _slot(self, orbital: int) -> int:
         return orbital % self.window_slots
 
+    def _counter_of(self, keys: np.ndarray) -> np.ndarray:
+        return (keys >> self.window_slots) & ((1 << self.counter_width) - 1)
+
+    def _labels_of(self, keys: np.ndarray) -> np.ndarray:
+        return (keys[:, None] >> self._label_shifts) & (self.register_dim - 1)
+
+    @property
+    def occupancy(self) -> np.ndarray:
+        """Window-slot bitmask of each branch, unpacked from ``keys``."""
+        return self.keys & ((1 << self.window_slots) - 1)
+
+    @property
+    def counter(self) -> np.ndarray:
+        """Registers written on each branch, unpacked from ``keys``."""
+        return self._counter_of(self.keys)
+
+    @property
+    def labels(self) -> np.ndarray:
+        """One row of eta register labels per branch, 0 where unwritten,
+        unpacked from ``keys``."""
+        return self._labels_of(self.keys)
+
     def window_population(self, orbital: int) -> float:
         """Probability mass with the slot for ``orbital`` in state |1>."""
-        on = (self.occupancy & (1 << self._slot(orbital))) != 0
+        on = (self.keys & (1 << self._slot(orbital))) != 0
         return float(np.sum(np.abs(self.amplitudes[on]) ** 2))
 
     def apply_window_rotation(self, rot: GivensRotation) -> None:
@@ -260,32 +284,32 @@ class ConversionRegisters:
         The one-particle amplitudes transform by the rotation block with
         |10> (orbital a occupied) as the first component; |00> and |11>
         are untouched (the block has unit determinant). Branches with
-        one of the two slots occupied pair up by the rest of their key;
-        a missing partner enters with amplitude 0.
+        one of the two slots occupied pair up by the rest of their key,
+        found by one sort; a missing partner enters with amplitude 0.
         """
         sa, sb = self._slot(rot.orbital_a), self._slot(rot.orbital_b)
         if sa == sb:
             raise ValidationError("rotation maps to a single window slot")
         g = rot.block()
         bit_a, bit_b = 1 << sa, 1 << sb
-        pair = self.occupancy & (bit_a | bit_b)
+        pair = self.keys & (bit_a | bit_b)
         is_single = (pair == bit_a) | (pair == bit_b)
-        single, kept = np.flatnonzero(is_single), np.flatnonzero(~is_single)
-        rest = self.occupancy[single] & ~(bit_a | bit_b)
-        pair_keys = (rest | (self.counter[single] << self.window_slots)
-                     | (self.labels[single] << self._label_shifts).sum(axis=1))
-        _, first, inverse = np.unique(pair_keys, return_index=True,
-                                      return_inverse=True)
+        single = np.flatnonzero(is_single)
+        rest = self.keys[single] & ~(bit_a | bit_b)
+        order = np.argsort(rest)
+        single, rest = single[order], rest[order]
+        head = np.ones(len(rest), dtype=bool)
+        head[1:] = rest[1:] != rest[:-1]
+        group = np.cumsum(head) - 1
         on_a = pair[single] == bit_a
-        amp_a = np.zeros(len(first), dtype=complex)
-        amp_b = np.zeros(len(first), dtype=complex)
-        amp_a[inverse[on_a]] = self.amplitudes[single[on_a]]
-        amp_b[inverse[~on_a]] = self.amplitudes[single[~on_a]]
-        rows = np.concatenate([kept, single[first], single[first]])
-        self.occupancy = np.concatenate(
-            [self.occupancy[kept], rest[first] | bit_a, rest[first] | bit_b])
-        self.counter = self.counter[rows]
-        self.labels = self.labels[rows]
+        amp_a = np.zeros(np.count_nonzero(head), dtype=complex)
+        amp_b = np.zeros_like(amp_a)
+        amp_a[group[on_a]] = self.amplitudes[single[on_a]]
+        amp_b[group[~on_a]] = self.amplitudes[single[~on_a]]
+        kept = ~is_single
+        rest = rest[head]
+        self.keys = np.concatenate(
+            [self.keys[kept], rest | bit_a, rest | bit_b])
         self.amplitudes = np.concatenate(
             [self.amplitudes[kept],
              g[0, 0] * amp_a + g[0, 1] * amp_b,
@@ -304,10 +328,12 @@ class ConversionRegisters:
                 f"conversion must proceed in orbital order; expected "
                 f"{self.converted}, got {orbital}")
         bit = 1 << self._slot(orbital)
-        rows = np.flatnonzero(self.occupancy & bit)
-        xi = self.counter[rows]
+        rows = np.flatnonzero(self.keys & bit)
+        keys = self.keys[rows]
+        xi = self._counter_of(keys)
         full = xi >= self.eta
-        written = ~full & (self.labels[rows, np.minimum(xi, self.eta - 1)] != 0)
+        shift = self._label_shifts[np.minimum(xi, self.eta - 1)]
+        written = ~full & (((keys >> shift) & (self.register_dim - 1)) != 0)
         free = ~full & ~written
         if validate and np.linalg.norm(self.amplitudes[rows[written]]) > 1e-12:
             raise OrderingViolation(
@@ -316,10 +342,9 @@ class ConversionRegisters:
         if np.linalg.norm(self.amplitudes[rows[~free]]) > 1e-12:
             raise OrderingViolation(
                 "occupied branch with the counter already at capacity")
-        move = rows[free]
-        self.labels[move, xi[free]] = orbital
-        self.counter[move] += 1
-        self.occupancy[move] &= ~bit
+        # clear the slot, bump the counter and write the label, in one add
+        self.keys[rows[free]] = (keys[free] - bit + (1 << self.window_slots)
+                                 + (orbital << shift[free]))
         self.converted += 1
         if validate:
             self._check_branch_invariants()
@@ -332,28 +357,51 @@ class ConversionRegisters:
     def _check_branch_invariants(self) -> None:
         """Every populated basis branch: counter matches written count and
         register labels are strictly ascending."""
-        live = np.abs(self.amplitudes) > 1e-12
-        labels = self.labels[live]
-        written = np.arange(self.eta) < self.counter[live][:, None]
-        if np.any(labels[~written]):
+        keys = self.keys[np.abs(self.amplitudes) > 1e-12]
+        labels = self._labels_of(keys)
+        written = np.arange(self.eta) < self._counter_of(keys)[:, None]
+        if np.where(written, 0, labels).any():
             raise OrderingViolation("label in an unwritten register")
-        if np.any(written[:, 1:] & (labels[:, :-1] >= labels[:, 1:])):
+        if (written[:, 1:] & (labels[:, :-1] >= labels[:, 1:])).any():
             raise OrderingViolation("register labels not strictly ascending")
 
-    def finish(self):
-        """Extract the sorted-configuration tensor after full conversion."""
+    def finish(self) -> np.ndarray:
+        """The antisymmetric register tensor after full conversion.
+
+        Each done branch holds ascending labels s with amplitude a; the
+        signed-permutation isometry puts sgn(pi) a / sqrt(eta!) at every
+        permutation pi of s. Distinct branches hold distinct label sets,
+        so each entry receives exactly one term and the isometry is one
+        scatter per permutation, with no dense temporary.
+        """
         if self.converted != self.n_orbitals:
             raise ValidationError("conversion incomplete")
         probs = np.abs(self.amplitudes) ** 2
-        window_weight = sum(float(np.sum(probs[(self.occupancy & (1 << s)) != 0]))
+        window_weight = sum(float(np.sum(probs[(self.keys & (1 << s)) != 0]))
                             for s in range(self.window_slots))
         if window_weight > 1e-10 ** 2:
             raise ResidualPopulation(
                 f"window population {window_weight:.2e} after conversion")
         done = (self.occupancy == 0) & (self.counter == self.eta)
-        out = np.zeros((self.register_dim,) * self.eta, dtype=complex)
-        np.add.at(out, tuple(self.labels[done].T), self.amplitudes[done])
-        return out
+        labels = self._labels_of(self.keys[done]).T
+        values = self.amplitudes[done] / math.sqrt(math.factorial(self.eta))
+        # 0 - v, not -v: a zero part comes out +0, as from dense subtraction
+        signed = {1: values, -1: 0 - values}
+        dim = self.register_dim
+        # place[x][y]: the flat-index term of label y read by register x
+        place = [[row * dim ** (self.eta - 1 - x) for row in labels]
+                 for x in range(self.eta)]
+        out = np.zeros(dim ** self.eta, dtype=complex)
+        for perm in itertools.permutations(range(self.eta)):
+            flat = sum(place[x][y] for x, y in enumerate(perm))
+            out[flat] = signed[_permutation_sign(perm)]
+        return out.reshape((dim,) * self.eta)
+
+
+def _permutation_sign(perm) -> int:
+    """+1 for an even permutation of 0..len-1, -1 for an odd one."""
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1 if inversions % 2 else 1
 
 
 @dataclass
@@ -380,8 +428,5 @@ def prepare_slater(coeffs: np.ndarray, grid=None,
             for rot in network.layers[orbital]:
                 regs.apply_window_rotation(rot)
         regs.conversion_step(orbital, validate=validate)
-    sorted_tensor = regs.finish()
-    # signed-permutation isometry from the sorted configurations
-    tensor = signed_permutation_sum(sorted_tensor) / math.sqrt(math.factorial(eta))
-    state = FirstQuantizedState(eta, n, tensor, grid=grid)
+    state = FirstQuantizedState(eta, n, regs.finish(), grid=grid)
     return PreparationResult(state=state, network=network, ledger=regs.ledger)

@@ -35,8 +35,15 @@ SNAPSHOT_MAGIC = b"FQS1"
 
 
 def check_unit_norm(amplitudes: np.ndarray) -> None:
-    """Raise unless the 2-norm of ``amplitudes`` is 1 within NORM_TOL."""
-    if not abs(np.linalg.norm(amplitudes) - 1.0) <= NORM_TOL:
+    """Raise unless the 2-norm of ``amplitudes`` is 1 within NORM_TOL.
+
+    The squared norm is one real dot product over the interleaved real
+    and imaginary parts (a NaN or Inf amplitude makes it NaN or Inf,
+    which fails the test).
+    """
+    flat = np.ravel(amplitudes, order="K").astype(complex, copy=False)
+    parts = flat.view(np.float64)
+    if not abs(math.sqrt(parts @ parts) - 1.0) <= NORM_TOL:
         raise ValidationError("state must be normalized within 1e-12")
 
 
@@ -152,7 +159,8 @@ def check_orthonormal_columns(coeffs, grid: GridSpec | None = None) -> np.ndarra
     """``coeffs`` as a complex (N, eta) array with orthonormal columns.
 
     Refused (NonOrthonormalInput): not 2-D, N other than ``grid``'s point
-    count, a non-finite entry (tested before the Gram product), and
+    count, a non-finite entry or one of modulus above 1 + ORTHONORMAL_TOL
+    (both tested before the Gram product, which they could overflow), and
     max |C^H C - I| not within ORTHONORMAL_TOL.
     """
     c = np.asarray(coeffs, dtype=complex)
@@ -163,6 +171,10 @@ def check_orthonormal_columns(coeffs, grid: GridSpec | None = None) -> np.ndarra
                                   f"{grid.total_points} grid points")
     if not np.all(np.isfinite(c)):
         raise NonOrthonormalInput("coefficients hold a non-finite value")
+    largest = np.abs(c).max(initial=0.0)
+    if not largest <= 1.0 + ORTHONORMAL_TOL:
+        raise NonOrthonormalInput(
+            f"columns not orthonormal: an entry has modulus {largest:.3g} > 1")
     residual = np.abs(c.conj().T @ c - np.eye(c.shape[1])).max(initial=0.0)
     if not residual <= ORTHONORMAL_TOL:
         raise NonOrthonormalInput(f"columns not orthonormal: max |C^H C - I| = "

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fqlab
-from fqlab import hamiltonian, shadows
+from fqlab import cli, hamiltonian, shadows
 from fqlab.cli import _PARAMETERS, _build_parser, dispatch
 from fqlab.errors import NonOrthonormalInput, ValidationError
 from fqlab.experiment import pipeline_shadow_experiment
@@ -204,6 +204,19 @@ class TestTdhfCommand:
             capsys, "29791 x 29791 kinetic matrix")
         assert not (workdir / "t.csv").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--scheme", "foo"),
+                                            ("--steps", "0")])
+    def test_bad_plan_exits_two_before_the_core_guess(
+            self, workdir, capsys, monkeypatch, flag, value):
+        # at eta = 2 the core guess of this grid is degenerate (exit 3)
+        def guessed(*args, **kwargs):
+            raise AssertionError("core guess formed before the plan check")
+        monkeypatch.setattr(cli, "_core_guess", guessed)
+        argv = ["tdhf", "--dim", "1", "--points", "5", "--omega", "5",
+                "--eta", "2", "--time", "0.1", "--steps", "2", "--out", "t.csv"]
+        exits_two_with_one_line(argv + [flag, value], capsys, flag[2:])
+        assert not (workdir / "t.csv").exists()
+
     def test_rk4_drift_exits_three_with_one_line(self, workdir, capsys):
         (workdir / "nuclei.txt").write_text("2 0.3\n")
         code = dispatch(["tdhf", "--dim", "1", "--points", "8", "--omega",
@@ -216,8 +229,8 @@ class TestTdhfCommand:
         assert "exponential-midpoint" in err
 
     def test_rk4_blow_up_exits_three(self, workdir, capsys):
-        # the step's output is finite (max |C| ~ 4e300) but its Gram
-        # residual is NaN; the overflow on the way there is expected
+        # the step's output is finite (max |C| ~ 4e300), refused by its
+        # entry modulus; the overflow on the way there is expected
         with np.errstate(over="ignore", invalid="ignore"):
             code = dispatch(["tdhf", "--dim", "1", "--points", "8", "--omega",
                              "16", "--eta", "3", "--soften", "1.0", "--time",
@@ -554,7 +567,8 @@ TDHF_N4 = ["tdhf", "--dim", "1", "--points", "4", "--omega", "4",
 
 
 class TestNonFiniteInputs:
-    """A non-finite number is refused where it is read: exit 2, one line."""
+    """A non-finite or out-of-range number, or none at all, is refused where
+    it is read: exit 2, one line."""
 
     @pytest.mark.parametrize("command", ["evolve", "tdhf"])
     @pytest.mark.parametrize("charge", ["inf", "nan"])
@@ -575,6 +589,23 @@ class TestNonFiniteInputs:
         argv = TDHF_N4 if command == "tdhf" else ["prep", "--verify"]
         exits_two_with_one_line([*argv, "--coeffs", "c.csv"], capsys,
                                 "non-finite")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["tdhf", "prep"])
+    def test_coefficient_of_modulus_above_one(self, workdir, capsys, command):
+        # 1e308 entries would overflow the Gram product C^H C
+        write_coeffs("c.csv", np.full((4, 2), 1e308 + 0j))
+        argv = TDHF_N4 if command == "tdhf" else ["prep", "--verify"]
+        exits_two_with_one_line([*argv, "--coeffs", "c.csv"], capsys,
+                                "modulus")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["tdhf", "prep"])
+    def test_empty_coefficient_file(self, workdir, capsys, command):
+        (workdir / "empty.csv").write_text("")
+        argv = TDHF_N4 if command == "tdhf" else ["prep", "--verify"]
+        exits_two_with_one_line([*argv, "--coeffs", "empty.csv"], capsys,
+                                "empty.csv", "no rows")
 
     def test_time_step_overflowing_the_phases(self, workdir, capsys):
         # |t k^2/2| overflows at t = 1e308, and the phases would be NaN

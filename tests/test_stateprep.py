@@ -14,7 +14,7 @@ from fqlab.errors import (
     ValidationError,
 )
 from fqlab.grids import register_qubits
-from fqlab.states import slater_oracle
+from fqlab.states import signed_permutation_sum, slater_oracle
 from fqlab.stateprep import (
     ConversionRegisters,
     GivensNetwork,
@@ -71,6 +71,16 @@ def branches(regs):
                                              regs.labels, regs.amplitudes)}
 
 
+def pack(regs, occupancy, counter, labels):
+    """One branch key as ConversionRegisters lays it out, low bits first:
+    the window slots, the counter, then one field per register label."""
+    key = occupancy | counter << regs.window_slots
+    base = regs.window_slots + regs.counter_width
+    for x, label in enumerate(labels):
+        key |= label << base + x * regs.register_qubits
+    return np.array([key], dtype=np.int64)
+
+
 def oracle_sizes():
     """(N, eta) with N <= 9, eta < N, whose dense oracle stays small."""
     return st.sampled_from([
@@ -110,8 +120,9 @@ class TestConversion:
                 top = int(np.argmax(np.abs(regs.amplitudes)))
                 assert regs.counter[top] == 1
                 assert regs.labels[top, 0] == 2  # first register
-        sorted_tensor = regs.finish()
-        assert abs(sorted_tensor[2, 5]) == pytest.approx(1.0)
+        tensor = regs.finish()
+        assert abs(tensor[2, 5]) == pytest.approx(1 / math.sqrt(2))
+        assert tensor[5, 2] == pytest.approx(-tensor[2, 5])
         assert regs.ledger.total == toffoli_count(8, 2, "improved")
 
     def test_norm_preserved_through_conversion(self):
@@ -134,9 +145,7 @@ class TestConversion:
         regs = ConversionRegisters(n_orbitals=6, eta=2)
         # craft an invalid branch: counter 0 but register 1 already written,
         # with the orbital-0 window slot occupied
-        regs.occupancy = np.array([1])
-        regs.counter = np.array([0])
-        regs.labels = np.array([[3, 0]])
+        regs.keys = pack(regs, 1, 0, [3, 0])
         regs.amplitudes = np.array([1.0 + 0j])
         with pytest.raises(OrderingViolation, match="already written"):
             regs.conversion_step(0, validate=True)
@@ -144,9 +153,7 @@ class TestConversion:
     def test_full_counter_rejected(self):
         regs = ConversionRegisters(n_orbitals=6, eta=2)
         # an occupied window slot on a branch whose registers are all written
-        regs.occupancy = np.array([1])
-        regs.counter = np.array([2])
-        regs.labels = np.array([[1, 2]])
+        regs.keys = pack(regs, 1, 2, [1, 2])
         regs.amplitudes = np.array([1.0 + 0j])
         with pytest.raises(OrderingViolation, match="capacity"):
             regs.conversion_step(0)
@@ -158,9 +165,7 @@ class TestConversion:
     def test_branch_invariants_checked(self, counter, labels, message):
         regs = ConversionRegisters(n_orbitals=6, eta=3)
         # a live branch breaking an invariant, off the converted slot
-        regs.occupancy = np.array([1 << 2])
-        regs.counter = np.array([counter])
-        regs.labels = np.array([labels])
+        regs.keys = pack(regs, 1 << 2, counter, labels)
         regs.amplitudes = np.array([1.0 + 0j])
         with pytest.raises(OrderingViolation, match=message):
             regs.conversion_step(0, validate=True)
@@ -172,9 +177,40 @@ class TestConversion:
         # resurrect window population behind the conversion's back: move
         # the finished (0, 1) branch onto window slot 1
         assert list(branches(regs)) == [(0, 2, (0, 1))]
-        regs.occupancy[0] = 1 << 1
+        regs.keys = pack(regs, 1 << 1, 2, [0, 1])
         with pytest.raises(ResidualPopulation):
             regs.finish()
+
+    def test_key_fields_unpack_as_packed(self):
+        regs = ConversionRegisters(n_orbitals=9, eta=3)
+        regs.keys = pack(regs, 0b1010, 2, [3, 8, 0])
+        regs.amplitudes = np.array([0.5 + 0j])
+        assert branches(regs) == {(0b1010, 2, (3, 8, 0)): 0.5}
+
+    def test_keys_beyond_63_bits_refused(self):
+        # 7 slots + 3 counter bits + 6 labels of 10 bits = 70 bits
+        with pytest.raises(ValidationError, match="63 bits"):
+            ConversionRegisters(n_orbitals=1024, eta=6)
+        ConversionRegisters(n_orbitals=1024, eta=5)  # 6 + 3 + 50 = 59 bits
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=oracle_sizes(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_scatter_isometry_equals_the_dense_antisymmetrizer(self, size,
+                                                               seed):
+        n_orbitals, eta = size
+        net = givens_decompose(random_orthonormal(n_orbitals, eta, seed=seed))
+        regs = ConversionRegisters(n_orbitals, eta)
+        for orbital in range(n_orbitals):
+            if orbital < n_orbitals - eta:
+                for rot in net.layers[orbital]:
+                    regs.apply_window_rotation(rot)
+            regs.conversion_step(orbital)
+        done = (regs.occupancy == 0) & (regs.counter == eta)
+        sorted_tensor = np.zeros((regs.register_dim,) * eta, dtype=complex)
+        sorted_tensor[tuple(regs.labels[done].T)] = regs.amplitudes[done]
+        dense = signed_permutation_sum(sorted_tensor) / math.sqrt(
+            math.factorial(eta))
+        assert np.array_equal(regs.finish(), dense)
 
     @settings(max_examples=40, deadline=None)
     @given(size=oracle_sizes(), seed=st.integers(0, 2 ** 32 - 1))

@@ -27,6 +27,7 @@ from fqlab.states import (
     apply_register_unitary,
     check_dense_size,
     check_orthonormal_columns,
+    check_unit_norm,
     contract_registers,
     exact_1rdm,
     exact_krdm_element,
@@ -680,6 +681,23 @@ class TestInvariants:
         tensor[0, 1] = 0.5
         with pytest.raises(ValidationError):
             FirstQuantizedState(2, 4, tensor)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_amplitude_fails_the_norm_check(self, bad):
+        tensor = np.zeros((4, 4), dtype=complex)
+        tensor[0, 1] = 1.0
+        tensor[2, 3] = bad
+        with pytest.raises(ValidationError, match="normalized"):
+            FirstQuantizedState(2, 4, tensor)
+
+    def test_unit_norm_read_in_any_memory_layout(self, rng):
+        strided = np.zeros((8, 12), dtype=complex)[::2, ::2]
+        strided[:] = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+        strided /= np.linalg.norm(strided)
+        for view in (strided, strided.T, strided[::-1]):
+            check_unit_norm(view)
+        with pytest.raises(ValidationError):
+            check_unit_norm(strided[:, 1:])
 
     def test_antisymmetry_read_from_amplitudes(self):
         singlet = antisymmetrize(basis(4, (0, 1)))
