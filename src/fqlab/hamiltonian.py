@@ -17,10 +17,10 @@ import math
 
 import numpy as np
 
-from .errors import BruteForceLimitExceeded, SingularPotential, ValidationError
+from .errors import SingularPotential, ValidationError
 from .grids import GridSpec, from_fft_window, to_fft_window
-from .states import (FirstQuantizedState, check_dense_size, check_unit_norm,
-                     contract_registers)
+from .states import (FirstQuantizedState, check_budget, check_dense_size,
+                     check_unit_norm, contract_registers)
 
 
 @dataclass(frozen=True)
@@ -136,17 +136,6 @@ class GridHamiltonian:
             raise ValidationError(
                 "nuclear position dimension does not match grid")
 
-    def _check_square(self, table: str) -> None:
-        """An N x N ``table`` holds as many entries as two registers hold
-        amplitudes, and is refused as they would be."""
-        n = self.grid.total_points
-        try:
-            check_dense_size(n, 2)
-        except BruteForceLimitExceeded as err:
-            raise BruteForceLimitExceeded(
-                f"the {n} x {n} {table} is refused as two registers "
-                f"would be: {err}") from None
-
     def axis_kinetic(self) -> np.ndarray:
         """k^2/2 on one grid axis, in the FFT window."""
         grid = self.grid
@@ -161,7 +150,8 @@ class GridHamiltonian:
         one m x m matrix per axis. That matrix is real: the phases of +-nu
         pair up, and at even m the lone -m/2 phase is +-1.
         """
-        self._check_square("kinetic matrix")
+        n = self.grid.total_points
+        check_budget(f"the {n} x {n} kinetic matrix", (n, n))
         axis = _axis_operator(self.axis_kinetic())
         axis = from_fft_window(axis, axes=(0, 1)).real
         return _kronecker_sum((axis + axis.T) / 2, self.grid.dim)
@@ -187,8 +177,9 @@ class GridHamiltonian:
         is gathered from a (2m - 1)^dim table of kernel(|d| delta). |d|
         and |-d| round alike, which keeps the result exactly symmetric.
         """
-        self._check_square("pair table V")
         grid, kernel = self.grid, self.kernel
+        n = grid.total_points
+        check_budget(f"the {n} x {n} pair table V", (n, n))
         m, dim = grid.points_per_axis, grid.dim
         steps = np.arange(-(m - 1), m)
         diffs = np.stack(np.meshgrid(*[steps] * dim, indexing="ij"), axis=-1)

@@ -19,7 +19,6 @@ import numpy as np
 from .cliffords import clifford_from_key, clifford_table, draw_clifford_blocks
 from .errors import (
     AssumptionViolated,
-    BruteForceLimitExceeded,
     EnumerationUnavailable,
     IndexOutOfRange,
     InsufficientSamples,
@@ -28,8 +27,9 @@ from .errors import (
 )
 from .rng import derive_rng
 from .states import (
-    BRUTE_FORCE_AMPLITUDES,
     FirstQuantizedState,
+    check_budget,
+    check_labels,
     contract_registers,
     sample_registers,
 )
@@ -176,25 +176,18 @@ def _collect_chunk(state, part: ShadowBatch, rng) -> None:
         start += len(keys)
 
 
-def _check_batch(state: FirstQuantizedState, m: int) -> None:
-    if m < 0:
-        raise ValidationError("sample count must be nonnegative")
-    entries = int(m) * state.eta * state.register_dim
-    if entries > BRUTE_FORCE_AMPLITUDES:
-        raise BruteForceLimitExceeded(
-            f"{m} samples need {entries} outcome-row entries, above "
-            f"{BRUTE_FORCE_AMPLITUDES}; ask for fewer samples")
-
-
 def collect_shadows(state: FirstQuantizedState, m: int, seed: int,
                     threads: int = 1) -> ShadowBatch:
     """Collect m shadow samples.
 
     Samples are generated in fixed-size chunks, chunk c on the rng stream
     (seed, "shadows", c) and written to its own slice of the batch, so the
-    result is identical for any thread count.
+    result is identical for any thread count. A negative or over-budget m
+    is refused before anything is drawn or allocated.
     """
-    _check_batch(state, m)
+    if m < 0:
+        raise ValidationError("sample count must be nonnegative")
+    check_budget(f"{m} samples' outcome rows", (m, state.eta, state.register_dim))
     batch = ShadowBatch(np.empty((m, state.eta), dtype=object),
                         np.empty((m, state.eta), dtype=np.int64),
                         np.empty((m, state.eta, state.register_dim), dtype=complex))
@@ -230,7 +223,8 @@ def samples_from_keys(rows) -> ShadowBatch:
     """Rebuild a batch from (clifford-key strings, outcome ints) rows.
 
     Inverse of the CSV dump: each row is a pair (iterable of keys,
-    iterable of outcomes). Each distinct key is rebuilt once.
+    iterable of outcomes). The rows are budgeted as in
+    :func:`collect_shadows`, then gathered from each distinct key's unitary.
     """
     rows = list(rows)
     if not rows:
@@ -241,9 +235,14 @@ def samples_from_keys(rows) -> ShadowBatch:
     if keys.shape != outcomes.shape:
         raise ValidationError("clifford/outcome length mismatch")
     distinct, which = np.unique(keys, return_inverse=True)
-    table = np.stack([clifford_from_key(key).unitary for key in distinct])
-    unitaries = table[which.reshape(keys.shape)]
-    return ShadowBatch(keys, outcomes, gather_outcome_rows(unitaries, outcomes))
+    first = clifford_from_key(distinct[0]).unitary
+    dim = len(first)
+    check_budget(f"{len(keys)} samples' outcome rows", (*keys.shape, dim))
+    if not np.all((outcomes >= 0) & (outcomes < dim)):
+        raise IndexOutOfRange(f"sample outcomes must lie in 0..{dim - 1}")
+    table = np.stack([first, *(clifford_from_key(key).unitary
+                               for key in distinct[1:])])
+    return ShadowBatch(keys, outcomes, table[which.reshape(keys.shape), outcomes])
 
 
 def snapshot_term_estimate(rows: np.ndarray, registers, bra_labels,
@@ -256,12 +255,11 @@ def snapshot_term_estimate(rows: np.ndarray, registers, bra_labels,
     the k involved registers only.
     """
     eta, dim = rows.shape
+    check_labels(bra_labels, ket_labels, eta, dim, len(registers))
     value = 1.0 + 0.0j
     for x, i, j in zip(registers, bra_labels, ket_labels):
         if not 1 <= x <= eta:
             raise IndexOutOfRange(f"register {x} out of range 1..{eta}")
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise IndexOutOfRange("orbital label outside register dimension")
         r = rows[x - 1]
         value *= (dim + 1) * np.conj(r[j]) * r[i] - (1.0 if i == j else 0.0)
     return complex(value)
@@ -277,22 +275,6 @@ def single_shot_values(batch: ShadowBatch, bra_labels,
                        ket_labels) -> np.ndarray:
     """Per-sample estimator values (before grouping), vectorized."""
     return _RegisterRows(batch.rows).values(bra_labels, ket_labels)
-
-
-def _check_labels(bra_labels, ket_labels, eta: int, dim: int,
-                  k: int | None = None) -> None:
-    """Refuse bra and ket of unequal length, of a length outside 1..eta or
-    other than ``k`` when given, and a label not an integer in 0..dim-1."""
-    order = len(bra_labels)
-    if len(ket_labels) != order or not 1 <= order <= eta or k not in (None, order):
-        raise ValidationError(
-            f"element {tuple(bra_labels)}, {tuple(ket_labels)}: bra and ket need "
-            f"one length in 1..{eta}" + (f", equal to k = {k}" if k else ""))
-    labels = (*bra_labels, *ket_labels)
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-               and 0 <= v < dim for v in labels):
-        raise IndexOutOfRange(f"orbital labels {labels} must be integers in "
-                              f"0..{dim - 1}")
 
 
 class _RegisterRows:
@@ -319,9 +301,10 @@ class _RegisterRows:
         return factor
 
     def values(self, bra_labels, ket_labels, k: int | None = None) -> np.ndarray:
-        """Estimator values of every sample, after :func:`_check_labels`."""
+        """Estimator values of every sample, after
+        :func:`~fqlab.states.check_labels`."""
         m, eta, dim = self.rows.shape
-        _check_labels(bra_labels, ket_labels, eta, dim, k)
+        check_labels(bra_labels, ket_labels, eta, dim, k)
         values = np.zeros(m, dtype=complex)
         for tup in RestrictedIndexSet(eta, len(bra_labels)).tuples():
             first, *rest = (self._factor(x - 1, i, j)
@@ -383,10 +366,11 @@ def read_out(state: FirstQuantizedState, k: int, epsilon: float, delta: float,
     Every input is checked before any sample is drawn: the state's
     amplitudes (the restricted register sum estimates a k-RDM only for an
     antisymmetric state); k, epsilon and delta, by :func:`required_samples`
-    on either path; ``samples``, "auto" (that count) or a positive int, and
-    its batch size; and ``elements``, "all-1rdm" (k = 1 only) or (bra, ket)
-    tuples of k labels in 0..N-1. Returns the estimator configuration, the
-    batch and the :func:`estimate_elements` stream.
+    on either path; ``samples``, "auto" (that count) or a positive int, its
+    batch size by :func:`collect_shadows`; and ``elements``, "all-1rdm"
+    (k = 1 only) or (bra, ket) tuples of k labels in 0..N-1. Returns the
+    estimator configuration, the batch and the :func:`estimate_elements`
+    stream.
     """
     if not state.is_antisymmetric():
         raise NotAntisymmetric("shadow protocol expects an antisymmetric state")
@@ -397,12 +381,11 @@ def read_out(state: FirstQuantizedState, k: int, epsilon: float, delta: float,
           or samples < 1):
         raise ValidationError(
             f"samples must be 'auto' or a positive integer, got {samples!r}")
-    _check_batch(state, samples)
     config = EstimatorConfig.from_sample_count(k, epsilon, delta, samples)
     if elements == "all-1rdm":  # refused below unless k = 1
         elements = all_1rdm_elements(state.n_orbitals)
     for bra, ket in elements:
-        _check_labels(bra, ket, state.eta, state.n_orbitals, k)
+        check_labels(bra, ket, state.eta, state.n_orbitals, k)
     batch = collect_shadows(state, samples, seed, threads=threads)
     return config, batch, estimate_elements(batch, config, elements)
 
@@ -421,15 +404,13 @@ def exhaustive_estimator_mean(state: FirstQuantizedState, bra_labels,
     All |G|^eta Clifford tuples take one batched contraction, and every
     (tuple, outcome) pair is weighted by its Born probability at once.
     Refused before any tuple is built when the rows of every pair, the
-    largest array, would hold more than BRUTE_FORCE_AMPLITUDES entries.
+    largest array, would exceed the dense regime.
     """
     n = state.qubits_per_register
     table = clifford_table(n)
     eta, dim = state.eta, 2 ** n
-    entries = len(table) ** eta * dim ** eta * eta * dim
-    if entries > BRUTE_FORCE_AMPLITUDES:
-        raise BruteForceLimitExceeded(f"exhaustive mean needs {entries} row "
-                                      f"entries, above {BRUTE_FORCE_AMPLITUDES}")
+    check_budget(f"the exhaustive mean's rows over {len(table)}^{eta} "
+                 f"Clifford tuples", (len(table) * dim,) * eta + (eta, dim))
     combos = np.indices((len(table),) * eta).reshape(eta, -1).T
     unitaries = table[combos]                       # (tuples, eta, d, d)
     probs = np.abs(contract_registers(state.tensor, unitaries)) ** 2

@@ -63,12 +63,15 @@ class GivensRotation:
     orbital_b: int
     theta: float
     phi: float
+    block: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def block(self) -> np.ndarray:
-        c = math.cos(self.theta)
-        s = math.sin(self.theta)
-        return np.array([[c, -s * np.exp(-1j * self.phi)],
-                         [s * np.exp(1j * self.phi), c]])
+    def __post_init__(self):
+        """Build the block once, read-only, for every reader to share."""
+        c, s = math.cos(self.theta), math.sin(self.theta)
+        block = np.array([[c, -s * np.exp(-1j * self.phi)],
+                          [s * np.exp(1j * self.phi), c]])
+        block.flags.writeable = False
+        object.__setattr__(self, "block", block)
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ class GivensNetwork:
         u = np.eye(self.n_orbitals, dtype=complex)
         for layer in self.layers:
             for rot in layer:
-                g = rot.block()
+                g = rot.block
                 rows = [rot.orbital_a, rot.orbital_b]
                 u[rows, :] = g @ u[rows, :]
         return u
@@ -150,7 +153,7 @@ def givens_decompose(coeffs: np.ndarray) -> GivensNetwork:
                 theta = math.atan2(abs(beta), abs(alpha))
                 phi = float(np.angle(beta) - np.angle(alpha))
             rot = GivensRotation(row - 1, row, theta, phi)
-            g_dag = rot.block().conj().T
+            g_dag = rot.block.conj().T
             work[row - 1:row + 1] = g_dag @ work[row - 1:row + 1]
             layer.append(rot)
         layers_reversed.append(tuple(reversed(layer)))
@@ -290,7 +293,7 @@ class ConversionRegisters:
         sa, sb = self._slot(rot.orbital_a), self._slot(rot.orbital_b)
         if sa == sb:
             raise ValidationError("rotation maps to a single window slot")
-        g = rot.block()
+        g = rot.block
         bit_a, bit_b = 1 << sa, 1 << sb
         pair = self.keys & (bit_a | bit_b)
         is_single = (pair == bit_a) | (pair == bit_b)

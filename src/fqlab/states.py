@@ -10,7 +10,7 @@ Everything here is exact and O(dimension), intended as the ground truth
 the other modules are validated against.
 """
 
-from itertools import combinations
+from itertools import combinations, repeat
 import math
 import os
 import struct
@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     BruteForceLimitExceeded,
     DuplicateRegister,
+    IndexOutOfRange,
     NonOrthonormalInput,
     NonUnitary,
     NotAntisymmetric,
@@ -182,17 +183,40 @@ def check_orthonormal_columns(coeffs, grid: GridSpec | None = None) -> np.ndarra
     return c
 
 
-def check_dense_size(n_orbitals: int, eta: int) -> None:
-    """Refuse a state whose stored (2^n)^eta amplitudes exceed the dense regime.
+def check_budget(what: str, factors) -> None:
+    """Refuse ``what`` when the product of ``factors`` exceeds
+    BRUTE_FORCE_AMPLITUDES, the one entry budget of the dense regime. The
+    product stops growing once it passes the budget, so a long run of
+    factors forms no huge number."""
+    entries = 1
+    for factor in factors:
+        entries *= factor
+        if entries > BRUTE_FORCE_AMPLITUDES:
+            raise BruteForceLimitExceeded(
+                f"{what} would hold more than the {BRUTE_FORCE_AMPLITUDES} "
+                f"entries of the dense regime")
 
-    The budget is a power of two, so comparing the exponent n * eta with
-    its log2 is exact and forms no huge power.
-    """
+
+def check_dense_size(n_orbitals: int, eta: int) -> None:
+    """Refuse a state whose stored (2^n)^eta amplitudes exceed the dense regime."""
     n = register_qubits(n_orbitals)
-    if n * eta > BRUTE_FORCE_AMPLITUDES.bit_length() - 1:
-        raise BruteForceLimitExceeded(
-            f"{eta} registers of {n} qubits hold 2^{n * eta} amplitudes, "
-            f"above the dense regime ({BRUTE_FORCE_AMPLITUDES})")
+    check_budget(f"{eta} registers of {n} qubits", repeat(2 ** n, eta))
+
+
+def check_labels(bra_labels, ket_labels, eta: int, dim: int,
+                 k: int | None = None) -> None:
+    """Refuse bra and ket of unequal length, of a length outside 1..eta or
+    other than ``k`` when given, and a label not an integer in 0..dim-1."""
+    order = len(bra_labels)
+    if len(ket_labels) != order or not 1 <= order <= eta or k not in (None, order):
+        raise ValidationError(
+            f"element {tuple(bra_labels)}, {tuple(ket_labels)}: bra and ket need "
+            f"one length in 1..{eta}" + (f", equal to k = {k}" if k else ""))
+    labels = (*bra_labels, *ket_labels)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               and 0 <= v < dim for v in labels):
+        raise IndexOutOfRange(f"orbital labels {labels} must be integers in "
+                              f"0..{dim - 1}")
 
 
 class FirstQuantizedState:
@@ -360,9 +384,10 @@ def transition_expectation(state: FirstQuantizedState, registers, bra_labels,
     """<psi| prod_l |i_l><j_l|_{x_l} |psi> computed exactly.
 
     ``registers`` are distinct 1-based register indices; ``bra_labels``
-    holds the i's and ``ket_labels`` the j's.
+    holds the i's and ``ket_labels`` the j's, labels in 0..N-1.
     """
     regs = tuple(int(x) for x in registers)
+    check_labels(bra_labels, ket_labels, state.eta, state.n_orbitals, len(regs))
     if len(set(regs)) != len(regs):
         raise DuplicateRegister(f"registers {regs} contain duplicates")
     if any(not 1 <= x <= state.eta for x in regs):
@@ -384,25 +409,22 @@ def exact_krdm_element(state: FirstQuantizedState, bra_labels, ket_labels,
     The transition operators act on registers 1..k; antisymmetry makes the
     register choice immaterial and is verified unless ``check`` is False.
     """
-    k = len(bra_labels)
-    if k != len(ket_labels) or k > state.eta:
-        raise ValidationError("label tuples must have equal length k <= eta")
     if check and not state.is_antisymmetric():
         raise NotAntisymmetric("k-RDM requires an antisymmetric state")
-    factor = math.factorial(state.eta) // math.factorial(state.eta - k)
-    return factor * transition_expectation(
+    k = len(bra_labels)
+    return math.perm(state.eta, k) * transition_expectation(
         state, range(1, k + 1), bra_labels, ket_labels)
 
 
 def exact_1rdm(state: FirstQuantizedState) -> np.ndarray:
     """Full one-particle RDM, shape (n_orbitals, n_orbitals)."""
+    if not state.is_antisymmetric():
+        raise NotAntisymmetric("1-RDM requires an antisymmetric state")
     n = state.n_orbitals
     rdm = np.empty((n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
             rdm[i, j] = exact_krdm_element(state, (i,), (j,), check=False)
-    if not state.is_antisymmetric():
-        raise NotAntisymmetric("1-RDM requires an antisymmetric state")
     return rdm
 
 

@@ -7,10 +7,13 @@ import math
 import numpy as np
 
 from fqlab.cli import dispatch
+from fqlab.grids import GridSpec
 from fqlab.hamiltonian import CoulombKernel, NuclearConfig, total_energy
 from fqlab.shadows import EstimatorConfig
-from fqlab.states import exact_krdm_element, load_state
+from fqlab.states import exact_krdm_element, load_state, slater_oracle
 from fqlab.stateprep import toffoli_count
+
+from conftest import random_orthonormal
 
 NUCLEI = [[0.7, 0.0, 0.0], [-0.7, 0.0, 0.0]]  # the dynamics workload's
 
@@ -40,3 +43,22 @@ def test_readout_and_prep_check_calls():
     cfg = EstimatorConfig.from_sample_count(1, 0.1, 0.05, 2000)
     assert cfg.groups * cfg.group_size <= 2000
     assert toffoli_count(16, 4) > 0
+
+
+def test_readout_exact_elements():
+    # the readout workload's exact values at N = 4: the 16 pair elements
+    # of its k = 2 call on a filled eta = 4 state, and every k = 1 element
+    # of its eta = 2 calls
+    grid = GridSpec(dim=1, points_per_axis=4, cell_volume=4.0)
+    tuples = [(0, 1), (0, 2), (1, 3), (2, 3)]
+    filled = slater_oracle(random_orthonormal(4, 4, seed=1), grid)
+    for bra in tuples:
+        for ket in tuples:
+            # a filled determinant's 2-RDM is delta_pr delta_qs here
+            assert abs(exact_krdm_element(filled, bra, ket)
+                       - (bra == ket)) < 1e-12
+    pair = slater_oracle(random_orthonormal(4, 2, seed=2), grid)
+    one = np.array([[exact_krdm_element(pair, (i,), (j,)) for j in range(4)]
+                    for i in range(4)])
+    assert abs(np.trace(one) - 2) < 1e-12
+    assert np.max(np.abs(one - one.conj().T)) < 1e-12

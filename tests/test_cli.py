@@ -129,9 +129,10 @@ class TestEvolveShadowsPipeline:
                          "4", "--eta", "2", "--time", "0.1", "--steps", "2",
                          "--out", "st.bin"]) == 0
 
-        def collect(*args, **kwargs):
-            raise AssertionError("collect_shadows called")
-        monkeypatch.setattr(shadows, "collect_shadows", collect)
+        def drawn(*args, **kwargs):
+            raise AssertionError("sample drawn or batch allocated")
+        monkeypatch.setattr(shadows, "_collect_chunk", drawn)
+        monkeypatch.setattr(np, "empty", drawn)
         # 8,378,008 samples of 2 x 4 outcome-row entries: 4 times the budget
         exits_two_with_one_line(
             ["shadows", "--in", "st.bin", "--epsilon", "0.1", "--delta",

@@ -79,6 +79,23 @@ class TestBuildFock:
         f = build_fock(orb, ints)
         assert np.max(np.abs(f - f.conj().T)) < 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 64), eta=st.integers(1, 4), k=st.integers(1, 3),
+           scale=st.floats(0.01, 100.0), seed=st.integers(0, 2 ** 16))
+    def test_hermitian_and_equal_to_the_operator_on_random_orbitals(
+            self, n, eta, k, scale, seed):
+        eta, k = min(eta, n), min(k, n)
+        rng = np.random.default_rng(seed)
+        h = scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        v = scale * np.abs(rng.normal(size=(n, n)))
+        ints = GridIntegrals(h=(h + h.conj().T) / 2, v=(v + v.T) / 2)
+        c = random_orthonormal(n, eta, seed)
+        f = build_fock(OccupiedOrbitals(c), ints)
+        tol = 1e-12 * max(1.0, np.linalg.norm(f, 2))
+        assert np.max(np.abs(f - f.conj().T)) <= tol
+        x = random_orthonormal(n, k, seed + 1)
+        assert np.max(np.abs(FockOperator(c, ints)(x) - f @ x)) <= tol
+
     def test_basis_covariance_under_grid_relabeling(self):
         n = 6
         rng = np.random.default_rng(4)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fqlab.cliffords import clifford_table
-from fqlab import shadows
+from fqlab import shadows, states
 from fqlab.errors import (
     AssumptionViolated,
     BruteForceLimitExceeded,
@@ -636,6 +636,28 @@ class TestSampleDumpReplay:
             a = estimate_krdm_element(samples, config, (i,), (j,))
             b = estimate_krdm_element(rebuilt, config, (i,), (j,))
             assert a == b
+
+    def test_dump_budgeted_as_the_collector_budgets(self, monkeypatch):
+        # a budget of 1200 entries holds 150 samples of 2 x 4 outcome rows
+        monkeypatch.setattr(states, "BRUTE_FORCE_AMPLITUDES", 1200)
+        state = random_antisymmetric_state(4, 2, seed=23)
+        samples = collect_shadows(state, 150, seed=6)
+        rows = list(zip(samples.keys.tolist(), samples.outcomes.tolist()))
+        assert samples_from_keys(rows).rows.tobytes() == samples.rows.tobytes()
+        with pytest.raises(BruteForceLimitExceeded, match="151 samples"):
+            collect_shadows(state, 151, seed=6)
+        with pytest.raises(BruteForceLimitExceeded, match="151 samples"):
+            samples_from_keys(rows + rows[:1])
+
+    @pytest.mark.parametrize("outcome", [-1, 4])
+    def test_outcome_outside_the_register_refused(self, outcome):
+        # a negative outcome would read a row from the end of the unitary
+        state = random_antisymmetric_state(4, 2, seed=23)
+        samples = collect_shadows(state, 5, seed=6)
+        rows = list(zip(samples.keys.tolist(), samples.outcomes.tolist()))
+        rows[2][1][0] = outcome
+        with pytest.raises(IndexOutOfRange):
+            samples_from_keys(rows)
 
     def test_empty_dump_refused(self):
         # no row carries eta or the register size to build an empty batch

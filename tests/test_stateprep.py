@@ -257,6 +257,22 @@ class TestPrepareSlater:
         assert abs(result.state.overlap(oracle)) == pytest.approx(1.0, abs=1e-9)
         assert result.state.is_antisymmetric(tol=1e-10)
 
+    def test_each_givens_block_built_once(self, monkeypatch):
+        # the decomposition and the window rotation read the one block
+        # built with each rotation
+        built = []
+        build = GivensRotation.__post_init__
+
+        def counted(rot):
+            built.append(rot)
+            build(rot)
+        monkeypatch.setattr(GivensRotation, "__post_init__", counted)
+        result = prepare_slater(random_orthonormal(16, 4, seed=164),
+                                validate=True)
+        assert result.network.rotation_count() == 48
+        assert len(built) == 48
+        assert not any(rot.block.flags.writeable for rot in built)
+
     def test_twelve_orbitals_five_particles_match_oracle(self):
         coeffs = random_orthonormal(12, 5, seed=125)
         result = prepare_slater(coeffs)

@@ -13,6 +13,7 @@ from fqlab.cliffords import draw_clifford_blocks
 from fqlab.errors import (
     BruteForceLimitExceeded,
     DuplicateRegister,
+    IndexOutOfRange,
     NonOrthonormalInput,
     NonUnitary,
     NotAntisymmetric,
@@ -20,6 +21,7 @@ from fqlab.errors import (
     ZeroProjection,
 )
 from fqlab.meanfield import OccupiedOrbitals
+from fqlab import states
 from fqlab.rng import derive_rng
 from fqlab.states import (
     FirstQuantizedState,
@@ -529,6 +531,30 @@ class TestExactKrdm:
     def test_requires_antisymmetry(self):
         with pytest.raises(NotAntisymmetric):
             exact_krdm_element(basis(4, (0, 1)), (0,), (0,))
+
+    @pytest.mark.parametrize("bra,ket,error", [
+        ((-4,), (-4,), IndexOutOfRange),  # would read orbital 4's diagonal
+        ((-1,), (-1,), IndexOutOfRange),
+        ((6,), (6,), IndexOutOfRange),    # a padding label of d = 8
+        ((5,), (0,), IndexOutOfRange),
+        ((), (), ValidationError),        # would read the norm
+        ((0,), (0, 1), ValidationError),
+        ((0, 1, 2), (0, 1, 2), ValidationError),  # k above eta
+    ])
+    def test_labels_outside_the_orbitals_refused(self, bra, ket, error):
+        # N = 5 orbitals in registers of d = 8
+        state = random_antisymmetric_state(5, 2, seed=4)
+        with pytest.raises(error):
+            exact_krdm_element(state, bra, ket)
+        with pytest.raises(error):
+            transition_expectation(state, range(1, len(bra) + 1), bra, ket)
+
+    def test_1rdm_refused_before_any_element(self, monkeypatch):
+        def element(*args, **kwargs):
+            raise AssertionError("element computed before the check")
+        monkeypatch.setattr(states, "exact_krdm_element", element)
+        with pytest.raises(NotAntisymmetric):
+            exact_1rdm(basis(4, (0, 1)))
 
 
 class TestFirstSecondEquivalence:
