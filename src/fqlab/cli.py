@@ -30,7 +30,8 @@ from .hamiltonian import (
     EvolutionPlan,
     GridHamiltonian,
     NuclearConfig,
-    evolve,
+    evolve_block,
+    fft_block,
     kinetic_phase_table,
 )
 from .meanfield import (
@@ -248,8 +249,9 @@ def _cmd_evolve(args, config) -> int:
     plan = EvolutionPlan(total_time=p["time"], steps=p["steps"], order=p["order"])
     if state is None:
         state = _lowest_momentum_slater(grid, _particle_count(p, grid))
-    final = evolve(state, plan, ham)
-    save_state(p["out"], final)
+    block = fft_block(state.block, grid)
+    del state  # only the N^eta block is kept while it propagates
+    save_state(p["out"], evolve_block(block, plan, ham))
     inputs = [path for path in (p["in"], p["nuclei"]) if path]
     _write_manifest("evolve", p, p["seed"], inputs, [p["out"]])
     return 0

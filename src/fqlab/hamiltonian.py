@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import SingularPotential, ValidationError
 from .grids import GridSpec, from_fft_window, to_fft_window
-from .states import (FirstQuantizedState, check_budget, check_dense_size,
-                     check_unit_norm, contract_registers)
+from .states import (SLAB_ENTRIES, FirstQuantizedState, check_budget,
+                     check_dense_size, check_unit_norm, pad_block, slabs)
 
 
 @dataclass(frozen=True)
@@ -113,9 +113,11 @@ def _kronecker_sum(op: np.ndarray, copies: int) -> np.ndarray:
 
 
 def _on_registers(table: np.ndarray, eta: int, *registers: int) -> np.ndarray:
-    """A per-register table (N, or N x N for a pair) placed on the axes
-    ``registers`` of the N^eta block, broadcastable over the others."""
-    shape = [table.shape[0] if axis in registers else 1 for axis in range(eta)]
+    """A per-register table (one axis, or two for a pair) placed on the
+    axes ``registers`` of an eta-axis block, broadcastable over the others."""
+    shape = [1] * eta
+    for axis, size in zip(registers, table.shape):
+        shape[axis] = size
     return table.reshape(shape)
 
 
@@ -210,29 +212,31 @@ class GridHamiltonian:
 def potential_diagonal(ham: GridHamiltonian, eta: int) -> np.ndarray:
     """(U + V)(p_1..p_eta) over the full N^eta index block; V is built only
     when there are pairs."""
-    total = np.zeros((ham.grid.total_points,) * eta)
-    u = ham.nuclear()
+    return _potential_rows(ham.nuclear(), ham.pair() if eta > 1 else None,
+                           eta, slice(None))
+
+
+def _potential_rows(u: np.ndarray, v, eta: int, rows: slice) -> np.ndarray:
+    """(U + V)(p_1..p_eta) for the labels p_1 in ``rows``: a slab of the
+    N^eta index block, summed in place from the tables ``u`` and ``v``."""
+    total = np.zeros((len(u[rows]),) + u.shape * (eta - 1))
     for j in range(eta):
-        total = total + _on_registers(u, eta, j)
-    v = ham.pair() if eta > 1 else None
+        total += _on_registers(u[rows] if j == 0 else u, eta, j)
     for j, k in combinations(range(eta), 2):
-        total = total + _on_registers(v, eta, j, k)
+        total += _on_registers(v[rows] if j == 0 else v, eta, j, k)
     return total
 
 
 # -- evolution ------------------------------------------------------------
 
 
-def _register_block(state: FirstQuantizedState):
-    """Slice tuple selecting the N^eta physical block of the tensor."""
-    return (slice(0, state.n_orbitals),) * state.eta
-
-
-def _fft_layout(block: np.ndarray, grid: GridSpec, eta: int) -> np.ndarray:
-    """The N^eta block as dim*eta axes in the FFT window, where the
-    centered DFT of every register is one n-D FFT."""
+def fft_block(block: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """An N^eta ``block`` (eta is its axis count; a state's is the view
+    ``state.block``) as dim*eta axes in the FFT window, where the
+    centered DFT of every register is one n-D FFT: one new array, the
+    form :func:`evolve_block` propagates."""
     return to_fft_window(
-        block.reshape((grid.points_per_axis,) * (grid.dim * eta)))
+        block.reshape((grid.points_per_axis,) * (grid.dim * block.ndim)))
 
 
 # Axis length from which a kinetic substep takes the FFT route. An m x m
@@ -245,13 +249,19 @@ _FFT_MIN_POINTS = 128
 
 
 def _phase(t: float, table: np.ndarray) -> np.ndarray:
-    """exp(-i t table), refused when an angle t * table overflows: its
-    phase would be NaN."""
-    if not math.isfinite(abs(float(t)) * float(np.max(np.abs(table)))):
+    """exp(-i t table) of a real table, refused when an angle t * table
+    overflows: its phase would be NaN. Built SLAB_ENTRIES entries at a
+    time, so no complex temporary is the table's size."""
+    if not math.isfinite(abs(float(t)) * float(max(table.max(), -table.min()))):
         raise ValidationError(
             f"the propagator phases of a {float(t):.6g} time step overflow; "
             "use more steps")
-    return np.exp(-1j * t * table)
+    out = np.empty(table.shape, dtype=complex)
+    flat, phases = np.ravel(table), out.reshape(-1)
+    for lo in range(0, flat.size, SLAB_ENTRIES):
+        part = slice(lo, lo + SLAB_ENTRIES)
+        np.exp(-1j * t * flat[part], out=phases[part])
+    return out
 
 
 def _kinetic_propagator(axis_kinetic: np.ndarray, t: float) -> np.ndarray:
@@ -267,17 +277,30 @@ def _kinetic_propagator(axis_kinetic: np.ndarray, t: float) -> np.ndarray:
     return _axis_operator(phases)
 
 
-def _kinetic_substep(block: np.ndarray, propagator: np.ndarray) -> np.ndarray:
-    """exp(-i T t) on the block in FFT layout: the m x m ``propagator``
-    contracted with every axis, or (given the m phases) fftn, the phases
-    of each axis, ifftn."""
-    if propagator.ndim == 2:
-        return contract_registers(
-            block, np.broadcast_to(propagator, (block.ndim,) + propagator.shape))
-    block = np.fft.fftn(block, norm="ortho")
-    for axis in range(block.ndim):
-        block *= propagator.reshape((-1,) + (1,) * (block.ndim - 1 - axis))
-    return np.fft.ifftn(block, norm="ortho")
+def _kinetic_substep(block: np.ndarray, propagator: np.ndarray, spare):
+    """exp(-i T t) on the C-contiguous block in FFT layout; returns the
+    propagated block and the free buffer.
+
+    The m x m ``propagator`` is contracted with every axis by one matmul
+    each, written into the other of ``block`` and ``spare`` (a buffer of
+    the block's size, allocated here when None): the leading axis is
+    contracted and its image appended as the last, so after one matmul
+    per axis the axes are back in order. Given the m phases instead (the
+    FFT route), fftn, the phases of each axis and ifftn allocate their
+    own outputs.
+    """
+    if propagator.ndim == 1:
+        block = np.fft.fftn(block, norm="ortho")
+        for axis in range(block.ndim):
+            block *= propagator.reshape((-1,) + (1,) * (block.ndim - 1 - axis))
+        return np.fft.ifftn(block, norm="ortho"), spare
+    if spare is None:
+        spare = np.empty_like(block)
+    m = len(propagator)
+    for _ in range(block.ndim):
+        np.matmul(block.reshape(m, -1).T, propagator.T, out=spare.reshape(-1, m))
+        block, spare = spare, block
+    return block, spare
 
 
 def _phases(keys, ham: GridHamiltonian, eta: int) -> dict:
@@ -289,54 +312,63 @@ def _phases(keys, ham: GridHamiltonian, eta: int) -> dict:
     phases = {(x, t): _kinetic_propagator(axis, t) for x, t in keys if x == "T"}
     times = {t for x, t in keys if x == "V"}
     if times:
-        table = _fft_layout(potential_diagonal(ham, eta), ham.grid, eta)
+        table = fft_block(potential_diagonal(ham, eta), ham.grid)
         phases.update({("V", t): _phase(t, table) for t in times})
     return phases
 
 
-def _propagate(state: FirstQuantizedState, substeps,
+def _propagate(block: np.ndarray, substeps,
                ham: GridHamiltonian) -> FirstQuantizedState:
     """Apply exp(-i X t) for each (X, t) that ``substeps()`` yields, X one
-    of "T", "V". ``substeps`` is called twice: once for the distinct
-    propagators, which are built before the first substep, once to apply
-    them.
+    of "T", "V", to ``block``, the N^eta block in FFT layout (dim * eta
+    axes of length m, C-contiguous complex), which is overwritten.
+    ``substeps`` is called twice: once for the distinct propagators,
+    which are built before the first substep, once to apply them.
 
-    The block is rotated into FFT layout once, as dim * eta axes of
-    length m. A kinetic substep is one m x m matmul per axis (an FFT pair
-    on long 1-D axes), a potential substep one phase multiplication.
-    Every substep checks the norm of the block; the padding stays zero
-    because only the block is propagated, and the output state checks it
-    again.
+    Live while it propagates: the block; one spare buffer of its size,
+    which a kinetic substep's matmuls alternate with (one m x m matmul per
+    axis; the FFT route on long 1-D axes allocates its transforms
+    instead); and one phase table per distinct V time, built a slab at a
+    time, which a potential substep multiplies in place. Every substep
+    checks the norm of the block. The result is rotated back and padded
+    once; the padding is zero because only the block is propagated, and
+    the output state checks it again.
     """
-    grid, eta = state.grid, state.eta
-    if grid is None:
-        raise ValidationError("evolution requires a grid-backed state")
-    if ham.grid != grid:
-        raise ValidationError("the Hamiltonian's grid is not the state's grid")
+    grid = ham.grid
+    eta = block.ndim // grid.dim
     phases = _phases(set(substeps()), ham, eta)
-    block = _fft_layout(state.tensor[_register_block(state)], grid, eta)
+    spare = None
     for op, t in substeps():
         if op == "T":
-            block = _kinetic_substep(block, phases[op, t])
+            block, spare = _kinetic_substep(block, phases[op, t], spare)
         else:
             block *= phases[op, t]
         check_unit_norm(block)
-    out = np.zeros_like(state.tensor)
-    out[_register_block(state)] = from_fft_window(block).reshape(
-        (grid.total_points,) * eta)
-    return state.copy_with(out)
+    del phases, spare
+    n = grid.total_points
+    tensor = pad_block(from_fft_window(block).reshape((n,) * eta), n)
+    return FirstQuantizedState(eta, n, tensor, grid=grid)
+
+
+def _state_block(state: FirstQuantizedState, ham: GridHamiltonian) -> np.ndarray:
+    """The FFT-layout block of ``state``, which must lie on ``ham``'s grid."""
+    if state.grid is None:
+        raise ValidationError("evolution requires a grid-backed state")
+    if ham.grid != state.grid:
+        raise ValidationError("the Hamiltonian's grid is not the state's grid")
+    return fft_block(state.block, state.grid)
 
 
 def apply_kinetic_evolution(state: FirstQuantizedState, dt: float,
                             ham: GridHamiltonian) -> FirstQuantizedState:
     """exp(-i T dt): one m x m propagator on each grid axis of each register."""
-    return _propagate(state, lambda: [("T", dt)], ham)
+    return _propagate(_state_block(state, ham), lambda: [("T", dt)], ham)
 
 
 def apply_potential_evolution(state: FirstQuantizedState, dt: float,
                               ham: GridHamiltonian) -> FirstQuantizedState:
     """exp(-i (U+V) dt): diagonal phase multiplication in position space."""
-    return _propagate(state, lambda: [("V", dt)], ham)
+    return _propagate(_state_block(state, ham), lambda: [("V", dt)], ham)
 
 
 _SUZUKI_U = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
@@ -374,30 +406,65 @@ def _substeps(plan: EvolutionPlan):
 
 def evolve(state: FirstQuantizedState, plan: EvolutionPlan,
            ham: GridHamiltonian) -> FirstQuantizedState:
-    """Product-formula approximation to exp(-i H t) |psi>.
+    """Product-formula approximation to exp(-i H t) |psi>: ``state``'s block
+    copied to FFT layout, then :func:`evolve_block`.
 
     Exchange symmetry of H means the antisymmetry flag is preserved.
     """
-    return _propagate(state, lambda: _substeps(plan), ham)
+    return evolve_block(_state_block(state, ham), plan, ham)
+
+
+def evolve_block(block: np.ndarray, plan: EvolutionPlan,
+                 ham: GridHamiltonian) -> FirstQuantizedState:
+    """:func:`evolve` from ``block``, the N^eta block of a state on
+    ``ham``'s grid in FFT layout (as :func:`fft_block` returns it), which
+    is the propagation's working buffer and is overwritten (a copy is
+    taken first unless it is C-contiguous complex). A caller that drops
+    its padded state once the block is copied holds no more than the
+    propagation's own arrays."""
+    m, dim = ham.grid.points_per_axis, ham.grid.dim
+    if not block.ndim or block.ndim % dim or block.shape != (m,) * block.ndim:
+        raise ValidationError(f"a block of shape {block.shape} is not N^eta "
+                              f"on {dim}-D axes of {m} points")
+    return _propagate(np.ascontiguousarray(block, dtype=complex),
+                      lambda: _substeps(plan), ham)
 
 
 # -- observables -----------------------------------------------------------
 
 
 def kinetic_expectation(state: FirstQuantizedState) -> float:
+    """<T>: register by register, |k|^2/2 weighted by that register's
+    momentum density. The DFT of the other registers is unitary and
+    leaves the density unchanged, so each register's dim-D DFT is taken a
+    slab of another register's labels at a time, on the centered block
+    (its FFT-window output only differs by phases)."""
     grid, eta = state.grid, state.eta
-    block = _fft_layout(state.tensor[_register_block(state)], grid, eta)
-    dens = np.abs(np.fft.fftn(block, norm="ortho")) ** 2
-    table = kinetic_phase_table(grid)
-    total = sum(_on_registers(table, eta, j) for j in range(eta))
-    return float(np.sum(dens * _fft_layout(total, grid, eta)))
+    table = fft_block(kinetic_phase_table(grid), grid)
+    axes = tuple(range(-grid.dim, 0))
+    total = 0.0
+    for j in range(eta):
+        amps = np.moveaxis(state.block, j, -1)  # register j last
+        if eta == 1:
+            amps = amps[None]
+        for rows in slabs(amps):
+            part = amps[rows].reshape(amps[rows].shape[:-1] + table.shape)
+            dens = np.abs(np.fft.fftn(part, axes=axes, norm="ortho")) ** 2
+            total += float(np.sum(dens * table))
+    return total
 
 
 def potential_expectation(state: FirstQuantizedState,
                           ham: GridHamiltonian) -> float:
-    w = potential_diagonal(ham, state.eta)
-    dens = np.abs(state.tensor[_register_block(state)]) ** 2
-    return float(np.sum(dens * w))
+    """<U + V>, a slab of register 1's labels at a time: the density and
+    the potential are formed slab by slab (:func:`_potential_rows`)."""
+    eta, block = state.eta, state.block
+    u, v = ham.nuclear(), ham.pair() if eta > 1 else None
+    total = 0.0
+    for rows in slabs(block):
+        dens = np.abs(block[rows]) ** 2
+        total += float(np.sum(dens * _potential_rows(u, v, eta, rows)))
+    return total
 
 
 def total_energy(state: FirstQuantizedState, nuclei: NuclearConfig,

@@ -224,7 +224,10 @@ def samples_from_keys(rows) -> ShadowBatch:
 
     Inverse of the CSV dump: each row is a pair (iterable of keys,
     iterable of outcomes). The rows are budgeted as in
-    :func:`collect_shadows`, then gathered from each distinct key's unitary.
+    :func:`collect_shadows`. Then each distinct key's unitary is built in
+    turn and only the measured rows of its samples are read from it: no
+    stack of unitaries is formed. A dump whose keys act on registers of
+    different sizes is refused.
     """
     rows = list(rows)
     if not rows:
@@ -238,11 +241,22 @@ def samples_from_keys(rows) -> ShadowBatch:
     first = clifford_from_key(distinct[0]).unitary
     dim = len(first)
     check_budget(f"{len(keys)} samples' outcome rows", (*keys.shape, dim))
-    if not np.all((outcomes >= 0) & (outcomes < dim)):
-        raise IndexOutOfRange(f"sample outcomes must lie in 0..{dim - 1}")
-    table = np.stack([first, *(clifford_from_key(key).unitary
-                               for key in distinct[1:])])
-    return ShadowBatch(keys, outcomes, table[which.reshape(keys.shape), outcomes])
+    measured = np.zeros(keys.shape + (dim,), dtype=complex)
+    flat_rows, flat_outcomes = measured.reshape(-1, dim), outcomes.reshape(-1)
+    which = which.reshape(-1)  # the flat sample entries of each key, grouped:
+    groups = np.split(np.argsort(which, kind="stable"),
+                      np.cumsum(np.bincount(which))[:-1])
+    for k, (key, picks) in enumerate(zip(distinct, groups)):
+        unitary = clifford_from_key(key).unitary if k else first
+        if len(unitary) != dim:
+            raise ValidationError(
+                f"the sample dump mixes register sizes: key {key!r} acts on "
+                f"{len(unitary)} labels, key {distinct[0]!r} on {dim}")
+        labels = flat_outcomes[picks]
+        if not np.all((labels >= 0) & (labels < dim)):
+            raise IndexOutOfRange(f"sample outcomes must lie in 0..{dim - 1}")
+        flat_rows[picks] = unitary[labels]
+    return ShadowBatch(keys, outcomes, measured)
 
 
 def snapshot_term_estimate(rows: np.ndarray, registers, bra_labels,

@@ -33,19 +33,43 @@ BRUTE_FORCE_AMPLITUDES = 2 ** 24
 NORM_TOL = 1e-12
 ORTHONORMAL_TOL = 1e-8
 SNAPSHOT_MAGIC = b"FQS1"
+# Entries per slab of a slab-by-slab read: its temporaries stay this small
+SLAB_ENTRIES = 2 ** 14
+
+
+def _squared_norm(amplitudes: np.ndarray) -> float:
+    """sum |a|^2: one real dot product over the interleaved real and
+    imaginary parts, copying only an array that is not contiguous."""
+    flat = np.ravel(amplitudes, order="K").astype(complex, copy=False)
+    parts = flat.view(np.float64)
+    return float(parts @ parts)
 
 
 def check_unit_norm(amplitudes: np.ndarray) -> None:
-    """Raise unless the 2-norm of ``amplitudes`` is 1 within NORM_TOL.
-
-    The squared norm is one real dot product over the interleaved real
-    and imaginary parts (a NaN or Inf amplitude makes it NaN or Inf,
-    which fails the test).
-    """
-    flat = np.ravel(amplitudes, order="K").astype(complex, copy=False)
-    parts = flat.view(np.float64)
-    if not abs(math.sqrt(parts @ parts) - 1.0) <= NORM_TOL:
+    """Raise unless the 2-norm of ``amplitudes`` is 1 within NORM_TOL (a
+    NaN or Inf amplitude makes it NaN or Inf, which fails the test)."""
+    if not abs(math.sqrt(_squared_norm(amplitudes)) - 1.0) <= NORM_TOL:
         raise ValidationError("state must be normalized within 1e-12")
+
+
+def slabs(array: np.ndarray):
+    """Slices of ``array``'s leading axis, in order, each of at most
+    SLAB_ENTRIES entries or one row: the reads that must not form a
+    temporary of ``array``'s size take it a slab at a time."""
+    rows = max(1, SLAB_ENTRIES * len(array) // max(1, array.size))
+    for lo in range(0, len(array), rows):
+        yield slice(lo, lo + rows)
+
+
+def pad_block(block: np.ndarray, n_orbitals: int) -> np.ndarray:
+    """The N^eta ``block`` (N = n_orbitals) as the (2^n)^eta tensor, padding
+    labels zero: ``block`` itself when N = 2^n, else one new array."""
+    dim = 2 ** register_qubits(n_orbitals)
+    if dim == n_orbitals:
+        return block
+    tensor = np.zeros((dim,) * block.ndim, dtype=complex)
+    tensor[(slice(0, n_orbitals),) * block.ndim] = block
+    return tensor
 
 
 def _antisymmetrize_axis(tensor: np.ndarray, k: int) -> np.ndarray:
@@ -266,15 +290,23 @@ class FirstQuantizedState:
         """Flat view, register 1 most significant."""
         return self.tensor.reshape(-1)
 
+    @property
+    def block(self) -> np.ndarray:
+        """View of the N^eta physical block: every label below n_orbitals."""
+        return self.tensor[(slice(0, self.n_orbitals),) * self.eta]
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.tensor))
 
     def _padding_weight(self) -> float:
-        if self.register_dim == self.n_orbitals:
-            return 0.0
-        probs = np.abs(self.tensor) ** 2
-        probs[(slice(0, self.n_orbitals),) * self.eta] = 0.0
-        return float(np.sum(probs))
+        """Squared norm on padding labels, one region at a time: region j
+        holds the labels below N on the axes before j and at least N on
+        axis j (empty when N = 2^n); each is summed a slab at a time."""
+        n, weight = self.n_orbitals, 0.0
+        for j in range(self.eta):
+            region = self.tensor[(slice(0, n),) * j + (slice(n, None),)]
+            weight += sum(_squared_norm(region[rows]) for rows in slabs(region))
+        return weight
 
     def copy_with(self, tensor):
         return FirstQuantizedState(self.eta, self.n_orbitals, tensor, grid=self.grid)
@@ -283,11 +315,18 @@ class FirstQuantizedState:
         return complex(np.vdot(self.tensor, other.tensor))
 
     def is_antisymmetric(self, tol: float = 1e-10) -> bool:
-        """Check the exchange invariant on adjacent register swaps."""
-        for j in range(self.eta - 1):
-            swapped = np.swapaxes(self.tensor, j, j + 1)
-            if np.max(np.abs(swapped + self.tensor)) > tol:
-                return False
+        """Check the exchange invariant on adjacent register swaps, a slab
+        of register 1's labels at a time: no temporary is the tensor's size.
+        For the swap of registers 1 and 2 the slab's partner holds the same
+        labels of register 2."""
+        tensor = self.tensor
+        for rows in slabs(tensor):
+            slab = tensor[rows]
+            for j in range(self.eta - 1):
+                swapped = (np.swapaxes(tensor[:, rows], 0, 1) if j == 0
+                           else np.swapaxes(slab, j, j + 1))
+                if np.max(np.abs(swapped + slab)) > tol:
+                    return False
         return True
 
     @property
@@ -333,22 +372,25 @@ def slater_oracle(orbitals, grid: GridSpec | None = None) -> FirstQuantizedState
     more than NORM_TOL; the amplitudes are then divided by their computed
     norm as well. ``orbitals`` may be a list of orbital vectors or an
     (N, eta) coefficient matrix; N is its row count.
+
+    The determinant is built and antisymmetrized on the N^eta block, then
+    padded once (:func:`pad_block`; no copy when N = 2^n).
     """
     if not isinstance(orbitals, np.ndarray):
         orbitals = np.stack(list(orbitals), axis=1)
     coeff = check_orthonormal_columns(orbitals, grid)
     n_orbitals, eta = coeff.shape
     check_dense_size(n_orbitals, eta)
-    padded = np.pad(coeff, ((0, 2 ** register_qubits(n_orbitals) - n_orbitals), (0, 0)))
     acc = np.ones((), dtype=complex)
     for b in range(eta):  # antisymmetrized as each orbital joins the product
-        acc = np.multiply.outer(acc, padded[:, b])
+        acc = np.multiply.outer(acc, coeff[:, b])
         if b:
             acc = _antisymmetrize_axis(acc, b)
     acc /= math.sqrt(math.factorial(eta))
     norm = np.linalg.norm(acc)
     if not abs(norm - 1.0) <= NORM_TOL:
         acc /= norm
+    acc = pad_block(acc, n_orbitals)  # the block is dropped before the checks
     return FirstQuantizedState(eta, n_orbitals, acc, grid=grid)
 
 
@@ -501,7 +543,11 @@ _HEADER = struct.Struct("<4sBIdI")
 
 
 def save_state(path, state: FirstQuantizedState) -> None:
-    """Write the FQS1 binary snapshot (header + little-endian complex128)."""
+    """Write the FQS1 binary snapshot (header + little-endian complex128).
+
+    The amplitudes are written from the tensor's own buffer (a
+    little-endian host needs no conversion), with no bytes copy.
+    """
     if state.grid is None:
         raise ValidationError("snapshot format requires a grid-backed state")
     header = _HEADER.pack(SNAPSHOT_MAGIC, state.grid.dim,
@@ -509,7 +555,7 @@ def save_state(path, state: FirstQuantizedState) -> None:
                           float(state.grid.cell_volume), state.eta)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(state.amplitudes, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(state.tensor, dtype="<c16").data)
 
 
 def load_state(path) -> FirstQuantizedState:
@@ -517,7 +563,8 @@ def load_state(path) -> FirstQuantizedState:
 
     The header is checked in full, and the amplitude count it implies is
     checked against the dense regime and the file size, before any
-    amplitude is read.
+    amplitude is read. The amplitudes are then read straight into the one
+    array the state holds (a little-endian host needs no conversion).
     """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
@@ -534,6 +581,9 @@ def load_state(path) -> FirstQuantizedState:
         if body != size:
             raise ValidationError(
                 f"snapshot holds {body} amplitude bytes, its header implies {size}")
-        amps = np.frombuffer(fh.read(size), dtype="<c16").astype(complex)
-    return FirstQuantizedState(eta, grid.total_points, amps.reshape((reg,) * eta),
+        amps = np.fromfile(fh, dtype="<c16", count=reg ** eta)
+        if amps.size != reg ** eta:
+            raise ValidationError("snapshot ended before its amplitudes did")
+    return FirstQuantizedState(eta, grid.total_points,
+                               amps.astype(complex, copy=False).reshape((reg,) * eta),
                                grid=grid)

@@ -1,5 +1,6 @@
 from itertools import combinations, permutations
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,6 +27,17 @@ def numpy_warnings_are_errors():
         warnings.simplefilter("error", _COMPLEX_WARNING)
         warnings.simplefilter("error", RuntimeWarning)
         yield
+
+
+def traced_peak(fn):
+    """Bytes allocated at the peak of ``fn()`` above what was live before,
+    as tracemalloc counts them (numpy arrays included)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_orthonormal(n, eta, seed):

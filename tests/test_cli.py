@@ -151,6 +151,40 @@ class TestEvolveShadowsPipeline:
         assert sha256("b.bin") == digest
 
 
+class TestSnapshotBytesPinned:
+    """FQS1 bytes of seeded evolve runs, as SHA-256 digests recorded before
+    the propagator kept one block and one spare buffer: the same
+    arithmetic in the same order writes the same bytes. Recorded with
+    numpy 2.4 and OpenBLAS 0.3 on x86-64; another BLAS build may round a
+    matmul differently."""
+
+    RUNS = {
+        # padded 2-D registers, order 4, nuclei: the matmul route
+        "a.bin": (["--dim", "2", "--points", "3", "--omega", "9", "--eta", "2",
+                   "--nuclei", "nuclei.txt", "--soften", "0.5", "--time", "0.3",
+                   "--steps", "3", "--order", "4", "--seed", "5"],
+                  "ee6f9ef745f89d13dcf78833f77fbe386c7e55d60545c864ce19efae702e68d7"),
+        # 128 points per axis: the FFT route
+        "b.bin": (["--dim", "1", "--points", "128", "--omega", "128", "--eta",
+                   "2", "--time", "0.2", "--steps", "2"],
+                  "ab7a56ad920167dcf97a01f67c2f81684054395e62c7d2e0bb1bcde412988d83"),
+        # from the snapshot a.bin, order 1
+        "c.bin": (["--in", "a.bin", "--nuclei", "nuclei.txt", "--soften", "0.5",
+                   "--time", "0.1", "--steps", "2", "--order", "1"],
+                  "256ecbfb2debef0f4aad5962baa6eca87ab41bd193bffeffdeb139509d81936c"),
+        # nine axes of 2 points: an odd count of matmuls per kinetic substep
+        "d.bin": (["--dim", "3", "--points", "2", "--omega", "8", "--eta", "3",
+                   "--time", "0.4", "--steps", "2"],
+                  "c3cc84c362618881226cad5397e3231d708a3016ad82912c0ebccbf13ff0cd26"),
+    }
+
+    def test_digests(self, workdir):
+        (workdir / "nuclei.txt").write_text("1 0.3 0.1\n")
+        for name, (args, digest) in self.RUNS.items():
+            assert dispatch(["evolve", *args, "--out", name]) == 0
+            assert sha256(name) == digest, name
+
+
 class TestTdhfCommand:
     def test_trajectory_csv(self, workdir):
         # eta = 3: at eta = 2 the core guess of this grid is degenerate

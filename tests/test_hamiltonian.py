@@ -26,8 +26,10 @@ from fqlab.hamiltonian import (
     kinetic_expectation,
     kinetic_phase_table,
     potential_diagonal,
+    potential_expectation,
     total_energy,
 )
+from fqlab import states
 from fqlab.states import FirstQuantizedState, slater_oracle
 
 from conftest import (
@@ -462,6 +464,34 @@ class TestTotalEnergy:
         assert direct == pytest.approx(quad.real + grid_ham.nuclear_repulsion(),
                                        abs=1e-10)
         assert abs(quad.imag) < 1e-10
+
+
+class TestSlabwiseExpectations:
+    """<T> and <U + V> read a slab at a time agree with the whole-tensor
+    sums: the full-block momentum density against the sum of the per-
+    register |k|^2/2 tables, and the density against potential_diagonal."""
+
+    @pytest.mark.parametrize("dim,points,eta", [
+        (1, 5, 1), (1, 6, 2), (2, 3, 2), (3, 3, 2), (1, 5, 3), (2, 2, 3)])
+    def test_agree_with_whole_tensor_sums(self, monkeypatch, dim, points, eta):
+        monkeypatch.setattr(states, "SLAB_ENTRIES", 8)  # several slabs each
+        grid = GridSpec(dim=dim, points_per_axis=points,
+                        cell_volume=float(points ** dim))
+        n = grid.total_points
+        state = FirstQuantizedState(
+            eta, n, random_antisymmetric_state(n, eta, seed=5).tensor, grid=grid)
+        nuclei = NuclearConfig(np.full((1, dim), 0.4), np.array([2.0]))
+        ham = GridHamiltonian(grid, nuclei, CoulombKernel(softening=0.5))
+        block = state.block
+        momentum = hamiltonian.fft_block(block, grid)
+        density = np.abs(np.fft.fftn(momentum, norm="ortho")) ** 2
+        table = kinetic_phase_table(grid)
+        tables = sum(hamiltonian._on_registers(table, eta, j) for j in range(eta))
+        kinetic = np.sum(density * hamiltonian.fft_block(tables, grid))
+        assert kinetic_expectation(state) == pytest.approx(kinetic, rel=1e-13)
+        potential = np.sum(np.abs(block) ** 2 * potential_diagonal(ham, eta))
+        assert potential_expectation(state, ham) == pytest.approx(potential,
+                                                                  rel=1e-13)
 
 
 class TestGridHamiltonian:

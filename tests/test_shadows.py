@@ -45,7 +45,7 @@ from fqlab.states import (
     slater_oracle,
 )
 
-from conftest import random_antisymmetric_state, random_orthonormal
+from conftest import random_antisymmetric_state, random_orthonormal, traced_peak
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -658,6 +658,20 @@ class TestSampleDumpReplay:
         rows[2][1][0] = outcome
         with pytest.raises(IndexOutOfRange):
             samples_from_keys(rows)
+
+    def test_working_set_is_the_rows(self):
+        # at n = 3 almost every key is distinct: a stack of their unitaries
+        # would hold 8 times the rows (about 9 times in all)
+        state = random_antisymmetric_state(8, 2, seed=23)
+        samples = collect_shadows(state, 300, seed=6)
+        rows = list(zip(samples.keys.tolist(), samples.outcomes.tolist()))
+        assert traced_peak(lambda: samples_from_keys(rows)) <= 3 * samples.rows.nbytes
+
+    @pytest.mark.parametrize("outcomes", [[0, 0], [0, 3]])
+    def test_mixed_register_sizes_refused(self, outcomes):
+        with pytest.raises(ValidationError,
+                           match="mixes register sizes: key 't2:0' .* key 't1:0'"):
+            samples_from_keys([(["t1:0", "t2:0"], outcomes)])
 
     def test_empty_dump_refused(self):
         # no row carries eta or the register size to build an empty batch

@@ -694,6 +694,21 @@ class TestSnapshotFormat:
         with pytest.raises(ValidationError):
             save_state(tmp_path / "x.bin", state)
 
+    @pytest.mark.parametrize("damage", ["truncated", "oversized"])
+    def test_bad_length_refused_before_an_amplitude_is_read(
+            self, tmp_path, monkeypatch, damage):
+        grid = GridSpec(dim=1, points_per_axis=5, cell_volume=5.0)
+        path = tmp_path / "state.bin"
+        save_state(path, slater_oracle(random_orthonormal(5, 2, seed=3), grid=grid))
+        good = path.read_bytes()
+        path.write_bytes(good[:-16] if damage == "truncated" else good + b"\0" * 16)
+
+        def read(*args, **kwargs):
+            raise AssertionError("an amplitude was read")
+        monkeypatch.setattr(np, "fromfile", read)
+        with pytest.raises(ValidationError, match="its header implies 1024"):
+            load_state(path)
+
 
 class TestInvariants:
     def test_padding_enforced(self):
@@ -701,6 +716,22 @@ class TestInvariants:
         tensor[6, 7] = 1.0  # orbital labels >= n_orbitals=5
         with pytest.raises(ValidationError):
             FirstQuantizedState(2, 5, tensor)
+
+    @pytest.mark.parametrize("eta", [1, 2, 3])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_padding_gate_at_1e_24(self, eta, where):
+        # 5 orbitals in 8 labels; the padding label sits on register 1 or
+        # on register eta, the physical labels elsewhere
+        tensor = np.zeros((8,) * eta, dtype=complex)
+        tensor[(0,) * eta] = 1.0
+        label = (5,) + (0,) * (eta - 1) if where == "first" else (0,) * (eta - 1) + (7,)
+        for amplitude, refused in ((1e-11, True), (1e-13, False)):
+            tensor[label] = amplitude
+            if refused:
+                with pytest.raises(ValidationError, match="padded orbital labels"):
+                    FirstQuantizedState(eta, 5, tensor)
+            else:
+                FirstQuantizedState(eta, 5, tensor)
 
     def test_normalization_enforced(self):
         tensor = np.zeros((4, 4), dtype=complex)
@@ -760,3 +791,40 @@ class TestDeterminantWeightIdentity:
         ordered = FirstQuantizedState(3, 6, weights)
         assert abs(antisymmetrize(ordered).overlap(state)) == pytest.approx(
             1.0, abs=1e-10)
+
+
+def whole_tensor_antisymmetric(tensor, tol):
+    """The exchange check on whole-tensor swaps: the oracle for the
+    slab-wise check."""
+    return all(np.max(np.abs(np.swapaxes(tensor, j, j + 1) + tensor)) <= tol
+               for j in range(tensor.ndim - 1))
+
+
+class TestSlabwiseAntisymmetry:
+    @pytest.mark.parametrize("eta", [2, 3, 4])
+    @pytest.mark.parametrize("label", ["first", "last"])
+    def test_agrees_with_the_whole_tensor_check(self, monkeypatch, eta, label):
+        # slabs of at most 16 entries: one to four rows of register 1
+        monkeypatch.setattr(states, "SLAB_ENTRIES", 16)
+        base = random_antisymmetric_state(8, eta, seed=60 + eta).tensor
+        spot = (0, 1, 2, 3)[:eta] if label == "first" else (7, 6, 5, 4)[:eta]
+        broken = base.copy()
+        broken[spot] += 1e-9  # breaks the swap of every pair of registers
+        broken /= np.linalg.norm(broken)
+        for tensor in (base, broken):
+            state = FirstQuantizedState(eta, 8, tensor)
+            worst = max(np.max(np.abs(np.swapaxes(tensor, j, j + 1) + tensor))
+                        for j in range(eta - 1))
+            for tol in (1e-10, worst, worst * (1 - 1e-9), 0.0):
+                assert state.is_antisymmetric(tol) == whole_tensor_antisymmetric(
+                    tensor, tol)
+        assert not FirstQuantizedState(eta, 8, broken).is_antisymmetric()
+
+    def test_violation_in_the_last_slab_only(self, monkeypatch):
+        monkeypatch.setattr(states, "SLAB_ENTRIES", 16)
+        tensor = random_antisymmetric_state(8, 2, seed=7).tensor.copy()
+        tensor[7, 6] += 1e-9  # row 7: the last of register 1's slabs
+        tensor /= np.linalg.norm(tensor)
+        state = FirstQuantizedState(2, 8, tensor)
+        assert not state.is_antisymmetric()
+        assert not whole_tensor_antisymmetric(tensor, 1e-10)
