@@ -249,7 +249,7 @@ def _cmd_evolve(args, config) -> int:
     plan = EvolutionPlan(total_time=p["time"], steps=p["steps"], order=p["order"])
     if state is None:
         state = _lowest_momentum_slater(grid, _particle_count(p, grid))
-    block = fft_block(state.block, grid)
+    block = fft_block(state.tensor, grid)
     del state  # only the N^eta block is kept while it propagates
     save_state(p["out"], evolve_block(block, plan, ham))
     inputs = [path for path in (p["in"], p["nuclei"]) if path]
@@ -354,6 +354,8 @@ def _parse_elements(spec_text, k):
 
 def _cmd_shadows(args, config) -> int:
     p = _resolve("shadows", args, config)
+    if p["seed"] < 0:  # refused before the snapshot is read
+        raise UsageError(f"--seed must be a nonnegative integer, got {p['seed']}")
     state = load_state(p["in"])
     check_order(p["k"], state.eta)  # before the element rows are split by k
     samples = (p["samples"] if p["samples"] == "auto"

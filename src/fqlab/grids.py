@@ -102,13 +102,16 @@ class GridSpec:
 
 def to_fft_window(arr: np.ndarray, axes=None) -> np.ndarray:
     """Rotate ``axes`` (default all) from the centered window to the FFT
-    window 0..m-1, where the centered DFT is a bare FFT. A permutation,
-    so exact; :func:`from_fft_window` undoes it."""
-    return np.fft.ifftshift(arr, axes)
+    window 0..m-1, where the centered DFT is a bare FFT: ``ifftshift``, one
+    pass per axis (not 2^k slices). Exact; :func:`from_fft_window` undoes it."""
+    for axis in range(arr.ndim) if axes is None else np.atleast_1d(axes):
+        arr = np.take(arr, np.fft.ifftshift(np.arange(arr.shape[axis])), axis)
+    return arr
 
 
 def from_fft_window(arr: np.ndarray, axes=None) -> np.ndarray:
     """Rotate ``axes`` (default all) from the FFT window back to the
-    centered window."""
-    return np.fft.fftshift(arr, axes)
-
+    centered window: ``fftshift``, one axis at a time."""
+    for axis in range(arr.ndim) if axes is None else np.atleast_1d(axes):
+        arr = np.take(arr, np.fft.fftshift(np.arange(arr.shape[axis])), axis)
+    return arr

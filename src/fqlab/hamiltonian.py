@@ -20,7 +20,7 @@ import numpy as np
 from .errors import SingularPotential, ValidationError
 from .grids import GridSpec, from_fft_window, to_fft_window
 from .states import (SLAB_ENTRIES, FirstQuantizedState, check_budget,
-                     check_dense_size, check_unit_norm, pad_block, slabs)
+                     check_dense_size, check_unit_norm, slabs)
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,10 @@ class GridHamiltonian:
         if positions.shape[0] and positions.shape[1] != self.grid.dim:
             raise ValidationError(
                 "nuclear position dimension does not match grid")
+        k = 2.0 * np.pi * (self.grid.points_per_axis // 2) / self.grid.length
+        if not math.isfinite(self.grid.dim * k * k):  # bounds every |k|^2
+            raise ValidationError(f"the kinetic energy on a cell of volume "
+                                  f"{self.grid.cell_volume:.6g} overflows")
 
     def axis_kinetic(self) -> np.ndarray:
         """k^2/2 on one grid axis, in the FFT window."""
@@ -231,8 +235,8 @@ def _potential_rows(u: np.ndarray, v, eta: int, rows: slice) -> np.ndarray:
 
 
 def fft_block(block: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """An N^eta ``block`` (eta is its axis count; a state's is the view
-    ``state.block``) as dim*eta axes in the FFT window, where the
+    """An N^eta ``block`` (eta is its axis count; a state's is
+    ``state.tensor``) as dim*eta axes in the FFT window, where the
     centered DFT of every register is one n-D FFT: one new array, the
     form :func:`evolve_block` propagates."""
     return to_fft_window(
@@ -330,9 +334,9 @@ def _propagate(block: np.ndarray, substeps,
     axis; the FFT route on long 1-D axes allocates its transforms
     instead); and one phase table per distinct V time, built a slab at a
     time, which a potential substep multiplies in place. Every substep
-    checks the norm of the block. The result is rotated back and padded
-    once; the padding is zero because only the block is propagated, and
-    the output state checks it again.
+    checks the norm of the block. Once the phases and the spare buffer
+    are dropped, the block is rotated back into the output state's N^eta
+    block.
     """
     grid = ham.grid
     eta = block.ndim // grid.dim
@@ -346,7 +350,7 @@ def _propagate(block: np.ndarray, substeps,
         check_unit_norm(block)
     del phases, spare
     n = grid.total_points
-    tensor = pad_block(from_fft_window(block).reshape((n,) * eta), n)
+    tensor = from_fft_window(block).reshape((n,) * eta)
     return FirstQuantizedState(eta, n, tensor, grid=grid)
 
 
@@ -356,7 +360,7 @@ def _state_block(state: FirstQuantizedState, ham: GridHamiltonian) -> np.ndarray
         raise ValidationError("evolution requires a grid-backed state")
     if ham.grid != state.grid:
         raise ValidationError("the Hamiltonian's grid is not the state's grid")
-    return fft_block(state.block, state.grid)
+    return fft_block(state.tensor, state.grid)
 
 
 def apply_kinetic_evolution(state: FirstQuantizedState, dt: float,
@@ -420,7 +424,7 @@ def evolve_block(block: np.ndarray, plan: EvolutionPlan,
     ``ham``'s grid in FFT layout (as :func:`fft_block` returns it), which
     is the propagation's working buffer and is overwritten (a copy is
     taken first unless it is C-contiguous complex). A caller that drops
-    its padded state once the block is copied holds no more than the
+    its state once the block is copied holds no more than the
     propagation's own arrays."""
     m, dim = ham.grid.points_per_axis, ham.grid.dim
     if not block.ndim or block.ndim % dim or block.shape != (m,) * block.ndim:
@@ -444,10 +448,10 @@ def kinetic_expectation(state: FirstQuantizedState) -> float:
     axes = tuple(range(-grid.dim, 0))
     total = 0.0
     for j in range(eta):
-        amps = np.moveaxis(state.block, j, -1)  # register j last
+        amps = np.moveaxis(state.tensor, j, -1)  # register j last
         if eta == 1:
             amps = amps[None]
-        for rows in slabs(amps):
+        for rows in slabs(amps.shape):
             part = amps[rows].reshape(amps[rows].shape[:-1] + table.shape)
             dens = np.abs(np.fft.fftn(part, axes=axes, norm="ortho")) ** 2
             total += float(np.sum(dens * table))
@@ -458,10 +462,10 @@ def potential_expectation(state: FirstQuantizedState,
                           ham: GridHamiltonian) -> float:
     """<U + V>, a slab of register 1's labels at a time: the density and
     the potential are formed slab by slab (:func:`_potential_rows`)."""
-    eta, block = state.eta, state.block
+    eta, block = state.eta, state.tensor
     u, v = ham.nuclear(), ham.pair() if eta > 1 else None
     total = 0.0
-    for rows in slabs(block):
+    for rows in slabs(block.shape):
         dens = np.abs(block[rows]) ** 2
         total += float(np.sum(dens * _potential_rows(u, v, eta, rows)))
     return total
@@ -476,19 +480,13 @@ def total_energy(state: FirstQuantizedState, nuclei: NuclearConfig,
 
 
 def dense_hamiltonian(ham: GridHamiltonian, eta: int) -> np.ndarray:
-    """Dense H over the full padded register space (test-scale only).
+    """Dense H over the N^eta block a state stores (test-scale only).
 
-    The kinetic operator acts as DFT† diag(|k|^2/2) DFT on the physical
-    block of each register and as zero on padding. H holds as many entries
-    as 2 eta registers hold amplitudes, and is refused as they would be.
+    The kinetic operator acts as DFT† diag(|k|^2/2) DFT on each register.
+    H holds as many entries as 2 eta registers hold amplitudes, and is
+    refused as they would be.
     """
-    n_orb = ham.grid.total_points
-    check_dense_size(n_orb, 2 * eta)
-    reg = 2 ** ham.grid.qubits_per_register
-    t_reg = np.zeros((reg, reg), dtype=complex)
-    t_reg[:n_orb, :n_orb] = ham.kinetic_matrix()
-    dense = _kronecker_sum(t_reg, eta)
-    w = np.zeros((reg,) * eta)
-    w[(slice(0, n_orb),) * eta] = potential_diagonal(ham, eta)
-    np.einsum("ii->i", dense)[...] += w.reshape(-1)
+    check_dense_size(ham.grid.total_points, 2 * eta)
+    dense = _kronecker_sum(ham.kinetic_matrix().astype(complex), eta)
+    np.einsum("ii->i", dense)[...] += potential_diagonal(ham, eta).reshape(-1)
     return dense

@@ -291,6 +291,9 @@ def _exp_action(op, c: np.ndarray, dt: float) -> np.ndarray:
     if not math.isfinite(norm):
         raise ConvergenceFailure(
             f"the bound on ||(F - mu I) dt||_2 is {norm}; the step is not finite")
+    if not math.isfinite(norm / min(_TAYLOR_THETA.values())):
+        raise ValidationError(f"the bound on ||(F - mu I) dt||_2 is {norm:.3g}, "
+                              "too large to count its Taylor substeps; use more steps")
     s, m = plan = _taylor_plan(norm)
     if s * m * eta > 2 * n:
         w, vec = np.linalg.eigh(op.matrix())

@@ -25,6 +25,7 @@ from .errors import (
     NotAntisymmetric,
     ValidationError,
 )
+from .grids import register_qubits
 from .rng import derive_rng
 from .states import (
     FirstQuantizedState,
@@ -36,7 +37,7 @@ from .states import (
 
 _CHUNK = 4096
 # Samples per block: as many as keep the largest per-sample arrays of a
-# draw, the d^(eta-1) level-2 slice of sample_registers and the
+# draw, the d N^(eta-2) level-2 slice of sample_registers and the
 # (eta, d, d) Clifford stack, within this many complex entries, at least
 # one. At N = 4 that is 256 samples at eta = 2 and 128 at eta = 4; twice
 # or four times the budget measured no faster there.
@@ -47,13 +48,13 @@ _BLOCK_AMPLITUDES = 2 ** 13
 class ShadowBatch:
     """Shadow samples as arrays: axis 0 is the sample, axis 1 the register.
 
-    The estimators read only ``rows``, the row U_x[b_x, :] of each measured
+    The estimators read only ``rows``, the row U_x[b_x, :N] of each measured
     Clifford; ``keys`` and ``outcomes`` make the batch replayable.
     """
 
     keys: np.ndarray       # (m, eta) Clifford key strings
     outcomes: np.ndarray   # (m, eta) ints in [0, 2**n)
-    rows: np.ndarray       # (m, eta, 2**n) complex
+    rows: np.ndarray       # (m, eta, N) complex
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -161,18 +162,19 @@ def _collect_chunk(state, part: ShadowBatch, rng) -> None:
     (:func:`~fqlab.states.sample_registers`).
     """
     uniforms = rng.random(len(part))
-    dim = state.register_dim
-    per_sample = max(state.tensor.size // dim, state.eta * dim * dim)
+    dim, n = state.register_dim, state.n_orbitals
+    per_sample = max(dim * state.tensor.size // n ** 2, state.eta * dim * dim)
     block = max(1, _BLOCK_AMPLITUDES // per_sample)
     shape = (len(part), state.eta)
     start = 0
     for keys, unitaries in draw_clifford_blocks(state.qubits_per_register, rng,
                                                 shape, block):
         span = slice(start, start + len(keys))
-        outcomes = sample_registers(state.tensor, uniforms[span], unitaries)
+        columns = unitaries[..., :n]
+        outcomes = sample_registers(state.tensor, uniforms[span], columns)
         part.keys[span] = keys
         part.outcomes[span] = outcomes
-        part.rows[span] = gather_outcome_rows(unitaries, outcomes)
+        part.rows[span] = gather_outcome_rows(columns, outcomes)
         start += len(keys)
 
 
@@ -187,10 +189,10 @@ def collect_shadows(state: FirstQuantizedState, m: int, seed: int,
     """
     if m < 0:
         raise ValidationError("sample count must be nonnegative")
-    check_budget(f"{m} samples' outcome rows", (m, state.eta, state.register_dim))
+    check_budget(f"{m} samples' outcome rows", (m, state.eta, state.n_orbitals))
     batch = ShadowBatch(np.empty((m, state.eta), dtype=object),
                         np.empty((m, state.eta), dtype=np.int64),
-                        np.empty((m, state.eta, state.register_dim), dtype=complex))
+                        np.empty((m, state.eta, state.n_orbitals), dtype=complex))
 
     def fill(c):
         _collect_chunk(state, batch[c * _CHUNK:(c + 1) * _CHUNK],
@@ -209,9 +211,9 @@ def collect_shadows(state: FirstQuantizedState, m: int, seed: int,
 
 def gather_outcome_rows(unitaries: np.ndarray,
                         outcomes: np.ndarray) -> np.ndarray:
-    """The row U_x[b_x, :] of each register's Clifford, shape (..., eta, d).
+    """The row U_x[b_x, :] of each register's Clifford, shape (..., eta, N).
 
-    ``unitaries`` (..., eta, d, d) and ``outcomes`` (..., eta) have equal
+    ``unitaries`` (..., eta, d, N) and ``outcomes`` (..., eta) have equal
     ndim and broadcast against each other over the leading dimensions.
     One direct index: the unitaries' own index grids, with the outcomes
     in the row axis.
@@ -219,15 +221,15 @@ def gather_outcome_rows(unitaries: np.ndarray,
     return unitaries[(*np.indices(unitaries.shape[:-2], sparse=True), outcomes)]
 
 
-def samples_from_keys(rows) -> ShadowBatch:
+def samples_from_keys(rows, n_orbitals: int) -> ShadowBatch:
     """Rebuild a batch from (clifford-key strings, outcome ints) rows.
 
     Inverse of the CSV dump: each row is a pair (iterable of keys,
-    iterable of outcomes). The rows are budgeted as in
-    :func:`collect_shadows`. Then each distinct key's unitary is built in
-    turn and only the measured rows of its samples are read from it: no
-    stack of unitaries is formed. A dump whose keys act on registers of
-    different sizes is refused.
+    iterable of outcomes). Rows are ``n_orbitals`` = N wide and budgeted
+    as in :func:`collect_shadows`. Then each distinct key's unitary is
+    built in turn and only the measured rows of its samples are read from
+    it: no stack of unitaries is formed. A dump whose keys act on
+    registers of different sizes, or not of 2^ceil(log2 N) labels, is refused.
     """
     rows = list(rows)
     if not rows:
@@ -240,9 +242,11 @@ def samples_from_keys(rows) -> ShadowBatch:
     distinct, which = np.unique(keys, return_inverse=True)
     first = clifford_from_key(distinct[0]).unitary
     dim = len(first)
-    check_budget(f"{len(keys)} samples' outcome rows", (*keys.shape, dim))
-    measured = np.zeros(keys.shape + (dim,), dtype=complex)
-    flat_rows, flat_outcomes = measured.reshape(-1, dim), outcomes.reshape(-1)
+    if n_orbitals < 1 or 2 ** register_qubits(n_orbitals) != dim:
+        raise ValidationError(f"{n_orbitals} orbitals do not take {dim}-label registers")
+    check_budget(f"{len(keys)} samples' outcome rows", (*keys.shape, n_orbitals))
+    measured = np.zeros(keys.shape + (n_orbitals,), dtype=complex)
+    flat_rows, flat_outcomes = measured.reshape(-1, n_orbitals), outcomes.reshape(-1)
     which = which.reshape(-1)  # the flat sample entries of each key, grouped:
     groups = np.split(np.argsort(which, kind="stable"),
                       np.cumsum(np.bincount(which))[:-1])
@@ -255,7 +259,7 @@ def samples_from_keys(rows) -> ShadowBatch:
         labels = flat_outcomes[picks]
         if not np.all((labels >= 0) & (labels < dim)):
             raise IndexOutOfRange(f"sample outcomes must lie in 0..{dim - 1}")
-        flat_rows[picks] = unitary[labels]
+        flat_rows[picks] = unitary[labels, :n_orbitals]
     return ShadowBatch(keys, outcomes, measured)
 
 
@@ -263,19 +267,19 @@ def snapshot_term_estimate(rows: np.ndarray, registers, bra_labels,
                            ket_labels) -> complex:
     """Factorized tr[M^{-1}(snapshot) O] for O = prod |i_l><j_l| on x_l.
 
-    ``rows`` holds one sample's outcome rows U_x[b_x, :], shape (eta, 2^n).
+    ``rows`` holds one sample's outcome rows U_x[b_x, :N], shape (eta, N).
     Registers not in ``registers`` contribute exactly 1 (the inverted
     single-register snapshot has unit trace), so the product runs over
     the k involved registers only.
     """
-    eta, dim = rows.shape
-    check_labels(bra_labels, ket_labels, eta, dim, len(registers))
+    eta, width = rows.shape
+    check_labels(bra_labels, ket_labels, eta, width, len(registers))
+    factors = _RegisterRows(rows[None])
     value = 1.0 + 0.0j
     for x, i, j in zip(registers, bra_labels, ket_labels):
         if not 1 <= x <= eta:
             raise IndexOutOfRange(f"register {x} out of range 1..{eta}")
-        r = rows[x - 1]
-        value *= (dim + 1) * np.conj(r[j]) * r[i] - (1.0 if i == j else 0.0)
+        value *= factors._factor(x - 1, i, j)[0]
     return complex(value)
 
 
@@ -292,7 +296,8 @@ def single_shot_values(batch: ShadowBatch, bra_labels,
 
 
 class _RegisterRows:
-    """Outcome rows (m, eta, d) and the estimator factors read from them.
+    """Outcome rows (m, eta, N), read on registers of d = 2^ceil(log2 N)
+    labels, and the estimator factors read from them.
 
     The conjugate column (d+1) conj(rows[:, x, j]) of each register x and
     label j is formed on first use and kept, contiguous in the sample, for
@@ -302,13 +307,13 @@ class _RegisterRows:
 
     def __init__(self, rows: np.ndarray):
         self.rows = rows
+        self._scale = 2 ** register_qubits(rows.shape[2]) + 1  # d + 1
         self._scaled = {}
 
     def _factor(self, x: int, i: int, j: int) -> np.ndarray:
         """The factor of |i><j| on register x (0-based), per sample."""
         if (x, j) not in self._scaled:
-            dim = self.rows.shape[2]
-            self._scaled[x, j] = (dim + 1) * np.conj(self.rows[:, x, j])
+            self._scaled[x, j] = self._scale * np.conj(self.rows[:, x, j])
         factor = self._scaled[x, j] * self.rows[:, x, i]
         if i == j:
             factor -= 1.0
@@ -317,8 +322,8 @@ class _RegisterRows:
     def values(self, bra_labels, ket_labels, k: int | None = None) -> np.ndarray:
         """Estimator values of every sample, after
         :func:`~fqlab.states.check_labels`."""
-        m, eta, dim = self.rows.shape
-        check_labels(bra_labels, ket_labels, eta, dim, k)
+        m, eta, width = self.rows.shape
+        check_labels(bra_labels, ket_labels, eta, width, k)
         values = np.zeros(m, dtype=complex)
         for tup in RestrictedIndexSet(eta, len(bra_labels)).tuples():
             first, *rest = (self._factor(x - 1, i, j)
@@ -420,19 +425,18 @@ def exhaustive_estimator_mean(state: FirstQuantizedState, bra_labels,
     Refused before any tuple is built when the rows of every pair, the
     largest array, would exceed the dense regime.
     """
-    n = state.qubits_per_register
-    table = clifford_table(n)
-    eta, dim = state.eta, 2 ** n
+    table = clifford_table(state.qubits_per_register)
+    eta, dim, n = state.eta, state.register_dim, state.n_orbitals
     check_budget(f"the exhaustive mean's rows over {len(table)}^{eta} "
-                 f"Clifford tuples", (len(table) * dim,) * eta + (eta, dim))
+                 f"Clifford tuples", (len(table) * dim,) * eta + (eta, n))
     combos = np.indices((len(table),) * eta).reshape(eta, -1).T
-    unitaries = table[combos]                       # (tuples, eta, d, d)
-    probs = np.abs(contract_registers(state.tensor, unitaries)) ** 2
+    columns = table[combos][..., :n]                # (tuples, eta, d, N)
+    probs = np.abs(contract_registers(state.tensor, columns)) ** 2
     outcomes = np.indices((dim,) * eta).reshape(eta, -1).T
-    # rows[c, o, x] = U_{c, x}[o_x, :], for outcome o in row-major order
-    rows = gather_outcome_rows(unitaries[:, None], outcomes[None])
-    values = _RegisterRows(rows.reshape(-1, eta, dim)).values(bra_labels,
-                                                              ket_labels)
+    # rows[c, o, x] = U_{c, x}[o_x, :N], for outcome o in row-major order
+    rows = gather_outcome_rows(columns[:, None], outcomes[None])
+    values = _RegisterRows(rows.reshape(-1, eta, n)).values(bra_labels,
+                                                            ket_labels)
     return complex(probs.reshape(-1) @ values / len(table) ** eta)
 
 

@@ -358,18 +358,20 @@ class ConversionRegisters:
         self.ledger.charge("window-qubit-erasure", self.eta)
 
     def _check_branch_invariants(self) -> None:
-        """Every populated basis branch: counter matches written count and
-        register labels are strictly ascending."""
+        """Every populated basis branch, read from its packed key: counter
+        matches written count and register labels are strictly ascending."""
         keys = self.keys[np.abs(self.amplitudes) > 1e-12]
-        labels = self._labels_of(keys)
-        written = np.arange(self.eta) < self._counter_of(keys)[:, None]
-        if np.where(written, 0, labels).any():
+        counter = np.minimum(self._counter_of(keys), self.eta)
+        if (keys >> (self._label_shifts[0] + self.register_qubits * counter)).any():
             raise OrderingViolation("label in an unwritten register")
-        if (written[:, 1:] & (labels[:, :-1] >= labels[:, 1:])).any():
-            raise OrderingViolation("register labels not strictly ascending")
+        field, shifts = self.register_dim - 1, self._label_shifts
+        for x in range(1, self.eta):  # registers x - 1 and x, both written
+            lower = (keys >> shifts[x - 1]) & field
+            if ((counter > x) & (lower >= ((keys >> shifts[x]) & field))).any():
+                raise OrderingViolation("register labels not strictly ascending")
 
     def finish(self) -> np.ndarray:
-        """The antisymmetric register tensor after full conversion.
+        """The antisymmetric N^eta block after full conversion.
 
         Each done branch holds ascending labels s with amplitude a; the
         signed-permutation isometry puts sgn(pi) a / sqrt(eta!) at every
@@ -390,7 +392,7 @@ class ConversionRegisters:
         values = self.amplitudes[done] / math.sqrt(math.factorial(self.eta))
         # 0 - v, not -v: a zero part comes out +0, as from dense subtraction
         signed = {1: values, -1: 0 - values}
-        dim = self.register_dim
+        dim = self.n_orbitals
         # place[x][y]: the flat-index term of label y read by register x
         place = [[row * dim ** (self.eta - 1 - x) for row in labels]
                  for x in range(self.eta)]

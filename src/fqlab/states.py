@@ -1,10 +1,11 @@
 """Dense first-quantized fermionic states and brute-force oracles.
 
-A state over ``eta`` particles is stored as a complex tensor with one
-axis per particle register. Each register has dimension 2**n with
-n = ceil(log2(n_orbitals)); amplitudes on padded indices (>= n_orbitals)
-are identically zero. Registers are numbered 1..eta in the public API,
-orbital/grid labels are 0-based.
+A state over ``eta`` particles is stored as its N^eta block, one axis
+per register. A register is n = ceil(log2 N) qubits; its padding labels
+N..2**n - 1 are not stored, and appear only where qubits do: a register
+Clifford's first N columns and an FQS1 snapshot's (2**n)^eta tensor.
+Registers are numbered 1..eta in the public API, orbital/grid labels
+are 0-based.
 
 Everything here is exact and O(dimension), intended as the ground truth
 the other modules are validated against.
@@ -52,24 +53,13 @@ def check_unit_norm(amplitudes: np.ndarray) -> None:
         raise ValidationError("state must be normalized within 1e-12")
 
 
-def slabs(array: np.ndarray):
-    """Slices of ``array``'s leading axis, in order, each of at most
-    SLAB_ENTRIES entries or one row: the reads that must not form a
-    temporary of ``array``'s size take it a slab at a time."""
-    rows = max(1, SLAB_ENTRIES * len(array) // max(1, array.size))
-    for lo in range(0, len(array), rows):
-        yield slice(lo, lo + rows)
-
-
-def pad_block(block: np.ndarray, n_orbitals: int) -> np.ndarray:
-    """The N^eta ``block`` (N = n_orbitals) as the (2^n)^eta tensor, padding
-    labels zero: ``block`` itself when N = 2^n, else one new array."""
-    dim = 2 ** register_qubits(n_orbitals)
-    if dim == n_orbitals:
-        return block
-    tensor = np.zeros((dim,) * block.ndim, dtype=complex)
-    tensor[(slice(0, n_orbitals),) * block.ndim] = block
-    return tensor
+def slabs(shape):
+    """Slices of the leading axis of an array of ``shape``, in order, each
+    of at most SLAB_ENTRIES entries or one row: the reads that must not
+    form a temporary of the array's size take it a slab at a time."""
+    rows = max(1, SLAB_ENTRIES // math.prod(shape[1:]))
+    for lo in range(0, shape[0], rows):
+        yield slice(lo, min(lo + rows, shape[0]))
 
 
 def _antisymmetrize_axis(tensor: np.ndarray, k: int) -> np.ndarray:
@@ -95,21 +85,22 @@ def signed_permutation_sum(tensor: np.ndarray) -> np.ndarray:
 def contract_registers(tensor: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     """Apply ``unitaries[..., x, :, :]`` to axis x of ``tensor``.
 
-    ``unitaries`` has shape (..., tensor.ndim, d, d); its leading
-    dimensions are a batch, so the result has shape batch + tensor.shape.
+    ``unitaries`` has shape (..., tensor.ndim, d, N), N the length of
+    every axis of ``tensor`` (d = N for square unitaries); its leading
+    dimensions are a batch, so the result has shape batch + (d,) * ndim.
     Each step is one (batched) matmul that contracts the leading axis and
     appends its image as the last axis, so after one step per axis the
     axes are back in order. The transposes are views the matmul reads as
     such, and a broadcast stack is read without a copy.
     """
     batch = unitaries.shape[:-3]
-    dim = unitaries.shape[-1]
-    out = tensor.reshape(dim, -1).T
+    dim, labels = unitaries.shape[-2:]
+    out = tensor.reshape(labels, -1).T
     for x in range(tensor.ndim):
         if x:
-            out = out.reshape(batch + (dim, -1)).swapaxes(-1, -2)
+            out = out.reshape(batch + (labels, -1)).swapaxes(-1, -2)
         out = out @ unitaries[..., x, :, :].swapaxes(-1, -2)
-    return out.reshape(batch + tensor.shape)
+    return out.reshape(batch + (dim,) * tensor.ndim)
 
 
 def register_factor(tensor: np.ndarray) -> np.ndarray:
@@ -131,29 +122,30 @@ def sample_registers(tensor: np.ndarray, uniforms: np.ndarray,
                      unitaries: np.ndarray | None = None) -> np.ndarray:
     """Born outcomes of measuring every register, one row per uniform.
 
-    Sample b applies ``unitaries[b, x]`` (shape (B, ndim, d, d); the
+    Sample b applies ``unitaries[b, x]`` (shape (B, ndim, d, N); the
     identity when omitted) to axis x of ``tensor`` and measures all
     registers. Its outcome is the joint row-major inverse CDF at
     ``uniforms[b]`` in [0, 1), drawn by the chain rule, one register at a
     time: the label of register x is the inverse CDF of its marginal in
-    the slice of the labels already drawn, at what is left of the
-    uniform scaled by the total.
+    the slice of the labels already drawn, at what is left of the uniform
+    scaled by the total.
 
     Level 1 reads every sample's register-1 marginals from one factor W
     of the tensor (:func:`register_factor`, formed once per call): the
     weight of label a is the squared norm of row a of U_1 W, all rows of
     all samples in one GEMM. Only the drawn row U_1[b_1, :] then meets
-    the tensor, in one (B x d) @ (d x d^(ndim-1)) GEMM, and each later
+    the tensor, in one (B x N) @ (N x N^(ndim-1)) GEMM, and each later
     level applies the next unitary to the live slice alone: no sample
-    holds d^ndim amplitudes. A label of probability zero is never drawn,
+    holds N^ndim amplitudes. A label of probability zero is never drawn,
     also when rounding puts the remaining target past the end of a level.
     """
-    batch, dim = len(uniforms), tensor.shape[0]
-    flat = np.ascontiguousarray(tensor).reshape(dim, -1)
+    batch, labels = len(uniforms), tensor.shape[0]
+    flat = np.ascontiguousarray(tensor).reshape(labels, -1)
     if unitaries is None:
-        unitaries = np.broadcast_to(np.eye(dim, dtype=complex),
-                                    (batch, tensor.ndim, dim, dim))
-    live = unitaries[:, 0].reshape(-1, dim) @ register_factor(flat)
+        unitaries = np.broadcast_to(np.eye(labels, dtype=complex),
+                                    (batch, tensor.ndim, labels, labels))
+    dim = unitaries.shape[-2]
+    live = unitaries[:, 0].reshape(-1, labels) @ register_factor(flat)
     live = live.reshape(batch, dim, -1)
     # cdf[a, b] is the weight of the labels below a in sample b's slice
     cdf = np.zeros((dim + 1, batch))
@@ -165,7 +157,7 @@ def sample_registers(tensor: np.ndarray, uniforms: np.ndarray,
         elif x:
             live = live[picks, outcomes[:, x - 1]]
         if x:
-            live = unitaries[:, x] @ live.reshape(batch, dim, -1)
+            live = unitaries[:, x] @ live.reshape(batch, labels, -1)
         parts = live.view(np.float64)  # |amplitude|^2 = re^2 + im^2
         weights = np.einsum("bij,bij->ib", parts, parts)
         for a in range(dim):  # d row adds; np.cumsum here measured slower
@@ -222,9 +214,13 @@ def check_budget(what: str, factors) -> None:
 
 
 def check_dense_size(n_orbitals: int, eta: int) -> None:
-    """Refuse a state whose stored (2^n)^eta amplitudes exceed the dense regime."""
-    n = register_qubits(n_orbitals)
-    check_budget(f"{eta} registers of {n} qubits", repeat(2 ** n, eta))
+    """Refuse eta < 1, N < 2, or N^eta amplitudes beyond the dense regime."""
+    if eta < 1:
+        raise ValidationError("eta must be >= 1")
+    if n_orbitals < 2:
+        raise ValidationError("need at least two orbitals per register")
+    check_budget(f"{eta} registers of {n_orbitals} orbitals",
+                 repeat(n_orbitals, eta))
 
 
 def check_labels(bra_labels, ket_labels, eta: int, dim: int,
@@ -244,17 +240,17 @@ def check_labels(bra_labels, ket_labels, eta: int, dim: int,
 
 
 class FirstQuantizedState:
-    """Complex amplitudes over ``eta`` registers of n qubits each.
+    """Complex amplitudes over ``eta`` registers, as their N^eta block.
 
     Parameters
     ----------
     eta:
         Particle count (>= 1).
     n_orbitals:
-        Number of valid orbital labels per register; labels >= n_orbitals
-        are padding and must carry zero amplitude.
+        Number N of orbital labels per register; the padding labels of
+        its n = ceil(log2 N) qubits are not stored.
     tensor:
-        Complex array of shape (2**n,)*eta with register 1 on axis 0.
+        Complex array of shape (N,)*eta with register 1 on axis 0.
     grid:
         Optional grid the orbital labels refer to. Required for file I/O
         and the Hamiltonian modules; shadow and preparation tests may use
@@ -262,25 +258,19 @@ class FirstQuantizedState:
     """
 
     def __init__(self, eta, n_orbitals, tensor, grid: GridSpec | None = None):
-        if eta < 1:
-            raise ValidationError("eta must be >= 1")
-        if n_orbitals < 2:
-            raise ValidationError("need at least two orbitals per register")
+        check_dense_size(n_orbitals, eta)
         if grid is not None and grid.total_points != n_orbitals:
             raise ValidationError("grid size does not match n_orbitals")
-        check_dense_size(n_orbitals, eta)
         self.eta = int(eta)
         self.n_orbitals = int(n_orbitals)
         self.qubits_per_register = register_qubits(n_orbitals)
         self.register_dim = 2 ** self.qubits_per_register
         tensor = np.asarray(tensor, dtype=complex)
-        if tensor.shape != (self.register_dim,) * eta:
+        if tensor.shape != (self.n_orbitals,) * eta:
             raise ValidationError(
-                f"tensor shape {tensor.shape} != {(self.register_dim,) * eta}")
+                f"tensor shape {tensor.shape} != {(self.n_orbitals,) * eta}")
         self.tensor = tensor
         self.grid = grid
-        if self._padding_weight() > 1e-24:
-            raise ValidationError("nonzero amplitude on padded orbital labels")
         check_unit_norm(self.tensor)
 
     # -- basics ---------------------------------------------------------
@@ -290,23 +280,8 @@ class FirstQuantizedState:
         """Flat view, register 1 most significant."""
         return self.tensor.reshape(-1)
 
-    @property
-    def block(self) -> np.ndarray:
-        """View of the N^eta physical block: every label below n_orbitals."""
-        return self.tensor[(slice(0, self.n_orbitals),) * self.eta]
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.tensor))
-
-    def _padding_weight(self) -> float:
-        """Squared norm on padding labels, one region at a time: region j
-        holds the labels below N on the axes before j and at least N on
-        axis j (empty when N = 2^n); each is summed a slab at a time."""
-        n, weight = self.n_orbitals, 0.0
-        for j in range(self.eta):
-            region = self.tensor[(slice(0, n),) * j + (slice(n, None),)]
-            weight += sum(_squared_norm(region[rows]) for rows in slabs(region))
-        return weight
 
     def copy_with(self, tensor):
         return FirstQuantizedState(self.eta, self.n_orbitals, tensor, grid=self.grid)
@@ -320,7 +295,7 @@ class FirstQuantizedState:
         For the swap of registers 1 and 2 the slab's partner holds the same
         labels of register 2."""
         tensor = self.tensor
-        for rows in slabs(tensor):
+        for rows in slabs(tensor.shape):
             slab = tensor[rows]
             for j in range(self.eta - 1):
                 swapped = (np.swapaxes(tensor[:, rows], 0, 1) if j == 0
@@ -338,7 +313,7 @@ class FirstQuantizedState:
     @staticmethod
     def from_basis(eta, n_orbitals, labels, grid=None):
         """Computational basis state |p_1,...,p_eta>."""
-        tensor = np.zeros((2 ** register_qubits(n_orbitals),) * eta, dtype=complex)
+        tensor = np.zeros((n_orbitals,) * eta, dtype=complex)
         labels = tuple(int(p) for p in labels)
         if len(labels) != eta or any(not 0 <= p < n_orbitals for p in labels):
             raise ValidationError(f"bad basis labels {labels}")
@@ -371,10 +346,8 @@ def slater_oracle(orbitals, grid: GridSpec | None = None) -> FirstQuantizedState
     ORTHONORMAL_TOL from orthonormal, which can leave that norm off 1 by
     more than NORM_TOL; the amplitudes are then divided by their computed
     norm as well. ``orbitals`` may be a list of orbital vectors or an
-    (N, eta) coefficient matrix; N is its row count.
-
-    The determinant is built and antisymmetrized on the N^eta block, then
-    padded once (:func:`pad_block`; no copy when N = 2^n).
+    (N, eta) coefficient matrix; N is its row count. The determinant is
+    built and antisymmetrized as each orbital joins the product.
     """
     if not isinstance(orbitals, np.ndarray):
         orbitals = np.stack(list(orbitals), axis=1)
@@ -390,7 +363,6 @@ def slater_oracle(orbitals, grid: GridSpec | None = None) -> FirstQuantizedState
     norm = np.linalg.norm(acc)
     if not abs(norm - 1.0) <= NORM_TOL:
         acc /= norm
-    acc = pad_block(acc, n_orbitals)  # the block is dropped before the checks
     return FirstQuantizedState(eta, n_orbitals, acc, grid=grid)
 
 
@@ -398,8 +370,8 @@ def apply_register_unitary(state: FirstQuantizedState, register: int,
                            unitary: np.ndarray) -> FirstQuantizedState:
     """Apply a register-local unitary (I x ... x U x ... x I).
 
-    ``register`` is 1-based. A register-local operation generically
-    breaks exchange symmetry, so the result is rarely antisymmetric.
+    ``register`` is 1-based and ``unitary`` N x N. A register-local op
+    generically breaks exchange symmetry, so the result is rarely antisymmetric.
     """
     if not 1 <= register <= state.eta:
         raise ValidationError(f"register {register} out of range 1..{state.eta}")
@@ -407,10 +379,10 @@ def apply_register_unitary(state: FirstQuantizedState, register: int,
         u = check_orthonormal_columns(unitary)
     except NonOrthonormalInput as exc:
         raise NonUnitary(f"U is not unitary: {exc}") from exc
-    d = state.register_dim
-    if u.shape != (d, d):
-        raise ValidationError(f"unitary must be {d}x{d}")
-    stack = [u if x == register - 1 else np.eye(d) for x in range(state.eta)]
+    n = state.n_orbitals
+    if u.shape != (n, n):
+        raise ValidationError(f"unitary must be {n}x{n}")
+    stack = [u if x == register - 1 else np.eye(n) for x in range(state.eta)]
     out = contract_registers(state.tensor, np.array(stack))  # complex, as u
     return state.copy_with(out)
 
@@ -545,17 +517,22 @@ _HEADER = struct.Struct("<4sBIdI")
 def save_state(path, state: FirstQuantizedState) -> None:
     """Write the FQS1 binary snapshot (header + little-endian complex128).
 
-    The amplitudes are written from the tensor's own buffer (a
-    little-endian host needs no conversion), with no bytes copy.
+    The file holds the padded (2^n)^eta tensor, written a slab at a time:
+    zeros with the block's rows placed in them.
     """
     if state.grid is None:
         raise ValidationError("snapshot format requires a grid-backed state")
     header = _HEADER.pack(SNAPSHOT_MAGIC, state.grid.dim,
                           state.grid.points_per_axis,
                           float(state.grid.cell_volume), state.eta)
+    shape = (state.register_dim,) * state.eta
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(state.tensor, dtype="<c16").data)
+        for rows in slabs(shape):
+            block = state.tensor[rows]
+            slab = np.zeros((rows.stop - rows.start,) + shape[1:], dtype="<c16")
+            slab[tuple(map(slice, block.shape))] = block
+            fh.write(slab.data)
 
 
 def load_state(path) -> FirstQuantizedState:
@@ -563,8 +540,9 @@ def load_state(path) -> FirstQuantizedState:
 
     The header is checked in full, and the amplitude count it implies is
     checked against the dense regime and the file size, before any
-    amplitude is read. The amplitudes are then read straight into the one
-    array the state holds (a little-endian host needs no conversion).
+    amplitude is read. The padded tensor is then read a slab at a time
+    into the N^eta block the state holds, and refused if its padding has
+    a squared norm above 1e-24: the one place padded data enters.
     """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
@@ -574,16 +552,25 @@ def load_state(path) -> FirstQuantizedState:
         if magic != SNAPSHOT_MAGIC:
             raise ValidationError(f"bad snapshot magic {magic!r}")
         grid = GridSpec(dim=dim, points_per_axis=points, cell_volume=volume)
-        check_dense_size(grid.total_points, eta)
-        reg = 2 ** grid.qubits_per_register
-        size = reg ** eta * 16
+        n = grid.total_points
+        check_dense_size(n, eta)
+        shape = (2 ** grid.qubits_per_register,) * eta
+        size = math.prod(shape) * 16
         body = os.fstat(fh.fileno()).st_size - _HEADER.size
         if body != size:
             raise ValidationError(
                 f"snapshot holds {body} amplitude bytes, its header implies {size}")
-        amps = np.fromfile(fh, dtype="<c16", count=reg ** eta)
-        if amps.size != reg ** eta:
-            raise ValidationError("snapshot ended before its amplitudes did")
-    return FirstQuantizedState(eta, grid.total_points,
-                               amps.astype(complex, copy=False).reshape((reg,) * eta),
-                               grid=grid)
+        tensor, padding = np.zeros((n,) * eta, dtype=complex), 0.0
+        for rows in slabs(shape):
+            part = (rows.stop - rows.start,) + shape[1:]
+            slab = np.fromfile(fh, dtype="<c16", count=math.prod(part))
+            if slab.size != math.prod(part):
+                raise ValidationError("snapshot ended before its amplitudes did")
+            slab, block = slab.reshape(part), tensor[rows]
+            where = tuple(map(slice, block.shape))  # the block's rows
+            block[...] = slab[where]
+            slab[where] = 0
+            padding += _squared_norm(slab)
+    if not padding <= 1e-24:  # NaN included
+        raise ValidationError("nonzero amplitude on padded orbital labels")
+    return FirstQuantizedState(eta, n, tensor, grid=grid)

@@ -1,5 +1,4 @@
 from itertools import combinations, permutations
-import math
 import tracemalloc
 import warnings
 
@@ -106,10 +105,7 @@ def naive_signed_permutation_sum(tensor):
 def random_antisymmetric_state(n_orbitals, eta, seed):
     """Antisymmetrized random dense state (not generally a determinant)."""
     rng = np.random.default_rng(seed)
-    n = max(1, math.ceil(math.log2(n_orbitals)))
-    tensor = np.zeros((2 ** n,) * eta, dtype=complex)
-    core = rng.normal(size=(n_orbitals,) * eta) + 1j * rng.normal(size=(n_orbitals,) * eta)
-    tensor[(slice(0, n_orbitals),) * eta] = core
+    tensor = rng.normal(size=(n_orbitals,) * eta) + 1j * rng.normal(size=(n_orbitals,) * eta)
     tensor /= np.linalg.norm(tensor)
     return antisymmetrize(FirstQuantizedState(eta, n_orbitals, tensor))
 

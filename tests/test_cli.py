@@ -505,6 +505,19 @@ def test_bad_readout_parameter_one_line_on_both_sample_paths(
     assert errors[1] == errors[0]
 
 
+@pytest.mark.parametrize("seed", ["-1", "-2147483648"])
+def test_negative_shadow_seed_refused_before_the_snapshot_is_read(
+        workdir, capsys, monkeypatch, seed):
+    def read(*args, **kwargs):
+        raise AssertionError("the snapshot was read")
+    monkeypatch.setattr(cli, "load_state", read)
+    exits_two_with_one_line(
+        ["shadows", "--in", "a.bin", "--k", "1", "--epsilon", "0.1", "--delta",
+         "0.05", "--samples", "100", "--seed", seed, "--elements", "all-1rdm",
+         "--out", "e.csv"], capsys, "--seed", seed)
+    assert not (workdir / "e.csv").exists()
+
+
 @pytest.mark.parametrize("k", ["0", "3"])
 @pytest.mark.parametrize("elements", ["all-1rdm", "e.csv"])
 def test_k_outside_eta_refused_before_the_elements_are_read(
@@ -649,6 +662,27 @@ class TestNonFiniteInputs:
              "2", "--time", "1e308", "--steps", "1", "--out", "a.bin"],
             capsys, "time step overflow")
         assert not (workdir / "a.bin").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_tdhf_time_step_overflowing_the_taylor_plan(self, workdir, capsys):
+        # a finite norm bound whose substep count overflows math.ceil
+        exits_two_with_one_line(
+            ["tdhf", "--dim", "1", "--points", "6", "--omega", "6", "--eta",
+             "3", "--time", "1e300", "--steps", "2", "--out", "t.csv"],
+            capsys, "use more steps")
+        assert not (workdir / "t.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["evolve", "tdhf"])
+    def test_cell_volume_overflowing_the_kinetic_energy(self, workdir, capsys,
+                                                        command):
+        # |k|^2 overflows on a cell of volume 1e-300: refused before a
+        # table is squared, so no numpy warning precedes the line
+        exits_two_with_one_line(
+            [command, "--dim", "1", "--points", "5", "--omega", "1e-300",
+             "--eta", "2", "--time", "0.1", "--steps", "1", "--out", "b.out"],
+            capsys, "kinetic energy", "1e-300")
+        assert not (workdir / "b.out").exists()
 
     def test_orbitals_and_nuclei_refuse_non_finite(self):
         from fqlab.errors import ValidationError

@@ -195,9 +195,7 @@ class TestEvolutionSteps:
         grid = GridSpec(dim=1, points_per_axis=5, cell_volume=5.0)
         dft = grid_dft_matrix(grid)
         wave = dft.conj().T[:, 3]
-        reg = np.zeros(8, dtype=complex)
-        reg[:5] = wave
-        state = FirstQuantizedState(1, 5, reg, grid=grid)
+        state = FirstQuantizedState(1, 5, wave, grid=grid)
         out = apply_kinetic_evolution(state, 0.7, free(grid))
         expected = np.exp(-1j * kinetic_phase_table(grid)[3] * 0.7)
         assert np.max(np.abs(out.tensor[:5] - expected * wave)) < 1e-12
@@ -239,8 +237,7 @@ class TestEvolve:
         # reproduces the pure kinetic evolution
         grid = GridSpec(dim=1, points_per_axis=5, cell_volume=5.0)
         rng = np.random.default_rng(3)
-        reg = np.zeros(8, dtype=complex)
-        reg[:5] = rng.normal(size=5) + 1j * rng.normal(size=5)
+        reg = rng.normal(size=5) + 1j * rng.normal(size=5)
         reg /= np.linalg.norm(reg)
         state = FirstQuantizedState(1, 5, reg, grid=grid)
         expect = apply_kinetic_evolution(state, 0.8, free(grid))
@@ -482,7 +479,7 @@ class TestSlabwiseExpectations:
             eta, n, random_antisymmetric_state(n, eta, seed=5).tensor, grid=grid)
         nuclei = NuclearConfig(np.full((1, dim), 0.4), np.array([2.0]))
         ham = GridHamiltonian(grid, nuclei, CoulombKernel(softening=0.5))
-        block = state.block
+        block = state.tensor
         momentum = hamiltonian.fft_block(block, grid)
         density = np.abs(np.fft.fftn(momentum, norm="ortho")) ** 2
         table = kinetic_phase_table(grid)

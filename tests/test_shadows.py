@@ -168,6 +168,16 @@ class TestEstimator:
                 exact = exact_krdm_element(state, (i,), (j,))
                 assert abs(mean - exact) < 1e-10
 
+    def test_exhaustive_mean_on_a_padded_register(self):
+        # N = 3 in registers of 4 labels: rows of width 3 invert the
+        # channel of the 4-label register
+        state = slater_oracle(random_orthonormal(3, 1, seed=2))
+        for i in range(3):
+            for j in range(3):
+                mean = exhaustive_estimator_mean(state, (i,), (j,))
+                exact = exact_krdm_element(state, (i,), (j,))
+                assert abs(mean - exact) < 1e-10
+
     @pytest.mark.parametrize("bra,ket", [((2,), (0,)), ((0,), (-1,))])
     def test_exhaustive_mean_refuses_labels_outside_register(self, bra, ket):
         state = random_antisymmetric_state(2, 2, seed=1)
@@ -451,6 +461,7 @@ class TestCollect:
         state = random_antisymmetric_state(n_orbitals, 2, seed=31)
         units = np.stack([random_orthonormal(4, 4, seed=s) if rotate
                           else np.eye(4) for s in (1, 2)])
+        units = units[..., :n_orbitals]  # the columns of the stored labels
         probs = np.abs(contract_registers(state.tensor, units)) ** 2
         draws = 20_000
         outcomes = sample_registers(
@@ -500,6 +511,28 @@ class TestStreamPins:
                  "08578296bc2dba5486714847cc6f2e29a8905e699bbafec5883577fefae3d316",
                  "9b3a0699b9de208861435ba39e690d9fac299e9f0120a4c52a61353885597f65"),
     }
+
+    # N = 5 in registers of 8 labels: recorded when rows held all 8
+    # labels; the rows pinned are their first N entries, as stored now
+    PADDED_PINS = {
+        (5, 2): ("81a180de5242329d086fdd2308cbe2e9e833ef6326af86e26f8708f999ec4350",
+                 "87bed986373e2aa170a0e26069bb825fb0197db8ccd19259d111abca3f8c59d5",
+                 "9095df2c84f9d41faa3f23783e52513afeeae84fa09bb6010054e4aad7150a0e"),
+        (5, 3): ("7b1ce22dbb3e90216b461dc8e635b49ff02d1c805735b36e623770c71a72ade6",
+                 "abfae5cd07f47163dc3b8d5e6208207be84662a943f2a1515d360f04a3fa938b",
+                 "8e22d06cc806d51ebd77d1e8e4e03294cc1ac0ba1a53efa036b835f6a57caf78"),
+    }
+
+    @pytest.mark.parametrize("n_orbitals,eta", list(PADDED_PINS))
+    def test_padded_registers_are_pinned(self, n_orbitals, eta):
+        state = slater_oracle(random_orthonormal(n_orbitals, eta, seed=9))
+        batch = collect_shadows(state, 300, seed=11)
+        assert batch.rows.shape == (300, eta, n_orbitals)
+        keys = "\n".join("|".join(row) for row in batch.keys.tolist())
+        digests = tuple(hashlib.sha256(data).hexdigest() for data in (
+            keys.encode(), batch.outcomes.astype("<i8").tobytes(),
+            batch.rows.astype("<c16").tobytes()))
+        assert digests == self.PADDED_PINS[n_orbitals, eta]
 
     @pytest.mark.parametrize("n_orbitals,eta", list(PINS))
     def test_keys_outcomes_and_rows_are_pinned(self, n_orbitals, eta):
@@ -615,7 +648,7 @@ class TestSampleDumpReplay:
         state = random_antisymmetric_state(4, 2, seed=23)
         samples = collect_shadows(state, 300, seed=6)
         rows = list(zip(samples.keys.tolist(), samples.outcomes.tolist()))
-        rebuilt = samples_from_keys(rows)
+        rebuilt = samples_from_keys(rows, 4)
         config = EstimatorConfig.from_sample_count(1, 0.5, 0.2, 300)
         for (i, j) in [(0, 0), (1, 2)]:
             a = estimate_krdm_element(samples, config, (i,), (j,))
@@ -628,7 +661,8 @@ class TestSampleDumpReplay:
         state = random_antisymmetric_state(n_orbitals, 2, seed=23)
         samples = collect_shadows(state, 300, seed=6)
         assert all(key.startswith(prefix) for key in samples.keys.flat)
-        rebuilt = samples_from_keys(zip(samples.keys, samples.outcomes))
+        rebuilt = samples_from_keys(zip(samples.keys, samples.outcomes),
+                                    n_orbitals)
         assert np.array_equal(rebuilt.outcomes, samples.outcomes)
         assert rebuilt.rows.tobytes() == samples.rows.tobytes()
         config = EstimatorConfig.from_sample_count(1, 0.5, 0.2, 300)
@@ -643,11 +677,36 @@ class TestSampleDumpReplay:
         state = random_antisymmetric_state(4, 2, seed=23)
         samples = collect_shadows(state, 150, seed=6)
         rows = list(zip(samples.keys.tolist(), samples.outcomes.tolist()))
-        assert samples_from_keys(rows).rows.tobytes() == samples.rows.tobytes()
+        assert samples_from_keys(rows, 4).rows.tobytes() == samples.rows.tobytes()
         with pytest.raises(BruteForceLimitExceeded, match="151 samples"):
             collect_shadows(state, 151, seed=6)
         with pytest.raises(BruteForceLimitExceeded, match="151 samples"):
-            samples_from_keys(rows + rows[:1])
+            samples_from_keys(rows + rows[:1], 4)
+
+    def test_rows_of_the_stored_labels_round_trip(self):
+        # N = 5 in registers of 8 labels: outcomes range over all 8 labels,
+        # rows over the 5 orbitals
+        state = random_antisymmetric_state(5, 2, seed=23)
+        samples = collect_shadows(state, 300, seed=6)
+        assert samples.outcomes.max() >= 5
+        rows = list(zip(samples.keys.tolist(), samples.outcomes.tolist()))
+        rebuilt = samples_from_keys(rows, 5)
+        assert rebuilt.rows.tobytes() == samples.rows.tobytes()
+        config = EstimatorConfig.from_sample_count(1, 0.5, 0.2, 300)
+        for (i, j) in [(0, 0), (1, 4)]:
+            a = estimate_krdm_element(samples, config, (i,), (j,))
+            b = estimate_krdm_element(rebuilt, config, (i,), (j,))
+            assert a == b
+
+    @pytest.mark.parametrize("n_orbitals", [0, 4, 9])
+    def test_orbitals_not_on_the_keys_registers_refused(self, n_orbitals):
+        # the keys act on 3-qubit registers, which hold N = 5..8
+        state = random_antisymmetric_state(5, 2, seed=23)
+        samples = collect_shadows(state, 5, seed=6)
+        rows = list(zip(samples.keys.tolist(), samples.outcomes.tolist()))
+        with pytest.raises(ValidationError,
+                           match=f"{n_orbitals} orbitals do not take 8-label"):
+            samples_from_keys(rows, n_orbitals)
 
     @pytest.mark.parametrize("outcome", [-1, 4])
     def test_outcome_outside_the_register_refused(self, outcome):
@@ -657,7 +716,7 @@ class TestSampleDumpReplay:
         rows = list(zip(samples.keys.tolist(), samples.outcomes.tolist()))
         rows[2][1][0] = outcome
         with pytest.raises(IndexOutOfRange):
-            samples_from_keys(rows)
+            samples_from_keys(rows, 4)
 
     def test_working_set_is_the_rows(self):
         # at n = 3 almost every key is distinct: a stack of their unitaries
@@ -665,18 +724,18 @@ class TestSampleDumpReplay:
         state = random_antisymmetric_state(8, 2, seed=23)
         samples = collect_shadows(state, 300, seed=6)
         rows = list(zip(samples.keys.tolist(), samples.outcomes.tolist()))
-        assert traced_peak(lambda: samples_from_keys(rows)) <= 3 * samples.rows.nbytes
+        assert traced_peak(lambda: samples_from_keys(rows, 8)) <= 3 * samples.rows.nbytes
 
     @pytest.mark.parametrize("outcomes", [[0, 0], [0, 3]])
     def test_mixed_register_sizes_refused(self, outcomes):
         with pytest.raises(ValidationError,
                            match="mixes register sizes: key 't2:0' .* key 't1:0'"):
-            samples_from_keys([(["t1:0", "t2:0"], outcomes)])
+            samples_from_keys([(["t1:0", "t2:0"], outcomes)], 2)
 
     def test_empty_dump_refused(self):
         # no row carries eta or the register size to build an empty batch
         with pytest.raises(ValidationError, match="sample dump is empty"):
-            samples_from_keys([])
+            samples_from_keys([], 2)
 
 
 class TestHeadlineVarianceProperty:

@@ -170,6 +170,46 @@ class TestConversion:
         with pytest.raises(OrderingViolation, match=message):
             regs.conversion_step(0, validate=True)
 
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from([(5, 2), (6, 3), (9, 3), (16, 4), (1024, 5)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_invariants_read_from_keys_match_unpacked_labels(self, size, seed):
+        # random branches, many of them breaking an invariant; the check
+        # on packed keys refuses exactly what the unpacked labels refuse
+        n_orbitals, eta = size
+        regs = ConversionRegisters(n_orbitals, eta)
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 6))
+        keys = []
+        for _ in range(count):
+            counter = int(rng.integers(0, 1 << regs.counter_width))
+            labels = sorted(rng.choice(regs.register_dim, eta, replace=False))
+            if rng.random() < 0.7:  # unwritten registers cleared
+                labels[counter:] = [0] * len(labels[counter:])
+            i, j = sorted(rng.choice(eta, 2, replace=False))
+            if rng.random() < 0.3:  # two registers swapped
+                labels[i], labels[j] = labels[j], labels[i]
+            elif rng.random() < 0.3:  # one label written twice
+                labels[j] = labels[i]
+            keys.append(pack(regs, int(rng.integers(0, 1 << regs.window_slots)),
+                             counter, [int(v) for v in labels]))
+        regs.keys = np.concatenate(keys)
+        regs.amplitudes = rng.choice([0.0, 1e-13, 0.5], count).astype(complex)
+        live = np.abs(regs.amplitudes) > 1e-12
+        labels, counter = regs.labels[live], regs.counter[live]
+        written = np.arange(eta) < counter[:, None]
+        expected = ("unwritten register" if np.where(written, 0, labels).any()
+                    else "not strictly ascending"
+                    if (written[:, 1:] & (labels[:, :-1] >= labels[:, 1:])).any()
+                    else None)
+        try:
+            regs._check_branch_invariants()
+            refused = None
+        except OrderingViolation as exc:
+            refused = ("unwritten register" if "unwritten" in str(exc)
+                       else "not strictly ascending")
+        assert refused == expected
+
     def test_residual_population_detected(self):
         regs = ConversionRegisters(n_orbitals=6, eta=2)
         for orbital in range(6):
@@ -206,7 +246,7 @@ class TestConversion:
                     regs.apply_window_rotation(rot)
             regs.conversion_step(orbital)
         done = (regs.occupancy == 0) & (regs.counter == eta)
-        sorted_tensor = np.zeros((regs.register_dim,) * eta, dtype=complex)
+        sorted_tensor = np.zeros((n_orbitals,) * eta, dtype=complex)
         sorted_tensor[tuple(regs.labels[done].T)] = regs.amplitudes[done]
         dense = signed_permutation_sum(sorted_tensor) / math.sqrt(
             math.factorial(eta))

@@ -209,8 +209,7 @@ class TestSlaterOracle:
     @pytest.mark.parametrize("n_orbitals", [5, 6, 12])
     def test_two_particles_are_the_exchange_difference(self, n_orbitals):
         coeffs = random_orthonormal(n_orbitals, 2, seed=n_orbitals)
-        phi = np.zeros((2 ** register_qubits(n_orbitals), 2), dtype=complex)
-        phi[:n_orbitals] = coeffs
+        phi = coeffs  # the stored labels: every orbital, no padding
         pair = np.multiply.outer(phi[:, 0], phi[:, 1])
         state = slater_oracle(coeffs)
         assert np.array_equal(state.tensor, (pair - pair.T) / math.sqrt(2))
@@ -640,12 +639,51 @@ class TestSnapshotFormat:
         with pytest.raises(ValidationError):
             load_state(path)
 
-    def test_padded_register_count_bounds_header(self, tmp_path):
-        # 17^5 is inside the budget, but 5-qubit registers store 32^5
+    def test_block_count_bounds_header(self, tmp_path):
+        # 17^6 stored amplitudes exceed the budget; 17^5 fit it, so that
+        # header is refused by the file's length (32^5 padded amplitudes)
         path = tmp_path / "padded.bin"
-        path.write_bytes(struct.pack("<4sBIdI", b"FQS1", 1, 17, 17.0, 5))
+        path.write_bytes(struct.pack("<4sBIdI", b"FQS1", 1, 17, 17.0, 6))
         with pytest.raises(BruteForceLimitExceeded):
             load_state(path)
+        path.write_bytes(struct.pack("<4sBIdI", b"FQS1", 1, 17, 17.0, 5))
+        with pytest.raises(ValidationError, match="its header implies 536870912"):
+            load_state(path)
+
+    @pytest.mark.parametrize("dim,points,eta", [(1, 5, 3), (1, 6, 2), (3, 3, 2),
+                                                (1, 4, 2)])
+    def test_padded_file_round_trips(self, tmp_path, dim, points, eta):
+        # the file holds the (2^n)^eta tensor, padding zero, as it always
+        # has; the state holds the N^eta block
+        grid = GridSpec(dim=dim, points_per_axis=points,
+                        cell_volume=float(points ** dim))
+        n = grid.total_points
+        state = slater_oracle(random_orthonormal(n, eta, seed=n + eta), grid=grid)
+        assert state.tensor.shape == (n,) * eta
+        path = tmp_path / "state.bin"
+        save_state(path, state)
+        padded = np.zeros((2 ** register_qubits(n),) * eta, dtype="<c16")
+        padded[(slice(0, n),) * eta] = state.tensor
+        header = struct.pack("<4sBIdI", b"FQS1", dim, points, float(points ** dim),
+                             eta)
+        assert path.read_bytes() == header + padded.tobytes()
+        loaded = load_state(path)
+        assert np.array_equal(loaded.tensor, state.tensor)
+        assert loaded.tensor.shape == (n,) * eta
+
+    def test_slab_by_slab_io_matches_the_whole_tensor(self, tmp_path,
+                                                      monkeypatch):
+        # slabs of one row of register 1: the padding rows of register 1
+        # and the padded labels of the others land in different slabs
+        grid = GridSpec(dim=1, points_per_axis=5, cell_volume=5.0)
+        state = slater_oracle(random_orthonormal(5, 3, seed=4), grid=grid)
+        whole = tmp_path / "whole.bin"
+        save_state(whole, state)
+        monkeypatch.setattr(states, "SLAB_ENTRIES", 1)
+        sliced = tmp_path / "sliced.bin"
+        save_state(sliced, state)
+        assert sliced.read_bytes() == whole.read_bytes()
+        assert np.array_equal(load_state(whole).tensor, state.tensor)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         grid = GridSpec(dim=1, points_per_axis=4, cell_volume=4.0)
@@ -710,18 +748,29 @@ class TestSnapshotFormat:
             load_state(path)
 
 
+def padded_snapshot(tmp_path, tensor):
+    """An FQS1 file of the padded ``tensor`` on the 1-D grid of 5 points
+    (registers of 8 labels): the one way padded data enters a state."""
+    path = tmp_path / "padded.bin"
+    path.write_bytes(struct.pack("<4sBIdI", b"FQS1", 1, 5, 5.0, tensor.ndim)
+                     + np.ascontiguousarray(tensor, dtype="<c16").tobytes())
+    return path
+
+
 class TestInvariants:
-    def test_padding_enforced(self):
+    def test_padding_enforced(self, tmp_path):
         tensor = np.zeros((8, 8), dtype=complex)
         tensor[6, 7] = 1.0  # orbital labels >= n_orbitals=5
         with pytest.raises(ValidationError):
-            FirstQuantizedState(2, 5, tensor)
+            load_state(padded_snapshot(tmp_path, tensor))
 
     @pytest.mark.parametrize("eta", [1, 2, 3])
     @pytest.mark.parametrize("where", ["first", "last"])
-    def test_padding_gate_at_1e_24(self, eta, where):
+    def test_padding_gate_at_1e_24(self, tmp_path, monkeypatch, eta, where):
         # 5 orbitals in 8 labels; the padding label sits on register 1 or
-        # on register eta, the physical labels elsewhere
+        # on register eta, the physical labels elsewhere; slabs of one
+        # row of register 1 each
+        monkeypatch.setattr(states, "SLAB_ENTRIES", 1)
         tensor = np.zeros((8,) * eta, dtype=complex)
         tensor[(0,) * eta] = 1.0
         label = (5,) + (0,) * (eta - 1) if where == "first" else (0,) * (eta - 1) + (7,)
@@ -729,9 +778,25 @@ class TestInvariants:
             tensor[label] = amplitude
             if refused:
                 with pytest.raises(ValidationError, match="padded orbital labels"):
-                    FirstQuantizedState(eta, 5, tensor)
+                    load_state(padded_snapshot(tmp_path, tensor))
             else:
-                FirstQuantizedState(eta, 5, tensor)
+                load_state(padded_snapshot(tmp_path, tensor))
+
+    def test_padding_nan_refused(self, tmp_path):
+        tensor = np.zeros((8, 8), dtype=complex)
+        tensor[0, 1] = 1.0
+        tensor[7, 7] = np.nan
+        with pytest.raises(ValidationError, match="padded orbital labels"):
+            load_state(padded_snapshot(tmp_path, tensor))
+
+    def test_state_stores_the_block(self):
+        # 1-D grid of 5 points: registers of 3 qubits, 8 labels each
+        grid = GridSpec(dim=1, points_per_axis=5, cell_volume=5.0)
+        state = slater_oracle(random_orthonormal(5, 3, seed=2), grid=grid)
+        assert state.register_dim == 8
+        assert state.tensor.shape == (5, 5, 5) and state.tensor.size == 125
+        with pytest.raises(ValidationError, match="tensor shape"):
+            FirstQuantizedState(3, 5, np.zeros((8,) * 3), grid=grid)
 
     def test_normalization_enforced(self):
         tensor = np.zeros((4, 4), dtype=complex)
@@ -771,10 +836,20 @@ class TestInvariants:
 
     def test_dense_size_counts_stored_amplitudes(self):
         check_dense_size(16, 6)  # 2^24 stored amplitudes: the budget itself
+        check_dense_size(17, 5)  # 17^5 < 2^24 stored; the padding is not
+        check_dense_size(9, 7)  # 9^7 <= 2^24 < 16^7
         with pytest.raises(BruteForceLimitExceeded):
-            check_dense_size(17, 5)  # 17^5 < 2^24, but 32^5 = 2^25 stored
+            check_dense_size(17, 6)  # 17^6 > 2^24
         with pytest.raises(BruteForceLimitExceeded):
             check_dense_size(3, 10 ** 12)  # no power is formed
+
+    def test_no_size_the_padded_budget_allowed_is_refused(self):
+        # the budget once counted (2^n)^eta amplitudes; N^eta is at most that
+        sizes = [(n, eta) for n in range(2, 4100) for eta in range(1, 25)
+                 if (2 ** register_qubits(n)) ** eta <= states.BRUTE_FORCE_AMPLITUDES]
+        sizes += [(2 ** k + 1, 1) for k in range(12, 24)]
+        for n, eta in sizes:
+            check_dense_size(n, eta)
 
 
 class TestDeterminantWeightIdentity:
@@ -783,7 +858,7 @@ class TestDeterminantWeightIdentity:
         # weights, antisymmetrize it, and compare with the direct oracle
         coeffs = random_orthonormal(6, 3, seed=33)
         state = slater_oracle(coeffs)
-        weights = np.zeros((8, 8, 8), dtype=complex)
+        weights = np.zeros((6, 6, 6), dtype=complex)
         from itertools import combinations
         for occ in combinations(range(6), 3):
             weights[occ] = np.linalg.det(coeffs[list(occ), :])
