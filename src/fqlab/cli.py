@@ -258,7 +258,8 @@ def _cmd_evolve(args, config) -> int:
 
 
 def _core_guess(h: np.ndarray, eta: int) -> np.ndarray:
-    """The eta lowest eigenvectors of the real core Hamiltonian ``h``.
+    """The eta lowest eigenvectors of the real core Hamiltonian ``h``, as
+    a new N x eta array, so that the N x N eigenvector matrix is dropped.
 
     Refused when the occupied and the first virtual level tie within
     rounding of the spectral scale: the determinant would then be
@@ -272,7 +273,7 @@ def _core_guess(h: np.ndarray, eta: int) -> np.ndarray:
                 f"core-Hamiltonian guess is degenerate at eta = {eta}: gap "
                 f"w[eta] - w[eta-1] = {gap:.3g} at spectral scale {scale:.3g}; "
                 f"give --coeffs or another --eta")
-    return vecs[:, :eta]
+    return vecs[:, :eta].copy()
 
 
 def _cmd_tdhf(args, config) -> int:

@@ -100,18 +100,31 @@ class GridSpec:
         return idx
 
 
+# Axes one window rotation moves at once: np.roll copies 2^k slices for k
+# shifted axes, so larger groups trade passes over the array for slices.
+_ROLL_AXES = 6
+
+
+def _roll_window(arr: np.ndarray, axes, shift) -> np.ndarray:
+    """Roll each of ``axes`` (default all) of ``arr`` by ``shift(m)`` for
+    its length m: one multi-axis np.roll per _ROLL_AXES axes."""
+    if axes is None:
+        axes = range(arr.ndim)
+    axes = np.atleast_1d(axes).tolist()
+    for lo in range(0, len(axes), _ROLL_AXES):
+        group = axes[lo:lo + _ROLL_AXES]
+        arr = np.roll(arr, [shift(arr.shape[axis]) for axis in group], group)
+    return arr
+
+
 def to_fft_window(arr: np.ndarray, axes=None) -> np.ndarray:
     """Rotate ``axes`` (default all) from the centered window to the FFT
-    window 0..m-1, where the centered DFT is a bare FFT: ``ifftshift``, one
-    pass per axis (not 2^k slices). Exact; :func:`from_fft_window` undoes it."""
-    for axis in range(arr.ndim) if axes is None else np.atleast_1d(axes):
-        arr = np.take(arr, np.fft.ifftshift(np.arange(arr.shape[axis])), axis)
-    return arr
+    window 0..m-1, where the centered DFT is a bare FFT: ``ifftshift``.
+    Exact; :func:`from_fft_window` undoes it."""
+    return _roll_window(arr, axes, lambda m: -(m // 2))
 
 
 def from_fft_window(arr: np.ndarray, axes=None) -> np.ndarray:
     """Rotate ``axes`` (default all) from the FFT window back to the
-    centered window: ``fftshift``, one axis at a time."""
-    for axis in range(arr.ndim) if axes is None else np.atleast_1d(axes):
-        arr = np.take(arr, np.fft.fftshift(np.arange(arr.shape[axis])), axis)
-    return arr
+    centered window: ``fftshift``."""
+    return _roll_window(arr, axes, lambda m: m // 2)

@@ -141,6 +141,13 @@ class GridHamiltonian:
         if not math.isfinite(self.grid.dim * k * k):  # bounds every |k|^2
             raise ValidationError(f"the kinetic energy on a cell of volume "
                                   f"{self.grid.cell_volume:.6g} overflows")
+        # every distance a table takes has dim components of at most twice
+        # the largest coordinate, so this bounds every squared distance
+        reach = max(float(np.max(np.abs(positions), initial=0.0)),
+                    (self.grid.points_per_axis // 2) * self.grid.spacing)
+        if not math.isfinite(self.grid.dim * (2 * reach) * (2 * reach)):
+            raise ValidationError(f"distances on this geometry overflow: a "
+                                  f"coordinate reaches {reach:.6g}")
 
     def axis_kinetic(self) -> np.ndarray:
         """k^2/2 on one grid axis, in the FFT window."""
@@ -148,19 +155,22 @@ class GridHamiltonian:
         k = to_fft_window(grid.axis_window) * (2.0 * np.pi / grid.length)
         return 0.5 * k ** 2
 
-    def kinetic_matrix(self) -> np.ndarray:
-        """One-register kinetic operator DFT† diag(|k|^2/2) DFT, real, as a
-        new array.
-
-        |k|^2/2 is a sum over axes, so the operator is the Kronecker sum of
-        one m x m matrix per axis. That matrix is real: the phases of +-nu
-        pair up, and at even m the lone -m/2 phase is +-1.
-        """
-        n = self.grid.total_points
-        check_budget(f"the {n} x {n} kinetic matrix", (n, n))
+    def axis_kinetic_matrix(self) -> np.ndarray:
+        """The kinetic operator DFT† diag(k^2/2) DFT on one grid axis, in
+        the centered window: an m x m matrix, real and symmetric. It is
+        real because the phases of +-nu pair up, and at even m the lone
+        -m/2 phase is +-1."""
         axis = _axis_operator(self.axis_kinetic())
         axis = from_fft_window(axis, axes=(0, 1)).real
-        return _kronecker_sum((axis + axis.T) / 2, self.grid.dim)
+        return (axis + axis.T) / 2
+
+    def kinetic_matrix(self) -> np.ndarray:
+        """One-register kinetic operator DFT† diag(|k|^2/2) DFT, real, as a
+        new array: |k|^2/2 is a sum over axes, so the operator is the
+        Kronecker sum of :meth:`axis_kinetic_matrix` over the grid's axes."""
+        n = self.grid.total_points
+        check_budget(f"the {n} x {n} kinetic matrix", (n, n))
+        return _kronecker_sum(self.axis_kinetic_matrix(), self.grid.dim)
 
     def nuclear(self) -> np.ndarray:
         """U(p) = -sum_l zeta_l * kernel(|R_l - r_p|), length N."""
@@ -198,7 +208,9 @@ class GridHamiltonian:
         # the table's flat index of d = p - q is place(p) - place(q) plus
         # that of d = 0, its middle entry
         place = grid.index_points @ (2 * m - 1) ** np.arange(dim - 1, -1, -1)
-        return table[place[:, None] - place[None, :] + len(table) // 2]
+        index = place[:, None] - place[None, :]
+        index += len(table) // 2
+        return table[index]
 
     def nuclear_repulsion(self) -> float:
         """sum_{l<k} zeta_l zeta_k / |R_l - R_k|, bare whatever the kernel."""

@@ -7,7 +7,7 @@ contraction plus an elementwise exchange term, and the quantum and
 classical modules share one Hamiltonian.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -20,8 +20,8 @@ from .errors import (
     ValidationError,
 )
 from .grids import GridSpec
-from .hamiltonian import GridHamiltonian
-from .states import check_orthonormal_columns
+from .hamiltonian import GridHamiltonian, _kronecker_sum
+from .states import _squared_norm, check_budget, check_orthonormal_columns
 
 
 # exponential-midpoint fixed point: converged below this max |change|
@@ -48,51 +48,104 @@ class OccupiedOrbitals:
         return self.coeffs.shape[0]
 
 
-@dataclass(frozen=True)
 class GridIntegrals:
-    """One-body matrix h and diagonal two-body kernel values v.
+    """The one-body term h, the diagonal two-body kernel values v and the
+    nuclear repulsion, in the grid's own form.
 
-    A real h is kept real, so that it acts on a complex block as one real
-    GEMM. The spectral bounds the TDHF exponential needs are taken once
-    here: h's Gershgorin center and radius (the radius is ||h - mu I||_1)
-    and ||v||_1.
+    h = sum_f A_f + diag(U) on N = m^dim points: A_f is the Hermitian
+    m x m ``axis`` matrix A acting on grid axis f, and U a ``diagonal``
+    of length N. On a grid, A is the real kinetic axis operator and U the
+    nuclear potential, so no N x N h is stored; :attr:`h` builds it when
+    asked. A dense ``h`` given instead is the same form with dim = 1,
+    A = h and U = 0. A real A is kept real, so that it acts on a complex
+    block as real GEMMs.
+
+    The spectral bounds the TDHF exponential needs are taken once here,
+    from A and U: h's Gershgorin center and radius (the radius is
+    ||h - mu I||_1; the rows of h are sums of rows of A, one per axis,
+    plus U) and ||v||_1.
     """
 
-    h: np.ndarray          # (N, N) Hermitian, real or complex
-    v: np.ndarray          # (N, N) symmetric, nonnegative
-    nuclear_offset: float = 0.0
-    h_center: float = field(init=False, repr=False, compare=False)
-    h_radius: float = field(init=False, repr=False, compare=False)
-    v_norm: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        h = np.asarray(self.h)
-        h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
-        v = np.asarray(self.v, dtype=float)
-        if h.shape != v.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise DimensionMismatch("h and v must be square with equal shape")
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(v))):
+    def __init__(self, h=None, v=None, nuclear_offset: float = 0.0, *,
+                 axis=None, dim: int = 1, diagonal=None):
+        if (h is None) == (axis is None) or (h is not None and (
+                dim != 1 or diagonal is not None)):
+            raise ValidationError("give a dense h, or an axis matrix with "
+                                  "its dim and diagonal")
+        a = np.asarray(axis if h is None else h)
+        a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
+        v = np.asarray(v, dtype=float)
+        square = a.ndim == 2 and a.shape[0] == a.shape[1]
+        n = len(a) ** dim if square else 0
+        u = (np.zeros(n) if diagonal is None
+             else np.asarray(diagonal, dtype=float))
+        if not square or v.shape != (n, n) or u.shape != (n,):
+            raise DimensionMismatch(
+                "h (an m x m axis matrix over dim axes, and its diagonal of "
+                "length N = m^dim) and v (N x N) must agree in N")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(u))
+                and np.all(np.isfinite(v))):
             raise ValidationError("h and v must be finite")
-        if np.max(np.abs(h - h.conj().T)) > 1e-10:
+        if np.max(np.abs(a - a.conj().T)) > 1e-10:
             raise ValidationError("h must be Hermitian within 1e-10")
-        if np.max(np.abs(v - v.T)) > 1e-12 or np.any(v < 0):
+        asymmetry = v - v.T
+        if np.max(np.abs(asymmetry, out=asymmetry)) > 1e-12 or v.min() < 0:
             raise ValidationError("v must be symmetric and nonnegative")
-        diag = h.diagonal().real
-        off = np.abs(h).sum(axis=1) - np.abs(h.diagonal())
-        lo, hi = float(np.min(diag - off)), float(np.max(diag + off))
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "h_center", (hi + lo) / 2)
-        object.__setattr__(self, "h_radius", (hi - lo) / 2)
-        object.__setattr__(self, "v_norm", float(np.max(v.sum(axis=0))))
+        self.axis, self.dim, self.diagonal, self.v = a, dim, u, v
+        self.nuclear_offset = nuclear_offset
+        diag = a.diagonal().real
+        off = np.abs(a).sum(axis=1) - np.abs(a.diagonal())
+        lo = float(np.min(_on_axes(diag - off, dim) + u))
+        hi = float(np.max(_on_axes(diag + off, dim) + u))
+        self.h_center, self.h_radius = (hi + lo) / 2, (hi - lo) / 2
+        self.v_norm = float(np.max(v.sum(axis=0)))
+
+    @property
+    def n_basis(self) -> int:
+        return len(self.diagonal)
+
+    @property
+    def h(self) -> np.ndarray:
+        """The dense N x N one-body matrix, built anew on each read: for
+        the core guess, the eigh route and tests."""
+        n = self.n_basis
+        check_budget(f"the {n} x {n} one-body matrix h", (n, n))
+        h = _kronecker_sum(self.axis, self.dim)
+        h[np.diag_indices_from(h)] += self.diagonal
+        return h
+
+    def one_body(self, x: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+        """(sum_f A_f + diag(``diagonal``)) x for an N x k block x: h x
+        when ``diagonal`` is U. A acts on each grid axis of the block as
+        one matmul, real on the block's float view when A is real."""
+        x = np.ascontiguousarray(x, dtype=complex)
+        out = diagonal[:, None] * x
+        parts = x if np.iscomplexobj(self.axis) else x.view(float)
+        sums = out.view(parts.dtype)
+        m = len(self.axis)
+        for f in range(self.dim):
+            axis_f = sums.reshape(m ** f, m, -1)
+            axis_f += self.axis @ parts.reshape(m ** f, m, -1)
+        return out
 
     @staticmethod
     def from_grid(ham: GridHamiltonian) -> "GridIntegrals":
-        """h = T + U, v = V and the nuclear repulsion of ``ham``."""
-        h = ham.kinetic_matrix()
-        h[np.diag_indices_from(h)] += ham.nuclear()
-        return GridIntegrals(h=h, v=ham.pair(),
+        """A = the kinetic axis operator, U, v = V and the nuclear
+        repulsion of ``ham``."""
+        return GridIntegrals(axis=ham.axis_kinetic_matrix(),
+                             dim=ham.grid.dim, diagonal=ham.nuclear(),
+                             v=ham.pair(),
                              nuclear_offset=ham.nuclear_repulsion())
+
+
+def _on_axes(values: np.ndarray, dim: int) -> np.ndarray:
+    """sum_f values[i_f] over the dim axis indices of every flat grid
+    index (row-major, axis 0 most significant): the diagonal of the
+    Kronecker sum of diag(values)."""
+    total = np.zeros((len(values),) * dim)
+    for f in range(dim):
+        total += values.reshape((-1,) + (1,) * (dim - 1 - f))
+    return total.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -150,22 +203,16 @@ def build_fock(orbitals: OccupiedOrbitals, integrals: GridIntegrals) -> np.ndarr
     return FockOperator(orbitals.coeffs, integrals).matrix()
 
 
-def _matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x for a complex N x k block x. A real ``a`` acts on the real
-    and imaginary parts as one real GEMM, with no complex copy of a."""
-    if np.iscomplexobj(a):
-        return a @ x
-    x = np.ascontiguousarray(x, dtype=complex)
-    return (a @ x.reshape(len(x), -1).view(float)).view(complex).reshape(x.shape)
-
-
 class FockOperator:
     """F(C) = h + diag(J) - (v * P)/2 as an action on N x k blocks; the
     N x N matrix is never formed.
 
-    P = C C† has rank eta, so (v * P) X = sum_b C_b * (v (conj(C_b) * X)):
-    one real GEMM of v with the eta * k columns conj(C_b) * X_c. Updating
-    F(C) costs the one real mat-vec J = v diag(P).
+    h's axis matrices act as :meth:`GridIntegrals.one_body` applies them,
+    with U + J as one diagonal. P = C C† has rank eta, so
+    (v * P) X = sum_b C_b * (v (conj(C_b) * X)): one real GEMM of v with
+    the eta * k columns conj(C_b) * X_c, each formed and contracted back
+    as an N x k product. Updating F(C) costs the one real mat-vec
+    J = v diag(P).
 
     ``center`` mu and ``radius`` r bound the spectrum, r >= ||F - mu I||_2:
     h's radius ||h - mu_h I||_1, plus the half-range of J, plus
@@ -174,27 +221,32 @@ class FockOperator:
     """
 
     def __init__(self, c: np.ndarray, integrals: GridIntegrals):
-        if c.shape[0] != integrals.h.shape[0]:
+        if c.shape[0] != integrals.n_basis:
             raise DimensionMismatch("orbital and integral dimensions differ")
         self.c = c
         self.integrals = integrals
         rho = _density_diagonal(c)
-        self.coulomb = integrals.v @ rho
-        j_lo, j_hi = float(np.min(self.coulomb)), float(np.max(self.coulomb))
+        coulomb = integrals.v @ rho
+        self.diagonal = integrals.diagonal + coulomb
+        self.c_conj, self.half_c = c.conj(), 0.5 * c
+        j_lo, j_hi = float(np.min(coulomb)), float(np.max(coulomb))
         self.center = integrals.h_center + (j_hi + j_lo) / 2
         self.radius = (integrals.h_radius + (j_hi - j_lo) / 2
                        + float(np.max(rho)) * integrals.v_norm / 2)
 
-    def two_body(self, x: np.ndarray) -> np.ndarray:
-        """(J - K/2) x: the Coulomb diagonal and the exchange GEMM."""
-        pairs = self.c.conj()[:, :, None] * x[:, None, :]
-        exchange = _matmul(self.integrals.v, pairs)
-        return (self.coulomb[:, None] * x
-                - 0.5 * np.einsum("ib,ibk->ik", self.c, exchange))
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """F(C) x."""
-        return _matmul(self.integrals.h, x) + self.two_body(x)
+        """F(C) x, as a new array."""
+        out = self.integrals.one_body(x, self.diagonal)
+        n, k = out.shape
+        eta = self.c.shape[1]
+        pairs = np.empty((n, eta * k), dtype=complex)
+        for b in range(eta):
+            np.multiply(self.c_conj[:, b, None], x,
+                        out=pairs[:, b * k:(b + 1) * k])
+        exchange = (self.integrals.v @ pairs.view(float)).view(complex)
+        for b in range(eta):
+            out -= self.half_c[:, b, None] * exchange[:, b * k:(b + 1) * k]
+        return out
 
     def matrix(self) -> np.ndarray:
         """F(C) as a dense matrix, for the eigh route."""
@@ -207,11 +259,12 @@ def hf_energy(orbitals: OccupiedOrbitals, integrals: GridIntegrals,
     ``fock`` is the operator F(C) when the caller has it already.
 
     Tr[(h + F) P] / 2 over the occupied columns: an O(N eta) sum after
-    the products with h and the two-body terms; ``np.sum`` adds pairwise.
+    the actions of h and F; ``np.sum`` adds pairwise.
     """
     c = orbitals.coeffs
     f = FockOperator(c, integrals) if fock is None else fock
-    hc = 2 * _matmul(integrals.h, c) + f.two_body(c)
+    hc = f(c)
+    hc += integrals.one_body(c, integrals.diagonal)
     return (float(np.sum(c.real * hc.real + c.imag * hc.imag)) / 2
             + integrals.nuclear_offset)
 
@@ -251,9 +304,10 @@ def _taylor_action(op, c: np.ndarray, dt: float,
     """exp(-i dt A) @ c by s substeps of a degree-m Taylor series in
     dt (A - mu I) (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 
-    ``op`` is a Hermitian operator: ``op(x)`` is A @ x, and ``op.center``
-    mu and ``op.radius`` r satisfy ||A - mu I||_2 <= r. mu and dt enter
-    each term as scalars, so no N x N matrix is copied or scaled. A
+    ``op`` is a Hermitian operator: ``op(x)`` is A @ x as a new array,
+    and ``op.center`` mu and ``op.radius`` r satisfy ||A - mu I||_2 <= r.
+    mu and dt enter each term as scalars, so no N x N matrix is copied or
+    scaled; each term and the sum are updated in place. A
     substep truncated at degree m errs by at most 2^-53 of its operator's
     norm. A substep stops earlier at term k once k + 1 > theta = r |dt| / s
     and the remainder bound |term_k| theta / (k + 1 - theta) is below
@@ -264,13 +318,15 @@ def _taylor_action(op, c: np.ndarray, dt: float,
     scale = -1j * dt / s
     theta = op.radius * abs(dt) / s
     for _ in range(s):
-        term = total = c
+        term, total = c, np.array(c, dtype=complex)
         for k in range(1, m + 1):
-            term = (op(term) - mu * term) * (scale / k)
-            total = total + term
-            if k + 1 > theta and (np.linalg.norm(term) * theta
+            term, previous = op(term), term
+            term -= mu * previous
+            term *= scale / k
+            total += term
+            if k + 1 > theta and (math.sqrt(_squared_norm(term)) * theta
                                   <= _TAYLOR_TOL * (k + 1 - theta)
-                                  * np.linalg.norm(total)):
+                                  * math.sqrt(_squared_norm(total))):
                 break
         c = total
     return np.exp(-1j * mu * dt) * c

@@ -39,6 +39,22 @@ def test_dynamics_energy_of_an_evolved_snapshot(tmp_path, monkeypatch):
     assert abs(diagonal - 2) < 1e-12
 
 
+def test_dynamics_last_tdhf_energy(tmp_path, monkeypatch):
+    # the dynamics workload's tdhf call and energy check at N = 27
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nuclei.txt").write_text(
+        "".join(f"1 {x} {y} {z}\n" for x, y, z in NUCLEI))
+    assert dispatch(["tdhf", "--dim", "3", "--points", "3", "--omega", "27",
+                     "--eta", "2", "--nuclei", "nuclei.txt", "--soften",
+                     "0.5", "--time", "0.5", "--steps", "10", "--observables",
+                     "energy,rdm-diag", "--out", "tdhf.csv"]) == 0
+    rows = (tmp_path / "tdhf.csv").read_text().splitlines()
+    assert len(rows) == 12 and len(rows[0].split(",")) == 3 + 27
+    # recorded with fqlab 0.2.0 from a dense one-body matrix; the
+    # benchmark compares its energies with recorded ones to 1e-10
+    assert abs(float(rows[-1].split(",")[2]) - 1.2883363961957202) <= 1e-10
+
+
 def test_readout_and_prep_check_calls():
     cfg = EstimatorConfig.from_sample_count(1, 0.1, 0.05, 2000)
     assert cfg.groups * cfg.group_size <= 2000

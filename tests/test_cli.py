@@ -229,14 +229,15 @@ class TestTdhfCommand:
 
     def test_grid_beyond_the_dense_budget_exits_two_before_allocating(
             self, workdir, capsys, monkeypatch):
-        # N = 31^3: the N x N h and v would take 7 GB each
+        # N = 31^3: the N x N v would take 7 GB, and so would a dense h,
+        # which the integrals do not build
         def built(*args, **kwargs):
             raise AssertionError("kinetic matrix built before the size check")
         monkeypatch.setattr(hamiltonian, "_kronecker_sum", built)
         exits_two_with_one_line(
             ["tdhf", "--dim", "3", "--points", "31", "--omega", "29791",
              "--eta", "2", "--time", "0.1", "--steps", "1", "--out", "t.csv"],
-            capsys, "29791 x 29791 kinetic matrix")
+            capsys, "29791 x 29791 pair table V")
         assert not (workdir / "t.csv").exists()
 
     @pytest.mark.parametrize("flag,value", [("--scheme", "foo"),
@@ -683,6 +684,23 @@ class TestNonFiniteInputs:
              "--eta", "2", "--time", "0.1", "--steps", "1", "--out", "b.out"],
             capsys, "kinetic energy", "1e-300")
         assert not (workdir / "b.out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["evolve", "tdhf"])
+    @pytest.mark.parametrize("omega,nucleus", [("1e300", None),
+                                               ("16", "1 1e308\n")])
+    def test_geometry_whose_distances_overflow(self, workdir, capsys, command,
+                                               omega, nucleus):
+        # a cell of volume 1e300 or a nucleus at 1e308: squared distances
+        # overflow, refused before a table takes one
+        argv = [command, "--dim", "1", "--points", "8", "--omega", omega,
+                "--eta", "2", "--time", "0.1", "--steps", "1",
+                "--out", "d.out"]
+        if nucleus:
+            (workdir / "far.txt").write_text(nucleus)
+            argv += ["--nuclei", "far.txt"]
+        exits_two_with_one_line(argv, capsys, "distances", "overflow")
+        assert not (workdir / "d.out").exists()
 
     def test_orbitals_and_nuclei_refuse_non_finite(self):
         from fqlab.errors import ValidationError

@@ -498,6 +498,28 @@ class TestGridHamiltonian:
         with pytest.raises(ValidationError, match="dimension"):
             GridHamiltonian(grid, nuclei, BARE)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("volume,nucleus", [
+        (1e300, 0.3),     # grid distances up to 8.75e299: squares overflow
+        (8.0, 1e308),     # a nucleus at 1e308
+        (8.0, -1e155)])   # 1e155^2 overflows too
+    def test_geometry_whose_distances_overflow_refused(self, volume, nucleus):
+        grid = GridSpec(dim=1, points_per_axis=8, cell_volume=volume)
+        nuclei = NuclearConfig(np.array([[nucleus]]), np.array([1.0]))
+        with pytest.raises(ValidationError, match="distances .* overflow"):
+            GridHamiltonian(grid, nuclei, BARE)
+
+    @pytest.mark.filterwarnings("error")
+    def test_distances_below_the_bound_taken_without_overflow(self):
+        # 3 (2 * 3e153)^2 = 1.08e308: accepted, and every table is finite
+        grid = GridSpec(dim=3, points_per_axis=3, cell_volume=27.0)
+        nuclei = NuclearConfig(np.array([[3e153, -3e153, 0.0],
+                                         [0.0, 3e153, -3e153]]),
+                               np.array([1.0, 1.0]))
+        ham = GridHamiltonian(grid, nuclei, CoulombKernel(0.5))
+        for table in (ham.nuclear(), ham.pair(), ham.nuclear_repulsion()):
+            assert np.all(np.isfinite(table))
+
     def test_evolution_refuses_a_hamiltonian_on_another_grid(self):
         grid, nuclei, kernel = hydrogenic_system()
         state = ground_slater(grid, nuclei, kernel)

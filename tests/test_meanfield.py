@@ -132,6 +132,77 @@ class TestGridIntegrals:
             GridIntegrals(**arrays)
 
 
+def gershgorin(h):
+    """h's Gershgorin center and radius, from the dense matrix."""
+    off = np.abs(h).sum(axis=1) - np.abs(h.diagonal())
+    lo = float(np.min(h.diagonal().real - off))
+    hi = float(np.max(h.diagonal().real + off))
+    return (hi + lo) / 2, (hi - lo) / 2
+
+
+def nuclear_grid(dim, points, softening=0.5, with_nuclei=True):
+    """H on a grid of spacing about 1; the nuclei sit off the lattice, so
+    the bare kernel stays regular."""
+    grid = GridSpec(dim=dim, points_per_axis=points,
+                    cell_volume=1.1 * points ** dim)
+    nuclei = (NuclearConfig(np.array([[0.3 * grid.spacing] * dim,
+                                      [-0.6 * grid.spacing] * dim]),
+                            np.array([1.0, 2.0]))
+              if with_nuclei else NuclearConfig.empty(dim))
+    return GridHamiltonian(grid, nuclei, CoulombKernel(softening=softening))
+
+
+class TestStructuredOneBody:
+    """On a grid the integrals keep h as one axis matrix per grid axis
+    plus the nuclear diagonal; a dense h is built only when read."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("points", range(2, 9))
+    def test_action_and_bounds_match_the_dense_h(self, dim, points):
+        ham = nuclear_grid(dim, points)
+        ints = GridIntegrals.from_grid(ham)
+        h = ham.kinetic_matrix() + np.diag(ham.nuclear())
+        x = random_orthonormal(ham.grid.total_points, 3, points) * (2 - 1j)
+        got = ints.one_body(x, ints.diagonal)
+        assert np.max(np.abs(got - h @ x)) <= 1e-13 * np.linalg.norm(h, 2)
+        center, radius = gershgorin(h)
+        scale = 4 * np.finfo(float).eps * np.abs(h).sum(axis=1).max()
+        assert abs(ints.h_center - center) <= scale
+        assert abs(ints.h_radius - radius) <= scale
+
+    @pytest.mark.parametrize("dim,points", [(1, 8), (2, 5), (3, 4), (3, 7)])
+    def test_dense_h_is_the_one_the_kinetic_matrix_gives(self, dim, points):
+        # the core guess diagonalizes this matrix: T, then U on the diagonal
+        ham = nuclear_grid(dim, points)
+        h = ham.kinetic_matrix()
+        h[np.diag_indices_from(h)] += ham.nuclear()
+        assert np.array_equal(GridIntegrals.from_grid(ham).h, h)
+
+    def test_dense_h_is_the_form_with_one_axis(self):
+        ham = nuclear_grid(2, 4)
+        grid_ints = GridIntegrals.from_grid(ham)
+        dense = GridIntegrals(h=grid_ints.h, v=grid_ints.v)
+        assert (dense.axis.shape, dense.dim) == ((16, 16), 1)
+        assert np.array_equal(dense.diagonal, np.zeros(16))
+        assert np.array_equal(dense.h, grid_ints.h)
+        orb = OccupiedOrbitals(random_orthonormal(16, 2, seed=1))
+        x = random_orthonormal(16, 2, seed=2)
+        assert np.max(np.abs(FockOperator(orb.coeffs, dense)(x)
+                             - FockOperator(orb.coeffs, grid_ints)(x))) < 1e-13
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"h": np.eye(2), "axis": np.eye(2)},
+        {"h": np.eye(4), "dim": 2}, {"h": np.eye(2), "diagonal": np.ones(2)}])
+    def test_one_form_of_h_required(self, kwargs):
+        with pytest.raises(ValidationError, match="dense h, or an axis"):
+            GridIntegrals(v=np.ones((4, 4)), **kwargs)
+
+    def test_diagonal_of_another_length_refused(self):
+        with pytest.raises(DimensionMismatch):
+            GridIntegrals(axis=np.eye(2), dim=2, diagonal=np.ones(2),
+                          v=np.ones((4, 4)))
+
+
 class TestTdhfStep:
     def test_zero_timestep_identity(self):
         _, ints, orb = model_system()
@@ -276,18 +347,10 @@ class TestExpAction:
 
 
 def grid_system(dim, points, softening, with_nuclei, eta, seed=0):
-    """Integrals on a grid of spacing about 1 and random orbitals; the
-    nuclei sit off the lattice, so the bare kernel stays regular."""
-    grid = GridSpec(dim=dim, points_per_axis=points,
-                    cell_volume=1.1 * points ** dim)
-    nuclei = (NuclearConfig(np.array([[0.3 * grid.spacing] * dim,
-                                      [-0.6 * grid.spacing] * dim]),
-                            np.array([1.0, 2.0]))
-              if with_nuclei else NuclearConfig.empty(dim))
-    ints = GridIntegrals.from_grid(
-        GridHamiltonian(grid, nuclei, CoulombKernel(softening=softening)))
-    coeffs = random_orthonormal(grid.total_points, eta, seed)
-    return ints, OccupiedOrbitals(coeffs, grid)
+    """Integrals on :func:`nuclear_grid` and random orbitals."""
+    ham = nuclear_grid(dim, points, softening, with_nuclei)
+    coeffs = random_orthonormal(ham.grid.total_points, eta, seed)
+    return GridIntegrals.from_grid(ham), OccupiedOrbitals(coeffs, ham.grid)
 
 
 class TestFockOperator:

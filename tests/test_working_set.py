@@ -7,12 +7,16 @@ bounds are multiples of the block, the others of the padded tensor.
 Peaks are traced allocations.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fqlab.cli import _lowest_momentum_slater, dispatch
 from fqlab.grids import GridSpec
-from fqlab.hamiltonian import CoulombKernel, NuclearConfig, total_energy
+from fqlab.hamiltonian import (CoulombKernel, GridHamiltonian, NuclearConfig,
+                               total_energy)
+from fqlab.meanfield import GridIntegrals
 from fqlab.states import load_state
 
 from conftest import traced_peak
@@ -81,3 +85,23 @@ def test_total_energy(evolved):
     # a whole density, U + V diagonal and table sum would hold 1.35x
     peak = traced_peak(lambda: total_energy(state, nuclei, CoulombKernel(0.5)))
     assert peak <= 1.1 * PADDED
+
+
+def test_tdhf_integrals_hold_one_dense_matrix():
+    # v is the one N x N array: h is kept as a 7 x 7 axis matrix and the
+    # nuclear diagonal; a dense h beside v would hold 2.0x
+    square = 8 * GRID.total_points ** 2
+    ham = GridHamiltonian(GRID, NuclearConfig(np.array(NUCLEI), np.ones(2)),
+                          CoulombKernel(0.5))
+    GridIntegrals.from_grid(ham)  # the modules a first call imports
+    tracemalloc.start()
+    try:
+        ints = GridIntegrals.from_grid(ham)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert square <= held <= 1.05 * square
+    # the pair table's gather index lives beside v while v is built; a
+    # dense h, or a temporary of v's size, would take it past 3x
+    assert peak <= 2.2 * square
+    del ints
