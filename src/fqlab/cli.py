@@ -31,7 +31,6 @@ from .hamiltonian import (
     GridHamiltonian,
     NuclearConfig,
     evolve_block,
-    fft_block,
     kinetic_phase_table,
 )
 from .meanfield import (
@@ -41,7 +40,8 @@ from .meanfield import (
     evolve_tdhf,
 )
 from .shadows import check_order, read_out
-from .states import FirstQuantizedState, load_state, save_state, slater_oracle
+from .states import (FirstQuantizedState, check_budget, load_state,
+                     save_state, slater_oracle)
 from .stateprep import prepare_slater, toffoli_count
 
 
@@ -249,8 +249,8 @@ def _cmd_evolve(args, config) -> int:
     plan = EvolutionPlan(total_time=p["time"], steps=p["steps"], order=p["order"])
     if state is None:
         state = _lowest_momentum_slater(grid, _particle_count(p, grid))
-    block = fft_block(state.tensor, grid)
-    del state  # only the N^eta block is kept while it propagates
+    block = state.tensor
+    del state  # the propagation overwrites the N^eta block; nothing else is kept
     save_state(p["out"], evolve_block(block, plan, ham))
     inputs = [path for path in (p["in"], p["nuclei"]) if path]
     _write_manifest("evolve", p, p["seed"], inputs, [p["out"]])
@@ -390,6 +390,7 @@ def _cmd_cost(args, config) -> int:
             raise UsageError("--alpha-range must be lo:hi:step") from exc
         if not (np.all(np.isfinite([lo, hi, step])) and step > 0 and lo <= hi):
             raise UsageError("--alpha-range needs finite lo <= hi and step > 0")
+        check_budget("the --alpha-range table", ((hi - lo) / step + 1,))
         count = int(round((hi - lo) / step)) + 1
         alphas = [lo + i * step for i in range(count) if lo + i * step <= hi + 1e-12]
         rows = regime_table(alphas)

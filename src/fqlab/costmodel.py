@@ -43,8 +43,17 @@ class CostQuery:
             raise ValidationError("epsilon must be in (0, 1]")
         if self.time <= 0:
             raise ValidationError("time must be positive")
-        if self.occupied_orbitals is not None and self.occupied_orbitals > self.n_basis:
-            raise ValidationError("M cannot exceed N")
+        if self.occupied_orbitals is not None and not (
+                0 < self.occupied_orbitals <= self.n_basis):
+            raise ValidationError("M must be positive and cannot exceed N")
+        if self.time_points is not None and self.time_points < 1:
+            raise ValidationError("the time-point count L must be >= 1")
+        if self.observable_norm is not None and self.observable_norm < 0:
+            raise ValidationError("the observable norm lambda must be >= 0")
+        if self.sampling_cost < 0:
+            raise ValidationError("the sampling cost C_samp must be >= 0")
+        if not 1 <= self.k_body <= self.eta:
+            raise ValidationError("k must lie in 1..eta")
 
 
 def classical_mf_cost(q: CostQuery, variant: str = "zero-T") -> float:
@@ -242,7 +251,16 @@ def regime_table(alphas) -> list:
 
 
 def cost_report(q: CostQuery) -> dict:
-    """Full per-algorithm evaluation with regime metadata."""
+    """Full per-algorithm evaluation with regime metadata; refused when a
+    cost overflows a float (a division by eps^2 that underflowed to 0
+    included)."""
+    try:
+        return _cost_report(q)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValidationError("a cost of this query overflows a float") from exc
+
+
+def _cost_report(q: CostQuery) -> dict:
     alpha = math.log(q.n_basis) / math.log(q.eta) if q.eta > 1 else float("inf")
     quantum = quantum_costs(q)
     applicable = {name: entry["value"] for name, entry in quantum.items()

@@ -6,7 +6,10 @@ window centered on zero: for odd m the window is [-(m-1)/2, (m-1)/2],
 which makes the index set exactly symmetric (k_{-p} = -k_p); even m is
 also accepted, with the standard FFT window [-m/2, m/2-1], for classical
 baselines that ask for power-of-two grids. Either window is the FFT
-window 0..m-1 rotated, so the centered DFT is one shifted n-D FFT.
+window 0..m-1 rotated (``np.fft.ifftshift`` maps it there). An operator
+diagonal in momentum, such as the kinetic propagator, is circulant on
+each axis and so acts on the centered window as on the FFT window: only
+its momentum table is read in FFT-bin order.
 
 Positions are r_p = p * L / m and frequencies k_p = 2*pi*p / L with
 L = cell_volume**(1/dim), componentwise over the same index window.
@@ -98,33 +101,3 @@ class GridSpec:
                 raise ValidationError(f"lattice point {point} outside grid window")
             idx = idx * m + t
         return idx
-
-
-# Axes one window rotation moves at once: np.roll copies 2^k slices for k
-# shifted axes, so larger groups trade passes over the array for slices.
-_ROLL_AXES = 6
-
-
-def _roll_window(arr: np.ndarray, axes, shift) -> np.ndarray:
-    """Roll each of ``axes`` (default all) of ``arr`` by ``shift(m)`` for
-    its length m: one multi-axis np.roll per _ROLL_AXES axes."""
-    if axes is None:
-        axes = range(arr.ndim)
-    axes = np.atleast_1d(axes).tolist()
-    for lo in range(0, len(axes), _ROLL_AXES):
-        group = axes[lo:lo + _ROLL_AXES]
-        arr = np.roll(arr, [shift(arr.shape[axis]) for axis in group], group)
-    return arr
-
-
-def to_fft_window(arr: np.ndarray, axes=None) -> np.ndarray:
-    """Rotate ``axes`` (default all) from the centered window to the FFT
-    window 0..m-1, where the centered DFT is a bare FFT: ``ifftshift``.
-    Exact; :func:`from_fft_window` undoes it."""
-    return _roll_window(arr, axes, lambda m: -(m // 2))
-
-
-def from_fft_window(arr: np.ndarray, axes=None) -> np.ndarray:
-    """Rotate ``axes`` (default all) from the FFT window back to the
-    centered window: ``fftshift``."""
-    return _roll_window(arr, axes, lambda m: m // 2)

@@ -8,7 +8,8 @@ boundary distances, optionally cusp-softened as 1/(r + s).
 
 |k|^2/2 is a sum over grid axes, so exp(-i T t) is one m x m unitary
 per axis, applied to each of the dim * eta axes of the N^eta block; only
-long 1-D axes take an FFT instead.
+long 1-D axes take an FFT instead. The unitary is circulant, so the
+block is propagated in the centered layout a state stores it in.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import SingularPotential, ValidationError
-from .grids import GridSpec, from_fft_window, to_fft_window
+from .grids import GridSpec
 from .states import (SLAB_ENTRIES, FirstQuantizedState, check_budget,
                      check_dense_size, check_unit_norm, slabs)
 
@@ -95,7 +96,9 @@ def kinetic_phase_table(grid: GridSpec) -> np.ndarray:
 
 def _axis_operator(values: np.ndarray) -> np.ndarray:
     """F^-1 diag(values) F on one grid axis, F the unitary DFT, with
-    ``values`` and both indices in the FFT window."""
+    ``values`` in FFT-bin order. The operator is circulant (entry (i, j)
+    depends only on i - j mod m), so it is the same matrix whichever
+    cyclic window both indices are read in, the centered one included."""
     dft = np.fft.fft(np.eye(len(values)), axis=0, norm="ortho")
     return np.fft.ifft(values[:, None] * dft, axis=0, norm="ortho")
 
@@ -150,9 +153,9 @@ class GridHamiltonian:
                                   f"coordinate reaches {reach:.6g}")
 
     def axis_kinetic(self) -> np.ndarray:
-        """k^2/2 on one grid axis, in the FFT window."""
+        """k^2/2 on one grid axis, in FFT-bin order."""
         grid = self.grid
-        k = to_fft_window(grid.axis_window) * (2.0 * np.pi / grid.length)
+        k = np.fft.ifftshift(grid.axis_window) * (2.0 * np.pi / grid.length)
         return 0.5 * k ** 2
 
     def axis_kinetic_matrix(self) -> np.ndarray:
@@ -161,7 +164,9 @@ class GridHamiltonian:
         real because the phases of +-nu pair up, and at even m the lone
         -m/2 phase is +-1."""
         axis = _axis_operator(self.axis_kinetic())
-        axis = from_fft_window(axis, axes=(0, 1)).real
+        # circulant up to rounding: the shift fixes which rounding of each
+        # entry the centered matrix holds
+        axis = np.fft.fftshift(axis, axes=(0, 1)).real
         return (axis + axis.T) / 2
 
     def kinetic_matrix(self) -> np.ndarray:
@@ -189,9 +194,10 @@ class GridHamiltonian:
         no weight there and a point charge does not self-interact on the
         grid) and kernel(0) = 1/s in softened mode.
 
-        The value depends only on the lattice difference d = p - q, so it
-        is gathered from a (2m - 1)^dim table of kernel(|d| delta). |d|
-        and |-d| round alike, which keeps the result exactly symmetric.
+        The value depends only on the lattice difference d = p - q, so
+        row p is window p of a (2m - 1)^dim table of kernel(|d| delta),
+        read backwards, and v is those windows copied once into one array.
+        |d| and |-d| round alike, which keeps the result exactly symmetric.
         """
         grid, kernel = self.grid, self.kernel
         n = grid.total_points
@@ -205,12 +211,12 @@ class GridHamiltonian:
         table[off] = kernel(dist[off])
         if kernel.mode == "softened":
             table[~off] = 1.0 / kernel.softening
-        # the table's flat index of d = p - q is place(p) - place(q) plus
-        # that of d = 0, its middle entry
-        place = grid.index_points @ (2 * m - 1) ** np.arange(dim - 1, -1, -1)
-        index = place[:, None] - place[None, :]
-        index += len(table) // 2
-        return table[index]
+        # window a's entry b holds d = a + b - (m - 1) on each axis, which
+        # is p - q at a = p and b = m - 1 - q
+        windows = np.lib.stride_tricks.sliding_window_view(
+            table.reshape((2 * m - 1,) * dim), (m,) * dim)
+        backwards = (slice(None),) * dim + (slice(None, None, -1),) * dim
+        return np.ascontiguousarray(windows[backwards]).reshape(n, n)
 
     def nuclear_repulsion(self) -> float:
         """sum_{l<k} zeta_l zeta_k / |R_l - R_k|, bare whatever the kernel."""
@@ -246,15 +252,6 @@ def _potential_rows(u: np.ndarray, v, eta: int, rows: slice) -> np.ndarray:
 # -- evolution ------------------------------------------------------------
 
 
-def fft_block(block: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """An N^eta ``block`` (eta is its axis count; a state's is
-    ``state.tensor``) as dim*eta axes in the FFT window, where the
-    centered DFT of every register is one n-D FFT: one new array, the
-    form :func:`evolve_block` propagates."""
-    return to_fft_window(
-        block.reshape((grid.points_per_axis,) * (grid.dim * block.ndim)))
-
-
 # Axis length from which a kinetic substep takes the FFT route. An m x m
 # matmul costs m multiply-adds per amplitude and axis, an FFT about
 # log m. On one BLAS thread at 1-D, eta = 2, the matmul is 1.4x faster at
@@ -281,7 +278,7 @@ def _phase(t: float, table: np.ndarray) -> np.ndarray:
 
 
 def _kinetic_propagator(axis_kinetic: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t k^2/2) on one grid axis, given its k^2/2 in the FFT window.
+    """exp(-i t k^2/2) on one grid axis, given its k^2/2 in FFT-bin order.
 
     Below _FFT_MIN_POINTS the m x m matrix F^-1 diag(phases) F, F the
     unitary DFT: the operator the FFT route applies. From it on, the
@@ -294,16 +291,17 @@ def _kinetic_propagator(axis_kinetic: np.ndarray, t: float) -> np.ndarray:
 
 
 def _kinetic_substep(block: np.ndarray, propagator: np.ndarray, spare):
-    """exp(-i T t) on the C-contiguous block in FFT layout; returns the
-    propagated block and the free buffer.
+    """exp(-i T t) on the C-contiguous block, dim * eta axes of m points
+    in the centered window, where the circulant propagator acts as on any
+    rotation of it; returns the propagated block and the free buffer.
 
     The m x m ``propagator`` is contracted with every axis by one matmul
     each, written into the other of ``block`` and ``spare`` (a buffer of
     the block's size, allocated here when None): the leading axis is
     contracted and its image appended as the last, so after one matmul
     per axis the axes are back in order. Given the m phases instead (the
-    FFT route), fftn, the phases of each axis and ifftn allocate their
-    own outputs.
+    FFT route), in the FFT-bin order fftn returns, fftn, the phases of
+    each axis and ifftn allocate their own outputs.
     """
     if propagator.ndim == 1:
         block = np.fft.fftn(block, norm="ortho")
@@ -321,14 +319,15 @@ def _kinetic_substep(block: np.ndarray, propagator: np.ndarray, spare):
 
 def _phases(keys, ham: GridHamiltonian, eta: int) -> dict:
     """The propagator of each distinct (X, t) in ``keys``: one grid
-    axis's for "T" (see _kinetic_propagator), the phases over the block
-    for "V". The U + V diagonal is built once and dropped once its phases
-    are."""
+    axis's for "T" (see _kinetic_propagator), the phases over the block's
+    dim * eta axes for "V". The U + V diagonal is built once and dropped
+    once its phases are."""
     axis = ham.axis_kinetic()
     phases = {(x, t): _kinetic_propagator(axis, t) for x, t in keys if x == "T"}
     times = {t for x, t in keys if x == "V"}
     if times:
-        table = fft_block(potential_diagonal(ham, eta), ham.grid)
+        table = potential_diagonal(ham, eta).reshape(
+            (ham.grid.points_per_axis,) * (ham.grid.dim * eta))
         phases.update({("V", t): _phase(t, table) for t in times})
     return phases
 
@@ -336,23 +335,23 @@ def _phases(keys, ham: GridHamiltonian, eta: int) -> dict:
 def _propagate(block: np.ndarray, substeps,
                ham: GridHamiltonian) -> FirstQuantizedState:
     """Apply exp(-i X t) for each (X, t) that ``substeps()`` yields, X one
-    of "T", "V", to ``block``, the N^eta block in FFT layout (dim * eta
-    axes of length m, C-contiguous complex), which is overwritten.
-    ``substeps`` is called twice: once for the distinct propagators,
-    which are built before the first substep, once to apply them.
+    of "T", "V", to ``block``, an N^eta block (C-contiguous complex),
+    which is overwritten; the state returned holds the buffer the last
+    substep wrote. ``substeps`` is called twice: once for the distinct
+    propagators, which are built before the first substep, once to apply
+    them.
 
-    Live while it propagates: the block; one spare buffer of its size,
-    which a kinetic substep's matmuls alternate with (one m x m matmul per
-    axis; the FFT route on long 1-D axes allocates its transforms
-    instead); and one phase table per distinct V time, built a slab at a
-    time, which a potential substep multiplies in place. Every substep
-    checks the norm of the block. Once the phases and the spare buffer
-    are dropped, the block is rotated back into the output state's N^eta
+    Live while it propagates: the block, viewed as dim * eta axes of m
+    points; one spare buffer of its size, which a kinetic substep's
+    matmuls alternate with (one m x m matmul per axis; the FFT route on
+    long 1-D axes allocates its transforms instead); and one phase table
+    per distinct V time, built a slab at a time, which a potential
+    substep multiplies in place. Every substep checks the norm of the
     block.
     """
-    grid = ham.grid
-    eta = block.ndim // grid.dim
+    grid, eta, n = ham.grid, block.ndim, ham.grid.total_points
     phases = _phases(set(substeps()), ham, eta)
+    block = block.reshape((grid.points_per_axis,) * (grid.dim * eta))
     spare = None
     for op, t in substeps():
         if op == "T":
@@ -360,19 +359,17 @@ def _propagate(block: np.ndarray, substeps,
         else:
             block *= phases[op, t]
         check_unit_norm(block)
-    del phases, spare
-    n = grid.total_points
-    tensor = from_fft_window(block).reshape((n,) * eta)
-    return FirstQuantizedState(eta, n, tensor, grid=grid)
+    return FirstQuantizedState(eta, n, block.reshape((n,) * eta), grid=grid)
 
 
 def _state_block(state: FirstQuantizedState, ham: GridHamiltonian) -> np.ndarray:
-    """The FFT-layout block of ``state``, which must lie on ``ham``'s grid."""
+    """A copy of the N^eta block of ``state``, which must lie on ``ham``'s
+    grid."""
     if state.grid is None:
         raise ValidationError("evolution requires a grid-backed state")
     if ham.grid != state.grid:
         raise ValidationError("the Hamiltonian's grid is not the state's grid")
-    return fft_block(state.tensor, state.grid)
+    return state.tensor.copy()
 
 
 def apply_kinetic_evolution(state: FirstQuantizedState, dt: float,
@@ -423,7 +420,7 @@ def _substeps(plan: EvolutionPlan):
 def evolve(state: FirstQuantizedState, plan: EvolutionPlan,
            ham: GridHamiltonian) -> FirstQuantizedState:
     """Product-formula approximation to exp(-i H t) |psi>: ``state``'s block
-    copied to FFT layout, then :func:`evolve_block`.
+    copied, then :func:`evolve_block`.
 
     Exchange symmetry of H means the antisymmetry flag is preserved.
     """
@@ -432,16 +429,16 @@ def evolve(state: FirstQuantizedState, plan: EvolutionPlan,
 
 def evolve_block(block: np.ndarray, plan: EvolutionPlan,
                  ham: GridHamiltonian) -> FirstQuantizedState:
-    """:func:`evolve` from ``block``, the N^eta block of a state on
-    ``ham``'s grid in FFT layout (as :func:`fft_block` returns it), which
-    is the propagation's working buffer and is overwritten (a copy is
-    taken first unless it is C-contiguous complex). A caller that drops
-    its state once the block is copied holds no more than the
-    propagation's own arrays."""
-    m, dim = ham.grid.points_per_axis, ham.grid.dim
-    if not block.ndim or block.ndim % dim or block.shape != (m,) * block.ndim:
+    """:func:`evolve` from ``block``, the (N,)*eta array of a state on
+    ``ham``'s grid (a state's ``tensor``), in the centered layout it is
+    stored in. It is the propagation's working buffer and is overwritten
+    (a copy is taken first unless it is C-contiguous complex), so a
+    caller that passes its state's tensor and drops the state holds no
+    more than the propagation's own arrays."""
+    n = ham.grid.total_points
+    if not block.ndim or block.shape != (n,) * block.ndim:
         raise ValidationError(f"a block of shape {block.shape} is not N^eta "
-                              f"on {dim}-D axes of {m} points")
+                              f"with N = {n}")
     return _propagate(np.ascontiguousarray(block, dtype=complex),
                       lambda: _substeps(plan), ham)
 
@@ -453,10 +450,12 @@ def kinetic_expectation(state: FirstQuantizedState) -> float:
     """<T>: register by register, |k|^2/2 weighted by that register's
     momentum density. The DFT of the other registers is unitary and
     leaves the density unchanged, so each register's dim-D DFT is taken a
-    slab of another register's labels at a time, on the centered block
-    (its FFT-window output only differs by phases)."""
+    slab of another register's labels at a time, on the centered block:
+    its output only differs by phases from that of the FFT window, and
+    comes in FFT-bin order, as the |k|^2/2 table is read."""
     grid, eta = state.grid, state.eta
-    table = fft_block(kinetic_phase_table(grid), grid)
+    table = np.fft.ifftshift(
+        kinetic_phase_table(grid).reshape((grid.points_per_axis,) * grid.dim))
     axes = tuple(range(-grid.dim, 0))
     total = 0.0
     for j in range(eta):

@@ -21,7 +21,8 @@ from .errors import (
 )
 from .grids import GridSpec
 from .hamiltonian import GridHamiltonian, _kronecker_sum
-from .states import _squared_norm, check_budget, check_orthonormal_columns
+from .states import (_squared_norm, check_budget, check_orthonormal_columns,
+                     slabs)
 
 
 # exponential-midpoint fixed point: converged below this max |change|
@@ -88,8 +89,11 @@ class GridIntegrals:
             raise ValidationError("h and v must be finite")
         if np.max(np.abs(a - a.conj().T)) > 1e-10:
             raise ValidationError("h must be Hermitian within 1e-10")
-        asymmetry = v - v.T
-        if np.max(np.abs(asymmetry, out=asymmetry)) > 1e-12 or v.min() < 0:
+        # v - v.T, a slab at a time, is antisymmetric (exactly: a - b is
+        # -(b - a)), so its largest entry is its largest modulus
+        asymmetry = max(float(np.max(v[rows] - v.T[rows]))
+                        for rows in slabs(v.shape))
+        if asymmetry > 1e-12 or v.min() < 0:
             raise ValidationError("v must be symmetric and nonnegative")
         self.axis, self.dim, self.diagonal, self.v = a, dim, u, v
         self.nuclear_offset = nuclear_offset

@@ -62,6 +62,30 @@ class TestCost:
     def test_missing_mode_is_usage_error(self, workdir):
         assert dispatch(["cost"]) == 2
 
+    @pytest.mark.parametrize("query,needle", [
+        ("4,2,1,0.1,,-5", "L must be >= 1"),
+        ("4,2,1,0.1,,2,,,-1", "k must lie in 1..eta"),
+        ("4,2,1,0.1,,2,,,3", "k must lie in 1..eta"),
+        ("4,2,1,0.1,,2,-3", "lambda must be >= 0"),
+        ("4,2,1,0.1,,2,,-1", "C_samp must be >= 0"),
+        ("4,2,1,0.1,0", "M must be positive"),
+        ("4,2,1,0.1,-2", "M must be positive"),
+        ("100000,100000,1,0.1,,2,,,40000", "overflows a float"),  # k^k eta^k
+        ("1e300,2,1,0.1", "overflows a float"),
+        ("4,2,1,1e-300,,2", "overflows a float")])  # eps^2 underflows to 0
+    def test_query_outside_its_domain_exits_two(self, workdir, capsys, query,
+                                                needle):
+        exits_two_with_one_line(["cost", "--query", query], capsys, needle)
+
+    @pytest.mark.parametrize("spec", ["1:1e308:1e-308", "1:5:1e-9"])
+    def test_alpha_range_beyond_the_budget_refused_before_a_row(
+            self, workdir, capsys, monkeypatch, spec):
+        def built(alphas):
+            raise AssertionError("a row was built before the budget check")
+        monkeypatch.setattr(cli, "regime_table", built)
+        exits_two_with_one_line(["cost", "--alpha-range", spec, "--out",
+                                 "s.csv"], capsys, "--alpha-range table")
+
 
 class TestDispatch:
     def test_unknown_subcommand_exits_two(self, capsys):
@@ -152,18 +176,18 @@ class TestEvolveShadowsPipeline:
 
 
 class TestSnapshotBytesPinned:
-    """FQS1 bytes of seeded evolve runs, as SHA-256 digests recorded before
-    the propagator kept one block and one spare buffer: the same
-    arithmetic in the same order writes the same bytes. Recorded with
-    numpy 2.4 and OpenBLAS 0.3 on x86-64; another BLAS build may round a
-    matmul differently."""
+    """FQS1 bytes of seeded evolve runs, as SHA-256 digests: the same
+    arithmetic in the same order writes the same bytes. The matmul route
+    (a, c, d.bin) sums each axis in the centered index order the state is
+    stored in. Recorded with numpy 2.4 and OpenBLAS 0.3 on x86-64; another
+    BLAS build may round a matmul differently."""
 
     RUNS = {
         # padded 2-D registers, order 4, nuclei: the matmul route
         "a.bin": (["--dim", "2", "--points", "3", "--omega", "9", "--eta", "2",
                    "--nuclei", "nuclei.txt", "--soften", "0.5", "--time", "0.3",
                    "--steps", "3", "--order", "4", "--seed", "5"],
-                  "ee6f9ef745f89d13dcf78833f77fbe386c7e55d60545c864ce19efae702e68d7"),
+                  "84ef33705296bd738be7c2ea6491911740f54011f37478933d665ca2b50624d1"),
         # 128 points per axis: the FFT route
         "b.bin": (["--dim", "1", "--points", "128", "--omega", "128", "--eta",
                    "2", "--time", "0.2", "--steps", "2"],
@@ -171,11 +195,11 @@ class TestSnapshotBytesPinned:
         # from the snapshot a.bin, order 1
         "c.bin": (["--in", "a.bin", "--nuclei", "nuclei.txt", "--soften", "0.5",
                    "--time", "0.1", "--steps", "2", "--order", "1"],
-                  "256ecbfb2debef0f4aad5962baa6eca87ab41bd193bffeffdeb139509d81936c"),
+                  "28c601ecda7ce1b31b2ff72b771dc970c1189e837413c3faa14703220d38b55e"),
         # nine axes of 2 points: an odd count of matmuls per kinetic substep
         "d.bin": (["--dim", "3", "--points", "2", "--omega", "8", "--eta", "3",
                    "--time", "0.4", "--steps", "2"],
-                  "c3cc84c362618881226cad5397e3231d708a3016ad82912c0ebccbf13ff0cd26"),
+                  "22dfd16443f9c7d24e115017aa832e5b0d543d77a73fc4bdb4e3e42593c50118"),
     }
 
     def test_digests(self, workdir):

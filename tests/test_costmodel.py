@@ -271,3 +271,16 @@ class TestCostReport:
             CostQuery(n_basis=4.0, eta=10.0)
         with pytest.raises(ValidationError):
             CostQuery(n_basis=10.0, eta=2.0, epsilon=1.5)
+
+    @pytest.mark.parametrize("field,value", [
+        ("time_points", 0.5), ("observable_norm", -1.0),
+        ("sampling_cost", -1.0), ("occupied_orbitals", 0.0),
+        ("occupied_orbitals", 2e4), ("k_body", 0), ("k_body", 11)])
+    def test_field_outside_its_domain_refused(self, field, value):
+        with pytest.raises(ValidationError):
+            CostQuery(n_basis=1e4, eta=10.0, **{field: value})
+
+    def test_cost_overflowing_a_float_refused(self):
+        q = CostQuery(n_basis=1e5, eta=1e5, time_points=2.0, k_body=40000)
+        with pytest.raises(ValidationError, match="overflows a float"):
+            cost_report(q)

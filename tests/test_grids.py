@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fqlab.errors import ValidationError
-from fqlab.grids import GridSpec, from_fft_window, to_fft_window
+from fqlab.grids import GridSpec
 
 from conftest import centered_dft_matrix, grid_dft_matrix
 
@@ -49,34 +49,10 @@ class TestGridSpec:
             GridSpec(dim=1, points_per_axis=3, cell_volume=-2.0)
 
 
-class TestFftWindow:
-    """The window rotations are np.fft.ifftshift and fftshift, bit for bit."""
-
-    @pytest.mark.parametrize("ndim", list(range(1, 19)))
-    def test_match_numpy_shifts(self, ndim):
-        rng = np.random.default_rng(ndim)
-        # lengths 1..5 while the array stays small, then axes of 2
-        shape = (tuple(int(m) for m in rng.integers(1, 6, size=ndim))
-                 if ndim <= 8 else (2,) * ndim)
-        x = rng.normal(size=shape) + (1j * rng.normal(size=shape) if ndim < 18
-                                      else 0)
-        assert np.array_equal(to_fft_window(x), np.fft.ifftshift(x))
-        assert np.array_equal(from_fft_window(x), np.fft.fftshift(x))
-        axes = tuple(range(0, ndim, 2))
-        assert np.array_equal(to_fft_window(x, axes), np.fft.ifftshift(x, axes))
-        assert np.array_equal(from_fft_window(x, axes), np.fft.fftshift(x, axes))
-
-    @pytest.mark.parametrize("axes", [-1, 1, (-1,), (0, -2), (2, 2)])
-    def test_axes_as_numpy_takes_them(self, rng, axes):
-        x = rng.normal(size=(5, 4, 3)) + 1j * rng.normal(size=(5, 4, 3))
-        assert np.array_equal(to_fft_window(x, axes), np.fft.ifftshift(x, axes))
-        assert np.array_equal(from_fft_window(x, axes), np.fft.fftshift(x, axes))
-
-
 def centered(transform, x, axes=None):
-    """``transform`` (an n-D FFT) in the centered window, as the
-    propagators apply it."""
-    return from_fft_window(transform(to_fft_window(x, axes), axes=axes,
+    """``transform`` (an n-D FFT) in the centered window: the input rotated
+    to the FFT window and the output back."""
+    return np.fft.fftshift(transform(np.fft.ifftshift(x, axes), axes=axes,
                                      norm="ortho"), axes)
 
 

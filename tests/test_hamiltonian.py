@@ -342,7 +342,7 @@ def unmerged_substeps(plan):
 
 def dense_substeps(state, substeps, nuclei, kernel):
     """Reference block: a kinetic substep is the dense exp(-i T t) of
-    kinetic_matrix (checked against the explicit centered DFT, no FFT layout) on
+    kinetic_matrix (checked against the explicit centered DFT) on
     each register, a potential substep the phases of potential_diagonal."""
     grid, eta, n = state.grid, state.eta, state.grid.total_points
     ham = GridHamiltonian(grid, nuclei, kernel)
@@ -439,6 +439,35 @@ class TestMergedPropagator:
         assert snapshots[0] == snapshots[1]
 
 
+class TestKineticTranslationInvariance:
+    """exp(-i T t) is circulant on every grid axis, which is why it may act
+    on the centered window: it commutes with a cyclic shift of the grid.
+    The same shift on every register keeps the state antisymmetric."""
+
+    @pytest.mark.parametrize("dim,points,eta", [
+        (1, 5, 1), (1, 4, 3), (1, 7, 2), (2, 3, 3), (2, 4, 2), (2, 5, 1),
+        (3, 3, 2), (3, 2, 3), (3, 4, 1),
+        (1, 128, 2), (1, 129, 2)])  # the last two take the FFT route
+    def test_commutes_with_a_cyclic_shift(self, dim, points, eta):
+        grid = GridSpec(dim=dim, points_per_axis=points,
+                        cell_volume=float(points ** dim))
+        n = grid.total_points
+        state = FirstQuantizedState(
+            eta, n, random_antisymmetric_state(n, eta, seed=9).tensor, grid=grid)
+        axes = (points,) * (dim * eta)
+        shifts = [1 + a % (points - 1) for a in range(dim)] * eta
+
+        def shifted(tensor):
+            return np.roll(tensor.reshape(axes), shifts,
+                           range(dim * eta)).reshape(tensor.shape)
+
+        ham = free(grid)
+        moved = apply_kinetic_evolution(state.copy_with(shifted(state.tensor)),
+                                        0.37, ham)
+        evolved = apply_kinetic_evolution(state, 0.37, ham)
+        assert np.max(np.abs(moved.tensor - shifted(evolved.tensor))) < 1e-13
+
+
 def _zero_kernel():
     return CoulombKernel(softening=1e12)  # numerically negligible interaction
 
@@ -480,11 +509,12 @@ class TestSlabwiseExpectations:
         nuclei = NuclearConfig(np.full((1, dim), 0.4), np.array([2.0]))
         ham = GridHamiltonian(grid, nuclei, CoulombKernel(softening=0.5))
         block = state.tensor
-        momentum = hamiltonian.fft_block(block, grid)
-        density = np.abs(np.fft.fftn(momentum, norm="ortho")) ** 2
+        axes = (points,) * (dim * eta)
+        windowed = np.fft.ifftshift(block.reshape(axes))
+        density = np.abs(np.fft.fftn(windowed, norm="ortho")) ** 2
         table = kinetic_phase_table(grid)
         tables = sum(hamiltonian._on_registers(table, eta, j) for j in range(eta))
-        kinetic = np.sum(density * hamiltonian.fft_block(tables, grid))
+        kinetic = np.sum(density * np.fft.ifftshift(tables.reshape(axes)))
         assert kinetic_expectation(state) == pytest.approx(kinetic, rel=1e-13)
         potential = np.sum(np.abs(block) ** 2 * potential_diagonal(ham, eta))
         assert potential_expectation(state, ham) == pytest.approx(potential,

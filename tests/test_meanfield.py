@@ -32,6 +32,7 @@ from fqlab.meanfield import (
     _taylor_action,
     _taylor_plan,
 )
+from fqlab import states
 from fqlab.states import exact_krdm_element, slater_oracle
 
 from conftest import random_orthonormal
@@ -130,6 +131,19 @@ class TestGridIntegrals:
         arrays[field][1, 1] = np.nan
         with pytest.raises(ValidationError, match="finite"):
             GridIntegrals(**arrays)
+
+    @pytest.mark.parametrize("entry,value", [
+        ((0, 2), 1 + 1e-9), ((2, 0), 1 + 1e-9), ((1, 1), -1e-9)])
+    def test_asymmetric_or_negative_v_refused(self, monkeypatch, entry, value):
+        # one row per slab: the odd entry lies above or below the diagonal
+        monkeypatch.setattr(states, "SLAB_ENTRIES", 3)
+        v = np.ones((3, 3))
+        v[entry] = value
+        with pytest.raises(ValidationError, match="symmetric and nonnegative"):
+            GridIntegrals(h=np.eye(3), v=v)
+        if value > 0:
+            v[entry[::-1]] = value  # symmetric again
+            GridIntegrals(h=np.eye(3), v=v)
 
 
 def gershgorin(h):
