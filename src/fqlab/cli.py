@@ -384,24 +384,24 @@ def _cmd_cost(args, config) -> int:
     if bool(p["alpha-range"]) == bool(p["query"]):
         raise UsageError("cost takes exactly one of --alpha-range and --query")
     if p["alpha-range"]:
+        if not p["out"]:
+            raise UsageError("--alpha-range needs --out")
         try:
             lo, hi, step = (float(v) for v in p["alpha-range"].split(":"))
         except Exception as exc:
             raise UsageError("--alpha-range must be lo:hi:step") from exc
         if not (np.all(np.isfinite([lo, hi, step])) and step > 0 and lo <= hi):
             raise UsageError("--alpha-range needs finite lo <= hi and step > 0")
+        if lo < 1:  # refused here, not by the first row of a written file
+            raise ValidationError("alpha must be >= 1")
         check_budget("the --alpha-range table", ((hi - lo) / step + 1,))
         count = int(round((hi - lo) / step)) + 1
-        alphas = [lo + i * step for i in range(count) if lo + i * step <= hi + 1e-12]
-        rows = regime_table(alphas)
-        if not p["out"]:
-            raise UsageError("--alpha-range needs --out")
-        _write_csv(p["out"],
-                   ["alpha", "beta_classical", "beta_quantum", "speedup",
-                    "optimal_quantum", "optimal_classical_term"],
-                   [[r["alpha"], r["beta_classical"], r["beta_quantum"],
-                     r["speedup"], r["optimal_quantum"],
-                     r["optimal_classical_term"]] for r in rows])
+        alphas = (lo + i * step for i in range(count) if lo + i * step <= hi + 1e-12)
+        # each row is written as it is made: the table is never held whole
+        columns = ["alpha", "beta_classical", "beta_quantum", "speedup",
+                   "optimal_quantum", "optimal_classical_term"]
+        _write_csv(p["out"], columns,
+                   ([r[c] for c in columns] for r in regime_table(alphas)))
         _write_manifest("cost", p, 0, [], [p["out"]])
         return 0
     vals = [v.strip() for v in p["query"].split(",")]

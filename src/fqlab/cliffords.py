@@ -9,17 +9,21 @@ times a uniform representative. Two constructions are used:
   in lexicographic order (6 at n = 1, 720 at n = 2), each synthesized
   once from its stabilizer images with all sign bits 0; index
   idx = s * 4^n + a names P_a S_s, 24 or 11520 elements in all. A draw
-  is one integer, and the unitary is S_s with its rows signed and
-  permuted by P_a, which is exact. Keys: ``t2:<idx>`` in this order;
+  is one integer. Row r of P_a S_s is a unit phase times row
+  perm[a, r] of S_s, exactly, so every element is read by its rows
+  from the stacked representatives (:class:`CliffordRows`) and no
+  unitary need be formed. Keys: ``t2:<idx>`` in this order;
   ``t1:<idx>`` indexes the 24 single-qubit elements phase-canonical and
-  sorted by their rounded entries (``clifford_table(1)``).
+  sorted by their rounded entries (``clifford_table(1)``), whose rows
+  are the n = 1 table.
 * n >= 3: a uniform canonical-form sampler. A symplectic basis of
   F_2^{2n} is drawn pair by pair (v_j uniform nonzero in the current
   symplectic complement, w_j uniform among vectors pairing to 1 with
   v_j), which is exactly uniform over Sp(2n, 2) by orbit counting, then
   2n uniform sign bits pick the Pauli factor. The dense unitary is
-  synthesized from the stabilizer images. Keys: ``c<n>:v1.w1...vn.wn.x.z``
-  (packed bit fields), which also replay at n = 2.
+  synthesized from the stabilizer images, and a block of draws is its
+  own row table. Keys: ``c<n>:v1.w1...vn.wn.x.z`` (packed bit fields),
+  which also replay at n = 2.
 
 Binary vectors use (x | z) coordinates: a = (x_1..x_n | z_1..z_n) maps
 to the Pauli prod_i X_i^{x_i} Z_i^{z_i} with a fixed phase convention.
@@ -225,6 +229,71 @@ def _all_bit_vectors(width: int):
         yield _unpack(val, width)
 
 
+# -- Cliffords by their rows -------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class CliffordRows:
+    """Cliffords named by their rows in a shared table.
+
+    ``elements`` holds one element id per Clifford, in any shape (a draw's
+    is (samples, registers)). Row r of element e is
+    ``phases[e % A, r] * table[index[e, r]]``, A = len(phases): element
+    ids run over (representative, Pauli) pairs with the Pauli fastest,
+    and the Pauli alone sets the phases. Where ``phases`` is None every
+    phase is 1. The phases are units (+-1, +-i), so a row's phase never
+    changes its weight.
+    """
+
+    table: np.ndarray              # (T, width) rows
+    index: np.ndarray              # (E, d): the table row of each element row
+    elements: np.ndarray           # ints in 0..E-1, any shape
+    phases: np.ndarray | None = None  # (A, d): the phase of each row, per Pauli
+
+    @classmethod
+    def of_stack(cls, unitaries: np.ndarray) -> "CliffordRows":
+        """The matrices of a (..., d, width) stack, each its own element:
+        the stack's rows are the table, in order, with phase 1."""
+        dim = unitaries.shape[-2]
+        table = unitaries.reshape(-1, unitaries.shape[-1])
+        index = np.arange(len(table)).reshape(-1, dim)
+        return cls(table, index, np.arange(len(index)).reshape(unitaries.shape[:-2]))
+
+    def select(self, elements) -> "CliffordRows":
+        """The elements ``elements`` of the same table."""
+        return CliffordRows(self.table, self.index, np.asarray(elements),
+                            self.phases)
+
+    def phase(self, labels) -> np.ndarray | None:
+        """The phase of row ``labels`` of each element (broadcast), or None
+        when every phase is 1."""
+        if self.phases is None:
+            return None
+        return self.phases[self.elements % len(self.phases), labels]
+
+    def rows(self, labels, width=None) -> np.ndarray:
+        """Row ``labels`` of each element (broadcast against ``elements``),
+        its first ``width`` entries: one gather, times its phase."""
+        rows = np.take(self.table, self.index[self.elements, labels],
+                       axis=0)[..., :width]
+        phase = self.phase(labels)
+        if phase is not None:
+            rows *= phase[..., None]
+        return rows
+
+    def unphased(self) -> np.ndarray:
+        """Every row of each element without its phase: the table rows
+        behind it, shape elements.shape + (d, width), in one gather."""
+        return np.take(self.table, self.index[self.elements], axis=0)
+
+    def unitaries(self) -> np.ndarray:
+        """The dense matrices, shape elements.shape + (d, width)."""
+        rows = self.unphased()
+        if self.phases is not None:
+            rows *= self.phases[self.elements % len(self.phases)][..., None]
+        return rows
+
+
 # -- n <= 2: the factorized Pauli x symplectic table --------------------------
 
 
@@ -241,47 +310,44 @@ def _symplectic_bases(n: int, pairs=(), chosen=()):
                 yield from _symplectic_bases(n, pairs + ((v, w),), chosen + (v, w))
 
 
-@dataclass(frozen=True, eq=False)
-class _FactorizedTable:
-    """The n <= 2 group as P_a S_s: element idx = s * 4^n + a."""
-
-    representatives: np.ndarray  # (|Sp(2n, 2)|, d, d), S_s
-    perm: np.ndarray             # (4^n, d): row r of P_a is nonzero in column perm[a, r]
-    phase: np.ndarray            # (4^n, d): ... where it holds phase[a, r]
-
-    def unitaries(self, idx) -> np.ndarray:
-        """P_a S_s for every index, shape idx.shape + (d, d): one gather of
-        rows from the stacked representatives, signed in place."""
-        s, a = np.divmod(np.asarray(idx), len(self.perm))
-        dim = self.perm.shape[1]
-        rows = self.representatives.reshape(-1, dim)[(s * dim)[..., None]
-                                                      + self.perm[a]]
-        rows *= self.phase[a][..., None]
-        return rows
-
-
 @lru_cache(maxsize=None)
-def _factorized(n: int) -> _FactorizedTable:
+def _factorized(n: int) -> CliffordRows:
+    """The n <= 2 group as P_a S_s, element idx = s * 4^n + a, by rows.
+
+    Row r of P_a holds phase[a, r] in column perm[a, r] alone, so row r of
+    P_a S_s is phase[a, r] times row perm[a, r] of S_s: the table is the
+    stacked representatives, and every element's row indices are formed
+    here once (int16, 92 kB at n = 2, below the 184 kB of the
+    representatives)."""
     zeros = np.zeros(n, dtype=np.uint8)
     reps = np.array([_unitary_from_images(n, pairs, zeros, zeros)
                      for pairs in _symplectic_bases(n)])
     paulis = np.array([_pauli_cached(n, a) for a in range(4 ** n)])
-    perm = np.argmax(np.abs(paulis) > 0.5, axis=2)
+    perm = np.argmax(np.abs(paulis) > 0.5, axis=2).astype(np.int16)
     phase = np.take_along_axis(paulis, perm[..., None], axis=2)[..., 0]
-    if len(reps) * len(paulis) != GROUP_ORDER_MOD_PHASE[n]:
+    order = GROUP_ORDER_MOD_PHASE[n]
+    if len(reps) * len(paulis) != order:
         raise AssertionError(f"{len(reps)} symplectic representatives at n = {n}")
-    for arr in (reps, perm, phase):
+    dim = 2 ** n
+    s, a = np.divmod(np.arange(order, dtype=np.int16), len(paulis))
+    index = (dim * s)[:, None] + perm[a]
+    table = reps.reshape(-1, dim)
+    for arr in (table, index, phase):
         arr.setflags(write=False)
-    return _FactorizedTable(reps, perm, phase)
+    return CliffordRows(table, index, np.arange(order, dtype=np.int16), phase)
 
 
 @lru_cache(maxsize=None)
-def _single_qubit_table() -> np.ndarray:
-    products = _factorized(1).unitaries(np.arange(GROUP_ORDER_MOD_PHASE[1]))
+def _single_qubit_table() -> CliffordRows:
+    """The 24 single-qubit elements phase-canonical and sorted by their
+    rounded entries, by rows: element e is rows 2e and 2e + 1, phase 1."""
+    products = _factorized(1).unitaries()
     table = np.array(sorted((_phase_canonical(u) for u in products),
-                            key=_matrix_key))
-    table.setflags(write=False)
-    return table
+                            key=_matrix_key)).reshape(-1, 2)
+    index = np.arange(len(table), dtype=np.int16).reshape(-1, 2)
+    for arr in (table, index):
+        arr.setflags(write=False)
+    return CliffordRows(table, index, np.arange(len(index), dtype=np.int16))
 
 
 @lru_cache(maxsize=None)
@@ -291,24 +357,29 @@ def _table_keys(n: int) -> np.ndarray:
                     dtype=object)
 
 
+def table_rows(n: int) -> CliffordRows:
+    """Every element of the n <= 2 table, in key order, by its rows."""
+    if n == 1:
+        return _single_qubit_table()
+    if n == 2:
+        return _factorized(2)
+    raise EnumerationUnavailable(f"no exhaustive table for n = {n}")
+
+
 def table_unitaries(n: int, idx) -> np.ndarray:
     """Unitaries of the table elements ``idx`` (any shape), n <= 2."""
-    if n == 1:
-        return _single_qubit_table()[idx]
-    if n == 2:
-        return _factorized(2).unitaries(idx)
-    raise EnumerationUnavailable(f"no exhaustive table for n = {n}")
+    return table_rows(n).select(idx).unitaries()
 
 
 def clifford_table(n: int) -> np.ndarray:
     """All Clifford unitaries on n <= 2 qubits mod phase, in key order.
 
-    n = 1 is cached and phase-canonical; n = 2 is formed on each call
-    (2.9 MB) from the factorized table, with no phase normalization.
+    n = 1 is phase-canonical; both are formed on each call (2.9 MB at
+    n = 2) from the row tables, with no phase normalization at n = 2.
     """
     if n not in GROUP_ORDER_MOD_PHASE:
         raise EnumerationUnavailable(f"no exhaustive table for n = {n}")
-    return table_unitaries(n, np.arange(GROUP_ORDER_MOD_PHASE[n]))
+    return table_rows(n).unitaries()
 
 
 # -- sampling and keys ----------------------------------------------------------
@@ -332,19 +403,23 @@ def sample_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
 
 
 def draw_clifford_blocks(n: int, rng: np.random.Generator, shape, block: int):
-    """Yield (keys, unitaries) for ``shape = (samples, registers)`` draws.
+    """Yield (keys, draws) for ``shape = (samples, registers)`` draws.
 
     Blocks of ``block`` samples come in order; keys are (b, registers)
-    and unitaries (b, registers, d, d). n <= 2 draws every table index
-    in one call and never calls ``sample_clifford``; n >= 3 draws element
-    by element. Either way the stream does not depend on ``block``.
+    strings and draws a :class:`CliffordRows` with elements
+    (b, registers). n <= 2 draws every table index in one call, never
+    calls ``sample_clifford`` and forms no unitary: the draws select from
+    the shared table. n >= 3 draws element by element, and each block's
+    unitaries are its own table. Either way the stream does not depend on
+    ``block``.
     """
     samples, registers = shape
     if n in GROUP_ORDER_MOD_PHASE:
+        table = table_rows(n)
         idx = rng.integers(0, GROUP_ORDER_MOD_PHASE[n], size=shape)
         for start in range(0, samples, block):
             part = idx[start:start + block]
-            yield _table_keys(n)[part], table_unitaries(n, part)
+            yield _table_keys(n)[part], table.select(part)
         return
     for start in range(0, samples, block):
         count = min(block, samples - start) * registers
@@ -352,7 +427,7 @@ def draw_clifford_blocks(n: int, rng: np.random.Generator, shape, block: int):
         keys = np.array([c.key for c in drawn], dtype=object)
         unitaries = np.array([c.unitary for c in drawn])
         yield (keys.reshape(-1, registers),
-               unitaries.reshape(-1, registers, 2 ** n, 2 ** n))
+               CliffordRows.of_stack(unitaries.reshape(-1, registers, 2 ** n, 2 ** n)))
 
 
 def clifford_from_key(key: str) -> CliffordElement:

@@ -234,20 +234,19 @@ def measurement_costs(q: CostQuery) -> dict:
     return rows
 
 
-def regime_table(alphas) -> list:
-    """Rows (alpha, beta_c, beta_q, speedup, quantum label, classical term)."""
-    rows = []
+def regime_table(alphas):
+    """Yield one row (alpha, beta_c, beta_q, speedup, quantum label,
+    classical term) per alpha, as it is made."""
     for alpha in alphas:
         beta_c, beta_q = beta_exponents(alpha)
-        rows.append({
+        yield {
             "alpha": float(alpha),
             "beta_classical": beta_c,
             "beta_quantum": beta_q,
             "speedup": beta_c / beta_q,
             "optimal_quantum": optimal_quantum_label(alpha),
             "optimal_classical_term": optimal_classical_term(alpha),
-        })
-    return rows
+        }
 
 
 def cost_report(q: CostQuery) -> dict:

@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .cliffords import clifford_from_key, clifford_table, draw_clifford_blocks
+from .cliffords import (CliffordRows, clifford_from_key, clifford_table,
+                        draw_clifford_blocks, table_rows)
 from .errors import (
     AssumptionViolated,
     EnumerationUnavailable,
@@ -32,15 +33,17 @@ from .states import (
     check_budget,
     check_labels,
     contract_registers,
+    register_factor,
+    row_weights,
     sample_registers,
 )
 
 _CHUNK = 4096
 # Samples per block: as many as keep the largest per-sample arrays of a
-# draw, the d N^(eta-2) level-2 slice of sample_registers and the
-# (eta, d, d) Clifford stack, within this many complex entries, at least
-# one. At N = 4 that is 256 samples at eta = 2 and 128 at eta = 4; twice
-# or four times the budget measured no faster there.
+# draw, the d N^(eta-2) level-2 slice of sample_registers and the d x N
+# table rows of one register's Clifford that each later level gathers,
+# within this many complex entries, at least one. At N = 4 that is 512
+# samples at eta = 2 and 128 at eta = 4.
 _BLOCK_AMPLITUDES = 2 ** 13
 
 
@@ -159,22 +162,27 @@ def _collect_chunk(state, part: ShadowBatch, rng) -> None:
 
     The stream gives one uniform per sample, then eta Clifford draws per
     sample. Each block of samples is then drawn register by register
-    (:func:`~fqlab.states.sample_registers`).
+    (:func:`~fqlab.states.sample_registers`). The register factor is
+    formed once, and the level-1 weights once per table: once in all at
+    n <= 2, where every block draws from the shared table.
     """
     uniforms = rng.random(len(part))
     dim, n = state.register_dim, state.n_orbitals
-    per_sample = max(dim * state.tensor.size // n ** 2, state.eta * dim * dim)
+    per_sample = max(dim * state.tensor.size // n ** 2, dim * n)
     block = max(1, _BLOCK_AMPLITUDES // per_sample)
     shape = (len(part), state.eta)
+    factor = register_factor(state.tensor)
+    table = weights = None
     start = 0
-    for keys, unitaries in draw_clifford_blocks(state.qubits_per_register, rng,
-                                                shape, block):
+    for keys, draws in draw_clifford_blocks(state.qubits_per_register, rng,
+                                            shape, block):
+        if draws.table is not table:
+            table, weights = draws.table, row_weights(factor, draws.table)
         span = slice(start, start + len(keys))
-        columns = unitaries[..., :n]
-        outcomes = sample_registers(state.tensor, uniforms[span], columns)
+        outcomes = sample_registers(state.tensor, uniforms[span], draws, weights)
         part.keys[span] = keys
         part.outcomes[span] = outcomes
-        part.rows[span] = gather_outcome_rows(columns, outcomes)
+        part.rows[span] = gather_outcome_rows(draws, outcomes, n)
         start += len(keys)
 
 
@@ -209,16 +217,16 @@ def collect_shadows(state: FirstQuantizedState, m: int, seed: int,
     return batch
 
 
-def gather_outcome_rows(unitaries: np.ndarray,
-                        outcomes: np.ndarray) -> np.ndarray:
-    """The row U_x[b_x, :] of each register's Clifford, shape (..., eta, N).
+def gather_outcome_rows(draws: CliffordRows, outcomes: np.ndarray,
+                        width: int | None = None) -> np.ndarray:
+    """The row U_x[b_x, :width] of each register's Clifford, shape
+    (..., eta, width).
 
-    ``unitaries`` (..., eta, d, N) and ``outcomes`` (..., eta) have equal
-    ndim and broadcast against each other over the leading dimensions.
-    One direct index: the unitaries' own index grids, with the outcomes
-    in the row axis.
+    ``draws.elements`` (..., eta) and ``outcomes`` (..., eta) broadcast
+    against each other. One gather of table rows, each times its phase
+    (:meth:`~fqlab.cliffords.CliffordRows.rows`): no unitary is formed.
     """
-    return unitaries[(*np.indices(unitaries.shape[:-2], sparse=True), outcomes)]
+    return draws.rows(outcomes, width)
 
 
 def samples_from_keys(rows, n_orbitals: int) -> ShadowBatch:
@@ -425,19 +433,20 @@ def exhaustive_estimator_mean(state: FirstQuantizedState, bra_labels,
     Refused before any tuple is built when the rows of every pair, the
     largest array, would exceed the dense regime.
     """
-    table = clifford_table(state.qubits_per_register)
+    table = table_rows(state.qubits_per_register)
+    order = len(table.index)
     eta, dim, n = state.eta, state.register_dim, state.n_orbitals
-    check_budget(f"the exhaustive mean's rows over {len(table)}^{eta} "
-                 f"Clifford tuples", (len(table) * dim,) * eta + (eta, n))
-    combos = np.indices((len(table),) * eta).reshape(eta, -1).T
-    columns = table[combos][..., :n]                # (tuples, eta, d, N)
+    check_budget(f"the exhaustive mean's rows over {order}^{eta} "
+                 f"Clifford tuples", (order * dim,) * eta + (eta, n))
+    combos = np.indices((order,) * eta).reshape(eta, -1).T
+    columns = table.select(combos).unitaries()[..., :n]  # (tuples, eta, d, N)
     probs = np.abs(contract_registers(state.tensor, columns)) ** 2
     outcomes = np.indices((dim,) * eta).reshape(eta, -1).T
     # rows[c, o, x] = U_{c, x}[o_x, :N], for outcome o in row-major order
-    rows = gather_outcome_rows(columns[:, None], outcomes[None])
+    rows = gather_outcome_rows(table.select(combos[:, None]), outcomes[None], n)
     values = _RegisterRows(rows.reshape(-1, eta, n)).values(bra_labels,
                                                             ket_labels)
-    return complex(probs.reshape(-1) @ values / len(table) ** eta)
+    return complex(probs.reshape(-1) @ values / order ** eta)
 
 
 def twirl_deviations(n: int, a: np.ndarray, b: np.ndarray,

@@ -18,6 +18,7 @@ import struct
 
 import numpy as np
 
+from .cliffords import CliffordRows
 from .errors import (
     BruteForceLimitExceeded,
     DuplicateRegister,
@@ -118,50 +119,70 @@ def register_factor(tensor: np.ndarray) -> np.ndarray:
     return np.linalg.qr(flat.conj().T, mode="r").conj().T
 
 
+def row_weights(factor: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The squared norm of each table row's image under a register factor
+    W (:func:`register_factor`): with W formed once, the weight of every
+    label that a table row can measure on register 1, in one GEMM."""
+    parts = (table[:, :len(factor)] @ factor).view(np.float64)
+    return np.einsum("ij,ij->i", parts, parts)  # |amplitude|^2 = re^2 + im^2
+
+
 def sample_registers(tensor: np.ndarray, uniforms: np.ndarray,
-                     unitaries: np.ndarray | None = None) -> np.ndarray:
+                     draws: CliffordRows | None = None,
+                     weights: np.ndarray | None = None) -> np.ndarray:
     """Born outcomes of measuring every register, one row per uniform.
 
-    Sample b applies ``unitaries[b, x]`` (shape (B, ndim, d, N); the
-    identity when omitted) to axis x of ``tensor`` and measures all
-    registers. Its outcome is the joint row-major inverse CDF at
-    ``uniforms[b]`` in [0, 1), drawn by the chain rule, one register at a
-    time: the label of register x is the inverse CDF of its marginal in
-    the slice of the labels already drawn, at what is left of the uniform
-    scaled by the total.
+    Sample b applies the Clifford ``draws.elements[b, x]`` (a
+    :class:`~fqlab.cliffords.CliffordRows` of d rows of at least N
+    entries, of which the first N act; the identity when omitted) to axis
+    x of ``tensor`` and measures all registers. Its outcome is the joint
+    row-major inverse CDF at ``uniforms[b]`` in [0, 1), drawn by the
+    chain rule, one register at a time: the label of register x is the
+    inverse CDF of its marginal in the slice of the labels already drawn,
+    at what is left of the uniform scaled by the total.
 
-    Level 1 reads every sample's register-1 marginals from one factor W
-    of the tensor (:func:`register_factor`, formed once per call): the
-    weight of label a is the squared norm of row a of U_1 W, all rows of
-    all samples in one GEMM. Only the drawn row U_1[b_1, :] then meets
-    the tensor, in one (B x N) @ (N x N^(ndim-1)) GEMM, and each later
-    level applies the next unitary to the live slice alone: no sample
-    holds N^ndim amplitudes. A label of probability zero is never drawn,
-    also when rounding puts the remaining target past the end of a level.
+    Level 1 reads every sample's register-1 marginals from ``weights``,
+    the :func:`row_weights` of the draws' table (formed here when
+    omitted; a caller drawing many blocks from one table forms it once):
+    the weight of label a is that of the table row behind row a of the
+    sample's Clifford, one gather, since a unit phase leaves it unchanged.
+    Only the drawn row U_1[b_1, :] then meets the tensor, in one
+    (B x N) @ (N x N^(ndim-1)) GEMM, and each later level applies the
+    next Clifford's table rows to the live slice alone: no sample holds
+    N^ndim amplitudes, or the rows of more than one register's Clifford.
+    Only the row carried to the next level takes its phase. A label of
+    probability zero is never drawn, also when rounding puts the
+    remaining target past the end of a level.
     """
     batch, labels = len(uniforms), tensor.shape[0]
     flat = np.ascontiguousarray(tensor).reshape(labels, -1)
-    if unitaries is None:
-        unitaries = np.broadcast_to(np.eye(labels, dtype=complex),
-                                    (batch, tensor.ndim, labels, labels))
-    dim = unitaries.shape[-2]
-    live = unitaries[:, 0].reshape(-1, labels) @ register_factor(flat)
-    live = live.reshape(batch, dim, -1)
+    if draws is None:  # one element, the identity
+        draws = CliffordRows(np.eye(labels, dtype=complex), np.arange(labels)[None],
+                             np.zeros((batch, tensor.ndim), dtype=np.intp))
+    if weights is None:
+        weights = row_weights(register_factor(flat), draws.table)
+    dim = draws.index.shape[1]
     # cdf[a, b] is the weight of the labels below a in sample b's slice
     cdf = np.zeros((dim + 1, batch))
     picks = np.arange(batch)
     outcomes = np.empty((batch, tensor.ndim), dtype=np.int64)
     for x in range(tensor.ndim):
-        if x == 1:
-            live = unitaries[picks, 0, outcomes[:, 0]] @ flat
-        elif x:
-            live = live[picks, outcomes[:, x - 1]]
-        if x:
-            live = unitaries[:, x] @ live.reshape(batch, labels, -1)
-        parts = live.view(np.float64)  # |amplitude|^2 = re^2 + im^2
-        weights = np.einsum("bij,bij->ib", parts, parts)
+        register = draws.select(draws.elements[:, x])
+        if x == 0:
+            level = weights[register.index[register.elements].T]
+        else:
+            if x == 1:
+                live = carried.rows(outcomes[:, 0], labels) @ flat
+            else:
+                live = live[picks, outcomes[:, x - 1]]
+                phase = carried.phase(outcomes[:, x - 1])
+                if phase is not None:
+                    live *= phase[:, None]
+            live = register.unphased()[..., :labels] @ live.reshape(batch, labels, -1)
+            parts = live.view(np.float64)  # |amplitude|^2 = re^2 + im^2
+            level = np.einsum("bij,bij->ib", parts, parts)
         for a in range(dim):  # d row adds; np.cumsum here measured slower
-            np.add(cdf[a], weights[a], out=cdf[a + 1])
+            np.add(cdf[a], level[a], out=cdf[a + 1])
         if not x:
             target = uniforms * cdf[-1]
         # past the end only by rounding: the label where the total is reached
@@ -169,6 +190,7 @@ def sample_registers(tensor: np.ndarray, uniforms: np.ndarray,
         label = (cdf[1:] <= target).sum(axis=0)
         target = target - cdf[label, picks]
         outcomes[:, x] = label
+        carried = register
     return outcomes
 
 

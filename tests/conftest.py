@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from fqlab.grids import GridSpec
-from fqlab.states import FirstQuantizedState, antisymmetrize
+from fqlab.states import FirstQuantizedState, antisymmetrize, register_factor
 
 # The same examples on every run, and no example database carried over
 # from earlier runs, so that reruns are bit-identical.
@@ -86,6 +86,62 @@ def joint_born_outcomes(tensors, uniforms):
     cdf /= cdf[:, -1:]
     flat = np.count_nonzero(cdf <= uniforms[:, None], axis=1)
     return np.stack(np.unravel_index(flat, tensors.shape[1:]), axis=-1)
+
+
+# The register-by-register sampler as it read a dense (B, ndim, d, N) stack
+# of unitaries, kept as it was: the oracle for the row-form sampler.
+def stack_sample_registers(tensor: np.ndarray, uniforms: np.ndarray,
+                           unitaries: np.ndarray | None = None) -> np.ndarray:
+    """Born outcomes of measuring every register, one row per uniform.
+
+    Sample b applies ``unitaries[b, x]`` (shape (B, ndim, d, N); the
+    identity when omitted) to axis x of ``tensor`` and measures all
+    registers. Its outcome is the joint row-major inverse CDF at
+    ``uniforms[b]`` in [0, 1), drawn by the chain rule, one register at a
+    time: the label of register x is the inverse CDF of its marginal in
+    the slice of the labels already drawn, at what is left of the uniform
+    scaled by the total.
+
+    Level 1 reads every sample's register-1 marginals from one factor W
+    of the tensor (:func:`register_factor`, formed once per call): the
+    weight of label a is the squared norm of row a of U_1 W, all rows of
+    all samples in one GEMM. Only the drawn row U_1[b_1, :] then meets
+    the tensor, in one (B x N) @ (N x N^(ndim-1)) GEMM, and each later
+    level applies the next unitary to the live slice alone: no sample
+    holds N^ndim amplitudes. A label of probability zero is never drawn,
+    also when rounding puts the remaining target past the end of a level.
+    """
+    batch, labels = len(uniforms), tensor.shape[0]
+    flat = np.ascontiguousarray(tensor).reshape(labels, -1)
+    if unitaries is None:
+        unitaries = np.broadcast_to(np.eye(labels, dtype=complex),
+                                    (batch, tensor.ndim, labels, labels))
+    dim = unitaries.shape[-2]
+    live = unitaries[:, 0].reshape(-1, labels) @ register_factor(flat)
+    live = live.reshape(batch, dim, -1)
+    # cdf[a, b] is the weight of the labels below a in sample b's slice
+    cdf = np.zeros((dim + 1, batch))
+    picks = np.arange(batch)
+    outcomes = np.empty((batch, tensor.ndim), dtype=np.int64)
+    for x in range(tensor.ndim):
+        if x == 1:
+            live = unitaries[picks, 0, outcomes[:, 0]] @ flat
+        elif x:
+            live = live[picks, outcomes[:, x - 1]]
+        if x:
+            live = unitaries[:, x] @ live.reshape(batch, labels, -1)
+        parts = live.view(np.float64)  # |amplitude|^2 = re^2 + im^2
+        weights = np.einsum("bij,bij->ib", parts, parts)
+        for a in range(dim):  # d row adds; np.cumsum here measured slower
+            np.add(cdf[a], weights[a], out=cdf[a + 1])
+        if not x:
+            target = uniforms * cdf[-1]
+        # past the end only by rounding: the label where the total is reached
+        target = np.minimum(target, np.nextafter(cdf[-1], -1))
+        label = (cdf[1:] <= target).sum(axis=0)
+        target = target - cdf[label, picks]
+        outcomes[:, x] = label
+    return outcomes
 
 
 def permutation_sign(perm):

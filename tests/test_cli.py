@@ -23,7 +23,7 @@ from fqlab.experiment import pipeline_shadow_experiment
 from fqlab.grids import GridSpec
 from fqlab.states import FirstQuantizedState, load_state, save_state
 
-from conftest import random_orthonormal
+from conftest import random_orthonormal, traced_peak
 
 
 def sha256(path):
@@ -76,6 +76,28 @@ class TestCost:
     def test_query_outside_its_domain_exits_two(self, workdir, capsys, query,
                                                 needle):
         exits_two_with_one_line(["cost", "--query", query], capsys, needle)
+
+    def test_alpha_range_without_out_refused_before_a_row(
+            self, workdir, capsys, monkeypatch):
+        def built(alphas):
+            raise AssertionError("a row was built before --out was checked")
+        monkeypatch.setattr(cli, "regime_table", built)
+        exits_two_with_one_line(["cost", "--alpha-range", "1:8:0.25"], capsys,
+                                "--alpha-range needs --out")
+
+    def test_alpha_below_one_refused_before_the_file(self, workdir, capsys):
+        exits_two_with_one_line(["cost", "--alpha-range", "0.5:2:0.5", "--out",
+                                 "s.csv"], capsys, "alpha must be >= 1")
+        assert not (workdir / "s.csv").exists()
+
+    def test_alpha_range_streams_its_rows(self, workdir):
+        # 100001 rows are written as they are made (0.2 MB traced); held
+        # as dicts and lists before the write they took 50 MB
+        peak = traced_peak(lambda: dispatch(["cost", "--alpha-range",
+                                             "1:2:1e-5", "--out", "s.csv"]))
+        with open("s.csv") as fh:
+            assert sum(1 for _ in fh) == 100_002
+        assert peak <= 2 * 2 ** 20
 
     @pytest.mark.parametrize("spec", ["1:1e308:1e-308", "1:5:1e-9"])
     def test_alpha_range_beyond_the_budget_refused_before_a_row(

@@ -6,6 +6,7 @@ import pytest
 from fqlab.cliffords import (
     GROUP_ORDER_MOD_PHASE,
     CliffordElement,
+    CliffordRows,
     _matrix_key,
     _phase_canonical,
     clifford_from_key,
@@ -15,6 +16,8 @@ from fqlab.cliffords import (
     sample_clifford,
     sample_symplectic_basis,
     _symplectic_product,
+    table_rows,
+    table_unitaries,
 )
 from fqlab.errors import EnumerationUnavailable, ValidationError
 from fqlab.rng import derive_rng
@@ -167,6 +170,47 @@ class TestKeyReplay:
             clifford_from_key(key)
 
 
+class TestRowForm:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rows_rebuild_every_table_element(self, n):
+        # row r of element e is phase * table[index[e, r]], the phase 1
+        # at n = 1 and that of row r of P_a, a = e mod 16, at n = 2
+        rows = table_rows(n)
+        dim = 2 ** n
+        for idx in range(GROUP_ORDER_MOD_PHASE[n]):
+            rebuilt = np.array([
+                rows.table[rows.index[idx, r]]
+                * (1 if rows.phases is None else rows.phases[idx % 16, r])
+                for r in range(dim)])
+            assert np.array_equal(rebuilt, table_unitaries(n, idx))
+
+    def test_two_qubit_elements_are_pauli_times_representative(self):
+        # idx = 16 s + a names P_a S_s, and S_s is element 16 s (P_0 = I)
+        paulis = [pauli_from_bits([(a >> (3 - b)) & 1 for b in range(4)], 2)
+                  for a in range(16)]
+        table = clifford_table(2).reshape(-1, 16, 4, 4)
+        assert np.array_equal(table, np.array(paulis) @ table[:, :1])
+
+    def test_element_tables_are_smaller_than_the_representatives(self):
+        # the per-element row indices are built once, and they and the
+        # element ids stay below the 184 kB of the 720 representatives
+        rows = table_rows(2)
+        assert rows.table.nbytes == 720 * 4 * 4 * 16
+        assert rows.index.nbytes + rows.elements.nbytes < rows.table.nbytes
+        assert rows.phases.shape == (16, 4)
+
+    def test_rows_of_a_stack_are_its_own(self):
+        rng = np.random.default_rng(4)
+        stack = rng.normal(size=(3, 2, 4, 4)) + 1j * rng.normal(size=(3, 2, 4, 4))
+        rows = CliffordRows.of_stack(stack)
+        assert rows.elements.shape == (3, 2)
+        assert np.array_equal(rows.unitaries(), stack)
+        labels = rng.integers(0, 4, size=(3, 2))
+        picked = rows.rows(labels, 3)
+        assert np.array_equal(picked, np.take_along_axis(
+            stack, labels[..., None, None], axis=2)[..., 0, :3])
+
+
 class TestBlockDraws:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_blocks_do_not_change_the_stream(self, n):
@@ -174,7 +218,7 @@ class TestBlockDraws:
             blocks = list(draw_clifford_blocks(n, derive_rng(6, "b", n),
                                                (7, 2), block))
             return (np.concatenate([k for k, _ in blocks]),
-                    np.concatenate([u for _, u in blocks]))
+                    np.concatenate([d.unitaries() for _, d in blocks]))
         keys, unitaries = draw(7)
         for block in (1, 3):
             again_keys, again_unitaries = draw(block)

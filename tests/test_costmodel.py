@@ -242,7 +242,7 @@ class TestRegimeTable:
             assert optimal_quantum_label(alpha) == label
 
     def test_rows_structure(self):
-        rows = regime_table([1.0, 2.5, 6.0])
+        rows = list(regime_table([1.0, 2.5, 6.0]))
         assert [r["alpha"] for r in rows] == [1.0, 2.5, 6.0]
         assert rows[1]["speedup"] == pytest.approx(speedup_exponent(2.5))
         assert rows[0]["optimal_classical_term"] == "N^(4/3) eta^(7/3)"

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import numpy as np
 import pytest
 
-from fqlab.cliffords import clifford_table
+from fqlab.cliffords import CliffordRows, clifford_table
 from fqlab import shadows, states
 from fqlab.errors import (
     AssumptionViolated,
@@ -439,6 +439,18 @@ class TestCollect:
             assert np.array_equal(one.outcomes, two.outcomes)
             assert one.rows.tobytes() == two.rows.tobytes()
 
+    @pytest.mark.parametrize("n_orbitals,eta", [(2, 2), (3, 3), (4, 4)])
+    def test_table_registers_form_no_unitary(self, monkeypatch, n_orbitals,
+                                             eta):
+        # at n <= 2 every block reads rows from the shared table
+        def dense(self):
+            raise AssertionError("a stack of unitaries was formed")
+        state = random_antisymmetric_state(n_orbitals, eta, seed=3)
+        expected = collect_shadows(state, 600, seed=5)
+        monkeypatch.setattr(CliffordRows, "unitaries", dense)
+        batch = collect_shadows(state, 600, seed=5)
+        assert batch.rows.tobytes() == expected.rows.tobytes()
+
     @pytest.mark.parametrize("n_orbitals,eta", [(4, 2), (3, 3), (4, 4)])
     @pytest.mark.parametrize("block", ["one-sample", "whole-chunk"])
     def test_batch_does_not_depend_on_block_size(self, monkeypatch,
@@ -466,7 +478,8 @@ class TestCollect:
         draws = 20_000
         outcomes = sample_registers(
             state.tensor, derive_rng(3, "born").random(draws),
-            np.broadcast_to(units, (draws,) + units.shape))
+            CliffordRows.of_stack(units).select(
+                np.broadcast_to(np.arange(2), (draws, 2))))
         counts = np.bincount(np.ravel_multi_index(outcomes.T, (4, 4)),
                              minlength=16)
         expect = draws * probs.reshape(-1)
@@ -510,6 +523,16 @@ class TestStreamPins:
         (8, 2): ("81a180de5242329d086fdd2308cbe2e9e833ef6326af86e26f8708f999ec4350",
                  "08578296bc2dba5486714847cc6f2e29a8905e699bbafec5883577fefae3d316",
                  "9b3a0699b9de208861435ba39e690d9fac299e9f0120a4c52a61353885597f65"),
+        (2, 2): ("30fbc1f1a1a89a2c4c11a6582d417ce52f1e628596a03b5791a08d6ad2b7a199",
+                 "a55412e78ca96491955052de30b781ef6efbb7ef5804c682dfb1a2b2dbfffea6",
+                 "7e564d81a93eacf99ce529899a15ef88be45f10833be21bf5514172af992e702"),
+    }
+
+    # 2000 samples at N = 4, eta = 2: one chunk of several blocks
+    BLOCK_PINS = {
+        (4, 2): ("54a2167e38954d9f91e28621314481c2c5a0292560024d1156b7e67598e83cb1",
+                 "772c458149b715f37b10ca3153550703f351f8a4c8ba313070dd57b30ed2d86c",
+                 "be4b65934c3294621647a6e6d735d0b56084a9af444c13aa26ecf58522d833d7"),
     }
 
     # N = 5 in registers of 8 labels: recorded when rows held all 8
@@ -528,21 +551,26 @@ class TestStreamPins:
         state = slater_oracle(random_orthonormal(n_orbitals, eta, seed=9))
         batch = collect_shadows(state, 300, seed=11)
         assert batch.rows.shape == (300, eta, n_orbitals)
+        assert self.digests(batch) == self.PADDED_PINS[n_orbitals, eta]
+
+    @staticmethod
+    def digests(batch):
         keys = "\n".join("|".join(row) for row in batch.keys.tolist())
-        digests = tuple(hashlib.sha256(data).hexdigest() for data in (
+        return tuple(hashlib.sha256(data).hexdigest() for data in (
             keys.encode(), batch.outcomes.astype("<i8").tobytes(),
             batch.rows.astype("<c16").tobytes()))
-        assert digests == self.PADDED_PINS[n_orbitals, eta]
 
     @pytest.mark.parametrize("n_orbitals,eta", list(PINS))
     def test_keys_outcomes_and_rows_are_pinned(self, n_orbitals, eta):
         state = random_antisymmetric_state(n_orbitals, eta, seed=9)
         batch = collect_shadows(state, 300, seed=11)
-        keys = "\n".join("|".join(row) for row in batch.keys.tolist())
-        digests = tuple(hashlib.sha256(data).hexdigest() for data in (
-            keys.encode(), batch.outcomes.astype("<i8").tobytes(),
-            batch.rows.astype("<c16").tobytes()))
-        assert digests == self.PINS[n_orbitals, eta]
+        assert self.digests(batch) == self.PINS[n_orbitals, eta]
+
+    @pytest.mark.parametrize("n_orbitals,eta", list(BLOCK_PINS))
+    def test_several_blocks_are_pinned(self, n_orbitals, eta):
+        state = random_antisymmetric_state(n_orbitals, eta, seed=9)
+        batch = collect_shadows(state, 2000, seed=11)
+        assert self.digests(batch) == self.BLOCK_PINS[n_orbitals, eta]
 
 
 class TestGatherOutcomeRows:
@@ -553,7 +581,7 @@ class TestGatherOutcomeRows:
         shape = (batch, eta, dim, dim)
         unitaries = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         outcomes = rng.integers(0, dim, size=(batch, eta))
-        rows = gather_outcome_rows(unitaries, outcomes)
+        rows = gather_outcome_rows(CliffordRows.of_stack(unitaries), outcomes)
         assert rows.shape == (batch, eta, dim)
         for b in range(batch):
             for x in range(eta):
@@ -566,7 +594,9 @@ class TestGatherOutcomeRows:
         rng = np.random.default_rng(seed)
         unitaries = rng.normal(size=(tuples, eta, 4, 4))
         labels = rng.integers(0, 4, size=(outcomes, eta))
-        rows = gather_outcome_rows(unitaries[:, None], labels[None])
+        draws = CliffordRows.of_stack(unitaries)
+        rows = gather_outcome_rows(draws.select(draws.elements[:, None]),
+                                   labels[None])
         assert rows.shape == (tuples, outcomes, eta, 4)
         for c in range(tuples):
             for o in range(outcomes):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fqlab.cliffords import draw_clifford_blocks
+from fqlab.cliffords import CliffordRows, draw_clifford_blocks
 from fqlab.errors import (
     BruteForceLimitExceeded,
     DuplicateRegister,
@@ -37,6 +37,7 @@ from fqlab.states import (
     load_state,
     measure_all,
     register_factor,
+    row_weights,
     sample_registers,
     save_state,
     signed_permutation_sum,
@@ -52,6 +53,7 @@ from conftest import (
     permutation_sign,
     random_antisymmetric_state,
     random_orthonormal,
+    stack_sample_registers,
 )
 
 
@@ -412,12 +414,39 @@ class TestSampleRegisters:
         rng = derive_rng(5, "oracle", 10 * eta + n)
         draws = 100 if n == 3 else 400
         uniforms = rng.random(draws)
-        (_, units), = draw_clifford_blocks(n, rng, (draws, eta), draws)
-        outcomes = sample_registers(tensor, uniforms, units)
+        (_, rows), = draw_clifford_blocks(n, rng, (draws, eta), draws)
+        outcomes = sample_registers(tensor, uniforms, rows)
         assert outcomes.shape == (draws, eta)
         assert np.array_equal(
             outcomes,
-            joint_born_outcomes(contract_registers(tensor, units), uniforms))
+            joint_born_outcomes(contract_registers(tensor, rows.unitaries()),
+                                uniforms))
+
+    @pytest.mark.parametrize("n_orbitals", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("eta", [1, 2, 3])
+    def test_matches_the_stack_sampler(self, n_orbitals, eta):
+        # the same uniforms and draws, read by rows from the table and as
+        # the dense stack of their unitaries' first N columns
+        tensor = padded_random_tensor(n_orbitals, eta, seed=7 * n_orbitals + eta)
+        tensor = tensor[(slice(0, n_orbitals),) * eta]
+        rng = derive_rng(8, "rows", 10 * n_orbitals + eta)
+        draws = 60 if n_orbitals > 4 else 600
+        uniforms = rng.random(draws)
+        (_, rows), = draw_clifford_blocks(register_qubits(n_orbitals), rng,
+                                          (draws, eta), draws)
+        stack = rows.unitaries()[..., :n_orbitals]
+        expected = stack_sample_registers(tensor, uniforms, stack)
+        assert np.array_equal(sample_registers(tensor, uniforms, rows), expected)
+        weights = row_weights(register_factor(tensor), rows.table)
+        assert np.array_equal(sample_registers(tensor, uniforms, rows, weights),
+                              expected)
+
+    @pytest.mark.parametrize("n_orbitals,eta", [(3, 2), (4, 3), (8, 2)])
+    def test_identity_matches_the_stack_sampler(self, n_orbitals, eta):
+        tensor = random_antisymmetric_state(n_orbitals, eta, seed=eta).tensor
+        uniforms = derive_rng(9, "plain", n_orbitals).random(500)
+        assert np.array_equal(sample_registers(tensor, uniforms),
+                              stack_sample_registers(tensor, uniforms))
 
     @pytest.mark.parametrize("n_orbitals,eta", [
         (2, 1), (3, 2), (4, 3), (5, 2), (6, 2), (8, 4), (16, 2)])
@@ -460,7 +489,8 @@ class TestSampleRegisters:
         tensor[2, 2] = 1.0
         units = np.stack([np.eye(4), np.eye(4) * (1 - 4 * np.finfo(float).eps)])
         uniform = np.array([np.nextafter(1.0, 0.0)])
-        outcomes = sample_registers(tensor, uniform, units[None])
+        outcomes = sample_registers(tensor, uniform,
+                                    CliffordRows.of_stack(units[None]))
         assert outcomes.tolist() == [[2, 2]]
         assert np.array_equal(outcomes, joint_born_outcomes(
             contract_registers(tensor, units)[None], uniform))

@@ -4,7 +4,8 @@
 state stores its N^eta block, 343^2 complex amplitudes (1.8 MiB); the
 padded (2^9)^2 tensor of its snapshot file is 4.0 MiB. The evolve
 bounds are multiples of the block, the others of the padded tensor.
-Peaks are traced allocations.
+Peaks are traced allocations. Shadow collection is measured at N = 4
+(2-qubit registers), the size of the benchmark's readout.
 """
 
 import tracemalloc
@@ -17,9 +18,10 @@ from fqlab.grids import GridSpec
 from fqlab.hamiltonian import (CoulombKernel, GridHamiltonian, NuclearConfig,
                                total_energy)
 from fqlab.meanfield import GridIntegrals
+from fqlab.shadows import _BLOCK_AMPLITUDES, collect_shadows
 from fqlab.states import load_state
 
-from conftest import traced_peak
+from conftest import random_antisymmetric_state, traced_peak
 
 GRID = GridSpec(dim=3, points_per_axis=7, cell_volume=343.0)
 BLOCK = 343 ** 2 * 16
@@ -106,3 +108,20 @@ def test_tdhf_integrals_hold_one_dense_matrix():
     # it past 2x
     assert peak <= 1.3 * square
     del ints
+
+
+# Beyond the batch's own keys, outcomes and rows, 2000 samples hold the
+# chunk's uniforms and table draws, the level-1 weight table and one
+# block's arrays, in block budgets (16 _BLOCK_AMPLITUDES bytes each): 2.7
+# at eta = 2 and 3.3 at eta = 4. A (B, eta, d, d) stack of each block's
+# unitaries and its index arrays would take them to 3.8 and 4.1.
+SHADOW_BUDGETS = {2: 3.0, 4: 3.6}
+
+
+@pytest.mark.parametrize("eta", [2, 4])
+def test_collect_shadows(eta):
+    state = random_antisymmetric_state(4, eta, seed=9)
+    collect_shadows(state, 10, seed=1)  # the tables a first call builds
+    batch = 2000 * eta * (8 + 8 + 4 * 16)
+    peak = traced_peak(lambda: collect_shadows(state, 2000, seed=11))
+    assert peak - batch <= SHADOW_BUDGETS[eta] * 16 * _BLOCK_AMPLITUDES
