@@ -17,6 +17,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -66,6 +67,17 @@ def _write_csv(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _check_writable(*paths) -> None:
+    """Refuse an output path that cannot be written, before any work: each
+    is opened for appending, and removed again if that made it."""
+    for path in filter(None, paths):
+        made = not os.path.exists(path)
+        with open(path, "a"):
+            pass
+        if made:
+            os.remove(path)
 
 
 def _write_manifest(subcommand, params, seed, inputs, outputs) -> None:
@@ -357,6 +369,7 @@ def _cmd_shadows(args, config) -> int:
     p = _resolve("shadows", args, config)
     if p["seed"] < 0:  # refused before the snapshot is read
         raise UsageError(f"--seed must be a nonnegative integer, got {p['seed']}")
+    _check_writable(p["out"], p["dump-samples"])  # before any sample is drawn
     state = load_state(p["in"])
     check_order(p["k"], state.eta)  # before the element rows are split by k
     samples = (p["samples"] if p["samples"] == "auto"
@@ -370,8 +383,9 @@ def _cmd_shadows(args, config) -> int:
     _write_csv(p["out"], ["i", "j", "re", "im", "groups", "group_size"], rows)
     outputs = [p["out"]]
     if p["dump-samples"]:
-        sample_rows = [["|".join(keys), "|".join(map(str, outcomes))]
-                       for keys, outcomes in zip(batch.keys, batch.outcomes)]
+        # the key text is formed here, the one place it is written
+        sample_rows = (["|".join(keys), "|".join(map(str, outcomes))]
+                       for keys, outcomes in zip(batch.keys, batch.outcomes))
         _write_csv(p["dump-samples"], ["cliffords", "outcomes"], sample_rows)
         outputs.append(p["dump-samples"])
     inputs = [p["in"]] + ([p["elements"]] if p["elements"] != "all-1rdm" else [])

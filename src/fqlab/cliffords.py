@@ -25,6 +25,10 @@ times a uniform representative. Two constructions are used:
   own row table. Keys: ``c<n>:v1.w1...vn.wn.x.z`` (packed bit fields),
   which also replay at n = 2.
 
+Draws are named by integer ids, and key text is formed only where it is
+read (:class:`KeyText`): a table draw's id is its index, a canonical-form
+draw's indexes the key strings made with it.
+
 Binary vectors use (x | z) coordinates: a = (x_1..x_n | z_1..z_n) maps
 to the Pauli prod_i X_i^{x_i} Z_i^{z_i} with a fixed phase convention.
 """
@@ -350,13 +354,6 @@ def _single_qubit_table() -> CliffordRows:
     return CliffordRows(table, index, np.arange(len(index), dtype=np.int16))
 
 
-@lru_cache(maxsize=None)
-def _table_keys(n: int) -> np.ndarray:
-    """The key string of every table index, shared by all draws."""
-    return np.array([f"t{n}:{idx}" for idx in range(GROUP_ORDER_MOD_PHASE[n])],
-                    dtype=object)
-
-
 def table_rows(n: int) -> CliffordRows:
     """Every element of the n <= 2 table, in key order, by its rows."""
     if n == 1:
@@ -382,7 +379,42 @@ def clifford_table(n: int) -> np.ndarray:
     return table_rows(n).unitaries()
 
 
-# -- sampling and keys ----------------------------------------------------------
+# -- keys: the one home of their text ------------------------------------------
+
+
+def table_key(n: int, idx: int) -> str:
+    """The key of index ``idx`` of the n <= 2 table."""
+    return f"t{n}:{idx}"
+
+
+def _drawn_key(n: int, pairs, x_signs, z_signs) -> str:
+    """The key of a canonical-form draw: its basis vectors and signs, packed."""
+    fields = [_pack(bits) for pair in pairs for bits in pair]
+    return f"c{n}:" + ".".join(map(str, fields + [_pack(x_signs), _pack(z_signs)]))
+
+
+@dataclass(frozen=True, eq=False)
+class KeyText:
+    """The key text of integer Clifford ids, formed only when it is read.
+
+    With ``strings`` None an id is an index of the n <= 2 table and reads
+    as ``t<n>:<id>``; otherwise it indexes ``strings``, the key text of
+    draws made one by one (n >= 3) or read back from a sample dump.
+    """
+
+    n: int
+    strings: np.ndarray | None = None  # object array of key strings
+
+    def text(self, ids) -> np.ndarray:
+        """The keys of ``ids`` (any shape), as an object array of strings."""
+        ids = np.asarray(ids)
+        if self.strings is not None:
+            return self.strings[ids]
+        return np.array([table_key(self.n, idx) for idx in ids.ravel().tolist()],
+                        dtype=object).reshape(ids.shape)
+
+
+# -- sampling ---------------------------------------------------------------------
 
 
 def sample_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
@@ -392,41 +424,39 @@ def sample_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
     if n in GROUP_ORDER_MOD_PHASE:
         idx = int(rng.integers(0, GROUP_ORDER_MOD_PHASE[n]))
         return CliffordElement(n=n, unitary=table_unitaries(n, idx),
-                               key=f"t{n}:{idx}")
+                               key=table_key(n, idx))
     pairs = sample_symplectic_basis(n, rng)
     x_signs = rng.integers(0, 2, size=n)
     z_signs = rng.integers(0, 2, size=n)
     unitary = _unitary_from_images(n, pairs, x_signs, z_signs)
-    fields = [_pack(bits) for pair in pairs for bits in pair]
-    key = f"c{n}:" + ".".join(map(str, fields + [_pack(x_signs), _pack(z_signs)]))
-    return CliffordElement(n=n, unitary=unitary, key=key)
+    return CliffordElement(n=n, unitary=unitary,
+                           key=_drawn_key(n, pairs, x_signs, z_signs))
 
 
 def draw_clifford_blocks(n: int, rng: np.random.Generator, shape, block: int):
-    """Yield (keys, draws) for ``shape = (samples, registers)`` draws.
+    """Yield (names, draws) for ``shape = (samples, registers)`` draws.
 
-    Blocks of ``block`` samples come in order; keys are (b, registers)
-    strings and draws a :class:`CliffordRows` with elements
-    (b, registers). n <= 2 draws every table index in one call, never
-    calls ``sample_clifford`` and forms no unitary: the draws select from
-    the shared table. n >= 3 draws element by element, and each block's
-    unitaries are its own table. Either way the stream does not depend on
-    ``block``.
+    Blocks of ``block`` samples come in order; draws is a
+    :class:`CliffordRows` with elements (b, registers), and
+    ``names.text(draws.elements)`` are their keys. n <= 2 draws every
+    table index in one call, never calls ``sample_clifford`` and forms no
+    unitary and no key text: the elements are indices of the shared
+    table. n >= 3 draws element by element; each block's unitaries are
+    its own table and its key strings name its elements. Either way the
+    stream does not depend on ``block``.
     """
     samples, registers = shape
     if n in GROUP_ORDER_MOD_PHASE:
-        table = table_rows(n)
+        table, names = table_rows(n), KeyText(n)
         idx = rng.integers(0, GROUP_ORDER_MOD_PHASE[n], size=shape)
         for start in range(0, samples, block):
-            part = idx[start:start + block]
-            yield _table_keys(n)[part], table.select(part)
+            yield names, table.select(idx[start:start + block])
         return
     for start in range(0, samples, block):
         count = min(block, samples - start) * registers
         drawn = [sample_clifford(n, rng) for _ in range(count)]
-        keys = np.array([c.key for c in drawn], dtype=object)
         unitaries = np.array([c.unitary for c in drawn])
-        yield (keys.reshape(-1, registers),
+        yield (KeyText(n, np.array([c.key for c in drawn], dtype=object)),
                CliffordRows.of_stack(unitaries.reshape(-1, registers, 2 ** n, 2 ** n)))
 
 

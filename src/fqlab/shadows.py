@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .cliffords import (CliffordRows, clifford_from_key, clifford_table,
+from .cliffords import (GROUP_ORDER_MOD_PHASE, CliffordRows, KeyText,
+                        clifford_from_key, clifford_table,
                         draw_clifford_blocks, table_rows)
 from .errors import (
     AssumptionViolated,
@@ -52,19 +53,29 @@ class ShadowBatch:
     """Shadow samples as arrays: axis 0 is the sample, axis 1 the register.
 
     The estimators read only ``rows``, the row U_x[b_x, :N] of each measured
-    Clifford; ``keys`` and ``outcomes`` make the batch replayable.
+    Clifford; ``ids`` and ``outcomes`` make the batch replayable. Each
+    register's Clifford is named by an integer id, which ``names`` reads
+    as key text (:attr:`keys`) only when asked: at n <= 2 the id is the
+    table index, otherwise it indexes the batch's key strings.
     """
 
-    keys: np.ndarray       # (m, eta) Clifford key strings
+    ids: np.ndarray        # (m, eta) Clifford ids
     outcomes: np.ndarray   # (m, eta) ints in [0, 2**n)
     rows: np.ndarray       # (m, eta, N) complex
+    names: KeyText         # the key text of the ids
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The (m, eta) Clifford key strings, formed on each read."""
+        return self.names.text(self.ids)
 
     def __len__(self) -> int:
         return len(self.outcomes)
 
     def __getitem__(self, index) -> "ShadowBatch":
         """The samples selected by a slice, as views."""
-        return ShadowBatch(self.keys[index], self.outcomes[index], self.rows[index])
+        return ShadowBatch(self.ids[index], self.outcomes[index],
+                           self.rows[index], self.names)
 
 
 def check_order(k: int, eta: int) -> None:
@@ -164,7 +175,9 @@ def _collect_chunk(state, part: ShadowBatch, rng) -> None:
     sample. Each block of samples is then drawn register by register
     (:func:`~fqlab.states.sample_registers`). The register factor is
     formed once, and the level-1 weights once per table: once in all at
-    n <= 2, where every block draws from the shared table.
+    n <= 2, where every block draws from the shared table. There a
+    draw's table index is its id; at n >= 3 its key string goes to the
+    slot of the batch's strings that its id names.
     """
     uniforms = rng.random(len(part))
     dim, n = state.register_dim, state.n_orbitals
@@ -174,16 +187,19 @@ def _collect_chunk(state, part: ShadowBatch, rng) -> None:
     factor = register_factor(state.tensor)
     table = weights = None
     start = 0
-    for keys, draws in draw_clifford_blocks(state.qubits_per_register, rng,
-                                            shape, block):
+    for names, draws in draw_clifford_blocks(state.qubits_per_register, rng,
+                                             shape, block):
         if draws.table is not table:
             table, weights = draws.table, row_weights(factor, draws.table)
-        span = slice(start, start + len(keys))
+        span = slice(start, start + len(draws.elements))
         outcomes = sample_registers(state.tensor, uniforms[span], draws, weights)
-        part.keys[span] = keys
+        if names.strings is None:
+            part.ids[span] = draws.elements
+        else:
+            part.names.strings[part.ids[span]] = names.text(draws.elements)
         part.outcomes[span] = outcomes
         part.rows[span] = gather_outcome_rows(draws, outcomes, n)
-        start += len(keys)
+        start += len(outcomes)
 
 
 def collect_shadows(state: FirstQuantizedState, m: int, seed: int,
@@ -193,14 +209,22 @@ def collect_shadows(state: FirstQuantizedState, m: int, seed: int,
     Samples are generated in fixed-size chunks, chunk c on the rng stream
     (seed, "shadows", c) and written to its own slice of the batch, so the
     result is identical for any thread count. A negative or over-budget m
-    is refused before anything is drawn or allocated.
+    is refused before anything is drawn or allocated. At n <= 2 the
+    batch holds no key text; at n >= 3 id i names slot i of its key
+    strings, one per draw.
     """
     if m < 0:
         raise ValidationError("sample count must be nonnegative")
     check_budget(f"{m} samples' outcome rows", (m, state.eta, state.n_orbitals))
-    batch = ShadowBatch(np.empty((m, state.eta), dtype=object),
-                        np.empty((m, state.eta), dtype=np.int64),
-                        np.empty((m, state.eta, state.n_orbitals), dtype=complex))
+    shape, n = (m, state.eta), state.qubits_per_register
+    if n in GROUP_ORDER_MOD_PHASE:
+        ids, names = np.empty(shape, dtype=np.int64), KeyText(n)
+    else:
+        ids = np.arange(m * state.eta).reshape(shape)
+        names = KeyText(n, np.empty(m * state.eta, dtype=object))
+    batch = ShadowBatch(ids, np.empty(shape, dtype=np.int64),
+                        np.empty(shape + (state.n_orbitals,), dtype=complex),
+                        names)
 
     def fill(c):
         _collect_chunk(state, batch[c * _CHUNK:(c + 1) * _CHUNK],
@@ -236,8 +260,9 @@ def samples_from_keys(rows, n_orbitals: int) -> ShadowBatch:
     iterable of outcomes). Rows are ``n_orbitals`` = N wide and budgeted
     as in :func:`collect_shadows`. Then each distinct key's unitary is
     built in turn and only the measured rows of its samples are read from
-    it: no stack of unitaries is formed. A dump whose keys act on
-    registers of different sizes, or not of 2^ceil(log2 N) labels, is refused.
+    it: no stack of unitaries is formed. The batch's ids index its
+    distinct keys. A dump whose keys act on registers of different sizes,
+    or not of 2^ceil(log2 N) labels, is refused.
     """
     rows = list(rows)
     if not rows:
@@ -268,7 +293,8 @@ def samples_from_keys(rows, n_orbitals: int) -> ShadowBatch:
         if not np.all((labels >= 0) & (labels < dim)):
             raise IndexOutOfRange(f"sample outcomes must lie in 0..{dim - 1}")
         flat_rows[picks] = unitary[labels, :n_orbitals]
-    return ShadowBatch(keys, outcomes, measured)
+    return ShadowBatch(which.reshape(keys.shape), outcomes, measured,
+                       KeyText(register_qubits(n_orbitals), distinct))
 
 
 def snapshot_term_estimate(rows: np.ndarray, registers, bra_labels,

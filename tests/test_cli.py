@@ -21,7 +21,8 @@ from fqlab.cli import _PARAMETERS, _build_parser, dispatch
 from fqlab.errors import NonOrthonormalInput, ValidationError
 from fqlab.experiment import pipeline_shadow_experiment
 from fqlab.grids import GridSpec
-from fqlab.states import FirstQuantizedState, load_state, save_state
+from fqlab.states import (FirstQuantizedState, load_state, save_state,
+                          slater_oracle)
 
 from conftest import random_orthonormal, traced_peak
 
@@ -577,6 +578,59 @@ def test_k_outside_eta_refused_before_the_elements_are_read(
          "--delta", "0.2", "--samples", "200", "--elements", elements,
          "--out", "x.csv"], capsys, f"error: k must lie in 1..2, got {k}")
     assert not (workdir / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-samples"])
+def test_unwritable_shadow_output_refused_before_sampling(
+        workdir, capsys, monkeypatch, flag):
+    # one line and exit 2 before any sample is drawn, and no estimates
+    # CSV is left behind without its manifest
+    assert dispatch([*EVOLVE_N5, "--eta", "2"]) == 0
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+    monkeypatch.setattr(shadows, "_collect_chunk", drawn)
+    paths = {"--out": "est.csv", "--dump-samples": "raw.csv",
+             flag: str(workdir / "no" / "such" / "x.csv")}
+    exits_two_with_one_line(
+        ["shadows", "--in", "st5.bin", "--epsilon", "0.5", "--delta", "0.2",
+         "--samples", "200", *(part for item in paths.items() for part in item)],
+        capsys, "error: ", "x.csv")
+    assert sorted(p.name for p in workdir.iterdir()) == [
+        "st5.bin", "st5.bin.manifest.json"]
+
+
+class TestSampleDumpPinned:
+    """SHA-256 of --dump-samples CSVs of 300 samples from a Slater
+    determinant of eta = 2 on a 1-D grid, recorded when a batch held one
+    key string per sample and register: key text formed only at the dump
+    writes the same bytes. The dump reads back as the batch it came from.
+    """
+
+    DUMPS = {
+        4: "96965b8cc019be5ce30db48870d7a81b154012a616f2fce1863a910278bd1a45",  # t2
+        8: "13fb9e7e09326cb78867e73cdabb1adeb728ac3e99d9e84a358f61fa2ff31eba",  # c3
+    }
+
+    @pytest.mark.parametrize("n_orbitals", list(DUMPS))
+    def test_dump_bytes_and_round_trip(self, workdir, n_orbitals):
+        grid = GridSpec(1, n_orbitals, float(n_orbitals))
+        save_state("st.bin", slater_oracle(
+            random_orthonormal(n_orbitals, 2, seed=9), grid=grid))
+        assert dispatch(["shadows", "--in", "st.bin", "--epsilon", "0.3",
+                         "--delta", "0.1", "--samples", "300", "--seed", "4",
+                         "--out", "est.csv", "--dump-samples", "raw.csv"]) == 0
+        assert sha256("raw.csv") == self.DUMPS[n_orbitals]
+        with open("raw.csv", newline="") as fh:
+            header, *lines = csv.reader(fh)
+        assert header == ["cliffords", "outcomes"]
+        rebuilt = shadows.samples_from_keys(
+            [(keys.split("|"), outcomes.split("|")) for keys, outcomes in lines],
+            n_orbitals)
+        batch = shadows.collect_shadows(load_state("st.bin"), 300, seed=4)
+        assert rebuilt.keys.tolist() == batch.keys.tolist()
+        assert np.array_equal(rebuilt.outcomes, batch.outcomes)
+        assert rebuilt.rows.tobytes() == batch.rows.tobytes()
 
 
 class TestMalformedInputs:

@@ -7,6 +7,7 @@ from fqlab.cliffords import (
     GROUP_ORDER_MOD_PHASE,
     CliffordElement,
     CliffordRows,
+    KeyText,
     _matrix_key,
     _phase_canonical,
     clifford_from_key,
@@ -217,7 +218,7 @@ class TestBlockDraws:
         def draw(block):
             blocks = list(draw_clifford_blocks(n, derive_rng(6, "b", n),
                                                (7, 2), block))
-            return (np.concatenate([k for k, _ in blocks]),
+            return (np.concatenate([k.text(d.elements) for k, d in blocks]),
                     np.concatenate([d.unitaries() for _, d in blocks]))
         keys, unitaries = draw(7)
         for block in (1, 3):
@@ -228,13 +229,22 @@ class TestBlockDraws:
         for key, u in zip(keys.flat, unitaries.reshape(-1, 2 ** n, 2 ** n)):
             assert np.array_equal(clifford_from_key(key).unitary, u)
 
+    def test_ids_read_as_their_keys(self):
+        ids = np.array([[0, 11519], [7, 7]])
+        assert KeyText(2).text(ids).tolist() == [["t2:0", "t2:11519"],
+                                                 ["t2:7", "t2:7"]]
+        assert KeyText(1).text(np.zeros((0, 3), dtype=int)).shape == (0, 3)
+        strings = np.array(["c3:a", "c3:b"], dtype=object)
+        assert KeyText(3, strings).text(ids % 2).tolist() == [
+            ["c3:a", "c3:b"], ["c3:b", "c3:b"]]
+
     def test_two_qubit_draws_are_uniform_over_the_table(self):
         # 10 draws per element on average: the counts are Poisson, and
         # their chi-square lies within 5 sigma of its mean
         order = GROUP_ORDER_MOD_PHASE[2]
         draws = 10 * order
         blocks = draw_clifford_blocks(2, derive_rng(13, "u"), (draws, 1), 4096)
-        idx = [int(key.split(":")[1]) for keys, _ in blocks for key in keys[:, 0]]
+        idx = np.concatenate([d.elements[:, 0] for _, d in blocks])
         counts = np.bincount(idx, minlength=order)
         chi2 = float(np.sum((counts - 10) ** 2 / 10))
         assert abs(chi2 - (order - 1)) < 5 * np.sqrt(2 * (order - 1))

@@ -393,6 +393,17 @@ class TestMergedPropagator:
             axis = free(grid).axis_kinetic()
             assert hamiltonian._kinetic_propagator(axis, 0.1).ndim == ndim
 
+    def test_fft_route_without_out_gives_the_same_bytes(self, monkeypatch):
+        # numpy < 2 has no out= in np.fft: there the transforms allocate
+        # their outputs, and the arithmetic is the same
+        grid = GridSpec(dim=1, points_per_axis=128, cell_volume=128.0)
+        state = slater_oracle(random_orthonormal(128, 2, 7), grid=grid)
+        plan = EvolutionPlan(total_time=0.4, steps=2, order=2)
+        buffered = evolve(state, plan, free(grid)).tensor
+        monkeypatch.setattr(hamiltonian, "_FFT_OUT", False)
+        allocated = evolve(state, plan, free(grid)).tensor
+        assert allocated.tobytes() == buffered.tobytes()
+
     @pytest.mark.parametrize("order,steps,kinetic", [
         (1, 3, 3), (2, 3, 3 + 1), (4, 3, 5 * 3 + 1)])
     def test_tables_once_and_half_steps_merged(self, monkeypatch, order,

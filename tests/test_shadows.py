@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fqlab.cliffords import CliffordRows, clifford_table
-from fqlab import shadows, states
+from fqlab import cliffords, shadows, states
 from fqlab.errors import (
     AssumptionViolated,
     BruteForceLimitExceeded,
@@ -451,6 +451,24 @@ class TestCollect:
         batch = collect_shadows(state, 600, seed=5)
         assert batch.rows.tobytes() == expected.rows.tobytes()
 
+    @pytest.mark.parametrize("n_orbitals,eta", [(2, 2), (4, 2), (4, 4)])
+    def test_table_registers_store_no_key_text(self, monkeypatch, n_orbitals,
+                                               eta):
+        # at n <= 2 a batch holds each draw's table index: no object
+        # array, and no key string is formed until the keys are read
+        def text(*args):
+            raise AssertionError("key text formed while collecting")
+        state = random_antisymmetric_state(n_orbitals, eta, seed=3)
+        monkeypatch.setattr(cliffords, "table_key", text)
+        batch = collect_shadows(state, 600, seed=5)
+        monkeypatch.undo()
+        arrays = [v for v in vars(batch).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 3 and all(a.dtype != object for a in arrays)
+        assert batch.names.strings is None
+        n = state.qubits_per_register
+        assert batch.keys.tolist() == [[f"t{n}:{idx}" for idx in row]
+                                       for row in batch.ids.tolist()]
+
     @pytest.mark.parametrize("n_orbitals,eta", [(4, 2), (3, 3), (4, 4)])
     @pytest.mark.parametrize("block", ["one-sample", "whole-chunk"])
     def test_batch_does_not_depend_on_block_size(self, monkeypatch,
@@ -693,6 +711,7 @@ class TestSampleDumpReplay:
         assert all(key.startswith(prefix) for key in samples.keys.flat)
         rebuilt = samples_from_keys(zip(samples.keys, samples.outcomes),
                                     n_orbitals)
+        assert rebuilt.keys.tolist() == samples.keys.tolist()
         assert np.array_equal(rebuilt.outcomes, samples.outcomes)
         assert rebuilt.rows.tobytes() == samples.rows.tobytes()
         config = EstimatorConfig.from_sample_count(1, 0.5, 0.2, 300)

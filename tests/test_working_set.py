@@ -13,10 +13,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fqlab import cliffords
 from fqlab.cli import _lowest_momentum_slater, dispatch
 from fqlab.grids import GridSpec
-from fqlab.hamiltonian import (CoulombKernel, GridHamiltonian, NuclearConfig,
-                               total_energy)
+from fqlab.hamiltonian import (CoulombKernel, EvolutionPlan, GridHamiltonian,
+                               NuclearConfig, evolve_block, total_energy)
 from fqlab.meanfield import GridIntegrals
 from fqlab.shadows import _BLOCK_AMPLITUDES, collect_shadows
 from fqlab.states import load_state
@@ -61,6 +62,20 @@ EVOLVE_BLOCKS = {2: 3.5, 4: 4.1}
 def test_cli_evolve(workdir, order, steps):
     peak = traced_peak(lambda: dispatch(evolve_args(workdir, order, steps)))
     assert peak <= EVOLVE_BLOCKS[order] * BLOCK
+
+
+def test_fft_route_evolve_block():
+    # 1-D m = 256, eta = 2 takes the FFT route: the block, the spare
+    # buffer the transforms write into and the phase table of the one V
+    # time, about 2.1 blocks; fftn and ifftn allocating an output per
+    # axis would hold 5.0
+    grid = GridSpec(dim=1, points_per_axis=256, cell_volume=256.0)
+    ham = GridHamiltonian(grid, NuclearConfig.empty(1), CoulombKernel(0.0))
+    plan = EvolutionPlan(total_time=0.2, steps=2, order=2)
+    evolve_block(_lowest_momentum_slater(grid, 2).tensor, plan, ham)  # imports
+    block = _lowest_momentum_slater(grid, 2).tensor
+    size = block.nbytes
+    assert traced_peak(lambda: evolve_block(block, plan, ham)) <= 2.5 * size
 
 
 def test_load_state(evolved):
@@ -110,7 +125,23 @@ def test_tdhf_integrals_hold_one_dense_matrix():
     del ints
 
 
-# Beyond the batch's own keys, outcomes and rows, 2000 samples hold the
+def test_first_collection_keeps_only_the_row_table():
+    # at N = 4 a first collection builds the n = 2 table by its rows and
+    # keeps it: 184 kB of representative rows, the 92 kB row index and
+    # the 23 kB element ids, about 0.32 MB; key strings for the 11 520
+    # table indices, cached beside it, would keep 0.74 MB more
+    state = random_antisymmetric_state(4, 2, seed=9)
+    cliffords._factorized.cache_clear()
+    tracemalloc.start()
+    try:
+        collect_shadows(state, 10, seed=1)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 0.4e6
+
+
+# Beyond the batch's own ids, outcomes and rows, 2000 samples hold the
 # chunk's uniforms and table draws, the level-1 weight table and one
 # block's arrays, in block budgets (16 _BLOCK_AMPLITUDES bytes each): 2.7
 # at eta = 2 and 3.3 at eta = 4. A (B, eta, d, d) stack of each block's
