@@ -174,9 +174,8 @@ _GRID = {"dim": (int, 3), "points": (int, None), "omega": (float, None),
 _PARAMETERS = {
     "evolve": {**_GRID, "order": (int, 2), "seed": (int, 0), "in": (str, ""),
                "out": (str, None)},
-    "tdhf": {**_GRID, "dim": (int, 1), "scheme": (str, "exponential-midpoint"),
-             "observables": (str, "energy"), "coeffs": (str, ""),
-             "out": (str, None)},
+    "tdhf": {**_GRID, "dim": (int, 1), "observables": (str, "energy"),
+             "coeffs": (str, ""), "out": (str, None)},
     "prep": {"coeffs": (str, None), "verify": (bool, False),
              "ledger-out": (str, "")},
     "shadows": {"in": (str, None), "k": (int, 1), "epsilon": (float, None),
@@ -250,6 +249,9 @@ def _grid(p) -> GridSpec:
 
 
 def _cmd_evolve(args, config) -> int:
+    out = _given(args, config, "out")
+    if out is not None:  # refused before the snapshot is read
+        _check_writable(_checked(out, str, "--out"))
     snapshot = _given(args, config, "in")
     state = load_state(_checked(snapshot, str, "--in")) if snapshot else None
     fixed = None if state is None else {
@@ -294,11 +296,12 @@ def _cmd_tdhf(args, config) -> int:
               if coeffs_path else None)
     fixed = None if coeffs is None else {"eta": coeffs.shape[1]}
     p = _resolve("tdhf", args, config, fixed, "coefficient CSV")
+    _check_writable(p["out"])  # before the integrals are built
     wanted = [w.strip() for w in p["observables"].split(",") if w.strip()]
     unknown = set(wanted) - {"energy", "rdm-diag"}
     if unknown:
         raise UsageError(f"unknown observables: {sorted(unknown)}")
-    plan = TdhfPlan(total_time=p["time"], steps=p["steps"], scheme=p["scheme"])
+    plan = TdhfPlan(total_time=p["time"], steps=p["steps"])
     grid = _grid(p)
     integrals = GridIntegrals.from_grid(_hamiltonian(p, grid))
     inputs = [path for path in (p["nuclei"], p["coeffs"]) if path]
@@ -323,6 +326,7 @@ def _cmd_tdhf(args, config) -> int:
 
 def _cmd_prep(args, config) -> int:
     p = _resolve("prep", args, config)
+    _check_writable(p["ledger-out"])  # before the preparation runs
     coeffs = _load_coeffs(p["coeffs"])
     n, eta = coeffs.shape
     result = prepare_slater(coeffs, validate=p["verify"])
@@ -397,6 +401,7 @@ def _cmd_cost(args, config) -> int:
     p = _resolve("cost", args, config)
     if bool(p["alpha-range"]) == bool(p["query"]):
         raise UsageError("cost takes exactly one of --alpha-range and --query")
+    _check_writable(p["out"])  # before any row or report is made
     if p["alpha-range"]:
         if not p["out"]:
             raise UsageError("--alpha-range needs --out")

@@ -290,15 +290,10 @@ def _kinetic_propagator(axis_kinetic: np.ndarray, t: float) -> np.ndarray:
     return _axis_operator(phases)
 
 
-# numpy 2 gave np.fft its out= argument
-_FFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
-
-
-def _times_axis_phases(freq: np.ndarray, phases: np.ndarray) -> np.ndarray:
+def _times_axis_phases(freq: np.ndarray, phases: np.ndarray) -> None:
     """``freq`` times the m ``phases`` along each of its axes, in place."""
     for axis in range(freq.ndim):
         freq *= phases.reshape((-1,) + (1,) * (freq.ndim - 1 - axis))
-    return freq
 
 
 def _kinetic_substep(block: np.ndarray, propagator: np.ndarray, spare):
@@ -313,12 +308,8 @@ def _kinetic_substep(block: np.ndarray, propagator: np.ndarray, spare):
     per axis the axes are back in order. Given the m phases instead (the
     FFT route), in the FFT-bin order fftn returns, fftn writes into the
     spare buffer, the phases of each axis multiply it in place, and ifftn
-    writes back into the block (numpy >= 2; before that both transforms
-    allocate their outputs).
+    writes back into the block.
     """
-    if propagator.ndim == 1 and not _FFT_OUT:
-        freq = _times_axis_phases(np.fft.fftn(block, norm="ortho"), propagator)
-        return np.fft.ifftn(freq, norm="ortho"), spare
     if spare is None:
         spare = np.empty_like(block)
     if propagator.ndim == 1:
@@ -358,10 +349,9 @@ def _propagate(block: np.ndarray, substeps,
     Live while it propagates: the block, viewed as dim * eta axes of m
     points; one spare buffer of its size, which a kinetic substep's
     transforms alternate with (one m x m matmul per axis, or on long 1-D
-    axes an fftn and an ifftn, which allocate their outputs on numpy < 2);
-    and one phase table per distinct V time, built a slab at a time,
-    which a potential substep multiplies in place. Every substep checks
-    the norm of the block.
+    axes an fftn and an ifftn); and one phase table per distinct V time,
+    built a slab at a time, which a potential substep multiplies in
+    place. Every substep checks the norm of the block.
     """
     grid, eta, n = ham.grid, block.ndim, ham.grid.total_points
     phases = _phases(set(substeps()), ham, eta)

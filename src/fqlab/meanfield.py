@@ -15,8 +15,6 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
-    NonOrthonormalInput,
-    OrbitalDrift,
     ValidationError,
 )
 from .grids import GridSpec
@@ -57,9 +55,8 @@ class GridIntegrals:
     m x m ``axis`` matrix A acting on grid axis f, and U a ``diagonal``
     of length N. On a grid, A is the real kinetic axis operator and U the
     nuclear potential, so no N x N h is stored; :attr:`h` builds it when
-    asked. A dense ``h`` given instead is the same form with dim = 1,
-    A = h and U = 0. A real A is kept real, so that it acts on a complex
-    block as real GEMMs.
+    asked. A dense h is the same form with dim = 1, A = h and U = 0. A
+    real A is kept real, so that it acts on a complex block as real GEMMs.
 
     The spectral bounds the TDHF exponential needs are taken once here,
     from A and U: h's Gershgorin center and radius (the radius is
@@ -67,13 +64,9 @@ class GridIntegrals:
     plus U) and ||v||_1.
     """
 
-    def __init__(self, h=None, v=None, nuclear_offset: float = 0.0, *,
-                 axis=None, dim: int = 1, diagonal=None):
-        if (h is None) == (axis is None) or (h is not None and (
-                dim != 1 or diagonal is not None)):
-            raise ValidationError("give a dense h, or an axis matrix with "
-                                  "its dim and diagonal")
-        a = np.asarray(axis if h is None else h)
+    def __init__(self, axis, v, nuclear_offset: float = 0.0, *,
+                 dim: int = 1, diagonal=None):
+        a = np.asarray(axis)
         a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
         v = np.asarray(v, dtype=float)
         square = a.ndim == 2 and a.shape[0] == a.shape[1]
@@ -156,13 +149,10 @@ def _on_axes(values: np.ndarray, dim: int) -> np.ndarray:
 class TdhfPlan:
     total_time: float
     steps: int
-    scheme: str = "exponential-midpoint"
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValidationError("steps must be >= 1")
-        if self.scheme not in ("exponential-midpoint", "rk4"):
-            raise ValidationError("scheme must be exponential-midpoint or rk4")
 
 
 def _density_matrix(c: np.ndarray) -> np.ndarray:
@@ -381,47 +371,24 @@ def _midpoint(c: np.ndarray, integrals: GridIntegrals, dt: float,
     return _exp_action(f_mid, c, dt), iteration
 
 
-def _rk4(c: np.ndarray, integrals: GridIntegrals, dt: float) -> np.ndarray:
-    """Classical RK4 step; not unitary, so its drift is checked."""
-    def rhs(mat):
-        return -1j * FockOperator(mat, integrals)(mat)
-    k1 = rhs(c)
-    k2 = rhs(c + dt / 2 * k1)
-    k3 = rhs(c + dt / 2 * k2)
-    k4 = rhs(c + dt * k3)
-    out = c + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    try:
-        check_orthonormal_columns(out)
-    except NonOrthonormalInput as exc:
-        raise OrbitalDrift(
-            f"rk4 step drifted off orthonormality ({exc}); use a smaller time "
-            "step (more steps) or the exponential-midpoint scheme") from exc
-    return out
-
-
 def tdhf_step(orbitals: OccupiedOrbitals, integrals: GridIntegrals, dt: float,
-              scheme: str = "exponential-midpoint",
               iterations: list | None = None,
               fock: FockOperator | None = None) -> OccupiedOrbitals:
-    """One integrator step of i dC/dt = F(C) C.
+    """One exponential-midpoint step of i dC/dt = F(C) C.
 
     The exponential acts on C directly through the operator F(C); an
     N x N Fock matrix is formed and diagonalized only for a step long
     enough that the Taylor series costs more. When ``iterations`` is a
     list, the step appends its midpoint fixed-point iteration count (0
-    for rk4 and for dt = 0). ``fock`` is the operator F(C) if the caller
-    has it, for the midpoint's first iterate.
+    for dt = 0). ``fock`` is the operator F(C) if the caller has it, for
+    the midpoint's first iterate.
     """
     c = orbitals.coeffs
     count = 0
     if dt == 0:
         out = c.copy()
-    elif scheme == "exponential-midpoint":
-        out, count = _midpoint(c, integrals, dt, fock)
-    elif scheme == "rk4":
-        out = _rk4(c, integrals, dt)
     else:
-        raise ValidationError(f"unknown scheme {scheme!r}")
+        out, count = _midpoint(c, integrals, dt, fock)
     if iterations is not None:
         iterations.append(count)
     return OccupiedOrbitals(out, orbitals.grid)
@@ -458,7 +425,7 @@ def evolve_tdhf(orbitals: OccupiedOrbitals, integrals: GridIntegrals,
     current = orbitals
     fp_iterations = []
     for step in range(plan.steps):
-        current = tdhf_step(current, integrals, dt, plan.scheme,
+        current = tdhf_step(current, integrals, dt,
                             iterations=fp_iterations, fock=fock)
         fock = FockOperator(current.coeffs, integrals)
         times.append((step + 1) * dt)

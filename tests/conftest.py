@@ -14,16 +14,13 @@ from fqlab.states import FirstQuantizedState, antisymmetrize, register_factor
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
 
-# numpy >= 1.25 keeps ComplexWarning in numpy.exceptions, 2.x only there
-_COMPLEX_WARNING = getattr(np, "exceptions", np).ComplexWarning
-
 
 @pytest.fixture(autouse=True)
 def numpy_warnings_are_errors():
     """A complex value cast to real (ComplexWarning) or an overflow, an
     invalid value or a division by zero (RuntimeWarning) fails the test."""
     with warnings.catch_warnings():
-        warnings.simplefilter("error", _COMPLEX_WARNING)
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
         warnings.simplefilter("error", RuntimeWarning)
         yield
 

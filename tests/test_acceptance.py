@@ -234,7 +234,7 @@ def test_criterion_08_tdhf_conservation():
         for snap in traj.orbital_history)
     assert purity < 1e-8
 
-    free = GridIntegrals(h=integrals.h, v=np.zeros_like(integrals.v))
+    free = GridIntegrals(axis=integrals.h, v=np.zeros_like(integrals.v))
     stepped = tdhf_step(orbitals, free, 1e-3)
     w, v = np.linalg.eigh(integrals.h)
     exact = (v * np.exp(-1j * w * 1e-3)) @ v.conj().T @ orbitals.coeffs

@@ -232,6 +232,36 @@ class TestSnapshotBytesPinned:
             assert sha256(name) == digest, name
 
 
+class TestTdhfBytesPinned:
+    """tdhf CSV bytes as SHA-256 digests: the same arithmetic in the same
+    order writes the same bytes. Recorded with numpy 2.4 and OpenBLAS 0.3
+    on x86-64; another BLAS build may round a matmul differently."""
+
+    def test_one_dimensional_trajectory(self, workdir):
+        # the run of TestTdhfCommand.test_trajectory_csv
+        assert dispatch(["tdhf", "--dim", "1", "--points", "8", "--omega",
+                         "16", "--eta", "3", "--soften", "1.0", "--time",
+                         "0.2", "--steps", "20", "--observables",
+                         "energy,rdm-diag", "--out", "traj.csv"]) == 0
+        assert sha256("traj.csv") == (
+            "177e80b7db54a21856c9da1c614d3921b0bee704fad206242d879d2a789bc83f")
+
+    def test_benchmark_grid_on_one_blas_thread(self, workdir):
+        # the dynamics benchmark's tdhf call (N = 343, eta = 2); its bytes
+        # move with the BLAS thread count, so one thread is pinned
+        (workdir / "nuclei.txt").write_text("1 0.7 0 0\n1 -0.7 0 0\n")
+        run = run_module(["tdhf", "--dim", "3", "--points", "7", "--omega",
+                          "343", "--eta", "2", "--nuclei", "nuclei.txt",
+                          "--soften", "0.5", "--time", "0.5", "--steps", "10",
+                          "--observables", "energy,rdm-diag",
+                          "--out", "tdhf.csv"],
+                         OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                         MKL_NUM_THREADS="1")
+        assert run.returncode == 0, run.stderr
+        assert sha256("tdhf.csv") == (
+            "7cc8162c6ee23b3d3963ca0e3bc1bd30aad8e10c073d05ae295462891666a9d7")
+
+
 class TestTdhfCommand:
     def test_trajectory_csv(self, workdir):
         # eta = 3: at eta = 2 the core guess of this grid is degenerate
@@ -287,8 +317,7 @@ class TestTdhfCommand:
             capsys, "29791 x 29791 pair table V")
         assert not (workdir / "t.csv").exists()
 
-    @pytest.mark.parametrize("flag,value", [("--scheme", "foo"),
-                                            ("--steps", "0")])
+    @pytest.mark.parametrize("flag,value", [("--steps", "0")])
     def test_bad_plan_exits_two_before_the_core_guess(
             self, workdir, capsys, monkeypatch, flag, value):
         # at eta = 2 the core guess of this grid is degenerate (exit 3)
@@ -300,30 +329,29 @@ class TestTdhfCommand:
         exits_two_with_one_line(argv + [flag, value], capsys, flag[2:])
         assert not (workdir / "t.csv").exists()
 
-    def test_rk4_drift_exits_three_with_one_line(self, workdir, capsys):
-        (workdir / "nuclei.txt").write_text("2 0.3\n")
-        code = dispatch(["tdhf", "--dim", "1", "--points", "8", "--omega",
-                         "8", "--eta", "3", "--nuclei", "nuclei.txt",
-                         "--soften", "0.5", "--time", "1", "--steps", "20",
-                         "--scheme", "rk4", "--out", "t.csv"])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1, err
-        assert "exponential-midpoint" in err
-
-    def test_rk4_blow_up_exits_three(self, workdir, capsys):
-        # the step's output is finite (max |C| ~ 4e300), refused by its
-        # entry modulus; the overflow on the way there is expected
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = dispatch(["tdhf", "--dim", "1", "--points", "8", "--omega",
-                             "16", "--eta", "3", "--soften", "1.0", "--time",
-                             "1e8", "--steps", "1", "--scheme", "rk4",
-                             "--out", "t.csv"])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1, err
-        assert "drifted off orthonormality" in err
-        assert not (workdir / "t.csv").exists()
+    @pytest.mark.parametrize("form", ["flag", "config", "manifest"])
+    def test_removed_scheme_parameter_exits_two(self, workdir, capsys, form):
+        # tdhf has one integrator; a run naming a scheme is refused
+        argv = ["tdhf", "--dim", "1", "--points", "8", "--omega", "16",
+                "--eta", "3", "--soften", "1.0", "--time", "0.1", "--steps",
+                "2", "--out", "t.csv"]
+        if form == "flag":
+            argv += ["--scheme", "rk4"]
+        elif form == "config":
+            (workdir / "cfg.json").write_text('{"scheme": "rk4"}')
+            argv = ["--config", "cfg.json", *argv]
+        else:
+            assert dispatch(argv) == 0
+            with open("t.csv.manifest.json") as fh:
+                manifest = json.load(fh)
+            manifest["parameters"]["scheme"] = "exponential-midpoint"
+            (workdir / "old.json").write_text(json.dumps(manifest))
+            for name in ("t.csv", "t.csv.manifest.json"):
+                os.remove(name)
+            argv = ["--manifest", "old.json"]
+        before = sorted(os.listdir(workdir))
+        exits_two_with_one_line(argv, capsys, "scheme")
+        assert sorted(os.listdir(workdir)) == before
 
 
 class TestEvolveFromSnapshot:
@@ -598,6 +626,59 @@ def test_unwritable_shadow_output_refused_before_sampling(
         capsys, "error: ", "x.csv")
     assert sorted(p.name for p in workdir.iterdir()) == [
         "st5.bin", "st5.bin.manifest.json"]
+
+
+class TestOutputPathCheckedFirst:
+    """An output path that cannot be written is refused before any work:
+    exit 2, one line, and no file left behind."""
+
+    UNWRITABLE = "/no/such/dir/out"
+
+    @pytest.fixture
+    def never(self, monkeypatch):
+        def patch(*names):
+            for name in names:
+                def called(*args, name=name, **kwargs):
+                    raise AssertionError(f"{name} ran before the path check")
+                monkeypatch.setattr(cli, name, called)
+        return patch
+
+    def refused(self, argv, workdir, capsys):
+        before = sorted(os.listdir(workdir))
+        exits_two_with_one_line(argv, capsys, "error: ", self.UNWRITABLE)
+        assert sorted(os.listdir(workdir)) == before
+
+    @pytest.mark.parametrize("snapshot", [False, True])
+    def test_evolve(self, workdir, capsys, never, snapshot):
+        argv = ["evolve", "--time", "0.1", "--steps", "2",
+                "--out", self.UNWRITABLE]
+        if snapshot:
+            assert dispatch([*EVOLVE_N5, "--eta", "2"]) == 0
+            argv += ["--in", "st5.bin"]
+        else:
+            argv += ["--dim", "1", "--points", "5", "--omega", "5", "--eta",
+                     "2"]
+        never("load_state", "_hamiltonian", "evolve_block")
+        self.refused(argv, workdir, capsys)
+
+    def test_tdhf(self, workdir, capsys, never):
+        never("_hamiltonian", "_core_guess", "evolve_tdhf")
+        self.refused(["tdhf", "--dim", "1", "--points", "8", "--omega", "16",
+                      "--eta", "3", "--time", "0.1", "--steps", "2",
+                      "--out", self.UNWRITABLE], workdir, capsys)
+
+    def test_prep_ledger(self, workdir, capsys, never):
+        write_coeffs("c.csv", random_orthonormal(6, 2, seed=5))
+        never("_load_coeffs", "prepare_slater")
+        self.refused(["prep", "--coeffs", "c.csv", "--verify",
+                      "--ledger-out", self.UNWRITABLE], workdir, capsys)
+
+    @pytest.mark.parametrize("mode", [["--query", "343,2,0.5,0.01"],
+                                      ["--alpha-range", "1:8:0.25"]])
+    def test_cost(self, workdir, capsys, never, mode):
+        never("cost_report", "regime_table")
+        self.refused(["cost", *mode, "--out", self.UNWRITABLE], workdir,
+                     capsys)
 
 
 class TestSampleDumpPinned:
