@@ -4,8 +4,11 @@ Each subcommand's parameters are declared once, in ``_PARAMETERS``: a
 flag and its ``--config`` key share one name, and each value (flag >
 config file > default) is cast once by its kind; ``--threads`` must be
 an integer of at least 1. Every usage error exits 2 with one line on
-stderr. Each run writes a JSON manifest next to every output file
-recording the resolved parameters, master seed, tool version, and
+stderr. The parameters that name files are declared once too, as
+inputs or outputs: before a subcommand runs, an output that names an
+input or another output is refused and every output is checked
+writable; after it, a JSON manifest is written next to every output
+file recording the resolved parameters, master seed, tool version, and
 input/output SHA-256 digests. `fqlab --manifest m.json` first checks
 every recorded input against its digest (a missing or changed one exits
 2 and nothing is written), then reproduces byte-identical outputs.
@@ -32,25 +35,18 @@ from .hamiltonian import (
     GridHamiltonian,
     NuclearConfig,
     evolve_block,
-    kinetic_phase_table,
+    lowest_momentum_slater,
 )
 from .meanfield import (
     GridIntegrals,
     OccupiedOrbitals,
     TdhfPlan,
+    core_guess,
     evolve_tdhf,
 )
 from .shadows import check_order, read_out
-from .states import (FirstQuantizedState, check_budget, load_state,
-                     save_state, slater_oracle)
+from .states import check_budget, load_state, save_state, slater_oracle
 from .stateprep import prepare_slater, toffoli_count
-
-
-def _fmt(x) -> str:
-    """Floats serialized with 17 significant digits."""
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
 
 
 def _digest(path) -> str:
@@ -62,17 +58,25 @@ def _digest(path) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
+    """Rows as they come, floats with 17 significant digits."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
+                             for v in row])
 
 
-def _check_writable(*paths) -> None:
-    """Refuse an output path that cannot be written, before any work: each
-    is opened for appending, and removed again if that made it."""
-    for path in filter(None, paths):
+def _check_writable(inputs, outputs) -> None:
+    """Refuse, before any work, an output that names an input or another
+    output (compared by real path: a run never reads a file it writes,
+    nor writes one twice), or that cannot be written: each is opened for
+    appending, and removed again if that made it."""
+    seen = {os.path.realpath(path): key for key, path in inputs.items()}
+    for key, path in outputs.items():
+        first = seen.setdefault(os.path.realpath(path), key)
+        if first != key:
+            raise UsageError(f"--{key} {path} names the same file as --{first}")
         made = not os.path.exists(path)
         with open(path, "a"):
             pass
@@ -80,16 +84,21 @@ def _check_writable(*paths) -> None:
             os.remove(path)
 
 
-def _write_manifest(subcommand, params, seed, inputs, outputs) -> None:
+def _write_manifest(sub, p) -> None:
+    """Next to each output of a run of ``sub``, a manifest of its resolved
+    parameters ``p``; the input digests are taken here, after the run."""
+    inputs, outputs = _files(sub, p.get)
+    if not outputs:
+        return
     manifest = {
         "tool_version": __version__,
-        "subcommand": subcommand,
-        "parameters": params,
-        "seed": seed,
-        "inputs": {str(p): _digest(p) for p in inputs},
-        "outputs": {str(p): _digest(p) for p in outputs},
+        "subcommand": sub,
+        "parameters": p,
+        "seed": p.get("seed", 0),
+        "inputs": {path: _digest(path) for path in inputs.values()},
+        "outputs": {path: _digest(path) for path in outputs.values()},
     }
-    for out in outputs:
+    for out in outputs.values():
         with open(f"{out}.manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -153,15 +162,6 @@ def _particle_count(p, grid: GridSpec) -> int:
     return eta
 
 
-def _lowest_momentum_slater(grid: GridSpec, eta: int) -> FirstQuantizedState:
-    """Slater determinant of the eta lowest-|k| plane waves (index tiebreak)."""
-    table = kinetic_phase_table(grid)
-    order = np.lexsort((np.arange(table.size), table))
-    k = grid.frequencies[order[:eta]]
-    orbitals = np.exp(1j * grid.positions @ k.T) / np.sqrt(grid.total_points)
-    return slater_oracle(orbitals, grid=grid)
-
-
 # -- parameters ---------------------------------------------------------------
 
 
@@ -184,6 +184,24 @@ _PARAMETERS = {
                 "out": (str, None), "dump-samples": (str, "")},
     "cost": {"alpha-range": (str, ""), "query": (str, ""), "out": (str, "")},
 }
+
+# The parameters that name files: a run reads its inputs and writes its
+# outputs, each with a manifest next to it.
+_INPUTS = ("in", "nuclei", "coeffs", "elements")
+_OUTPUTS = ("out", "ledger-out", "dump-samples")
+
+
+def _files(sub, value) -> tuple[dict, dict]:
+    """{key: path} of the inputs and of the outputs of a run of ``sub``,
+    each path ``value(key)`` checked to be a string; an empty one and
+    --elements all-1rdm name no file."""
+    def named(keys):
+        given = {key: value(key) for key in keys if key in _PARAMETERS[sub]}
+        return {key: _checked(path, str, f"--{key}")
+                for key, path in given.items() if path not in (None, "")
+                and (key, path) != ("elements", "all-1rdm")}
+    return named(_INPUTS), named(_OUTPUTS)
+
 
 _KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
           str: "a string"}
@@ -248,12 +266,9 @@ def _grid(p) -> GridSpec:
                     cell_volume=p["omega"])
 
 
-def _cmd_evolve(args, config) -> int:
-    out = _given(args, config, "out")
-    if out is not None:  # refused before the snapshot is read
-        _check_writable(_checked(out, str, "--out"))
-    snapshot = _given(args, config, "in")
-    state = load_state(_checked(snapshot, str, "--in")) if snapshot else None
+def _cmd_evolve(args, config) -> dict:
+    snapshot = _given(args, config, "in")  # a string: dispatch checked it
+    state = load_state(snapshot) if snapshot else None
     fixed = None if state is None else {
         "dim": state.grid.dim, "points": state.grid.points_per_axis,
         "omega": float(state.grid.cell_volume), "eta": state.eta}
@@ -262,41 +277,18 @@ def _cmd_evolve(args, config) -> int:
     ham = _hamiltonian(p, grid)
     plan = EvolutionPlan(total_time=p["time"], steps=p["steps"], order=p["order"])
     if state is None:
-        state = _lowest_momentum_slater(grid, _particle_count(p, grid))
+        state = lowest_momentum_slater(grid, _particle_count(p, grid))
     block = state.tensor
     del state  # the propagation overwrites the N^eta block; nothing else is kept
     save_state(p["out"], evolve_block(block, plan, ham))
-    inputs = [path for path in (p["in"], p["nuclei"]) if path]
-    _write_manifest("evolve", p, p["seed"], inputs, [p["out"]])
-    return 0
+    return p
 
 
-def _core_guess(h: np.ndarray, eta: int) -> np.ndarray:
-    """The eta lowest eigenvectors of the real core Hamiltonian ``h``, as
-    a new N x eta array, so that the N x N eigenvector matrix is dropped.
-
-    Refused when the occupied and the first virtual level tie within
-    rounding of the spectral scale: the determinant would then be
-    whichever vectors of the degenerate subspace LAPACK returns.
-    """
-    w, vecs = np.linalg.eigh(h)
-    if eta < len(w):
-        gap, scale = w[eta] - w[eta - 1], float(np.max(np.abs(w)))
-        if gap <= len(w) * np.finfo(float).eps * scale:
-            raise NumericalAssumptionError(
-                f"core-Hamiltonian guess is degenerate at eta = {eta}: gap "
-                f"w[eta] - w[eta-1] = {gap:.3g} at spectral scale {scale:.3g}; "
-                f"give --coeffs or another --eta")
-    return vecs[:, :eta].copy()
-
-
-def _cmd_tdhf(args, config) -> int:
+def _cmd_tdhf(args, config) -> dict:
     coeffs_path = _given(args, config, "coeffs")
-    coeffs = (_load_coeffs(_checked(coeffs_path, str, "--coeffs"))
-              if coeffs_path else None)
+    coeffs = _load_coeffs(coeffs_path) if coeffs_path else None
     fixed = None if coeffs is None else {"eta": coeffs.shape[1]}
     p = _resolve("tdhf", args, config, fixed, "coefficient CSV")
-    _check_writable(p["out"])  # before the integrals are built
     wanted = [w.strip() for w in p["observables"].split(",") if w.strip()]
     unknown = set(wanted) - {"energy", "rdm-diag"}
     if unknown:
@@ -304,38 +296,32 @@ def _cmd_tdhf(args, config) -> int:
     plan = TdhfPlan(total_time=p["time"], steps=p["steps"])
     grid = _grid(p)
     integrals = GridIntegrals.from_grid(_hamiltonian(p, grid))
-    inputs = [path for path in (p["nuclei"], p["coeffs"]) if path]
     if coeffs is None:
-        coeffs = _core_guess(integrals.h, _particle_count(p, grid))
+        coeffs = core_guess(integrals.h, _particle_count(p, grid))
     orbitals = OccupiedOrbitals(coeffs, grid)
-    traj = evolve_tdhf(orbitals, integrals, plan,
-                       record_rdm_diag="rdm-diag" in wanted, keep_history=False)
+    rdm = "rdm-diag" in wanted
+    traj = evolve_tdhf(orbitals, integrals, plan, record_rdm_diag=rdm,
+                       keep_history=False)
     header = ["step", "time", "energy"]
-    if "rdm-diag" in wanted:
+    if rdm:
         header += [f"rdm_{i}" for i in range(grid.total_points)]
-    rows = []
-    for step in range(len(traj.times)):
-        row = [step, float(traj.times[step]), float(traj.energies[step])]
-        if "rdm-diag" in wanted:
-            row += [float(v) for v in traj.rdm_diagonals[step]]
-        rows.append(row)
+    # each row is written as it is made: the table is never held whole
+    rows = ([step, float(traj.times[step]), float(traj.energies[step])]
+            + (traj.rdm_diagonals[step].tolist() if rdm else [])
+            for step in range(len(traj.times)))
     _write_csv(p["out"], header, rows)
-    _write_manifest("tdhf", p, 0, inputs, [p["out"]])
-    return 0
+    return p
 
 
-def _cmd_prep(args, config) -> int:
+def _cmd_prep(args, config) -> dict:
     p = _resolve("prep", args, config)
-    _check_writable(p["ledger-out"])  # before the preparation runs
     coeffs = _load_coeffs(p["coeffs"])
     n, eta = coeffs.shape
     result = prepare_slater(coeffs, validate=p["verify"])
-    outputs = []
     if p["ledger-out"]:
         rows = sorted(result.ledger.counts.items())
         rows.append(("total", result.ledger.total))
         _write_csv(p["ledger-out"], ["primitive", "toffolis"], rows)
-        outputs.append(p["ledger-out"])
     print(f"prepared N={n} eta={eta}: ledger total {result.ledger.total} "
           f"(closed form {toffoli_count(n, eta, 'improved')})")
     if p["verify"]:
@@ -346,9 +332,7 @@ def _cmd_prep(args, config) -> int:
         print(f"ledger matches closed form: {ledger_ok}")
         if abs(overlap - 1.0) > 1e-9 or not ledger_ok:
             raise NumericalAssumptionError("preparation verification failed")
-    if outputs:
-        _write_manifest("prep", p, 0, [p["coeffs"]], outputs)
-    return 0
+    return p
 
 
 def _parse_elements(spec_text, k):
@@ -369,11 +353,10 @@ def _parse_elements(spec_text, k):
     return elements
 
 
-def _cmd_shadows(args, config) -> int:
+def _cmd_shadows(args, config) -> dict:
     p = _resolve("shadows", args, config)
     if p["seed"] < 0:  # refused before the snapshot is read
         raise UsageError(f"--seed must be a nonnegative integer, got {p['seed']}")
-    _check_writable(p["out"], p["dump-samples"])  # before any sample is drawn
     state = load_state(p["in"])
     check_order(p["k"], state.eta)  # before the element rows are split by k
     samples = (p["samples"] if p["samples"] == "auto"
@@ -385,23 +368,18 @@ def _cmd_shadows(args, config) -> int:
              value.imag, est.groups, est.group_size]
             for (bra, ket), (value, _) in readings]
     _write_csv(p["out"], ["i", "j", "re", "im", "groups", "group_size"], rows)
-    outputs = [p["out"]]
     if p["dump-samples"]:
         # the key text is formed here, the one place it is written
         sample_rows = (["|".join(keys), "|".join(map(str, outcomes))]
                        for keys, outcomes in zip(batch.keys, batch.outcomes))
         _write_csv(p["dump-samples"], ["cliffords", "outcomes"], sample_rows)
-        outputs.append(p["dump-samples"])
-    inputs = [p["in"]] + ([p["elements"]] if p["elements"] != "all-1rdm" else [])
-    _write_manifest("shadows", p, p["seed"], inputs, outputs)
-    return 0
+    return p
 
 
-def _cmd_cost(args, config) -> int:
+def _cmd_cost(args, config) -> dict:
     p = _resolve("cost", args, config)
     if bool(p["alpha-range"]) == bool(p["query"]):
         raise UsageError("cost takes exactly one of --alpha-range and --query")
-    _check_writable(p["out"])  # before any row or report is made
     if p["alpha-range"]:
         if not p["out"]:
             raise UsageError("--alpha-range needs --out")
@@ -421,8 +399,7 @@ def _cmd_cost(args, config) -> int:
                    "optimal_quantum", "optimal_classical_term"]
         _write_csv(p["out"], columns,
                    ([r[c] for c in columns] for r in regime_table(alphas)))
-        _write_manifest("cost", p, 0, [], [p["out"]])
-        return 0
+        return p
     vals = [v.strip() for v in p["query"].split(",")]
     names = ["n_basis", "eta", "time", "epsilon", "occupied_orbitals",
              "time_points", "observable_norm", "sampling_cost", "k_body"]
@@ -449,10 +426,9 @@ def _cmd_cost(args, config) -> int:
     if p["out"]:
         with open(p["out"], "w") as fh:
             fh.write(text + "\n")
-        _write_manifest("cost", p, 0, [], [p["out"]])
     else:
         print(text)
-    return 0
+    return p
 
 
 # -- dispatcher ----------------------------------------------------------------
@@ -530,8 +506,12 @@ def dispatch(argv) -> int:
         unknown = sorted(set(config) - set(_PARAMETERS[sub]))
         if unknown:
             raise UsageError(f"unknown {sub} parameters: {', '.join(unknown)}")
+        # every output is checked before any work, and its manifest is
+        # written from the parameters the subcommand resolved
+        _check_writable(*_files(sub, lambda key: _given(args, config, key)))
         args.threads = threads
-        return _COMMANDS[sub][0](args, config)
+        _write_manifest(sub, _COMMANDS[sub][0](args, config))
+        return 0
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (ValidationError, OSError) as exc:

@@ -14,8 +14,7 @@ times a uniform representative. Two constructions are used:
   from the stacked representatives (:class:`CliffordRows`) and no
   unitary need be formed. Keys: ``t2:<idx>`` in this order;
   ``t1:<idx>`` indexes the 24 single-qubit elements phase-canonical and
-  sorted by their rounded entries (``clifford_table(1)``), whose rows
-  are the n = 1 table.
+  sorted by their rounded entries (``table_rows(1)``).
 * n >= 3: a uniform canonical-form sampler. A symplectic basis of
   F_2^{2n} is drawn pair by pair (v_j uniform nonzero in the current
   symplectic complement, w_j uniform among vectors pairing to 1 with
@@ -363,22 +362,6 @@ def table_rows(n: int) -> CliffordRows:
     raise EnumerationUnavailable(f"no exhaustive table for n = {n}")
 
 
-def table_unitaries(n: int, idx) -> np.ndarray:
-    """Unitaries of the table elements ``idx`` (any shape), n <= 2."""
-    return table_rows(n).select(idx).unitaries()
-
-
-def clifford_table(n: int) -> np.ndarray:
-    """All Clifford unitaries on n <= 2 qubits mod phase, in key order.
-
-    n = 1 is phase-canonical; both are formed on each call (2.9 MB at
-    n = 2) from the row tables, with no phase normalization at n = 2.
-    """
-    if n not in GROUP_ORDER_MOD_PHASE:
-        raise EnumerationUnavailable(f"no exhaustive table for n = {n}")
-    return table_rows(n).unitaries()
-
-
 # -- keys: the one home of their text ------------------------------------------
 
 
@@ -423,8 +406,8 @@ def sample_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
         raise ValidationError("n must be >= 1")
     if n in GROUP_ORDER_MOD_PHASE:
         idx = int(rng.integers(0, GROUP_ORDER_MOD_PHASE[n]))
-        return CliffordElement(n=n, unitary=table_unitaries(n, idx),
-                               key=table_key(n, idx))
+        return CliffordElement(n=n, key=table_key(n, idx),
+                               unitary=table_rows(n).select(idx).unitaries())
     pairs = sample_symplectic_basis(n, rng)
     x_signs = rng.integers(0, 2, size=n)
     z_signs = rng.integers(0, 2, size=n)
@@ -471,7 +454,8 @@ def clifford_from_key(key: str) -> CliffordElement:
     if head[:1] == "t" and n in GROUP_ORDER_MOD_PHASE and len(parts) == 1:
         if not 0 <= parts[0] < GROUP_ORDER_MOD_PHASE[n]:
             raise ValidationError(f"bad clifford key {key!r}")
-        return CliffordElement(n=n, unitary=table_unitaries(n, parts[0]), key=key)
+        unitary = table_rows(n).select(parts[0]).unitaries()
+        return CliffordElement(n=n, unitary=unitary, key=key)
     widths = [2 * n] * (2 * n) + [n, n]
     if (head[:1] != "c" or n < 1 or len(parts) != len(widths)
             or any(not 0 <= p < 2 ** w for p, w in zip(parts, widths))):

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import SingularPotential, ValidationError
 from .grids import GridSpec
 from .states import (SLAB_ENTRIES, FirstQuantizedState, check_budget,
-                     check_dense_size, check_unit_norm, slabs)
+                     check_dense_size, check_unit_norm, slabs, slater_oracle)
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,15 @@ class EvolutionPlan:
 def kinetic_phase_table(grid: GridSpec) -> np.ndarray:
     """|k_p|^2 / 2 for every flat grid index."""
     return 0.5 * np.sum(grid.frequencies ** 2, axis=1)
+
+
+def lowest_momentum_slater(grid: GridSpec, eta: int) -> FirstQuantizedState:
+    """Slater determinant of the eta lowest-|k| plane waves (index tiebreak)."""
+    table = kinetic_phase_table(grid)
+    order = np.lexsort((np.arange(table.size), table))
+    k = grid.frequencies[order[:eta]]
+    orbitals = np.exp(1j * grid.positions @ k.T) / np.sqrt(grid.total_points)
+    return slater_oracle(orbitals, grid=grid)
 
 
 def _axis_operator(values: np.ndarray) -> np.ndarray:

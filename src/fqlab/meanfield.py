@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
+    NumericalAssumptionError,
     ValidationError,
 )
 from .grids import GridSpec
@@ -143,6 +144,25 @@ def _on_axes(values: np.ndarray, dim: int) -> np.ndarray:
     for f in range(dim):
         total += values.reshape((-1,) + (1,) * (dim - 1 - f))
     return total.reshape(-1)
+
+
+def core_guess(h: np.ndarray, eta: int) -> np.ndarray:
+    """The eta lowest eigenvectors of the real core Hamiltonian ``h``, as
+    a new N x eta array, so that the N x N eigenvector matrix is dropped.
+
+    Refused when the occupied and the first virtual level tie within
+    rounding of the spectral scale: the determinant would then be
+    whichever vectors of the degenerate subspace LAPACK returns.
+    """
+    w, vecs = np.linalg.eigh(h)
+    if eta < len(w):
+        gap, scale = w[eta] - w[eta - 1], float(np.max(np.abs(w)))
+        if gap <= len(w) * np.finfo(float).eps * scale:
+            raise NumericalAssumptionError(
+                f"core-Hamiltonian guess is degenerate at eta = {eta}: gap "
+                f"w[eta] - w[eta-1] = {gap:.3g} at spectral scale {scale:.3g}; "
+                f"give --coeffs or another --eta")
+    return vecs[:, :eta].copy()
 
 
 @dataclass(frozen=True)
@@ -331,10 +351,12 @@ def _exp_action(op, c: np.ndarray, dt: float) -> np.ndarray:
     _taylor_action), without forming exp(-i dt A).
 
     The Taylor series needs at most s * m products of A with the N x eta
-    block, a cost linear in r |dt|. One eigh of the N x N operator costs
-    about as much as N products with an N x 2 block (measured at
-    N = 125..729), so once s * m * eta exceeds 2N the step takes the
-    exactly unitary eigh of ``op.matrix()``.
+    block, a cost linear in r |dt|. Once s * m * eta exceeds 2N the step
+    takes the exactly unitary eigh of ``op.matrix()`` instead. That rule
+    was set against dense products with A and is not calibrated for the
+    structured ``FockOperator``: at N = 343 (3-D, dt = 8) the eigh route
+    measured 1.6x slower than the Taylor series alone, while at N = 16
+    and N = 125 it was faster. Retuning it is ROADMAP item 20.
     """
     n, eta = c.shape
     norm = op.radius * abs(dt)

@@ -17,8 +17,7 @@ import math
 import numpy as np
 
 from .cliffords import (GROUP_ORDER_MOD_PHASE, CliffordRows, KeyText,
-                        clifford_from_key, clifford_table,
-                        draw_clifford_blocks, table_rows)
+                        clifford_from_key, draw_clifford_blocks, table_rows)
 from .errors import (
     AssumptionViolated,
     EnumerationUnavailable,
@@ -490,7 +489,7 @@ def twirl_deviations(n: int, a: np.ndarray, b: np.ndarray,
     """
     if n > 2:
         raise EnumerationUnavailable("twirl checks need the group table (n <= 2)")
-    table = clifford_table(n)
+    table = table_rows(n).unitaries()
     dim = 2 ** n
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)

@@ -1,6 +1,5 @@
 from itertools import combinations, permutations
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -13,16 +12,6 @@ from fqlab.states import FirstQuantizedState, antisymmetrize, register_factor
 # from earlier runs, so that reruns are bit-identical.
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
-
-
-@pytest.fixture(autouse=True)
-def numpy_warnings_are_errors():
-    """A complex value cast to real (ComplexWarning) or an overflow, an
-    invalid value or a division by zero (RuntimeWarning) fails the test."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", np.exceptions.ComplexWarning)
-        warnings.simplefilter("error", RuntimeWarning)
-        yield
 
 
 def traced_peak(fn):

@@ -323,7 +323,7 @@ class TestTdhfCommand:
         # at eta = 2 the core guess of this grid is degenerate (exit 3)
         def guessed(*args, **kwargs):
             raise AssertionError("core guess formed before the plan check")
-        monkeypatch.setattr(cli, "_core_guess", guessed)
+        monkeypatch.setattr(cli, "core_guess", guessed)
         argv = ["tdhf", "--dim", "1", "--points", "5", "--omega", "5",
                 "--eta", "2", "--time", "0.1", "--steps", "2", "--out", "t.csv"]
         exits_two_with_one_line(argv + [flag, value], capsys, flag[2:])
@@ -628,20 +628,22 @@ def test_unwritable_shadow_output_refused_before_sampling(
         "st5.bin", "st5.bin.manifest.json"]
 
 
+@pytest.fixture
+def never(monkeypatch):
+    """Patches the named work functions of the CLI to fail if called."""
+    def patch(*names):
+        for name in names:
+            def called(*args, name=name, **kwargs):
+                raise AssertionError(f"{name} ran before the path check")
+            monkeypatch.setattr(cli, name, called)
+    return patch
+
+
 class TestOutputPathCheckedFirst:
     """An output path that cannot be written is refused before any work:
     exit 2, one line, and no file left behind."""
 
     UNWRITABLE = "/no/such/dir/out"
-
-    @pytest.fixture
-    def never(self, monkeypatch):
-        def patch(*names):
-            for name in names:
-                def called(*args, name=name, **kwargs):
-                    raise AssertionError(f"{name} ran before the path check")
-                monkeypatch.setattr(cli, name, called)
-        return patch
 
     def refused(self, argv, workdir, capsys):
         before = sorted(os.listdir(workdir))
@@ -662,7 +664,7 @@ class TestOutputPathCheckedFirst:
         self.refused(argv, workdir, capsys)
 
     def test_tdhf(self, workdir, capsys, never):
-        never("_hamiltonian", "_core_guess", "evolve_tdhf")
+        never("_hamiltonian", "core_guess", "evolve_tdhf")
         self.refused(["tdhf", "--dim", "1", "--points", "8", "--omega", "16",
                       "--eta", "3", "--time", "0.1", "--steps", "2",
                       "--out", self.UNWRITABLE], workdir, capsys)
@@ -679,6 +681,119 @@ class TestOutputPathCheckedFirst:
         never("cost_report", "regime_table")
         self.refused(["cost", *mode, "--out", self.UNWRITABLE], workdir,
                      capsys)
+
+
+class TestFileNamedTwice:
+    """An output that names an input or another output, compared by real
+    path, is refused before any work: exit 2, one line, and every file is
+    left as it was."""
+
+    SHADOWS = ["shadows", "--in", "st5.bin", "--epsilon", "0.5", "--delta",
+               "0.2", "--samples", "200"]
+
+    @pytest.fixture
+    def files(self, workdir):
+        assert dispatch([*EVOLVE_N5, "--eta", "2"]) == 0
+        write_coeffs("c.csv", random_orthonormal(5, 2, seed=5))
+        (workdir / "e.csv").write_text("0,1\n")
+        os.symlink("st5.bin", "link.bin")
+        return workdir
+
+    def refused(self, argv, workdir, capsys, *needles):
+        before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        exits_two_with_one_line(argv, capsys, "error: ", *needles)
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
+    @pytest.mark.parametrize("out", ["st5.bin", "link.bin"])
+    def test_evolve_onto_its_snapshot(self, files, capsys, never, out):
+        never("load_state", "_hamiltonian", "evolve_block")
+        self.refused(["evolve", "--in", "st5.bin", "--time", "0.1", "--steps",
+                      "2", "--out", out], files, capsys, f"--out {out}", "--in")
+
+    def test_tdhf_onto_its_coefficients(self, files, capsys, never):
+        # one spelling relative, the other absolute
+        never("_load_coeffs", "_hamiltonian", "core_guess", "evolve_tdhf")
+        self.refused(["tdhf", "--dim", "1", "--points", "5", "--omega", "5",
+                      "--coeffs", "c.csv", "--time", "0.1", "--steps", "2",
+                      "--out", str(files / "c.csv")], files, capsys,
+                     "--out", "--coeffs")
+
+    def test_prep_ledger_onto_its_coefficients(self, files, capsys, never):
+        never("_load_coeffs", "prepare_slater")
+        self.refused(["prep", "--coeffs", "c.csv", "--verify", "--ledger-out",
+                      "./c.csv"], files, capsys, "--ledger-out", "--coeffs")
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-samples"])
+    def test_shadows_onto_its_snapshot(self, files, capsys, never, flag):
+        never("load_state", "read_out")
+        paths = {"--out": "est.csv", "--dump-samples": "raw.csv",
+                 flag: "st5.bin"}
+        self.refused([*self.SHADOWS, *(part for item in paths.items()
+                                       for part in item)],
+                     files, capsys, flag, "--in")
+
+    def test_shadows_onto_its_elements(self, files, capsys, never):
+        never("load_state", "read_out")
+        self.refused([*self.SHADOWS, "--elements", "e.csv", "--out", "e.csv"],
+                     files, capsys, "--out", "--elements")
+
+    def test_estimates_onto_the_sample_dump(self, files, capsys, never):
+        never("load_state", "read_out")
+        self.refused([*self.SHADOWS, "--out", "x.csv", "--dump-samples",
+                      "x.csv"], files, capsys, "--dump-samples", "--out")
+
+
+class TestManifestBytesPinned:
+    """SHA-256 of the manifest JSON of each subcommand form, recorded
+    while each subcommand still wrote its own manifests: the manifests
+    written from the file table are the same bytes. The digests inside
+    follow the pinned output bytes of evolve, tdhf and shadows."""
+
+    FORMS = {
+        "evolve": (["evolve", "--dim", "1", "--points", "4", "--omega", "4",
+                    "--eta", "2", "--nuclei", "nuclei.txt", "--soften", "0.5",
+                    "--time", "0.1", "--steps", "3", "--seed", "7",
+                    "--out", "e.bin"],
+            "3c2d9bf1a80750038b77781b67e285ff0ab376fc62ac12588299880f85232ba9"),
+        "evolve-in": (["evolve", "--in", "a.bin", "--nuclei", "nuclei.txt",
+                       "--time", "0.1", "--steps", "2", "--order", "4",
+                       "--out", "b.bin"],
+            "ad54f4c62f9536c8439b81423760956161bb0cf9911565f36b00754c4d906343"),
+        "tdhf": (["tdhf", "--dim", "1", "--points", "4", "--omega", "4",
+                  "--nuclei", "nuclei.txt", "--coeffs", "c.csv", "--time",
+                  "0.1", "--steps", "3", "--observables", "energy,rdm-diag",
+                  "--out", "t.csv"],
+            "36049715e1e820777b1d4e128b4e43e6bb8e9fc75387a7461b460b29f7c691a9"),
+        "prep": (["prep", "--coeffs", "c.csv", "--verify", "--ledger-out",
+                  "ledger.csv"],
+            "a7409ab6adf8e97e23cf8571d72b6e5d30ae90908fbf61fff23570ea69b7e052"),
+        "shadows": (["shadows", "--in", "a.bin", "--epsilon", "0.3",
+                     "--delta", "0.1", "--samples", "200", "--seed", "3",
+                     "--elements", "e.csv", "--out", "est.csv",
+                     "--dump-samples", "raw.csv"],
+            "0bc81b7a450fe69edb12898c5ef8adffd48b0f2600b26bd92bfc75c923e330b0"),
+        "cost-query": (["cost", "--query", "343,2,0.5,0.01", "--out",
+                        "q.json"],
+            "4a5ec764b8291e72d4c5edee0c3e6332bcbd0c6f6bdb17df28e9dfd41f7f0ae0"),
+        "cost-alpha-range": (["cost", "--alpha-range", "1:3:0.5", "--out",
+                              "s.csv"],
+            "60888bb0dac318692944dc9c80c10281bb12d96aa3523d9a3b12c785cb62cfde"),
+    }
+
+    @pytest.mark.parametrize("form", list(FORMS))
+    def test_manifest_digest(self, workdir, form):
+        (workdir / "nuclei.txt").write_text("1 0.3\n")
+        (workdir / "c.csv").write_text("1,0,0,0\n0,0,1,0\n0,0,0,0\n0,0,0,0\n")
+        (workdir / "e.csv").write_text("0,1\n2,2\n")
+        assert dispatch(["evolve", "--dim", "1", "--points", "4", "--omega",
+                         "4", "--eta", "2", "--time", "0.1", "--steps", "2",
+                         "--out", "a.bin"]) == 0
+        argv, digest = self.FORMS[form]
+        assert dispatch(argv) == 0
+        outputs = [argv[i + 1] for i, flag in enumerate(argv)
+                   if flag in ("--out", "--ledger-out", "--dump-samples")]
+        for out in outputs:
+            assert sha256(f"{out}.manifest.json") == digest, out
 
 
 class TestSampleDumpPinned:

@@ -11,14 +11,12 @@ from fqlab.cliffords import (
     _matrix_key,
     _phase_canonical,
     clifford_from_key,
-    clifford_table,
     draw_clifford_blocks,
     pauli_from_bits,
     sample_clifford,
     sample_symplectic_basis,
     _symplectic_product,
     table_rows,
-    table_unitaries,
 )
 from fqlab.errors import EnumerationUnavailable, ValidationError
 from fqlab.rng import derive_rng
@@ -51,11 +49,11 @@ def bfs_table(n):
 
 class TestTables:
     def test_known_orders(self):
-        assert len(clifford_table(1)) == 24
-        assert len(clifford_table(2)) == 11520
+        assert len(table_rows(1).unitaries()) == 24
+        assert len(table_rows(2).unitaries()) == 11520
 
     def test_single_qubit_closure(self):
-        table = clifford_table(1)
+        table = table_rows(1).unitaries()
         keys = {_matrix_key(u) for u in table}
         for a in table[:6]:
             for b in table:
@@ -64,7 +62,7 @@ class TestTables:
     @pytest.mark.parametrize("n", [1, 2])
     def test_factorized_table_is_the_bfs_group(self, n):
         oracle = {_matrix_key(u) for u in bfs_table(n)}
-        table = [_matrix_key(u) for u in clifford_table(n)]
+        table = [_matrix_key(u) for u in table_rows(n).unitaries()]
         assert len(oracle) == len(table) == GROUP_ORDER_MOD_PHASE[n]
         assert set(table) == oracle
 
@@ -76,7 +74,7 @@ class TestTables:
 
     def test_no_enumeration_beyond_two_qubits(self):
         with pytest.raises(EnumerationUnavailable):
-            clifford_table(3)
+            table_rows(3)
 
 
 class TestPauliFromBits:
@@ -125,7 +123,7 @@ class TestSampling:
             assert el.maps_paulis_to_paulis()
 
     def test_two_qubit_samples_land_in_group(self):
-        table_keys = {_matrix_key(u) for u in clifford_table(2)}
+        table_keys = {_matrix_key(u) for u in table_rows(2).unitaries()}
         rng = derive_rng(4, "member")
         for _ in range(300):
             el = sample_clifford(2, rng)
@@ -183,13 +181,13 @@ class TestRowForm:
                 rows.table[rows.index[idx, r]]
                 * (1 if rows.phases is None else rows.phases[idx % 16, r])
                 for r in range(dim)])
-            assert np.array_equal(rebuilt, table_unitaries(n, idx))
+            assert np.array_equal(rebuilt, table_rows(n).select(idx).unitaries())
 
     def test_two_qubit_elements_are_pauli_times_representative(self):
         # idx = 16 s + a names P_a S_s, and S_s is element 16 s (P_0 = I)
         paulis = [pauli_from_bits([(a >> (3 - b)) & 1 for b in range(4)], 2)
                   for a in range(16)]
-        table = clifford_table(2).reshape(-1, 16, 4, 4)
+        table = table_rows(2).unitaries().reshape(-1, 16, 4, 4)
         assert np.array_equal(table, np.array(paulis) @ table[:, :1])
 
     def test_element_tables_are_smaller_than_the_representatives(self):

@@ -258,7 +258,6 @@ class TestTdhfStep:
         tdhf_step(orb, free, 1e6)
         assert calls and set(calls) == {(16, 16)}
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_step_refused(self):
         _, ints, orb = model_system()
         with pytest.raises(ConvergenceFailure, match="not finite"):

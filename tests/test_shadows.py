@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import numpy as np
 import pytest
 
-from fqlab.cliffords import CliffordRows, clifford_table
+from fqlab.cliffords import CliffordRows, table_rows
 from fqlab import cliffords, shadows, states
 from fqlab.errors import (
     AssumptionViolated,
@@ -132,7 +132,7 @@ class TestSnapshotTerm:
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi /= np.linalg.norm(psi)
         rho = np.outer(psi, psi.conj())
-        table = clifford_table(1)
+        table = table_rows(1).unitaries()
         for i in range(2):
             for j in range(2):
                 acc = 0.0
@@ -628,13 +628,13 @@ class TestTwirls:
         dev2, _ = twirl_deviations(1, np.eye(2), np.eye(2), np.eye(2))
         assert dev2 < 1e-12
         # A = I: per-outcome average is (I + 2I)/(2*3) = I/2
-        table = clifford_table(1)
+        table = table_rows(1).unitaries()
         acc = sum(np.outer(u.conj().T[:, 0], u.conj().T[:, 0].conj())
                   for u in table) / len(table)
         assert np.max(np.abs(acc - np.eye(2) / 2)) < 1e-12
 
     def test_traceless_input(self):
-        table = clifford_table(1)
+        table = table_rows(1).unitaries()
         acc = np.zeros((2, 2), dtype=complex)
         for u in table:
             ux = u.conj().T[:, 0]
@@ -644,7 +644,7 @@ class TestTwirls:
 
     def test_three_fold_projector_case(self):
         # B = C = |0><0|: closed form (2I + 4 P0)/24
-        table = clifford_table(1)
+        table = table_rows(1).unitaries()
         acc = np.zeros((2, 2), dtype=complex)
         for u in table:
             ux = u.conj().T[:, 0]

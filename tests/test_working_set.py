@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from fqlab import cliffords
-from fqlab.cli import _lowest_momentum_slater, dispatch
+from fqlab.cli import dispatch
 from fqlab.grids import GridSpec
 from fqlab.hamiltonian import (CoulombKernel, EvolutionPlan, GridHamiltonian,
-                               NuclearConfig, evolve_block, total_energy)
+                               NuclearConfig, evolve_block,
+                               lowest_momentum_slater, total_energy)
 from fqlab.meanfield import GridIntegrals
 from fqlab.shadows import _BLOCK_AMPLITUDES, collect_shadows
 from fqlab.states import load_state
@@ -72,10 +73,25 @@ def test_fft_route_evolve_block():
     grid = GridSpec(dim=1, points_per_axis=256, cell_volume=256.0)
     ham = GridHamiltonian(grid, NuclearConfig.empty(1), CoulombKernel(0.0))
     plan = EvolutionPlan(total_time=0.2, steps=2, order=2)
-    evolve_block(_lowest_momentum_slater(grid, 2).tensor, plan, ham)  # imports
-    block = _lowest_momentum_slater(grid, 2).tensor
+    evolve_block(lowest_momentum_slater(grid, 2).tensor, plan, ham)  # imports
+    block = lowest_momentum_slater(grid, 2).tensor
     size = block.nbytes
     assert traced_peak(lambda: evolve_block(block, plan, ham)) <= 2.5 * size
+
+
+def test_tdhf_rows_are_written_as_made(workdir):
+    # 1-D N = 32, eta = 3 with the density diagonal: a run's peak grows by
+    # the trajectory's arrays, 8N bytes a step for the diagonal (0.4 kB a
+    # step traced in all); every row held as Python floats before the
+    # write grew it by 1.5 kB a step
+    def peak(steps):
+        return traced_peak(lambda: dispatch([
+            "tdhf", "--dim", "1", "--points", "32", "--omega", "32", "--eta",
+            "3", "--soften", "1.0", "--time", str(0.005 * steps), "--steps",
+            str(steps), "--observables", "energy,rdm-diag",
+            "--out", str(workdir / "t.csv")]))
+    peak(10)  # imports
+    assert peak(400) - peak(100) <= 300 * 3 * 8 * 32
 
 
 def test_load_state(evolved):
@@ -92,7 +108,7 @@ def test_is_antisymmetric(evolved):
 
 def test_lowest_momentum_slater():
     # antisymmetrizing the padded determinant would hold 2.04x
-    peak = traced_peak(lambda: _lowest_momentum_slater(GRID, 2))
+    peak = traced_peak(lambda: lowest_momentum_slater(GRID, 2))
     assert peak <= 1.6 * PADDED
 
 
