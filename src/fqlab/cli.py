@@ -45,8 +45,8 @@ from .meanfield import (
     evolve_tdhf,
 )
 from .shadows import check_order, read_out
-from .states import check_budget, load_state, save_state, slater_oracle
-from .stateprep import prepare_slater, toffoli_count
+from .states import check_budget, load_state, save_state
+from .stateprep import prepare_slater, toffoli_count, verify_preparation
 
 
 def _digest(path) -> str:
@@ -325,9 +325,7 @@ def _cmd_prep(args, config) -> dict:
     print(f"prepared N={n} eta={eta}: ledger total {result.ledger.total} "
           f"(closed form {toffoli_count(n, eta, 'improved')})")
     if p["verify"]:
-        oracle = slater_oracle(coeffs)
-        overlap = abs(result.state.overlap(oracle))
-        ledger_ok = result.ledger.total == toffoli_count(n, eta, "improved")
+        overlap, ledger_ok = verify_preparation(coeffs, result)
         print(f"oracle overlap modulus: {overlap:.12f}")
         print(f"ledger matches closed form: {ledger_ok}")
         if abs(overlap - 1.0) > 1e-9 or not ledger_ok:

@@ -439,27 +439,28 @@ def evolve_tdhf(orbitals: OccupiedOrbitals, integrals: GridIntegrals,
     first midpoint iterate.
     """
     dt = plan.total_time / plan.steps
-    times = [0.0]
-    fock = FockOperator(orbitals.coeffs, integrals)
-    energies = [hf_energy(orbitals, integrals, fock)]
-    history = [orbitals]
-    diags = [_density_diagonal(orbitals.coeffs)] if record_rdm_diag else None
+    times = np.arange(plan.steps + 1) * dt
+    times[0] = 0.0  # not -0.0 for a backward run
+    energies = np.empty(plan.steps + 1)
+    diags = (np.empty((plan.steps + 1, len(orbitals.coeffs)))
+             if record_rdm_diag else None)
     current = orbitals
+    fock = FockOperator(current.coeffs, integrals)
+    history = [current]
     fp_iterations = []
-    for step in range(plan.steps):
-        current = tdhf_step(current, integrals, dt,
-                            iterations=fp_iterations, fock=fock)
-        fock = FockOperator(current.coeffs, integrals)
-        times.append((step + 1) * dt)
-        energies.append(hf_energy(current, integrals, fock))
+    for step in range(plan.steps + 1):
+        if step:
+            current = tdhf_step(current, integrals, dt,
+                                iterations=fp_iterations, fock=fock)
+            fock = FockOperator(current.coeffs, integrals)
+            if keep_history:
+                history.append(current)
+        energies[step] = hf_energy(current, integrals, fock)
         if record_rdm_diag:
-            diags.append(_density_diagonal(current.coeffs))
-        if keep_history:
-            history.append(current)
+            diags[step] = _density_diagonal(current.coeffs)
     if not keep_history:
         history.append(current)
     return TdhfTrajectory(
-        times=np.array(times), energies=np.array(energies),
-        orbital_history=history,
-        rdm_diagonals=np.array(diags) if record_rdm_diag else None,
+        times=times, energies=energies, orbital_history=history,
+        rdm_diagonals=diags,
         fp_iterations=np.array(fp_iterations, dtype=int))

@@ -49,6 +49,7 @@ from .states import (
     FirstQuantizedState,
     check_dense_size,
     check_orthonormal_columns,
+    slater_oracle,
 )
 
 
@@ -435,3 +436,13 @@ def prepare_slater(coeffs: np.ndarray, grid=None,
         regs.conversion_step(orbital, validate=validate)
     state = FirstQuantizedState(eta, n, regs.finish(), grid=grid)
     return PreparationResult(state=state, network=network, ledger=regs.ledger)
+
+
+def verify_preparation(coeffs: np.ndarray,
+                       result: PreparationResult) -> tuple[float, bool]:
+    """The prepared state's overlap modulus with the Slater oracle of
+    ``coeffs``, and whether its ledger total equals the closed form
+    ``toffoli_count(N, eta, "improved")``."""
+    n, eta = np.shape(coeffs)
+    overlap = abs(result.state.overlap(slater_oracle(coeffs)))
+    return overlap, result.ledger.total == toffoli_count(n, eta, "improved")

@@ -63,23 +63,20 @@ def slabs(shape):
         yield slice(lo, min(lo + rows, shape[0]))
 
 
-def _antisymmetrize_axis(tensor: np.ndarray, k: int) -> np.ndarray:
-    """``tensor`` minus its swaps of axis k with each earlier axis, as a new
-    array: the signed permutation sum over axes 0..k of a tensor that is
-    antisymmetric in axes 0..k-1, since the transpositions (j, k), j < k,
-    and the identity are coset representatives of S_k in S_{k+1}."""
-    out = tensor - np.swapaxes(tensor, 0, k)
-    for j in range(1, k):
-        out -= np.swapaxes(tensor, j, k)
-    return out
-
-
 def signed_permutation_sum(tensor: np.ndarray) -> np.ndarray:
     """Sum over axis permutations pi of sgn(pi) * transpose(tensor, pi), as a
-    new array: eta(eta-1)/2 strided subtractions instead of eta! transposes."""
+    new array: eta(eta-1)/2 strided subtractions instead of eta! transposes.
+
+    Axis k joins by the coset recursion: the transpositions (j, k), j < k,
+    and the identity represent the cosets of S_k in S_{k+1}, so a sum
+    antisymmetric in axes 0..k-1 minus its swaps of axis k with each
+    earlier axis is antisymmetric in axes 0..k."""
     acc = tensor if tensor.ndim > 1 else tensor.copy()
     for k in range(1, tensor.ndim):
-        acc = _antisymmetrize_axis(acc, k)
+        out = acc - np.swapaxes(acc, 0, k)
+        for j in range(1, k):
+            out -= np.swapaxes(acc, j, k)
+        acc = out
     return acc
 
 
@@ -360,6 +357,48 @@ def antisymmetrize(state: FirstQuantizedState) -> FirstQuantizedState:
     return state.copy_with(acc / nrm)
 
 
+def _laplace(coeff: np.ndarray, size: int, column_sets, scale: float = 1.0):
+    """Minors det[coeff[p_b, S_a]] * scale of ``size`` orbitals, one per
+    sorted column tuple S in ``column_sets``, as an array of shape
+    (len(column_sets), N^k, N^(size-k)) over (p_1..p_size), k = size // 2.
+
+    Generalized Laplace expansion along the first k particles: the minor
+    of S is the sum over k-subsets T of S of sigma(T) D_T(p_1..p_k)
+    D_{S - T}(p_{k+1}..p_size), sigma(T) the sign of the permutation that
+    sorts T followed by S - T. That is one GEMM per S, inner dimension
+    C(size, k), of k-orbital minors against their complements; sigma and
+    ``scale`` are folded into the smaller, left table, and the right table
+    is read in place when S takes all of its rows.
+    """
+    k = size // 2
+    tables = {m: _minor_table(coeff, m) for m in {k, size - k}}
+    rows = {m: {cols: r for r, cols in
+                enumerate(combinations(range(coeff.shape[1]), m))}
+            for m in tables}
+    signs, left, right = [], [], []
+    for cols in column_sets:
+        splits = [(tuple(c for c in cols if c not in r), r)
+                  for r in combinations(cols, size - k)]
+        signs.append([(-1) ** (sum(map(cols.index, t)) - k * (k - 1) // 2)
+                      for t, _ in splits])
+        left.append([rows[k][t] for t, _ in splits])
+        right.append([rows[size - k][r] for _, r in splits])
+    rhs = tables[size - k]
+    rhs = rhs[None] if right == [list(range(len(rhs)))] else rhs[right]
+    lhs = np.multiply(signs, scale)[..., None] * tables[k][left]
+    return lhs.transpose(0, 2, 1) @ rhs
+
+
+def _minor_table(coeff: np.ndarray, size: int) -> np.ndarray:
+    """Every ``size``-orbital minor of the (N, eta) ``coeff``: row r of the
+    (C(eta, size), N^size) result is det[coeff[p_b, S_a]] over
+    (p_1..p_size), S the r-th tuple of combinations(range(eta), size)."""
+    if size == 1:
+        return coeff.T
+    column_sets = list(combinations(range(coeff.shape[1]), size))
+    return _laplace(coeff, size, column_sets).reshape(len(column_sets), -1)
+
+
 def slater_oracle(orbitals, grid: GridSpec | None = None) -> FirstQuantizedState:
     """Slater determinant of mutually orthonormal orbitals.
 
@@ -368,21 +407,33 @@ def slater_oracle(orbitals, grid: GridSpec | None = None) -> FirstQuantizedState
     ORTHONORMAL_TOL from orthonormal, which can leave that norm off 1 by
     more than NORM_TOL; the amplitudes are then divided by their computed
     norm as well. ``orbitals`` may be a list of orbital vectors or an
-    (N, eta) coefficient matrix; N is its row count. The determinant is
-    built and antisymmetrized as each orbital joins the product.
+    (N, eta) coefficient matrix; N is its row count.
+
+    At eta <= 2 the block is the outer product of the orbitals minus its
+    transpose, divided by sqrt(eta!). At eta >= 3 it is one GEMM of the
+    table of k-orbital minors, k = eta // 2, against the table of their
+    complements (:func:`_laplace`), with sign and 1/sqrt(eta!) folded into
+    the smaller table: both tables together hold C(eta, k) (N^k +
+    N^(eta-k)) <= 2 N^eta entries, and far fewer at N > eta, so the peak
+    is about one block.
     """
     if not isinstance(orbitals, np.ndarray):
         orbitals = np.stack(list(orbitals), axis=1)
     coeff = check_orthonormal_columns(orbitals, grid)
     n_orbitals, eta = coeff.shape
     check_dense_size(n_orbitals, eta)
-    acc = np.ones((), dtype=complex)
-    for b in range(eta):  # antisymmetrized as each orbital joins the product
-        acc = np.multiply.outer(acc, coeff[:, b])
-        if b:
-            acc = _antisymmetrize_axis(acc, b)
-    acc /= math.sqrt(math.factorial(eta))
-    norm = np.linalg.norm(acc)
+    if eta <= 2:
+        acc = np.ones((), dtype=complex)
+        for b in range(eta):
+            acc = np.multiply.outer(acc, coeff[:, b])
+        if eta == 2:
+            acc = acc - acc.T
+        acc /= math.sqrt(math.factorial(eta))
+    else:
+        acc = _laplace(coeff, eta, [tuple(range(eta))],
+                       1 / math.sqrt(math.factorial(eta)))[0]
+        acc = acc.reshape((n_orbitals,) * eta)
+    norm = math.sqrt(_squared_norm(acc))
     if not abs(norm - 1.0) <= NORM_TOL:
         acc /= norm
     return FirstQuantizedState(eta, n_orbitals, acc, grid=grid)

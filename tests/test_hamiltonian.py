@@ -414,11 +414,15 @@ class TestMergedPropagator:
                GridHamiltonian(grid, nuclei, kernel))
         assert calls == {"potential_diagonal": 1, "_kinetic_substep": kinetic}
 
-    @pytest.mark.parametrize("dim,points,omega", [(3, 7, 343), (2, 24, 576)])
+    @pytest.mark.parametrize("dim,points,omega,eta", [
+        pytest.param(3, 7, 343, 2, id="3-7-343"),
+        pytest.param(2, 24, 576, 2, id="2-24-576"),
+        pytest.param(3, 4, 64, 3, id="3-4-64-eta3")])
     def test_snapshot_independent_of_blas_threads(self, tmp_path, dim, points,
-                                                  omega):
-        """The kinetic substep is a BLAS matmul; its result must not depend
-        on how many threads BLAS splits it over."""
+                                                  omega, eta):
+        """The kinetic substep is a BLAS matmul, and so is the Slater
+        oracle's Laplace expansion that builds an eta >= 3 start; neither
+        result may depend on how many threads BLAS splits it over."""
         src = Path(hamiltonian.__file__).resolve().parents[1]
         nuclei = tmp_path / "nuclei.txt"
         nuclei.write_text(f"1 {' '.join(['0.7'] * dim)}\n")
@@ -431,7 +435,7 @@ class TestMergedPropagator:
                        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
             subprocess.run(
                 [sys.executable, "-m", "fqlab.cli", "evolve", "--dim", str(dim),
-                 "--points", str(points), "--omega", str(omega), "--eta", "2",
+                 "--points", str(points), "--omega", str(omega), "--eta", str(eta),
                  "--nuclei", str(nuclei), "--soften", "0.5", "--time", "0.2",
                  "--steps", "2", "--order", "2", "--out", str(out)],
                 env=env, cwd=tmp_path, check=True)

@@ -24,6 +24,7 @@ from fqlab.stateprep import (
     givens_decompose,
     prepare_slater,
     toffoli_count,
+    verify_preparation,
 )
 
 from conftest import random_orthonormal
@@ -319,6 +320,17 @@ class TestPrepareSlater:
         oracle = slater_oracle(coeffs)
         assert abs(result.state.overlap(oracle)) == pytest.approx(1.0, abs=1e-9)
         assert result.ledger.total == toffoli_count(12, 5, "improved")
+
+    def test_verify_preparation(self):
+        # the checks of prep --verify: overlap with the oracle, and the
+        # ledger total against its closed form
+        coeffs = random_orthonormal(6, 3, seed=63)
+        result = prepare_slater(coeffs)
+        overlap, ledger_ok = verify_preparation(coeffs, result)
+        assert overlap == pytest.approx(1.0, abs=1e-9)
+        assert ledger_ok
+        result.ledger.charge("counter-increment", 1)
+        assert verify_preparation(coeffs, result)[1] is False
 
     def test_output_beyond_dense_regime_refused(self):
         # 40^5 amplitudes: refused before any decomposition or allocation
