@@ -104,13 +104,35 @@ def _write_manifest(sub, p) -> None:
             fh.write("\n")
 
 
-def _load_json(path) -> dict:
-    with open(path) as fh:
+def _read_text(path, kind=None, sep=","):
+    """The UTF-8 text of ``path``, whatever the locale, or given a ``kind``
+    (int or float) its rows: ``#`` comments and blank lines dropped, lines
+    split at ``sep`` (None: whitespace), a field not of the kind refused."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text ({exc.reason})") from exc
+    if kind is None:
+        return text
+    rows = []
+    for number, line in enumerate(text.split("\n"), 1):
+        body = line.split("#")[0].strip()
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path} is not valid JSON: {exc.msg} "
-                             f"(line {exc.lineno})") from exc
+            if body:
+                rows.append(list(map(kind, body.split(sep))))
+        except ValueError as exc:
+            raise UsageError(f"{path} line {number}: {body!r} holds a field "
+                             f"that is not {_KINDS[kind]}") from exc
+    return rows
+
+
+def _load_json(path) -> dict:
+    try:
+        data = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path} is not valid JSON: {exc.msg} "
+                         f"(line {exc.lineno})") from exc
     if not isinstance(data, dict):
         raise UsageError(f"{path} must hold a JSON object")
     return data
@@ -118,39 +140,24 @@ def _load_json(path) -> dict:
 
 def _hamiltonian(p, grid: GridSpec) -> GridHamiltonian:
     """H on ``grid`` with the nuclei of the --nuclei file (one nucleus per
-    line: charge x [y z]; # starts a comment) and the --soften kernel."""
-    dim, positions, charges, lines = grid.dim, [], [], []
-    if p["nuclei"]:
-        with open(p["nuclei"]) as fh:
-            lines = [line.split("#")[0].strip() for line in fh]
-    for line in filter(None, lines):
-        parts = line.split()
-        if len(parts) != dim + 1:
-            raise UsageError(
-                f"nuclei line {line!r} needs charge + {dim} coordinates")
-        try:
-            charges.append(float(parts[0]))
-            positions.append([float(v) for v in parts[1:]])
-        except ValueError as exc:
-            raise UsageError(f"nuclei line {line!r} is not numeric") from exc
-    nuclei = (NuclearConfig(np.array(positions), np.array(charges)) if charges
-              else NuclearConfig.empty(dim))
+    line: charge x [y z]) and the --soften kernel."""
+    rows = _read_text(p["nuclei"], float, sep=None) if p["nuclei"] else []
+    if any(len(row) != grid.dim + 1 for row in rows):
+        raise UsageError(f"nuclei file {p['nuclei']} needs charge + {grid.dim} "
+                         f"coordinates a line")
+    table = np.array(rows).reshape(-1, grid.dim + 1)
+    nuclei = NuclearConfig(table[:, 1:], table[:, 0])
     return GridHamiltonian(grid, nuclei, CoulombKernel(softening=p["soften"]))
 
 
 def _load_coeffs(path) -> np.ndarray:
-    """CSV with N rows and 2*eta columns (re, im per orbital); # starts a
-    comment."""
-    with open(path) as fh:
-        rows = [line for line in fh if line.split("#")[0].strip()]
+    """CSV with N rows and 2*eta columns (re, im per orbital)."""
+    rows = _read_text(path, float)
     if not rows:
         raise UsageError(f"coefficient CSV {path} holds no rows")
-    try:
-        raw = np.loadtxt(rows, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise UsageError(f"coefficient CSV {path} must hold numbers only") from exc
-    if raw.shape[1] % 2 != 0:
-        raise UsageError("coefficient CSV must have re,im column pairs")
+    if len(rows[0]) % 2 or any(len(row) != len(rows[0]) for row in rows):
+        raise UsageError(f"coefficient CSV {path} needs equal rows of re,im pairs")
+    raw = np.array(rows)
     return raw[:, 0::2] + 1j * raw[:, 1::2]
 
 
@@ -337,18 +344,10 @@ def _parse_elements(spec_text, k):
     """'all-1rdm' or (bra, ket) rows of 2k integers; read_out checks the range."""
     if spec_text == "all-1rdm":
         return spec_text
-    elements = []
-    with open(spec_text) as fh:
-        for row in csv.reader(fh):
-            try:
-                vals = [int(v) for v in row if v.strip() != ""]
-            except ValueError as exc:
-                raise UsageError(
-                    f"element row {row} holds a non-integer label") from exc
-            if len(vals) != 2 * k:
-                raise UsageError(f"element row {row} needs 2k = {2 * k} indices")
-            elements.append((tuple(vals[:k]), tuple(vals[k:])))
-    return elements
+    rows = _read_text(spec_text, int)
+    if any(len(row) != 2 * k for row in rows):
+        raise UsageError(f"element CSV {spec_text} needs 2k = {2 * k} labels a row")
+    return [(tuple(row[:k]), tuple(row[k:])) for row in rows]
 
 
 def _cmd_shadows(args, config) -> dict:

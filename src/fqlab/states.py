@@ -124,19 +124,18 @@ def row_weights(factor: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", parts, parts)  # |amplitude|^2 = re^2 + im^2
 
 
-def sample_registers(tensor: np.ndarray, uniforms: np.ndarray,
-                     draws: CliffordRows | None = None,
+def sample_registers(tensor: np.ndarray, uniforms: np.ndarray, draws: CliffordRows,
                      weights: np.ndarray | None = None) -> np.ndarray:
     """Born outcomes of measuring every register, one row per uniform.
 
     Sample b applies the Clifford ``draws.elements[b, x]`` (a
     :class:`~fqlab.cliffords.CliffordRows` of d rows of at least N
-    entries, of which the first N act; the identity when omitted) to axis
-    x of ``tensor`` and measures all registers. Its outcome is the joint
-    row-major inverse CDF at ``uniforms[b]`` in [0, 1), drawn by the
-    chain rule, one register at a time: the label of register x is the
-    inverse CDF of its marginal in the slice of the labels already drawn,
-    at what is left of the uniform scaled by the total.
+    entries, of which the first N act) to axis x of ``tensor`` and
+    measures all registers. Its outcome is the joint row-major inverse
+    CDF at ``uniforms[b]`` in [0, 1), drawn by the chain rule, one
+    register at a time: the label of register x is the inverse CDF of its
+    marginal in the slice of the labels already drawn, at what is left of
+    the uniform scaled by the total.
 
     Level 1 reads every sample's register-1 marginals from ``weights``,
     the :func:`row_weights` of the draws' table (formed here when
@@ -153,9 +152,6 @@ def sample_registers(tensor: np.ndarray, uniforms: np.ndarray,
     """
     batch, labels = len(uniforms), tensor.shape[0]
     flat = np.ascontiguousarray(tensor).reshape(labels, -1)
-    if draws is None:  # one element, the identity
-        draws = CliffordRows(np.eye(labels, dtype=complex), np.arange(labels)[None],
-                             np.zeros((batch, tensor.ndim), dtype=np.intp))
     if weights is None:
         weights = row_weights(register_factor(flat), draws.table)
     dim = draws.index.shape[1]
@@ -461,9 +457,13 @@ def apply_register_unitary(state: FirstQuantizedState, register: int,
 
 
 def measure_all(state: FirstQuantizedState, rng: np.random.Generator):
-    """Sample a joint computational-basis outcome (p_1,...,p_eta)."""
-    outcome = sample_registers(state.tensor, rng.random(1))[0]
-    return tuple(int(i) for i in outcome)
+    """Sample a joint computational-basis outcome (p_1,...,p_eta): the
+    row-major inverse CDF of |psi|^2 at one uniform."""
+    cdf = np.cumsum(np.abs(state.tensor.ravel()) ** 2)
+    # clamped below the total, so a label of probability zero is never drawn
+    target = min(rng.random(1)[0] * cdf[-1], np.nextafter(cdf[-1], -1))
+    flat = np.searchsorted(cdf, target, side="right")
+    return tuple(int(i) for i in np.unravel_index(flat, state.tensor.shape))
 
 
 def transition_expectation(state: FirstQuantizedState, registers, bra_labels,

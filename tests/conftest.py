@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from fqlab.cliffords import CliffordRows
 from fqlab.grids import GridSpec
 from fqlab.states import FirstQuantizedState, antisymmetrize, register_factor
 
@@ -72,6 +73,15 @@ def joint_born_outcomes(tensors, uniforms):
     cdf /= cdf[:, -1:]
     flat = np.count_nonzero(cdf <= uniforms[:, None], axis=1)
     return np.stack(np.unravel_index(flat, tensors.shape[1:]), axis=-1)
+
+
+def identity_rows(tensor, count):
+    """``count`` samples of the identity on every register of ``tensor``,
+    as the draws of :func:`~fqlab.states.sample_registers`: its outcomes
+    are then those of measuring in the computational basis."""
+    labels = tensor.shape[0]
+    return CliffordRows(np.eye(labels, dtype=complex), np.arange(labels)[None],
+                        np.zeros((count, tensor.ndim), dtype=np.intp))
 
 
 # The register-by-register sampler as it read a dense (B, ndim, d, N) stack

@@ -2,7 +2,11 @@
 the way it calls them, so that a change breaking the benchmark's checks
 fails here first rather than as a failed benchmark run."""
 
+import functools
+import importlib
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -78,3 +82,30 @@ def test_readout_exact_elements():
                     for i in range(4)])
     assert abs(np.trace(one) - 2) < 1e-12
     assert np.max(np.abs(one - one.conj().T)) < 1e-12
+
+
+def load_tracer():
+    """perfbench/tracer.py, loaded from its file to be read, not installed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+# Deleted from fqlab while the tracer still names it; dropping it from
+# TARGETS is a change of the benchmark.
+GONE = {("fqlab.grids", "centered_dft")}
+
+
+def test_every_traced_function_resolves():
+    # the tracer finds its spans by function name: a traced function that
+    # is renamed or moved blanks its metric without an error
+    missing = []
+    for module, qualname in load_tracer().TARGETS:
+        try:
+            functools.reduce(getattr, qualname.split("."),
+                             importlib.import_module(module))
+        except AttributeError:
+            missing.append((module, qualname))
+    assert set(missing) <= GONE, missing

@@ -10,6 +10,7 @@ from pathlib import Path
 import string
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -261,6 +262,42 @@ class TestTdhfBytesPinned:
         assert run.returncode == 0, run.stderr
         assert sha256("tdhf.csv") == (
             "7cc8162c6ee23b3d3963ca0e3bc1bd30aad8e10c073d05ae295462891666a9d7")
+
+    def test_benchmark_grid_from_coefficients_on_one_and_two_blas_threads(
+            self, workdir):
+        # the same run from the one-thread core guess, read from a 343-row
+        # CSV: no eigh is taken, and the trajectory writes the pinned bytes
+        # on one BLAS thread and on two
+        (workdir / "nuclei.txt").write_text("1 0.7 0 0\n1 -0.7 0 0\n")
+        threads = dict(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                       MKL_NUM_THREADS="1")
+        guess = run_python("-c", textwrap.dedent("""
+            import numpy as np
+            from fqlab.grids import GridSpec
+            from fqlab.hamiltonian import (CoulombKernel, GridHamiltonian,
+                                           NuclearConfig)
+            from fqlab.meanfield import GridIntegrals, core_guess
+            nuclei = NuclearConfig(np.array([[0.7, 0, 0], [-0.7, 0, 0]]),
+                                   np.ones(2))
+            ham = GridHamiltonian(GridSpec(3, 7, 343.0), nuclei,
+                                  CoulombKernel(0.5))
+            c = core_guess(GridIntegrals.from_grid(ham).h, 2)
+            pairs = np.empty((343, 4))
+            pairs[:, 0::2], pairs[:, 1::2] = c.real, c.imag
+            np.savetxt("guess.csv", pairs, delimiter=",", fmt="%.17g")
+        """), **threads)
+        assert guess.returncode == 0, guess.stderr
+        for count in ("1", "2"):
+            run = run_module(["tdhf", "--dim", "3", "--points", "7", "--omega",
+                              "343", "--coeffs", "guess.csv", "--nuclei",
+                              "nuclei.txt", "--soften", "0.5", "--time", "0.5",
+                              "--steps", "10", "--observables",
+                              "energy,rdm-diag", "--out", "tdhf.csv"],
+                             **{key: count for key in threads})
+            assert run.returncode == 0, run.stderr
+            assert sha256("tdhf.csv") == (
+                "7cc8162c6ee23b3d3963ca0e3bc1bd30aad8e10c073d05ae295462891666a9d7"
+            ), count
 
 
 class TestTdhfCommand:
@@ -542,6 +579,18 @@ class TestElementsFile:
                              "--epsilon", "0.5", "--delta", "0.2", "--samples",
                              "200", "--seed", "8", "--elements", "bad1.csv",
                              "--out", "x.csv"]) == 2
+
+    def test_comments_blank_lines_and_crlf_read_as_the_plain_file(
+            self, workdir):
+        assert dispatch([*EVOLVE_N5, "--eta", "2"]) == 0
+        (workdir / "plain.csv").write_text("0,1\n2,3\n")
+        (workdir / "noted.csv").write_bytes(
+            b"# bra,ket\r\n\r\n0,1  # first\r\n   \r\n 2, 3\r\n# end")
+        for name in ("plain", "noted"):
+            assert dispatch(["shadows", "--in", "st5.bin", "--epsilon", "0.5",
+                             "--delta", "0.2", "--samples", "200", "--elements",
+                             f"{name}.csv", "--out", f"{name}.out.csv"]) == 0
+        assert sha256("noted.out.csv") == sha256("plain.out.csv")
 
     @pytest.mark.parametrize("row", ["0,7", "5,5"])
     def test_padding_labels_exit_two(self, workdir, capsys, row):
@@ -900,6 +949,38 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
 
+    @pytest.mark.parametrize("argv", [
+        EVOLVE_N5 + ["--eta", "2", "--nuclei", "latin1.txt"],
+        ["prep", "--coeffs", "latin1.txt"],
+        ["shadows", "--in", "st.bin", "--epsilon", "0.5", "--delta", "0.2",
+         "--samples", "200", "--elements", "latin1.txt", "--out", "x.csv"],
+        ["--config", "latin1.txt", "cost", "--query", "4,2,1,0.1"],
+        ["--manifest", "latin1.txt"],
+    ], ids=["nuclei", "coeffs", "elements", "config", "manifest"])
+    def test_non_utf8_input_exits_two_naming_the_file(self, inputs, capsys,
+                                                      argv):
+        # each input is decoded as UTF-8 whatever the locale
+        (inputs / "latin1.txt").write_bytes(b"# caf\xe9\n")
+        exits_two_with_one_line(argv, capsys, "latin1.txt", "UTF-8")
+
+    @pytest.mark.parametrize("argv,text,needle", [
+        (["prep", "--coeffs", "f.csv"], "1,0\n0,1,0\n", "equal rows"),
+        (["prep", "--coeffs", "f.csv"], "1,0\n\n0,x\n", "f.csv line 3"),
+        (["shadows", "--in", "st.bin", "--k", "1", "--epsilon", "0.5",
+          "--delta", "0.2", "--samples", "200", "--elements", "f.csv",
+          "--out", "x.csv"], "0,1\n1,2,\n", "f.csv line 2"),
+        (["shadows", "--in", "st.bin", "--k", "1", "--epsilon", "0.5",
+          "--delta", "0.2", "--samples", "200", "--elements", "f.csv",
+          "--out", "x.csv"], '# bra,ket\n"0",1\n', "f.csv line 2"),
+        (EVOLVE_N5 + ["--eta", "2", "--nuclei", "f.csv"], "1 0.3\n1 x\n",
+         "f.csv line 2"),
+    ], ids=["ragged-coeffs", "coeffs-letter", "elements-trailing-comma",
+            "elements-quoted", "nuclei-letter"])
+    def test_field_or_row_refused_naming_the_file(self, inputs, capsys, argv,
+                                                  text, needle):
+        (inputs / "f.csv").write_text(text)
+        exits_two_with_one_line(argv, capsys, needle)
+
 
 def exits_two_with_one_line(argv, capsys, *needles):
     assert dispatch(argv) == 2
@@ -1215,13 +1296,17 @@ def test_malformed_value_exits_two_naming_its_key(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) in ([], [tmp_path / "cfg.json"])
 
 
-def run_module(argv, **env):
-    """``python -m fqlab argv`` in a fresh process, with src on the path."""
+def run_python(*args, **env):
+    """``python args`` in a fresh process, with src on the path."""
     src = str(Path(fqlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "fqlab", *argv],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path, **env})
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path, **env})
+
+
+def run_module(argv, **env):
+    """``python -m fqlab argv`` in a fresh process, with src on the path."""
+    return run_python("-m", "fqlab", *argv, **env)
 
 
 class TestModuleEntryPoint:

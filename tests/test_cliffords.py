@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from fqlab.cliffords import (
     GROUP_ORDER_MOD_PHASE,
@@ -15,6 +16,7 @@ from fqlab.cliffords import (
     pauli_from_bits,
     sample_clifford,
     sample_symplectic_basis,
+    _symplectic_bases,
     _symplectic_product,
     table_rows,
 )
@@ -106,6 +108,21 @@ class TestSymplecticSampling:
                     assert _symplectic_product(v, v2, n) == 0
                     assert _symplectic_product(v, w2, n) == 0
                     assert _symplectic_product(w, w2, n) == 0
+
+
+    def test_two_qubit_bases_are_uniform(self):
+        # 10 draws per basis on average over the 720 symplectic bases of
+        # F_2^4, which the n >= 3 readout relies on: a chi-square test
+        def key(pairs):
+            return np.asarray(pairs, dtype=np.uint8).tobytes()
+
+        index = {key(pairs): i for i, pairs in enumerate(_symplectic_bases(2))}
+        rng = derive_rng(17, "symp-uniform")
+        draws = [index[key(sample_symplectic_basis(2, rng))]
+                 for _ in range(10 * len(index))]
+        counts = np.bincount(draws, minlength=len(index))
+        assert len(index) == 720
+        assert stats.chisquare(counts).pvalue > 0.001
 
 
 class TestSampling:

@@ -1,6 +1,7 @@
 """Core state representation: antisymmetry, determinants, RDMs, measurement."""
 
 from itertools import combinations, permutations
+import hashlib
 import math
 import struct
 
@@ -48,6 +49,7 @@ from fqlab.grids import GridSpec, register_qubits
 from fqlab.stateprep import prepare_slater
 
 from conftest import (
+    identity_rows,
     joint_born_outcomes,
     naive_signed_permutation_sum,
     permutation_sign,
@@ -362,6 +364,35 @@ class TestRegisterUnitary:
 
 
 class TestMeasureAll:
+    # sha256 of 2000 int64 outcome rows of (N, eta, seed N + eta) states on
+    # the stream (21, "pin", N), recorded from the chain-rule draw
+    PINS = {
+        (4, 2): "48660f0ee5fbada3f4561add982acc8243993dc5e42e2d6e3e2528acf6d0695e",
+        (5, 3): "5f0305965ea77e1581f65f8a2eedef875788b4611a5e9afcf2df5c852ca0bdae",
+        (7, 1): "583bd6ee6e0e8d0819325704bbbd69fff7e1cb3ecb7d574a2c96012bfce81819",
+        (3, 3): "3cf20ac1f511331ee077976fce32996652d770eb8e25e92decec76e203af09dc",
+    }
+
+    @pytest.mark.parametrize("n_orbitals,eta", list(PINS))
+    def test_outcomes_pinned(self, n_orbitals, eta):
+        state = random_antisymmetric_state(n_orbitals, eta, seed=n_orbitals + eta)
+        rng = derive_rng(21, "pin", n_orbitals)
+        draws = np.array([measure_all(state, rng) for _ in range(2000)])
+        assert (hashlib.sha256(draws.astype(np.int64).tobytes()).hexdigest()
+                == self.PINS[n_orbitals, eta])
+
+    @pytest.mark.parametrize("uniform,outcome", [
+        (0.0, (1, 2)), (np.nextafter(1.0, 0.0), (2, 1)), (1.0, (2, 1))])
+    def test_label_of_probability_zero_never_drawn(self, uniform, outcome):
+        # only (1, 2) and (2, 1) carry weight: the first and the last
+        # labels of the joint CDF are never drawn, also at its ends
+        class Fixed:
+            def random(self, size):
+                return np.full(size, uniform)
+
+        state = antisymmetrize(basis(4, (1, 2)))
+        assert measure_all(state, Fixed()) == outcome
+
     def test_basis_state_deterministic(self):
         state = basis(4, (2, 3))
         for counter in range(5):
@@ -383,7 +414,8 @@ class TestMeasureAll:
         n_draws = 100_000
         # one bulk draw: the outcomes of n_draws measure_all calls on the stream
         outcomes = sample_registers(state.tensor,
-                                    derive_rng(3, "chi2").random(n_draws))
+                                    derive_rng(3, "chi2").random(n_draws),
+                                    identity_rows(state.tensor, n_draws))
         rng = derive_rng(3, "chi2")
         assert all(measure_all(state, rng) == tuple(row) for row in outcomes[:1000])
         counts = np.bincount(np.ravel_multi_index(outcomes.T, state.tensor.shape),
@@ -447,15 +479,17 @@ class TestSampleRegisters:
     def test_identity_matches_the_stack_sampler(self, n_orbitals, eta):
         tensor = random_antisymmetric_state(n_orbitals, eta, seed=eta).tensor
         uniforms = derive_rng(9, "plain", n_orbitals).random(500)
-        assert np.array_equal(sample_registers(tensor, uniforms),
-                              stack_sample_registers(tensor, uniforms))
+        assert np.array_equal(
+            sample_registers(tensor, uniforms, identity_rows(tensor, 500)),
+            stack_sample_registers(tensor, uniforms))
 
     @pytest.mark.parametrize("n_orbitals,eta", [
         (2, 1), (3, 2), (4, 3), (5, 2), (6, 2), (8, 4), (16, 2)])
     def test_matches_joint_oracle_without_unitaries(self, n_orbitals, eta):
         tensor = padded_random_tensor(n_orbitals, eta, seed=n_orbitals + eta)
         uniforms = derive_rng(6, "plain", 10 * n_orbitals + eta).random(2000)
-        outcomes = sample_registers(tensor, uniforms)
+        outcomes = sample_registers(tensor, uniforms,
+                                    identity_rows(tensor, len(uniforms)))
         batch = np.broadcast_to(tensor, (len(uniforms),) + tensor.shape)
         assert np.array_equal(outcomes, joint_born_outcomes(batch, uniforms))
 
@@ -466,7 +500,8 @@ class TestSampleRegisters:
         rng = derive_rng(7, "padded", 10 * n_orbitals + eta)
         uniforms = np.concatenate([[0.0, np.nextafter(1.0, 0.0)],
                                    rng.random(3000)])
-        outcomes = sample_registers(tensor, uniforms)
+        outcomes = sample_registers(tensor, uniforms,
+                                    identity_rows(tensor, len(uniforms)))
         assert outcomes.min() >= 0 and outcomes.max() < n_orbitals
 
     @pytest.mark.parametrize("n_orbitals", [3, 7])
