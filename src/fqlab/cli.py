@@ -345,6 +345,8 @@ def _parse_elements(spec_text, k):
     if spec_text == "all-1rdm":
         return spec_text
     rows = _read_text(spec_text, int)
+    if not rows:
+        raise UsageError(f"element CSV {spec_text} holds no rows")
     if any(len(row) != 2 * k for row in rows):
         raise UsageError(f"element CSV {spec_text} needs 2k = {2 * k} labels a row")
     return [(tuple(row[:k]), tuple(row[k:])) for row in rows]

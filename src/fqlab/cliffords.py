@@ -207,25 +207,6 @@ class CliffordElement:
     def dim(self) -> int:
         return 2 ** self.n
 
-    def maps_paulis_to_paulis(self) -> bool:
-        """Check U P U† is a (phase times) Pauli for the generator Paulis."""
-        for bits in np.eye(2 * self.n, dtype=np.uint8):
-            p = pauli_from_bits(bits, self.n)
-            img = self.unitary @ p @ self.unitary.conj().T
-            if not _is_signed_pauli(img, self.n):
-                return False
-        return True
-
-
-def _is_signed_pauli(mat: np.ndarray, n: int) -> bool:
-    """Whether ``mat`` is a unit phase times a Pauli, within 1e-10."""
-    for bits in _all_bit_vectors(2 * n):
-        p = pauli_from_bits(bits, n)
-        overlap = np.trace(p.conj().T @ mat) / (2 ** n)
-        if abs(abs(overlap) - 1.0) <= 1e-10 and np.max(np.abs(mat - overlap * p)) <= 1e-10:
-            return True
-    return False
-
 
 def _all_bit_vectors(width: int):
     for val in range(2 ** width):

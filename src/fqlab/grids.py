@@ -89,15 +89,3 @@ class GridSpec:
     def frequencies(self) -> np.ndarray:
         """Dual frequencies k_p, shape (N, dim)."""
         return self.index_points * (2.0 * np.pi / self.length)
-
-    def flat_index(self, point) -> int:
-        """Flat grid index of an integer lattice point."""
-        m = self.points_per_axis
-        lo = int(self.axis_window[0])
-        idx = 0
-        for comp in np.atleast_1d(np.asarray(point, dtype=np.int64)):
-            t = int(comp) - lo
-            if not 0 <= t < m:
-                raise ValidationError(f"lattice point {point} outside grid window")
-            idx = idx * m + t
-        return idx

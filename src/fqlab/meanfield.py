@@ -283,13 +283,6 @@ def hf_energy(orbitals: OccupiedOrbitals, integrals: GridIntegrals,
             + integrals.nuclear_offset)
 
 
-def fock_spectral_norm(orbitals: OccupiedOrbitals,
-                       integrals: GridIntegrals) -> float:
-    """Largest singular value of F(C_occ)."""
-    f = build_fock(orbitals, integrals)
-    return float(np.linalg.norm(f, ord=2))
-
-
 _TAYLOR_TOL = 2.0 ** -53
 # The terms of exp(-i x) sum to e^|x| in magnitude before they cancel, so
 # a substep rounds off about e^theta * 2^-53; degree 30 keeps theta < 4.

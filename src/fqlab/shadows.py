@@ -17,10 +17,9 @@ import math
 import numpy as np
 
 from .cliffords import (GROUP_ORDER_MOD_PHASE, CliffordRows, KeyText,
-                        clifford_from_key, draw_clifford_blocks, table_rows)
+                        clifford_from_key, draw_clifford_blocks)
 from .errors import (
     AssumptionViolated,
-    EnumerationUnavailable,
     IndexOutOfRange,
     InsufficientSamples,
     NotAntisymmetric,
@@ -32,7 +31,6 @@ from .states import (
     FirstQuantizedState,
     check_budget,
     check_labels,
-    contract_registers,
     register_factor,
     row_weights,
     sample_registers,
@@ -296,36 +294,10 @@ def samples_from_keys(rows, n_orbitals: int) -> ShadowBatch:
                        KeyText(register_qubits(n_orbitals), distinct))
 
 
-def snapshot_term_estimate(rows: np.ndarray, registers, bra_labels,
-                           ket_labels) -> complex:
-    """Factorized tr[M^{-1}(snapshot) O] for O = prod |i_l><j_l| on x_l.
-
-    ``rows`` holds one sample's outcome rows U_x[b_x, :N], shape (eta, N).
-    Registers not in ``registers`` contribute exactly 1 (the inverted
-    single-register snapshot has unit trace), so the product runs over
-    the k involved registers only.
-    """
-    eta, width = rows.shape
-    check_labels(bra_labels, ket_labels, eta, width, len(registers))
-    factors = _RegisterRows(rows[None])
-    value = 1.0 + 0.0j
-    for x, i, j in zip(registers, bra_labels, ket_labels):
-        if not 1 <= x <= eta:
-            raise IndexOutOfRange(f"register {x} out of range 1..{eta}")
-        value *= factors._factor(x - 1, i, j)[0]
-    return complex(value)
-
-
 def krdm_coefficient(eta: int, k: int) -> float:
     """Prefactor relating the restricted register sum to the k-RDM element."""
     rset = RestrictedIndexSet(eta, k)
     return (k / rset.eta_used) ** k * math.factorial(eta) / math.factorial(eta - k)
-
-
-def single_shot_values(batch: ShadowBatch, bra_labels,
-                       ket_labels) -> np.ndarray:
-    """Per-sample estimator values (before grouping), vectorized."""
-    return _RegisterRows(batch.rows).values(bra_labels, ket_labels)
 
 
 class _RegisterRows:
@@ -420,9 +392,9 @@ def read_out(state: FirstQuantizedState, k: int, epsilon: float, delta: float,
     antisymmetric state); k, epsilon and delta, by :func:`required_samples`
     on either path; ``samples``, "auto" (that count) or a positive int, its
     batch size by :func:`collect_shadows`; and ``elements``, "all-1rdm"
-    (k = 1 only) or (bra, ket) tuples of k labels in 0..N-1. Returns the
-    estimator configuration, the batch and the :func:`estimate_elements`
-    stream.
+    (k = 1 only) or one or more (bra, ket) tuples of k labels in 0..N-1.
+    Returns the estimator configuration, the batch and the
+    :func:`estimate_elements` stream.
     """
     if not state.is_antisymmetric():
         raise NotAntisymmetric("shadow protocol expects an antisymmetric state")
@@ -436,89 +408,9 @@ def read_out(state: FirstQuantizedState, k: int, epsilon: float, delta: float,
     config = EstimatorConfig.from_sample_count(k, epsilon, delta, samples)
     if elements == "all-1rdm":  # refused below unless k = 1
         elements = all_1rdm_elements(state.n_orbitals)
+    if not elements:
+        raise ValidationError("the element list holds no rows")
     for bra, ket in elements:
         check_labels(bra, ket, state.eta, state.n_orbitals, k)
     batch = collect_shadows(state, samples, seed, threads=threads)
     return config, batch, estimate_elements(batch, config, elements)
-
-
-# -- exhaustive-channel verification -----------------------------------------
-
-
-def exhaustive_estimator_mean(state: FirstQuantizedState, bra_labels,
-                              ket_labels) -> complex:
-    """Exact estimator mean: average over all Clifford tuples and outcomes.
-
-    Only available when the single-register group can be enumerated
-    (n <= 2). Equals the exact k-RDM element; the identity
-    M^{-1}(M(sigma)) = sigma register by register is what this exercises.
-
-    All |G|^eta Clifford tuples take one batched contraction, and every
-    (tuple, outcome) pair is weighted by its Born probability at once.
-    Refused before any tuple is built when the rows of every pair, the
-    largest array, would exceed the dense regime.
-    """
-    table = table_rows(state.qubits_per_register)
-    order = len(table.index)
-    eta, dim, n = state.eta, state.register_dim, state.n_orbitals
-    check_budget(f"the exhaustive mean's rows over {order}^{eta} "
-                 f"Clifford tuples", (order * dim,) * eta + (eta, n))
-    combos = np.indices((order,) * eta).reshape(eta, -1).T
-    columns = table.select(combos).unitaries()[..., :n]  # (tuples, eta, d, N)
-    probs = np.abs(contract_registers(state.tensor, columns)) ** 2
-    outcomes = np.indices((dim,) * eta).reshape(eta, -1).T
-    # rows[c, o, x] = U_{c, x}[o_x, :N], for outcome o in row-major order
-    rows = gather_outcome_rows(table.select(combos[:, None]), outcomes[None], n)
-    values = _RegisterRows(rows.reshape(-1, eta, n)).values(bra_labels,
-                                                            ket_labels)
-    return complex(probs.reshape(-1) @ values / order ** eta)
-
-
-def twirl_deviations(n: int, a: np.ndarray, b: np.ndarray,
-                     c: np.ndarray) -> tuple:
-    """Max deviations of the 2-fold and 3-fold twirl identities.
-
-    2-fold:  E_U U†|x><x|U <x|U A U†|x>
-               = (A + tr[A] I) / (2^n (2^n + 1))
-    3-fold:  E_U U†|x><x|U <x|U B U†|x> <x|U C U†|x>
-               = (I (tr[BC] + tr[B] tr[C]) + B tr[C] + C tr[B] + BC + CB)
-                 / (2^n (2^n + 1) (2^n + 2))
-
-    Both are checked for every computational basis outcome x by
-    exhaustive average over the group table.
-    """
-    if n > 2:
-        raise EnumerationUnavailable("twirl checks need the group table (n <= 2)")
-    table = table_rows(n).unitaries()
-    dim = 2 ** n
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    c = np.asarray(c, dtype=complex)
-    rhs2 = (a + np.trace(a) * np.eye(dim)) / (dim * (dim + 1))
-    rhs3 = (np.eye(dim) * (np.trace(b @ c) + np.trace(b) * np.trace(c))
-            + b * np.trace(c) + c * np.trace(b) + b @ c + c @ b)
-    rhs3 = rhs3 / (dim * (dim + 1) * (dim + 2))
-    dev2 = 0.0
-    dev3 = 0.0
-    for x in range(dim):
-        acc2 = np.zeros((dim, dim), dtype=complex)
-        acc3 = np.zeros((dim, dim), dtype=complex)
-        for u in table:
-            ux = u.conj().T[:, x]          # U†|x>
-            proj = np.outer(ux, ux.conj())  # U†|x><x|U
-            amp_a = ux.conj() @ (a @ ux)    # <x|U A U†|x>
-            amp_b = ux.conj() @ (b @ ux)
-            amp_c = ux.conj() @ (c @ ux)
-            acc2 += proj * amp_a
-            acc3 += proj * amp_b * amp_c
-        acc2 /= len(table)
-        acc3 /= len(table)
-        dev2 = max(dev2, float(np.max(np.abs(acc2 - rhs2))))
-        dev3 = max(dev3, float(np.max(np.abs(acc3 - rhs3))))
-    return dev2, dev3
-
-
-def twirl_identity_check(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                         tol: float = 1e-10) -> bool:
-    dev2, dev3 = twirl_deviations(n, a, b, c)
-    return dev2 < tol and dev3 < tol

@@ -90,19 +90,6 @@ class GivensNetwork:
                     raise ValidationError(
                         f"rotation {rot} escapes layer-{q} window")
 
-    def rotation_count(self) -> int:
-        return sum(len(layer) for layer in self.layers)
-
-    def single_particle_unitary(self) -> np.ndarray:
-        """The N x N orbital rotation implemented by the full schedule."""
-        u = np.eye(self.n_orbitals, dtype=complex)
-        for layer in self.layers:
-            for rot in layer:
-                g = rot.block
-                rows = [rot.orbital_a, rot.orbital_b]
-                u[rows, :] = g @ u[rows, :]
-        return u
-
 
 def _staircase_gauge(coeffs: np.ndarray) -> np.ndarray:
     """Column-rotate C so row r is zero in columns c with r > N - eta + c.
@@ -276,11 +263,6 @@ class ConversionRegisters:
         """One row of eta register labels per branch, 0 where unwritten,
         unpacked from ``keys``."""
         return self._labels_of(self.keys)
-
-    def window_population(self, orbital: int) -> float:
-        """Probability mass with the slot for ``orbital`` in state |1>."""
-        on = (self.keys & (1 << self._slot(orbital))) != 0
-        return float(np.sum(np.abs(self.amplitudes[on]) ** 2))
 
     def apply_window_rotation(self, rot: GivensRotation) -> None:
         """Number-conserving two-qubit gate on the slots of (a, b).

@@ -325,16 +325,6 @@ class FirstQuantizedState:
         amplitudes on every access."""
         return self.is_antisymmetric()
 
-    @staticmethod
-    def from_basis(eta, n_orbitals, labels, grid=None):
-        """Computational basis state |p_1,...,p_eta>."""
-        tensor = np.zeros((n_orbitals,) * eta, dtype=complex)
-        labels = tuple(int(p) for p in labels)
-        if len(labels) != eta or any(not 0 <= p < n_orbitals for p in labels):
-            raise ValidationError(f"bad basis labels {labels}")
-        tensor[labels] = 1.0
-        return FirstQuantizedState(eta, n_orbitals, tensor, grid=grid)
-
 
 # -- operations ---------------------------------------------------------
 

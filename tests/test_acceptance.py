@@ -34,23 +34,22 @@ from fqlab.meanfield import (
     GridIntegrals,
     OccupiedOrbitals,
     TdhfPlan,
-    fock_spectral_norm,
     mean_field_1rdm,
     tdhf_step,
     evolve_tdhf,
 )
-from fqlab.shadows import (
-    collect_shadows,
-    exhaustive_estimator_mean,
-    required_samples,
-    single_shot_values,
-    twirl_deviations,
-    variance_bound,
-)
+from fqlab.shadows import collect_shadows, required_samples, variance_bound
 from fqlab.states import exact_krdm_element, first_second_equivalence_check, slater_oracle
 from fqlab.stateprep import prepare_slater, toffoli_count
 
-from conftest import random_antisymmetric_state, random_orthonormal
+from conftest import (
+    exhaustive_estimator_mean,
+    fock_spectral_norm,
+    random_antisymmetric_state,
+    random_orthonormal,
+    single_shot_values,
+    twirl_deviations,
+)
 
 # frozen regression cap for the criterion-11 envelope constant (measured ~8.6)
 ENVELOPE_CONSTANT_CAP = 12.0

@@ -22,10 +22,9 @@ from fqlab.cli import _PARAMETERS, _build_parser, dispatch
 from fqlab.errors import NonOrthonormalInput, ValidationError
 from fqlab.experiment import pipeline_shadow_experiment
 from fqlab.grids import GridSpec
-from fqlab.states import (FirstQuantizedState, load_state, save_state,
-                          slater_oracle)
+from fqlab.states import load_state, save_state, slater_oracle
 
-from conftest import random_orthonormal, traced_peak
+from conftest import basis_state, random_orthonormal, traced_peak
 
 
 def sha256(path):
@@ -603,6 +602,20 @@ class TestElementsFile:
              "--out", "x.csv"], capsys, "0..4")
         assert not (workdir / "x.csv").exists()
 
+    @pytest.mark.parametrize("text", ["", "# nothing\n\n"],
+                             ids=["empty", "comments-only"])
+    def test_no_elements_exit_two_before_any_draw(self, workdir, capsys,
+                                                  text):
+        assert dispatch([*EVOLVE_N5, "--eta", "2"]) == 0
+        (workdir / "e.csv").write_text(text)
+        exits_two_with_one_line(
+            ["shadows", "--in", "st5.bin", "--epsilon", "0.5", "--delta",
+             "0.2", "--samples", "200", "--elements", "e.csv",
+             "--out", "x.csv", "--dump-samples", "d.csv"],
+            capsys, "e.csv", "holds no rows")
+        assert not (workdir / "x.csv").exists()
+        assert not (workdir / "d.csv").exists()
+
 
 EVOLVE_N5 = ["evolve", "--dim", "1", "--points", "5", "--omega", "5",
              "--time", "0.1", "--steps", "2", "--out", "st5.bin"]
@@ -889,7 +902,7 @@ class TestMalformedInputs:
         (workdir / "coeffs.csv").write_text("1,0\nx,0\n")
         (workdir / "params.json").write_text(json.dumps(
             {"subcommand": "cost", "parameters": "query"}))
-        save_state(workdir / "product.bin", FirstQuantizedState.from_basis(
+        save_state(workdir / "product.bin", basis_state(
             2, 4, (0, 1), grid=GridSpec(dim=1, points_per_axis=4, cell_volume=4.0)))
         return workdir
 

@@ -23,6 +23,8 @@ from fqlab.cliffords import (
 from fqlab.errors import EnumerationUnavailable, ValidationError
 from fqlab.rng import derive_rng
 
+from conftest import maps_paulis_to_paulis
+
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
 
@@ -137,7 +139,7 @@ class TestSampling:
             el = sample_clifford(n, rng)
             u = el.unitary
             assert np.max(np.abs(u.conj().T @ u - np.eye(2 ** n))) < 1e-10
-            assert el.maps_paulis_to_paulis()
+            assert maps_paulis_to_paulis(el)
 
     def test_two_qubit_samples_land_in_group(self):
         table_keys = {_matrix_key(u) for u in table_rows(2).unitaries()}

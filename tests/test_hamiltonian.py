@@ -33,6 +33,7 @@ from fqlab import states
 from fqlab.states import FirstQuantizedState, slater_oracle
 
 from conftest import (
+    flat_index,
     grid_dft_matrix,
     kron_sum,
     random_antisymmetric_state,
@@ -64,19 +65,19 @@ def ground_slater(grid, nuclei, kernel, eta=2):
 class TestKineticTable:
     def test_zero_momentum(self):
         grid = GridSpec(dim=3, points_per_axis=3, cell_volume=27.0)
-        assert kinetic_phase_table(grid)[grid.flat_index((0, 0, 0))] == 0.0
+        assert kinetic_phase_table(grid)[flat_index(grid, (0, 0, 0))] == 0.0
 
     def test_known_value(self):
         grid = GridSpec(dim=3, points_per_axis=3, cell_volume=27.0)
-        value = kinetic_phase_table(grid)[grid.flat_index((1, 0, 0))]
+        value = kinetic_phase_table(grid)[flat_index(grid, (1, 0, 0))]
         assert value == pytest.approx((2 * math.pi / 3) ** 2 / 2, rel=1e-12)
 
     def test_symmetric_under_negation(self):
         grid = GridSpec(dim=2, points_per_axis=5, cell_volume=4.0)
         table = kinetic_phase_table(grid)
         for point in grid.index_points:
-            assert table[grid.flat_index(point)] == pytest.approx(
-                table[grid.flat_index(-point)], rel=1e-12)
+            assert table[flat_index(grid, point)] == pytest.approx(
+                table[flat_index(grid, -point)], rel=1e-12)
 
     @pytest.mark.parametrize("dim,points", [(1, 6), (2, 3), (2, 4)])
     def test_kinetic_matrix_hermitian_with_table_spectrum(self, dim, points):
@@ -142,7 +143,7 @@ class TestPotentialDiagonal:
         nuclei = NuclearConfig(np.array([[1.8, 2.4]]), np.array([2.0]))
         w = potential_diagonal(GridHamiltonian(grid, nuclei, BARE), eta=1)
         delta = grid.spacing
-        idx = grid.flat_index((0, 0))
+        idx = flat_index(grid, (0, 0))
         assert w[idx] == pytest.approx(-2.0 / (3 * delta), rel=1e-12)
 
     def test_bare_nucleus_on_grid_point_is_singular(self):

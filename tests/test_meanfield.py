@@ -23,7 +23,6 @@ from fqlab.meanfield import (
     TdhfPlan,
     build_fock,
     evolve_tdhf,
-    fock_spectral_norm,
     hf_energy,
     mean_field_1rdm,
     tdhf_step,
@@ -34,7 +33,7 @@ from fqlab.meanfield import (
 from fqlab import states
 from fqlab.states import exact_krdm_element, slater_oracle
 
-from conftest import random_orthonormal
+from conftest import fock_spectral_norm, random_orthonormal
 
 
 def model_system(points=16, volume=32.0, soften=1.0, charge=2.0):

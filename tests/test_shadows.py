@@ -25,16 +25,11 @@ from fqlab.shadows import (
     _coordinatewise_median,
     collect_shadows,
     estimate_krdm_element,
-    exhaustive_estimator_mean,
     gather_outcome_rows,
     krdm_coefficient,
     read_out,
     required_samples,
     samples_from_keys,
-    single_shot_values,
-    snapshot_term_estimate,
-    twirl_deviations,
-    twirl_identity_check,
     variance_bound,
 )
 from fqlab.states import (
@@ -45,7 +40,17 @@ from fqlab.states import (
     slater_oracle,
 )
 
-from conftest import random_antisymmetric_state, random_orthonormal, traced_peak
+from conftest import (
+    basis_state,
+    exhaustive_estimator_mean,
+    random_antisymmetric_state,
+    random_orthonormal,
+    single_shot_values,
+    snapshot_term_estimate,
+    traced_peak,
+    twirl_deviations,
+    twirl_identity_check,
+)
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -329,6 +334,13 @@ class TestReadOut:
             read_out(state, k, 0.5, 0.2, 200, 1, elements)
         assert drawn == []
 
+    @pytest.mark.parametrize("elements", [[], ()], ids=["list", "tuple"])
+    def test_no_elements_refused_before_sampling(self, state, drawn,
+                                                 elements):
+        with pytest.raises(ValidationError, match="holds no rows"):
+            read_out(state, 1, 0.5, 0.2, 200, 1, elements)
+        assert drawn == []
+
     @pytest.mark.parametrize("samples", ["abc", "200", 0, -3, 2.5, True])
     def test_samples_auto_or_positive_integer(self, state, drawn, samples):
         with pytest.raises(ValidationError, match="samples"):
@@ -351,7 +363,7 @@ class TestReadOut:
         assert drawn == []
 
     def test_product_state_refused(self, drawn):
-        product = FirstQuantizedState.from_basis(2, 4, (0, 1))
+        product = basis_state(2, 4, (0, 1))
         with pytest.raises(NotAntisymmetric):
             read_out(product, 1, 0.5, 0.2, 200, 1, "all-1rdm")
         assert drawn == []

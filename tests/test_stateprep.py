@@ -27,19 +27,24 @@ from fqlab.stateprep import (
     verify_preparation,
 )
 
-from conftest import random_orthonormal
+from conftest import (
+    random_orthonormal,
+    rotation_count,
+    single_particle_unitary,
+    window_population,
+)
 
 
 class TestGivensDecompose:
     def test_reference_columns_give_empty_network(self):
         net = givens_decompose(np.eye(6)[:, :2])
-        assert net.rotation_count() == 0
+        assert rotation_count(net) == 0
 
     def test_single_rotation_for_two_level_orbital(self):
         theta = 0.8
         coeffs = np.array([[math.cos(theta)], [math.sin(theta)]])
         net = givens_decompose(coeffs)
-        assert net.rotation_count() == 1
+        assert rotation_count(net) == 1
         rot = net.layers[0][0]
         assert (rot.orbital_a, rot.orbital_b) == (0, 1)
         assert rot.theta == pytest.approx(theta)
@@ -48,7 +53,7 @@ class TestGivensDecompose:
     def test_projector_reconstruction(self, n_orbitals, eta):
         coeffs = random_orthonormal(n_orbitals, eta, seed=n_orbitals * 10 + eta)
         net = givens_decompose(coeffs)
-        u = net.single_particle_unitary()
+        u = single_particle_unitary(net)
         rebuilt = u[:, :eta]
         p_net = rebuilt @ rebuilt.conj().T
         p_ref = coeffs @ coeffs.conj().T
@@ -96,7 +101,7 @@ class TestConversion:
         # the one, after which slot 0 is empty for later orbitals
         before = branches(regs)
         regs.conversion_step(0, validate=True)
-        assert regs.window_population(0) == pytest.approx(0.0, abs=1e-14)
+        assert window_population(regs, 0) == pytest.approx(0.0, abs=1e-14)
         assert branches(regs) != before
 
     def test_occupied_branch_writes_label_and_counter(self):
@@ -310,7 +315,7 @@ class TestPrepareSlater:
         monkeypatch.setattr(GivensRotation, "__post_init__", counted)
         result = prepare_slater(random_orthonormal(16, 4, seed=164),
                                 validate=True)
-        assert result.network.rotation_count() == 48
+        assert rotation_count(result.network) == 48
         assert len(built) == 48
         assert not any(rot.block.flags.writeable for rot in built)
 

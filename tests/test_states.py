@@ -49,6 +49,7 @@ from fqlab.grids import GridSpec, register_qubits
 from fqlab.stateprep import prepare_slater
 
 from conftest import (
+    basis_state,
     identity_rows,
     joint_born_outcomes,
     naive_signed_permutation_sum,
@@ -60,7 +61,7 @@ from conftest import (
 
 
 def basis(n_orbitals, labels):
-    return FirstQuantizedState.from_basis(len(labels), n_orbitals, labels)
+    return basis_state(len(labels), n_orbitals, labels)
 
 
 class TestAntisymmetrize:
