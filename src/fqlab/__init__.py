@@ -1,6 +1,6 @@
 """fqlab: a desk-scale first-quantized electron-dynamics laboratory."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .grids import GridSpec
 from .states import (

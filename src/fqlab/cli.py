@@ -157,8 +157,7 @@ def _load_coeffs(path) -> np.ndarray:
         raise UsageError(f"coefficient CSV {path} holds no rows")
     if len(rows[0]) % 2 or any(len(row) != len(rows[0]) for row in rows):
         raise UsageError(f"coefficient CSV {path} needs equal rows of re,im pairs")
-    raw = np.array(rows)
-    return raw[:, 0::2] + 1j * raw[:, 1::2]
+    return np.array(rows).view(complex)  # no 1j * im, which warns at inf
 
 
 def _particle_count(p, grid: GridSpec) -> int:
@@ -200,11 +199,11 @@ _OUTPUTS = ("out", "ledger-out", "dump-samples")
 
 def _files(sub, value) -> tuple[dict, dict]:
     """{key: path} of the inputs and of the outputs of a run of ``sub``,
-    each path ``value(key)`` checked to be a string; an empty one and
-    --elements all-1rdm name no file."""
+    each path ``value(key)`` checked by :func:`_file_name`; an empty one
+    and --elements all-1rdm name no file."""
     def named(keys):
         given = {key: value(key) for key in keys if key in _PARAMETERS[sub]}
-        return {key: _checked(path, str, f"--{key}")
+        return {key: _file_name(path, f"--{key}")
                 for key, path in given.items() if path not in (None, "")
                 and (key, path) != ("elements", "all-1rdm")}
     return named(_INPUTS), named(_OUTPUTS)
@@ -231,6 +230,13 @@ def _checked(value, kind, name):
     if not valid:
         raise UsageError(f"{name} must be {_KINDS[kind]}, got {value!r}")
     return out
+
+
+def _file_name(path, name):
+    """``path``, a string holding no NUL character, as no file name does."""
+    if "\0" in _checked(path, str, name):
+        raise UsageError(f"{name} {path!r} holds a NUL character")
+    return path
 
 
 def _given(args, config, key):
@@ -475,13 +481,13 @@ def _replayed(path):
     """Subcommand and parameters of a manifest whose inputs are unchanged."""
     recorded = _load_json(path)
     sub = recorded.get("subcommand")
-    if sub not in _COMMANDS:
+    if not isinstance(sub, str) or sub not in _COMMANDS:
         raise UsageError(f"manifest names unknown subcommand {sub!r}")
     params, inputs = recorded.get("parameters", {}), recorded.get("inputs", {})
     if not (isinstance(params, dict) and isinstance(inputs, dict)):
         raise UsageError(f"{path}: parameters and inputs must be JSON objects")
     for name, digest in inputs.items():
-        if _digest(name) != digest:
+        if _digest(_file_name(name, "replay input")) != digest:
             raise UsageError(f"replay input {name} differs from the one "
                              f"{path} recorded")
     return sub, params

@@ -259,7 +259,7 @@ def snapshot_term_estimate(rows: np.ndarray, registers, bra_labels,
     for x, i, j in zip(registers, bra_labels, ket_labels):
         if not 1 <= x <= eta:
             raise IndexOutOfRange(f"register {x} out of range 1..{eta}")
-        value *= factors._factor(x - 1, i, j)[0]
+        value *= factors._factors(i, j)[x - 1, 0]
     return complex(value)
 
 

@@ -5,7 +5,6 @@ Statistical criteria use fixed seeds, so the whole suite is reproducible
 bit for bit.
 """
 
-import csv
 import hashlib
 import math
 

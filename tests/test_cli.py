@@ -11,6 +11,7 @@ import string
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -810,37 +811,38 @@ class TestManifestBytesPinned:
     """SHA-256 of the manifest JSON of each subcommand form, recorded
     while each subcommand still wrote its own manifests: the manifests
     written from the file table are the same bytes. The digests inside
-    follow the pinned output bytes of evolve, tdhf and shadows."""
+    follow the pinned output bytes of evolve, tdhf and shadows. Re-recorded
+    at tool_version 0.3.0, the only line that changed."""
 
     FORMS = {
         "evolve": (["evolve", "--dim", "1", "--points", "4", "--omega", "4",
                     "--eta", "2", "--nuclei", "nuclei.txt", "--soften", "0.5",
                     "--time", "0.1", "--steps", "3", "--seed", "7",
                     "--out", "e.bin"],
-            "3c2d9bf1a80750038b77781b67e285ff0ab376fc62ac12588299880f85232ba9"),
+            "ee876696a0cfa5de13a8736d4ea4a9951b3d4825aac73fe0c57f310971bada68"),
         "evolve-in": (["evolve", "--in", "a.bin", "--nuclei", "nuclei.txt",
                        "--time", "0.1", "--steps", "2", "--order", "4",
                        "--out", "b.bin"],
-            "ad54f4c62f9536c8439b81423760956161bb0cf9911565f36b00754c4d906343"),
+            "42a4363b7301df321b5e67f101c3e291ca525d5f63c44c1c4017d6e49f8c2617"),
         "tdhf": (["tdhf", "--dim", "1", "--points", "4", "--omega", "4",
                   "--nuclei", "nuclei.txt", "--coeffs", "c.csv", "--time",
                   "0.1", "--steps", "3", "--observables", "energy,rdm-diag",
                   "--out", "t.csv"],
-            "36049715e1e820777b1d4e128b4e43e6bb8e9fc75387a7461b460b29f7c691a9"),
+            "d137f32f281ded166cb6b29ebde22c26be07e264156459da59ac553e4968eae2"),
         "prep": (["prep", "--coeffs", "c.csv", "--verify", "--ledger-out",
                   "ledger.csv"],
-            "a7409ab6adf8e97e23cf8571d72b6e5d30ae90908fbf61fff23570ea69b7e052"),
+            "e5c60d7cd217e7d6412b518e91f8e4853f23c3c3f5f5cf91ae17eaf1783009d0"),
         "shadows": (["shadows", "--in", "a.bin", "--epsilon", "0.3",
                      "--delta", "0.1", "--samples", "200", "--seed", "3",
                      "--elements", "e.csv", "--out", "est.csv",
                      "--dump-samples", "raw.csv"],
-            "0bc81b7a450fe69edb12898c5ef8adffd48b0f2600b26bd92bfc75c923e330b0"),
+            "f21751bcc5513dee7dd0d21174b03eea19c1b3ac1e82b29b4948bc2dc8abe8d2"),
         "cost-query": (["cost", "--query", "343,2,0.5,0.01", "--out",
                         "q.json"],
-            "4a5ec764b8291e72d4c5edee0c3e6332bcbd0c6f6bdb17df28e9dfd41f7f0ae0"),
+            "74ff4a78f3ac410712f347bfda51474a4b3eae5ccc6b0a458df446677c148311"),
         "cost-alpha-range": (["cost", "--alpha-range", "1:3:0.5", "--out",
                               "s.csv"],
-            "60888bb0dac318692944dc9c80c10281bb12d96aa3523d9a3b12c785cb62cfde"),
+            "92297e758c5915ee657e705ec5906fe0ddfc18699819258998439d96a6ce35b2"),
     }
 
     @pytest.mark.parametrize("form", list(FORMS))
@@ -902,6 +904,11 @@ class TestMalformedInputs:
         (workdir / "coeffs.csv").write_text("1,0\nx,0\n")
         (workdir / "params.json").write_text(json.dumps(
             {"subcommand": "cost", "parameters": "query"}))
+        (workdir / "inf.csv").write_text("1,0,0,0\n0,0,1,inf\n0,0,0,0\n0,0,0,0\n")
+        (workdir / "nul.json").write_text(json.dumps({"dump-samples": "x\0"}))
+        (workdir / "list.json").write_text(json.dumps({"subcommand": []}))
+        (workdir / "nul-input.json").write_text(json.dumps(
+            {"subcommand": "cost", "inputs": {"x\0": ""}}))
         save_state(workdir / "product.bin", basis_state(
             2, 4, (0, 1), grid=GridSpec(dim=1, points_per_axis=4, cell_volume=4.0)))
         return workdir
@@ -947,6 +954,11 @@ class TestMalformedInputs:
         ["cost", "--alpha-range", "1:2:1", "--out", "no-such-dir/s.csv"],
         ["cost", "--alpha-range", "1:2:0.5", "--query", "4,2,1,0.1",
          "--out", "c.csv"],
+        ["prep", "--coeffs", "inf.csv"],
+        ["--config", "nul.json", "shadows", "--in", "st.bin", "--epsilon",
+         "0.5", "--delta", "0.2", "--samples", "200", "--out", "x.csv"],
+        ["--manifest", "list.json"],
+        ["--manifest", "nul-input.json"],
     ], ids=["missing-in", "missing-manifest", "bad-config", "bad-coeffs",
             "bad-samples", "bad-query", "empty-query-field", "nan-query-field",
             "inf-query-field", "fractional-query-n", "fractional-query-eta",
@@ -956,7 +968,9 @@ class TestMalformedInputs:
             "evolve-eta-zero", "evolve-eta-above-n", "evolve-eta-negative",
             "tdhf-eta-above-n", "evolve-beyond-dense", "alpha-zero-step",
             "alpha-negative-step", "alpha-empty-range", "alpha-infinite",
-            "unwritable-out", "cost-both-modes"])
+            "unwritable-out", "cost-both-modes", "inf-imaginary-coeff",
+            "nul-in-an-output-name", "manifest-subcommand-a-list",
+            "nul-in-a-replay-input"])
     def test_exit_two_with_one_line(self, inputs, capsys, argv):
         assert dispatch(argv) == 2
         err = capsys.readouterr().err
@@ -1307,6 +1321,102 @@ def test_malformed_value_exits_two_naming_its_key(tmp_path, monkeypatch,
     capsys.readouterr()
     exits_two_with_one_line(argv, capsys, f"--{key}")
     assert list(tmp_path.iterdir()) in ([], [tmp_path / "cfg.json"])
+
+
+# The contents of the five text inputs. A field is a number of any size
+# or sign, a non-finite or non-numeric word, or a label small enough to
+# pass; JSON names hold no path separator, so every file a case writes
+# stays in its directory.
+_FIELD = st.one_of(st.integers(0, 3).map(str), st.integers().map(str),
+                   st.floats().map(repr), _NON_FINITE, _WORDS,
+                   st.sampled_from(["", " ", "1_0", "0x1", "+2", "\u0663"]))
+_NAME = st.one_of(st.sampled_from(["", ".", "a.bin", "x\0"]),
+                  st.text(alphabet=string.ascii_letters + "._-: \0", max_size=6))
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 60), st.floats(),
+              _NAME),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_NAME, inner, max_size=3)),
+    max_leaves=6)
+_DELETE = object()
+
+
+def _rows(sep):
+    """Up to six lines of up to five fields joined by ``sep``, some of
+    small labels only, among comments and blank lines; or any short text."""
+    line = st.one_of(st.lists(_FIELD, max_size=5),
+                     st.lists(st.sampled_from("0123"), min_size=1, max_size=5))
+    extra = st.sampled_from(["", "   ", "# a comment", "1 # after a field"])
+    return st.one_of(
+        st.lists(st.one_of(line.map(sep.join), extra), max_size=6).map("\n".join),
+        st.text(max_size=30))
+
+
+def _edited(base, keys):
+    """The JSON object ``base`` with up to three of its keys, or of its
+    "parameters" object, set to other JSON values or deleted; or a JSON
+    value of another shape, or any short text."""
+    edit = st.tuples(st.booleans(), st.one_of(st.sampled_from(keys), _NAME),
+                     st.one_of(st.just(_DELETE), _JSON))
+
+    def apply(edits):
+        record = json.loads(json.dumps(base))
+        for top, key, value in edits:
+            params = record.get("parameters")
+            target = record if top or not isinstance(params, dict) else params
+            if value is _DELETE:
+                target.pop(key, None)
+            else:
+                target[key] = value
+        return json.dumps(record)
+    return st.one_of(st.lists(edit, max_size=3).map(apply),
+                     _JSON.map(json.dumps), st.text(max_size=30))
+
+
+_SHADOWS_N4 = ["shadows", "--in", "a.bin", "--epsilon", "0.5", "--delta",
+               "0.2", "--samples", "40", "--out", "x.csv"]
+_TEXT_INPUTS = {
+    "nuclei": ("n.txt", ["evolve", "--dim", "1", "--points", "4", "--omega",
+                         "4", "--eta", "2", "--nuclei", "n.txt", "--soften",
+                         "0.5", "--time", "0.1", "--steps", "1", "--out",
+                         "e.bin"]),
+    "coeffs": ("c.csv", ["prep", "--coeffs", "c.csv", "--verify",
+                         "--ledger-out", "l.csv"]),
+    "elements": ("e.csv", [*_SHADOWS_N4, "--k", "2", "--elements", "e.csv"]),
+    "config": ("cfg.json", ["--config", "cfg.json", *_SHADOWS_N4]),
+    "manifest": ("m.json", ["--manifest", "m.json"]),
+}
+
+
+@pytest.mark.parametrize("source", list(_TEXT_INPUTS))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_text_input_contents_exit_cleanly(tmp_path, monkeypatch, capsys,
+                                          data, source):
+    # a run on a drawn input file ends in exit 0, 2 or 3 with at most one
+    # line on stderr and no warning (which a CLI run would print there);
+    # an exception escaping dispatch fails the case
+    monkeypatch.chdir(tmp_path)
+    save_state("a.bin", slater_oracle(random_orthonormal(4, 2, seed=1),
+                                      grid=GridSpec(1, 4, 4.0)))
+    if source == "config":
+        text = data.draw(_edited({}, list(_PARAMETERS["shadows"])))
+    elif source == "manifest":
+        assert dispatch(_SHADOWS_N4) == 0
+        base = json.loads(Path("x.csv.manifest.json").read_text())
+        text = data.draw(_edited(base, [*base, *base["parameters"]]))
+    else:
+        text = data.draw(_rows(" " if source == "nuclei" else ","))
+    name, argv = _TEXT_INPUTS[source]
+    Path(name).write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = dispatch(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3) and len(err.splitlines()) <= 1, (code, err)
+    assert not caught, [str(w.message) for w in caught]
 
 
 def run_python(*args, **env):

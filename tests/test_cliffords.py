@@ -6,7 +6,6 @@ from scipy import stats
 
 from fqlab.cliffords import (
     GROUP_ORDER_MOD_PHASE,
-    CliffordElement,
     CliffordRows,
     KeyText,
     _matrix_key,

@@ -1,6 +1,7 @@
 """Shadow protocol: channel inversion, estimators, bounds, twirls."""
 
 import hashlib
+from itertools import permutations
 import math
 
 from hypothesis import given, strategies as st
@@ -21,12 +22,10 @@ from fqlab.errors import (
 from fqlab.rng import derive_rng
 from fqlab.shadows import (
     EstimatorConfig,
-    RestrictedIndexSet,
     _coordinatewise_median,
     collect_shadows,
     estimate_krdm_element,
     gather_outcome_rows,
-    krdm_coefficient,
     read_out,
     required_samples,
     samples_from_keys,
@@ -100,23 +99,6 @@ class TestVarianceBound:
             variance_bound(2, 3)
 
 
-class TestRestrictedIndexSet:
-    def test_block_structure(self):
-        rset = RestrictedIndexSet(eta=4, k=2)
-        assert rset.eta_used == 4
-        assert rset.tuples() == [(1, 3), (1, 4), (2, 3), (2, 4)]
-
-    def test_truncation_when_not_divisible(self):
-        rset = RestrictedIndexSet(eta=5, k=2)
-        assert rset.eta_used == 4
-        assert len(rset.tuples()) == 4
-
-    def test_coefficients(self):
-        assert krdm_coefficient(2, 1) == pytest.approx(1.0)
-        assert krdm_coefficient(7, 1) == pytest.approx(1.0)
-        assert krdm_coefficient(4, 2) == pytest.approx(3.0)
-
-
 class TestSnapshotTerm:
     def test_identity_clifford_diagonal_hit(self):
         rows = identity_rows(2, (1,))
@@ -166,12 +148,16 @@ class TestSnapshotTerm:
 
 class TestEstimator:
     def test_exhaustive_mean_matches_exact(self):
-        state = random_antisymmetric_state(2, 2, seed=1)
-        for i in range(2):
-            for j in range(2):
-                mean = exhaustive_estimator_mean(state, (i,), (j,))
-                exact = exact_krdm_element(state, (i,), (j,))
-                assert abs(mean - exact) < 1e-10
+        # every 1-RDM element at seed 1, and at k = 2 the four ordered
+        # label pairs, where the estimator sums both register orders
+        pairs = [(0, 1), (1, 0)]
+        cases = [(1, (i,), (j,)) for i in range(2) for j in range(2)] + [
+            (seed, bra, ket) for seed in (1, 2, 3) for bra in pairs for ket in pairs]
+        for seed, bra, ket in cases:
+            state = random_antisymmetric_state(2, 2, seed=seed)
+            mean = exhaustive_estimator_mean(state, bra, ket)
+            exact = exact_krdm_element(state, bra, ket)
+            assert abs(mean - exact) < 1e-10
 
     def test_exhaustive_mean_on_a_padded_register(self):
         # N = 3 in registers of 4 labels: rows of width 3 invert the
@@ -221,17 +207,25 @@ class TestEstimator:
                 sigma = comp.std(ddof=1) / math.sqrt(len(comp)) + 1e-12
                 assert abs(comp.mean() - component(exact)) < 5 * sigma
 
-    def test_vectorized_values_match_scalar_reference(self):
-        # single_shot_values over the batch rows equals the per-sample
-        # restricted sum of snapshot_term_estimate
-        state = random_antisymmetric_state(4, 4, seed=15)
+    @pytest.mark.parametrize("n,eta,bra,ket", [
+        (4, 4, (0, 2), (1, 3)),
+        (8, 5, (0, 5), (7, 3)),
+        (8, 5, (3, 3), (3, 6)),
+        (8, 5, (0, 2, 4), (1, 3, 5)),
+    ], ids=["4-4-k2", "8-5-k2", "8-5-k2-repeated-labels", "8-5-k3"])
+    def test_values_are_the_sum_over_ordered_register_tuples(self, n, eta,
+                                                              bra, ket):
+        # single_shot_values over the batch rows equals the per-sample sum
+        # of snapshot_term_estimate over every ordered tuple of distinct
+        # registers, enumerated
+        state = random_antisymmetric_state(n, eta, seed=15)
         batch = collect_shadows(state, 50, seed=4)
-        bra, ket = (0, 2), (1, 3)
         values = single_shot_values(batch, bra, ket)
-        tuples = RestrictedIndexSet(4, 2).tuples()
+        tuples = [tuple(x + 1 for x in tup)
+                  for tup in permutations(range(eta), len(bra))]
         for rows, value in zip(batch.rows, values):
-            ref = krdm_coefficient(4, 2) * sum(
-                snapshot_term_estimate(rows, tup, bra, ket) for tup in tuples)
+            ref = sum(snapshot_term_estimate(rows, tup, bra, ket)
+                      for tup in tuples)
             assert value == pytest.approx(ref, abs=1e-12)
 
     def test_median_of_means_path(self):

@@ -1,7 +1,7 @@
 """The library's surface, read from its source: every definition in
-src/fqlab has a caller or a reason to stay, and no module imports a name
-it never uses. Acceptance oracles with no caller in the library live in
-tests/conftest.py."""
+src/fqlab has a caller or a reason to stay, and no module of src/fqlab or
+tests/ imports a name it never uses. Acceptance oracles with no caller
+in the library live in tests/conftest.py."""
 
 import ast
 from collections import Counter
@@ -24,10 +24,11 @@ KEPT = {
 }
 
 
-def modules():
-    """(file name, syntax tree) of every module of the package."""
+def modules(directory=PACKAGE):
+    """(file name, syntax tree) of every module in ``directory``, by
+    default the package."""
     return [(path.name, ast.parse(path.read_text(encoding="utf-8")))
-            for path in sorted(PACKAGE.glob("*.py"))]
+            for path in sorted(directory.glob("*.py"))]
 
 
 def used_names(node):
@@ -87,8 +88,10 @@ def test_every_definition_has_a_use():
 
 
 def test_no_module_imports_a_name_it_never_uses():
+    # the package and the test modules; the package's __init__.py imports
+    # to export, and perfbench/ is left to the benchmark
     unused = []
-    for module, tree in modules():
+    for module, tree in modules() + modules(ROOT / "tests"):
         if module == "__init__.py":
             continue
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}

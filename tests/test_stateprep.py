@@ -8,7 +8,6 @@ import pytest
 
 from fqlab.errors import (
     BruteForceLimitExceeded,
-    DecompositionFailure,
     OrderingViolation,
     ResidualPopulation,
     ValidationError,
