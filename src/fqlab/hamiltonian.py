@@ -187,13 +187,20 @@ class GridHamiltonian:
         return _kronecker_sum(self.axis_kinetic_matrix(), self.grid.dim)
 
     def nuclear(self) -> np.ndarray:
-        """U(p) = -sum_l zeta_l * kernel(|R_l - r_p|), length N."""
+        """U(p) = -sum_l zeta_l * kernel(|R_l - r_p|), length N; refused,
+        naming the charge, when a term or a partial sum would overflow."""
         u = np.zeros(self.grid.total_points)
+        reach = 0.0  # bounds every partial sum; Python floats never warn
         for pos, zeta in zip(self.nuclei.positions, self.nuclei.charges):
             dist = np.linalg.norm(self.grid.positions - pos[None, :], axis=1)
             if self.kernel.mode == "bare" and np.any(dist == 0):
                 raise SingularPotential("nucleus coincides with a grid point")
-            u -= zeta * self.kernel(dist)
+            kernel = self.kernel(dist)
+            reach += float(zeta) * float(kernel.max())
+            if not math.isfinite(reach):
+                raise ValidationError(
+                    f"nuclear charge {zeta:g} overflows the nuclear potential")
+            u -= zeta * kernel
         return u
 
     def pair(self) -> np.ndarray:
@@ -236,15 +243,30 @@ class GridHamiltonian:
                 d = np.linalg.norm(positions[a] - positions[b])
                 if d == 0:
                     raise SingularPotential("coincident nuclei")
-                total += charges[a] * charges[b] / d
-        return float(total)
+                # Python floats: an overflow gives inf, not a warning
+                total += float(charges[a]) * float(charges[b]) / float(d)
+                if not math.isfinite(total):
+                    raise ValidationError(
+                        f"nuclear charges {charges[a]:g} and {charges[b]:g} "
+                        f"overflow the nuclear repulsion")
+        return total
 
 
 def potential_diagonal(ham: GridHamiltonian, eta: int) -> np.ndarray:
-    """(U + V)(p_1..p_eta) over the full N^eta index block; V is built only
-    when there are pairs."""
-    return _potential_rows(ham.nuclear(), ham.pair() if eta > 1 else None,
-                           eta, slice(None))
+    """(U + V)(p_1..p_eta) over the full N^eta index block."""
+    return _potential_rows(*_potential_tables(ham, eta), eta, slice(None))
+
+
+def _potential_tables(ham: GridHamiltonian, eta: int):
+    """The tables U and, when there are pairs, V of eta electrons; refused
+    when a sum of eta U terms and the pair terms could overflow."""
+    u, v = ham.nuclear(), ham.pair() if eta > 1 else None
+    pairs = math.comb(eta, 2) * float(v.max()) if eta > 1 else 0.0
+    if not math.isfinite(eta * float(-u.min()) + pairs):
+        raise ValidationError(
+            f"the potential of {eta} electrons overflows: nuclear charges "
+            f"reach {float(ham.nuclei.charges.max()):g}")
+    return u, v
 
 
 def _potential_rows(u: np.ndarray, v, eta: int, rows: slice) -> np.ndarray:
@@ -487,7 +509,7 @@ def potential_expectation(state: FirstQuantizedState,
     """<U + V>, a slab of register 1's labels at a time: the density and
     the potential are formed slab by slab (:func:`_potential_rows`)."""
     eta, block = state.eta, state.tensor
-    u, v = ham.nuclear(), ham.pair() if eta > 1 else None
+    u, v = _potential_tables(ham, eta)
     total = 0.0
     for rows in slabs(block.shape):
         dens = np.abs(block[rows]) ** 2

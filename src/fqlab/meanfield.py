@@ -431,17 +431,23 @@ def evolve_tdhf(orbitals: OccupiedOrbitals, integrals: GridIntegrals,
     The operator F(C_n), built for the energy, is also the next step's
     first midpoint iterate.
     """
+    rows = plan.steps + 1
+    # each table is refused, as a dense one is, before it is allocated
+    check_budget(f"the times and energies of {rows} rows", (rows,))
+    if record_rdm_diag:
+        check_budget(f"the density diagonals of {rows} rows",
+                     (rows, len(orbitals.coeffs)))
     dt = plan.total_time / plan.steps
-    times = np.arange(plan.steps + 1) * dt
+    times = np.arange(rows) * dt
     times[0] = 0.0  # not -0.0 for a backward run
-    energies = np.empty(plan.steps + 1)
-    diags = (np.empty((plan.steps + 1, len(orbitals.coeffs)))
+    energies = np.empty(rows)
+    diags = (np.empty((rows, len(orbitals.coeffs)))
              if record_rdm_diag else None)
     current = orbitals
     fock = FockOperator(current.coeffs, integrals)
     history = [current]
     fp_iterations = []
-    for step in range(plan.steps + 1):
+    for step in range(rows):
         if step:
             current = tdhf_step(current, integrals, dt,
                                 iterations=fp_iterations, fock=fock)

@@ -19,11 +19,17 @@ each one int64 key packing its window occupancy, counter and written
 labels: every branch holds eta particles, the written ones in ascending
 order, so at most C(N, eta) branches exist and memory is O(C(N, eta))
 instead of the 2^(eta+1) 2^n_eta (2^n)^eta amplitudes of the full
-register space. A Givens rotation pairs branches by one sort of their
-keys and mixes each pair, and a conversion step rewrites keys in place.
-The antisymmetrizing isometry scatters each finished branch onto the
-eta! permutations of its labels, so the output tensor is the only dense
-array.
+register space. The branch set is kept closed and sorted: before a
+layer's first rotation each rest of key (counter and labels) gets every
+window pattern of its eta - counter particles, at amplitude 0, which
+are the C(q + 1 + eta, eta) branches that layer q's rotations reach, and
+the keys are sorted. A Givens rotation then creates no branch: adding
+bit_b - bit_a to a key keeps the keys' order, so the i-th branch with
+only slot a occupied pairs with the i-th with only slot b, checked key
+by key, and each pair is mixed in place. A conversion step rewrites keys
+in place and so reopens the set. The antisymmetrizing isometry scatters
+each finished branch onto the eta! permutations of its labels, so the
+output tensor is the only dense array.
 
 Toffoli accounting follows the improved conversion procedure: per
 orbital, one simultaneous unary-iteration step on all eta registers
@@ -125,27 +131,32 @@ def givens_decompose(coeffs: np.ndarray) -> GivensNetwork:
     n, eta = m.shape
     if not 1 <= eta <= n:
         raise ValidationError("need an N x eta matrix with eta <= N")
-    work = _staircase_gauge(m)
+    # rows of Python complex numbers: the 2 x eta updates are scalar
+    # arithmetic, cheaper than numpy calls at these sizes
+    work = _staircase_gauge(m).tolist()
     layers_reversed = []
     for q in range(n - eta - 1, -1, -1):  # elimination: last layer first
         layer = []
         for i in range(eta):
             row = q + i + 1           # entry (row, i) is eliminated
-            alpha = work[row - 1, i]
-            beta = work[row, i]
+            upper, lower = work[row - 1], work[row]
+            alpha, beta = upper[i], lower[i]
             if abs(beta) < 1e-15:
                 continue
             if abs(alpha) < 1e-15:
-                theta, phi = math.pi / 2, float(np.angle(beta))
+                theta, phi = math.pi / 2, math.atan2(beta.imag, beta.real)
             else:
                 theta = math.atan2(abs(beta), abs(alpha))
-                phi = float(np.angle(beta) - np.angle(alpha))
+                phi = (math.atan2(beta.imag, beta.real)
+                       - math.atan2(alpha.imag, alpha.real))
             rot = GivensRotation(row - 1, row, theta, phi)
-            g_dag = rot.block.conj().T
-            work[row - 1:row + 1] = g_dag @ work[row - 1:row + 1]
+            # the two rows <- G^dagger times the two rows
+            (g00, g01), (g10, g11) = rot.block.conj().tolist()
+            work[row - 1] = [g00 * x + g10 * y for x, y in zip(upper, lower)]
+            work[row] = [g01 * x + g11 * y for x, y in zip(upper, lower)]
             layer.append(rot)
         layers_reversed.append(tuple(reversed(layer)))
-    residual = float(np.max(np.abs(work[eta:, :]))) if n > eta else 0.0
+    residual = max((abs(x) for row in work[eta:] for x in row), default=0.0)
     if residual > 1e-9:
         raise DecompositionFailure(
             f"off-pattern residual {residual:.2e} exceeds 1e-09")
@@ -207,9 +218,10 @@ def antisymmetrization_gate_estimate(n_orbitals: int, eta: int) -> int:
 class ConversionRegisters:
     """Joint state of window qubits, the counter, and the eta registers.
 
-    Only the live basis branches are stored: branch i is ``keys[i]``, one
-    int64 packing the whole basis state, with amplitude
-    ``amplitudes[i]``. Low bits first, a key holds the eta + 1 window
+    Only the live basis branches are stored, and from a layer's first
+    rotation on the ones that layer can reach, at amplitude 0, in
+    ascending key order: branch i is ``keys[i]``, one int64 packing the
+    whole basis state, with amplitude ``amplitudes[i]``. Low bits first, a key holds the eta + 1 window
     slots, then the counter (registers written so far), then the eta
     register label fields, 0 where unwritten. ``occupancy``, ``counter``
     and ``labels`` unpack those fields. Window slot for orbital o is
@@ -236,6 +248,15 @@ class ConversionRegisters:
         self.keys = np.array([sum(1 << self._slot(o) for o in range(eta))],
                              dtype=np.int64)
         self.amplitudes = np.ones(1, dtype=complex)
+        # row c: the window patterns of eta - c particles, ascending,
+        # padded with -1; rows for counters beyond eta are all padding
+        rows = [[m for m in range(1 << self.window_slots)
+                 if m.bit_count() == eta - c]
+                for c in range(1 << self.counter_width)]
+        width = max(map(len, rows))
+        self._window_patterns = np.array(
+            [row + [-1] * (width - len(row)) for row in rows], dtype=np.int64)
+        self._closed = False
         self.converted = 0
         self.ledger = ToffoliLedger()
 
@@ -264,42 +285,55 @@ class ConversionRegisters:
         unpacked from ``keys``."""
         return self._labels_of(self.keys)
 
+    def _close(self) -> None:
+        """Give every rest-of-key all window patterns of its eta - counter
+        particles, at amplitude 0, and sort the keys.
+
+        These are the branches that the rotations of the current layer
+        can reach, so after closing a rotation finds every partner in
+        the set and creates no key.
+        """
+        rests = np.sort(self.keys & ~((1 << self.window_slots) - 1))
+        rests = rests[np.append(rests[1:] != rests[:-1], True)]
+        patterns = self._window_patterns[self._counter_of(rests)]
+        keys = (rests[:, None] | patterns)[patterns >= 0]
+        at = np.searchsorted(keys, self.keys)
+        if (keys.take(at, mode="clip") != self.keys).any():
+            raise ValidationError("a branch does not hold eta particles")
+        amplitudes = np.zeros(keys.size, dtype=complex)
+        amplitudes[at] = self.amplitudes
+        self.keys, self.amplitudes = keys, amplitudes
+        self._closed = True
+
     def apply_window_rotation(self, rot: GivensRotation) -> None:
         """Number-conserving two-qubit gate on the slots of (a, b).
 
         The one-particle amplitudes transform by the rotation block with
         |10> (orbital a occupied) as the first component; |00> and |11>
-        are untouched (the block has unit determinant). Branches with
-        one of the two slots occupied pair up by the rest of their key,
-        found by one sort; a missing partner enters with amplitude 0.
+        are untouched (the block has unit determinant). The first
+        rotation of a layer closes the branch set; then each branch with
+        only slot a occupied has its partner, the key + bit_b - bit_a, in
+        the set, and the pair is mixed in place. A missing partner is
+        refused.
         """
         sa, sb = self._slot(rot.orbital_a), self._slot(rot.orbital_b)
         if sa == sb:
             raise ValidationError("rotation maps to a single window slot")
+        if not self._closed:
+            self._close()
         g = rot.block
         bit_a, bit_b = 1 << sa, 1 << sb
         pair = self.keys & (bit_a | bit_b)
-        is_single = (pair == bit_a) | (pair == bit_b)
-        single = np.flatnonzero(is_single)
-        rest = self.keys[single] & ~(bit_a | bit_b)
-        order = np.argsort(rest)
-        single, rest = single[order], rest[order]
-        head = np.ones(len(rest), dtype=bool)
-        head[1:] = rest[1:] != rest[:-1]
-        group = np.cumsum(head) - 1
-        on_a = pair[single] == bit_a
-        amp_a = np.zeros(np.count_nonzero(head), dtype=complex)
-        amp_b = np.zeros_like(amp_a)
-        amp_a[group[on_a]] = self.amplitudes[single[on_a]]
-        amp_b[group[~on_a]] = self.amplitudes[single[~on_a]]
-        kept = ~is_single
-        rest = rest[head]
-        self.keys = np.concatenate(
-            [self.keys[kept], rest | bit_a, rest | bit_b])
-        self.amplitudes = np.concatenate(
-            [self.amplitudes[kept],
-             g[0, 0] * amp_a + g[0, 1] * amp_b,
-             g[1, 0] * amp_a + g[1, 1] * amp_b])
+        on_a = np.flatnonzero(pair == bit_a)
+        on_b = np.flatnonzero(pair == bit_b)
+        # adding bit_b - bit_a to every key keeps their order, so in the
+        # closed, sorted set the i-th branch on a pairs with the i-th on b
+        if (on_a.size != on_b.size
+                or (self.keys[on_b] - self.keys[on_a] != bit_b - bit_a).any()):
+            raise ValidationError("a rotated branch has no partner")
+        amp_a, amp_b = self.amplitudes[on_a], self.amplitudes[on_b]
+        self.amplitudes[on_a] = g[0, 0] * amp_a + g[0, 1] * amp_b
+        self.amplitudes[on_b] = g[1, 0] * amp_a + g[1, 1] * amp_b
 
     def conversion_step(self, orbital: int, validate: bool = False) -> None:
         """Move orbital occupancy into register xi+1 on every branch.
@@ -332,6 +366,7 @@ class ConversionRegisters:
         self.keys[rows[free]] = (keys[free] - bit + (1 << self.window_slots)
                                  + (orbital << shift[free]))
         self.converted += 1
+        self._closed = False
         if validate:
             self._check_branch_invariants()
         n_eta = self.counter_width

@@ -909,6 +909,7 @@ class TestMalformedInputs:
         (workdir / "list.json").write_text(json.dumps({"subcommand": []}))
         (workdir / "nul-input.json").write_text(json.dumps(
             {"subcommand": "cost", "inputs": {"x\0": ""}}))
+        (workdir / "huge-charge.txt").write_text("1e308 0.3\n")
         save_state(workdir / "product.bin", basis_state(
             2, 4, (0, 1), grid=GridSpec(dim=1, points_per_axis=4, cell_volume=4.0)))
         return workdir
@@ -959,6 +960,15 @@ class TestMalformedInputs:
          "0.5", "--delta", "0.2", "--samples", "200", "--out", "x.csv"],
         ["--manifest", "list.json"],
         ["--manifest", "nul-input.json"],
+        ["evolve", "--dim", "1", "--points", "4", "--omega", "4", "--eta",
+         "2", "--nuclei", "huge-charge.txt", "--time", "0.1", "--steps", "1",
+         "--out", "e.bin"],
+        ["tdhf", "--dim", "1", "--points", "4", "--omega", "4", "--eta", "2",
+         "--nuclei", "huge-charge.txt", "--time", "0.1", "--steps", "1",
+         "--out", "t.csv"],
+        # steps + 1 rows of times and energies, refused before allocation
+        ["tdhf", "--dim", "1", "--points", "4", "--omega", "4", "--eta", "1",
+         "--time", "1", "--steps", "100000000000", "--out", "t.csv"],
     ], ids=["missing-in", "missing-manifest", "bad-config", "bad-coeffs",
             "bad-samples", "bad-query", "empty-query-field", "nan-query-field",
             "inf-query-field", "fractional-query-n", "fractional-query-eta",
@@ -970,11 +980,14 @@ class TestMalformedInputs:
             "alpha-negative-step", "alpha-empty-range", "alpha-infinite",
             "unwritable-out", "cost-both-modes", "inf-imaginary-coeff",
             "nul-in-an-output-name", "manifest-subcommand-a-list",
-            "nul-in-a-replay-input"])
+            "nul-in-a-replay-input", "evolve-huge-charge", "tdhf-huge-charge",
+            "tdhf-steps-beyond-the-budget"])
     def test_exit_two_with_one_line(self, inputs, capsys, argv):
         assert dispatch(argv) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
+        assert not (inputs / "e.bin").exists()
+        assert not (inputs / "t.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         EVOLVE_N5 + ["--eta", "2", "--nuclei", "latin1.txt"],
@@ -1352,6 +1365,15 @@ def _rows(sep):
         st.text(max_size=30))
 
 
+def _nuclei():
+    """Up to three nuclei on the 4-point line, of charge up to 1e308 and
+    within a cell length of its points, so every charge reaches the
+    potential."""
+    nucleus = st.tuples(st.floats(1, 1e308), st.floats(-3, 3))
+    return st.lists(nucleus, min_size=1, max_size=3).map(
+        lambda rows: "\n".join(f"{charge!r} {x!r}" for charge, x in rows))
+
+
 def _edited(base, keys):
     """The JSON object ``base`` with up to three of its keys, or of its
     "parameters" object, set to other JSON values or deleted; or a JSON
@@ -1406,8 +1428,10 @@ def test_text_input_contents_exit_cleanly(tmp_path, monkeypatch, capsys,
         assert dispatch(_SHADOWS_N4) == 0
         base = json.loads(Path("x.csv.manifest.json").read_text())
         text = data.draw(_edited(base, [*base, *base["parameters"]]))
+    elif source == "nuclei":
+        text = data.draw(st.one_of(_rows(" "), _nuclei()))
     else:
-        text = data.draw(_rows(" " if source == "nuclei" else ","))
+        text = data.draw(_rows(","))
     name, argv = _TEXT_INPUTS[source]
     Path(name).write_text(text, encoding="utf-8")
     capsys.readouterr()

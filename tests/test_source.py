@@ -1,7 +1,8 @@
 """The library's surface, read from its source: every definition in
-src/fqlab has a caller or a reason to stay, and no module of src/fqlab or
-tests/ imports a name it never uses. Acceptance oracles with no caller
-in the library live in tests/conftest.py."""
+src/fqlab has a caller or a reason to stay, no module of src/fqlab or
+tests/ imports a name it never uses, and every such module parses at the
+oldest Python that pyproject.toml declares. Acceptance oracles with no
+caller in the library live in tests/conftest.py."""
 
 import ast
 from collections import Counter
@@ -22,6 +23,13 @@ KEPT = {
     "antisymmetrization_gate_estimate": "item 15",
     "interaction_picture_steps": "item 15",
 }
+
+
+# (major, minor) of requires-python's floor, read as text: tomllib is
+# newer than some of the versions it may name
+FLOOR = tuple(int(part) for part in re.search(
+    r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"$',
+    (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M).groups())
 
 
 def modules(directory=PACKAGE):
@@ -104,3 +112,16 @@ def test_no_module_imports_a_name_it_never_uses():
                 continue
             unused += [f"{module}: {name}" for name in names if name not in read]
     assert not unused, unused
+
+
+def test_every_module_parses_at_the_declared_floor():
+    # syntax newer than the floor would pass on this interpreter and fail
+    # on the oldest one the package claims to support
+    failures = []
+    for path in [*sorted(PACKAGE.glob("*.py")),
+                 *sorted((ROOT / "tests").glob("*.py"))]:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), feature_version=FLOOR)
+        except SyntaxError as exc:
+            failures.append(f"{path.name}:{exc.lineno}: {exc.msg}")
+    assert not failures, failures

@@ -13,7 +13,8 @@ from fqlab.errors import (
     ValidationError,
 )
 from fqlab.grids import register_qubits
-from fqlab.states import signed_permutation_sum, slater_oracle
+from fqlab.states import (FirstQuantizedState, signed_permutation_sum,
+                          slater_oracle)
 from fqlab.stateprep import (
     ConversionRegisters,
     GivensNetwork,
@@ -48,7 +49,8 @@ class TestGivensDecompose:
         assert (rot.orbital_a, rot.orbital_b) == (0, 1)
         assert rot.theta == pytest.approx(theta)
 
-    @pytest.mark.parametrize("n_orbitals,eta", [(6, 2), (8, 3), (5, 4), (4, 1)])
+    @pytest.mark.parametrize("n_orbitals,eta",
+                             [(6, 2), (8, 3), (5, 4), (4, 1), (16, 4), (24, 5)])
     def test_projector_reconstruction(self, n_orbitals, eta):
         coeffs = random_orthonormal(n_orbitals, eta, seed=n_orbitals * 10 + eta)
         net = givens_decompose(coeffs)
@@ -214,6 +216,63 @@ class TestConversion:
             refused = ("unwritten register" if "unwritten" in str(exc)
                        else "not strictly ascending")
         assert refused == expected
+
+    @pytest.mark.parametrize("n_orbitals,eta", [(16, 4), (9, 3), (6, 5)])
+    def test_each_layer_works_on_a_closed_sorted_set(self, n_orbitals, eta):
+        # layer q's first rotation completes every rest of key to all its
+        # window patterns: C(q + 1 + eta, eta) keys, strictly increasing;
+        # the layer's other rotations create no key and move none
+        coeffs = random_orthonormal(n_orbitals, eta, seed=eta)
+        net = givens_decompose(coeffs)
+        regs = ConversionRegisters(n_orbitals, eta)
+        for orbital in range(n_orbitals):
+            if orbital < n_orbitals - eta:
+                first, *rest = net.layers[orbital]
+                regs.apply_window_rotation(first)
+                keys = regs.keys.copy()
+                assert np.all(keys[1:] > keys[:-1])
+                assert keys.size == math.comb(orbital + 1 + eta, eta)
+                for rot in rest:
+                    regs.apply_window_rotation(rot)
+                    assert np.array_equal(regs.keys, keys)
+            regs.conversion_step(orbital, validate=True)
+        state = FirstQuantizedState(eta, n_orbitals, regs.finish())
+        assert abs(state.overlap(slater_oracle(coeffs))) == pytest.approx(
+            1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("edit,message", [
+        ("drop-a-partner", "no partner"),
+        ("shuffle", "no partner"),
+        ("three-particles", "eta particles"),
+    ])
+    def test_keys_assigned_from_outside_are_refused(self, edit, message):
+        # a rotation pairs branches only with their exact partner keys;
+        # keys set behind the closed set's back are refused, not mis-paired
+        net = givens_decompose(random_orthonormal(9, 3, seed=93))
+        regs = ConversionRegisters(9, 3)
+        for orbital in range(3):
+            for rot in net.layers[orbital]:
+                regs.apply_window_rotation(rot)
+            regs.conversion_step(orbital)
+        first, second = net.layers[3][:2]
+        regs.apply_window_rotation(first)  # 35 keys
+        if edit == "drop-a-partner":
+            bit_a = 1 << regs._slot(second.orbital_a)
+            bit_b = 1 << regs._slot(second.orbital_b)
+            on_b = (regs.keys & (bit_a | bit_b)) == bit_b
+            keep = np.ones(regs.keys.size, dtype=bool)
+            keep[np.flatnonzero(on_b)[0]] = False
+            regs.keys, regs.amplitudes = regs.keys[keep], regs.amplitudes[keep]
+        elif edit == "shuffle":
+            order = np.random.default_rng(5).permutation(regs.keys.size)
+            regs.keys, regs.amplitudes = regs.keys[order], regs.amplitudes[order]
+        else:  # a fresh set: the closing step reads it
+            regs = ConversionRegisters(9, 3)
+            regs.keys = pack(regs, 0b1111, 0, [0, 0, 0])
+        before = regs.amplitudes.copy()
+        with pytest.raises(ValidationError, match=message):
+            regs.apply_window_rotation(second)
+        assert np.array_equal(regs.amplitudes, before)
 
     def test_residual_population_detected(self):
         regs = ConversionRegisters(n_orbitals=6, eta=2)

@@ -21,6 +21,7 @@ from fqlab.hamiltonian import (CoulombKernel, EvolutionPlan, GridHamiltonian,
                                lowest_momentum_slater, total_energy)
 from fqlab.meanfield import GridIntegrals
 from fqlab.shadows import _BLOCK_AMPLITUDES, collect_shadows
+from fqlab.stateprep import prepare_slater
 from fqlab.states import load_state, slater_oracle
 
 from conftest import (random_antisymmetric_state, random_orthonormal,
@@ -122,6 +123,21 @@ def test_slater_oracle():
     slater_oracle(coeffs)  # imports
     peak = traced_peak(lambda: slater_oracle(coeffs))
     assert peak <= 1.15 * 12 ** 5 * 16
+
+
+# The prepared block plus, while it is scattered, eta^2 int64 index
+# terms per finished branch (C(N, eta) of them): 1.46 blocks at (16, 4)
+# and 1.07 at (12, 5). The branch sets before it hold at most C(N, eta)
+# keys and amplitudes.
+PREP_BLOCKS = {(16, 4): 1.5, (12, 5): 1.1}
+
+
+@pytest.mark.parametrize("n_orbitals,eta", list(PREP_BLOCKS))
+def test_prepare_slater(n_orbitals, eta):
+    coeffs = random_orthonormal(n_orbitals, eta, seed=n_orbitals + eta)
+    prepare_slater(coeffs)  # imports
+    peak = traced_peak(lambda: prepare_slater(coeffs, validate=True))
+    assert peak <= PREP_BLOCKS[n_orbitals, eta] * n_orbitals ** eta * 16
 
 
 def test_total_energy(evolved):
