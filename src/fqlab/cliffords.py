@@ -43,6 +43,9 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 GROUP_ORDER_MOD_PHASE = {1: 24, 2: 11520}
+# Stabilizer states mod phase (Aaronson & Gottesman, PRA 70, 052328 (2004)):
+# every row of an n-qubit Clifford is one of them, up to a unit phase
+STABILIZER_RAYS = {1: 6, 2: 60}
 
 
 def _phase_canonical(u: np.ndarray) -> np.ndarray:
@@ -217,6 +220,16 @@ def _all_bit_vectors(width: int):
 
 
 @dataclass(frozen=True, eq=False)
+class Rays:
+    """The rays of a row table: table row t is a unit phase times
+    ``table[of_row[t]]``, so every row of one ray gives the same Born
+    weights."""
+
+    table: np.ndarray   # (R, width): one row of each ray
+    of_row: np.ndarray  # (T,) ints: the ray of each table row
+
+
+@dataclass(frozen=True, eq=False)
 class CliffordRows:
     """Cliffords named by their rows in a shared table.
 
@@ -226,13 +239,15 @@ class CliffordRows:
     ids run over (representative, Pauli) pairs with the Pauli fastest,
     and the Pauli alone sets the phases. Where ``phases`` is None every
     phase is 1. The phases are units (+-1, +-i), so a row's phase never
-    changes its weight.
+    changes its weight. ``rays``, where the table has them (n <= 2), maps
+    each table row to its stabilizer ray.
     """
 
     table: np.ndarray              # (T, width) rows
     index: np.ndarray              # (E, d): the table row of each element row
     elements: np.ndarray           # ints in 0..E-1, any shape
     phases: np.ndarray | None = None  # (A, d): the phase of each row, per Pauli
+    rays: Rays | None = None
 
     @classmethod
     def of_stack(cls, unitaries: np.ndarray) -> "CliffordRows":
@@ -246,33 +261,20 @@ class CliffordRows:
     def select(self, elements) -> "CliffordRows":
         """The elements ``elements`` of the same table."""
         return CliffordRows(self.table, self.index, np.asarray(elements),
-                            self.phases)
-
-    def phase(self, labels) -> np.ndarray | None:
-        """The phase of row ``labels`` of each element (broadcast), or None
-        when every phase is 1."""
-        if self.phases is None:
-            return None
-        return self.phases[self.elements % len(self.phases), labels]
+                            self.phases, self.rays)
 
     def rows(self, labels, width=None) -> np.ndarray:
         """Row ``labels`` of each element (broadcast against ``elements``),
         its first ``width`` entries: one gather, times its phase."""
         rows = np.take(self.table, self.index[self.elements, labels],
                        axis=0)[..., :width]
-        phase = self.phase(labels)
-        if phase is not None:
-            rows *= phase[..., None]
+        if self.phases is not None:
+            rows *= self.phases[self.elements % len(self.phases), labels][..., None]
         return rows
-
-    def unphased(self) -> np.ndarray:
-        """Every row of each element without its phase: the table rows
-        behind it, shape elements.shape + (d, width), in one gather."""
-        return np.take(self.table, self.index[self.elements], axis=0)
 
     def unitaries(self) -> np.ndarray:
         """The dense matrices, shape elements.shape + (d, width)."""
-        rows = self.unphased()
+        rows = np.take(self.table, self.index[self.elements], axis=0)
         if self.phases is not None:
             rows *= self.phases[self.elements % len(self.phases)][..., None]
         return rows
@@ -292,6 +294,29 @@ def _symplectic_bases(n: int, pairs=(), chosen=()):
         for w in free:
             if _symplectic_product(v, w, n):
                 yield from _symplectic_bases(n, pairs + ((v, w),), chosen + (v, w))
+
+
+def _rays(n: int, table: np.ndarray) -> Rays:
+    """The stabilizer rays of the rows of an n-qubit table, each named by
+    its first row. A row rotated so that its first nonzero entry is
+    positive real has real and imaginary parts 0, +-1/2, +-1/sqrt(2) or
+    +-1 (n <= 2), so 8 times each part, rounded, is a distinct small
+    integer, and rows on one ray have the same integers. They are formed
+    256 rows at a time, so no temporary is the table's size."""
+    codes = np.empty((len(table), 2 * table.shape[1]), dtype=np.int8)
+    for lo in range(0, len(table), 256):
+        rows = table[lo:lo + 256]
+        first = rows[np.arange(len(rows)), np.argmax(np.abs(rows) > 1e-9, axis=1)]
+        parts = np.einsum("tr,t->tr", rows, np.abs(first) / first).view(np.float64)
+        codes[lo:lo + 256] = np.rint(8 * parts)
+    _, reps, of_row = np.unique(codes.view(f"V{codes.shape[1]}")[:, 0],
+                                return_index=True, return_inverse=True)
+    if len(reps) != STABILIZER_RAYS[n]:
+        raise AssertionError(f"{len(reps)} stabilizer rays at n = {n}")
+    rays = Rays(table[reps], of_row)
+    for arr in (rays.table, rays.of_row):
+        arr.setflags(write=False)
+    return rays
 
 
 @lru_cache(maxsize=None)
@@ -318,7 +343,8 @@ def _factorized(n: int) -> CliffordRows:
     table = reps.reshape(-1, dim)
     for arr in (table, index, phase):
         arr.setflags(write=False)
-    return CliffordRows(table, index, np.arange(order, dtype=np.int16), phase)
+    return CliffordRows(table, index, np.arange(order, dtype=np.int16), phase,
+                        _rays(n, table))
 
 
 @lru_cache(maxsize=None)
@@ -331,7 +357,8 @@ def _single_qubit_table() -> CliffordRows:
     index = np.arange(len(table), dtype=np.int16).reshape(-1, 2)
     for arr in (table, index):
         arr.setflags(write=False)
-    return CliffordRows(table, index, np.arange(len(index), dtype=np.int16))
+    return CliffordRows(table, index, np.arange(len(index), dtype=np.int16),
+                        rays=_rays(1, table))
 
 
 def table_rows(n: int) -> CliffordRows:

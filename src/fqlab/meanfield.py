@@ -9,6 +9,7 @@ classical modules share one Hamiltonian.
 
 from dataclasses import dataclass
 import math
+import sys
 
 import numpy as np
 
@@ -273,10 +274,21 @@ def hf_energy(orbitals: OccupiedOrbitals, integrals: GridIntegrals,
     ``fock`` is the operator F(C) when the caller has it already.
 
     Tr[(h + F) P] / 2 over the occupied columns: an O(N eta) sum after
-    the actions of h and F; ``np.sum`` adds pairwise.
+    the actions of h and F; ``np.sum`` adds pairwise. Every entry of those
+    actions and every partial sum is at most eta (||h||_2 + ||F||_2) in
+    modulus, each norm at most |center| + radius. Where that bound plus
+    the offset, taken in Python floats, is not below half the largest
+    float, the energy is refused (ValidationError) before any array is
+    summed.
     """
     c = orbitals.coeffs
     f = FockOperator(c, integrals) if fock is None else fock
+    bound = (c.shape[1] * (abs(integrals.h_center) + integrals.h_radius
+                           + abs(f.center) + f.radius)
+             + abs(integrals.nuclear_offset))
+    if not bound < sys.float_info.max / 2:
+        raise ValidationError(f"the energy is bounded only by {bound:.3g}, too "
+                              "large to sum in floats")
     hc = f(c)
     hc += integrals.one_body(c, integrals.diagonal)
     return (float(np.sum(c.real * hc.real + c.imag * hc.imag)) / 2

@@ -35,6 +35,7 @@ from .states import (
     FirstQuantizedState,
     check_budget,
     check_labels,
+    pair_weights,
     register_factor,
     row_weights,
     sample_registers,
@@ -42,10 +43,12 @@ from .states import (
 
 _CHUNK = 4096
 # Samples per block: as many as keep the largest per-sample arrays of a
-# draw, the d N^(eta-2) level-2 slice of sample_registers and the d x N
-# table rows of one register's Clifford that each later level gathers,
-# within this many complex entries, at least one. At N = 4 that is 512
-# samples at eta = 2 and 128 at eta = 4.
+# draw within this many complex entries, at least one. These are the d x N
+# table rows of one register's Clifford that a level gathers and, in
+# sample_registers, the d N^(eta-2) level-2 slice at n >= 3, or at n <= 2
+# the N^(eta-2) slice level 3 reads and the d N^(eta-3) slice it writes,
+# held together. At N = 4 that is 512 samples at eta = 2 and 3 and 256 at
+# eta = 4.
 _BLOCK_AMPLITUDES = 2 ** 13
 
 
@@ -148,24 +151,32 @@ def _collect_chunk(state, part: ShadowBatch, rng) -> None:
     sample. Each block of samples is then drawn register by register
     (:func:`~fqlab.states.sample_registers`). The register factor is
     formed once, and the level-1 weights once per table: once in all at
-    n <= 2, where every block draws from the shared table. There a
-    draw's table index is its id; at n >= 3 its key string goes to the
-    slot of the batch's strings that its id names.
+    n <= 2, where every block draws from the shared table, and with them
+    the level-2 weights of every pair of its stabilizer rays
+    (:func:`~fqlab.states.pair_weights`). There a draw's table index is
+    its id; at n >= 3 its key string goes to the slot of the batch's
+    strings that its id names.
     """
     uniforms = rng.random(len(part))
-    dim, n = state.register_dim, state.n_orbitals
-    per_sample = max(dim * state.tensor.size // n ** 2, dim * n)
+    dim, n, size = state.register_dim, state.n_orbitals, state.tensor.size
+    if state.qubits_per_register in GROUP_ORDER_MOD_PHASE:
+        per_sample = max(size // n ** 2 + dim * size // n ** 3, dim * n)
+    else:
+        per_sample = max(dim * size // n ** 2, dim * n)
     block = max(1, _BLOCK_AMPLITUDES // per_sample)
     shape = (len(part), state.eta)
     factor = register_factor(state.tensor)
-    table = weights = None
+    table = weights = pairs = None
     start = 0
     for names, draws in draw_clifford_blocks(state.qubits_per_register, rng,
                                              shape, block):
         if draws.table is not table:
             table, weights = draws.table, row_weights(factor, draws.table)
+            if draws.rays is not None and state.eta > 1:
+                pairs = pair_weights(state.tensor, draws.rays.table)
         span = slice(start, start + len(draws.elements))
-        outcomes = sample_registers(state.tensor, uniforms[span], draws, weights)
+        outcomes = sample_registers(state.tensor, uniforms[span], draws,
+                                    weights, pairs)
         if names.strings is None:
             part.ids[span] = draws.elements
         else:

@@ -54,11 +54,11 @@ def check_unit_norm(amplitudes: np.ndarray) -> None:
         raise ValidationError("state must be normalized within 1e-12")
 
 
-def slabs(shape):
+def slabs(shape, entries: int = SLAB_ENTRIES):
     """Slices of the leading axis of an array of ``shape``, in order, each
-    of at most SLAB_ENTRIES entries or one row: the reads that must not
+    of at most ``entries`` entries or one row: the reads that must not
     form a temporary of the array's size take it a slab at a time."""
-    rows = max(1, SLAB_ENTRIES // math.prod(shape[1:]))
+    rows = max(1, entries // math.prod(shape[1:]))
     for lo in range(0, shape[0], rows):
         yield slice(lo, min(lo + rows, shape[0]))
 
@@ -124,8 +124,33 @@ def row_weights(factor: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", parts, parts)  # |amplitude|^2 = re^2 + im^2
 
 
+def pair_weights(tensor: np.ndarray, rays: np.ndarray) -> np.ndarray:
+    """W2[s, t] = sum_r |(rays[s] (x) rays[t]) psi_r|^2 over the labels r of
+    registers 3..ndim: the weight of ray s on register 1 and ray t on
+    register 2, for every pair of the R rows of ``rays`` (each of at
+    least N entries, of which the first N act).
+
+    Register 1 is contracted in one GEMM, then register 2 in one GEMM per
+    slab of s, each image at most SLAB_ENTRIES / 4 amplitudes. A sum of
+    squared moduli, no entry rounds below 0.
+    """
+    labels = tensor.shape[0]
+    rows = rays[:, :labels]
+    flat = np.ascontiguousarray(tensor).reshape(labels, -1)
+    rest = flat.shape[1] // labels
+    # psi contracted with every ray on register 1, as (N, R, rest)
+    first = (rows @ flat).reshape(len(rows), labels, rest).transpose(1, 0, 2).copy()
+    out = np.empty((len(rows), len(rows)))
+    for part in slabs((len(rows), len(rows), rest), SLAB_ENTRIES // 4):
+        image = rows @ first[:, part].reshape(labels, -1)  # (t, (s, r))
+        parts = image.view(np.float64).reshape(len(rows), -1, 2 * rest)
+        out[part] = np.einsum("tsi,tsi->st", parts, parts)  # |.|^2 = re^2 + im^2
+    return out
+
+
 def sample_registers(tensor: np.ndarray, uniforms: np.ndarray, draws: CliffordRows,
-                     weights: np.ndarray | None = None) -> np.ndarray:
+                     weights: np.ndarray | None = None,
+                     pairs: np.ndarray | None = None) -> np.ndarray:
     """Born outcomes of measuring every register, one row per uniform.
 
     Sample b applies the Clifford ``draws.elements[b, x]`` (a
@@ -142,36 +167,59 @@ def sample_registers(tensor: np.ndarray, uniforms: np.ndarray, draws: CliffordRo
     omitted; a caller drawing many blocks from one table forms it once):
     the weight of label a is that of the table row behind row a of the
     sample's Clifford, one gather, since a unit phase leaves it unchanged.
-    Only the drawn row U_1[b_1, :] then meets the tensor, in one
-    (B x N) @ (N x N^(ndim-1)) GEMM, and each later level applies the
-    next Clifford's table rows to the live slice alone: no sample holds
-    N^ndim amplitudes, or the rows of more than one register's Clifford.
-    Only the row carried to the next level takes its phase. A label of
-    probability zero is never drawn, also when rounding puts the
-    remaining target past the end of a level.
+    No phase is applied anywhere: a unit phase on a carried row changes
+    no later weight either.
+
+    Where the table has stabilizer rays (``draws.rays``, n <= 2), level 2
+    is two gathers as well: the weight of label a is ``pairs[s1, s2]``,
+    the :func:`pair_weights` of the rays (formed here when omitted), s1
+    the ray of the row drawn on register 1 and s2 that of row a of
+    register 2's Clifford. Level 3 then starts from one GEMM of the two
+    drawn rays' products kron(C_s1, C_s2) against the tensor as
+    N^2 x N^(ndim-2). Otherwise only the drawn row U_1[b_1, :] meets the
+    tensor, in one (B x N) @ (N x N^(ndim-1)) GEMM, and level 2 starts
+    from it. Each later level applies the next Clifford's table rows to
+    the live slice alone: no sample holds N^ndim amplitudes, or the rows
+    of more than one register's Clifford. A label of probability zero is
+    never drawn, also when rounding puts the remaining target past the
+    end of a level.
     """
     batch, labels = len(uniforms), tensor.shape[0]
     flat = np.ascontiguousarray(tensor).reshape(labels, -1)
     if weights is None:
         weights = row_weights(register_factor(flat), draws.table)
+    rays = draws.rays
+    if rays is not None and tensor.ndim > 1:
+        if pairs is None:
+            pairs = pair_weights(tensor, rays.table)
+        columns = np.ascontiguousarray(rays.table[:, :labels].T)  # (N, R)
     dim = draws.index.shape[1]
     # cdf[a, b] is the weight of the labels below a in sample b's slice
     cdf = np.zeros((dim + 1, batch))
     picks = np.arange(batch)
     outcomes = np.empty((batch, tensor.ndim), dtype=np.int64)
     for x in range(tensor.ndim):
-        register = draws.select(draws.elements[:, x])
+        # (B, d): the table rows of register x's Cliffords
+        rows = np.take(draws.index, draws.elements[:, x], axis=0)
         if x == 0:
-            level = weights[register.index[register.elements].T]
+            level = np.take(weights, rows.T)
+        elif rays is not None and x == 1:
+            ray = np.take(rays.of_row, rows)
+            level = pairs[drawn, ray.T]
         else:
             if x == 1:
-                live = carried.rows(outcomes[:, 0], labels) @ flat
+                live = np.take(draws.table, drawn, axis=0)[:, :labels] @ flat
+            elif rays is not None and x == 2:
+                # kron(C_s1, C_s2) of each sample, formed with the sample
+                # axis last, as the (B, N^2) left operand of one GEMM
+                both = np.einsum("ib,jb->ijb", np.take(columns, drawn, axis=1),
+                                 np.take(columns, second, axis=1))
+                live = both.reshape(labels ** 2, batch).T @ flat.reshape(labels ** 2, -1)
+                del both
             else:
                 live = live[picks, outcomes[:, x - 1]]
-                phase = carried.phase(outcomes[:, x - 1])
-                if phase is not None:
-                    live *= phase[:, None]
-            live = register.unphased()[..., :labels] @ live.reshape(batch, labels, -1)
+            live = (np.take(draws.table, rows, axis=0)[..., :labels]
+                    @ live.reshape(batch, labels, -1))
             parts = live.view(np.float64)  # |amplitude|^2 = re^2 + im^2
             level = np.einsum("bij,bij->ib", parts, parts)
         for a in range(dim):  # d row adds; np.cumsum here measured slower
@@ -183,7 +231,12 @@ def sample_registers(tensor: np.ndarray, uniforms: np.ndarray, draws: CliffordRo
         label = (cdf[1:] <= target).sum(axis=0)
         target = target - cdf[label, picks]
         outcomes[:, x] = label
-        carried = register
+        if x == 0:
+            drawn = rows[picks, label]  # a table row, or its ray
+            if rays is not None:
+                drawn = rays.of_row[drawn]
+        elif x == 1 and rays is not None:
+            second = ray[picks, label]
     return outcomes
 
 

@@ -1,4 +1,6 @@
 from itertools import combinations, permutations
+import importlib.util
+from pathlib import Path
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,15 @@ from fqlab.states import (FirstQuantizedState, antisymmetrize, check_budget,
 # from earlier runs, so that reruns are bit-identical.
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
+
+
+def perfbench_module(name):
+    """perfbench/<name>.py, loaded from its file to be read, not installed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def traced_peak(fn):

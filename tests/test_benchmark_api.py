@@ -4,9 +4,7 @@ fails here first rather than as a failed benchmark run."""
 
 import functools
 import importlib
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -17,7 +15,7 @@ from fqlab.shadows import EstimatorConfig
 from fqlab.states import exact_krdm_element, load_state, slater_oracle
 from fqlab.stateprep import toffoli_count
 
-from conftest import random_orthonormal
+from conftest import perfbench_module, random_orthonormal
 
 NUCLEI = [[0.7, 0.0, 0.0], [-0.7, 0.0, 0.0]]  # the dynamics workload's
 
@@ -84,15 +82,6 @@ def test_readout_exact_elements():
     assert np.max(np.abs(one - one.conj().T)) < 1e-12
 
 
-def load_tracer():
-    """perfbench/tracer.py, loaded from its file to be read, not installed."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
-
-
 # Deleted from fqlab while the tracer still names it; dropping it from
 # TARGETS is a change of the benchmark.
 GONE = {("fqlab.grids", "centered_dft")}
@@ -102,7 +91,7 @@ def test_every_traced_function_resolves():
     # the tracer finds its spans by function name: a traced function that
     # is renamed or moved blanks its metric without an error
     missing = []
-    for module, qualname in load_tracer().TARGETS:
+    for module, qualname in perfbench_module("tracer").TARGETS:
         try:
             functools.reduce(getattr, qualname.split("."),
                              importlib.import_module(module))

@@ -910,6 +910,8 @@ class TestMalformedInputs:
         (workdir / "nul-input.json").write_text(json.dumps(
             {"subcommand": "cost", "inputs": {"x\0": ""}}))
         (workdir / "huge-charge.txt").write_text("1e308 0.3\n")
+        # off the grid points U stays finite, but the energy sum would not
+        (workdir / "huge-charge-off-grid.txt").write_text("1e308 1.7\n")
         save_state(workdir / "product.bin", basis_state(
             2, 4, (0, 1), grid=GridSpec(dim=1, points_per_axis=4, cell_volume=4.0)))
         return workdir
@@ -966,6 +968,9 @@ class TestMalformedInputs:
         ["tdhf", "--dim", "1", "--points", "4", "--omega", "4", "--eta", "2",
          "--nuclei", "huge-charge.txt", "--time", "0.1", "--steps", "1",
          "--out", "t.csv"],
+        ["tdhf", "--dim", "1", "--points", "4", "--omega", "4", "--eta", "2",
+         "--nuclei", "huge-charge-off-grid.txt", "--soften", "0.5", "--time",
+         "0.1", "--steps", "1", "--out", "t.csv"],
         # steps + 1 rows of times and energies, refused before allocation
         ["tdhf", "--dim", "1", "--points", "4", "--omega", "4", "--eta", "1",
          "--time", "1", "--steps", "100000000000", "--out", "t.csv"],
@@ -981,7 +986,7 @@ class TestMalformedInputs:
             "unwritable-out", "cost-both-modes", "inf-imaginary-coeff",
             "nul-in-an-output-name", "manifest-subcommand-a-list",
             "nul-in-a-replay-input", "evolve-huge-charge", "tdhf-huge-charge",
-            "tdhf-steps-beyond-the-budget"])
+            "tdhf-huge-charge-off-grid", "tdhf-steps-beyond-the-budget"])
     def test_exit_two_with_one_line(self, inputs, capsys, argv):
         assert dispatch(argv) == 2
         err = capsys.readouterr().err
@@ -1397,16 +1402,18 @@ def _edited(base, keys):
 
 _SHADOWS_N4 = ["shadows", "--in", "a.bin", "--epsilon", "0.5", "--delta",
                "0.2", "--samples", "40", "--out", "x.csv"]
+_NUCLEI_N4 = ["--dim", "1", "--points", "4", "--omega", "4", "--eta", "2",
+              "--nuclei", "n.txt", "--soften", "0.5", "--time", "0.1",
+              "--steps", "1"]
+# each input file and the runs that read it
 _TEXT_INPUTS = {
-    "nuclei": ("n.txt", ["evolve", "--dim", "1", "--points", "4", "--omega",
-                         "4", "--eta", "2", "--nuclei", "n.txt", "--soften",
-                         "0.5", "--time", "0.1", "--steps", "1", "--out",
-                         "e.bin"]),
-    "coeffs": ("c.csv", ["prep", "--coeffs", "c.csv", "--verify",
-                         "--ledger-out", "l.csv"]),
-    "elements": ("e.csv", [*_SHADOWS_N4, "--k", "2", "--elements", "e.csv"]),
-    "config": ("cfg.json", ["--config", "cfg.json", *_SHADOWS_N4]),
-    "manifest": ("m.json", ["--manifest", "m.json"]),
+    "nuclei": ("n.txt", [["evolve", *_NUCLEI_N4, "--out", "e.bin"],
+                         ["tdhf", *_NUCLEI_N4, "--out", "t.csv"]]),
+    "coeffs": ("c.csv", [["prep", "--coeffs", "c.csv", "--verify",
+                          "--ledger-out", "l.csv"]]),
+    "elements": ("e.csv", [[*_SHADOWS_N4, "--k", "2", "--elements", "e.csv"]]),
+    "config": ("cfg.json", [["--config", "cfg.json", *_SHADOWS_N4]]),
+    "manifest": ("m.json", [["--manifest", "m.json"]]),
 }
 
 
@@ -1432,15 +1439,16 @@ def test_text_input_contents_exit_cleanly(tmp_path, monkeypatch, capsys,
         text = data.draw(st.one_of(_rows(" "), _nuclei()))
     else:
         text = data.draw(_rows(","))
-    name, argv = _TEXT_INPUTS[source]
+    name, runs = _TEXT_INPUTS[source]
     Path(name).write_text(text, encoding="utf-8")
-    capsys.readouterr()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = dispatch(argv)
-    err = capsys.readouterr().err
-    assert code in (0, 2, 3) and len(err.splitlines()) <= 1, (code, err)
-    assert not caught, [str(w.message) for w in caught]
+    for argv in runs:
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = dispatch(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3) and len(err.splitlines()) <= 1, (argv[0], code, err)
+        assert not caught, (argv[0], [str(w.message) for w in caught])
 
 
 def run_python(*args, **env):

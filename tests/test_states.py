@@ -53,6 +53,7 @@ from conftest import (
     identity_rows,
     joint_born_outcomes,
     naive_signed_permutation_sum,
+    perfbench_module,
     permutation_sign,
     random_antisymmetric_state,
     random_orthonormal,
@@ -475,6 +476,44 @@ class TestSampleRegisters:
         weights = row_weights(register_factor(tensor), rows.table)
         assert np.array_equal(sample_registers(tensor, uniforms, rows, weights),
                               expected)
+
+    @staticmethod
+    def assert_ray_tables_change_no_outcome(tensor, uniforms, draws):
+        # the same draws without their ray map take the per-sample path
+        outcomes = sample_registers(tensor, uniforms, draws)
+        plain = CliffordRows(draws.table, draws.index, draws.elements, draws.phases)
+        assert np.array_equal(outcomes, sample_registers(tensor, uniforms, plain))
+        units = draws.unitaries()[..., :tensor.shape[0]]
+        assert np.array_equal(outcomes, joint_born_outcomes(
+            contract_registers(tensor, units), uniforms))
+
+    @pytest.mark.parametrize("n_orbitals", [2, 3, 4])
+    @pytest.mark.parametrize("eta", [1, 2, 3, 4])
+    def test_ray_tables_match_the_per_sample_path(self, n_orbitals, eta):
+        # N = 2 draws 1-qubit registers, N = 3 and 4 2-qubit ones (N = 3
+        # padded); the uniforms include both ends of [0, 1)
+        tensor = padded_random_tensor(n_orbitals, eta, seed=11 * n_orbitals + eta)
+        tensor = tensor[(slice(0, n_orbitals),) * eta]
+        rng = derive_rng(12, "rays", 10 * n_orbitals + eta)
+        uniforms = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], rng.random(598)])
+        (_, draws), = draw_clifford_blocks(register_qubits(n_orbitals), rng,
+                                           (len(uniforms), eta), len(uniforms))
+        assert draws.rays is not None
+        self.assert_ray_tables_change_no_outcome(tensor, uniforms, draws)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ray_tables_on_the_readout_benchmark_inputs(self, tmp_path, seed):
+        # the three snapshots of the readout_small benchmark workload
+        workloads = perfbench_module("workloads")
+        workloads.ReadoutSmall(workloads.SIZES["full"]["readout_small"], seed,
+                               tmp_path, {}).make_inputs()
+        for name in ("slater", "random", "filled"):
+            tensor = load_state(tmp_path / f"{name}.bin").tensor
+            rng = derive_rng(seed, f"readout-{name}")
+            uniforms = np.concatenate([[0.0, np.nextafter(1.0, 0.0)],
+                                       rng.random(1998)])
+            (_, draws), = draw_clifford_blocks(2, rng, (2000, tensor.ndim), 2000)
+            self.assert_ray_tables_change_no_outcome(tensor, uniforms, draws)
 
     @pytest.mark.parametrize("n_orbitals,eta", [(3, 2), (4, 3), (8, 2)])
     def test_identity_matches_the_stack_sampler(self, n_orbitals, eta):

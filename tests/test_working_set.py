@@ -171,9 +171,10 @@ def test_tdhf_integrals_hold_one_dense_matrix():
 
 def test_first_collection_keeps_only_the_row_table():
     # at N = 4 a first collection builds the n = 2 table by its rows and
-    # keeps it: 184 kB of representative rows, the 92 kB row index and
-    # the 23 kB element ids, about 0.32 MB; key strings for the 11 520
-    # table indices, cached beside it, would keep 0.74 MB more
+    # keeps it: 184 kB of representative rows, the 92 kB row index, the
+    # 23 kB element ids and the 29 kB ray map of the rows, about 0.35 MB;
+    # key strings for the 11 520 table indices, cached beside it, would
+    # keep 0.74 MB more
     state = random_antisymmetric_state(4, 2, seed=9)
     cliffords._factorized.cache_clear()
     tracemalloc.start()
@@ -186,14 +187,16 @@ def test_first_collection_keeps_only_the_row_table():
 
 
 # Beyond the batch's own ids, outcomes and rows, 2000 samples hold the
-# chunk's uniforms and table draws, the level-1 weight table and one
-# block's arrays, in block budgets (16 _BLOCK_AMPLITUDES bytes each): 2.7
-# at eta = 2 and 3.3 at eta = 4. A (B, eta, d, d) stack of each block's
-# unitaries and its index arrays would take them to 3.8 and 4.1.
-SHADOW_BUDGETS = {2: 3.0, 4: 3.6}
+# chunk's uniforms and table draws, the level-1 and level-2 weight tables
+# and one block's arrays, in block budgets (16 _BLOCK_AMPLITUDES bytes
+# each): 2.0 at eta = 2, 3.3 at eta = 3 and 3.0 at eta = 4. Level 2 drawn
+# by per-sample matmuls held 2.6, 4.3 and 3.25, and the eta = 3 bound is
+# set from that 4.3; a (B, eta, d, d) stack of each block's unitaries and
+# its index arrays would take eta = 2 and 4 to 3.8 and 4.1.
+SHADOW_BUDGETS = {2: 3.0, 3: 4.6, 4: 3.6}
 
 
-@pytest.mark.parametrize("eta", [2, 4])
+@pytest.mark.parametrize("eta", [2, 3, 4])
 def test_collect_shadows(eta):
     state = random_antisymmetric_state(4, eta, seed=9)
     collect_shadows(state, 10, seed=1)  # the tables a first call builds
