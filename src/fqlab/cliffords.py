@@ -206,10 +206,6 @@ class CliffordElement:
     unitary: np.ndarray
     key: str
 
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n
-
 
 def _all_bit_vectors(width: int):
     for val in range(2 ** width):

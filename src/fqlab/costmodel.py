@@ -1,9 +1,14 @@
 """Leading-order cost formulas, regime tables, and speedup exponents.
 
-Every function evaluates a closed-form leading term; suppressed
-subpolynomial factors (the (Nt/eps)^{o(1)} tails and polylogs) are
-reported as exactly 1 and noted symbolically in the report. Users are
-expected to compare leading exponents, not constants.
+Each priced cost (classical mean field at zero and finite temperature,
+the four quantum algorithms, the energy's one-norm) is a sum of leading
+terms N^(a/3) eta^(b/3) t, stated once in a module-level table as integer
+pairs (a, b). The cost functions evaluate the table, and the regime
+exponents beta at N = Theta(eta^alpha) are read off it as the leading
+(a alpha + b)/3, so a formula and its exponents cannot disagree.
+Suppressed subpolynomial factors (the (Nt/eps)^{o(1)} tails and
+polylogs) are reported as exactly 1 and noted symbolically in the
+report. Users are expected to compare leading exponents, not constants.
 """
 
 from dataclasses import dataclass
@@ -19,6 +24,19 @@ SUPPRESSED_FACTOR_NOTE = "(N t / eps)^o(1) and polylog factors reported as 1"
 #: Constant-factor overhead of running time evolution via the
 #: amplitude-amplified walk instead of qubitization, per unit lambda*T.
 TIME_EVOLUTION_VS_QUBITIZATION_OVERHEAD = 3.0 / (math.e * math.log(2.0))
+
+# Every priced leading cost, each term N^(a/3) eta^(b/3) t written once as
+# its integer pair (a, b), in the order the cost sums its terms: the order
+# fixes the last bit of each value, and so of every cost report.
+_CLASSICAL = ((4, 7), (5, 4))           # zero-T mean field
+_CLASSICAL_DENSITY = ((4, 1), (5, -2))  # finite-T density matrix, times M^2
+_QUANTUM = {  # name: (terms, hypothetical)
+    "first quantized Trotter": (((1, 7), (2, 4)), False),
+    "second quantized Trotter": (((4, 1), (5, -2)), False),
+    "interaction picture": (((1, 8),), False),
+    "fast multipole Trotter": (((1, 4), (2, 1)), True),
+}
+_ENERGY_NORM = ((1, 5), (2, 1))         # the energy's one-norm, without t
 
 
 @dataclass(frozen=True)
@@ -56,6 +74,26 @@ class CostQuery:
             raise ValidationError("k must lie in 1..eta")
 
 
+def _terms_value(terms, n, eta, t=1.0, scale=1.0) -> float:
+    """Sum of N^(a/3) scale eta^(b/3) t over ``terms``, in their order; a
+    negative b divides by eta^(-b/3), which rounds otherwise than
+    multiplying by eta^(b/3)."""
+    total = 0.0
+    for a, b in terms:
+        total += (n ** (a / 3) * scale * eta ** (b / 3) * t if b >= 0
+                  else n ** (a / 3) * scale * t / eta ** (-b / 3))
+    return total
+
+
+def _exponent_key(alpha: float):
+    """Orders terms (a, b) by their eta exponent (a alpha + b)/3 at
+    N = eta^alpha, compared exactly: with alpha = p/q, by a p + b q."""
+    if not math.isfinite(alpha):
+        raise ValidationError("alpha must be finite")
+    p, q = float(alpha).as_integer_ratio()
+    return lambda term: term[0] * p + term[1] * q
+
+
 def classical_mf_cost(q: CostQuery, variant: str = "zero-T") -> float:
     """Operation count for classical mean-field propagation.
 
@@ -63,15 +101,13 @@ def classical_mf_cost(q: CostQuery, variant: str = "zero-T") -> float:
     finite-T-density:      N^{4/3} M^2 eta^{1/3} t + N^{5/3} M^2 t / eta^{2/3}
     finite-T-trajectories: zero-T formula x 1/eps^2
     """
-    n, eta, t = q.n_basis, q.eta, q.time
     if variant == "zero-T":
-        return n ** (4 / 3) * eta ** (7 / 3) * t + n ** (5 / 3) * eta ** (4 / 3) * t
+        return _terms_value(_CLASSICAL, q.n_basis, q.eta, q.time)
     if variant == "finite-T-density":
         if q.occupied_orbitals is None:
             raise MissingM("finite-T density-matrix variant needs M")
-        m = q.occupied_orbitals
-        return (n ** (4 / 3) * m ** 2 * eta ** (1 / 3) * t
-                + n ** (5 / 3) * m ** 2 * t / eta ** (2 / 3))
+        return _terms_value(_CLASSICAL_DENSITY, q.n_basis, q.eta, q.time,
+                            q.occupied_orbitals ** 2)
     if variant == "finite-T-trajectories":
         return classical_mf_cost(q, "zero-T") / q.epsilon ** 2
     raise ValidationError(f"unknown variant {variant!r}")
@@ -83,42 +119,23 @@ def quantum_costs(q: CostQuery) -> dict:
     The fast-multipole Trotter entry is hypothetical: no circuit-model
     construction with that cost is known.
     """
-    n, eta, t = q.n_basis, q.eta, q.time
-    return {
-        "first quantized Trotter": {
-            "value": n ** (1 / 3) * eta ** (7 / 3) * t + n ** (2 / 3) * eta ** (4 / 3) * t,
-            "hypothetical": False,
-        },
-        "second quantized Trotter": {
-            "value": n ** (4 / 3) * eta ** (1 / 3) * t + n ** (5 / 3) * t / eta ** (2 / 3),
-            "hypothetical": False,
-        },
-        "interaction picture": {
-            "value": n ** (1 / 3) * eta ** (8 / 3) * t,
-            "hypothetical": False,
-        },
-        "fast multipole Trotter": {
-            "value": n ** (1 / 3) * eta ** (4 / 3) * t + n ** (2 / 3) * eta ** (1 / 3) * t,
-            "hypothetical": True,
-        },
-    }
+    return {name: {"value": _terms_value(terms, q.n_basis, q.eta, q.time),
+                   "hypothetical": hypothetical}
+            for name, (terms, hypothetical) in _QUANTUM.items()}
 
 
 def beta_exponents(alpha: float) -> tuple:
     """(beta_classical, beta_quantum): eta exponents of the best algorithms
-    when N = Theta(eta^alpha). Piecewise linear, continuous at breakpoints."""
+    when N = Theta(eta^alpha), read off the cost table: the classical
+    cost's leading term, and the least leading term of the quantum rows
+    that are not hypothetical. Piecewise linear and continuous."""
     if alpha < 1:
         raise ValidationError("alpha must be >= 1")
-    beta_c = (4 * alpha + 7) / 3 if alpha <= 3 else (5 * alpha + 4) / 3
-    if alpha <= 2:
-        beta_q = (4 * alpha + 1) / 3
-    elif alpha <= 3:
-        beta_q = (alpha + 7) / 3
-    elif alpha <= 4:
-        beta_q = (2 * alpha + 4) / 3
-    else:
-        beta_q = (alpha + 8) / 3
-    return beta_c, beta_q
+    key = _exponent_key(alpha)
+    leading = [max(terms, key=key) for terms, hypothetical
+               in _QUANTUM.values() if not hypothetical]
+    (a, b), (c, d) = max(_CLASSICAL, key=key), min(leading, key=key)
+    return (a * alpha + b) / 3, (c * alpha + d) / 3
 
 
 def speedup_exponent(alpha: float) -> float:
@@ -128,7 +145,9 @@ def speedup_exponent(alpha: float) -> float:
 
 
 def optimal_quantum_label(alpha: float) -> str:
-    """Best quantum algorithm by regime of N = Theta(eta^alpha)."""
+    """Best quantum algorithm by regime of N = Theta(eta^alpha): the
+    quantum row of beta_exponents, named with its leading term for first
+    quantized Trotter, and qubitization at the alpha = 4 crossover."""
     if alpha < 1:
         raise ValidationError("alpha must be >= 1")
     if alpha < 2:
@@ -143,7 +162,10 @@ def optimal_quantum_label(alpha: float) -> str:
 
 
 def optimal_classical_term(alpha: float) -> str:
-    return "N^(4/3) eta^(7/3)" if alpha <= 3 else "N^(5/3) eta^(4/3)"
+    """The leading classical term at N = Theta(eta^alpha); at a tie, the
+    first."""
+    a, b = max(_CLASSICAL, key=_exponent_key(alpha))
+    return f"N^({a}/3) eta^({b}/3)"
 
 
 @dataclass(frozen=True)
@@ -212,7 +234,7 @@ def interaction_picture_steps(total_unitless_time: float,
 
 def energy_observable_norm(n_basis: float, eta: float) -> float:
     """Block-encoding one-norm of the energy: N^{1/3} eta^{5/3} + N^{2/3} eta^{1/3}."""
-    return n_basis ** (1 / 3) * eta ** (5 / 3) + n_basis ** (2 / 3) * eta ** (1 / 3)
+    return _terms_value(_ENERGY_NORM, n_basis, eta)
 
 
 def measurement_costs(q: CostQuery) -> dict:
@@ -223,7 +245,7 @@ def measurement_costs(q: CostQuery) -> dict:
     k = q.k_body
     shadows = (k ** k) * q.eta ** k * L * c_samp / eps ** 2
     lam = q.observable_norm
-    rows = {
+    return {
         "shadows k-RDM": shadows,
         "gradient measurement (norm lambda)": (
             math.sqrt(L) * c_samp * lam / eps if lam is not None else None),
@@ -231,7 +253,6 @@ def measurement_costs(q: CostQuery) -> dict:
             math.sqrt(L) * c_samp * q.time
             * energy_observable_norm(q.n_basis, q.eta) / eps),
     }
-    return rows
 
 
 def regime_table(alphas):

@@ -41,10 +41,6 @@ class OccupiedOrbitals:
         self.coeffs = check_orthonormal_columns(self.coeffs, self.grid)
 
     @property
-    def eta(self) -> int:
-        return self.coeffs.shape[1]
-
-    @property
     def n_basis(self) -> int:
         return self.coeffs.shape[0]
 

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import fqlab
 from fqlab import cli, hamiltonian, shadows
 from fqlab.cli import _PARAMETERS, _build_parser, dispatch
+from fqlab.costmodel import CostQuery, classical_mf_cost
 from fqlab.errors import NonOrthonormalInput, ValidationError
 from fqlab.experiment import pipeline_shadow_experiment
 from fqlab.grids import GridSpec
@@ -63,6 +64,22 @@ class TestCost:
 
     def test_missing_mode_is_usage_error(self, workdir):
         assert dispatch(["cost"]) == 2
+
+    def test_query_with_m_reports_the_finite_temperature_rows(
+            self, workdir, capsys):
+        assert dispatch(["cost", "--query", "1000,10,1,0.1,5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        q = CostQuery(n_basis=1000.0, eta=10.0, time=1.0, epsilon=0.1,
+                      occupied_orbitals=5.0)
+        for variant in ("density", "trajectories"):
+            assert report[f"classical_finite_T_{variant}"] == classical_mf_cost(
+                q, f"finite-T-{variant}")
+
+    def test_alpha_range_without_a_step_exits_two(self, workdir, capsys):
+        exits_two_with_one_line(["cost", "--alpha-range", "1:8", "--out",
+                                 "s.csv"], capsys,
+                                "--alpha-range must be lo:hi:step")
+        assert not (workdir / "s.csv").exists()
 
     @pytest.mark.parametrize("query,needle", [
         ("4,2,1,0.1,,-5", "L must be >= 1"),
@@ -448,6 +465,15 @@ class TestPrepCommand:
         rows = {r[0]: r[1] for r in csv.reader(open("ledger.csv"))
                 if r[0] != "primitive"}
         assert int(rows["total"]) == 6 * (3 * 2 + 2 - 2)
+
+    def test_failed_verification_exits_three(self, workdir, capsys,
+                                             monkeypatch):
+        write_coeffs("c.csv", random_orthonormal(6, 2, seed=5))
+        monkeypatch.setattr(cli, "verify_preparation",
+                            lambda coeffs, result: (0.5, True))
+        assert dispatch(["prep", "--coeffs", "c.csv", "--verify"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical assumption failed: preparation verification failed"]
 
     def test_output_beyond_dense_regime_exits_two(self, workdir, capsys):
         # 40^5 amplitudes would need terabytes; refused before any work

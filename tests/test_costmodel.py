@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from fqlab.costmodel import (
+    _CLASSICAL,
+    _QUANTUM,
     TIME_EVOLUTION_VS_QUBITIZATION_OVERHEAD,
     CostQuery,
     LambdaParams,
@@ -18,6 +20,7 @@ from fqlab.costmodel import (
     lattice_kernel_sum,
     lambda_params,
     measurement_costs,
+    optimal_classical_term,
     optimal_quantum_label,
     quantum_costs,
     regime_table,
@@ -248,6 +251,29 @@ class TestRegimeTable:
         assert rows[0]["optimal_classical_term"] == "N^(4/3) eta^(7/3)"
         assert rows[2]["optimal_classical_term"] == "N^(5/3) eta^(4/3)"
 
+    def test_labels_name_the_leading_terms_of_the_cost_table(self):
+        # off the crossovers at alpha = 2, 3 and 4, where the labels break
+        # ties by hand: the quantum label is the applicable row of least
+        # leading exponent, with its leading term for first quantized
+        # Trotter, and the classical term is the classical cost's leader
+        def exponent(term):
+            return (term[0] * alpha + term[1]) / 3
+
+        def name(term):
+            return f"N^({term[0]}/3) eta^({term[1]}/3)"
+
+        grid = [1 + i / 100 for i in range(1101) if i not in (100, 200, 300)]
+        for alpha in grid + [x + d for x in (2, 3, 4) for d in (-1e-6, 1e-6)]:
+            leading = {row: max(terms, key=exponent)
+                       for row, (terms, hypothetical) in _QUANTUM.items()
+                       if not hypothetical}
+            best = min(leading, key=lambda row: exponent(leading[row]))
+            if best == "first quantized Trotter":
+                best = f"{best} ({name(leading[best])} term)"
+            assert optimal_quantum_label(alpha) == best, alpha
+            assert optimal_classical_term(alpha) == name(
+                max(_CLASSICAL, key=exponent)), alpha
+
     def test_speedup_two_at_boundary_four_from_both_sides(self):
         assert speedup_exponent(4.0 - 1e-12) == pytest.approx(2.0, abs=1e-9)
         assert speedup_exponent(4.0 + 1e-12) == pytest.approx(2.0, abs=1e-9)
@@ -279,6 +305,24 @@ class TestCostReport:
     def test_field_outside_its_domain_refused(self, field, value):
         with pytest.raises(ValidationError):
             CostQuery(n_basis=1e4, eta=10.0, **{field: value})
+
+    def test_finite_temperature_rows(self):
+        q = CostQuery(n_basis=1e4, eta=10.0, time=2.0, epsilon=0.1,
+                      occupied_orbitals=100.0)
+        report = cost_report(q)
+        density = report["classical_finite_T_density"]
+        trajectories = report["classical_finite_T_trajectories"]
+        assert density == classical_mf_cost(q, "finite-T-density")
+        assert trajectories == classical_mf_cost(q, "finite-T-trajectories")
+        assert density == pytest.approx(
+            (1e4 ** (4 / 3) * 100.0 ** 2 * 10 ** (1 / 3)
+             + 1e4 ** (5 / 3) * 100.0 ** 2 / 10 ** (2 / 3)) * 2.0, rel=1e-12)
+        assert trajectories == pytest.approx(
+            (1e4 ** (4 / 3) * 10 ** (7 / 3) + 1e4 ** (5 / 3) * 10 ** (4 / 3))
+            * 2.0 / 0.1 ** 2, rel=1e-12)
+        without_m = cost_report(CostQuery(n_basis=1e4, eta=10.0))
+        assert "classical_finite_T_density" not in without_m
+        assert "classical_finite_T_trajectories" not in without_m
 
     def test_cost_overflowing_a_float_refused(self):
         q = CostQuery(n_basis=1e5, eta=1e5, time_points=2.0, k_body=40000)

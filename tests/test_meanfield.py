@@ -15,7 +15,7 @@ from fqlab.errors import (
 )
 from fqlab.grids import GridSpec
 from fqlab.hamiltonian import (CoulombKernel, GridHamiltonian, NuclearConfig,
-                               kinetic_phase_table)
+                               kinetic_phase_table, total_energy)
 from fqlab.meanfield import (
     FockOperator,
     GridIntegrals,
@@ -527,3 +527,21 @@ class TestHfEnergy:
                   - 0.25 * np.sum(v * np.abs(p.T) ** 2))
         assert hf_energy(OccupiedOrbitals(coeffs), ints) == pytest.approx(
             direct, abs=1e-10)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "CHANGES.md FOUND line: the Fock operator of spinless electrons carries "
+    "half the exchange, h + J - K/2 for h + J - K"))
+def test_hf_energy_of_a_determinant_is_its_exact_energy():
+    # a determinant's mean-field energy is its exact energy: <T + U + V>
+    # of the antisymmetrized block plus the nuclear repulsion
+    kernel = CoulombKernel(softening=0.5)
+    for dim, points, eta in ((1, 5, 1), (1, 6, 2), (1, 7, 3), (2, 3, 2)):
+        grid = GridSpec(dim, points, float(points ** dim))
+        nuclei = NuclearConfig(np.full((1, dim), 0.3), np.array([1.0]))
+        ham = GridHamiltonian(grid, nuclei, kernel)
+        coeffs = random_orthonormal(grid.total_points, eta, seed=0)
+        mean_field = hf_energy(OccupiedOrbitals(coeffs, grid),
+                               GridIntegrals.from_grid(ham))
+        exact = total_energy(slater_oracle(coeffs, grid), nuclei, kernel)
+        assert mean_field == pytest.approx(exact, abs=1e-12), (dim, eta)
