@@ -12,6 +12,8 @@ file recording the resolved parameters, master seed, tool version, and
 input/output SHA-256 digests. `fqlab --manifest m.json` first checks
 every recorded input against its digest (a missing or changed one exits
 2 and nothing is written), then reproduces byte-identical outputs.
+``--threads`` has no effect: shadows are collected in one thread, and
+the option stays because the benchmark's shadows calls pass it.
 """
 
 import argparse
@@ -368,7 +370,7 @@ def _cmd_shadows(args, config) -> dict:
                else _checked(p["samples"], int, "--samples"))
     est, batch, readings = read_out(
         state, p["k"], p["epsilon"], p["delta"], samples, p["seed"],
-        _parse_elements(p["elements"], p["k"]), args.threads)
+        _parse_elements(p["elements"], p["k"]))
     rows = [[";".join(map(str, bra)), ";".join(map(str, ket)), value.real,
              value.imag, est.groups, est.group_size]
             for (bra, ket), (value, _) in readings]
@@ -497,6 +499,7 @@ def dispatch(argv) -> int:
     """Run one command; returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
+        # checked, then unused: the benchmark's shadows calls pass it
         threads = _checked(args.threads, int, "--threads")
         if threads < 1:
             raise UsageError(f"--threads must be at least 1, got {threads}")
@@ -514,7 +517,6 @@ def dispatch(argv) -> int:
         # every output is checked before any work, and its manifest is
         # written from the parameters the subcommand resolved
         _check_writable(*_files(sub, lambda key: _given(args, config, key)))
-        args.threads = threads
         _write_manifest(sub, _COMMANDS[sub][0](args, config))
         return 0
     except SystemExit as exc:  # --help

@@ -16,7 +16,7 @@ def pipeline_shadow_experiment(config: dict) -> dict:
     Config keys: grid {dim, points, omega}, coeffs (N x eta complex
     array), evolution {time, steps, order, soften, nuclei} (optional),
     estimator {k, epsilon, delta, samples}, elements (list of (i, j)
-    tuples or "all-1rdm"), seed, threads. Samples and elements follow
+    tuples or "all-1rdm"), seed. Samples and elements follow
     :func:`fqlab.shadows.read_out`.
     """
     gridc = config["grid"]
@@ -38,8 +38,7 @@ def pipeline_shadow_experiment(config: dict) -> dict:
     exact = state.n_orbitals ** state.eta <= 2 ** 16
     cfg, batch, readings = read_out(
         state, k, eps, float(est["delta"]), est.get("samples", "auto"),
-        int(config.get("seed", 0)), config.get("elements", "all-1rdm"),
-        int(config.get("threads", 1)))
+        int(config.get("seed", 0)), config.get("elements", "all-1rdm"))
     results = []
     worst_var = 0.0
     for (bra, ket), (estimate, values) in readings:

@@ -40,10 +40,6 @@ class OccupiedOrbitals:
     def __post_init__(self):
         self.coeffs = check_orthonormal_columns(self.coeffs, self.grid)
 
-    @property
-    def n_basis(self) -> int:
-        return self.coeffs.shape[0]
-
 
 class GridIntegrals:
     """The one-body term h, the diagonal two-body kernel values v and the

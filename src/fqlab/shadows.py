@@ -76,11 +76,6 @@ class ShadowBatch:
     def __len__(self) -> int:
         return len(self.outcomes)
 
-    def __getitem__(self, index) -> "ShadowBatch":
-        """The samples selected by a slice, as views."""
-        return ShadowBatch(self.ids[index], self.outcomes[index],
-                           self.rows[index], self.names)
-
 
 def check_order(k: int, eta: int) -> None:
     """Refuse an RDM order k outside 1..eta."""
@@ -144,84 +139,61 @@ class EstimatorConfig:
         return EstimatorConfig(k, epsilon, delta, groups, group_size)
 
 
-def _collect_chunk(state, part: ShadowBatch, rng) -> None:
-    """Fill every sample of ``part`` from its own stream.
-
-    The stream gives one uniform per sample, then eta Clifford draws per
-    sample. Each block of samples is then drawn register by register
-    (:func:`~fqlab.states.sample_registers`). The register factor is
-    formed once, and the level-1 weights once per table: once in all at
-    n <= 2, where every block draws from the shared table, and with them
-    the level-2 weights of every pair of its stabilizer rays
-    (:func:`~fqlab.states.pair_weights`). There a draw's table index is
-    its id; at n >= 3 its key string goes to the slot of the batch's
-    strings that its id names.
-    """
-    uniforms = rng.random(len(part))
-    dim, n, size = state.register_dim, state.n_orbitals, state.tensor.size
-    if state.qubits_per_register in GROUP_ORDER_MOD_PHASE:
-        per_sample = max(size // n ** 2 + dim * size // n ** 3, dim * n)
-    else:
-        per_sample = max(dim * size // n ** 2, dim * n)
-    block = max(1, _BLOCK_AMPLITUDES // per_sample)
-    shape = (len(part), state.eta)
-    factor = register_factor(state.tensor)
-    table = weights = pairs = None
-    start = 0
-    for names, draws in draw_clifford_blocks(state.qubits_per_register, rng,
-                                             shape, block):
-        if draws.table is not table:
-            table, weights = draws.table, row_weights(factor, draws.table)
-            if draws.rays is not None and state.eta > 1:
-                pairs = pair_weights(state.tensor, draws.rays.table)
-        span = slice(start, start + len(draws.elements))
-        outcomes = sample_registers(state.tensor, uniforms[span], draws,
-                                    weights, pairs)
-        if names.strings is None:
-            part.ids[span] = draws.elements
-        else:
-            part.names.strings[part.ids[span]] = names.text(draws.elements)
-        part.outcomes[span] = outcomes
-        part.rows[span] = gather_outcome_rows(draws, outcomes, n)
-        start += len(outcomes)
-
-
-def collect_shadows(state: FirstQuantizedState, m: int, seed: int,
-                    threads: int = 1) -> ShadowBatch:
+def collect_shadows(state: FirstQuantizedState, m: int, seed: int) -> ShadowBatch:
     """Collect m shadow samples.
 
-    Samples are generated in fixed-size chunks, chunk c on the rng stream
-    (seed, "shadows", c) and written to its own slice of the batch, so the
-    result is identical for any thread count. A negative or over-budget m
-    is refused before anything is drawn or allocated. At n <= 2 the
-    batch holds no key text; at n >= 3 id i names slot i of its key
-    strings, one per draw.
+    Samples come in chunks of a fixed size, chunk c from its own rng
+    stream (seed, "shadows", c): one uniform per sample, then eta
+    Clifford draws per sample. Each block of samples is then drawn
+    register by register (:func:`~fqlab.states.sample_registers`). The
+    register factor is formed once per batch, and the level-1 weights
+    once per table: once in all at n <= 2, where every block draws from
+    the shared table, and with them the level-2 weights of every pair of
+    its stabilizer rays (:func:`~fqlab.states.pair_weights`). There a
+    draw's table index is its id and the batch holds no key text; at
+    n >= 3 id i names slot i of the batch's key strings, one per draw. A
+    negative or over-budget m is refused before anything is drawn or
+    allocated.
     """
     if m < 0:
         raise ValidationError("sample count must be nonnegative")
     check_budget(f"{m} samples' outcome rows", (m, state.eta, state.n_orbitals))
     shape, n = (m, state.eta), state.qubits_per_register
+    dim, width, size = state.register_dim, state.n_orbitals, state.tensor.size
     if n in GROUP_ORDER_MOD_PHASE:
         ids, names = np.empty(shape, dtype=np.int64), KeyText(n)
+        per_sample = max(size // width ** 2 + dim * size // width ** 3, dim * width)
     else:
         ids = np.arange(m * state.eta).reshape(shape)
         names = KeyText(n, np.empty(m * state.eta, dtype=object))
+        per_sample = max(dim * size // width ** 2, dim * width)
+    block = max(1, _BLOCK_AMPLITUDES // per_sample)
     batch = ShadowBatch(ids, np.empty(shape, dtype=np.int64),
-                        np.empty(shape + (state.n_orbitals,), dtype=complex),
-                        names)
-
-    def fill(c):
-        _collect_chunk(state, batch[c * _CHUNK:(c + 1) * _CHUNK],
-                       derive_rng(seed, "shadows", c))
-
-    chunks = range((m + _CHUNK - 1) // _CHUNK)
-    if threads > 1 and len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, chunks))
-    else:
-        for c in chunks:
-            fill(c)
+                        np.empty(shape + (width,), dtype=complex), names)
+    factor = register_factor(state.tensor)
+    table = weights = pairs = None
+    start = 0
+    for c in range((m + _CHUNK - 1) // _CHUNK):
+        rng = derive_rng(seed, "shadows", c)
+        uniforms = rng.random(min(_CHUNK, m - start))
+        for text, draws in draw_clifford_blocks(n, rng, (len(uniforms), state.eta),
+                                                block):
+            if draws.table is not table:
+                table, weights = draws.table, row_weights(factor, draws.table)
+                if draws.rays is not None and state.eta > 1:
+                    pairs = pair_weights(state.tensor, draws.rays.table)
+            count = len(draws.elements)
+            span = slice(start, start + count)
+            outcomes = sample_registers(state.tensor, uniforms[:count], draws,
+                                        weights, pairs)
+            uniforms = uniforms[count:]
+            if text.strings is None:
+                ids[span] = draws.elements
+            else:
+                names.strings[ids[span]] = text.text(draws.elements)
+            batch.outcomes[span] = outcomes
+            batch.rows[span] = gather_outcome_rows(draws, outcomes, width)
+            start += count
     return batch
 
 
@@ -384,7 +356,7 @@ def estimate_elements(batch: ShadowBatch, config: EstimatorConfig, elements):
 
 
 def read_out(state: FirstQuantizedState, k: int, epsilon: float, delta: float,
-             samples, seed: int, elements, threads: int = 1):
+             samples, seed: int, elements):
     """k-RDM elements of an antisymmetric state from one shadow batch.
 
     Every input is checked before any sample is drawn: the state's
@@ -412,5 +384,5 @@ def read_out(state: FirstQuantizedState, k: int, epsilon: float, delta: float,
         raise ValidationError("the element list holds no rows")
     for bra, ket in elements:
         check_labels(bra, ket, state.eta, state.n_orbitals, k)
-    batch = collect_shadows(state, samples, seed, threads=threads)
+    batch = collect_shadows(state, samples, seed)
     return config, batch, estimate_elements(batch, config, elements)

@@ -357,6 +357,15 @@ def twirl_identity_check(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray,
     dev2, dev3 = twirl_deviations(n, a, b, c)
     return dev2 < tol and dev3 < tol
 
+def refuses(call, error, message) -> None:
+    """Assert that ``call()`` raises ``error`` itself, not a subclass,
+    with exactly the text ``message``."""
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

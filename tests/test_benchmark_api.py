@@ -12,7 +12,8 @@ from fqlab.cli import dispatch
 from fqlab.grids import GridSpec
 from fqlab.hamiltonian import CoulombKernel, NuclearConfig, total_energy
 from fqlab.shadows import EstimatorConfig
-from fqlab.states import exact_krdm_element, load_state, slater_oracle
+from fqlab.states import (exact_krdm_element, load_state, save_state,
+                          slater_oracle)
 from fqlab.stateprep import toffoli_count
 
 from conftest import perfbench_module, random_orthonormal
@@ -55,6 +56,38 @@ def test_dynamics_last_tdhf_energy(tmp_path, monkeypatch):
     # recorded with fqlab 0.2.0 from a dense one-body matrix; the
     # benchmark compares its energies with recorded ones to 1e-10
     assert abs(float(rows[-1].split(",")[2]) - 1.2883363961957202) <= 1e-10
+
+
+def test_readout_call_on_a_filled_determinant(tmp_path, monkeypatch):
+    # the readout workload's k = 2 call at N = 4, with its argv: --threads
+    # stays accepted for it
+    monkeypatch.chdir(tmp_path)
+    grid = GridSpec(dim=1, points_per_axis=4, cell_volume=4.0)
+    save_state("f.bin", slater_oracle(random_orthonormal(4, 4, seed=1), grid))
+    tuples = [(0, 1), (0, 2), (1, 3), (2, 3)]
+    (tmp_path / "e.csv").write_text("".join(
+        f"{a},{b},{c},{d}\n" for a, b in tuples for c, d in tuples))
+    assert dispatch(["--threads", "1", "shadows", "--in", "f.bin", "--k", "2",
+                     "--epsilon", "0.1", "--delta", "0.05", "--samples",
+                     "2000", "--seed", "7", "--elements", "e.csv", "--out",
+                     "x.csv"]) == 0
+    rows = (tmp_path / "x.csv").read_text().splitlines()
+    assert rows[0] == "i,j,re,im,groups,group_size" and len(rows) == 17
+
+
+def test_prep_call_with_verify_and_ledger(tmp_path, monkeypatch, capsys):
+    # the prep workload's call at N = 4, eta = 2: coefficients as (re, im)
+    # column pairs, verified, with the ledger written
+    monkeypatch.chdir(tmp_path)
+    coeffs = random_orthonormal(4, 2, seed=3)
+    pairs = np.empty((4, 4))
+    pairs[:, 0::2], pairs[:, 1::2] = coeffs.real, coeffs.imag
+    np.savetxt("c.csv", pairs, delimiter=",", fmt="%.17g")
+    assert dispatch(["prep", "--coeffs", "c.csv", "--verify", "--ledger-out",
+                     "l.csv"]) == 0
+    assert "ledger matches closed form: True" in capsys.readouterr().out
+    last = (tmp_path / "l.csv").read_text().splitlines()[-1]
+    assert last == f"total,{toffoli_count(4, 2)}"
 
 
 def test_readout_and_prep_check_calls():

@@ -196,7 +196,7 @@ class TestEvolveShadowsPipeline:
 
         def drawn(*args, **kwargs):
             raise AssertionError("sample drawn or batch allocated")
-        monkeypatch.setattr(shadows, "_collect_chunk", drawn)
+        monkeypatch.setattr(shadows, "derive_rng", drawn)
         monkeypatch.setattr(np, "empty", drawn)
         # 8,378,008 samples of 2 x 4 outcome-row entries: 4 times the budget
         exits_two_with_one_line(
@@ -707,7 +707,7 @@ def test_unwritable_shadow_output_refused_before_sampling(
 
     def drawn(*args, **kwargs):
         raise AssertionError("a sample was drawn")
-    monkeypatch.setattr(shadows, "_collect_chunk", drawn)
+    monkeypatch.setattr(shadows, "derive_rng", drawn)
     paths = {"--out": "est.csv", "--dump-samples": "raw.csv",
              flag: str(workdir / "no" / "such" / "x.csv")}
     exits_two_with_one_line(
@@ -1405,6 +1405,19 @@ def _nuclei():
         lambda rows: "\n".join(f"{charge!r} {x!r}" for charge, x in rows))
 
 
+def _coefficients():
+    """Four rows of eta = 1..4 (re, im) pairs whose columns are
+    orthonormal, each float written in full: files that pass the
+    coefficient checks on the 4-point line."""
+    def text(entries):
+        eta = len(entries) // 8
+        q = np.linalg.qr(np.array(entries).view(complex).reshape(4, eta))[0]
+        return "\n".join(",".join(repr(float(x)) for x in row)
+                         for row in q.view(float))
+    return st.integers(1, 4).flatmap(lambda eta: st.lists(
+        st.floats(-1, 1), min_size=8 * eta, max_size=8 * eta).map(text))
+
+
 def _edited(base, keys):
     """The JSON object ``base`` with up to three of its keys, or of its
     "parameters" object, set to other JSON values or deleted; or a JSON
@@ -1436,7 +1449,10 @@ _TEXT_INPUTS = {
     "nuclei": ("n.txt", [["evolve", *_NUCLEI_N4, "--out", "e.bin"],
                          ["tdhf", *_NUCLEI_N4, "--out", "t.csv"]]),
     "coeffs": ("c.csv", [["prep", "--coeffs", "c.csv", "--verify",
-                          "--ledger-out", "l.csv"]]),
+                          "--ledger-out", "l.csv"],
+                         ["tdhf", "--dim", "1", "--points", "4", "--omega",
+                          "4", "--time", "0.1", "--steps", "1", "--coeffs",
+                          "c.csv", "--out", "t.csv"]]),
     "elements": ("e.csv", [[*_SHADOWS_N4, "--k", "2", "--elements", "e.csv"]]),
     "config": ("cfg.json", [["--config", "cfg.json", *_SHADOWS_N4]]),
     "manifest": ("m.json", [["--manifest", "m.json"]]),
@@ -1463,6 +1479,8 @@ def test_text_input_contents_exit_cleanly(tmp_path, monkeypatch, capsys,
         text = data.draw(_edited(base, [*base, *base["parameters"]]))
     elif source == "nuclei":
         text = data.draw(st.one_of(_rows(" "), _nuclei()))
+    elif source == "coeffs":
+        text = data.draw(st.one_of(_rows(","), _coefficients()))
     else:
         text = data.draw(_rows(","))
     name, runs = _TEXT_INPUTS[source]

@@ -22,7 +22,7 @@ from fqlab.cliffords import (
 from fqlab.errors import EnumerationUnavailable, ValidationError
 from fqlab.rng import derive_rng
 
-from conftest import maps_paulis_to_paulis
+from conftest import maps_paulis_to_paulis, refuses
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
@@ -264,3 +264,11 @@ class TestBlockDraws:
         counts = np.bincount(idx, minlength=order)
         chi2 = float(np.sum((counts - 10) ** 2 / 10))
         assert abs(chi2 - (order - 1)) < 5 * np.sqrt(2 * (order - 1))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: sample_clifford(0, derive_rng(1, "refused")), ValidationError,
+     "n must be >= 1"),
+], ids=["no-qubits"])
+def test_refusals_name_their_check(call, error, message):
+    refuses(call, error, message)

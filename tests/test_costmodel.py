@@ -28,6 +28,8 @@ from fqlab.costmodel import (
 )
 from fqlab.errors import EtaTooSmall, MissingM, ValidationError
 
+from conftest import refuses
+
 
 class TestClassicalCost:
     def test_equal_basis_and_particles(self):
@@ -328,3 +330,25 @@ class TestCostReport:
         q = CostQuery(n_basis=1e5, eta=1e5, time_points=2.0, k_body=40000)
         with pytest.raises(ValidationError, match="overflows a float"):
             cost_report(q)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: CostQuery(8, 2, time=0.0), ValidationError,
+     "time must be positive"),
+    (lambda: beta_exponents(math.inf), ValidationError, "alpha must be finite"),
+    (lambda: classical_mf_cost(CostQuery(8, 2), "hartree"), ValidationError,
+     "unknown variant 'hartree'"),
+    (lambda: optimal_quantum_label(0.5), ValidationError,
+     "alpha must be >= 1"),
+    (lambda: LambdaParams(0.0, 2, 27, 2.0), ValidationError,
+     "cell volume must be positive"),
+    (lambda: LambdaParams(1.0, 2, 27, 2.0, 0.0), ValidationError,
+     "P_eq must be in (0, 1]"),
+    (lambda: interaction_picture_steps(0.0, LambdaParams(1.0, 2, 27, 2.0)),
+     ValidationError, "T must be positive"),
+    (lambda: measurement_costs(CostQuery(8, 2)), ValidationError,
+     "measurement costs need the time-point count L"),
+], ids=["time-zero", "alpha-infinite", "unknown-variant", "label-alpha-below-1",
+        "cell-volume-zero", "p-eq-zero", "walk-time-zero", "no-time-points"])
+def test_refusals_name_their_check(call, error, message):
+    refuses(call, error, message)

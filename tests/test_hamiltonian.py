@@ -23,6 +23,7 @@ from fqlab.hamiltonian import (
     apply_potential_evolution,
     dense_hamiltonian,
     evolve,
+    evolve_block,
     kinetic_expectation,
     kinetic_phase_table,
     potential_diagonal,
@@ -38,6 +39,7 @@ from conftest import (
     kron_sum,
     random_antisymmetric_state,
     random_orthonormal,
+    refuses,
 )
 
 BARE = CoulombKernel()
@@ -607,3 +609,29 @@ class TestPlanValidation:
     def test_steps_positive(self):
         with pytest.raises(ValidationError):
             EvolutionPlan(total_time=1.0, steps=0)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: NuclearConfig(np.zeros((2, 1)), np.ones(1)), ValidationError,
+     "positions/charges length mismatch"),
+    (lambda: NuclearConfig([[np.nan]], [1.0]), ValidationError,
+     "nuclear positions must be finite"),
+    (lambda: CoulombKernel(softening=-1.0), ValidationError,
+     "softening must be nonnegative"),
+    (lambda: BARE(np.array([1.0, 0.0])), SingularPotential,
+     "bare Coulomb kernel at zero separation"),
+    (lambda: GridHamiltonian(GridSpec(1, 4, 4.0),
+                             NuclearConfig([[0.5], [0.5]], [1.0, 1.0]),
+                             BARE).nuclear_repulsion(),
+     SingularPotential, "coincident nuclei"),
+    (lambda: evolve(random_antisymmetric_state(4, 2, seed=1),
+                    EvolutionPlan(0.1, 1), free(GridSpec(1, 4, 4.0))),
+     ValidationError, "evolution requires a grid-backed state"),
+    (lambda: evolve_block(np.zeros((3, 3), dtype=complex),
+                          EvolutionPlan(0.1, 1), free(GridSpec(1, 4, 4.0))),
+     ValidationError, "a block of shape (3, 3) is not N^eta with N = 4"),
+], ids=["nuclei-lengths", "nuclei-not-finite", "negative-softening",
+        "bare-kernel-at-zero", "coincident-nuclei", "state-without-grid",
+        "block-not-n-to-the-eta"])
+def test_refusals_name_their_check(call, error, message):
+    refuses(call, error, message)

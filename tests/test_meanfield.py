@@ -33,7 +33,7 @@ from fqlab.meanfield import (
 from fqlab import states
 from fqlab.states import exact_krdm_element, slater_oracle
 
-from conftest import fock_spectral_norm, random_orthonormal
+from conftest import fock_spectral_norm, random_orthonormal, refuses
 
 
 def model_system(points=16, volume=32.0, soften=1.0, charge=2.0):
@@ -353,7 +353,7 @@ class TestFockOperator:
         for eta in range(1, 5):
             ints, orb = grid_system(dim, points, softening, with_nuclei, eta,
                                     seed=eta)
-            x = random_orthonormal(orb.n_basis, 3, seed=10 + eta) * (2 - 1j)
+            x = random_orthonormal(orb.coeffs.shape[0], 3, seed=10 + eta) * (2 - 1j)
             op = FockOperator(orb.coeffs, ints)
             fock = build_fock(orb, ints)
             for block in (orb.coeffs, x):
@@ -545,3 +545,11 @@ def test_hf_energy_of_a_determinant_is_its_exact_energy():
                                GridIntegrals.from_grid(ham))
         exact = total_energy(slater_oracle(coeffs, grid), nuclei, kernel)
         assert mean_field == pytest.approx(exact, abs=1e-12), (dim, eta)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: GridIntegrals(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2))),
+     ValidationError, "h must be Hermitian within 1e-10"),
+], ids=["h-not-hermitian"])
+def test_refusals_name_their_check(call, error, message):
+    refuses(call, error, message)

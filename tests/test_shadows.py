@@ -44,6 +44,7 @@ from conftest import (
     exhaustive_estimator_mean,
     random_antisymmetric_state,
     random_orthonormal,
+    refuses,
     single_shot_values,
     snapshot_term_estimate,
     traced_peak,
@@ -311,7 +312,7 @@ class TestReadOut:
         """Sample counts asked of collect_shadows, which draws none."""
         counts = []
 
-        def collect(state, m, seed, threads):
+        def collect(state, m, seed):
             counts.append(m)
             return collect_shadows(state, 0, seed)
         monkeypatch.setattr(shadows, "collect_shadows", collect)
@@ -428,22 +429,23 @@ class TestCollect:
         with pytest.raises(BruteForceLimitExceeded):
             collect_shadows(state, 2 ** 22, 0)
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         state = random_antisymmetric_state(4, 2, seed=13)
         a = collect_shadows(state, 40, seed=5)
         b = collect_shadows(state, 40, seed=5)
-        c = collect_shadows(state, 40, seed=5, threads=3)
         keys = lambda batch: (batch.keys.tolist(), batch.outcomes.tolist())
-        assert keys(a) == keys(b) == keys(c)
+        assert keys(a) == keys(b)
 
-    def test_thread_invariant_over_three_chunks(self):
+    def test_first_chunks_do_not_depend_on_the_batch_size(self):
+        # chunk c draws from its own stream: the first two chunks of a
+        # three-chunk batch are a two-chunk batch
         for eta in (2, 4):
             state = random_antisymmetric_state(4, eta, seed=16)
-            one = collect_shadows(state, 9001, 17)
-            two = collect_shadows(state, 9001, 17, threads=2)
-            assert one.keys.tolist() == two.keys.tolist()
-            assert np.array_equal(one.outcomes, two.outcomes)
-            assert one.rows.tobytes() == two.rows.tobytes()
+            long = collect_shadows(state, 9001, 17)
+            short = collect_shadows(state, 8192, 17)
+            assert long.keys[:8192].tolist() == short.keys.tolist()
+            assert np.array_equal(long.outcomes[:8192], short.outcomes)
+            assert long.rows[:8192].tobytes() == short.rows.tobytes()
 
     @pytest.mark.parametrize("n_orbitals,eta", [(2, 2), (3, 3), (4, 4)])
     def test_table_registers_form_no_unitary(self, monkeypatch, n_orbitals,
@@ -810,3 +812,15 @@ class TestHeadlineVarianceProperty:
                                 - abs(np.mean(values)) ** 2)
                     worst = max(worst, var)
             assert worst <= bound
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: required_samples(0, 1, 2, 0.5, 0.1), ValidationError,
+     "n_orbitals must be positive, got 0"),
+    (lambda: collect_shadows(random_antisymmetric_state(4, 2, seed=1), -1, 0),
+     ValidationError, "sample count must be nonnegative"),
+    (lambda: samples_from_keys([(["t2:0", "t2:1"], [0])], 4), ValidationError,
+     "clifford/outcome length mismatch"),
+], ids=["no-orbitals", "negative-sample-count", "keys-outcomes-unequal"])
+def test_refusals_name_their_check(call, error, message):
+    refuses(call, error, message)

@@ -19,6 +19,7 @@ from fqlab.stateprep import (
     ConversionRegisters,
     GivensNetwork,
     GivensRotation,
+    ToffoliLedger,
     antisymmetrization_gate_estimate,
     counter_register_width,
     givens_decompose,
@@ -29,6 +30,7 @@ from fqlab.stateprep import (
 
 from conftest import (
     random_orthonormal,
+    refuses,
     rotation_count,
     single_particle_unitary,
     window_population,
@@ -441,3 +443,23 @@ class TestToffoliCounts:
     def test_bad_variant(self):
         with pytest.raises(ValidationError):
             toffoli_count(8, 2, "fancy")
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: givens_decompose(np.zeros((3, 0))), ValidationError,
+     "need an N x eta matrix with eta <= N"),
+    (lambda: ToffoliLedger().charge("window-qubit-erasure", -1),
+     ValidationError, "ledger charges are nonnegative"),
+    (lambda: toffoli_count(1, 1), ValidationError,
+     "need N >= 2 and 1 <= eta < N"),
+    (lambda: ConversionRegisters(4, 4), ValidationError, "need 1 <= eta < N"),
+    # orbitals 0 and 3 share window slot 0 of eta + 1 = 3
+    (lambda: ConversionRegisters(4, 2).apply_window_rotation(
+        GivensRotation(0, 3, 0.1, 0.0)),
+     ValidationError, "rotation maps to a single window slot"),
+    (lambda: ConversionRegisters(4, 2).finish(), ValidationError,
+     "conversion incomplete"),
+], ids=["no-columns", "negative-charge", "one-orbital", "eta-not-below-n",
+        "one-window-slot", "conversion-incomplete"])
+def test_refusals_name_their_check(call, error, message):
+    refuses(call, error, message)

@@ -57,6 +57,7 @@ from conftest import (
     permutation_sign,
     random_antisymmetric_state,
     random_orthonormal,
+    refuses,
     stack_sample_registers,
 )
 
@@ -1010,3 +1011,25 @@ class TestSlabwiseAntisymmetry:
         state = FirstQuantizedState(2, 8, tensor)
         assert not state.is_antisymmetric()
         assert not whole_tensor_antisymmetric(tensor, 1e-10)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: check_orthonormal_columns(np.zeros(3)), NonOrthonormalInput,
+     "coefficients of shape (3,) are not N x eta"),
+    (lambda: FirstQuantizedState(0, 4, np.zeros(())), ValidationError,
+     "eta must be >= 1"),
+    (lambda: FirstQuantizedState(2, 4, np.zeros((4, 4)),
+                                 grid=GridSpec(1, 5, 5.0)),
+     ValidationError, "grid size does not match n_orbitals"),
+    (lambda: apply_register_unitary(random_antisymmetric_state(4, 2, seed=1),
+                                    1, np.eye(3)),
+     ValidationError, "unitary must be 4x4"),
+    (lambda: transition_expectation(random_antisymmetric_state(4, 2, seed=1),
+                                    (3,), (0,), (0,)),
+     ValidationError, "register index out of range"),
+    (lambda: first_second_equivalence_check(basis_state(2, 4, (0, 1)), 0, 1),
+     NotAntisymmetric, "equivalence check needs an antisymmetric state"),
+], ids=["coefficients-not-2d", "no-registers", "grid-not-n", "unitary-not-n",
+        "register-beyond-eta", "equivalence-not-antisymmetric"])
+def test_refusals_name_their_check(call, error, message):
+    refuses(call, error, message)
