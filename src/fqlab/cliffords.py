@@ -385,8 +385,9 @@ class KeyText:
     """The key text of integer Clifford ids, formed only when it is read.
 
     With ``strings`` None an id is an index of the n <= 2 table and reads
-    as ``t<n>:<id>``; otherwise it indexes ``strings``, the key text of
-    draws made one by one (n >= 3) or read back from a sample dump.
+    as ``t<n>:<id>``, gathered from :func:`_table_keys`; otherwise it
+    indexes ``strings``, the key text of draws made one by one (n >= 3)
+    or read back from a sample dump.
     """
 
     n: int
@@ -394,11 +395,16 @@ class KeyText:
 
     def text(self, ids) -> np.ndarray:
         """The keys of ``ids`` (any shape), as an object array of strings."""
-        ids = np.asarray(ids)
-        if self.strings is not None:
-            return self.strings[ids]
-        return np.array([table_key(self.n, idx) for idx in ids.ravel().tolist()],
-                        dtype=object).reshape(ids.shape)
+        strings = _table_keys(self.n) if self.strings is None else self.strings
+        return strings[np.asarray(ids)]
+
+
+@lru_cache(maxsize=None)
+def _table_keys(n: int) -> np.ndarray:
+    """The key text of every index of the n <= 2 table, formed on its
+    first read (24 strings at n = 1, 11 520 at n = 2)."""
+    return np.array([table_key(n, idx) for idx in range(GROUP_ORDER_MOD_PHASE[n])],
+                    dtype=object)
 
 
 # -- sampling ---------------------------------------------------------------------

@@ -21,8 +21,7 @@ from .errors import (
 )
 from .grids import GridSpec
 from .hamiltonian import GridHamiltonian, _kronecker_sum
-from .states import (_squared_norm, check_budget, check_orthonormal_columns,
-                     slabs)
+from .states import check_budget, check_orthonormal_columns, slabs
 
 
 # exponential-midpoint fixed point: converged below this max |change|
@@ -287,87 +286,88 @@ def hf_energy(orbitals: OccupiedOrbitals, integrals: GridIntegrals,
             + integrals.nuclear_offset)
 
 
-_TAYLOR_TOL = 2.0 ** -53
-# The terms of exp(-i x) sum to e^|x| in magnitude before they cancel, so
-# a substep rounds off about e^theta * 2^-53; degree 30 keeps theta < 4.
-_MAX_TAYLOR_DEGREE = 30
+def _chebyshev_coefficients(theta: float) -> np.ndarray:
+    """The coefficients c_k of exp(-i theta x) = sum_k c_k T_k(x) on
+    [-1, 1] (Jacobi-Anger): c_0 = J_0(theta), c_k = 2 (-i)^k J_k(theta).
+
+    One FFT of exp(-i theta cos phi) on M points gives (-i)^k J_k(theta)
+    plus aliases from the orders M - k, M + k and beyond. Each sample's
+    phase rounds off by up to about eps |theta|, so the FFT's rounding
+    floor is eps max(1, |theta|), and the series is cut at the first
+    k > |theta| where |c_k| falls to it. Even at eps, that k is below
+    2|theta| + 24 (at most 2|theta| + 17 by scipy.special.jv, sampled up
+    to theta = 3000), so M > 4|theta| + 48 keeps every alias of
+    c_0 .. c_k below eps. A cut found nowhere below M / 2 is refused
+    rather than guessed.
+    """
+    size = 1 << int(4 * abs(theta) + 48).bit_length()
+    phase = np.cos(np.arange(size) * (2 * np.pi / size))
+    coeffs = np.fft.fft(np.exp(-1j * theta * phase))[:size // 2] / size
+    coeffs[1:] *= 2
+    floor = np.finfo(float).eps * max(1.0, abs(theta))
+    start = math.floor(abs(theta)) + 1
+    tail = np.flatnonzero(np.abs(coeffs[start:]) <= floor)
+    if not len(tail):
+        raise NumericalAssumptionError(
+            f"the Chebyshev series of exp(-i theta x) at theta = {theta:.6g} "
+            f"reached no coefficient below its floor in {size} FFT points")
+    return coeffs[:start + tail[0]]
 
 
-def _taylor_theta(m: int) -> float:
-    """Largest theta at which the degree-m Taylor remainder of exp(-i x),
-    at most theta^(m+1)/(m+1)! for real |x| <= theta, is 2^-53 * theta."""
-    return math.exp((math.log(_TAYLOR_TOL) + math.lgamma(m + 2)) / m)
-
-
-_TAYLOR_THETA = {m: _taylor_theta(m) for m in range(1, _MAX_TAYLOR_DEGREE + 1)}
-
-
-def _taylor_plan(norm: float) -> tuple[int, int]:
-    """(substeps s, degree m) with the fewest products s * m such that
-    every substep's operator has 1-norm at most theta_m."""
-    return min(((max(1, math.ceil(norm / theta)), m)
-                for m, theta in _TAYLOR_THETA.items()),
-               key=lambda plan: plan[0] * plan[1])
-
-
-def _taylor_action(op, c: np.ndarray, dt: float,
-                   plan: tuple[int, int]) -> np.ndarray:
-    """exp(-i dt A) @ c by s substeps of a degree-m Taylor series in
-    dt (A - mu I) (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+def _chebyshev_action(op, c: np.ndarray, dt: float,
+                      coeffs: np.ndarray) -> np.ndarray:
+    """exp(-i dt A) @ c = e^(-i mu dt) sum_k c_k T_k((A - mu I) / r) @ c,
+    with ``coeffs`` the :func:`_chebyshev_coefficients` of theta = r dt
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
 
     ``op`` is a Hermitian operator: ``op(x)`` is A @ x as a new array,
-    and ``op.center`` mu and ``op.radius`` r satisfy ||A - mu I||_2 <= r.
-    mu and dt enter each term as scalars, so no N x N matrix is copied or
-    scaled; each term and the sum are updated in place. A
-    substep truncated at degree m errs by at most 2^-53 of its operator's
-    norm. A substep stops earlier at term k once k + 1 > theta = r |dt| / s
-    and the remainder bound |term_k| theta / (k + 1 - theta) is below
-    2^-53 of the sum.
+    and ``op.center`` mu and ``op.radius`` r satisfy ||A - mu I||_2 <= r,
+    so the spectrum of (A - mu I) / r lies in [-1, 1]. The terms follow
+    T_(k+1) = 2 X T_k - T_(k-1), one product each, with mu and r entering
+    as scalars, so no N x N matrix is copied or scaled; each term and the
+    sum are updated in place. The len(coeffs) - 1 products are the walk
+    steps of a qubitized e^(-i A dt) with block-encoding norm r, up to
+    the constant of that construction (Low & Chuang, Quantum 3, 163
+    (2019)).
     """
-    s, m = plan
-    mu = op.center
-    scale = -1j * dt / s
-    theta = op.radius * abs(dt) / s
-    for _ in range(s):
-        term, total = c, np.array(c, dtype=complex)
-        for k in range(1, m + 1):
-            term, previous = op(term), term
-            term -= mu * previous
-            term *= scale / k
-            total += term
-            if k + 1 > theta and (math.sqrt(_squared_norm(term)) * theta
-                                  <= _TAYLOR_TOL * (k + 1 - theta)
-                                  * math.sqrt(_squared_norm(total))):
-                break
-        c = total
-    return np.exp(-1j * mu * dt) * c
+    mu, r = op.center, op.radius
+    total = coeffs[0] * c
+    previous, term = 0, c  # T_1 = X T_0, with no T_(-1)
+    for k, coeff in enumerate(coeffs[1:]):
+        following = op(term)
+        following -= mu * term
+        following *= (2 if k else 1) / r
+        following -= previous
+        total += coeff * following
+        previous, term = term, following
+    return total * np.exp(-1j * mu * dt)
 
 
 def _exp_action(op, c: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i dt A) @ c for a Hermitian operator ``op`` (see
-    _taylor_action), without forming exp(-i dt A).
+    _chebyshev_action), without forming exp(-i dt A).
 
-    The Taylor series needs at most s * m products of A with the N x eta
-    block, a cost linear in r |dt|. Once s * m * eta exceeds 2N the step
-    takes the exactly unitary eigh of ``op.matrix()`` instead. That rule
-    was set against dense products with A and is not calibrated for the
-    structured ``FockOperator``: at N = 343 (3-D, dt = 8) the eigh route
-    measured 1.6x slower than the Taylor series alone, while at N = 16
-    and N = 125 it was faster. Retuning it is ROADMAP item 20.
+    The series takes one product of A with the N x eta block per term,
+    and it has more than theta = r |dt| terms. Once terms * eta exceeds
+    2N the step takes the exactly unitary eigh of ``op.matrix()``
+    instead; |theta| eta > 2N decides that before any coefficient is
+    built. A step with theta >= 2^53, whose phases keep no significant
+    bit, is refused.
     """
     n, eta = c.shape
-    norm = op.radius * abs(dt)
-    if not math.isfinite(norm):
-        raise ConvergenceFailure(
-            f"the bound on ||(F - mu I) dt||_2 is {norm}; the step is not finite")
-    if not math.isfinite(norm / min(_TAYLOR_THETA.values())):
-        raise ValidationError(f"the bound on ||(F - mu I) dt||_2 is {norm:.3g}, "
-                              "too large to count its Taylor substeps; use more steps")
-    s, m = plan = _taylor_plan(norm)
-    if s * m * eta > 2 * n:
-        w, vec = np.linalg.eigh(op.matrix())
-        return vec @ (np.exp(-1j * dt * w)[:, None] * (vec.conj().T @ c))
-    return _taylor_action(op, c, dt, plan)
+    theta = op.radius * dt
+    if not math.isfinite(theta):
+        raise ConvergenceFailure(f"the bound on ||(F - mu I) dt||_2 is "
+                                 f"{abs(theta)}; the step is not finite")
+    if abs(theta) >= 2.0 ** 53:
+        raise ValidationError(f"the bound on ||(F - mu I) dt||_2 is {abs(theta):.3g}"
+                              ", past 2^53: its phase keeps no bit; use more steps")
+    if abs(theta) * eta <= 2 * n:
+        coeffs = _chebyshev_coefficients(theta)
+        if len(coeffs) * eta <= 2 * n:
+            return _chebyshev_action(op, c, dt, coeffs)
+    w, vec = np.linalg.eigh(op.matrix())
+    return vec @ (np.exp(-1j * dt * w)[:, None] * (vec.conj().T @ c))
 
 
 def _midpoint(c: np.ndarray, integrals: GridIntegrals, dt: float,
@@ -397,7 +397,7 @@ def tdhf_step(orbitals: OccupiedOrbitals, integrals: GridIntegrals, dt: float,
 
     The exponential acts on C directly through the operator F(C); an
     N x N Fock matrix is formed and diagonalized only for a step long
-    enough that the Taylor series costs more. When ``iterations`` is a
+    enough that the Chebyshev series costs more. When ``iterations`` is a
     list, the step appends its midpoint fixed-point iteration count (0
     for dt = 0). ``fock`` is the operator F(C) if the caller has it, for
     the midpoint's first iterate.

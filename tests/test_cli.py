@@ -278,7 +278,7 @@ class TestTdhfBytesPinned:
                          MKL_NUM_THREADS="1")
         assert run.returncode == 0, run.stderr
         assert sha256("tdhf.csv") == (
-            "7cc8162c6ee23b3d3963ca0e3bc1bd30aad8e10c073d05ae295462891666a9d7")
+            "85a8c7bd962b7483b66762dcb9ef63467a520c8f6730fcf67b201b32c22051c7")
 
     def test_benchmark_grid_from_coefficients_on_one_and_two_blas_threads(
             self, workdir):
@@ -313,7 +313,7 @@ class TestTdhfBytesPinned:
                              **{key: count for key in threads})
             assert run.returncode == 0, run.stderr
             assert sha256("tdhf.csv") == (
-                "7cc8162c6ee23b3d3963ca0e3bc1bd30aad8e10c073d05ae295462891666a9d7"
+                "85a8c7bd962b7483b66762dcb9ef63467a520c8f6730fcf67b201b32c22051c7"
             ), count
 
 

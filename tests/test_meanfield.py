@@ -6,11 +6,13 @@ import tracemalloc
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from fqlab.errors import (
     ConvergenceFailure,
     DimensionMismatch,
     NonOrthonormalInput,
+    NumericalAssumptionError,
     ValidationError,
 )
 from fqlab.grids import GridSpec
@@ -22,13 +24,14 @@ from fqlab.meanfield import (
     OccupiedOrbitals,
     TdhfPlan,
     build_fock,
+    core_guess,
     evolve_tdhf,
     hf_energy,
     mean_field_1rdm,
     tdhf_step,
+    _chebyshev_action,
+    _chebyshev_coefficients,
     _exp_action,
-    _taylor_action,
-    _taylor_plan,
 )
 from fqlab import states
 from fqlab.states import exact_krdm_element, slater_oracle
@@ -262,6 +265,21 @@ class TestTdhfStep:
         with pytest.raises(ConvergenceFailure, match="not finite"):
             tdhf_step(orb, ints, np.inf)
 
+    @pytest.mark.parametrize("system,dt", [
+        ("1-D m=8", 0.05), ("1-D m=8", 0.5), ("1-D m=16", 4.0),
+        ("3-D m=5", 0.05), ("3-D m=5", 1.0)])
+    def test_step_runs_backwards(self, system, dt):
+        # the exponential midpoint is symmetric: a step of -dt undoes one
+        # of dt. 1-D m=8 at dt = 0.5 and m=16 at dt = 4 take the eigh
+        # route, the others the series
+        ints = {"1-D m=8": lambda: model_system(points=8)[1],
+                "1-D m=16": lambda: model_system()[1],
+                "3-D m=5": lambda: GridIntegrals.from_grid(
+                    nuclear_grid(3, 5))}[system]()
+        orb = OccupiedOrbitals(random_orthonormal(ints.n_basis, 2, seed=4))
+        back = tdhf_step(tdhf_step(orb, ints, dt), ints, -dt)
+        assert np.max(np.abs(back.coeffs - orb.coeffs)) < 1e-9
+
 
 
 class DenseOperator:
@@ -275,6 +293,18 @@ class DenseOperator:
 
     def matrix(self):
         return self.a
+
+
+@pytest.fixture(scope="module")
+def benchmark_fock():
+    """F(C) on the dynamics benchmark's grid (3-D m = 7, N = 343, eta = 2)
+    at the core guess, and the eigh of its dense matrix."""
+    nuclei = NuclearConfig(np.array([[0.7, 0.0, 0.0], [-0.7, 0.0, 0.0]]),
+                           np.ones(2))
+    ints = GridIntegrals.from_grid(
+        GridHamiltonian(GridSpec(3, 7, 343.0), nuclei, CoulombKernel(0.5)))
+    op = FockOperator(core_guess(ints.h, 2), ints)
+    return op, np.linalg.eigh(op.matrix())
 
 
 def random_hermitian(n, norm, seed):
@@ -309,7 +339,7 @@ class TestExpAction:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 8), eta=st.integers(1, 4),
            log_norm=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 16))
-    def test_taylor_series_matches_eigh(self, n, eta, log_norm, seed):
+    def test_chebyshev_series_matches_eigh(self, n, eta, log_norm, seed):
         # the series alone, uncentered, at norms where _exp_action would
         # take eigh
         eta = min(eta, n)
@@ -318,17 +348,51 @@ class TestExpAction:
         w, vec = np.linalg.eigh(a)
         exact = (vec * np.exp(-1j * w)) @ vec.conj().T @ c
         norm = np.linalg.norm(a, 1)
-        out = _taylor_action(DenseOperator(a, 0.0, norm), c, 1.0,
-                             _taylor_plan(norm))
+        out = _chebyshev_action(DenseOperator(a, 0.0, norm), c, 1.0,
+                                _chebyshev_coefficients(norm))
         assert np.max(np.abs(out - exact)) < 1e-14 * max(1.0, norm)
 
-    @pytest.mark.parametrize("norm,plan", [
-        (0.0, (1, 1)), (0.4, (1, 13)), (17.4, (5, 29)), (868.4, (219, 30))])
-    def test_plan_fewest_products_within_the_bound(self, norm, plan):
-        s, m = _taylor_plan(norm)
-        assert (s, m) == plan
-        # s substeps, each truncated at degree m, err by at most 2^-53 ||a||_1
-        assert s * (norm / s) ** (m + 1) / math.factorial(m + 1) <= 2.0 ** -53 * norm
+    @pytest.mark.parametrize("theta", [0.1, -0.1, 0.66, 6.6, 53.0, 96.0,
+                                       106.0, 1000.0])
+    def test_coefficients_are_bessel_values_cut_past_theta(self, theta):
+        coeffs = _chebyshev_coefficients(theta)
+        k = np.arange(len(coeffs) + 1)
+        exact = 2 * (-1j) ** k * jv(k, theta)
+        exact[0] /= 2
+        floor = np.finfo(float).eps * max(1.0, abs(theta))
+        assert np.max(np.abs(coeffs - exact[:-1])) <= floor
+        # the cut is the first k > |theta| whose coefficient is at the floor
+        past = math.floor(abs(theta)) + 1
+        assert len(coeffs) >= past
+        assert np.all(np.abs(exact[past:-1]) > floor)
+        assert abs(exact[-1]) <= floor
+
+    def test_spectrum_without_a_tail_refused(self, monkeypatch):
+        # as from an FFT too short to reach the tail: no cut is guessed
+        monkeypatch.setattr(np.fft, "fft", lambda x: np.full_like(x, len(x)))
+        with pytest.raises(NumericalAssumptionError, match="no coefficient"):
+            _chebyshev_coefficients(0.5)
+
+    def test_step_whose_phase_keeps_no_bit_refused(self):
+        c = random_orthonormal(4, 1, seed=1)
+        w = np.array([1.0, -1.0, 0.5, 0.0])
+        op = DenseOperator(np.diag(w), 0.0, 1.0)
+        with pytest.raises(ValidationError, match="use more steps"):
+            _exp_action(op, c, -2.0 ** 53)
+        dt = np.nextafter(2.0 ** 53, 0)  # the eigh route
+        assert np.max(np.abs(_exp_action(op, c, dt)
+                             - np.exp(-1j * dt * w)[:, None] * c)) < 1e-12
+
+    @pytest.mark.parametrize("theta", [0.1, 0.66, 6.6, 53.0, 106.0, 1000.0])
+    def test_series_matches_eigh_on_the_benchmark_fock_operator(
+            self, benchmark_fock, theta):
+        # the dynamics benchmark's grid and core guess (r = 13.25), with
+        # the series route forced at every theta
+        op, (w, vec) = benchmark_fock
+        dt = theta / op.radius
+        exact = vec @ (np.exp(-1j * dt * w)[:, None] * (vec.conj().T @ op.c))
+        out = _chebyshev_action(op, op.c, dt, _chebyshev_coefficients(theta))
+        assert np.max(np.abs(out - exact)) < 1e-12
 
     def test_zero_operator_is_identity(self):
         c = random_orthonormal(5, 2, seed=1)
